@@ -6,15 +6,29 @@ UnsupportedRing.  Every basis element carries its cofactor expression over
 the original generators, which gives membership certificates, lifts, and
 syzygies (via Schreyer's theorem) in one pass.
 
-Vectors are tuples of Poly, one per free-module coordinate.  Leading terms
-use position-over-term order with coordinate 0 largest; pair selection is
-the normal strategy with a deterministic tie-break, so output is stable.
+Inside a basis a vector is one flat dict {(coord, mono): coeff}, as in
+Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, ch. 2; a
+basis stores each element and cofactor once in that form.  The public
+interface takes and returns tuples of Poly, one per free-module coordinate:
+``elements`` and ``cofactors`` are built from the flat store on each access.
+Leading terms use position-over-term order with coordinate 0 largest, and
+each element's leading term is cached.  One reduction loop serves
+construction, inter-reduction, normal forms, membership and lifts; it takes
+each next leading term from a heap of term keys.  S-pairs wait in a heap
+keyed by the normal strategy with a deterministic tie-break, so output is
+stable.
+
+The budget counts reduction steps, one ``_tick`` call each.  A construction
+may take ``budget`` steps in all, and every later query on the finished
+basis (normal form, membership, lift) may take ``budget`` steps of its own.
 """
 
+import heapq
 import os
+from operator import add, le, sub
 
 from .errors import BudgetExceeded, UnsupportedRing
-from .poly import Poly, mono_div, mono_lcm, order_key
+from .poly import Poly, descending_key, mono_div, mono_lcm, order_key
 
 
 def default_budget():
@@ -24,43 +38,35 @@ def default_budget():
         return 100000
 
 
-def vec_zero(dom, nvars, nrows):
-    return tuple(Poly.zero(dom, nvars) for _ in range(nrows))
+def _flat(v):
+    """Tuple of Poly -> {(coord, mono): coeff}."""
+    return {(i, m): c for i, p in enumerate(v) for m, c in p.terms.items()}
 
 
-def vec_is_zero(v):
-    return all(p.is_zero() for p in v)
+def _scaled(v, s, p):
+    if p is None:
+        return {k: c * s for k, c in v.items()}
+    return {k: c * s % p for k, c in v.items()}
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale_term(v, mono, coeff):
-    t = Poly(v[0].dom, v[0].nvars, {mono: coeff})
-    return tuple(t * p for p in v)
-
-
-def _lead(v, key):
-    """((coord, mono), coeff) of the POT-leading term, or None for zero."""
-    best = None
-    for i, p in enumerate(v):
-        if p.is_zero():
-            continue
-        m, c = p.leading(key)
-        cand = ((i, m), c)
-        if best is None:
-            best = cand
+def _sub_shifted(v, g, q, f, p, heap=None, hkey=None):
+    """v -= f * x^q * g in place; new terms of v are pushed onto heap."""
+    for (i, gm), gc in g.items():
+        k = (i, tuple(map(add, q, gm)))
+        old = v.get(k)
+        if old is None:
+            c = -f * gc
+            v[k] = c if p is None else c % p
+            if heap is not None:
+                heapq.heappush(heap, (hkey(k), k))
         else:
-            (bi, bm), _ = best
-            # coordinate 0 is largest; within a coordinate use the mono order
-            if (i < bi) or (i == bi and key(m) > key(bm)):
-                best = cand
-    return best
+            c = old - f * gc
+            if p is not None:
+                c %= p
+            if c:
+                v[k] = c
+            else:
+                del v[k]
 
 
 class GBasis:
@@ -72,20 +78,24 @@ class GBasis:
         self.nrows = nrows
         self.order = order
         self.key = order_key(order)
+        desc = descending_key(order)
+        self._hkey = lambda t: (t[0], desc(t[1]))
         self.dom = gens[0][0].dom
         self.nvars = gens[0][0].nvars
+        self._p = self.dom.p if self.dom.kind == "F" else None
         self.gens = [tuple(g) for g in gens]
         self.track = track
         self.budget = budget if budget is not None else default_budget()
-        self._steps = 0
-        self.elements = []       # basis vectors
-        self.cofactors = []      # elements[i] = sum_j cofactors[i][j] * gens[j]
-        self._syz = []           # syzygies over the original generators
+        self._steps = 0          # reduction steps of the construction
+        self._vecs = []          # basis vectors, flat
+        self._cofs = []          # {(j, m): c}, _vecs[i] = sum c*m*gens[j]
+        self._leads = []         # ((coord, mono), coeff) of each _vecs[i]
+        self._by_coord = {}      # coord -> [(i, mono, coeff)] in index order
+        self._syz = []           # syzygies over the original generators, flat
         self._run()
 
-    def _tick(self):
-        self._steps += 1
-        if self._steps > self.budget:
+    def _tick(self, steps):
+        if steps > self.budget:
             raise BudgetExceeded("groebner budget exceeded",
                                  partial=[list(e) for e in self.elements])
 
@@ -95,121 +105,114 @@ class GBasis:
                 "Groebner over Z is restricted to unit leading coefficients")
         return c
 
-    def _reduce(self, v, cof):
-        """Full normal form of v against the current basis, updating cof."""
-        key = self.key
-        dom = self.dom
-        out = vec_zero(dom, self.nvars, self.nrows)
-        while not vec_is_zero(v):
-            self._tick()
-            (ci, cm), cc = _lead(v, key)
-            hit = None
-            for idx, g in enumerate(self.elements):
-                (gi, gm), gc = self._leads[idx]
-                if gi != ci:
-                    continue
-                q = mono_div(cm, gm)
-                if q is not None:
-                    hit = (idx, q, gc)
+    def _reduce(self, v, cof, steps, skip=None):
+        """Full normal form of the flat vector v against the basis.
+
+        Element ``skip`` is left out of the reducers.  v is consumed and cof
+        (None when untracked) is updated in place.  The reducer of a term is
+        the lowest-index element whose lead divides it; each step, reducing
+        or moving a term to the remainder, counts one tick from ``steps``.
+        Returns (remainder, cof, steps); the remainder's terms are inserted
+        in descending order, so its first key is its leading term.
+        """
+        p, dom, hkey = self._p, self.dom, self._hkey
+        heap = [(hkey(t), t) for t in v]
+        heapq.heapify(heap)
+        out = {}
+        while heap:
+            t = heapq.heappop(heap)[1]
+            c = v.get(t)
+            if c is None:
+                continue  # cancelled after it was pushed
+            steps += 1
+            self._tick(steps)
+            coord, m = t
+            for idx, gm, gc in self._by_coord.get(coord, ()):
+                if idx != skip and all(map(le, gm, m)):
                     break
-            if hit is None:
-                # move the leading term to the remainder
-                t = Poly(dom, self.nvars, {cm: cc})
-                mv = [Poly.zero(dom, self.nvars)] * self.nrows
-                mv[ci] = t
-                out = vec_add(out, tuple(mv))
-                v = vec_sub(v, tuple(mv))
+            else:
+                out[t] = c
+                del v[t]
                 continue
-            idx, q, gc = hit
-            factor = dom.exact_div(cc, gc)
+            factor = dom.exact_div(c, gc)
             if factor is None:
                 self._unit_coeff(gc)
                 raise UnsupportedRing("non-exact coefficient division")
-            v = vec_sub(v, vec_scale_term(self.elements[idx], q, factor))
+            q = tuple(map(sub, m, gm))
+            _sub_shifted(v, self._vecs[idx], q, factor, p, heap, hkey)
             if cof is not None:
-                base = self.cofactors[idx]
-                t = Poly(dom, self.nvars, {q: factor})
-                cof = tuple(a if b.is_zero() else a - t * b
-                            for a, b in zip(cof, base))
-        return out, cof
+                _sub_shifted(cof, self._cofs[idx], q, factor, p)
+        return out, cof, steps
+
+    def _add(self, v, cof):
+        """Reduce v; keep the monic remainder as a new element.
+
+        A zero remainder leaves its cofactor, when nonzero, as a syzygy:
+        0 = cof . gens.  Returns whether an element was added.
+        """
+        nf, cof, self._steps = self._reduce(v, cof, self._steps)
+        if not nf:
+            if cof:
+                self._syz.append(cof)
+            return False
+        lead = next(iter(nf))
+        c = nf[lead]
+        if self.dom.kind != "Z":
+            # keeping reducers monic tames coefficient growth over Q
+            inv = self.dom.inv(c)
+            nf = _scaled(nf, inv, self._p)
+            if cof is not None:
+                cof = _scaled(cof, inv, self._p)
+            c = nf[lead]
+        idx = len(self._vecs)
+        self._vecs.append(nf)
+        self._cofs.append(cof)
+        self._leads.append((lead, c))
+        self._by_coord.setdefault(lead[0], []).append((idx, lead[1], c))
+        return True
 
     def _run(self):
-        dom, nv, nr = self.dom, self.nvars, self.nrows
-        ngen = len(self.gens)
-        unit = lambda j: tuple(
-            Poly.const(dom, nv, 1) if i == j else Poly.zero(dom, nv)
-            for i in range(ngen)) if self.track else None
-        self._leads = []
+        one = self.dom.normalize(1)
+        zero = (0,) * self.nvars
         for j, g in enumerate(self.gens):
-            nf, cof = self._reduce(g, unit(j))
-            if vec_is_zero(nf):
-                # 0 = cof . gens, so the cofactor vector is itself a syzygy
-                if cof is not None and not vec_is_zero(cof):
-                    self._syz.append(cof)
-                continue
-            nf, cof = self._monicize(nf, cof)
-            self.elements.append(nf)
-            self.cofactors.append(cof)
-            self._leads.append(_lead(nf, self.key))
-        pairs = [(i, j) for i in range(len(self.elements))
-                 for j in range(i + 1, len(self.elements))
-                 if self._leads[i][0][0] == self._leads[j][0][0]]
+            self._add(_flat(g), {(j, zero): one} if self.track else None)
+        # pair keys end in (i, j), so they are unique: the heap pops pairs in
+        # the order of a fully sorted list
+        pairs, pending = [], set()
+        for new in range(len(self._vecs)):
+            self._push_pairs(new, pairs, pending)
         while pairs:
-            pairs.sort(key=self._pair_key)
-            i, j = pairs.pop(0)
-            if self._chain_criterion(i, j, pairs):
+            i, j = heapq.heappop(pairs)[-2:]
+            pending.discard((i, j))
+            if self._chain_criterion(i, j, pending):
                 continue
-            sv, scof = self._spair(i, j)
-            nf, cof = self._reduce(sv, scof)
-            if vec_is_zero(nf):
-                if cof is not None and not vec_is_zero(cof):
-                    self._syz.append(cof)
-                continue
-            nf, cof = self._monicize(nf, cof)
-            self.elements.append(nf)
-            self.cofactors.append(cof)
-            self._leads.append(_lead(nf, self.key))
-            new = len(self.elements) - 1
-            for t in range(new):
-                if self._leads[t][0][0] == self._leads[new][0][0]:
-                    pairs.append((t, new))
+            if self._add(*self._spair(i, j)):
+                self._push_pairs(len(self._vecs) - 1, pairs, pending)
         self._make_reduced()
 
-    def _monicize(self, nf, cof):
-        # keeping reducers monic tames coefficient growth over Q
-        if self.dom.kind == "Z":
-            return nf, cof
-        _, c = _lead(nf, self.key)
-        inv = self.dom.inv(c)
-        nf = tuple(p.scale(inv) for p in nf)
-        if cof is not None:
-            cof = tuple(p.scale(inv) for p in cof)
-        return nf, cof
-
-    def _pair_key(self, pair):
-        i, j = pair
-        (ci, mi), _ = self._leads[i]
-        (_, mj), _ = self._leads[j]
-        lcm = mono_lcm(mi, mj)
-        return (sum(lcm), self.key(lcm), ci, i, j)
+    def _push_pairs(self, new, pairs, pending):
+        """Queue (t, new) for every earlier element t in new's coordinate."""
+        (cn, mn), _ = self._leads[new]
+        for t, mt, _ in self._by_coord[cn]:
+            if t >= new:
+                break
+            lcm = mono_lcm(mt, mn)
+            heapq.heappush(pairs, (sum(lcm), self.key(lcm), cn, t, new))
+            pending.add((t, new))
 
     def _chain_criterion(self, i, j, pending):
         (ci, mi), _ = self._leads[i]
-        (_, mj), _ = self._leads[j]
-        lcm = mono_lcm(mi, mj)
-        for t in range(len(self.elements)):
-            if t in (i, j):
+        lcm = mono_lcm(mi, self._leads[j][0][1])
+        for t, mt, _ in self._by_coord[ci]:
+            if t == i or t == j or not all(map(le, mt, lcm)):
                 continue
-            (ct, mt), _ = self._leads[t]
-            if ct != ci or mono_div(lcm, mt) is None:
-                continue
-            a, b = (min(i, t), max(i, t)), (min(j, t), max(j, t))
-            if a not in pending and b not in pending:
+            if (min(i, t), max(i, t)) not in pending and \
+                    (min(j, t), max(j, t)) not in pending:
                 return True
         return False
 
     def _spair(self, i, j):
-        (ci, mi), cci = self._leads[i]
+        (_, mi), cci = self._leads[i]
         (_, mj), ccj = self._leads[j]
         lcm = mono_lcm(mi, mj)
         qi, qj = mono_div(lcm, mi), mono_div(lcm, mj)
@@ -219,149 +222,116 @@ class GBasis:
             ai, aj = ccj, cci
         else:
             ai, aj = self.dom.inv(cci), self.dom.inv(ccj)
-        sv = vec_sub(vec_scale_term(self.elements[i], qi, ai),
-                     vec_scale_term(self.elements[j], qj, aj))
+        p = self._p
+        sv = {}
+        _sub_shifted(sv, self._vecs[i], qi, -ai, p)
+        _sub_shifted(sv, self._vecs[j], qj, aj, p)
         if not self.track:
             return sv, None
-        sc = tuple(a - b for a, b in zip(
-            vec_scale_term(self.cofactors[i], qi, ai),
-            vec_scale_term(self.cofactors[j], qj, aj)))
+        sc = {}
+        _sub_shifted(sc, self._cofs[i], qi, -ai, p)
+        _sub_shifted(sc, self._cofs[j], qj, aj, p)
         return sv, sc
 
     def _make_reduced(self):
-        # minimalize, then inter-reduce tails and normalize; sort for stability
-        keep = []
-        for i in range(len(self.elements)):
-            (ci, mi), _ = self._leads[i]
-            shadowed = False
-            for j in range(len(self.elements)):
-                if i == j:
-                    continue
-                (cj, mj), _ = self._leads[j]
-                if cj == ci and mono_div(mi, mj) is not None:
-                    if mono_div(mj, mi) is not None and j > i:
-                        continue  # equal leads: keep the earlier one
-                    shadowed = True
-                    break
-            if not shadowed:
-                keep.append(i)
-        elements = [self.elements[i] for i in keep]
-        cofs = [self.cofactors[i] for i in keep] if self.track else None
-        self.elements = elements
-        self.cofactors = cofs
-        self._leads = [_lead(e, self.key) for e in self.elements]
-        for i in range(len(self.elements)):
-            others = self.elements[:i] + self.elements[i + 1:]
-            ocofs = (self.cofactors[:i] + self.cofactors[i + 1:]) \
-                if self.track else None
-            sub = _SubBasis(others, ocofs, self)
-            nf, cof = sub.reduce(self.elements[i],
-                                 self.cofactors[i] if self.track else None)
-            self.elements[i] = nf
-            if self.track:
-                self.cofactors[i] = cof
-        for i, e in enumerate(self.elements):
-            _, c = _lead(e, self.key)
-            if self.dom.kind == "Z":
+        # minimalize (of equal leads the earliest stays), then inter-reduce
+        # tails and normalize; sort for stability
+        keep = [i for i, ((ci, mi), _) in enumerate(self._leads)
+                if not any(j != i and all(map(le, mj, mi))
+                           and (mj != mi or j < i)
+                           for j, mj, _ in self._by_coord[ci])]
+        self._select(keep)
+        for i in range(len(self._vecs)):
+            # a minimal element's lead is reduced by no other element, so the
+            # cached lead and the reducer table stay valid
+            self._vecs[i], self._cofs[i], self._steps = self._reduce(
+                self._vecs[i], self._cofs[i], self._steps, skip=i)
+        if self.dom.kind == "Z":
+            # field elements are monic already; over Z fix the sign
+            for i, (lead, c) in enumerate(self._leads):
                 if c < 0:
-                    self.elements[i] = tuple(-p for p in e)
+                    self._vecs[i] = _scaled(self._vecs[i], -1, None)
                     if self.track:
-                        self.cofactors[i] = tuple(-p for p in self.cofactors[i])
-            else:
-                inv = self.dom.inv(c)
-                self.elements[i] = tuple(p.scale(inv) for p in e)
-                if self.track:
-                    self.cofactors[i] = tuple(p.scale(inv)
-                                              for p in self.cofactors[i])
-        order = sorted(range(len(self.elements)),
-                       key=lambda i: (self._leads[i][0][0],
-                                      self.key(self._leads[i][0][1])))
-        self.elements = [self.elements[i] for i in order]
-        if self.track:
-            self.cofactors = [self.cofactors[i] for i in order]
-        self._leads = [_lead(e, self.key) for e in self.elements]
+                        self._cofs[i] = _scaled(self._cofs[i], -1, None)
+                    self._leads[i] = (lead, -c)
+        key = self.key
+        self._select(sorted(range(len(self._vecs)),
+                            key=lambda i: (self._leads[i][0][0],
+                                           key(self._leads[i][0][1]))))
+
+    def _select(self, order):
+        """Keep the elements at the given indices, in that order."""
+        self._vecs = [self._vecs[i] for i in order]
+        self._cofs = [self._cofs[i] for i in order]
+        self._leads = [self._leads[i] for i in order]
+        self._by_coord = {}
+        for idx, ((coord, m), c) in enumerate(self._leads):
+            self._by_coord.setdefault(coord, []).append((idx, m, c))
+
+    def _polys(self, v, n):
+        """{(coord, mono): coeff} -> tuple of n Poly."""
+        rows = [{} for _ in range(n)]
+        for (i, m), c in v.items():
+            rows[i][m] = c
+        return tuple(Poly._raw(self.dom, self.nvars, r) for r in rows)
+
+    def _lift_flat(self, v):
+        """Flat cofactor c with v = -sum c.gens, or None when v is not in
+        the module."""
+        nf, cof, _ = self._reduce(_flat(v), {}, 0)
+        return None if nf else cof
 
     # public interface ----------------------------------------------------
 
+    @property
+    def elements(self):
+        """The reduced basis, as tuples of Poly (built on each access)."""
+        return [self._polys(v, self.nrows) for v in self._vecs]
+
+    @property
+    def cofactors(self):
+        """elements[i] = sum_j cofactors[i][j] * gens[j]; None untracked."""
+        if not self.track:
+            return None
+        return [self._polys(c, len(self.gens)) for c in self._cofs]
+
+    @property
+    def leads(self):
+        """(coord, mono) of the leading term of each element."""
+        return [lead for lead, _ in self._leads]
+
     def normal_form(self, v):
-        nf, _ = self._reduce(tuple(v), None)
-        return nf
+        nf, _, _ = self._reduce(_flat(v), None, 0)
+        return self._polys(nf, self.nrows)
 
     def contains(self, v):
-        return vec_is_zero(self.normal_form(v))
+        return not self._reduce(_flat(v), None, 0)[0]
 
     def lift(self, v):
         """Coefficients c with v = sum_j c[j] * gens[j], or None."""
         if not self.track:
             raise UnsupportedRing("this basis was built without cofactors")
-        zero_cof = tuple(Poly.zero(self.dom, self.nvars) for _ in self.gens)
-        nf, cof = self._reduce(tuple(v), zero_cof)
-        if not vec_is_zero(nf):
+        cof = self._lift_flat(v)
+        if cof is None:
             return None
-        return tuple(-p for p in cof)
+        return self._polys(_scaled(cof, -1, self._p), len(self.gens))
 
     def syzygies(self):
         """Generators of the syzygy module of the original generators."""
         if not self.track:
             raise UnsupportedRing("this basis was built without cofactors")
-        out = list(self._syz)
+        ngen = len(self.gens)
+        out = [self._polys(s, ngen) for s in self._syz]
         # relations expressing each original generator over the basis give
-        # extra syzygies e_j - lift(gen_j)
+        # extra syzygies e_j - lift(gen_j) = e_j + row
+        one, zero = self.dom.normalize(1), (0,) * self.nvars
         for j, g in enumerate(self.gens):
-            lifted = self.lift(g)
-            assert lifted is not None
-            row = list(lifted)
-            row[j] = row[j] - Poly.const(self.dom, self.nvars, 1)
-            if not vec_is_zero(tuple(row)):
-                out.append(tuple(-p for p in row))
+            row = self._lift_flat(g)
+            assert row is not None
+            _sub_shifted(row, {(j, zero): one}, zero, -1, self._p)
+            if row:
+                out.append(self._polys(row, ngen))
         return out
-
-
-class _SubBasis:
-    """Reduction against a fixed sublist, reusing GBasis bookkeeping."""
-
-    def __init__(self, elements, cofactors, parent):
-        self.elements = elements
-        self.cofactors = cofactors
-        self.key = parent.key
-        self.dom = parent.dom
-        self.nvars = parent.nvars
-        self.nrows = parent.nrows
-        self._leads = [_lead(e, self.key) for e in elements]
-        self._parent = parent
-
-    def reduce(self, v, cof):
-        key, dom = self.key, self.dom
-        out = vec_zero(dom, self.nvars, self.nrows)
-        while not vec_is_zero(v):
-            self._parent._tick()
-            (ci, cm), cc = _lead(v, key)
-            hit = None
-            for idx in range(len(self.elements)):
-                (gi, gm), gc = self._leads[idx]
-                if gi != ci:
-                    continue
-                q = mono_div(cm, gm)
-                if q is not None:
-                    hit = (idx, q, gc)
-                    break
-            if hit is None:
-                t = Poly(dom, self.nvars, {cm: cc})
-                mv = [Poly.zero(dom, self.nvars)] * self.nrows
-                mv[ci] = t
-                out = vec_add(out, tuple(mv))
-                v = vec_sub(v, tuple(mv))
-                continue
-            idx, q, gc = hit
-            factor = dom.exact_div(cc, gc)
-            if factor is None:
-                raise UnsupportedRing("non-exact coefficient division")
-            v = vec_sub(v, vec_scale_term(self.elements[idx], q, factor))
-            if cof is not None:
-                t = Poly(dom, self.nvars, {q: factor})
-                cof = tuple(a if b.is_zero() else a - t * b
-                            for a, b in zip(cof, self.cofactors[idx]))
-        return out, cof
 
 
 def groebner_ideal(polys, order="grevlex", budget=None):

@@ -122,6 +122,16 @@ def order_key(order):
     raise ValueError(f"unknown monomial order {order!r}")
 
 
+def descending_key(order):
+    """Sort key that puts bigger monomials first: ascending order of this
+    key is descending order of ``order_key(order)``."""
+    if order == "lex":
+        return lambda m: tuple(-e for e in m)
+    if order == "grevlex":
+        return lambda m: (-sum(m), m[::-1])
+    raise ValueError(f"unknown monomial order {order!r}")
+
+
 class Poly:
     __slots__ = ("dom", "nvars", "terms")
 

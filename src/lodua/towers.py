@@ -466,11 +466,13 @@ def _mult_is_iso(M, x):
     mat = [[x if i == j else M.ring.zero() for j in range(M.ngens)]
            for i in range(M.ngens)]
     f = ModuleMap(M, M, mat, check=False)
-    K, _ = f.kernel()
-    if not K.is_zero():
-        return False
+    # the cokernel is the cheaper test and usually settles it: by Nakayama
+    # x.M != M whenever x lies in the completion ideal and M != 0
     C, _ = f.cokernel()
-    return C.is_zero()
+    if not C.is_zero():
+        return False
+    K, _ = f.kernel()
+    return K.is_zero()
 
 
 def _mult_is_nilpotent(M, x, bound=24):
@@ -505,7 +507,7 @@ def is_finite_dimensional(M):
     ring = M.ring
     if ring.classify() not in ("poly",):
         raise UnsupportedRing("finite-dimension test is for polynomial rings")
-    from .groebner import GBasis, _lead
+    from .groebner import GBasis
     from .poly import Poly
     mod = list(ring.quotient)
     if ring.is_completed:
@@ -522,8 +524,7 @@ def is_finite_dimensional(M):
         return M.ngens == 0
     gb = GBasis(gens, M.ngens, order=ring.order)
     leads = {}
-    for e in gb.elements:
-        (coord, mono), _ = _lead(e, gb.key)
+    for coord, mono in gb.leads:
         leads.setdefault(coord, []).append(mono)
     for i in range(M.ngens):
         monos = leads.get(i, [])

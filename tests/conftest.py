@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from lodua import FPModule, IdealData, make_ring
+
+# Host speed drifts by up to 1.8x, so a per-example deadline would make the
+# suite flaky; derandomized runs draw the same examples every time.
+settings.register_profile("lodua", deadline=None, derandomize=True)
+settings.load_profile("lodua")
 
 
 @pytest.fixture(scope="session")

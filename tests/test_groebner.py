@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodua import BudgetExceeded, Ring, UnsupportedRing
 from lodua.groebner import GBasis, groebner_ideal, ideal_basis_polys
-from lodua.poly import Poly, mono_lcm, mono_div, order_key
+from lodua.poly import GF, QQ, Poly, mono_lcm, mono_div, order_key
 
 
 def lexring():
@@ -105,3 +107,220 @@ def test_z_restricted_to_unit_leads():
     # unit leading coefficients work
     gb = groebner_ideal([R.el("x - 3").num])
     assert gb.contains((R.el("x - 3").num,))
+
+
+def test_queries_count_their_own_steps():
+    # every query gets the full budget: a finished basis keeps answering
+    # however many queries it has served
+    R = Ring.get("Q", None, ("x", "y"))
+    gb = GBasis([(R.el(s).num,) for s in ("x^2 - y", "y^2 - x")], 1,
+                budget=20)
+    target = (R.el("x^3 + x^2*y + 3*x*y^2 + y").num,)
+    for _ in range(1000):
+        assert gb.normal_form(target) == (R.el("x*y + x + 4*y").num,)
+    # but one query that needs more steps than the budget still stops
+    with pytest.raises(BudgetExceeded):
+        gb.normal_form((R.el("(x + y)^8").num,))
+
+
+# -- the Buchberger path, pinned -------------------------------------------
+# Exact reduced bases, cofactors, syzygies, lifts and construction step
+# counts of four inputs.  A change to the pair order, the reducer choice,
+# the chain criterion or the normalisation shows up here.
+
+PINNED = {
+    "q_completed_i3": {
+        "steps": 16,
+        "elements": [
+            ("x - 3/2*y",),
+            ("y^3",),
+        ],
+        "cofactors": [
+            ("1/2", "0", "0", "0", "0"),
+            ("-4/27*x^2 - 2/9*x*y - 1/3*y^2", "8/27", "0", "0", "0"),
+        ],
+        "syzygies": [
+            ("1/3*x^2", "-2/3", "1", "0", "0"),
+            ("2/9*x^2 + 1/3*x*y", "-4/9", "0", "1", "0"),
+            ("4/27*x^2 + 2/9*x*y + 1/3*y^2", "-8/27", "0", "0", "1"),
+            ("4/27*x^3", "-8/27*x + 4/9*y", "0", "0", "0"),
+            ("1/3*x^2", "-2/3", "1", "0", "0"),
+            ("2/9*x^2 + 1/3*x*y", "-4/9", "0", "1", "0"),
+            ("4/27*x^2 + 2/9*x*y + 1/3*y^2", "-8/27", "0", "0", "1"),
+        ],
+        "lifts": [
+            ("-x^2 - x*y + 5", "2", "0", "0", "0"),
+            None,
+        ],
+    },
+    "f7_rank2_i2": {
+        "steps": 44,
+        "elements": [
+            ("x + 2*y", "3*y"),
+            ("y^2", "0"),
+            ("0", "x + 6*y"),
+            ("0", "y^2"),
+        ],
+        "cofactors": [
+            ("1", "0", "0", "0", "0", "0", "0", "0"),
+            ("0", "0", "0", "0", "1", "0", "0", "0"),
+            ("0", "1", "0", "0", "6", "0", "0", "0"),
+            ("5*y", "0", "0", "2", "4", "0", "0", "0"),
+        ],
+        "syzygies": [
+            ("2*x", "6*x", "5", "3", "x", "1", "0", "0"),
+            ("2*x", "0", "5", "3", "0", "0", "1", "0"),
+            ("2*y", "0", "0", "5", "3", "0", "0", "1"),
+            ("5*x + 2*y", "6*y", "2", "2", "y + 3", "0", "0", "0"),
+            ("0", "0", "0", "y", "6*x", "0", "0", "0"),
+            ("0", "0", "2*y", "5*x + 4*y", "3*x", "0", "0", "0"),
+            ("6*x + y", "3*y", "1", "1", "4*y + 5", "0", "0", "0"),
+            ("2*y", "6*x + 6*y", "0", "5", "x + y + 3", "1", "0", "0"),
+            ("2*y", "6*y", "0", "5", "y + 3", "0", "1", "0"),
+            ("2*y", "0", "0", "5", "3", "0", "0", "1"),
+        ],
+        "lifts": [
+            None,
+            ("y + 1", "0", "0", "0", "0", "0", "0", "0"),
+            None,
+        ],
+    },
+    "q_lex": {
+        "steps": 15,
+        "elements": [
+            ("y^3 - 1",),
+            ("-y^2 + x",),
+        ],
+        "cofactors": [
+            ("0", "y", "1"),
+            ("0", "-1", "0"),
+        ],
+        "syzygies": [
+            ("1", "x", "-y"),
+            ("0", "-x*y + 1", "y^2 - x"),
+            ("1", "x", "-y"),
+        ],
+        "lifts": [
+            ("0", "-x^2", "x*y + 1"),
+            None,
+        ],
+    },
+    "z_unit_leads": {
+        "steps": 22,
+        "elements": [
+            ("x*y + y^2 - 1",),
+            ("x^2 - 3*y",),
+            ("y^3 - 3*y^2 + x - y",),
+        ],
+        "cofactors": [
+            ("0", "1"),
+            ("1", "0"),
+            ("y", "-x + y"),
+        ],
+        "syzygies": [
+            ("-x*y - y^2 + 1", "x^2 - 3*y"),
+        ],
+        "lifts": [
+            None,
+            ("x", "y"),
+        ],
+    },
+}
+
+
+def _pinned_case(name):
+    """(ring, generators, nrows, order, lift targets) of a pinned case."""
+    if name == "q_completed_i3":
+        # the I^3 relations of Q[[x,y]] plus one linear relation
+        R = Ring.get("Q", None, ("x", "y"))
+        gens = ["2*x - 3*y", "x^3", "x^2*y", "x*y^2", "y^3"]
+        targets = ["x^2*y + 3*x*y^2 + 10*x - 15*y", "x + 1"]
+        return (R, [(R.el(g).num,) for g in gens], 1, "grevlex",
+                [(R.el(t).num,) for t in targets])
+    if name == "f7_rank2_i2":
+        # a rank-2 F_7[x,y] module augmented by I^2 in each coordinate
+        R = Ring.get("F", 7, ("x", "y"))
+        z = Poly.zero(R.dom, 2)
+        vec = lambda a, b: (R.el(a).num, R.el(b).num)
+        i2 = [R.el(m).num for m in ("x^2", "x*y", "y^2")]
+        gens = [vec("x + 2*y", "3*y"), vec("y^2", "x - y")]
+        gens += [(m, z) for m in i2] + [(z, m) for m in i2]
+        targets = [vec("x", "2*y"),
+                   vec("x*y + 2*y^2 + x + 2*y", "3*y^2 + 3*y"),
+                   vec("3*x + 6*y", "2*y + x")]
+        return R, gens, 2, "grevlex", targets
+    if name == "q_lex":
+        R = lexring()
+        gens = ["x^2 - y", "y^2 - x", "x*y - 1"]
+        return (R, [(R.el(g).num,) for g in gens], 1, "lex",
+                [(R.el(t).num,) for t in ("x^3 - 1", "x + y")])
+    # over Z, with leading coefficients that stay units
+    R = Ring.get("Z", None, ("x", "y"))
+    gens = ["x^2 - 3*y", "x*y + y^2 - 1"]
+    targets = ["x^3 + x*y^2 - 3*x*y", "x^3 - 3*x*y + x*y^2 + y^3 - y"]
+    return (R, [(R.el(g).num,) for g in gens], 1, "grevlex",
+            [(R.el(t).num,) for t in targets])
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_buchberger_path_is_pinned(name):
+    ring, gens, nrows, order, targets = _pinned_case(name)
+    gb = GBasis(gens, nrows, order=order)
+
+    def render(v):
+        return None if v is None else tuple(p.render(ring.names) for p in v)
+
+    want = PINNED[name]
+    assert gb._steps == want["steps"]
+    assert [render(e) for e in gb.elements] == want["elements"]
+    assert [render(c) for c in gb.cofactors] == want["cofactors"]
+    assert [render(s) for s in gb.syzygies()] == want["syzygies"]
+    assert [render(gb.lift(t)) for t in targets] == want["lifts"]
+
+
+# -- properties over small generator sets ------------------------------------
+
+
+@st.composite
+def generator_sets(draw):
+    """(nrows, generators) over Q or F_7 in two variables, degree <= 2."""
+    dom = draw(st.sampled_from([QQ, GF(7)]))
+    nrows = draw(st.integers(1, 2))
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    poly = st.dictionaries(mono, st.integers(-3, 3), max_size=3).map(
+        lambda terms: Poly(dom, 2, terms))
+    gens = draw(st.lists(st.tuples(*[poly] * nrows), min_size=1, max_size=3))
+    return nrows, gens
+
+
+def _combine(coeffs, gens, nrows):
+    """sum_j coeffs[j] * gens[j], coordinate by coordinate."""
+    out = []
+    for r in range(nrows):
+        acc = Poly.zero(gens[0][0].dom, 2)
+        for c, g in zip(coeffs, gens):
+            acc = acc + c * g[r]
+        out.append(acc)
+    return tuple(out)
+
+
+@settings(max_examples=60)
+@given(generator_sets())
+def test_basis_certificates_hold(case):
+    nrows, gens = case
+    gb = GBasis(gens, nrows)
+    for e, cof in zip(gb.elements, gb.cofactors):
+        assert e == _combine(cof, gens, nrows)
+    for s in gb.syzygies():
+        assert all(p.is_zero() for p in _combine(s, gens, nrows))
+    for g in gens:
+        assert gb.contains(g)
+        assert _combine(gb.lift(g), gens, nrows) == g
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_reduced_basis_ignores_generator_order(data):
+    nrows, gens = data.draw(generator_sets())
+    shuffled = data.draw(st.permutations(gens))
+    assert GBasis(shuffled, nrows).elements == GBasis(gens, nrows).elements
