@@ -289,7 +289,8 @@ def values_agree(a, b):
             return values_agree(b, a)
         if ra.is_completed and rb == ra.underlying():
             # a torsion module killed by a power of I equals its completion
-            if _killed_by_completion_ideal(Mb, ra):
+            from .towers import _killing_power
+            if _killing_power(Mb, ra.completion[0], 24) is not None:
                 lifted = FPModule(ra, Mb.ngens,
                                   [tuple(ra.el(e.num, e.dexp) for e in col)
                                    for col in Mb.relations])
@@ -336,25 +337,6 @@ def values_agree(a, b):
         # symbolic values compare by their full structural description
         return a.describe() == b.describe(), "symbolic descriptor comparison"
     return False, "unrecognized values never compare equal"
-
-
-def _killed_by_completion_ideal(M, completed_ring, bound=24):
-    gens = [M.ring.el(g) for g in completed_ring.completion[0]]
-    from .ring import power_products
-    for j in range(1, bound + 1):
-        prods = power_products([g.num for g in gens], j)
-        ok = True
-        for f in prods:
-            fe = M.ring.el(f)
-            for i in range(M.ngens):
-                if not M.contains_in_relations(tuple(fe * e for e in M.gen(i))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 def _same_presentation(Ma, Mb):

@@ -361,14 +361,9 @@ def _poly_cols(ring, cols):
 def _augmented_gens(ring, cols, nrows):
     """Columns plus modulus relations in every coordinate (quotient rings)."""
     gens = _poly_cols(ring, cols)
-    mod = list(ring.quotient)
-    if ring.is_completed and ring.nvars > 0:
-        from .ring import power_products
-        cgens, prec = ring.completion
-        mod += power_products(list(cgens), prec)
     extra = []
     zero = Poly.zero(ring.dom, ring.nvars)
-    for m in mod:
+    for m in ring.modulus:
         for i in range(nrows):
             vec = [zero] * nrows
             vec[i] = m

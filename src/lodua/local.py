@@ -20,9 +20,9 @@ from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
                      UnsupportedRing)
 from .koszul import koszul_chain, koszul_cochain, koszul_transition
 from .modules import FPModule, ModuleMap, iso_check
-from .ring import DEFAULT_PRECISION, power_products
+from .ring import DEFAULT_PRECISION
 from .sequences import is_regular_sequence
-from .towers import (Tower, completed_module, lim_lim1,
+from .towers import (Tower, _killing_power, completed_module, lim_lim1,
                      quotient_by_ideal_power, weak_proregularity_check)
 
 
@@ -383,23 +383,16 @@ def _power_torsion_gens(d, M, k):
 
 
 def _ideal_nilpotent_on(d, M, bound=24):
+    """The least j with I^j M = 0, or None; M may live over the completion."""
+    gens = d.gens
+    if M.ring != d.ring:
+        if not (M.ring.is_completed and M.ring.underlying() == d.ring):
+            raise InvalidInput("module lives over a different ring")
+        gens = [M.ring.el(g.num, g.dexp) for g in gens]
     # at-precision vanishing only counts below the precision (see towers)
     if M.ring.is_completed:
         bound = min(bound, (M.ring.precision or 1) - 1)
-    for j in range(1, bound + 1):
-        prods = power_products(list(d.gens), j)
-        killed = True
-        for f in prods:
-            for i in range(M.ngens):
-                vec = tuple(d.ring.el(f) * e for e in M.gen(i))
-                if not M.contains_in_relations(vec):
-                    killed = False
-                    break
-            if not killed:
-                break
-        if killed:
-            return j
-    return None
+    return _killing_power(M, gens, bound)
 
 
 def _verify_top_witness(d, M, stage_bound=4):

@@ -32,15 +32,32 @@ def _is_prime(n):
     return True
 
 
+def prefix_products(gens):
+    """prod(c) = gens[c[0]] * ... * gens[c[-1]] for a non-empty index tuple c.
+
+    Each product is built from its prefix, prod(c) = prod(c[:-1]) *
+    gens[c[-1]], and remembered, so it costs one multiplication once its
+    prefix is known; the values are those of the left-to-right product.
+    """
+    memo = {(i,): g for i, g in enumerate(gens)}
+
+    def prod(c):
+        i = len(c)
+        while c[:i] not in memo:
+            i -= 1
+        f = memo[c[:i]]
+        for t in range(i, len(c)):
+            f = f * gens[c[t]]
+            memo[c[:t + 1]] = f
+        return f
+    return prod
+
+
 def power_products(gens, k):
-    """Generators of I^k: all degree-k products of the given generators."""
-    out = []
-    for combo in combinations_with_replacement(range(len(gens)), k):
-        p = gens[combo[0]]
-        for i in combo[1:]:
-            p = p * gens[i]
-        out.append(p)
-    return out
+    """Generators of I^k (k >= 1): all degree-k products of the given
+    generators, in combinations_with_replacement order."""
+    prod = prefix_products(gens)
+    return [prod(c) for c in combinations_with_replacement(range(len(gens)), k)]
 
 
 class Ring:
@@ -54,6 +71,7 @@ class Ring:
         self.order = order
         self.dom = {"Z": ZZ, "Q": QQ}.get(base) or GF(p)
         self.nvars = len(self.names)
+        self._modulus = None
         self._reduction = None
 
     # -- construction and interning ----------------------------------------
@@ -140,13 +158,24 @@ class Ring:
         gens, prec = self.completion
         return abs(int(gens[0].constant())) ** prec
 
+    @property
+    def modulus(self):
+        """quotient + I^N as polynomials: what the canonical form reduces by.
+
+        Over Z_p (no variables) the I^N part is the integer modulus instead.
+        """
+        if self._modulus is None:
+            mod = self.quotient
+            if self.is_completed and self.nvars > 0:
+                cgens, prec = self.completion
+                mod += tuple(power_products(cgens, prec))
+            self._modulus = mod
+        return self._modulus
+
     def reduction_basis(self):
         """GB of quotient + I^N, the modulus of the canonical form."""
         if self._reduction is None:
-            gens = list(self.quotient)
-            if self.is_completed and self.nvars > 0:
-                cgens, prec = self.completion
-                gens += power_products(list(cgens), prec)
+            gens = list(self.modulus)
             if gens and self.nvars > 0:
                 self._reduction = groebner_ideal(gens, self.order)
             else:
@@ -266,11 +295,7 @@ class Ring:
             return Poly.const(self.dom, 0, self.dom.exact_div(a, b))
         if not self.quotient and not self.is_completed:
             return f.exact_div(g, order_key(self.order))
-        mod = list(self.quotient)
-        if self.is_completed:
-            cgens, prec = self.completion
-            mod += power_products(list(cgens), prec)
-        gb = GBasis([(g,)] + [(m,) for m in mod], 1, order=self.order)
+        gb = GBasis([(g,)] + [(m,) for m in self.modulus], 1, order=self.order)
         cof = gb.lift((f,))
         return None if cof is None else cof[0]
 
@@ -298,14 +323,38 @@ class Ring:
             return True
         if not self.quotient and not self.is_completed:
             return num.is_constant() and self.dom.is_unit(num.constant())
+        return self._unit_cofactor(num) is not None
+
+    def _unit_cofactor(self, num):
+        """c with c * num = 1 modulo quotient + I, or None for a nonunit.
+
+        Over a completion a unit modulo I itself is a unit (Newton lifting).
+        """
         mod = list(self.quotient)
         if self.is_completed:
-            mod += list(self.completion[0])  # unit iff unit modulo I itself
+            mod += list(self.completion[0])
         gb = GBasis([(num,)] + [(m,) for m in mod], 1, order=self.order)
-        return gb.lift((Poly.const(self.dom, self.nvars, 1),)) is not None
+        cof = gb.lift((Poly.const(self.dom, self.nvars, 1),))
+        return None if cof is None else cof[0]
 
     def inv_el(self, e):
         e = self.el(e)
+        if self.inverted is None and self.nvars > 0 and (
+                self.quotient or self.is_completed):
+            # one Groebner basis answers both the unit test and the lift
+            v = None if e.is_zero() else self._unit_cofactor(e.num)
+            if v is None:
+                raise ZeroDivisionError(f"{e} is not a unit in {self}")
+            if self.is_completed:
+                # Newton lifting doubles I-adic accuracy each pass
+                prec = self.completion[1]
+                two = Poly.const(self.dom, self.nvars, 2)
+                steps, acc = 0, 1
+                while acc < prec:
+                    acc, steps = acc * 2, steps + 1
+                for _ in range(steps):
+                    v = self._reduce_num(v * (two - e.num * v))
+            return self.el(v)
         if not self.is_unit_el(e):
             raise ZeroDivisionError(f"{e} is not a unit in {self}")
         if self.inverted is not None:
@@ -320,28 +369,11 @@ class Ring:
             return self._normal(inv_base.num * self.inverted ** e.dexp,
                                 extra + inv_base.dexp)
         k = self.classify()
-        if k == "field" or (k == "poly" and not self.quotient and not self.is_completed):
+        if k == "field" or k == "poly":
             return self.el(Poly.const(self.dom, self.nvars, self.dom.inv(e.num.constant())))
-        if k == "int":
-            return e
         if k == "int_completed":
             return self.el(pow(int(e.num.constant()), -1, self.int_modulus))
-        mod = list(self.quotient)
-        if self.is_completed:
-            mod += list(self.completion[0])
-        gb = GBasis([(e.num,)] + [(m,) for m in mod], 1, order=self.order)
-        cof = gb.lift((Poly.const(self.dom, self.nvars, 1),))
-        v = cof[0]
-        if self.is_completed:
-            # Newton lifting doubles I-adic accuracy each pass
-            prec = self.completion[1]
-            two = Poly.const(self.dom, self.nvars, 2)
-            steps, acc = 0, 1
-            while acc < prec:
-                acc, steps = acc * 2, steps + 1
-            for _ in range(steps):
-                v = self._reduce_num(v * (two - e.num * v))
-        return self.el(v)
+        return e  # the units of Z and Z[x...] are +-1
 
     # -- euclidean divmod for the Smith engine --------------------------------
 

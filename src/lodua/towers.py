@@ -9,6 +9,8 @@ model RHom(tel_x A, M) = [M -> M^]); anything else is reported as
 `unrecognized`, carrying the materialized evidence, never a guess.
 """
 
+from itertools import combinations_with_replacement
+
 from .complexes import ChainMap, induced_on_homology
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope)
 from .errors import InvalidInput, UnrecognizedTower, UnsupportedRing
@@ -16,7 +18,7 @@ from .koszul import koszul_chain, koszul_transition
 from .linalg import lift_through
 from .modules import (FPModule, ModuleMap, free_resolution, identity_map,
                       zero_map)
-from .ring import power_products
+from .ring import power_products, prefix_products
 
 DEFAULT_STAGE_BOUND = 12
 DEFAULT_LAG = 6
@@ -38,6 +40,31 @@ def quotient_by_ideal_power(M, gens, k):
             col[i] = ring.el(f)
             extra.append(tuple(col))
     return FPModule(ring, M.ngens, M.relations + extra)
+
+
+def _killing_power(M, gens, bound):
+    """The least j <= bound with I^j M = 0 for I = (gens), or None.
+
+    I^j M = 0 implies I^(j+1) M = 0, so degrees are tried in turn.  Within
+    a degree the products come in combinations_with_replacement order, each
+    built from its prefix when first needed, and each is tested alone in
+    every generator's coordinate; the first one outside the relations ends
+    the degree.
+    """
+    ring = M.ring
+    prod = prefix_products([ring.el(g) for g in gens])
+    zero = ring.zero()
+
+    def kills(f):
+        return all(M.contains_in_relations(
+            tuple(f if k == i else zero for k in range(M.ngens)))
+            for i in range(M.ngens))
+
+    for j in range(1, bound + 1):
+        combos = combinations_with_replacement(range(len(gens)), j)
+        if all(kills(prod(c)) for c in combos):
+            return j
+    return None
 
 
 class TowerLimits:
@@ -509,13 +536,9 @@ def is_finite_dimensional(M):
         raise UnsupportedRing("finite-dimension test is for polynomial rings")
     from .groebner import GBasis
     from .poly import Poly
-    mod = list(ring.quotient)
-    if ring.is_completed:
-        cgens, prec = ring.completion
-        mod += power_products(list(cgens), prec)
     gens = [tuple(e.num for e in col) for col in M.relations]
     zero = Poly.zero(ring.dom, ring.nvars)
-    for m in mod:
+    for m in ring.modulus:
         for i in range(M.ngens):
             vec = [zero] * M.ngens
             vec[i] = m

@@ -118,6 +118,18 @@ def test_torsion_membership(ZZ, d5, prufer):
     assert r["verdict"] is True
 
 
+def test_torsion_membership_over_the_completion():
+    """A module over A^ is checked against the ideal of A, lifted to A^."""
+    A = make_ring({"base": "Q", "vars": ["x", "y"]})
+    Ac = make_ring({"base": "Q", "vars": ["x", "y"],
+                    "completion": {"ideal": ["x", "y"], "precision": 5}})
+    M = FPModule(Ac, 1, [(Ac.el("x"),), (Ac.el("y^2"),)])
+    r = homology_membership(GradedObject(Ac, {0: FPObj(M)}),
+                            IdealData(A, ["x", "y"]), "torsion")
+    assert r["per_degree"]["0"] == {"torsion": True, "killed_by_power": 2}
+    assert r["verdict"] is True
+
+
 def test_complete_membership_two_degrees(ZZ, d5, Zp, Z5hat):
     two = GradedObject(Z5hat, {0: FPObj(Zp), 1: FPObj(zmod(ZZ, 25))})
     r = homology_membership(two, d5, "complete")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodua import (FPModule, FPObj, GradedObject, IdealData, InvalidInput,
                    LimitModule, Rational, Telescope, TelescopeQuotient,
@@ -214,3 +216,141 @@ def test_euler_characteristic_consistency(ZZ, d5):
     assert iso_check(lam.value(0).payload,
                      FPModule.cyclic(lam.value(0).payload.ring, [25]))
     assert lam.value(1).is_zero()
+
+
+# -- the ideal-power annihilation test -------------------------------------------
+
+
+def _naive_product(gens, combo):
+    p = gens[combo[0]]
+    for i in combo[1:]:
+        p = p * gens[i]
+    return p
+
+
+def _brute_killing_power(M, gens, bound):
+    """The definition: every degree-j product times every generator lies in
+    the relations."""
+    from itertools import combinations_with_replacement
+    for j in range(1, bound + 1):
+        products = [_naive_product(gens, c)
+                    for c in combinations_with_replacement(range(len(gens)), j)]
+        if all(M.contains_in_relations(tuple(f * e for e in M.gen(i)))
+               for f in products for i in range(M.ngens)):
+            return j
+    return None
+
+
+def test_killing_power_exact_values(ZZ):
+    from lodua.local import _ideal_nilpotent_on
+    from lodua.towers import _killing_power
+    R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2", "y^3"]})
+    # x y^2 survives in degree 3; every degree-4 monomial dies
+    assert _killing_power(FPModule.free(R, 1), [R.el("x"), R.el("y")], 24) == 4
+    assert _ideal_nilpotent_on(IdealData(R, ["x", "y"]), FPModule.free(R, 1)) == 4
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    assert _killing_power(FPModule.free(Q, 1), [Q.el("x"), Q.el("y")], 24) is None
+    assert _killing_power(FPModule.cyclic(ZZ, [125]), [ZZ.el(5)], 24) == 3
+    assert _killing_power(FPModule.cyclic(ZZ, [125]), [ZZ.el(5)], 2) is None
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_killing_power_capped_below_precision(N):
+    from lodua.local import _ideal_nilpotent_on
+    from lodua.towers import _killing_power
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    Qc = make_ring({"base": "Q", "vars": ["x", "y"],
+                    "completion": {"ideal": ["x", "y"], "precision": N}})
+    free = FPModule.free(Qc, 1)
+    # I^N is zero at precision N, but that vanishing does not count
+    assert _killing_power(free, [Qc.el("x"), Qc.el("y")], 24) == N
+    assert _ideal_nilpotent_on(IdealData(Q, ["x", "y"]), free) is None
+    assert _ideal_nilpotent_on(IdealData(Qc, ["x", "y"]), free) is None
+    torsion = FPModule.cyclic(Qc, ["x", "y^2"])
+    expected = 2 if N > 2 else None
+    assert _ideal_nilpotent_on(IdealData(Q, ["x", "y"]), torsion) == expected
+
+
+def test_ideal_nilpotent_on_rejects_a_foreign_ring(ZZ):
+    from lodua.local import _ideal_nilpotent_on
+    F7 = make_ring({"base": "Fp", "p": 7, "vars": ["x", "y"]})
+    with pytest.raises(InvalidInput):
+        _ideal_nilpotent_on(IdealData(ZZ, [5]), FPModule.cyclic(F7, ["x"]))
+
+
+def test_torsion_module_agrees_with_its_completion():
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    Qc = make_ring({"base": "Q", "vars": ["x", "y"],
+                    "completion": {"ideal": ["x", "y"], "precision": 5}})
+    hat = LimitModule.of_module(FPModule.cyclic(Qc, ["x^2", "x*y", "y^3"]))
+    disc = LimitModule.of_module(FPModule.cyclic(Q, ["x^2", "x*y", "y^3"]))
+    ok, why = values_agree(hat, disc)
+    assert ok and why == "I-power-torsion module compared after completion"
+    other = LimitModule.of_module(FPModule.cyclic(Q, ["x^2", "x*y", "y^2"]))
+    assert values_agree(hat, other)[0] is False
+    free = LimitModule.of_module(FPModule.free(Q, 1))
+    assert values_agree(hat, free) == (
+        False, "modules over the discrete ring must be I-power torsion to "
+               "equal a completed value")
+
+
+_POLY_RINGS = [make_ring({"base": "Q", "vars": ["x", "y"]}),
+               make_ring({"base": "Fp", "p": 7, "vars": ["x", "y"]})]
+_IDEALS = [["x", "y"], ["x + y", "x*y"], ["x"], ["y^2", "x - y"]]
+
+
+@st.composite
+def _small_modules(draw):
+    ring = draw(st.sampled_from(_POLY_RINGS))
+    ngens = draw(st.integers(1, 2))
+    mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    entry = st.dictionaries(mono, st.integers(-2, 2), max_size=2).map(
+        lambda terms: "+".join(f"({c})*x^{a}*y^{b}"
+                               for (a, b), c in sorted(terms.items())) or "0")
+    rels = []
+    for i in range(ngens):
+        if draw(st.booleans()):  # make coordinate i (x, y)-power torsion
+            for v in "xy":
+                m = f"{v}^{draw(st.integers(1, 3))}"
+                rels.append(tuple(m if k == i else "0" for k in range(ngens)))
+    rels += draw(st.lists(st.tuples(*[entry] * ngens), max_size=3))
+    gens = draw(st.sampled_from(_IDEALS))
+    bound = draw(st.integers(1, 6))
+    return FPModule(ring, ngens, rels), [ring.el(g) for g in gens], bound
+
+
+@settings(max_examples=40)
+@given(_small_modules())
+def test_killing_power_matches_the_definition(case):
+    from lodua.towers import _killing_power
+    M, gens, bound = case
+    assert _killing_power(M, gens, bound) == _brute_killing_power(M, gens, bound)
+
+
+def test_killing_power_builds_each_product_once(monkeypatch):
+    from lodua.ring import RingElement
+    from lodua.towers import _killing_power
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    gens = [Q.el("x + y"), Q.el("x*y")]
+    calls = [0]
+    mul = RingElement.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    assert _killing_power(FPModule.free(Q, 1), gens, 24) is None
+    assert calls[0] <= 2 * 24
+
+
+def test_power_products_match_the_left_to_right_product():
+    from itertools import combinations_with_replacement
+    from lodua.ring import power_products
+    R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^3 - y^2"]})
+    for gens in ([R.el("x + y"), R.el("x*y - 2"), R.el("y^2")],
+                 [R.el("x + y").num, R.el("x*y - 2").num, R.el("y^2").num]):
+        for k in range(1, 7):
+            naive = [_naive_product(gens, c)
+                     for c in combinations_with_replacement(range(3), k)]
+            assert power_products(gens, k) == naive

@@ -132,3 +132,35 @@ def test_quotient_budget_rejection():
             os.environ["LODUA_BUDGET"] = old
         from lodua.ring import _RING_CACHE
         _RING_CACHE.clear()
+
+
+def test_inverse_over_completion_builds_one_basis(monkeypatch):
+    import lodua.ring as ring_mod
+    R = make_ring({"base": "Q", "vars": ["x", "y"],
+                   "completion": {"ideal": ["x", "y"], "precision": 4}})
+    u = R.el("1 + x - 2*y")
+    built = []
+    real = ring_mod.GBasis
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ring_mod, "GBasis", counted)
+    assert u * u.inv() == R.one()
+    assert len(built) == 1
+    with pytest.raises(ZeroDivisionError, match=r"^x \+ y is not a unit in "):
+        R.el("x + y").inv()
+    with pytest.raises(ZeroDivisionError, match="is not a unit"):
+        R.zero().inv()
+
+
+def test_modulus_is_quotient_plus_completion_power():
+    from lodua.ring import power_products
+    R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2 - y^3"],
+                   "completion": {"ideal": ["x", "y"], "precision": 3}})
+    gens = [R.el("x").num, R.el("y").num]
+    assert R.modulus == R.quotient + tuple(power_products(gens, 3))
+    assert R.modulus is R.modulus
+    Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 3}})
+    assert Z5.modulus == ()
