@@ -168,15 +168,39 @@ class Problem:
         return self.options.get(key, default)
 
 
+def _int_setting(key, value, least):
+    """An integer setting of at least ``least``; anything else is invalid."""
+    if value is None:
+        raise InvalidInput(f"missing --{key}")
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
+        n = int(value)
+    except ValueError:
+        raise InvalidInput(f"{key} must be an integer, not {value!r}") from None
+    if n < least:
+        raise InvalidInput(f"{key} must be at least {least}, not {n}")
+    return n
+
+
 def run(doc, verb, args=None):
     """Execute a verb on a document; returns (exit_code, report dict)."""
     args = args or {}
     problem = Problem(doc)
     cmd = dict(doc.get("command", {}))
     cmd.update({k: v for k, v in args.items() if v is not None})
-    precision = problem.opt("precision", cmd.get("precision") or DEFAULT_PRECISION)
-    K = problem.opt("K", cmd.get("K") or 12)
-    lag = problem.opt("lag", cmd.get("lag") or 6)
+
+    def setting(key, default, least):
+        # the document's options, then the command and flags, then the default
+        value = problem.opt(key, cmd.get(key))
+        return _int_setting(key, default if value is None else value, least)
+
+    precision = setting("precision", DEFAULT_PRECISION, 1)
+    K = setting("K", 12, 1)
+    lag = setting("lag", 6, 0)
+    s = None
+    if verb in ("tor", "ext", "localcoh", "localhom", "gm-check"):
+        s = _int_setting("s", cmd.get("s"), 0)
     report = {"version": SCHEMA_VERSION, "verb": verb}
     code = 0
 
@@ -195,15 +219,15 @@ def run(doc, verb, args=None):
             report["ideal"] = problem.ideal.describe()
     elif verb == "tor":
         M, N = problem.module(cmd["M"]), problem.module(cmd["N"])
-        out = module_tor(M, N, int(cmd["s"]))
+        out = module_tor(M, N, s)
         report["result"] = out.describe()
     elif verb == "ext":
         M, N = problem.module(cmd["M"]), problem.module(cmd["N"])
-        out = module_ext(M, N, int(cmd["s"]))
+        out = module_ext(M, N, s)
         report["result"] = out.describe()
     elif verb == "localcoh":
         d = problem.need_ideal()
-        v = local_cohomology(d, problem.target(cmd["target"]), int(cmd["s"]))
+        v = local_cohomology(d, problem.target(cmd["target"]), s)
         report["result"] = v.describe()
         code = 0 if v.is_recognized() else 2
     elif verb == "localhom":
@@ -212,7 +236,7 @@ def run(doc, verb, args=None):
         if isinstance(tgt, ChainComplex):
             raise InvalidInput("localhom takes a module or descriptor; "
                                "use `lambda` for complexes")
-        v = local_homology_Ls(d, tgt, int(cmd["s"]), K, lag, precision)
+        v = local_homology_Ls(d, tgt, s, K, lag, precision)
         report["result"] = v.describe()
     elif verb == "gamma":
         d = problem.need_ideal()
@@ -226,7 +250,7 @@ def run(doc, verb, args=None):
     elif verb == "gm-check":
         d = problem.need_ideal()
         tgt = problem.target(cmd["target"])
-        out = gm_ses_check(d, tgt, int(cmd["s"]), K, lag, precision)
+        out = gm_ses_check(d, tgt, s, K, lag, precision)
         report["result"] = out
         code = 0 if out["status"] == "exact" else 2
     elif verb == "complete":

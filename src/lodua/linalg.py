@@ -7,18 +7,23 @@ Two primitives drive every module computation:
 
 plus Smith normal form with tracked transforms over euclidean rings.
 Columns and vectors are tuples of RingElement.
+
+Over euclidean rings both primitives come from the Smith form.  Its one
+elimination loop runs on the values of a small arithmetic record (zero
+test, size, divmod, multiply-add, unit part, inverse) with two instances:
+plain Python ints over Z and over Z_p at precision N (every value reduced
+mod p^N), converted back to RingElements only for what a caller returns;
+and RingElements, through the ring's own divmod, over fields, u^-1 Z and
+k[t].  Both pick the same pivots and divide the same way, so they give the
+same transforms.
 """
 
 from .errors import UnsupportedRing
 from .groebner import GBasis
-from .poly import Poly
+from .poly import Poly, order_key
+from .ring import _val_unit
 
 # -- small matrix helpers (matrices are lists of rows) -------------------------
-
-
-def mat_identity(ring, n):
-    one, zero = ring.one(), ring.zero()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_mul(ring, A, B):
@@ -41,21 +46,20 @@ def mat_mul(ring, A, B):
 
 
 def mat_vec(ring, A, v):
-    zero = ring.zero()
+    return tuple(_mat_vec(_ElArith(ring), A, v))
+
+
+def _mat_vec(ar, A, v):
+    """A*v on the values of the arithmetic ar (see _IntArith, _ElArith)."""
+    zero, is_zero, add_mul = ar.zero, ar.is_zero, ar.add_mul
     out = []
     for row in A:
         acc = zero
         for a, x in zip(row, v):
-            if not a.is_zero() and not x.is_zero():
-                acc = acc + a * x
+            if not is_zero(a) and not is_zero(x):
+                acc = add_mul(acc, a, x)
         out.append(acc)
-    return tuple(out)
-
-
-def mat_cols(A, nrows):
-    if not A:
-        return []
-    return [tuple(A[i][j] for i in range(nrows)) for j in range(len(A[0]))]
+    return out
 
 
 def cols_to_mat(ring, cols, nrows):
@@ -69,19 +73,174 @@ def vec_is_zero(v):
 # -- Smith normal form over euclidean rings ------------------------------------
 
 
+class _IntArith:
+    """Z, or Z_p at precision N with every value reduced mod p^N."""
+
+    zero, one = 0, 1
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.m = self.p = None
+        if ring.is_completed:
+            self.m = ring.int_modulus
+            self.p = abs(int(ring.completion[0][0].constant()))
+
+    def from_el(self, e):
+        a = int(e.num.constant())
+        return a % self.m if self.m else a
+
+    def to_el(self, a):
+        return self.ring.el(a)
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_unit(self, a):
+        return a % self.p != 0 if self.m else a in (1, -1)
+
+    def size(self, a):
+        if self.m:
+            return _val_unit(a, self.p, self.m)[0] + 1
+        return abs(a)
+
+    def divmod(self, a, b):
+        m, p = self.m, self.p
+        if m:
+            # a = p^va * ua and b = p^vb * ub: b divides a iff va >= vb
+            va, ua = _val_unit(a, p, m)
+            vb, ub = _val_unit(b, p, m)
+            if va >= vb:
+                return p ** (va - vb) * ua * pow(ub, -1, m) % m, 0
+            return 0, a
+        q, r = divmod(a, b)
+        # prefer the remainder of smaller magnitude for faster descent
+        if r != 0 and 2 * r > abs(b):
+            q, r = q + 1, r - abs(b)
+        return q, r
+
+    def neg(self, a):
+        return -a % self.m if self.m else -a
+
+    def mul(self, a, b):
+        return a * b % self.m if self.m else a * b
+
+    def add_mul(self, a, c, b):
+        return (a + c * b) % self.m if self.m else a + c * b
+
+    def sub_mul(self, a, c, b):
+        return (a - c * b) % self.m if self.m else a - c * b
+
+    def unit(self, d):
+        """u with d = u * canonical(d): the sign, or the part prime to p."""
+        if self.m:
+            return _val_unit(d, self.p, self.m)[1]
+        return -1 if d < 0 else 1
+
+    def inv(self, u):
+        return pow(u, -1, self.m) if self.m else u
+
+
+class _ElArith:
+    """RingElements, through the ring's own euclidean division."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    @property
+    def zero(self):
+        return self.ring.zero()
+
+    @property
+    def one(self):
+        return self.ring.one()
+
+    def from_el(self, e):
+        return e
+
+    def to_el(self, a):
+        return a
+
+    def is_zero(self, a):
+        return a.is_zero()
+
+    def is_unit(self, a):
+        return a.is_unit()
+
+    def size(self, a):
+        return self.ring.euclidean_size(a)
+
+    def divmod(self, a, b):
+        return self.ring.divmod_el(a, b)
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def add_mul(self, a, c, b):
+        return a + c * b
+
+    def sub_mul(self, a, c, b):
+        return a - c * b
+
+    def unit(self, d):
+        """u with d = u * canonical(d)."""
+        ring = self.ring
+        kind = ring.classify()
+        if kind == "int":
+            return ring.el(-1) if int(d.num.constant()) < 0 else ring.one()
+        if kind == "field":
+            return d
+        if kind == "int_completed":
+            pgen = abs(int(ring.completion[0][0].constant()))
+            return ring.el(_val_unit(int(d.num.constant()), pgen, ring.int_modulus)[1])
+        if kind == "int_localized":
+            return ring.strip_inverted(d)[1]
+        # k[t]: the leading coefficient
+        _, lc = d.num.leading(order_key("lex"))
+        return ring.el(Poly.const(ring.dom, ring.nvars, lc))
+
+    def inv(self, u):
+        return u.inv()
+
+
+def _arithmetic(ring):
+    """Plain ints over Z and Z_p, RingElements over the other euclidean rings."""
+    if not ring.is_euclidean:
+        raise UnsupportedRing(f"Smith form needs a euclidean ring, not {ring}")
+    if ring.classify() in ("int", "int_completed"):
+        return _IntArith(ring)
+    return _ElArith(ring)
+
+
+def _rows(ar, cols, nrows):
+    """The matrix with the given columns, as rows of the arithmetic's values."""
+    return [[ar.from_el(col[i]) for col in cols] for i in range(nrows)]
+
+
 def smith_normal_form(ring, A):
     """(U, D, V, Uinv, Vinv) with U*A*V = D, divisibility along the diagonal.
 
     Works over any ring exposing euclidean division (Z, fields, k[t], and
     completed Z at a prime, where it holds at the stated precision).
     """
-    if not ring.is_euclidean:
-        raise UnsupportedRing(f"Smith form needs a euclidean ring, not {ring}")
-    n = len(A)
-    m = len(A[0]) if A else 0
-    D = [list(row) for row in A]
-    U, Uinv = mat_identity(ring, n), mat_identity(ring, n)
-    V, Vinv = mat_identity(ring, m), mat_identity(ring, m)
+    ar = _arithmetic(ring)
+    out = _smith(ar, [[ar.from_el(e) for e in row] for row in A])
+    return tuple([[ar.to_el(a) for a in row] for row in X] for X in out)
+
+
+def _smith(ar, D):
+    """Smith form of D (rows of ar's values, reduced in place) with transforms."""
+    n = len(D)
+    m = len(D[0]) if D else 0
+    rank_bound = min(n, m)
+    zero, one = ar.zero, ar.one
+    is_zero, add_mul, sub_mul, mul = ar.is_zero, ar.add_mul, ar.sub_mul, ar.mul
+    U = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    Uinv = [list(row) for row in U]
+    V = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    Vinv = [list(row) for row in V]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -98,66 +257,55 @@ def smith_normal_form(ring, A):
 
     def add_row(i, j, c):
         # row_i += c*row_j
-        if c.is_zero():
+        if is_zero(c):
             return
-        D[i] = [a + c * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        D[i] = [add_mul(a, c, b) for a, b in zip(D[i], D[j])]
+        U[i] = [add_mul(a, c, b) for a, b in zip(U[i], U[j])]
         for r in Uinv:
-            r[j] = r[j] - c * r[i]
+            r[j] = sub_mul(r[j], c, r[i])
 
     def add_col(i, j, c):
         # col_i += c*col_j
-        if c.is_zero():
+        if is_zero(c):
             return
         for r in D:
-            r[i] = r[i] + c * r[j]
+            r[i] = add_mul(r[i], c, r[j])
         for r in V:
-            r[i] = r[i] + c * r[j]
-        Vinv[j] = [a - c * b for a, b in zip(Vinv[j], Vinv[i])]
+            r[i] = add_mul(r[i], c, r[j])
+        Vinv[j] = [sub_mul(a, c, b) for a, b in zip(Vinv[j], Vinv[i])]
 
-    def scale_row(i, u):
-        uinv = u.inv()
-        D[i] = [u * a for a in D[i]]
-        U[i] = [u * a for a in U[i]]
-        for r in Uinv:
-            r[i] = r[i] * uinv
+    def eliminate(k):
+        # clear rows and columns k.. around pivots of least euclidean size
+        while k < rank_bound:
+            pivot = None
+            for i in range(k, n):
+                for j in range(k, m):
+                    if not is_zero(D[i][j]):
+                        sz = ar.size(D[i][j])
+                        if pivot is None or sz < pivot[0]:
+                            pivot = (sz, i, j)
+            if pivot is None:
+                break
+            _, pi, pj = pivot
+            if pi != k:
+                swap_rows(k, pi)
+            if pj != k:
+                swap_cols(k, pj)
+            dirty = False
+            for i in range(k + 1, n):
+                if not is_zero(D[i][k]):
+                    q, r = ar.divmod(D[i][k], D[k][k])
+                    add_row(i, k, ar.neg(q))
+                    dirty = dirty or not is_zero(r)
+            for j in range(k + 1, m):
+                if not is_zero(D[k][j]):
+                    q, r = ar.divmod(D[k][j], D[k][k])
+                    add_col(j, k, ar.neg(q))
+                    dirty = dirty or not is_zero(r)
+            if not dirty:  # else smaller remainders appeared: pick a new pivot
+                k += 1
 
-    rank_bound = min(n, m)
-    k = 0
-    while k < rank_bound:
-        # pivot of least euclidean size in the remaining block
-        pivot = None
-        for i in range(k, n):
-            for j in range(k, m):
-                if not D[i][j].is_zero():
-                    sz = ring.euclidean_size(D[i][j])
-                    if pivot is None or sz < pivot[0]:
-                        pivot = (sz, i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != k:
-            swap_rows(k, pi)
-        if pj != k:
-            swap_cols(k, pj)
-        dirty = False
-        for i in range(k + 1, n):
-            if D[i][k].is_zero():
-                continue
-            q, r = ring.divmod_el(D[i][k], D[k][k])
-            add_row(i, k, -q)
-            if not r.is_zero():
-                dirty = True
-        for j in range(k + 1, m):
-            if D[k][j].is_zero():
-                continue
-            q, r = ring.divmod_el(D[k][j], D[k][k])
-            add_col(j, k, -q)
-            if not r.is_zero():
-                dirty = True
-        if dirty:
-            continue  # smaller remainders appeared; pick a new pivot
-        k += 1
+    eliminate(0)
 
     # enforce d_i | d_{i+1}
     changed = True
@@ -165,87 +313,32 @@ def smith_normal_form(ring, A):
         changed = False
         for i in range(rank_bound - 1):
             a, b = D[i][i], D[i + 1][i + 1]
-            if a.is_zero() and not b.is_zero():
+            if is_zero(a) and not is_zero(b):
                 swap_rows(i, i + 1)
                 swap_cols(i, i + 1)
                 changed = True
                 continue
-            if a.is_zero() or b.is_zero():
+            if is_zero(a) or is_zero(b):
                 continue
-            _, r = ring.divmod_el(b, a)
-            if not r.is_zero():
-                add_col(i, i + 1, ring.one())
-                _resmith_block(ring, D, U, Uinv, V, Vinv, i, swap_rows, swap_cols, add_row, add_col)
+            if not is_zero(ar.divmod(b, a)[1]):
+                add_col(i, i + 1, one)
+                eliminate(i)
                 changed = True
 
-    # normalize units on the diagonal
+    # normalize units on the diagonal: row_i *= w, w the inverse unit part
     for i in range(rank_bound):
         d = D[i][i]
-        if d.is_zero():
+        if is_zero(d):
             continue
-        u = _unit_part(ring, d)
-        if not (u == ring.one()):
-            scale_row(i, u.inv())
+        u = ar.unit(d)
+        if not (u == one):
+            w = ar.inv(u)
+            winv = ar.inv(w)
+            D[i] = [mul(w, a) for a in D[i]]
+            U[i] = [mul(w, a) for a in U[i]]
+            for r in Uinv:
+                r[i] = mul(r[i], winv)
     return U, D, V, Uinv, Vinv
-
-
-def _resmith_block(ring, D, U, Uinv, V, Vinv, k, swap_rows, swap_cols, add_row, add_col):
-    """Re-run elimination on rows/cols >= k after a divisibility fix."""
-    n, m = len(D), len(D[0])
-    kk = k
-    while kk < min(n, m):
-        pivot = None
-        for i in range(kk, n):
-            for j in range(kk, m):
-                if not D[i][j].is_zero():
-                    sz = ring.euclidean_size(D[i][j])
-                    if pivot is None or sz < pivot[0]:
-                        pivot = (sz, i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != kk:
-            swap_rows(kk, pi)
-        if pj != kk:
-            swap_cols(kk, pj)
-        dirty = False
-        for i in range(kk + 1, n):
-            if not D[i][kk].is_zero():
-                q, r = ring.divmod_el(D[i][kk], D[kk][kk])
-                add_row(i, kk, -q)
-                dirty = dirty or not r.is_zero()
-        for j in range(kk + 1, m):
-            if not D[kk][j].is_zero():
-                q, r = ring.divmod_el(D[kk][j], D[kk][kk])
-                add_col(j, kk, -q)
-                dirty = dirty or not r.is_zero()
-        if not dirty:
-            kk += 1
-
-
-def _unit_part(ring, d):
-    """u with d = u * canonical(d)."""
-    kind = ring.classify()
-    if kind == "int":
-        return ring.el(-1) if int(d.num.constant()) < 0 else ring.one()
-    if kind == "field":
-        return d
-    if kind == "int_completed":
-        pgen = abs(int(ring.completion[0][0].constant()))
-        c = int(d.num.constant()) % ring.int_modulus
-        v = 0
-        while c % pgen == 0:
-            c //= pgen
-            v += 1
-        return ring.el(c)
-    if kind == "int_localized":
-        stripped, unit = ring.strip_inverted(d)
-        return unit
-    if kind == "poly" and ring.is_euclidean:
-        from .poly import order_key
-        _, lc = d.num.leading(order_key("lex"))
-        return ring.el(Poly.const(ring.dom, ring.nvars, lc))
-    return ring.one()
 
 
 # -- the two core primitives ----------------------------------------------------
@@ -258,7 +351,7 @@ def syzygies(ring, cols, nrows):
         return []
     kind = ring.classify()
     if kind in ("int", "field", "int_completed", "int_localized"):
-        return _syz_euclidean(ring, cols, nrows)
+        return _syz_euclidean(_arithmetic(ring), cols, nrows)
     if kind == "poly_localized":
         return _localized_poly(ring, "syz", cols, None, nrows)
     return _syz_groebner(ring, cols, nrows)
@@ -272,7 +365,7 @@ def lift_through(ring, cols, target, nrows):
         return None
     kind = ring.classify()
     if kind in ("int", "field", "int_completed", "int_localized"):
-        return _lift_euclidean(ring, cols, target, nrows)
+        return _lift_euclidean(_arithmetic(ring), cols, target, nrows)
     if kind == "poly_localized":
         return _localized_poly(ring, "lift", cols, target, nrows)
     return _lift_groebner(ring, cols, target, nrows)
@@ -316,42 +409,37 @@ def _localized_poly(ring, op, cols, target, nrows):
     return tuple(back(x) for x in lifted)
 
 
-def _syz_euclidean(ring, cols, nrows):
+def _syz_euclidean(ar, cols, nrows):
     # Completed Z is treated as the valuation domain Z_p: a nonzero diagonal
     # entry p^a contributes no syzygy.  Entries of valuation >= N are stored
     # as zero, which is the stated at-precision semantics.
-    A = cols_to_mat(ring, cols, nrows)
     c = len(cols)
     if nrows == 0:
+        ring = ar.ring
         return [tuple(ring.one() if i == j else ring.zero() for i in range(c))
                 for j in range(c)]
-    U, D, V, _, _ = smith_normal_form(ring, A)
+    _, D, V, _, _ = _smith(ar, _rows(ar, cols, nrows))
     rank_bound = min(nrows, c)
-    out = []
-    vcols = mat_cols(V, c)
-    for j in range(c):
-        if j >= rank_bound or D[j][j].is_zero():
-            out.append(vcols[j])
-    return out
+    return [tuple(ar.to_el(V[i][j]) for i in range(c)) for j in range(c)
+            if j >= rank_bound or ar.is_zero(D[j][j])]
 
 
-def _lift_euclidean(ring, cols, target, nrows):
-    A = cols_to_mat(ring, cols, nrows)
+def _lift_euclidean(ar, cols, target, nrows):
     c = len(cols)
-    U, D, V, _, _ = smith_normal_form(ring, A)
-    ub = mat_vec(ring, U, target)
+    U, D, V, _, _ = _smith(ar, _rows(ar, cols, nrows))
+    ub = _mat_vec(ar, U, [ar.from_el(e) for e in target])
     rank_bound = min(nrows, c)
-    y = [ring.zero()] * c
+    y = [ar.zero] * c
     for i in range(nrows):
         d = D[i][i] if i < rank_bound else None
-        if d is not None and not d.is_zero():
-            q, r = ring.divmod_el(ub[i], d)
-            if not r.is_zero():
+        if d is not None and not ar.is_zero(d):
+            q, r = ar.divmod(ub[i], d)
+            if not ar.is_zero(r):
                 return None
             y[i] = q
-        elif not ub[i].is_zero():
+        elif not ar.is_zero(ub[i]):
             return None
-    return mat_vec(ring, V, tuple(y))
+    return tuple(ar.to_el(x) for x in _mat_vec(ar, V, y))
 
 
 def _poly_cols(ring, cols):
@@ -399,7 +487,7 @@ def member(ring, cols, target, nrows):
         return False
     kind = ring.classify()
     if kind in ("int", "field", "int_completed", "int_localized"):
-        return _lift_euclidean(ring, cols, target, nrows) is not None
+        return _lift_euclidean(_arithmetic(ring), cols, target, nrows) is not None
     if kind == "poly_localized":
         return _localized_poly(ring, "lift", cols, target, nrows) is not None
     gens, extra = _augmented_gens(ring, cols, nrows)
@@ -440,16 +528,18 @@ def invariant_factors(ring, relation_cols, ngens):
     """
     if not relation_cols:
         return [], ngens
-    A = cols_to_mat(ring, relation_cols, ngens)
-    _, D, _, _, _ = smith_normal_form(ring, A)
-    rank_bound = min(ngens, len(relation_cols))
+    return _invariant_factors(_arithmetic(ring), relation_cols, ngens)
+
+
+def _invariant_factors(ar, cols, ngens):
+    _, D, _, _, _ = _smith(ar, _rows(ar, cols, ngens))
     factors = []
     rank = 0
-    for i in range(rank_bound):
+    for i in range(min(ngens, len(cols))):
         d = D[i][i]
-        if d.is_zero():
+        if ar.is_zero(d):
             continue
         rank += 1
-        if not d.is_unit():
-            factors.append(d)
+        if not ar.is_unit(d):
+            factors.append(ar.to_el(d))
     return factors, ngens - rank

@@ -127,6 +127,8 @@ def minimize_presentation(M):
     rels = [list(col) for col in M.relations]
     # expr[g] = expression of original generator g in the current generators
     expr = {g: {g: ring.one()} for g in gens}
+    # values already found to be nonunits: a rescan does not ask them again
+    nonunits = set()
     changed = True
     while changed:
         changed = False
@@ -134,13 +136,16 @@ def minimize_presentation(M):
             unit_at = None
             for pos, g in enumerate(gens):
                 e = col[pos]
-                if not e.is_zero() and e.is_unit():
-                    unit_at = (pos, g, e)
+                if e.is_zero() or (e.num, e.dexp) in nonunits:
+                    continue
+                inv = ring.unit_inverse(e)  # one question: unit and inverse
+                if inv is not None:
+                    unit_at = (pos, g, inv)
                     break
+                nonunits.add((e.num, e.dexp))
             if unit_at is None:
                 continue
-            pos, g, e = unit_at
-            inv = e.inv()
+            pos, g, inv = unit_at
             # g = -inv * sum_{h != g} col_h * h
             subst = {}
             for p2, h in enumerate(gens):

@@ -73,6 +73,7 @@ class Ring:
         self.nvars = len(self.names)
         self._modulus = None
         self._reduction = None
+        self._int_modulus = None
 
     # -- construction and interning ----------------------------------------
 
@@ -155,8 +156,11 @@ class Ring:
 
     @property
     def int_modulus(self):
-        gens, prec = self.completion
-        return abs(int(gens[0].constant())) ** prec
+        """p^N over Z_p at precision N: the canonical form reduces by it."""
+        if self._int_modulus is None:
+            gens, prec = self.completion
+            self._int_modulus = abs(int(gens[0].constant())) ** prec
+        return self._int_modulus
 
     @property
     def modulus(self):
@@ -339,12 +343,20 @@ class Ring:
 
     def inv_el(self, e):
         e = self.el(e)
+        inv = self.unit_inverse(e)
+        if inv is None:
+            raise ZeroDivisionError(f"{e} is not a unit in {self}")
+        return inv
+
+    def unit_inverse(self, e):
+        """The inverse of e, or None when e is not a unit."""
+        e = self.el(e)
         if self.inverted is None and self.nvars > 0 and (
                 self.quotient or self.is_completed):
             # one Groebner basis answers both the unit test and the lift
             v = None if e.is_zero() else self._unit_cofactor(e.num)
             if v is None:
-                raise ZeroDivisionError(f"{e} is not a unit in {self}")
+                return None
             if self.is_completed:
                 # Newton lifting doubles I-adic accuracy each pass
                 prec = self.completion[1]
@@ -356,7 +368,7 @@ class Ring:
                     v = self._reduce_num(v * (two - e.num * v))
             return self.el(v)
         if not self.is_unit_el(e):
-            raise ZeroDivisionError(f"{e} is not a unit in {self}")
+            return None
         if self.inverted is not None:
             base = self.without_inversion()
             num, extra = e.num, 0

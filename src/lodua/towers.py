@@ -520,9 +520,11 @@ def _gcd_el(ring, a, b):
     while not b.is_zero():
         _, r = ring.divmod_el(a, b)
         a, b = b, r
-    from .linalg import _unit_part
-    u = _unit_part(ring, a)
-    return a * u.inv() if not a.is_zero() else a
+    if a.is_zero():
+        return a
+    from .linalg import _arithmetic
+    ar = _arithmetic(ring)
+    return a * ar.to_el(ar.inv(ar.unit(ar.from_el(a))))
 
 
 def is_finite_dimensional(M):

@@ -275,3 +275,40 @@ def test_recheck_validates_certificate_invariants(tmp_path):
     code, _, err = run_cli("lcomplete-check", fixture("zp.json"),
                            "--recheck", str(prior))
     assert code == 3 and "all-zero grid" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--precision", "0"), ("--K", "0"),
+                                         ("--lag", "-1"), ("--s", "-1")])
+def test_out_of_range_bounds_exit_three(flag, value):
+    code, out, err = run_cli("gm-check", fixture("z-mod-p-infty.json"),
+                             flag, value)
+    assert code == 3 and out == ""
+    assert "invalid input" in err and flag[2:] in err
+
+
+def test_out_of_range_document_options_exit_three(tmp_path):
+    with open(fixture("z-mod-p-infty.json")) as fh:
+        doc = json.load(fh)
+    for options in ({"precision": 0}, {"K": -2}, {"lag": "six"}):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**doc, "options": options}))
+        code, _, err = run_cli("gm-check", str(path))
+        assert code == 3 and "invalid input" in err
+
+
+def test_explicit_zero_is_not_replaced_by_a_default(monkeypatch):
+    import lodua.cli
+    with open(fixture("z-mod-p-infty.json")) as fh:
+        doc = json.load(fh)
+    seen = {}
+
+    def fake(d, target, s, K, lag, precision):
+        seen.update(s=s, K=K, lag=lag, precision=precision)
+        return {"status": "exact"}
+
+    monkeypatch.setattr(lodua.cli, "gm_ses_check", fake)
+    assert lodua.cli.run(doc, "gm-check", {"s": 0, "lag": 0})[0] == 0
+    assert seen == {"s": 0, "K": 12, "lag": 0, "precision": 20}
+    doc = {**doc, "options": {"precision": 1, "K": 1, "lag": 0}}
+    lodua.cli.run(doc, "gm-check")
+    assert seen == {"s": 1, "K": 1, "lag": 0, "precision": 1}

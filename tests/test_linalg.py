@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodua import UnsupportedRing, make_ring, smith_normal_form
 from lodua.linalg import (invariant_factors, lift_through, mat_mul, mat_vec,
@@ -123,3 +125,90 @@ def test_invariant_factors(ZZ):
     factors, rank = invariant_factors(ZZ, cols, 2)
     assert [str(f) for f in factors] == ["2", "12"]
     assert rank == 0
+
+
+# -- the integer arithmetic against the RingElement arithmetic -----------------
+#
+# Over Z and Z_p the Smith loop runs on plain ints; the RingElement
+# arithmetic, which goes through Ring.divmod_el and Ring.euclidean_size, must
+# make exactly the same choices, so every transform and every answer agrees.
+
+_Z = make_ring({"base": "Z"})
+_Z5 = {N: make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": N}})
+       for N in (2, 20)}
+
+
+@st.composite
+def _int_matrices(draw):
+    """(ring, n x m matrix of ints, target column of ints).
+
+    Over Z: entries in -9..9, so negative entries and halfway remainders
+    (2r = |b|) are common.  Over Z_5: unit * 5^v, and at precision 2 the
+    entries with v >= 2 vanish.
+    """
+    ring = draw(st.sampled_from([_Z, _Z5[20], _Z5[2]]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if ring is _Z:
+        entry = st.integers(-9, 9)
+    else:
+        entry = st.builds(lambda u, v: u * 5 ** v, st.integers(-4, 4),
+                          st.integers(0, 3))
+    A = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):  # a target in the column span
+        x = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        target = [sum(a * c for a, c in zip(row, x)) for row in A]
+    else:
+        target = draw(st.lists(entry, min_size=n, max_size=n))
+    return ring, A, target
+
+
+def _both_arithmetics(ring):
+    from lodua.linalg import _ElArith, _IntArith
+    return _IntArith(ring), _ElArith(ring)
+
+
+def _as_elements(ar, X):
+    return [[ar.to_el(a) for a in row] for row in X]
+
+
+@settings(max_examples=150)
+@given(_int_matrices())
+def test_integer_and_element_arithmetic_agree(case):
+    from lodua.linalg import (_invariant_factors, _lift_euclidean, _smith,
+                              _syz_euclidean)
+    ring, A, target = case
+    ints, els = _both_arithmetics(ring)
+    E = as_mat(ring, A)
+    got = _smith(ints, [[ints.from_el(e) for e in row] for row in E])
+    want = _smith(els, [list(row) for row in E])
+    for X, Y in zip(got, want):
+        assert _as_elements(ints, X) == Y
+    assert tuple(smith_normal_form(ring, E)) == want
+    check_smith(ring, E)
+
+    n = len(A)
+    cols = [tuple(E[i][j] for i in range(n)) for j in range(len(A[0]))]
+    tgt = tuple(ring.el(t) for t in target)
+    assert _syz_euclidean(ints, cols, n) == _syz_euclidean(els, cols, n)
+    assert _lift_euclidean(ints, cols, tgt, n) == _lift_euclidean(els, cols, tgt, n)
+    assert _invariant_factors(ints, cols, n) == _invariant_factors(els, cols, n)
+    assert syzygies(ring, cols, n) == _syz_euclidean(els, cols, n)
+    if any(not t.is_zero() for t in tgt):  # a zero target lifts to zero
+        assert lift_through(ring, cols, tgt, n) == _lift_euclidean(els, cols, tgt, n)
+    assert invariant_factors(ring, cols, n) == _invariant_factors(els, cols, n)
+
+
+def test_integer_divmod_matches_ring_divmod():
+    # a positive divisor moves a remainder above |b|/2 down by |b| and keeps
+    # one at exactly |b|/2; a negative divisor keeps Python's remainder
+    ints, _ = _both_arithmetics(_Z)
+    cases = {(7, 4): (2, -1), (6, 4): (1, 2), (-6, 4): (-2, 2),
+             (6, -4): (-2, -2), (-7, -4): (1, -3), (5, 2): (2, 1)}
+    for (a, b), qr in cases.items():
+        assert ints.divmod(a, b) == qr
+        assert tuple(map(_Z.el, qr)) == _Z.divmod_el(_Z.el(a), _Z.el(b))
+    z5, _ = _both_arithmetics(_Z5[2])
+    # over Z_5 at precision 2: p^v * u divides p^w * t iff v <= w
+    assert z5.divmod(10, 5) == (2, 0) and z5.divmod(5, 10) == (13, 0)
+    assert z5.divmod(5, 3) == (10, 0) and z5.divmod(1, 5) == (0, 1)

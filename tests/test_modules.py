@@ -149,3 +149,24 @@ def _kdim(M):
                 for i in range(M.ngens):
                     c2[i] -= f * c[i]
     return M.ngens - rank
+
+
+def test_minimize_presentation_asks_each_nonunit_once(monkeypatch):
+    from lodua import make_ring
+    from lodua.modules import minimize_presentation
+    from lodua.ring import Ring
+    R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2"]})
+    M = FPModule(R, 3, [("x", "y", "0"), ("0", "x", "1")])
+    asked = []
+    cofactor = Ring._unit_cofactor
+
+    def counted(ring, num):
+        asked.append(num)
+        return cofactor(ring, num)
+
+    monkeypatch.setattr(Ring, "_unit_cofactor", counted)
+    Mmin, fwd, bwd = minimize_presentation(M)
+    # x and y once each, then the unit 1, which eliminates generator 3;
+    # the rescan of the first relation asks nothing again
+    assert [p.render(R.names) for p in asked] == ["x", "y", "1"]
+    assert Mmin.ngens == 2 and Mmin.relations == [(R.el("x"), R.el("y"))]
