@@ -7,7 +7,8 @@ deterministic JSON (sorted keys, no timestamps in the body).  Exit codes:
 
     0  success or a true/complete/exact verdict
     1  a computed false / not-complete / failure verdict
-    2  inconclusive, unrecognized tower, or budget exhaustion
+    2  inconclusive, unrecognized tower, budget exhaustion, or an internal
+       error (one line on stderr, no traceback)
     3  invalid input
 
 Timing goes to stderr so identical inputs produce byte-identical reports.
@@ -24,6 +25,7 @@ from .criteria import homology_membership, is_L_complete, is_lambda_local
 from .descriptors import FPObj, Rational, Telescope, TelescopeQuotient
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      LoduaError, UnrecognizedTower, UnsupportedRing)
+from .groebner import default_budget
 from .hopf import (Comodule, CompleteComodule, comodule_completion, iota,
                    make_group_like, verify_theorems, _completed_hopf,
                    _base_change_comodule)
@@ -52,7 +54,7 @@ class Problem:
         self.doc = doc
         self.options = dict(doc.get("options", {}))
         if "LODUA_BUDGET" in os.environ:
-            self.options.setdefault("budget", int(os.environ["LODUA_BUDGET"]))
+            self.options.setdefault("budget", default_budget())
         self.ring = make_ring(doc.get("ring", {"base": "Z"}))
         self.ideal = None
         if doc.get("ideal"):
@@ -149,6 +151,11 @@ class Problem:
             raise InvalidInput(f"unknown module {name!r}")
         return self.modules[name]
 
+    def comodule(self, name):
+        if name not in self.comodules:
+            raise InvalidInput(f"unknown comodule {name!r}")
+        return self.comodules[name]
+
     def target(self, name):
         """A module, descriptor, or complex by name."""
         if name in self.descriptors:
@@ -191,9 +198,17 @@ def run(doc, verb, args=None):
     cmd.update({k: v for k, v in args.items() if v is not None})
 
     def setting(key, default, least):
-        # the document's options, then the command and flags, then the default
-        value = problem.opt(key, cmd.get(key))
+        # an explicit flag, then the document's options, then its command,
+        # then the default
+        value = args.get(key)
+        if value is None:
+            value = problem.opt(key, cmd.get(key))
         return _int_setting(key, default if value is None else value, least)
+
+    def name(key):
+        if cmd.get(key) is None:
+            raise InvalidInput(f"missing --{key}")
+        return cmd[key]
 
     precision = setting("precision", DEFAULT_PRECISION, 1)
     K = setting("K", 12, 1)
@@ -218,21 +233,21 @@ def run(doc, verb, args=None):
         if problem.ideal:
             report["ideal"] = problem.ideal.describe()
     elif verb == "tor":
-        M, N = problem.module(cmd["M"]), problem.module(cmd["N"])
+        M, N = problem.module(name("M")), problem.module(name("N"))
         out = module_tor(M, N, s)
         report["result"] = out.describe()
     elif verb == "ext":
-        M, N = problem.module(cmd["M"]), problem.module(cmd["N"])
+        M, N = problem.module(name("M")), problem.module(name("N"))
         out = module_ext(M, N, s)
         report["result"] = out.describe()
     elif verb == "localcoh":
         d = problem.need_ideal()
-        v = local_cohomology(d, problem.target(cmd["target"]), s)
+        v = local_cohomology(d, problem.target(name("target")), s)
         report["result"] = v.describe()
         code = 0 if v.is_recognized() else 2
     elif verb == "localhom":
         d = problem.need_ideal()
-        tgt = problem.target(cmd["target"])
+        tgt = problem.target(name("target"))
         if isinstance(tgt, ChainComplex):
             raise InvalidInput("localhom takes a module or descriptor; "
                                "use `lambda` for complexes")
@@ -240,40 +255,40 @@ def run(doc, verb, args=None):
         report["result"] = v.describe()
     elif verb == "gamma":
         d = problem.need_ideal()
-        g = gamma(d, problem.target(cmd["target"]))
+        g = gamma(d, problem.target(name("target")))
         report["result"] = g.describe()
     elif verb == "lambda":
         d = problem.need_ideal()
-        table = derived_completion(d, problem.target(cmd["target"]),
+        table = derived_completion(d, problem.target(name("target")),
                                    K, lag, precision)
         report["result"] = table.describe()
     elif verb == "gm-check":
         d = problem.need_ideal()
-        tgt = problem.target(cmd["target"])
+        tgt = problem.target(name("target"))
         out = gm_ses_check(d, tgt, s, K, lag, precision)
         report["result"] = out
         code = 0 if out["status"] == "exact" else 2
     elif verb == "complete":
         d = problem.need_ideal()
-        out, nat = adic_completion(problem.module(cmd["module"]), d, precision)
+        out, nat = adic_completion(problem.module(name("module")), d, precision)
         report["result"] = out.describe()
         report["natural_map"] = nat
         report["precision"] = precision
     elif verb == "lcomplete-check":
         d = problem.need_ideal()
-        cert = is_L_complete(problem.target(cmd["target"]), d, precision)
+        cert = is_L_complete(problem.target(name("target")), d, precision)
         report["result"] = cert.describe()
         code = {"complete": 0, "not-complete": 1, "inconclusive": 2}[cert.verdict]
     elif verb == "torsion-check":
         d = problem.need_ideal()
-        out = homology_membership(problem.target(cmd["target"]), d, "torsion",
+        out = homology_membership(problem.target(name("target")), d, "torsion",
                                   K, lag, precision)
         report["result"] = out
         code = 0 if out["verdict"] is True else (
             1 if out["verdict"] is False else 2)
     elif verb == "lambda-local-check":
         d = problem.need_ideal()
-        out = is_lambda_local(problem.target(cmd["target"]), d, K, lag, precision)
+        out = is_lambda_local(problem.target(name("target")), d, K, lag, precision)
         report["result"] = out
         code = {"local": 0, "not-local": 1, "inconclusive": 2}[out["verdict"]]
     elif verb == "proreg-check":
@@ -285,7 +300,7 @@ def run(doc, verb, args=None):
                 "inconclusive": 2}[out["status"]]
     elif verb in ("comodule-limit", "comodule-complete"):
         d = problem.need_ideal()
-        com = problem.comodules[cmd["comodule"]]
+        com = problem.comodule(name("comodule"))
         method = cmd.get("method", "kernel")
         limit, cert = comodule_completion(com, d, precision, method)
         other, _ = comodule_completion(com, d, precision,
@@ -301,7 +316,7 @@ def run(doc, verb, args=None):
                                       "presentation; identity witness")
     elif verb == "iota":
         d = problem.need_ideal()
-        com = problem.comodules[cmd["comodule"]]
+        com = problem.comodule(name("comodule"))
         h_hat = _completed_hopf(problem.hopf, d.gens, precision)
         chat = _base_change_comodule(h_hat, com)
         res, cert = iota(CompleteComodule(h_hat, chat, precision))
@@ -309,8 +324,8 @@ def run(doc, verb, args=None):
         report["certificate"] = cert
     elif verb == "verify":
         d = problem.need_ideal()
-        which = cmd["which"]
-        com = problem.comodules[cmd["comodule"]] if cmd.get("comodule") else None
+        which = name("which")
+        com = problem.comodule(cmd["comodule"]) if cmd.get("comodule") else None
         if com is None and problem.comodules:
             com = next(iter(problem.comodules.values()))
         out = verify_theorems(problem.hopf, d, com, which, precision=precision)
@@ -419,6 +434,11 @@ def main(argv=None):
         return 2
     except LoduaError as ex:
         print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except Exception as ex:
+        # a defect in the engine, reported in one line instead of a traceback
+        detail = " ".join(str(ex).split())
+        print(f"internal error: {type(ex).__name__}: {detail}", file=sys.stderr)
         return 2
     print(json.dumps(report, sort_keys=True, indent=2))
     print(f"# {ns.verb} in {time.time() - t0:.3f}s", file=sys.stderr)

@@ -93,9 +93,13 @@ def _ext_against_stage(d, i, desc, q):
     raise UnsupportedRing(f"no Ext rule for descriptor kind {desc.kind}")
 
 
-def ext_telescope(d, i, desc, q, precision=None):
-    """Ext^q(x_i^-1 A/(x_1..x_(i-1)), target) via multiplication towers."""
-    ring = d.ring
+def ext_telescope(d, i, desc, q, precision=None, towers=None):
+    """Ext^q(x_i^-1 A/(x_1..x_(i-1)), target) via multiplication towers.
+
+    ``towers`` maps q to the tower values on Ext^q(A/(x_1..x_(i-1)), target)
+    at this stage; cells (i, q) and (i, q + 1) both read Ext^q, so a caller
+    walking one stage passes one dict to all its cells.
+    """
     if not (1 <= i <= d.n):
         raise InvalidInput(f"index {i} outside 1..{d.n}")
     if q > i:
@@ -103,13 +107,10 @@ def ext_telescope(d, i, desc, q, precision=None):
             basis=f"projective dimension of the telescope is at most {i}")
     if isinstance(desc, FPModule):
         desc = FPObj(desc)
-    x = d.gens[i - 1]
-    low = _ext_against_stage(d, i, desc, q - 1)
-    high = _ext_against_stage(d, i, desc, q)
-    t_low = mult_tower_values(low, _coerce(low, x), precision) \
-        if not _is_zero_desc(low) else None
-    t_high = mult_tower_values(high, _coerce(high, x), precision) \
-        if not _is_zero_desc(high) else None
+    if towers is None:
+        towers = {}
+    t_low = _ext_tower(d, i, desc, q - 1, precision, towers)
+    t_high = _ext_tower(d, i, desc, q, precision, towers)
     lim1 = t_low.lim1 if t_low else LimitModule.zero(basis="Ext module vanishes")
     lim = t_high.lim if t_high else LimitModule.zero(basis="Ext module vanishes")
     if not lim.is_recognized() or not lim1.is_recognized():
@@ -121,6 +122,16 @@ def ext_telescope(d, i, desc, q, precision=None):
         return lim1
     return LimitModule("ind", {"extension": [lim1.describe(), lim.describe()]},
                        basis="Milnor extension, both terms nonzero")
+
+
+def _ext_tower(d, i, desc, q, precision, towers):
+    """Tower values of multiplication by x_i on Ext^q(A/(x_1..x_(i-1)),
+    target), or None when that Ext vanishes; remembered in ``towers``."""
+    if q not in towers:
+        ext = _ext_against_stage(d, i, desc, q)
+        towers[q] = None if _is_zero_desc(ext) else mult_tower_values(
+            ext, _coerce(ext, d.gens[i - 1]), precision)
+    return towers[q]
 
 
 def _coerce(desc, x):
@@ -149,8 +160,9 @@ def is_L_complete(desc, d, precision=None):
     witness = None
     verdict = "complete"
     for i in range(1, d.n + 1):
+        towers = {}
         for q in range(0, i + 1):
-            cell = ext_telescope(d, i, desc, q, precision)
+            cell = ext_telescope(d, i, desc, q, precision, towers)
             table[(i, q)] = cell
             if not cell.is_recognized():
                 verdict = "inconclusive"

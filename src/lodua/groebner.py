@@ -27,15 +27,26 @@ import heapq
 import os
 from operator import add, le, sub
 
-from .errors import BudgetExceeded, UnsupportedRing
+from .errors import BudgetExceeded, InvalidInput, UnsupportedRing
 from .poly import Poly, descending_key, mono_div, mono_lcm, order_key
 
 
 def default_budget():
-    try:
-        return int(os.environ.get("LODUA_BUDGET", "100000"))
-    except ValueError:
+    """The step budget: ``LODUA_BUDGET`` when set, else 100000.
+
+    A set value that is not an integer of at least 1 is invalid input.
+    """
+    value = os.environ.get("LODUA_BUDGET")
+    if value is None:
         return 100000
+    try:
+        n = int(value)
+    except ValueError:
+        raise InvalidInput(
+            f"LODUA_BUDGET must be an integer, not {value!r}") from None
+    if n < 1:
+        raise InvalidInput(f"LODUA_BUDGET must be at least 1, not {n}")
+    return n
 
 
 def _flat(v):

@@ -432,12 +432,14 @@ def _lift_euclidean(ar, cols, target, nrows):
     y = [ar.zero] * c
     for i in range(nrows):
         d = D[i][i] if i < rank_bound else None
+        if ar.is_zero(ub[i]):
+            continue  # zero lifts to zero, not to p^(N-v)/u over Z_p
         if d is not None and not ar.is_zero(d):
             q, r = ar.divmod(ub[i], d)
             if not ar.is_zero(r):
                 return None
             y[i] = q
-        elif not ar.is_zero(ub[i]):
+        else:
             return None
     return tuple(ar.to_el(x) for x in _mat_vec(ar, V, y))
 

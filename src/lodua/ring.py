@@ -6,10 +6,16 @@ ideal (with Groebner normal forms), localization at one non-zerodivisor
 tracked at a fixed finite precision N (arithmetic modulo I^N, every answer
 stamped with N).  Two elements are equal iff their canonical representatives
 coincide, up to the stated precision for completed rings.
+
+When quotient + I^N is generated by monomials (for instance k[[x, y]] at
+(x, y), which is truncated power series) the canonical form keeps the terms
+no generator divides.  That is the Groebner normal form, which is unique
+modulo a monomial ideal, computed without a Groebner basis.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import le
 
 from .errors import InvalidInput, PrecisionMismatch, UnsupportedRing
 from .expr import parse_poly
@@ -74,6 +80,10 @@ class Ring:
         self._modulus = None
         self._reduction = None
         self._int_modulus = None
+        self._monomials = None
+        self._series = None
+        self._zero = None
+        self._one = None
 
     # -- construction and interning ----------------------------------------
 
@@ -176,6 +186,46 @@ class Ring:
             self._modulus = mod
         return self._modulus
 
+    @property
+    def monomial_modulus(self):
+        """The minimal exponents of quotient + I^N when every generator is
+        one term with a unit coefficient (a monomial ideal), else None.
+
+        Localizations and Z_p keep their own canonical forms.
+        """
+        if self._monomials is None:
+            mod = self.modulus
+            mons = False
+            if (self.nvars > 0 and self.inverted is None and mod
+                    and all(len(g.terms) == 1 and self.dom.is_unit(c)
+                            for g in mod for c in g.terms.values())):
+                exps = sorted(dict.fromkeys(m for g in mod for m in g.terms),
+                              key=sum)
+                mons = []
+                for m in exps:
+                    if not any(all(map(le, g, m)) for g in mons):
+                        mons.append(m)
+                mons = tuple(mons)
+            self._monomials = mons
+        return self._monomials or None
+
+    @property
+    def is_power_series(self):
+        """k[[x_1..x_n]] at precision N: a field base, no quotient, no
+        inversion, and completed at the ideal of all the variables, so
+        A^/I is the coefficient field and units are the series with a
+        nonzero constant term."""
+        if self._series is None:
+            gens = self.completion[0] if self.is_completed else ()
+            linear = {m for g in gens for m in g.terms if sum(m) == 1}
+            self._series = (
+                self.dom.kind != "Z" and not self.quotient
+                and self.inverted is None and self.nvars > 0
+                and self.monomial_modulus is not None
+                and len(linear) == self.nvars
+                and all(sum(m) >= 1 for g in gens for m in g.terms))
+        return self._series
+
     def reduction_basis(self):
         """GB of quotient + I^N, the modulus of the canonical form."""
         if self._reduction is None:
@@ -244,10 +294,14 @@ class Ring:
         return self._normal(Poly(self.dom, self.nvars, x.num.terms), x.dexp)
 
     def zero(self):
-        return self.el(0)
+        if self._zero is None:
+            self._zero = self.el(0)
+        return self._zero
 
     def one(self):
-        return self.el(1)
+        if self._one is None:
+            self._one = self.el(1)
+        return self._one
 
     def var(self, name):
         return self.el(Poly.var(self.dom, self.nvars, self.names.index(name)))
@@ -261,6 +315,12 @@ class Ring:
                 c = int(num.constant()) % self.int_modulus
                 return Poly.const(self.dom, 0, c)
             return num
+        mons = self.monomial_modulus
+        if mons is not None:
+            low = sum(mons[0])
+            return Poly._raw(num.dom, num.nvars, {
+                m: c for m, c in num.terms.items()
+                if sum(m) < low or not any(all(map(le, g, m)) for g in mons)})
         gb = self.reduction_basis()
         if gb is not None:
             num = gb.normal_form((num,))[0]
@@ -327,6 +387,8 @@ class Ring:
             return True
         if not self.quotient and not self.is_completed:
             return num.is_constant() and self.dom.is_unit(num.constant())
+        if self.is_power_series:
+            return num.constant() != 0
         return self._unit_cofactor(num) is not None
 
     def _unit_cofactor(self, num):
@@ -353,10 +415,17 @@ class Ring:
         e = self.el(e)
         if self.inverted is None and self.nvars > 0 and (
                 self.quotient or self.is_completed):
-            # one Groebner basis answers both the unit test and the lift
-            v = None if e.is_zero() else self._unit_cofactor(e.num)
-            if v is None:
-                return None
+            if self.is_power_series:
+                # the inverse of the constant term is an inverse modulo I
+                c = e.num.constant()
+                if c == 0:
+                    return None
+                v = Poly.const(self.dom, self.nvars, self.dom.inv(c))
+            else:
+                # one Groebner basis answers both the unit test and the lift
+                v = None if e.is_zero() else self._unit_cofactor(e.num)
+                if v is None:
+                    return None
             if self.is_completed:
                 # Newton lifting doubles I-adic accuracy each pass
                 prec = self.completion[1]
@@ -629,7 +698,7 @@ def make_ring(descriptor):
     quotient = tuple(plain.el(q).num for q in descriptor.get("quotient", ()))
     ring = Ring.get(base, p, names, quotient)
     ring._validate()
-    if quotient:
+    if quotient and ring.monomial_modulus is None:
         ring.reduction_basis()  # fails early on budget problems
     comp = descriptor.get("completion")
     if comp:

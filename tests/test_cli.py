@@ -312,3 +312,74 @@ def test_explicit_zero_is_not_replaced_by_a_default(monkeypatch):
     doc = {**doc, "options": {"precision": 1, "K": 1, "lag": 0}}
     lodua.cli.run(doc, "gm-check")
     assert seen == {"s": 1, "K": 1, "lag": 0, "precision": 1}
+
+
+@pytest.mark.parametrize("verb, args, missing", [
+    ("tor", ["--s", "1"], "--M"),
+    ("tor", ["--s", "1", "--M", "Z"], "--N"),
+    ("ext", ["--s", "0", "--N", "Z"], "--M"),
+    ("localcoh", ["--s", "0"], "--target"),
+    ("lambda", [], "--target"),
+    ("complete", [], "--module"),
+])
+def test_missing_name_exits_three(verb, args, missing):
+    code, out, err = run_cli(verb, fixture("z.json"), *args)
+    assert code == 3 and out == ""
+    assert f"missing {missing}" in err and "Traceback" not in err
+
+
+def test_comodule_names_are_checked(tmp_path):
+    with open(fixture("c2-swap.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**doc, "command": {}}))
+    for args, message in (([], "missing --comodule"),
+                          (["--comodule", "nope"], "unknown comodule 'nope'")):
+        code, _, err = run_cli("iota", str(path), *args)
+        assert code == 3 and message in err and "Traceback" not in err
+    code, _, err = run_cli("verify", str(path))
+    assert code == 3 and "missing --which" in err
+
+
+def test_unexpected_exception_exits_two(monkeypatch, capsys):
+    import lodua.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("multi\nline")
+
+    monkeypatch.setattr(lodua.cli, "run", broken)
+    assert lodua.cli.main(["resolve", fixture("z.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: multi line\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
+def test_bad_budget_variable_exits_three(value):
+    env = dict(os.environ, LODUA_BUDGET=value)
+    proc = subprocess.run([sys.executable, "-m", "lodua.cli", "resolve",
+                           fixture("z.json")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "LODUA_BUDGET" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key, flag, doc_value", [
+    ("precision", 7, 3), ("K", 7, 1), ("lag", 7, 0)])
+def test_explicit_flag_overrides_document_option(monkeypatch, key, flag,
+                                                 doc_value):
+    import lodua.cli
+    with open(fixture("z-mod-p-infty.json")) as fh:
+        doc = json.load(fh)
+    doc = {**doc, "options": {key: doc_value}}
+    seen = {}
+
+    def fake(d, target, s, K, lag, precision):
+        seen.update(K=K, lag=lag, precision=precision)
+        return {"status": "exact"}
+
+    monkeypatch.setattr(lodua.cli, "gm_ses_check", fake)
+    lodua.cli.run(doc, "gm-check")
+    assert seen[key] == doc_value
+    lodua.cli.run(doc, "gm-check", {key: flag})
+    assert seen[key] == flag

@@ -324,3 +324,16 @@ def test_reduced_basis_ignores_generator_order(data):
     nrows, gens = data.draw(generator_sets())
     shuffled = data.draw(st.permutations(gens))
     assert GBasis(shuffled, nrows).elements == GBasis(gens, nrows).elements
+
+
+def test_budget_variable_is_parsed_once(monkeypatch):
+    from lodua import InvalidInput
+    from lodua.groebner import default_budget
+    monkeypatch.delenv("LODUA_BUDGET", raising=False)
+    assert default_budget() == 100000
+    monkeypatch.setenv("LODUA_BUDGET", "7")
+    assert default_budget() == 7
+    for bad in ("abc", "", "0", "-3", "2.5"):
+        monkeypatch.setenv("LODUA_BUDGET", bad)
+        with pytest.raises(InvalidInput, match="LODUA_BUDGET"):
+            default_budget()

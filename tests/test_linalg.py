@@ -120,6 +120,13 @@ def test_dvr_kernels_are_domain_kernels(Z5hat):
     assert syzygies(Z5hat, [(Z5hat.el(25),)], 1) == []
 
 
+def test_zero_entry_lifts_to_zero_over_zp(Z5hat):
+    # a zero entry of U*b over the diagonal entry 5 gives 0, not 5^19 * u^-1
+    cols = [(Z5hat.el(5), Z5hat.el(0)), (Z5hat.el(0), Z5hat.el(5))]
+    assert lift_through(Z5hat, cols, (Z5hat.el(5), Z5hat.el(0)), 2) == \
+        (Z5hat.el(1), Z5hat.el(0))
+
+
 def test_invariant_factors(ZZ):
     cols = [(ZZ.el(4), ZZ.el(0)), (ZZ.el(0), ZZ.el(6))]
     factors, rank = invariant_factors(ZZ, cols, 2)

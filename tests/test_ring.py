@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodua import InvalidInput, UnsupportedRing, make_ring, normal_form
 from lodua.expr import ParseError, parse_poly
-from lodua.poly import QQ
+from lodua.poly import QQ, Poly
+from lodua.ring import Ring
 
 
 def test_make_integers():
@@ -148,11 +151,32 @@ def test_inverse_over_completion_builds_one_basis(monkeypatch):
 
     monkeypatch.setattr(ring_mod, "GBasis", counted)
     assert u * u.inv() == R.one()
-    assert len(built) == 1
+    # Q[[x,y]] is truncated power series: no basis at all
+    assert len(built) == 0
     with pytest.raises(ZeroDivisionError, match=r"^x \+ y is not a unit in "):
         R.el("x + y").inv()
     with pytest.raises(ZeroDivisionError, match="is not a unit"):
         R.zero().inv()
+
+
+def test_inverse_over_non_monomial_completion_builds_one_basis(monkeypatch):
+    import lodua.ring as ring_mod
+    R = make_ring({"base": "Q", "vars": ["x", "y"],
+                   "completion": {"ideal": ["x + y", "x*y"], "precision": 4}})
+    assert R.monomial_modulus is None and not R.is_power_series
+    u = R.el("1 + x - 2*y")
+    built = []
+    real = ring_mod.GBasis
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ring_mod, "GBasis", counted)
+    assert u * u.inv() == R.one()
+    assert len(built) == 1
+    with pytest.raises(ZeroDivisionError, match=r"^x \+ y is not a unit in "):
+        R.el("x + y").inv()
 
 
 def test_modulus_is_quotient_plus_completion_power():
@@ -164,3 +188,78 @@ def test_modulus_is_quotient_plus_completion_power():
     assert R.modulus is R.modulus
     Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 3}})
     assert Z5.modulus == ()
+
+
+def _render_term(names, coeff, mono):
+    factors = [f"{v}^{e}" for v, e in zip(names, mono) if e]
+    return "*".join([str(coeff)] + factors)
+
+
+@st.composite
+def _monomial_rings(draw):
+    """Q or F_7 in 1-3 variables: a quotient by 0-2 monomials, completed at
+    some of the variables (scaled by units) to precision <= 5, or not at
+    all."""
+    names = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    base = draw(st.sampled_from([{"base": "Q"}, {"base": "Fp", "p": 7}]))
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    quotient = [_render_term(names, draw(st.integers(1, 3)), m)
+                for m in draw(st.lists(exps.filter(any), max_size=2))]
+    desc = {**base, "vars": list(names), "quotient": quotient}
+    if not quotient or draw(st.booleans()):
+        at = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        ideal = [f"{draw(st.integers(1, 3))}*{v}" for v in at]
+        desc["completion"] = {"ideal": ideal,
+                              "precision": draw(st.integers(1, 5))}
+    poly = st.lists(st.tuples(st.integers(-3, 3),
+                              st.tuples(*[st.integers(0, 6)] * len(names))),
+                    max_size=6)
+    polys = [" + ".join([str(draw(st.integers(-3, 3)))] +
+                        [_render_term(names, c, m) for c, m in terms])
+             for terms in (draw(poly), draw(poly))]
+    return make_ring(desc), polys
+
+
+@settings(max_examples=80)
+@given(_monomial_rings())
+def test_truncation_is_the_groebner_normal_form(case):
+    R, (f, g) = case
+    assert R.monomial_modulus is not None
+    # the same ring with both shortcuts switched off: Groebner reduction and
+    # the cofactor unit test, as for any other modulus
+    slow = Ring(R.base, R.p, R.names, R.quotient, R.inverted, R.completion,
+                R.order)
+    slow._monomials = slow._series = False
+    gb = R.reduction_basis()
+    for h in (f, g):
+        num = Poly(R.dom, R.nvars, slow.el(h).num.terms)
+        raw = R.el(h).num
+        assert raw == gb.normal_form((raw,))[0] == num
+    assert R.el(f) * R.el(g) == slow.el(f) * slow.el(g)
+    assert R.el(f) - R.el(g) == slow.el(f) - slow.el(g)
+    assert R.is_power_series == (R.is_completed and not R.quotient and
+                                 len(R.completion[0]) == R.nvars)
+    for h in (f, g, f"1 + {f}"):
+        assert R.is_unit_el(h) == slow.is_unit_el(h)
+        assert R.unit_inverse(h) == slow.unit_inverse(h)
+
+
+def test_monomial_modulus_is_decided_per_ring():
+    series = make_ring({"base": "Q", "vars": ["x", "y"],
+                        "completion": {"ideal": ["x", "y"], "precision": 3}})
+    assert set(series.monomial_modulus) == {(3, 0), (2, 1), (1, 2), (0, 3)}
+    assert series.is_power_series
+    assert series.el("1 + x").is_unit() and not series.el("x - y^2").is_unit()
+    # non-monomial moduli, localizations and Z_p keep their Groebner path
+    for desc in ({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2 - y"]},
+                 {"base": "Q", "vars": ["x", "y"],
+                  "completion": {"ideal": ["x + y", "x*y"], "precision": 3}},
+                 {"base": "Q", "vars": ["x"], "invert": "x"},
+                 {"base": "Z", "vars": ["x"], "quotient": ["2*x"]},
+                 {"base": "Z", "completion": {"ideal": ["5"], "precision": 3}}):
+        assert make_ring(desc).monomial_modulus is None
+    # a monomial quotient alone is not a power series ring
+    quot = make_ring({"base": "Fp", "p": 7, "vars": ["x"],
+                      "quotient": ["x^4", "3*x^6"]})
+    assert quot.monomial_modulus == ((4,),) and not quot.is_power_series
+    assert quot.zero() is quot.zero() and quot.one() is quot.one()
