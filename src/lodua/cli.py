@@ -37,6 +37,15 @@ from .towers import weak_proregularity_check
 
 SCHEMA_VERSION = "1"
 
+# the keys every entry of a named block needs, and those of each kind
+_REQUIRED = {"modules": ("generators",), "maps": ("source", "target", "matrix"),
+             "descriptors": ("kind",), "complexes": ("modules",),
+             "towers": ("kind",), "comodules": ("module",)}
+_KIND_REQUIRED = {"fp": ("module",), "telescope": ("module", "mult"),
+                  "telescope_quotient": ("module", "mult"),
+                  "adic": ("module", "ideal"), "mult": ("x",),
+                  "tor": ("ideal", "s")}
+
 VERBS = ("resolve", "tor", "ext", "localcoh", "localhom", "gamma", "lambda",
          "gm-check", "complete", "lcomplete-check", "torsion-check",
          "lambda-local-check", "proreg-check", "comodule-limit",
@@ -51,6 +60,11 @@ class Problem:
             raise InvalidInput("document must be a JSON object")
         if doc.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise InvalidInput(f"unsupported schema version {doc.get('version')}")
+        for block, keys in _REQUIRED.items():
+            for name, spec in _fields(doc.get(block, {}), block).items():
+                _fields(spec, repr(name), *keys)
+                if block in ("descriptors", "towers"):
+                    _fields(spec, repr(name), *_KIND_REQUIRED.get(spec["kind"], ()))
         self.doc = doc
         self.options = dict(doc.get("options", {}))
         if "LODUA_BUDGET" in os.environ:
@@ -79,8 +93,10 @@ class Problem:
         self.complexes = {}
         for name, spec in doc.get("complexes", {}).items():
             self._unique(name)
-            mods = {int(k): self.module(v) for k, v in spec["modules"].items()}
-            diffs = {int(k): self.maps[v] for k, v in spec.get("diffs", {}).items()}
+            mods = {int(k): self.module(v)
+                    for k, v in _fields(spec["modules"], name).items()}
+            diffs = {int(k): self.map(v)
+                     for k, v in _fields(spec.get("diffs", {}), name).items()}
             self.complexes[name] = ChainComplex(self.ring, mods, diffs)
         self.towers = {}
         for name, spec in doc.get("towers", {}).items():
@@ -88,9 +104,12 @@ class Problem:
             self.towers[name] = self._tower(spec)
         self.hopf = None
         if doc.get("group"):
-            g = doc["group"]
-            table = {(a, b): g["table"][a][b] for a in g["elements"]
-                     for b in g["elements"]}
+            g = _fields(doc["group"], "group", "elements", "table")
+            try:
+                table = {(a, b): g["table"][a][b] for a in g["elements"]
+                         for b in g["elements"]}
+            except (KeyError, TypeError):
+                raise InvalidInput("the group table needs every product") from None
             self.hopf = make_group_like(self.ring, g["elements"], table,
                                         g.get("action", {}))
         self.comodules = {}
@@ -99,7 +118,7 @@ class Problem:
             if self.hopf is None:
                 raise InvalidInput("comodules need a group block")
             self.comodules[name] = Comodule(self.hopf, self.module(spec["module"]),
-                                            spec.get("action", {}))
+                                            _fields(spec.get("action", {}), name))
 
     def _unique(self, name):
         for pool in (getattr(self, "modules", {}), getattr(self, "maps", {}),
@@ -123,7 +142,7 @@ class Problem:
             return standard_tower("tor",
                                   descriptor=self._target_or_module(spec),
                                   ideal=[self.ring.el(g) for g in spec["ideal"]],
-                                  s=int(spec["s"]))
+                                  s=_int_setting("s", spec["s"], 0))
         raise InvalidInput(f"unknown tower kind {kind!r}")
 
     def _target_or_module(self, spec):
@@ -151,6 +170,11 @@ class Problem:
             raise InvalidInput(f"unknown module {name!r}")
         return self.modules[name]
 
+    def map(self, name):
+        if name not in self.maps:
+            raise InvalidInput(f"unknown map {name!r}")
+        return self.maps[name]
+
     def comodule(self, name):
         if name not in self.comodules:
             raise InvalidInput(f"unknown comodule {name!r}")
@@ -173,6 +197,16 @@ class Problem:
 
     def opt(self, key, default):
         return self.options.get(key, default)
+
+
+def _fields(spec, what, *keys):
+    """spec, checked to be a JSON object holding each of keys."""
+    if not isinstance(spec, dict):
+        raise InvalidInput(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in spec:
+            raise InvalidInput(f"{what} needs {key!r}")
+    return spec
 
 
 def _int_setting(key, value, least):

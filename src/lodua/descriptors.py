@@ -24,9 +24,6 @@ from .modules import FPModule, iso_check
 class Descriptor:
     kind = "abstract"
 
-    def is_fp(self):
-        return False
-
 
 class FPObj(Descriptor):
     kind = "fp"
@@ -34,9 +31,6 @@ class FPObj(Descriptor):
     def __init__(self, module):
         self.module = module
         self.ring = module.ring
-
-    def is_fp(self):
-        return True
 
     def describe(self):
         return {"kind": "fp", "module": self.module.describe()}
@@ -149,14 +143,6 @@ class Sum(Descriptor):
 
 def _desc_is_zero(d):
     return d.kind == "fp" and d.module.is_zero()
-
-
-def as_descriptor(x, ring=None):
-    if isinstance(x, Descriptor):
-        return x
-    if isinstance(x, FPModule):
-        return FPObj(x)
-    raise InvalidInput(f"cannot interpret {x!r} as a module descriptor")
 
 
 class CompletionCokernel:

@@ -280,11 +280,15 @@ class GBasis:
             self._by_coord.setdefault(coord, []).append((idx, m, c))
 
     def _polys(self, v, n):
-        """{(coord, mono): coeff} -> tuple of n Poly."""
+        """{(coord, mono): coeff} -> tuple of the first n coordinates as
+        Poly; later coordinates are dropped without building a Poly."""
         rows = [{} for _ in range(n)]
         for (i, m), c in v.items():
-            rows[i][m] = c
-        return tuple(Poly._raw(self.dom, self.nvars, r) for r in rows)
+            if i < n:
+                rows[i][m] = c
+        zero = Poly._raw(self.dom, self.nvars, {})  # one for every empty row
+        return tuple(Poly._raw(self.dom, self.nvars, r) if r else zero
+                     for r in rows)
 
     def _lift_flat(self, v):
         """Flat cofactor c with v = -sum c.gens, or None when v is not in
@@ -327,11 +331,12 @@ class GBasis:
             return None
         return self._polys(_scaled(cof, -1, self._p), len(self.gens))
 
-    def syzygies(self):
-        """Generators of the syzygy module of the original generators."""
+    def syzygies(self, ncoords=None):
+        """Generators of the syzygy module of the original generators; each
+        cut to its first ncoords coordinates when given."""
         if not self.track:
             raise UnsupportedRing("this basis was built without cofactors")
-        ngen = len(self.gens)
+        ngen = len(self.gens) if ncoords is None else ncoords
         out = [self._polys(s, ngen) for s in self._syz]
         # relations expressing each original generator over the basis give
         # extra syzygies e_j - lift(gen_j) = e_j + row

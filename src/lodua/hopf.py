@@ -15,7 +15,7 @@ with a comparison isomorphism.
 
 from .descriptors import LimitModule, values_agree
 from .errors import InternalInconsistency, InvalidInput, UnsupportedRing
-from .linalg import lift_through
+from .linalg import lift_through, mat_mul, mat_vec, member
 from .local import local_homology_Ls
 from .modules import FPModule, ModuleMap, identity_map
 from .poly import Poly
@@ -140,7 +140,7 @@ class GroupLikeHopfAlgebroid:
                 for c in cgens:
                     img = self.apply(g, c)
                     cols = [(x,) for x in cgens]
-                    if lift_through(ring, cols, (img,), 1) is None:
+                    if not member(ring, cols, (img,), 1):
                         raise InvalidInput(
                             f"{g} does not preserve the completion ideal")
 
@@ -188,6 +188,8 @@ class Comodule:
         for g in hopf.elements:
             if g == hopf.identity and g not in maps:
                 mat = identity_map(module).matrix
+            elif g not in maps:
+                raise InvalidInput(f"the comodule action misses {g!r}")
             else:
                 mat = maps[g]
             self.maps[g] = [[self.ring.el(e) for e in row] for row in mat]
@@ -201,7 +203,6 @@ class Comodule:
         """phi_g on an element: coords v -> P_g . g(v)."""
         h = self.hopf
         gv = h.apply_vec(g, vec)
-        from .linalg import mat_vec
         if self.module.ngens == 0:
             return ()
         return mat_vec(self.ring, self.maps[g], gv)
@@ -304,7 +305,6 @@ def _coaction_block(comod, g):
 
 
 def _mat_mul_ring(ring, A, B):
-    from .linalg import mat_mul
     return mat_mul(ring, A, B)
 
 
@@ -708,22 +708,13 @@ def tor_stage_action(h, g, comod, d, s, k, _cache={}):
     cols = []
     for t in range(H.ngens):
         z = data.incl.apply(data.rep.col(t))
-        w = tuple(_row_dot(ring, X, h.apply_vec(g, z), i)
-                  for i in range(len(X)))
+        w = mat_vec(ring, X, h.apply_vec(g, z))
         lifted = data.incl.lift_element(w)
         if lifted is None:
             raise InternalInconsistency("action does not preserve cycles")
         cols.append(data.proj.apply(lifted))
     mat = [[cols[j][i] for j in range(H.ngens)] for i in range(H.ngens)]
     return H, mat
-
-
-def _row_dot(ring, X, v, i):
-    acc = ring.zero()
-    for j, c in enumerate(v):
-        if not c.is_zero() and not X[i][j].is_zero():
-            acc = acc + X[i][j] * c
-    return acc
 
 
 # -- theorem verifiers --------------------------------------------------------------

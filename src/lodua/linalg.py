@@ -1,22 +1,29 @@
 """Exact linear algebra over the supported rings.
 
-Two primitives drive every module computation:
+Three primitives drive every module computation:
 
     syzygies(ring, cols, nrows)   -- generators of {x : sum x_j cols_j = 0}
     lift_through(ring, cols, target, nrows) -- x with sum x_j cols_j = target
+    member(ring, cols, target, nrows)       -- whether such an x exists
 
 plus Smith normal form with tracked transforms over euclidean rings.
 Columns and vectors are tuples of RingElement.
 
-Over euclidean rings both primitives come from the Smith form.  Its one
+Over euclidean rings all three come from the Smith form.  Its one
 elimination loop runs on the values of a small arithmetic record (zero
 test, size, divmod, multiply-add, unit part, inverse) with two instances:
 plain Python ints over Z and over Z_p at precision N (every value reduced
 mod p^N), converted back to RingElements only for what a caller returns;
 and RingElements, through the ring's own divmod, over fields, u^-1 Z and
 k[t].  Both pick the same pivots and divide the same way, so they give the
-same transforms.
+same transforms.  Over the other rings all three reach the Groebner engine
+through one span per (ring, nrows, columns), kept in an LRU table of 128:
+one basis of the columns and ``ring.modulus_vectors(nrows)``, its syzygy
+heads (rows cut to the columns before any Poly is built) and its
+membership answers.
 """
+
+from functools import lru_cache
 
 from .errors import UnsupportedRing
 from .groebner import GBasis
@@ -145,14 +152,7 @@ class _ElArith:
 
     def __init__(self, ring):
         self.ring = ring
-
-    @property
-    def zero(self):
-        return self.ring.zero()
-
-    @property
-    def one(self):
-        return self.ring.one()
+        self.zero, self.one = ring.zero(), ring.one()
 
     def from_el(self, e):
         return e
@@ -341,34 +341,64 @@ def _smith(ar, D):
     return U, D, V, Uinv, Vinv
 
 
-# -- the two core primitives ----------------------------------------------------
+# -- the three core primitives --------------------------------------------------
+
+_EUCLIDEAN = ("int", "field", "int_completed", "int_localized")
 
 
 def syzygies(ring, cols, nrows):
     """Generators of the kernel of A^c -> A^r, x -> sum x_j cols_j."""
-    c = len(cols)
-    if c == 0:
-        return []
-    kind = ring.classify()
-    if kind in ("int", "field", "int_completed", "int_localized"):
-        return _syz_euclidean(_arithmetic(ring), cols, nrows)
-    if kind == "poly_localized":
-        return _localized_poly(ring, "syz", cols, None, nrows)
-    return _syz_groebner(ring, cols, nrows)
+    return _solve(ring, "syz", cols, None, nrows) if cols else []
 
 
 def lift_through(ring, cols, target, nrows):
     """Coefficients x with sum x_j cols_j = target, or None."""
     if vec_is_zero(target):
         return tuple(ring.zero() for _ in cols)
+    return _solve(ring, "lift", cols, target, nrows) if cols else None
+
+
+def member(ring, cols, target, nrows):
+    """Membership of target in the column span."""
+    return membership_test(ring, cols, nrows)(target)
+
+
+def membership_test(ring, cols, nrows):
+    """Membership in the column span as a function of the target; over
+    polynomial rings it holds the span, so a question costs no lookup, and
+    the basis may be built untracked."""
     if not cols:
-        return None
+        return vec_is_zero
     kind = ring.classify()
-    if kind in ("int", "field", "int_completed", "int_localized"):
-        return _lift_euclidean(_arithmetic(ring), cols, target, nrows)
+    if kind in _EUCLIDEAN or kind == "poly_localized":
+        return lambda target: lift_through(ring, cols, target, nrows) is not None
+    span = _span(ring, nrows, _key(cols))
+    return lambda target: vec_is_zero(target) or span.member(
+        tuple(e.num for e in target))
+
+
+def span_basis(ring, cols, nrows):
+    """The Groebner basis of cols and the modulus vectors (polynomial rings)."""
+    return _span(ring, nrows, _key(cols)).basis(track=False)
+
+
+def _key(cols):
+    return tuple(tuple(e.num for e in col) for col in cols)
+
+
+def _solve(ring, op, cols, target, nrows):
+    kind = ring.classify()
     if kind == "poly_localized":
-        return _localized_poly(ring, "lift", cols, target, nrows)
-    return _lift_groebner(ring, cols, target, nrows)
+        return _localized_poly(ring, op, cols, target, nrows)
+    if kind in _EUCLIDEAN:
+        ar = _arithmetic(ring)
+        if op == "syz":
+            return _syz_euclidean(ar, cols, nrows)
+        return _lift_euclidean(ar, cols, target, nrows)
+    span = _span(ring, nrows, _key(cols))
+    if op == "syz":
+        return span.syzygies()
+    return span.lift(tuple(e.num for e in target))
 
 
 def _localized_poly(ring, op, cols, target, nrows):
@@ -444,82 +474,65 @@ def _lift_euclidean(ar, cols, target, nrows):
     return tuple(ar.to_el(x) for x in _mat_vec(ar, V, y))
 
 
-def _poly_cols(ring, cols):
-    return [tuple(e.num for e in col) for col in cols]
+class _Span:
+    """The span of some columns in A^nrows over a polynomial ring.  Its basis
+    is built untracked for membership alone; a lift or the syzygies replace
+    it by a tracked one."""
+
+    def __init__(self, ring, nrows, cols):
+        self.ring, self.nrows, self.cols = ring, nrows, cols
+        self._gb = self._syz = None
+        self._member = {}
+
+    def basis(self, track=True):
+        gb = self._gb
+        if gb is None or (track and not gb.track):
+            gens = self.cols + self.ring.modulus_vectors(self.nrows)
+            gb = self._gb = GBasis(gens, self.nrows, order=self.ring.order,
+                                   track=track)
+        return gb
+
+    def syzygies(self):
+        """The distinct nonzero heads of the rows of ``GBasis.syzygies``."""
+        if self._syz is None:
+            el, zero = self.ring.el, self.ring.zero()
+            out, rows, heads = [], set(), set()
+            for s in self.basis().syzygies(len(self.cols)):
+                if s not in rows:
+                    rows.add(s)
+                    head = tuple(el(p) if p.terms else zero for p in s)
+                    key = tuple(e.num for e in head)
+                    if key not in heads and not vec_is_zero(head):
+                        heads.add(key)
+                        out.append(head)
+            self._syz = out
+        return list(self._syz)
+
+    def member(self, target):
+        ans = self._member.get(target)
+        if ans is None:
+            ans = self.basis(track=False).contains(target)
+            if len(self._member) >= _MEMO_LIMIT:
+                self._member.clear()
+            self._member[target] = ans
+        return ans
+
+    def lift(self, target):
+        cof = self.basis().lift(target)
+        return None if cof is None else tuple(
+            self.ring.el(p) for p in cof[:len(self.cols)])
 
 
-def _augmented_gens(ring, cols, nrows):
-    """Columns plus modulus relations in every coordinate (quotient rings)."""
-    gens = _poly_cols(ring, cols)
-    extra = []
-    zero = Poly.zero(ring.dom, ring.nvars)
-    for m in ring.modulus:
-        for i in range(nrows):
-            vec = [zero] * nrows
-            vec[i] = m
-            extra.append(tuple(vec))
-    return gens, extra
+# Least recently used spans are evicted first.  At 128 the benchmark's seed-1
+# op lists keep every repeated completed-grid lookup and 93% of the
+# poly-sweep ones; 256 raised peak memory by 5-9% and saved no time.
+_SPAN_LIMIT = 128
+_MEMO_LIMIT = 256   # membership answers kept per span
 
 
-_GB_CACHE = {}
-_GB_CACHE_LIMIT = 4096
-
-
-def _cached_gb(ring, gens, nrows, track=True):
-    """Groebner bases are pure functions of their columns: memoize them."""
-    key = (ring._key(), nrows, tuple(gens), track)
-    hit = _GB_CACHE.get(key)
-    if hit is None:
-        if len(_GB_CACHE) > _GB_CACHE_LIMIT:
-            _GB_CACHE.clear()
-        hit = GBasis(gens, nrows, order=ring.order, track=track)
-        _GB_CACHE[key] = hit
-    return hit
-
-
-def member(ring, cols, target, nrows):
-    """Membership of target in the column span; no lift coefficients.
-
-    Cheaper than lift_through over polynomial rings: the Groebner basis is
-    built without cofactor tracking.
-    """
-    if vec_is_zero(target):
-        return True
-    if not cols:
-        return False
-    kind = ring.classify()
-    if kind in ("int", "field", "int_completed", "int_localized"):
-        return _lift_euclidean(_arithmetic(ring), cols, target, nrows) is not None
-    if kind == "poly_localized":
-        return _localized_poly(ring, "lift", cols, target, nrows) is not None
-    gens, extra = _augmented_gens(ring, cols, nrows)
-    gb = _cached_gb(ring, gens + extra, nrows, track=False)
-    return gb.contains(tuple(e.num for e in target))
-
-
-def _syz_groebner(ring, cols, nrows):
-    gens, extra = _augmented_gens(ring, cols, nrows)
-    gb = _cached_gb(ring, gens + extra, nrows)
-    c = len(cols)
-    out = []
-    seen = set()
-    for s in gb.syzygies():
-        head = tuple(ring.el(p) for p in s[:c])
-        if not vec_is_zero(head):
-            key = tuple((e.num, e.dexp) for e in head)
-            if key not in seen:
-                seen.add(key)
-                out.append(head)
-    return out
-
-
-def _lift_groebner(ring, cols, target, nrows):
-    gens, extra = _augmented_gens(ring, cols, nrows)
-    gb = _cached_gb(ring, gens + extra, nrows)
-    cof = gb.lift(tuple(e.num for e in target))
-    if cof is None:
-        return None
-    return tuple(ring.el(p) for p in cof[:len(cols)])
+@lru_cache(maxsize=_SPAN_LIMIT)
+def _span(ring, nrows, cols):
+    return _Span(ring, nrows, cols)
 
 
 def invariant_factors(ring, relation_cols, ngens):

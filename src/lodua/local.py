@@ -20,7 +20,7 @@ from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
                      UnsupportedRing)
 from .koszul import koszul_chain, koszul_cochain, koszul_transition
 from .modules import FPModule, ModuleMap, iso_check
-from .ring import DEFAULT_PRECISION
+from .ring import DEFAULT_PRECISION, _reject_zerodivisor
 from .sequences import is_regular_sequence
 from .towers import (Tower, _killing_power, completed_module, lim_lim1,
                      quotient_by_ideal_power, weak_proregularity_check)
@@ -219,21 +219,8 @@ def stable_koszul_complex(d):
     cx = CechComplex(d)
     if not cx.is_acyclic():
         for x in d.gens:
-            _certify_localizable(d.ring, x)
+            _reject_zerodivisor(d.ring, x)
     return cx
-
-
-def _certify_localizable(ring, x):
-    """Non-zerodivisor certificate before forming x^-1 A."""
-    if ring.nvars == 0 or not ring.quotient:
-        return
-    vecs = [(x.num,)] + [(q,) for q in ring.quotient]
-    from .groebner import GBasis
-    gb = GBasis(vecs, 1, order=ring.order)
-    for s in gb.syzygies():
-        w = ring.el(s[0])
-        if not w.is_zero():
-            raise InvalidInput(f"{x.render()} is a zerodivisor; localization refused")
 
 
 # -- the torsion side ------------------------------------------------------------

@@ -8,7 +8,8 @@ rings, quotients, localizations, and completed rings at precision.
 """
 
 from .errors import InvalidInput, UnsupportedRing
-from .linalg import lift_through, mat_vec, smith_normal_form, syzygies, vec_is_zero
+from .linalg import (lift_through, mat_vec, membership_test,
+                     smith_normal_form, syzygies, vec_is_zero)
 
 
 class FPModule:
@@ -30,6 +31,7 @@ class FPModule:
         self.relations = rels
         self.name = name
         self._decomp = None
+        self._member = None   # membership in the relations' span
 
     # -- constructors -------------------------------------------------------
 
@@ -56,12 +58,15 @@ class FPModule:
                      for j in range(self.ngens))
 
     def contains_in_relations(self, vec):
-        if vec_is_zero(vec):
-            return True
-        if not self.relations:
-            return False
-        from .linalg import member
-        return member(self.ring, self.relations, tuple(vec), self.ngens)
+        if self._member is None:
+            self._member = membership_test(self.ring, self.relations, self.ngens)
+        return self._member(tuple(vec))
+
+    def submodule(self, gens):
+        """The submodule generated by the vectors gens, presented on them:
+        its relations are the combinations of gens that die here."""
+        syz = syzygies(self.ring, gens + self.relations, self.ngens) if gens else []
+        return FPModule(self.ring, len(gens), [s[:len(gens)] for s in syz])
 
     def el_eq(self, v, w):
         return self.contains_in_relations(tuple(a - b for a, b in zip(v, w)))
@@ -158,8 +163,8 @@ def minimize_presentation(M):
                 if c.is_zero():
                     continue
                 for p2, h in enumerate(gens):
-                    if h != g:
-                        other[p2] = other[p2] + c * subst.get(h, ring.zero())
+                    if h in subst:  # adding c * 0 changes nothing
+                        other[p2] = other[p2] + c * subst[h]
                 other[pos] = ring.zero()
             for src, e_map in expr.items():
                 c = e_map.pop(g, None)
@@ -278,43 +283,27 @@ class ModuleMap:
 
     def kernel(self):
         """(K, inclusion K -> source)."""
-        ring = self.ring
         cols = self.cols() + self.target.relations
-        gens = []
         if self.target.ngens == 0:
             gens = [self.source.gen(i) for i in range(self.source.ngens)]
         else:
-            for s in syzygies(ring, cols, self.target.ngens):
-                head = tuple(s[:self.source.ngens])
-                if not vec_is_zero(head):
-                    gens.append(head)
-        # relations of K: coefficient vectors whose combination dies in source
-        if gens:
-            rel_syz = syzygies(ring, gens + self.source.relations, self.source.ngens)
-            rels = [tuple(s[:len(gens)]) for s in rel_syz]
-        else:
-            rels = []
-        K = FPModule(ring, len(gens), rels)
+            heads = (s[:self.source.ngens]
+                     for s in syzygies(self.ring, cols, self.target.ngens))
+            gens = [h for h in heads if not vec_is_zero(h)]
+        K = self.source.submodule(gens)
         mat = [[gens[j][i] for j in range(len(gens))] for i in range(self.source.ngens)]
         return K, ModuleMap(K, self.source, mat, check=False)
 
     def image(self):
         """(I, inclusion I -> target, projection source -> I)."""
-        ring = self.ring
         gens = self.cols()
-        if gens:
-            rel_syz = syzygies(ring, gens + self.target.relations, self.target.ngens)
-            rels = [tuple(s[:len(gens)]) for s in rel_syz]
-        else:
-            rels = []
-        I = FPModule(ring, len(gens), rels)
+        I = self.target.submodule(gens)
         incl = ModuleMap(I, self.target,
                          [[gens[j][i] for j in range(len(gens))]
                           for i in range(self.target.ngens)], check=False)
-        one, zero = ring.one(), ring.zero()
-        proj = ModuleMap(self.source, I,
-                         [[one if i == j else zero for j in range(self.source.ngens)]
-                          for i in range(len(gens))], check=False)
+        # I is generated by the images of the source's generators
+        proj = ModuleMap(self.source, I, identity_map(self.source).matrix,
+                         check=False)
         return I, incl, proj
 
     def cokernel(self):

@@ -133,11 +133,12 @@ def descending_key(order):
 
 
 class Poly:
-    __slots__ = ("dom", "nvars", "terms")
+    __slots__ = ("dom", "nvars", "terms", "_hash")
 
     def __init__(self, dom, nvars, terms):
         self.dom = dom
         self.nvars = nvars
+        self._hash = None
         cleaned = {}
         for m, c in terms.items():
             c = dom.normalize(c)
@@ -151,6 +152,7 @@ class Poly:
         self = object.__new__(cls)
         self.dom = dom
         self.nvars = nvars
+        self._hash = None
         self.terms = {m: c for m, c in terms.items() if c != 0}
         return self
 
@@ -236,7 +238,11 @@ class Poly:
                 and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.dom, self.nvars, frozenset(self.terms.items())))
+        # kept once computed: nothing writes to terms after construction
+        if self._hash is None:
+            self._hash = hash((self.dom, self.nvars,
+                               frozenset(self.terms.items())))
+        return self._hash
 
     def leading(self, key):
         """(monomial, coeff) of the leading term under the given order key."""

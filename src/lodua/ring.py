@@ -78,6 +78,7 @@ class Ring:
         self.dom = {"Z": ZZ, "Q": QQ}.get(base) or GF(p)
         self.nvars = len(self.names)
         self._modulus = None
+        self._modulus_vectors = {}
         self._reduction = None
         self._int_modulus = None
         self._monomials = None
@@ -185,6 +186,16 @@ class Ring:
                 mod += tuple(power_products(cgens, prec))
             self._modulus = mod
         return self._modulus
+
+    def modulus_vectors(self, nrows):
+        """Each modulus generator in each coordinate of A^nrows, generator
+        by generator, as tuples of Poly; built once per nrows."""
+        if nrows not in self._modulus_vectors:
+            zero = Poly.zero(self.dom, self.nvars)
+            self._modulus_vectors[nrows] = tuple(
+                (zero,) * i + (m,) + (zero,) * (nrows - i - 1)
+                for m in self.modulus for i in range(nrows))
+        return self._modulus_vectors[nrows]
 
     @property
     def monomial_modulus(self):
@@ -359,7 +370,7 @@ class Ring:
             return Poly.const(self.dom, 0, self.dom.exact_div(a, b))
         if not self.quotient and not self.is_completed:
             return f.exact_div(g, order_key(self.order))
-        gb = GBasis([(g,)] + [(m,) for m in self.modulus], 1, order=self.order)
+        gb = GBasis(((g,),) + self.modulus_vectors(1), 1, order=self.order)
         cof = gb.lift((f,))
         return None if cof is None else cof[0]
 

@@ -15,7 +15,7 @@ from .complexes import ChainMap, induced_on_homology
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope)
 from .errors import InvalidInput, UnrecognizedTower, UnsupportedRing
 from .koszul import koszul_chain, koszul_transition
-from .linalg import lift_through
+from .linalg import lift_through, member, span_basis
 from .modules import (FPModule, ModuleMap, free_resolution, identity_map,
                       zero_map)
 from .ring import power_products, prefix_products
@@ -536,18 +536,9 @@ def is_finite_dimensional(M):
     ring = M.ring
     if ring.classify() not in ("poly",):
         raise UnsupportedRing("finite-dimension test is for polynomial rings")
-    from .groebner import GBasis
-    from .poly import Poly
-    gens = [tuple(e.num for e in col) for col in M.relations]
-    zero = Poly.zero(ring.dom, ring.nvars)
-    for m in ring.modulus:
-        for i in range(M.ngens):
-            vec = [zero] * M.ngens
-            vec[i] = m
-            gens.append(tuple(vec))
-    if not gens:
+    if not M.relations and not ring.modulus_vectors(M.ngens):
         return M.ngens == 0
-    gb = GBasis(gens, M.ngens, order=ring.order)
+    gb = span_basis(ring, M.relations, M.ngens)
     leads = {}
     for coord, mono in gb.leads:
         leads.setdefault(coord, []).append(mono)
@@ -624,27 +615,13 @@ def divisible_part(M, x):
 
 
 def _span_equal(M, gens_a, gens_b):
-    ring = M.ring
-    cols_a = gens_a + M.relations
-    cols_b = gens_b + M.relations
-    for g in gens_a:
-        if lift_through(ring, cols_b, g, M.ngens) is None:
-            return False
-    for g in gens_b:
-        if lift_through(ring, cols_a, g, M.ngens) is None:
-            return False
-    return True
+    ring, n = M.ring, M.ngens
+    return (all(member(ring, gens_b + M.relations, g, n) for g in gens_a)
+            and all(member(ring, gens_a + M.relations, g, n) for g in gens_b))
 
 
 def _submodule(M, gens):
-    from .linalg import syzygies
-    ring = M.ring
-    gens = [g for g in gens if not M.contains_in_relations(g)]
-    if not gens:
-        return FPModule.zero(ring)
-    rel_syz = syzygies(ring, gens + M.relations, M.ngens)
-    rels = [tuple(s[:len(gens)]) for s in rel_syz]
-    return FPModule(ring, len(gens), rels)
+    return M.submodule([g for g in gens if not M.contains_in_relations(g)])
 
 
 def completion_cokernel(M, ideal_gens):

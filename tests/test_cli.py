@@ -383,3 +383,54 @@ def test_explicit_flag_overrides_document_option(monkeypatch, key, flag,
     assert seen[key] == doc_value
     lodua.cli.run(doc, "gm-check", {key: flag})
     assert seen[key] == flag
+
+
+def _c2_doc():
+    with open(fixture("c2-swap.json")) as fh:
+        return json.load(fh)
+
+
+_Z_MODULES = {"Z": {"generators": 1, "relations": []}}
+
+# one malformed document per block: (blocks replacing the fixture's, the
+# message naming the fault)
+MALFORMED = {
+    "modules": ({"modules": {"M": {"relations": []}}},
+                "'M' needs 'generators'"),
+    "modules-not-object": ({"modules": ["M"]}, "modules must be a JSON object"),
+    "maps": ({"modules": _Z_MODULES,
+              "maps": {"f": {"source": "Z", "target": "Z"}}},
+             "'f' needs 'matrix'"),
+    "descriptors": ({"modules": _Z_MODULES,
+                     "descriptors": {"t": {"kind": "telescope", "module": "Z"}}},
+                    "'t' needs 'mult'"),
+    "complexes": ({"complexes": {"C": {"diffs": {}}}}, "'C' needs 'modules'"),
+    "complexes-map": ({"modules": _Z_MODULES, "complexes": {
+        "C": {"modules": {"0": "Z", "1": "Z"}, "diffs": {"1": "d"}}}},
+        "unknown map 'd'"),
+    "towers": ({"modules": _Z_MODULES, "towers": {"t": {"module": "Z"}}},
+               "'t' needs 'kind'"),
+    "towers-kind": ({"modules": _Z_MODULES,
+                     "towers": {"t": {"kind": "adic", "module": "Z"}}},
+                    "'t' needs 'ideal'"),
+    "group": ({"group": {"elements": ["e", "s"]}}, "group needs 'table'"),
+    "group-table": ({"group": {"elements": ["e", "s"],
+                               "table": {"e": {"e": "e", "s": "s"}}}},
+                    "the group table needs every product"),
+    "comodules": ({"comodules": {"CA": {"action": {"s": [["1"]]}}}},
+                  "'CA' needs 'module'"),
+    "comodules-action": ({"comodules": {"CA": {"module": "A", "action": {}}}},
+                         "the comodule action misses 's'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_block_exits_three(case, tmp_path, capsys):
+    import lodua.cli
+    blocks, message = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_c2_doc(), **blocks, "command": {}}))
+    assert lodua.cli.main(["resolve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodua import UnsupportedRing, make_ring, smith_normal_form
+from lodua import UnsupportedRing, linalg, make_ring, smith_normal_form
 from lodua.linalg import (invariant_factors, lift_through, mat_mul, mat_vec,
                           syzygies)
+from lodua.poly import Poly
 
 
 def as_mat(ring, rows):
@@ -219,3 +220,204 @@ def test_integer_divmod_matches_ring_divmod():
     # over Z_5 at precision 2: p^v * u divides p^w * t iff v <= w
     assert z5.divmod(10, 5) == (2, 0) and z5.divmod(5, 10) == (13, 0)
     assert z5.divmod(5, 3) == (10, 0) and z5.divmod(1, 5) == (0, 1)
+
+
+# -- the span of a column set against a direct Groebner basis ------------------
+#
+# Over polynomial rings syzygies, lift_through and member reach the Groebner
+# engine through one memoized span per (ring, nrows, columns).  The reference
+# builds the basis of the columns followed by the modulus relations in every
+# coordinate directly and reads the answers off it.
+
+
+def _span_rings():
+    rings = []
+    for base in ({"base": "Q"}, {"base": "Fp", "p": 7}):
+        spec = {**base, "vars": ["x", "y"]}
+        rings.append(make_ring(spec))
+        rings.append(make_ring({**spec, "completion": {
+            "ideal": ["x", "y"], "precision": 3}}))
+        rings.append(make_ring({**spec, "completion": {
+            "ideal": ["x + y", "x*y"], "precision": 2}}))
+    return rings
+
+
+_SPAN_RINGS = _span_rings()
+_MONOS = ["0", "1", "x", "y", "x^2", "x*y", "y^2", "x - 2*y", "3*x*y + y^3"]
+
+
+def _reference(ring, cols, target, nrows):
+    """(syzygy heads, lift, membership of target and of e_0) from a direct
+    GBasis."""
+    from lodua.groebner import GBasis
+    zero = Poly.zero(ring.dom, ring.nvars)
+    gens = [tuple(e.num for e in col) for col in cols]
+    for m in ring.modulus:
+        for i in range(nrows):
+            vec = [zero] * nrows
+            vec[i] = m
+            gens.append(tuple(vec))
+    gb = GBasis(gens, nrows, order=ring.order)
+    c, syz, seen = len(cols), [], set()
+    for s in gb.syzygies():
+        head = tuple(ring.el(p) for p in s[:c])
+        key = tuple(e.num for e in head)
+        if not all(e.is_zero() for e in head) and key not in seen:
+            seen.add(key)
+            syz.append(head)
+    t = tuple(e.num for e in target)
+    cof = gb.lift(t)
+    lift = None if cof is None else tuple(ring.el(p) for p in cof[:c])
+    untracked = GBasis(gens, nrows, order=ring.order, track=False)
+    return syz, lift, [untracked.contains(tuple(e.num for e in v))
+                       for v in (target, _unit_vector(ring, nrows))]
+
+
+def _unit_vector(ring, nrows):
+    return (ring.one(),) + (ring.zero(),) * (nrows - 1)
+
+
+@st.composite
+def _span_cases(draw):
+    ring = draw(st.sampled_from(_SPAN_RINGS))
+    nrows, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    entry = st.builds(ring.el, st.sampled_from(_MONOS))
+    cols = [tuple(draw(entry) for _ in range(nrows)) for _ in range(c)]
+    if draw(st.booleans()):  # a target in the column span
+        x = [draw(entry) for _ in range(c)]
+        target = tuple(sum((x[j] * cols[j][i] for j in range(c)), ring.zero())
+                       for i in range(nrows))
+    else:
+        target = tuple(draw(entry) for _ in range(nrows))
+    return ring, cols, target, nrows
+
+
+def _answers(ring, cols, target, nrows, order):
+    out = {}
+    for op in order:
+        if op == "syz":
+            out[op] = syzygies(ring, cols, nrows)
+        elif op == "lift":
+            out[op] = lift_through(ring, cols, target, nrows)
+        else:
+            out[op] = [linalg.member(ring, cols, v, nrows)
+                       for v in (target, _unit_vector(ring, nrows))]
+    return out["syz"], out["lift"], out["member"]
+
+
+def _span_of(ring, cols, nrows):
+    return linalg._span(ring, nrows, tuple(tuple(e.num for e in col)
+                                           for col in cols))
+
+
+def _evict_all(ring):
+    """Look up as many other spans as the table holds (none builds a basis)."""
+    for k in range(linalg._SPAN_LIMIT):
+        x_k = Poly(ring.dom, ring.nvars, {(k + 9, 0): 1})
+        linalg._span(ring, 1, ((x_k,),))
+
+
+@settings(max_examples=80)
+@given(_span_cases(), st.permutations(["syz", "lift", "member"]))
+def test_span_answers_match_a_direct_basis(case, order):
+    ring, cols, target, nrows = case
+    want = _reference(ring, cols, target, nrows)
+    linalg._span.cache_clear()
+    assert _answers(ring, cols, target, nrows, order) == want       # cold
+    span = _span_of(ring, cols, nrows)
+    fresh = [tuple(ring.el(e.render()) for e in col) for col in cols]
+    assert _answers(ring, fresh, target, nrows, order) == want      # warm
+    assert _span_of(ring, fresh, nrows) is span
+    _evict_all(ring)
+    assert _span_of(ring, cols, nrows) is not span
+    assert _answers(ring, cols, target, nrows, order[::-1]) == want  # evicted
+
+
+def test_span_table_is_bounded():
+    ring = _SPAN_RINGS[0]
+    linalg._span.cache_clear()
+    _evict_all(ring)
+    _evict_all(ring)
+    assert linalg._span.cache_info().currsize == linalg._SPAN_LIMIT
+
+
+def test_span_lookup_and_syzygies_skip_the_modulus(monkeypatch):
+    # over Q[[x,y]] at N = 8 the modulus is the 9 monomials of degree 8: a
+    # lookup compares or hashes none of them, and the syzygy rows are cut to
+    # the columns before any Poly is built for a modulus coordinate
+    from lodua.groebner import GBasis
+    R = make_ring({"base": "Q", "vars": ["x", "y"],
+                   "completion": {"ideal": ["x", "y"], "precision": 8}})
+    col = lambda: [(R.el("x^3 + y^2"), R.el("x*y")), (R.el("y^5"), R.el("x^2"))]
+    widths = []
+    polys = GBasis._polys
+    monkeypatch.setattr(GBasis, "_polys", lambda self, v, n: (
+        widths.append(n), polys(self, v, n))[1])
+    linalg._span.cache_clear()
+    syz = syzygies(R, col(), 2)
+    assert syz and set(widths) == {2}
+
+    touched = []
+    eq, hash_ = Poly.__eq__, Poly.__hash__
+    monkeypatch.setattr(Poly, "__eq__", lambda a, b: (
+        touched.append(a), touched.append(b), eq(a, b))[2])
+    monkeypatch.setattr(Poly, "__hash__", lambda a: (
+        touched.append(a), hash_(a))[1])
+    assert syzygies(R, col(), 2) == syz
+    modulus = {id(m) for m in R.modulus}
+    modulus |= {id(e) for v in R.modulus_vectors(2) for e in v}
+    assert touched and not any(id(p) in modulus for p in touched)
+
+
+def test_concurrent_callers_get_identical_answers():
+    # four threads run one op list that looks up more spans than the table
+    # holds, with thread switches every microsecond, so lookups race with
+    # evictions and with spans filling their memos
+    import json
+    import sys
+    import threading
+
+    from lodua import cli
+    doc = {"version": "1", "ring": {"base": "Q", "vars": ["x", "y"]},
+           "ideal": ["x", "y"],
+           "modules": {"M": {"generators": 2, "relations": [
+               ["x", "y"], ["y^2", "0"], ["x*y", "x^2"]]},
+               "N": {"generators": 1, "relations": [["x^2"], ["x*y"]]}}}
+    ops = [("tor", {"M": "M", "N": "N", "s": s}) for s in (0, 1, 2)]
+    ops += [("ext", {"M": "N", "N": "M", "s": s}) for s in (0, 1)]
+    ops += [("localcoh", {"target": "N", "s": 0}), ("resolve", {})]
+    # two more spans than the table holds, asked in turn: a hit is often on
+    # the span that the next miss evicts
+    R = make_ring(doc["ring"])
+    sweep = [[(R.el(f"x^{k}"),), (R.el(f"x^{k} + y"),)]
+             for k in range(1, linalg._SPAN_LIMIT + 3)]
+
+    def bodies():
+        out = [json.dumps(cli.run(doc, verb, args), sort_keys=True)
+               for verb, args in ops]
+        out += [repr(syzygies(R, cols, 1)) for cols in sweep]
+        out += [linalg.member(R, cols, (R.el("y"),), 1)
+                for _ in range(5) for cols in sweep]
+        return out
+
+    want = bodies()
+    got, errors = [], []
+
+    def worker():
+        try:
+            got.append(bodies())
+        except Exception as ex:  # any exception fails the test below
+            errors.append(ex)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert got == [want] * 4
