@@ -76,10 +76,9 @@ class Problem:
         self.modules = {}
         for name, spec in doc.get("modules", {}).items():
             self._unique(name)
-            rels = [tuple(self.ring.el(e) for e in col)
-                    for col in spec.get("relations", [])]
-            self.modules[name] = FPModule(self.ring, spec["generators"], rels,
-                                          name=name)
+            ngens, cols = _module_fields(name, spec)
+            rels = [tuple(self.ring.el(e) for e in col) for col in cols]
+            self.modules[name] = FPModule(self.ring, ngens, rels, name=name)
         self.maps = {}
         for name, spec in doc.get("maps", {}).items():
             self._unique(name)
@@ -207,6 +206,23 @@ def _fields(spec, what, *keys):
         if key not in spec:
             raise InvalidInput(f"{what} needs {key!r}")
     return spec
+
+
+def _module_fields(name, spec):
+    """(generators, relations) of a module entry, checked for type: a
+    non-negative integer, and a list of columns, each a list of element
+    expressions (strings or integers)."""
+    ngens = spec["generators"]
+    if type(ngens) is not int or ngens < 0:
+        raise InvalidInput(f"{name!r} generators must be a non-negative "
+                           f"integer, not {ngens!r}")
+    cols = spec.get("relations", [])
+    if not isinstance(cols, list) or not all(
+            isinstance(col, list) and all(type(e) in (str, int) for e in col)
+            for col in cols):
+        raise InvalidInput(f"{name!r} relations must be a list of lists of "
+                           f"strings or integers, not {cols!r}")
+    return ngens, cols
 
 
 def _int_setting(key, value, least):

@@ -55,29 +55,33 @@ def _flat(v):
 
 
 def _scaled(v, s, p):
-    if p is None:
-        return {k: c * s for k, c in v.items()}
-    return {k: c * s % p for k, c in v.items()}
+    """v * s, stored as in _sub_shifted."""
+    if p is not None:
+        return {k: c * s % p for k, c in v.items()}
+    out = {k: c * s for k, c in v.items()}
+    return {k: c if type(c) is int or c.denominator != 1 else c.numerator
+            for k, c in out.items()}
 
 
 def _sub_shifted(v, g, q, f, p, heap=None, hkey=None):
-    """v -= f * x^q * g in place; new terms of v are pushed onto heap."""
+    """v -= f * x^q * g in place; new terms of v are pushed onto heap.
+
+    Over F_p every value is reduced mod p, and over Q an integral value is
+    stored as an int, as in Poly (over Z every value is an int)."""
     for (i, gm), gc in g.items():
         k = (i, tuple(map(add, q, gm)))
         old = v.get(k)
-        if old is None:
-            c = -f * gc
-            v[k] = c if p is None else c % p
-            if heap is not None:
+        c = -f * gc if old is None else old - f * gc
+        if p is not None:
+            c %= p
+        elif type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        if c:
+            v[k] = c
+            if old is None and heap is not None:
                 heapq.heappush(heap, (hkey(k), k))
         else:
-            c = old - f * gc
-            if p is not None:
-                c %= p
-            if c:
-                v[k] = c
-            else:
-                del v[k]
+            del v[k]
 
 
 class GBasis:

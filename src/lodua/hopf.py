@@ -686,18 +686,26 @@ def _semilinear_chain_lift(h, g, comod, res, length):
     return X
 
 
-def tor_stage_action(h, g, comod, d, s, k, _cache={}):
-    """The semilinear action of g on Tor_s(A/I^k, M) for a comodule M."""
+def tor_stage_action(h, g, comod, d, s, k, cache=None):
+    """The semilinear action of g on Tor_s(A/I^k, M) for a comodule M.
+
+    The resolution of M and its chain lifts do not depend on g or k; a
+    caller asking for several (g, k) passes one dict as ``cache`` and owns
+    it, so nothing outlives that caller.
+    """
     from .modules import free_resolution
     from .towers import ideal_power_module
     ring = comod.ring
-    key = (id(comod), tuple(x.render() for x in d.gens), s)
-    if key not in _cache:
+    # the key holds the comodule, not its id, so a recycled id cannot match
+    key = (comod, tuple(x.render() for x in d.gens), s)
+    if cache is None:
+        cache = {}
+    if key not in cache:
         res = free_resolution(comod.module, s + 2)
         lifts = {gg: _semilinear_chain_lift(h, gg, comod, res, s + 1)
                  for gg in h.elements}
-        _cache[key] = (res, lifts)
-    res, lifts = _cache[key]
+        cache[key] = (res, lifts)
+    res, lifts = cache[key]
     quot = ideal_power_module(ring, d.gens, k)
     cx = res.tensor_module(quot)
     data = cx.homology_data(s)
@@ -756,21 +764,22 @@ def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), precision=None,
     """
     from .descriptors import FPObj
     from .local import gm_ses_check
-    out = {}
+    out, cache = {}, {}   # tor_stage_action's resolutions, for this call
     for s in s_range:
         module_report = gm_ses_check(d, FPObj(M_comod.module), s,
                                      stage_bound, lag, precision)
         equiv = []
         tower = Tower.tor(FPObj(M_comod.module), d.gens, s)
         for k in range(1, stage_checks + 1):
-            actions = {g: tor_stage_action(h, g, M_comod, d, s, k)
+            actions = {g: tor_stage_action(h, g, M_comod, d, s, k, cache)
                        for g in h.elements}
             H_k = next(iter(actions.values()))[0]
             Comodule(h, H_k, {g: a[1] for g, a in actions.items()}, check=True)
             equiv.append(f"s={s}, k={k}: Tor stage carries a verified "
                          "comodule structure")
             if tower.kind == "tor" and not H_k.is_zero():
-                next_actions = {g: tor_stage_action(h, g, M_comod, d, s, k + 1)
+                next_actions = {g: tor_stage_action(h, g, M_comod, d, s,
+                                                    k + 1, cache)
                                 for g in h.elements}
                 T = tower.transition(k)
                 if _transition_equivariant(h, T, next_actions, actions):

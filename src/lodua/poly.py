@@ -3,9 +3,23 @@
 Polynomials are dictionaries {exponent tuple: coefficient} with no zero
 coefficients stored.  Everything here is immutable-by-convention: operations
 return fresh Poly objects.
+
+Coefficients have one canonical form per domain: over Z a Python int; over
+F_p an int in 1..p-1; over Q an int when the value is integral and a
+``Fraction`` only when its denominator is not 1, as Singular stores small
+rationals.  Since ``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
+``str(Fraction(n)) == str(n)``, the form changes no equality, hash or
+rendering; it spares building a Fraction for the usual 1, -1 or 3.  Three
+places keep it: ``Domain.normalize`` (any input), ``Domain.inv`` (the one
+division of coefficients; ``int / int`` would give a float) and
+``Poly._canon``.  The kernels (``+``, ``-``, ``*``, ``scale``, negation)
+add and multiply canonical values with native ``+`` and ``*`` into one dict,
+and ``Poly._canon`` then reduces that dict once per result: mod p over F_p,
+integral Fractions to int over Q, zeros dropped.
 """
 
 from fractions import Fraction
+from operator import add
 
 
 class Domain:
@@ -35,21 +49,12 @@ class Domain:
                 return int(c)
             return int(c)
         if self.kind == "Q":
-            if type(c) is Fraction:
+            if type(c) is int:
                 return c
-            return Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            return c.numerator if c.denominator == 1 else c
         return int(c) % self.p
-
-    def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == "F" else c
-
-    def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == "F" else c
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "F" else -a
 
     def is_unit(self, a):
         if self.kind == "Z":
@@ -57,13 +62,15 @@ class Domain:
         return a != 0
 
     def inv(self, a):
+        if self.kind == "F":
+            return pow(a, -1, self.p)
+        if a == 1 or a == -1:
+            return a
         if self.kind == "Z":
-            if a in (1, -1):
-                return a
             raise ZeroDivisionError(f"{a} is not a unit in Z")
-        if self.kind == "Q":
-            return Fraction(1) / a
-        return pow(a, -1, self.p)
+        # the one division of coefficients: int / int would give a float
+        q = Fraction(1) / a
+        return q.numerator if q.denominator == 1 else q
 
     def exact_div(self, a, b):
         """a/b when it exists in the domain, else None."""
@@ -72,7 +79,7 @@ class Domain:
         if self.kind == "Z":
             q, r = divmod(a, b)
             return q if r == 0 else None
-        return self.mul(a, self.inv(b))
+        return self.normalize(a * self.inv(b))
 
     def __eq__(self, other):
         return isinstance(other, Domain) and (self.kind, self.p) == (other.kind, other.p)
@@ -94,10 +101,6 @@ def GF(p):
 
 # Monomials are exponent tuples.  Orders compare via sort keys (bigger key
 # means bigger monomial).
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
 
 def mono_div(a, b):
     """a/b as a monomial, or None when b does not divide a."""
@@ -148,12 +151,32 @@ class Poly:
 
     @classmethod
     def _raw(cls, dom, nvars, terms):
-        """Terms already normalized; only zero coefficients are dropped."""
+        """Terms already canonical; only zero coefficients are dropped."""
         self = object.__new__(cls)
         self.dom = dom
         self.nvars = nvars
         self._hash = None
         self.terms = {m: c for m, c in terms.items() if c != 0}
+        return self
+
+    @classmethod
+    def _canon(cls, dom, nvars, terms):
+        """Terms computed with native + and * from canonical values, brought
+        to the canonical form: reduced mod p over F_p, integral Fractions
+        demoted to int over Q, zeros dropped."""
+        self = object.__new__(cls)
+        self.dom = dom
+        self.nvars = nvars
+        self._hash = None
+        p = dom.p
+        if p is not None:
+            self.terms = {m: r for m, c in terms.items() if (r := c % p)}
+        elif dom.kind == "Q":
+            self.terms = {m: c if type(c) is int else
+                          (c.numerator if c.denominator == 1 else c)
+                          for m, c in terms.items() if c}
+        else:
+            self.terms = {m: c for m, c in terms.items() if c}
         return self
 
     @classmethod
@@ -188,39 +211,38 @@ class Poly:
 
     def __add__(self, other):
         t = dict(self.terms)
-        dom = self.dom
+        get = t.get
         for m, c in other.terms.items():
-            t[m] = dom.add(t.get(m, 0), c)
-        return Poly._raw(dom, self.nvars, t)
+            t[m] = get(m, 0) + c
+        return Poly._canon(self.dom, self.nvars, t)
 
     def __neg__(self):
-        dom = self.dom
-        return Poly._raw(dom, self.nvars,
-                         {m: dom.neg(c) for m, c in self.terms.items()})
+        return Poly._canon(self.dom, self.nvars,
+                           {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         t = dict(self.terms)
-        dom = self.dom
+        get = t.get
         for m, c in other.terms.items():
-            t[m] = dom.add(t.get(m, 0), dom.neg(c))
-        return Poly._raw(dom, self.nvars, t)
+            t[m] = get(m, 0) - c
+        return Poly._canon(self.dom, self.nvars, t)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        dom = self.dom
         t = {}
+        get = t.get
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                t[m] = dom.add(t.get(m, 0), dom.mul(c1, c2))
-        return Poly._raw(dom, self.nvars, t)
+            for m2, c2 in right:
+                m = tuple(map(add, m1, m2))
+                t[m] = get(m, 0) + c1 * c2
+        return Poly._canon(self.dom, self.nvars, t)
 
     def scale(self, c):
-        dom = self.dom
-        c = dom.normalize(c)
-        return Poly._raw(dom, self.nvars,
-                         {m: dom.mul(cc, c) for m, cc in self.terms.items()})
+        c = self.dom.normalize(c)
+        return Poly._canon(self.dom, self.nvars,
+                           {m: cc * c for m, cc in self.terms.items()})
 
     def __pow__(self, n):
         assert n >= 0

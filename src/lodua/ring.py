@@ -534,7 +534,7 @@ class Ring:
             rm, rc = r.leading(key)
             if rm[0] < bm[0]:
                 break
-            t = Poly(self.dom, 1, {(rm[0] - bm[0],): self.dom.mul(rc, self.dom.inv(bc))})
+            t = Poly(self.dom, 1, {(rm[0] - bm[0],): rc * self.dom.inv(bc)})
             q = q + t
             r = r - t * b.num
         return self.el(q), self.el(r)

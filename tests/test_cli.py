@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -434,3 +435,52 @@ def test_malformed_block_exits_three(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"invalid input: {message}\n"
+
+
+# one wrong-typed module field per case: (the module entry, the message)
+WRONG_TYPED = {
+    "generators-string": ({"generators": "2"},
+                          "'M' generators must be a non-negative integer, "
+                          "not '2'"),
+    "generators-negative": ({"generators": -1},
+                            "'M' generators must be a non-negative integer, "
+                            "not -1"),
+    "generators-bool": ({"generators": True},
+                        "'M' generators must be a non-negative integer, "
+                        "not True"),
+    "generators-float": ({"generators": 2.0},
+                         "'M' generators must be a non-negative integer, "
+                         "not 2.0"),
+    "relations-string": ({"generators": 1, "relations": "x"},
+                         "'M' relations must be a list of lists of strings "
+                         "or integers, not 'x'"),
+    "relations-flat": ({"generators": 1, "relations": ["xy"]},
+                       "'M' relations must be a list of lists of strings "
+                       "or integers, not ['xy']"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPED))
+def test_wrong_typed_module_field_exits_three(case, tmp_path, capsys):
+    import lodua.cli
+    from lodua.errors import InvalidInput
+    spec, message = WRONG_TYPED[case]
+    doc = {"ring": {"base": "Q", "vars": ["x", "y"]}, "modules": {"M": spec}}
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        lodua.cli.run(doc, "resolve", {"M": "M"})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert lodua.cli.main(["resolve", str(path), "--M", "M"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
+def test_well_typed_module_fields_are_accepted():
+    import lodua.cli
+    doc = {"ring": {"base": "Q", "vars": ["x", "y"]},
+           "modules": {"M": {"generators": 2,
+                             "relations": [["x", 0], [1, "y"]]},
+                       "Z": {"generators": 0}}}
+    assert lodua.cli.run(doc, "resolve", {"M": "M"})[0] == 0
+    assert lodua.cli.run(doc, "resolve", {"M": "Z"})[0] == 0

@@ -226,3 +226,43 @@ def test_gm_transition_equivariance_on_nonzero_stages(QQxy, swap, dI):
     assert out["verdict"] == "pass"
     lines = out["1"]["equivariance"]
     assert any("commutes with every phi_g" in line for line in lines)
+
+
+def _gm_report(case):
+    """The comodule-gm report, as JSON, of one of two comodules over Q[x,y]
+    with the swap: A/(x + y) with the trivial action, or A^2/(x, y) with
+    the action exchanging the generators."""
+    import json
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    h = make_group_like(Q, ["e", "s"], C2_TABLE, {"s": {"x": "y", "y": "x"}})
+    if case == 0:
+        M = FPModule(Q, 1, [(Q.el("x + y"),)])
+        action = [[Q.el(1)]]
+    else:
+        M = FPModule(Q, 2, [(Q.el("x"), Q.el("y"))])
+        action = [[Q.el(0), Q.el(1)], [Q.el(1), Q.el(0)]]
+    out = verify_theorems(h, IdealData(Q, ["x + y", "x*y"]),
+                          Comodule(h, M, {"s": action}), "comodule-gm",
+                          precision=4, stage_bound=4, lag=2)
+    return json.dumps(out, sort_keys=True)
+
+
+def test_comodule_gm_runs_share_no_state():
+    import os
+    import subprocess
+    import sys
+    from lodua import hopf
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here]))
+    fresh = [subprocess.run(
+        [sys.executable, "-c",
+         f"from test_hopf import _gm_report; print(_gm_report({case}))"],
+        capture_output=True, text=True, env=env, check=True,
+        timeout=300).stdout.strip() for case in (0, 1)]
+    assert fresh[0] != fresh[1]
+    assert [_gm_report(0), _gm_report(1)] == fresh
+    assert [_gm_report(1), _gm_report(0)] == fresh[::-1]
+    # the resolutions lived in each call's own dict, not on the function
+    assert hopf.tor_stage_action.__defaults__ == (None,)
+    assert not vars(hopf.tor_stage_action)

@@ -1,4 +1,4 @@
-"""The scaling-curve script runs end to end at a small precision."""
+"""The scripts under tools/ run end to end at a small size."""
 
 import os
 import re
@@ -16,3 +16,17 @@ def test_curves_script_prints_one_line_per_point():
     assert proc.returncode == 0, proc.stderr
     assert re.fullmatch(r"Q\[\[x,y\]\] rank 2 N 2: complete in \d+\.\d\d s\n",
                         proc.stdout)
+
+
+def test_profile_script_prints_verbs_and_functions():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "profile.py"),
+         "--workload", "poly-sweep", "--size", "2", "--top", "5"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"poly-sweep seed 1: 2 ops, \d+\.\d\d s profiled, "
+                        r"0 raised an internal error", lines[0])
+    assert re.fullmatch(r"  localhom +2 ops +\d+\.\d{3} s", lines[1])
+    assert "function calls" in proc.stdout
+    assert "lodua/cli.py" in proc.stdout

@@ -1,0 +1,88 @@
+"""Profile one benchmark workload's op list in one process under cProfile.
+
+    python3 tools/profile.py --workload poly-sweep
+    python3 tools/profile.py --workload completed-grid --seed 2 --top 40
+    python3 tools/profile.py --workload integer-sweep --size 50 --sort tottime
+
+The op list comes from ``perfbench/workloads.py`` and each op is executed as
+``perfbench/worker.py`` executes it (both imported, neither changed); the
+engine is imported from ``src/``.  Every op runs once, in order, under one
+profiler.  The script prints the profiled seconds spent in each verb (grid
+questions count as ``is_L_complete``), then the top functions of the
+profile.  Profiled times run well above plain ones, and calls cost more
+under the profiler than work inside them, so use the ranking to find
+candidates and ``perfbench/run.py`` to measure them.  Run from the root of a
+lodua checkout.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+# run as a script, this file's directory comes first on the path, where
+# this file would shadow the standard library's ``profile``, which cProfile
+# imports
+sys.path[:] = [p for p in sys.path if os.path.abspath(p or ".") != HERE]
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import argparse  # noqa: E402
+import cProfile  # noqa: E402
+import pstats  # noqa: E402
+import time  # noqa: E402
+
+import worker  # noqa: E402  (perfbench/worker.py)
+import workloads  # noqa: E402  (perfbench/workloads.py)
+
+
+def profile_ops(ops):
+    """Run every op under one profiler: (profiler, {verb: [ops, seconds]},
+    number of ops that raised)."""
+    worker.import_lodua()
+    import lodua
+    per_verb, raised = {}, 0
+    prof = cProfile.Profile()
+    for op in ops:
+        verb = op.get("verb", "is_L_complete")
+        t0 = time.perf_counter()
+        prof.enable()
+        try:
+            worker.execute(lodua, op)
+        except lodua.LoduaError:  # a refusal is an answer, as in the benchmark
+            pass
+        except Exception:  # anything else is reported, not hidden
+            raised += 1
+        finally:
+            prof.disable()
+        slot = per_verb.setdefault(verb, [0, 0.0])
+        slot[0] += 1
+        slot[1] += time.perf_counter() - t0
+    return prof, per_verb, raised
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--size", type=int, default=None,
+                    help="run only the first SIZE ops")
+    ap.add_argument("--top", type=int, default=25,
+                    help="number of functions to print")
+    ap.add_argument("--sort", default="cumulative",
+                    choices=("cumulative", "tottime", "ncalls"))
+    ns = ap.parse_args(argv)
+    ops = workloads.generate(ns.workload, ns.seed, ns.size)
+    prof, per_verb, raised = profile_ops(ops)
+    total = sum(s for _, s in per_verb.values())
+    print(f"{ns.workload} seed {ns.seed}: {len(ops)} ops, "
+          f"{total:.2f} s profiled, {raised} raised an internal error")
+    for verb, (n, s) in sorted(per_verb.items(), key=lambda kv: -kv[1][1]):
+        print(f"  {verb:<16} {n:>5} ops {s:>9.3f} s")
+    print()
+    pstats.Stats(prof, stream=sys.stdout).sort_stats(ns.sort) \
+        .print_stats(ns.top)
+    return 1 if raised else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
