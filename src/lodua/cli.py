@@ -71,7 +71,7 @@ class Problem:
             self.options.setdefault("budget", default_budget())
         self.ring = make_ring(doc.get("ring", {"base": "Z"}))
         self.ideal = None
-        if doc.get("ideal"):
+        if "ideal" in doc and _elements("ideal", doc["ideal"]):
             self.ideal = IdealData(self.ring, doc["ideal"])
         self.modules = {}
         for name, spec in doc.get("modules", {}).items():
@@ -82,9 +82,8 @@ class Problem:
         self.maps = {}
         for name, spec in doc.get("maps", {}).items():
             self._unique(name)
-            self.maps[name] = ModuleMap(self.module(spec["source"]),
-                                        self.module(spec["target"]),
-                                        spec["matrix"])
+            S, T = self.module(spec["source"]), self.module(spec["target"])
+            self.maps[name] = ModuleMap(S, T, _matrix(name, spec["matrix"], S, T))
         self.descriptors = {}
         for name, spec in doc.get("descriptors", {}).items():
             self._unique(name)
@@ -100,7 +99,7 @@ class Problem:
         self.towers = {}
         for name, spec in doc.get("towers", {}).items():
             self._unique(name)
-            self.towers[name] = self._tower(spec)
+            self.towers[name] = self._tower(name, spec)
         self.hopf = None
         if doc.get("group"):
             g = _fields(doc["group"], "group", "elements", "table")
@@ -127,12 +126,15 @@ class Problem:
             if name in pool:
                 raise InvalidInput(f"duplicate name {name!r}")
 
-    def _tower(self, spec):
+    def _tower(self, name, spec):
         from .towers import standard_tower
         kind = spec["kind"]
+        if kind in ("adic", "tor"):
+            ideal = [self.ring.el(g)
+                     for g in _elements(f"{name!r} ideal", spec["ideal"])]
         if kind == "adic":
             return standard_tower("adic", module=self.module(spec["module"]),
-                                  ideal=[self.ring.el(g) for g in spec["ideal"]])
+                                  ideal=ideal)
         if kind == "mult":
             return standard_tower("mult",
                                   descriptor=self._target_or_module(spec),
@@ -140,7 +142,7 @@ class Problem:
         if kind == "tor":
             return standard_tower("tor",
                                   descriptor=self._target_or_module(spec),
-                                  ideal=[self.ring.el(g) for g in spec["ideal"]],
+                                  ideal=ideal,
                                   s=_int_setting("s", spec["s"], 0))
         raise InvalidInput(f"unknown tower kind {kind!r}")
 
@@ -217,12 +219,34 @@ def _module_fields(name, spec):
         raise InvalidInput(f"{name!r} generators must be a non-negative "
                            f"integer, not {ngens!r}")
     cols = spec.get("relations", [])
-    if not isinstance(cols, list) or not all(
-            isinstance(col, list) and all(type(e) in (str, int) for e in col)
-            for col in cols):
+    if not isinstance(cols, list) or not all(map(_is_elements, cols)):
         raise InvalidInput(f"{name!r} relations must be a list of lists of "
                            f"strings or integers, not {cols!r}")
     return ngens, cols
+
+
+def _is_elements(value, n=None):
+    """Is value a list of element expressions (strings or integers, not
+    booleans), n of them unless n is None?"""
+    return isinstance(value, list) and n in (None, len(value)) and all(
+        type(e) in (str, int) for e in value)
+
+
+def _elements(what, value):
+    if not _is_elements(value):
+        raise InvalidInput(f"{what} must be a list of strings or integers, "
+                           f"not {value!r}")
+    return value
+
+
+def _matrix(name, mat, source, target):
+    """A map's matrix: target.ngens rows of source.ngens expressions."""
+    if not (isinstance(mat, list) and len(mat) == target.ngens
+            and all(_is_elements(row, source.ngens) for row in mat)):
+        raise InvalidInput(
+            f"{name!r} matrix must be a list of {target.ngens} lists of "
+            f"{source.ngens} strings or integers, not {mat!r}")
+    return mat
 
 
 def _int_setting(key, value, least):

@@ -5,6 +5,8 @@ the fixed convention d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy and, for Hom,
 d(f) = d . f - (-1)^|f| f . d; these are used consistently everywhere.
 """
 
+import operator
+
 from .errors import InvalidInput
 from .modules import (FPModule, HomModule, ModuleMap, identity_map,
                       tensor, tensor_map, zero_map)
@@ -174,53 +176,25 @@ class ChainComplex:
             S, T = mods.get(n), mods.get(n - 1)
             if S is None or T is None:
                 continue
-            mat = [[self.ring.zero()] * S.ngens for _ in range(T.ngens)]
-            _paste(mat, d1.matrix, 0, 0)
-            _paste(mat, d2.matrix, d1.target.ngens, d1.source.ngens)
-            diffs[n] = ModuleMap(S, T, mat, check=False)
+            diffs[n] = block_map(self.ring, S, T, [
+                (0, 0, d1.matrix),
+                (d1.target.ngens, d1.source.ngens, d2.matrix)])
         return ChainComplex(self.ring, mods, diffs, check=False)
 
     def tensor_complex(self, other):
         """Totalized tensor product of bounded complexes."""
         ring = self.ring
-        pieces = {}
-        for p, Mp in self.modules.items():
-            for q, Nq in other.modules.items():
-                pieces[(p, q)] = tensor(Mp, Nq)
-        mods = {}
-        offsets = {}
-        for (p, q), T in sorted(pieces.items()):
-            n = p + q
-            offsets[(p, q)] = mods.get(n, FPModule.zero(ring)).ngens if n in mods else 0
-            if n in mods:
-                combined = FPModule(ring, mods[n].ngens + T.ngens,
-                                    [tuple(col) + (ring.zero(),) * T.ngens
-                                     for col in mods[n].relations]
-                                    + [(ring.zero(),) * mods[n].ngens + tuple(col)
-                                       for col in T.relations])
-                mods[n] = combined
-            else:
-                mods[n] = T
-        diffs = {}
-        for n in sorted(mods):
-            if (n - 1) not in mods:
-                continue
-            S, T = mods[n], mods[n - 1]
-            mat = [[ring.zero()] * S.ngens for _ in range(T.ngens)]
-            for (p, q), piece in pieces.items():
-                if p + q != n:
-                    continue
-                src_off = offsets[(p, q)]
-                if p - 1 + q == n - 1 and (p - 1, q) in pieces and p in self.diffs:
-                    dm = tensor_map(self.diffs[p], other.module(q))
-                    _paste(mat, dm.matrix, offsets[(p - 1, q)], src_off)
-                if (p, q - 1) in pieces and q in other.diffs:
-                    dm = _tensor_map_right(self.module(p), other.diffs[q])
-                    sign = ring.el(-1 if p % 2 else 1)
-                    dm = dm.scale(sign)
-                    _paste(mat, dm.matrix, offsets[(p, q - 1)], src_off)
-            diffs[n] = ModuleMap(S, T, mat, check=False)
-        return ChainComplex(ring, mods, diffs, check=False)
+        pieces = {(p, q): tensor(Mp, Nq) for p, Mp in self.modules.items()
+                  for q, Nq in other.modules.items()}
+
+        def blocks(p, q):
+            if (p - 1, q) in pieces and p in self.diffs:
+                yield (p - 1, q), tensor_map(self.diffs[p], other.module(q)).matrix
+            if (p, q - 1) in pieces and q in other.diffs:
+                dm = _tensor_map_right(self.module(p), other.diffs[q])
+                yield (p, q - 1), dm.scale(ring.el(-1 if p % 2 else 1)).matrix
+
+        return _totalize(ring, pieces, operator.add, blocks, check=False)
 
     def __repr__(self):
         return f"<ChainComplex degrees [{self.lo},{self.hi}] over {self.ring}>"
@@ -230,6 +204,51 @@ def _paste(mat, block, row_off, col_off):
     for i, row in enumerate(block):
         for j, e in enumerate(row):
             mat[row_off + i][col_off + j] = e
+
+
+def _offsets(sizes, degree):
+    """Where each piece {(p, q): ngens} starts when the pieces of one total
+    degree(p, q) are stacked in sorted (p, q) order."""
+    offsets, ends = {}, {}
+    for key in sorted(sizes):
+        n = degree(*key)
+        offsets[key] = ends.get(n, 0)
+        ends[n] = offsets[key] + sizes[key]
+    return offsets
+
+
+def block_map(ring, S, T, blocks):
+    """The map S -> T whose matrix is zero but for the pasted blocks, each
+    given as (row offset, column offset, block)."""
+    mat = [[ring.zero()] * S.ngens for _ in range(T.ngens)]
+    for row_off, col_off, block in blocks:
+        _paste(mat, block, row_off, col_off)
+    return ModuleMap(S, T, mat, check=False)
+
+
+def _totalize(ring, pieces, degree, blocks, check):
+    """The complex whose degree-n module stacks the pieces {(p, q): module}
+    with degree(p, q) = n in sorted (p, q) order; ``blocks(p, q)`` yields
+    (target piece, matrix) for each part of the differential leaving a
+    piece."""
+    offsets = _offsets({key: P.ngens for key, P in pieces.items()}, degree)
+    mods = {}
+    for key, P in sorted(pieces.items()):
+        n = degree(*key)
+        prev = mods.get(n)
+        mods[n] = P if prev is None else FPModule(
+            ring, prev.ngens + P.ngens,
+            [tuple(col) + (ring.zero(),) * P.ngens for col in prev.relations]
+            + [(ring.zero(),) * prev.ngens + tuple(col) for col in P.relations])
+    diffs = {}
+    for n in sorted(mods):
+        if (n - 1) in mods:
+            diffs[n] = block_map(
+                ring, mods[n], mods[n - 1],
+                [(offsets[tgt], offsets[key], block)
+                 for key in pieces if degree(*key) == n
+                 for tgt, block in blocks(*key)])
+    return ChainComplex(ring, mods, diffs, check=check)
 
 
 def _module_power(N, r):
@@ -280,6 +299,24 @@ class ChainMap:
         return self.maps.get(n, zero_map(self.source.module(n), self.target.module(n)))
 
 
+def tensor_chain_map(f, C, source, target):
+    """f (x) id_C: source -> target for a chain map f: X -> Y, where source
+    and target are X.tensor_complex(C) and Y.tensor_complex(C)."""
+    def offsets(Z):
+        return _offsets({(p, q): Z.module(p).ngens * C.module(q).ngens
+                         for p in Z.modules for q in C.modules}, operator.add)
+
+    src, tgt = offsets(f.source), offsets(f.target)
+    maps = {}
+    for n in target.degrees():
+        blocks = [(tgt[p, q], src[p, q],
+                   tensor_map(f.map(p), C.module(q)).matrix)
+                  for p, q in src if p + q == n and (p, q) in tgt]
+        maps[n] = block_map(source.ring, source.module(n), target.module(n),
+                            blocks)
+    return ChainMap(source, target, maps, check=False)
+
+
 def cone(f):
     """cone(f)_n = Y_n + X_(n-1); d(y, x) = (dy + fx, -dx)."""
     from .modules import direct_sum
@@ -293,13 +330,11 @@ def cone(f):
         mods[n] = S
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        Tn, Tn1 = mods[n], mods[n - 1]
-        mat = [[ring.zero()] * Tn.ngens for _ in range(Tn1.ngens)]
-        _paste(mat, Y.diff(n).matrix, 0, 0)
-        _paste(mat, f.map(n - 1).matrix, 0, Y.module(n).ngens)
         dx = X.diff(n - 1).scale(ring.el(-1))
-        _paste(mat, dx.matrix, Y.module(n - 1).ngens, Y.module(n).ngens)
-        diffs[n] = ModuleMap(Tn, Tn1, mat, check=False)
+        diffs[n] = block_map(ring, mods[n], mods[n - 1], [
+            (0, 0, Y.diff(n).matrix),
+            (0, Y.module(n).ngens, f.map(n - 1).matrix),
+            (Y.module(n - 1).ngens, Y.module(n).ngens, dx.matrix)])
     return ChainComplex(ring, mods, diffs, check=True)
 
 
@@ -353,57 +388,29 @@ def complex_algebra(op, *args):
 def hom_complex(C, D):
     """Hom(C, D)_n = prod_p Hom(C_p, D_(p+n)); d(f) = d.f - (-1)^|f| f.d."""
     ring = C.ring
-    homs = {}
-    for p in C.degrees():
-        for q in D.degrees():
-            homs[(p, q)] = HomModule(C.module(p), D.module(q))
-    mods = {}
-    offsets = {}
-    for (p, q), hm in sorted(homs.items()):
-        n = q - p
-        off = mods[n].ngens if n in mods else 0
-        offsets[(p, q)] = off
-        piece = hm.module
-        if n in mods:
-            prev = mods[n]
-            mods[n] = FPModule(ring, prev.ngens + piece.ngens,
-                               [tuple(col) + (ring.zero(),) * piece.ngens
-                                for col in prev.relations]
-                               + [(ring.zero(),) * prev.ngens + tuple(col)
-                                  for col in piece.relations])
-        else:
-            mods[n] = piece
-    diffs = {}
-    for n in sorted(mods):
-        if (n - 1) not in mods:
-            continue
-        S, T = mods[n], mods[n - 1]
-        mat = [[ring.zero()] * S.ngens for _ in range(T.ngens)]
-        for (p, q), hm in homs.items():
-            if q - p != n:
-                continue
-            src_off = offsets[(p, q)]
-            sign = ring.el(-1 if n % 2 else 1)
-            for t in range(hm.module.ngens):
-                fmap = hm.interp(hm.module.gen(t))
-                # post-compose with d_D
-                if (p, q - 1) in homs:
-                    tgt_hm = homs[(p, q - 1)]
-                    comp = D.diff(q).compose(fmap)
-                    coords = tgt_hm.coords(comp)
-                    for i, c in enumerate(coords):
-                        mat[offsets[(p, q - 1)] + i][src_off + t] = \
-                            mat[offsets[(p, q - 1)] + i][src_off + t] + c
-                # pre-compose with d_C, sign -(-1)^n
-                if (p + 1, q) in homs:
-                    tgt_hm = homs[(p + 1, q)]
-                    comp = fmap.compose(C.diff(p + 1)).scale(ring.el(-1) * sign)
-                    coords = tgt_hm.coords(comp)
-                    for i, c in enumerate(coords):
-                        mat[offsets[(p + 1, q)] + i][src_off + t] = \
-                            mat[offsets[(p + 1, q)] + i][src_off + t] + c
-        diffs[n] = ModuleMap(S, T, mat, check=False)
-    return ChainComplex(ring, mods, diffs, check=True)
+    homs = {(p, q): HomModule(C.module(p), D.module(q))
+            for p in C.degrees() for q in D.degrees()}
+
+    def blocks(p, q):
+        hm = homs[(p, q)]
+        fmaps = [hm.interp(hm.module.gen(t)) for t in range(hm.module.ngens)]
+        # post-compose with d_D; pre-compose with d_C, sign -(-1)^|f|
+        if (p, q - 1) in homs:
+            yield (p, q - 1), _coord_columns(
+                homs[(p, q - 1)], [D.diff(q).compose(f) for f in fmaps])
+        if (p + 1, q) in homs:
+            sign = ring.el(1 if (q - p) % 2 else -1)
+            yield (p + 1, q), _coord_columns(
+                homs[(p + 1, q)],
+                [f.compose(C.diff(p + 1)).scale(sign) for f in fmaps])
+
+    return _totalize(ring, {key: hm.module for key, hm in homs.items()},
+                     lambda p, q: q - p, blocks, check=True)
+
+
+def _coord_columns(hm, maps):
+    """The matrix whose column t holds the coordinates of maps[t] in hm."""
+    return list(zip(*(hm.coords(f) for f in maps)))
 
 
 def total_complex(ring, pieces, horiz, vert):
@@ -412,34 +419,11 @@ def total_complex(ring, pieces, horiz, vert):
     pieces: {(p, q): FPModule}; horiz: {(p, q): map to (p-1, q)};
     vert: {(p, q): map to (p, q-1)}.
     """
-    mods, offsets = {}, {}
-    for (p, q), piece in sorted(pieces.items()):
-        n = p + q
-        off = mods[n].ngens if n in mods else 0
-        offsets[(p, q)] = off
-        if n in mods:
-            prev = mods[n]
-            mods[n] = FPModule(ring, prev.ngens + piece.ngens,
-                               [tuple(col) + (ring.zero(),) * piece.ngens
-                                for col in prev.relations]
-                               + [(ring.zero(),) * prev.ngens + tuple(col)
-                                  for col in piece.relations])
-        else:
-            mods[n] = piece
-    diffs = {}
-    for n in sorted(mods):
-        if (n - 1) not in mods:
-            continue
-        S, T = mods[n], mods[n - 1]
-        mat = [[ring.zero()] * S.ngens for _ in range(T.ngens)]
-        for (p, q) in pieces:
-            if p + q != n:
-                continue
-            if (p, q) in horiz and (p - 1, q) in pieces:
-                _paste(mat, horiz[(p, q)].matrix, offsets[(p - 1, q)], offsets[(p, q)])
-            if (p, q) in vert and (p, q - 1) in pieces:
-                sign = ring.el(-1 if p % 2 else 1)
-                _paste(mat, vert[(p, q)].scale(sign).matrix,
-                       offsets[(p, q - 1)], offsets[(p, q)])
-        diffs[n] = ModuleMap(S, T, mat, check=False)
-    return ChainComplex(ring, mods, diffs, check=True)
+    def blocks(p, q):
+        if (p, q) in horiz and (p - 1, q) in pieces:
+            yield (p - 1, q), horiz[(p, q)].matrix
+        if (p, q) in vert and (p, q - 1) in pieces:
+            yield (p, q - 1), vert[(p, q)].scale(
+                ring.el(-1 if p % 2 else 1)).matrix
+
+    return _totalize(ring, pieces, operator.add, blocks, check=True)

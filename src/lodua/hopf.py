@@ -20,7 +20,7 @@ from .local import local_homology_Ls
 from .modules import FPModule, ModuleMap, identity_map
 from .poly import Poly
 from .ring import DEFAULT_PRECISION
-from .towers import Tower, completed_module, lim_lim1
+from .towers import Tower, TorStages, completed_module, lim_lim1
 
 
 class GroupLikeHopfAlgebroid:
@@ -689,26 +689,14 @@ def _semilinear_chain_lift(h, g, comod, res, length):
 def tor_stage_action(h, g, comod, d, s, k, cache=None):
     """The semilinear action of g on Tor_s(A/I^k, M) for a comodule M.
 
-    The resolution of M and its chain lifts do not depend on g or k; a
-    caller asking for several (g, k) passes one dict as ``cache`` and owns
-    it, so nothing outlives that caller.
+    The resolution of M, its chain lifts and the stage complexes do not
+    depend on g; a caller asking for several (g, k) passes one dict as
+    ``cache`` and owns it, so nothing outlives that caller.
     """
-    from .modules import free_resolution
-    from .towers import ideal_power_module
     ring = comod.ring
-    # the key holds the comodule, not its id, so a recycled id cannot match
-    key = (comod, tuple(x.render() for x in d.gens), s)
-    if cache is None:
-        cache = {}
-    if key not in cache:
-        res = free_resolution(comod.module, s + 2)
-        lifts = {gg: _semilinear_chain_lift(h, gg, comod, res, s + 1)
-                 for gg in h.elements}
-        cache[key] = (res, lifts)
-    res, lifts = cache[key]
-    quot = ideal_power_module(ring, d.gens, k)
-    cx = res.tensor_module(quot)
-    data = cx.homology_data(s)
+    stages, lifts = _tor_stage_data(h, comod, d, s, {} if cache is None
+                                    else cache)
+    data = stages.complex(k).homology_data(s)
     H = data.H
     X = lifts[g].get(s)
     if X is None or H.ngens == 0:
@@ -723,6 +711,19 @@ def tor_stage_action(h, g, comod, d, s, k, cache=None):
         cols.append(data.proj.apply(lifted))
     mat = [[cols[j][i] for j in range(H.ngens)] for i in range(H.ngens)]
     return H, mat
+
+
+def _tor_stage_data(h, comod, d, s, cache):
+    """(TorStages of M, {g: chain lifts}) for Tor_s, kept in ``cache``."""
+    # the key holds the comodule, not its id, so a recycled id cannot match
+    key = (comod, tuple(x.render() for x in d.gens), s)
+    if key not in cache:
+        stages = TorStages(comod.module, d.gens, s + 2)
+        lifts = {g: _semilinear_chain_lift(h, g, comod, stages.resolution,
+                                           s + 1)
+                 for g in h.elements}
+        cache[key] = (stages, lifts)
+    return cache[key]
 
 
 # -- theorem verifiers --------------------------------------------------------------
@@ -764,12 +765,14 @@ def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), precision=None,
     """
     from .descriptors import FPObj
     from .local import gm_ses_check
-    out, cache = {}, {}   # tor_stage_action's resolutions, for this call
+    out, cache = {}, {}   # tor_stage_action's stage complexes, for this call
     for s in s_range:
         module_report = gm_ses_check(d, FPObj(M_comod.module), s,
                                      stage_bound, lag, precision)
         equiv = []
-        tower = Tower.tor(FPObj(M_comod.module), d.gens, s)
+        stages, _ = _tor_stage_data(h, M_comod, d, s, cache)
+        tower = Tower.tor(FPObj(M_comod.module), d.gens, s,
+                          {M_comod.module: stages})
         for k in range(1, stage_checks + 1):
             actions = {g: tor_stage_action(h, g, M_comod, d, s, k, cache)
                        for g in h.elements}

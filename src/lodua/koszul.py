@@ -4,7 +4,7 @@ Bases of the exterior powers are sorted index subsets.  The chain complex
 on (x_1^k, ..., x_n^k) sits in homological degrees n..0; the cochain version
 sits in degrees -n..0 so that homology(-s) is the s-th Koszul cohomology.
 Transition maps multiply a basis vector e_S by prod_{i in S} x_i, giving the
-inverse system Kos(x^(k+1)) -> Kos(x^k) and the direct system of cochains.
+inverse system Kos(x^(k+1)) -> Kos(x^k).
 """
 
 from itertools import combinations
@@ -54,38 +54,7 @@ def koszul_transition(ring, gens, k, C_next, C_this):
 
 
 def koszul_cochain(ring, gens, k=1):
-    """Dual Koszul complex in homological degrees -n..0; homology(-s) = H^s."""
-    gens = [ring.el(g) for g in gens]
-    n = len(gens)
-    mods = {-j: FPModule.free(ring, len(_subsets(n, j))) for j in range(n + 1)}
-    diffs = {}
-    for j in range(1, n + 1):
-        # d*: C^(j-1) -> C^j is the transpose of the chain differential,
-        # stored as the differential at homological degree -(j-1)
-        src, tgt = _subsets(n, j - 1), _subsets(n, j)
-        src_index = {S: i for i, S in enumerate(src)}
-        mat = [[ring.zero()] * len(src) for _ in range(len(tgt))]
-        for row, S in enumerate(tgt):
-            for pos, i in enumerate(S):
-                rest = tuple(x for x in S if x != i)
-                sign = ring.el(-1 if pos % 2 else 1)
-                mat[row][src_index[rest]] = sign * gens[i] ** k
-        diffs[-(j - 1)] = ModuleMap(mods[-(j - 1)], mods[-j], mat, check=False)
-    return ChainComplex(ring, mods, diffs, check=True)
-
-
-def koszul_cochain_transition(ring, gens, k, C_this, C_next):
-    """Direct-system map K*(x^k) -> K*(x^(k+1)): e^S -> (prod x_i) e^S."""
-    gens = [ring.el(g) for g in gens]
-    n = len(gens)
-    maps = {}
-    for j in range(n + 1):
-        subs = _subsets(n, j)
-        mat = [[ring.zero()] * len(subs) for _ in range(len(subs))]
-        for idx, S in enumerate(subs):
-            f = ring.one()
-            for i in S:
-                f = f * gens[i]
-            mat[idx][idx] = f
-        maps[-j] = ModuleMap(C_this.module(-j), C_next.module(-j), mat, check=False)
-    return ChainMap(C_this, C_next, maps, check=True)
+    """Dual Koszul complex Hom(Kos(x^k), A) in homological degrees -n..0;
+    homology(-s) = H^s."""
+    dual = koszul_chain(ring, gens, k).hom_into_module(FPModule.free(ring, 1))
+    return ChainComplex(ring, dual.modules, dual.diffs, check=True)

@@ -18,12 +18,13 @@ from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
                           Telescope, TelescopeQuotient, values_agree)
 from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
                      UnsupportedRing)
-from .koszul import koszul_chain, koszul_cochain, koszul_transition
+from .koszul import koszul_chain, koszul_cochain
 from .modules import FPModule, ModuleMap, iso_check
 from .ring import DEFAULT_PRECISION, _reject_zerodivisor
 from .sequences import is_regular_sequence
-from .towers import (Tower, _killing_power, completed_module, lim_lim1,
-                     quotient_by_ideal_power, weak_proregularity_check)
+from .towers import (KoszulStages, KoszulTensorStages, Tower, _killing_power,
+                     completed_module, lim_lim1, quotient_by_ideal_power,
+                     weak_proregularity_check)
 
 
 class IdealData:
@@ -160,9 +161,7 @@ def koszul_complex(d, powers=1):
 
 
 def koszul_transition_map(d, k):
-    this = koszul_chain(d.ring, d.gens, k)
-    nxt = koszul_chain(d.ring, d.gens, k + 1)
-    return koszul_transition(d.ring, d.gens, k, nxt, this)
+    return KoszulStages(d.ring, d.gens).chain_map(k)
 
 
 class CechComplex:
@@ -514,25 +513,17 @@ def _lambda_route_B(d, desc, stage_bound, lag, precision=None):
             for s, v in _lambda_route_B(d, p, stage_bound, lag, precision).items():
                 _add_value(acc, s, v)
         return acc
-    M = desc.module
-    C = ChainComplex.single(M, 0)
+    C = ChainComplex.single(desc.module, 0)
+    stages = KoszulTensorStages(C, d.gens)
+    # weak proregularity was certified by derived_completion before either
+    # route runs; the towers may cite it
+    towers = [lim_lim1(Tower.koszul_stage(C, d.gens, s, stages,
+                                          wpr_certified=True),
+                       stage_bound, lag, precision)
+              for s in range(0, d.n + 2)]
     out = {}
-    towers = {}
-    shared = {}
-
-    def tower_at(s):
-        if s not in towers:
-            t = Tower.koszul_stage(C, d.gens, s, shared=shared)
-            # weak proregularity was certified by derived_completion before
-            # either route runs; the tower may cite it
-            t.params["wpr_certified"] = True
-            towers[s] = lim_lim1(t, stage_bound, lag, precision)
-        return towers[s]
-
     for s in range(0, d.n + 1):
-        t_s = tower_at(s)
-        t_s1 = tower_at(s + 1)
-        lim, lim1 = t_s.lim, t_s1.lim1
+        lim, lim1 = towers[s].lim, towers[s + 1].lim1
         if not lim.is_recognized() or not lim1.is_recognized():
             out[s] = LimitModule.unrecognized(
                 {"lim": lim.describe(), "lim1": lim1.describe()})
@@ -579,12 +570,30 @@ def derived_completion(d, X, stage_bound=12, lag=6, precision=None):
 
 def local_homology_Ls(d, desc, s, stage_bound=12, lag=6, precision=None):
     """L_s via the Greenlees-May extension of lim Tor_s by lim^1 Tor_(s+1)."""
-    hyp = d.weak_proregularity(stage_bound=3, lag=2)
-    stamped = hyp["status"] == "weakly-proregular"
+    stamped = _wpr_certified(d)
     desc = _as_descriptor(desc, d.ring)
-    t_s = lim_lim1(Tower.tor(desc, d.gens, s), stage_bound, lag, precision)
-    t_s1 = lim_lim1(Tower.tor(desc, d.gens, s + 1), stage_bound, lag, precision)
-    lim, lim1 = t_s.lim, t_s1.lim1
+    t_s, t_s1 = _tor_limits(d, desc, s, stage_bound, lag, precision)
+    return _local_homology(d, desc, s, t_s.lim, t_s1.lim1, stamped,
+                           stage_bound, lag, precision)
+
+
+def _wpr_certified(d):
+    return d.weak_proregularity(stage_bound=3, lag=2)["status"] == \
+        "weakly-proregular"
+
+
+def _tor_limits(d, desc, s, stage_bound, lag, precision):
+    """lim/lim^1 of the Tor_s and Tor_(s+1) towers, built over one
+    resolution of each module."""
+    resolutions = {}
+    return [lim_lim1(Tower.tor(desc, d.gens, t, resolutions), stage_bound,
+                     lag, precision) for t in (s, s + 1)]
+
+
+def _local_homology(d, desc, s, lim, lim1, stamped, stage_bound, lag,
+                    precision):
+    """L_s from lim Tor_s and lim^1 Tor_(s+1); checked against Lambda when
+    the sequence is weakly proregular (``stamped``), marked otherwise."""
     if not lim.is_recognized() or not lim1.is_recognized():
         raise UnrecognizedTower("Greenlees-May towers unrecognized",
                                 evidence={"lim": lim.describe(),
@@ -641,10 +650,10 @@ def _desc_to_graded(desc):
 def gm_ses_check(d, desc, s, stage_bound=12, lag=6, precision=None):
     """Materialize 0 -> lim^1 Tor_(s+1) -> L_s -> lim Tor_s -> 0 and certify it."""
     desc = _as_descriptor(desc, d.ring)
-    t_s = lim_lim1(Tower.tor(desc, d.gens, s), stage_bound, lag, precision)
-    t_s1 = lim_lim1(Tower.tor(desc, d.gens, s + 1), stage_bound, lag, precision)
-    L = local_homology_Ls(d, desc, s, stage_bound, lag, precision)
+    t_s, t_s1 = _tor_limits(d, desc, s, stage_bound, lag, precision)
     left, right = t_s1.lim1, t_s.lim
+    L = _local_homology(d, desc, s, right, left, _wpr_certified(d),
+                        stage_bound, lag, precision)
     report = {
         "lim1_tor_next": left.describe(),
         "L_s": L.describe(),

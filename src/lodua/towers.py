@@ -1,17 +1,25 @@
 """Inverse systems of modules with exact lim and lim^1 on recognized classes.
 
 A Tower materializes stages M_1, M_2, ... with transition maps
-M_(k+1) -> M_k.  The lim/lim^1 engine only ever reports a value when a
-recognition rule with an exact justification applies (Artin-Rees for adic
-and Tor towers of finitely presented modules, Mittag-Leffler via surjective
-or stabilized images, multiplication towers via the completion-comparison
-model RHom(tel_x A, M) = [M -> M^]); anything else is reported as
-`unrecognized`, carrying the materialized evidence, never a guess.
+M_(k+1) -> M_k.  The homology towers (Tor, Koszul homology and Koszul
+stages, after Greenlees & May) materialize one way: a StageComplexes object
+builds each complex C_k and each chain map C_(k+1) -> C_k once, stage k is
+H_s(C_k) and transition k is H_s of the chain map, so the complexes' own
+homology memo is the only one, and towers in several degrees over the same
+complexes share one object.  The lim/lim^1 engine only ever reports a value
+when a recognition rule with an exact justification applies (Artin-Rees for
+adic and Tor towers of finitely presented modules, Mittag-Leffler via
+surjective or stabilized images, multiplication towers via the
+completion-comparison model RHom(tel_x A, M) = [M -> M^]); anything else is
+reported as `unrecognized`, carrying the materialized evidence, never a
+guess.
 """
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .complexes import ChainMap, induced_on_homology
+from .complexes import (ChainMap, block_map, induced_on_homology,
+                        tensor_chain_map)
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope)
 from .errors import InvalidInput, UnrecognizedTower, UnsupportedRing
 from .koszul import koszul_chain, koszul_transition
@@ -67,6 +75,84 @@ def _killing_power(M, gens, bound):
     return None
 
 
+class StageComplexes:
+    """The complexes C_1, C_2, ... behind a homology tower and the chain
+    maps C_(k+1) -> C_k, each built once on first use by a subclass's
+    ``_build(k)`` and ``_connect(k, C_(k+1), C_k)``."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._complexes = {}
+        self._maps = {}
+
+    def complex(self, k):
+        if k not in self._complexes:
+            self._complexes[k] = self._build(k)
+        return self._complexes[k]
+
+    def chain_map(self, k):
+        """C_(k+1) -> C_k."""
+        if k not in self._maps:
+            self._maps[k] = self._connect(k, self.complex(k + 1),
+                                          self.complex(k))
+        return self._maps[k]
+
+
+class TorStages(StageComplexes):
+    """C_k = F (x) A/I^k for one free resolution F of M to ``length``, built
+    on first use, with identity chain maps: H_s(C_k) = Tor_s(A/I^k, M) for
+    every s < length."""
+
+    def __init__(self, M, gens, length):
+        super().__init__(M.ring)
+        self.module, self.gens, self.length = M, gens, length
+
+    @cached_property
+    def resolution(self):
+        return free_resolution(self.module, self.length)
+
+    def _build(self, k):
+        quot = ideal_power_module(self.ring, self.gens, k)
+        return self.resolution.tensor_module(quot)
+
+    def _connect(self, k, nxt, this):
+        maps = {n: ModuleMap(nxt.module(n), this.module(n),
+                             identity_map(this.module(n)).matrix, check=False)
+                for n in this.degrees()}
+        return ChainMap(nxt, this, maps, check=False)
+
+
+class KoszulStages(StageComplexes):
+    """C_k = Kos(x^k) with the chain maps ``koszul_transition``."""
+
+    def __init__(self, ring, gens):
+        super().__init__(ring)
+        self.gens = gens
+
+    def _build(self, k):
+        return koszul_chain(self.ring, self.gens, k)
+
+    def _connect(self, k, nxt, this):
+        return koszul_transition(self.ring, self.gens, k, nxt, this)
+
+
+class KoszulTensorStages(StageComplexes):
+    """C_k = Kos(x^k) (x) C with the chain maps ``koszul_transition`` (x)
+    id_C."""
+
+    def __init__(self, C, gens):
+        super().__init__(C.ring)
+        self.inner = C
+        self.koszul = KoszulStages(C.ring, gens)
+
+    def _build(self, k):
+        return self.koszul.complex(k).tensor_complex(self.inner)
+
+    def _connect(self, k, nxt, this):
+        return tensor_chain_map(self.koszul.chain_map(k), self.inner,
+                                nxt, this)
+
+
 class TowerLimits:
     def __init__(self, lim, lim1, basis, certificates=None):
         self.lim = lim
@@ -118,7 +204,6 @@ class Tower:
         self.note = note
         self._stages = {}
         self._transitions = {}
-        self._res_cache = None
 
     # -- constructors --------------------------------------------------------
 
@@ -134,7 +219,10 @@ class Tower:
         return cls(desc.ring, "mult", {"desc": desc, "x": desc.ring.el(x)})
 
     @classmethod
-    def tor(cls, desc, ideal_gens, s):
+    def tor(cls, desc, ideal_gens, s, resolutions=None):
+        """Tor_s(A/I^k, desc); ``resolutions``, a dict the caller owns from
+        each module to its TorStages, lets towers in several degrees share
+        one resolution of each module."""
         if isinstance(desc, FPModule):
             desc = FPObj(desc)
         ring = desc.ring
@@ -144,7 +232,7 @@ class Tower:
                 return cls(ring, "zero", {"why": "Tor_0 of a divisible quotient"})
             _require_radical_membership(ring, desc.mult, gens)
             # triangle M -> u^-1 M -> Z shifts Tor degrees by one
-            return cls.tor(FPObj(desc.module), gens, s - 1)
+            return cls.tor(FPObj(desc.module), gens, s - 1, resolutions)
         if desc.kind == "telescope":
             _require_radical_membership(ring, desc.mult, gens)
             return cls(ring, "zero",
@@ -152,25 +240,35 @@ class Tower:
         if desc.kind == "rational":
             return cls(ring, "zero", {"why": "ideal acts invertibly on Q"})
         if desc.kind == "sum":
-            parts = [cls.tor(p, gens, s) for p in desc.parts]
+            parts = [cls.tor(p, gens, s, resolutions) for p in desc.parts]
             return cls(ring, "sum", {"parts": parts})
         if s == 0:
             return cls.adic(desc.module, gens)
-        return cls(ring, "tor", {"module": desc.module, "ideal": gens, "s": s})
+        M = desc.module
+        resolutions = {} if resolutions is None else resolutions
+        if M not in resolutions or resolutions[M].length <= s:
+            resolutions[M] = TorStages(M, gens, s + 2)
+        return cls(ring, "tor", {"s": s, "complexes": resolutions[M]})
 
     @classmethod
-    def koszul_homology(cls, ring, gens, i):
+    def koszul_homology(cls, ring, gens, i, stages=None):
+        """H_i(Kos(x^k)); towers in several degrees share ``stages``."""
         gens = tuple(ring.el(g) for g in gens)
-        return cls(ring, "koszul_homology", {"ideal": gens, "i": i})
+        if stages is None:
+            stages = KoszulStages(ring, gens)
+        return cls(ring, "koszul_homology", {"s": i, "complexes": stages})
 
     @classmethod
-    def koszul_stage(cls, C, gens, s, shared=None):
-        # `shared` lets the completion routes reuse the stage complexes
-        # across homological degrees
+    def koszul_stage(cls, C, gens, s, stages=None, wpr_certified=False):
+        """H_s(Kos(x^k) (x) C); towers in several degrees share ``stages``,
+        and ``wpr_certified`` lets the tower cite weak proregularity of the
+        sequence, certified by the caller."""
         gens = tuple(C.ring.el(g) for g in gens)
+        if stages is None:
+            stages = KoszulTensorStages(C, gens)
         return cls(C.ring, "koszul_stage",
-                   {"complex": C, "ideal": gens, "s": s,
-                    "shared": shared if shared is not None else {}})
+                   {"complex": C, "ideal": gens, "s": s, "complexes": stages,
+                    "wpr_certified": wpr_certified})
 
     @classmethod
     def explicit(cls, stages, transitions, periodic=None):
@@ -215,12 +313,9 @@ class Tower:
             if desc.kind != "fp":
                 raise UnsupportedRing("mult towers materialize fp stages only")
             return desc.module
-        if kind == "tor":
-            return self._tor_data(k)[0]
-        if kind == "koszul_homology":
-            return self._koszul_data(k)[0]
-        if kind == "koszul_stage":
-            return self._koszul_stage_data(k)[0]
+        if kind in ("tor", "koszul_homology", "koszul_stage"):
+            return self.params["complexes"].complex(k).homology(
+                self.params["s"])
         if kind == "explicit":
             stages = self.params["stages"]
             period = self.params.get("periodic")
@@ -251,25 +346,9 @@ class Tower:
             mat = [[x if i == j else self.ring.zero() for j in range(M.ngens)]
                    for i in range(M.ngens)]
             return ModuleMap(M, M, mat, check=False)
-        if kind == "tor":
-            _, cx_next = self._tor_data(k + 1)
-            _, cx_this = self._tor_data(k)
-            maps = {n: ModuleMap(cx_next.module(n), cx_this.module(n),
-                                 identity_map(cx_this.module(n)).matrix, check=False)
-                    for n in cx_this.degrees()}
-            chmap = ChainMap(cx_next, cx_this, maps, check=False)
-            return induced_on_homology(chmap, self.params["s"])
-        if kind == "koszul_homology":
-            _, kos_this = self._koszul_data(k)
-            _, kos_next = self._koszul_data(k + 1)
-            tr = koszul_transition(self.ring, self.params["ideal"], k,
-                                   kos_next, kos_this)
-            return induced_on_homology(tr, self.params["i"])
-        if kind == "koszul_stage":
-            _, cx_this = self._koszul_stage_data(k)
-            _, cx_next = self._koszul_stage_data(k + 1)
-            tr = self._koszul_stage_transition(k, cx_next, cx_this)
-            return induced_on_homology(tr, self.params["s"])
+        if kind in ("tor", "koszul_homology", "koszul_stage"):
+            return induced_on_homology(
+                self.params["complexes"].chain_map(k), self.params["s"])
         if kind == "explicit":
             trans = self.params["transitions"]
             period = self.params.get("periodic")
@@ -279,89 +358,13 @@ class Tower:
                 return trans[(k - 1 - len(trans)) % period + len(trans) - period]
             raise InvalidInput(f"explicit tower has no transition {k}")
         if kind == "sum":
-            from .modules import direct_sum
-            parts = self.params["parts"]
-            maps = [t.transition(k) for t in parts]
-            S1, S0 = self.stage(k + 1), self.stage(k)
-            mat = [[self.ring.zero()] * S1.ngens for _ in range(S0.ngens)]
-            ro = co = 0
-            for m in maps:
-                for i, row in enumerate(m.matrix):
-                    for j, e in enumerate(row):
-                        mat[ro + i][co + j] = e
-                ro += m.target.ngens
-                co += m.source.ngens
-            return ModuleMap(S1, S0, mat, check=False)
+            blocks, ro, co = [], 0, 0
+            for m in (t.transition(k) for t in self.params["parts"]):
+                blocks.append((ro, co, m.matrix))
+                ro, co = ro + m.target.ngens, co + m.source.ngens
+            return block_map(self.ring, self.stage(k + 1), self.stage(k),
+                             blocks)
         raise InvalidInput(f"unknown tower kind {kind}")
-
-    def _tor_data(self, k):
-        """(H_s(F(M) (x) A/I^k), that tensored complex)."""
-        key = ("tor", k)
-        if self._res_cache is None:
-            s = self.params["s"]
-            self._res_cache = {"res": free_resolution(self.params["module"], s + 2)}
-        cache = self._res_cache
-        if key not in cache:
-            quot = ideal_power_module(self.ring, self.params["ideal"], k)
-            cx = cache["res"].tensor_module(quot)
-            cache[key] = (cx.homology(self.params["s"]), cx)
-        return cache[key][0], cache[key][1]
-
-    def _koszul_data(self, k):
-        key = ("kos", k)
-        if self._res_cache is None:
-            self._res_cache = {}
-        if key not in self._res_cache:
-            kos = koszul_chain(self.ring, self.params["ideal"], k)
-            self._res_cache[key] = (kos.homology(self.params["i"]), kos)
-        return self._res_cache[key][0], self._res_cache[key][1]
-
-    def _koszul_stage_data(self, k):
-        shared = self.params["shared"]
-        ckey = ("cx", k)
-        if ckey not in shared:
-            kos = koszul_chain(self.ring, self.params["ideal"], k)
-            cx = kos.tensor_complex(self.params["complex"])
-            shared[ckey] = (cx, kos)
-        cx, _ = shared[ckey]
-        hkey = ("H", k, self.params["s"])
-        if hkey not in shared:
-            shared[hkey] = cx.homology_data(self.params["s"])
-        return shared[hkey].H, cx
-
-    def _koszul_stage_transition(self, k, cx_next, cx_this):
-        shared = self.params["shared"]
-        tkey = ("chmap", k)
-        if tkey not in shared:
-            kos_this = shared[("cx", k)][1]
-            kos_next = shared[("cx", k + 1)][1]
-            base = koszul_transition(self.ring, self.params["ideal"], k,
-                                     kos_next, kos_this)
-            C = self.params["complex"]
-            maps = {}
-            for n in cx_this.degrees():
-                S, T = cx_next.module(n), cx_this.module(n)
-                mat = [[self.ring.zero()] * S.ngens for _ in range(T.ngens)]
-                src_off = tgt_off = 0
-                for p in sorted(kos_this.modules):
-                    for q in sorted(C.modules):
-                        if p + q != n:
-                            continue
-                        blk = base.map(p)
-                        Cq = C.module(q)
-                        for i in range(blk.target.ngens):
-                            for j in range(blk.source.ngens):
-                                c = blk.matrix[i][j]
-                                if c.is_zero():
-                                    continue
-                                for t in range(Cq.ngens):
-                                    mat[tgt_off + i * Cq.ngens + t][
-                                        src_off + j * Cq.ngens + t] = c
-                        src_off += blk.source.ngens * Cq.ngens
-                        tgt_off += blk.target.ngens * Cq.ngens
-                maps[n] = ModuleMap(S, T, mat, check=False)
-            shared[tkey] = ChainMap(cx_next, cx_this, maps, check=False)
-        return shared[tkey]
 
 
 def _stages_small(tower, upto, max_gens=8, max_rels=30, max_deg=6):
@@ -471,8 +474,9 @@ def weak_proregularity_check(ring, seq, stage_bound=4, lag=DEFAULT_LAG):
                        "flat, so pro-triviality transfers")
         return out
     results = {}
+    stages = KoszulStages(ring, tuple(seq))
     for i in range(1, len(seq) + 1):
-        t = Tower.koszul_homology(ring, seq, i)
+        t = Tower.koszul_homology(ring, seq, i, stages)
         v = is_pro_trivial(t, lag=lag, stage_bound=stage_bound)
         results[i] = v
         if v.status == "inconclusive":
@@ -902,7 +906,7 @@ def _koszul_stage_limits(tower, stage_bound, lag, precision):
             note = verdict.describe()
         else:
             note = "stage presentations exceed the probe gate"
-        if tower.params.get("wpr_certified"):
+        if tower.params["wpr_certified"]:
             z = LimitModule.zero(
                 basis="weak proregularity + Artin-Rees: Koszul-stage towers "
                       "of f.p. modules are pro-zero in positive degrees "

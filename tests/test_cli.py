@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from lodua.errors import InvalidInput
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -484,3 +486,96 @@ def test_well_typed_module_fields_are_accepted():
                        "Z": {"generators": 0}}}
     assert lodua.cli.run(doc, "resolve", {"M": "M"})[0] == 0
     assert lodua.cli.run(doc, "resolve", {"M": "Z"})[0] == 0
+
+
+# one wrong-typed ideal or matrix per case: (the document's blocks, the
+# message); each was read character by character before
+WRONG_TYPED_BLOCKS = {
+    "ideal-string": ({"ideal": "xy"},
+                     "ideal must be a list of strings or integers, not 'xy'"),
+    "tower-ideal-string": (
+        {"towers": {"t": {"kind": "tor", "module": "M", "ideal": "xy",
+                          "s": 1}}},
+        "'t' ideal must be a list of strings or integers, not 'xy'"),
+    "matrix-strings": (
+        {"maps": {"f": {"source": "M", "target": "M",
+                        "matrix": ["xy", "01"]}}},
+        "'f' matrix must be a list of 2 lists of 2 strings or integers, "
+        "not ['xy', '01']"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPED_BLOCKS))
+def test_wrong_typed_ideal_or_matrix_exits_three(case, tmp_path, capsys):
+    import lodua.cli
+    from lodua.errors import InvalidInput
+    blocks, message = WRONG_TYPED_BLOCKS[case]
+    doc = {"ring": {"base": "Q", "vars": ["x", "y"]}, "ideal": ["x", "y"],
+           "modules": {"M": {"generators": 2}}, **blocks}
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        lodua.cli.run(doc, "localcoh", {"target": "M", "s": 1})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert lodua.cli.main(["localcoh", str(path), "--target", "M",
+                           "--s", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
+def test_well_typed_ideal_and_matrix_are_accepted():
+    import lodua.cli
+    doc = {"ring": {"base": "Q", "vars": ["x", "y"]}, "ideal": ["x", 1],
+           "modules": {"M": {"generators": 2}},
+           "maps": {"f": {"source": "M", "target": "M",
+                          "matrix": [["x", 0], [1, "y"]]}},
+           "towers": {"t": {"kind": "adic", "module": "M", "ideal": ["y", 0]}}}
+    problem = lodua.cli.Problem(doc)
+    assert [g.render() for g in problem.ideal.gens] == ["x", "1"]
+    assert [[e.render() for e in row] for row in problem.map("f").matrix] \
+        == [["x", "0"], ["1", "y"]]
+
+
+# Z_5 modules the Koszul-stage route refuses: "chain map does not preserve
+# cycles" (exit 3), where Z answers the same presentation
+_Z5_DEFECT = ("valid Z_5 modules are refused in the Koszul-stage "
+              "transitions; see ROADMAP item 2")
+
+
+def _z5_doc(ngens, relations):
+    with open(fixture("zp.json")) as fh:
+        doc = json.load(fh)
+    doc.pop("descriptors")
+    return {**doc, "command": {},
+            "modules": {"M": {"generators": ngens, "relations": relations}}}
+
+
+@pytest.mark.xfail(strict=True, reason=_Z5_DEFECT, raises=InvalidInput)
+@pytest.mark.parametrize("ngens, relations", [
+    (2, [["5", "50"]]),
+    (3, [["5", "0", "0"], ["0", "25", "5"]]),
+], ids=["rank2", "rank3"])
+def test_lambda_answers_z5_modules(ngens, relations):
+    import lodua.cli
+    code, _ = lodua.cli.run(_z5_doc(ngens, relations), "lambda",
+                            {"target": "M"})
+    assert code == 0
+
+
+@pytest.mark.xfail(strict=True, reason=_Z5_DEFECT, raises=AssertionError)
+def test_localhom_on_z5_does_not_depend_on_history(tmp_path):
+    doc, twin = tmp_path / "doc.json", tmp_path / "twin.json"
+    doc.write_text(json.dumps(_z5_doc(2, [["5", "50"]])))
+    twin.write_text(json.dumps(_z5_doc(2, [["5", "0"]])))
+    argv = ["localhom", "--target", "M", "--s", "1"]
+    fresh = run_cli(argv[0], str(doc), *argv[1:])
+    # the diagonal twin first, in the same process
+    script = ("import sys, lodua.cli\n"
+              f"lodua.cli.main([{argv[0]!r}, {str(twin)!r}, *{argv[1:]!r}])\n"
+              "print('---')\n"
+              f"sys.exit(lodua.cli.main([{argv[0]!r}, {str(doc)!r}, "
+              f"*{argv[1:]!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert fresh[0] == 0 and proc.returncode == 0
+    assert proc.stdout.split("---\n", 1)[1] == fresh[1]

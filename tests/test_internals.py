@@ -174,12 +174,3 @@ def test_canonical_presentation_change_of_basis(ZZ):
     assert fwd.compose(bwd).equals(identity_map(can))
     assert bwd.compose(fwd).equals(identity_map(M))
     assert iso_check(M, can)
-
-
-def test_koszul_cochain_transitions_commute(QQxy):
-    from lodua.koszul import koszul_cochain, koszul_cochain_transition
-    gens = [QQxy.el("x"), QQxy.el("y")]
-    c1 = koszul_cochain(QQxy, gens, 1)
-    c2 = koszul_cochain(QQxy, gens, 2)
-    # ChainMap validates the commuting squares on construction
-    koszul_cochain_transition(QQxy, gens, 1, c1, c2)

@@ -1,0 +1,217 @@
+"""The complexes behind the Tor, Koszul-homology and Koszul-stage towers.
+
+The pins hold the rendered stage presentations (stages 1-3) and transition
+matrices (transitions 1-2) of each tower kind, so no change to how the
+towers materialize can move a stage or a transition unnoticed.
+"""
+
+import pytest
+
+import lodua.local
+from lodua import (Comodule, FPModule, FPObj, IdealData, Tower,
+                   make_group_like, make_ring, verify_theorems)
+from lodua.complexes import ChainComplex
+from lodua.modules import ModuleMap
+from lodua.towers import KoszulStages
+
+ZERO = ([(0, [])] * 3, [[], []])
+
+PINNED = {
+    "tor_1": (
+        [(1, [["1/3*x^2"], ["-x - y"], ["-1/3*x^2 - 1/3*x*y"]]),
+         (2, [["1/3*x^2", "0"], ["-y^3", "1/3*y^2"], ["-x - y", "0"],
+              ["-1/3*x^2 - 1/3*x*y", "0"],
+              ["-x^2 + 3*x*y + 3*y^2", "-x - y"],
+              ["-1/3*x^3 - x*y^2 - y^3", "1/3*x*y + 1/3*y^2"]]),
+         (3, [["1/3*x^2", "0", "0"], ["-y^3", "1/3*y^2", "0"],
+              ["1/3*x^2*y^2 + 2/3*x*y^3", "-y^3", "1/3*y^2"],
+              ["-x - y", "0", "0"], ["-1/3*x^2 - 1/3*x*y", "0", "0"],
+              ["-x^2 + 3*x*y + 3*y^2", "-x - y", "0"],
+              ["-1/3*x^3 - x*y^2 - y^3", "1/3*x*y + 1/3*y^2", "0"],
+              ["x^3 + x^2*y + 11*x*y^2 + 6*y^3", "-6*x*y - 5*y^2",
+               "x + y"],
+              ["-x^3*y - x^2*y^2 - 11/3*x*y^3 - 2*y^4",
+               "2*x*y^2 + 5/3*y^3", "-1/3*x*y - 1/3*y^2"]])],
+        [[["x + y", "-x^2 + 3*x*y + 3*y^2"]],
+         [["x + y", "-x^2 + 3*x*y + 3*y^2", "-6*x^2*y + 7*x*y^2 + 12*y^3"],
+          ["0", "0", "-y^2"]]]),
+    "tor_2": ZERO,
+    "tor_z5": (
+        [(1, [["5"]]), (1, [["5"]]), (1, [["19073486328130"]])],
+        [[["5"]], [["5"]]]),
+    "koszul_xy_1": ZERO,
+    "koszul_xy_2": ZERO,
+    "koszul_sum_product_1": ZERO,
+    "koszul_sum_product_2": ZERO,
+    "koszul_nonregular_1": (
+        [(1, [["-x"]]), (1, [["-x^2"]]), (1, [["-x^3"]])],
+        [[["x^2*y"]], [["x^2*y"]]]),
+    "stage_module_1": (
+        [(1, [["-x + y"], ["x"]]), (1, [["x - y"], ["-x^2"]]),
+         (1, [["x - y"], ["-x^3"]])],
+        [[["-y"]], [["y"]]]),
+    "stage_complex_1": (
+        [(1, [["-x"], ["-y"]]), (1, [["-x"], ["-y^2"]]),
+         (1, [["-x"], ["-y^3"]])],
+        [[["x"]], [["x"]]]),
+    "stage_complex_0": (
+        [(1, [["x"], ["y"]]), (1, [["x"], ["x^2"], ["y^2"]]),
+         (1, [["x"], ["x^3"], ["y^3"]])],
+        [[["1"]], [["1"]]]),
+}
+
+
+def _ext(Q):
+    """The poly-sweep extension of two lines over Q[x,y]."""
+    return FPModule(Q, 2, [(Q.el("-2*x - 3*y"), Q.el(-3)),
+                           (Q.el(0), Q.el("-x - 2*y"))])
+
+
+def _towers():
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    Z5 = make_ring({"base": "Z",
+                    "completion": {"ideal": ["5"], "precision": 20}})
+    z5 = FPModule(Z5, 2, [(Z5.el(5), Z5.el(50))])
+    line = ChainComplex.single(FPModule.cyclic(Q, ["x - y"]), 0)
+    A = FPModule.free(Q, 1)
+    two_term = ChainComplex(Q, {0: A, 1: A}, {1: ModuleMap(A, A, [["x"]])})
+    xy, sum_product = ["x", "y"], ["x + y", "x*y"]
+    return {
+        "tor_1": Tower.tor(FPObj(_ext(Q)), sum_product, 1),
+        "tor_2": Tower.tor(FPObj(_ext(Q)), sum_product, 2),
+        "tor_z5": Tower.tor(FPObj(z5), [5], 1),
+        "koszul_xy_1": Tower.koszul_homology(Q, xy, 1),
+        "koszul_xy_2": Tower.koszul_homology(Q, xy, 2),
+        "koszul_sum_product_1": Tower.koszul_homology(Q, sum_product, 1),
+        "koszul_sum_product_2": Tower.koszul_homology(Q, sum_product, 2),
+        "koszul_nonregular_1": Tower.koszul_homology(Q, ["x^2", "x*y"], 1),
+        "stage_module_1": Tower.koszul_stage(line, xy, 1),
+        "stage_complex_1": Tower.koszul_stage(two_term, xy, 1),
+        "stage_complex_0": Tower.koszul_stage(two_term, xy, 0),
+    }
+
+
+def _materialized(tower):
+    stages = [(tower.stage(k).ngens, _rendered(tower.stage(k).relations))
+              for k in (1, 2, 3)]
+    return stages, [_rendered(tower.transition(k).matrix) for k in (1, 2)]
+
+
+def _rendered(rows):
+    return [[e.render() for e in row] for row in rows]
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_stages_and_transitions_are_pinned(name):
+    assert _materialized(_towers()[name]) == PINNED[name]
+
+
+@pytest.mark.parametrize("degrees", [(1, 2), (2, 1)])
+def test_tor_towers_share_one_resolution(degrees):
+    # whichever tower comes first, the pair shares one resolution, and
+    # each keeps the stages it has alone
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    M, resolutions = _ext(Q), {}
+    towers = {s: Tower.tor(FPObj(M), ["x + y", "x*y"], s, resolutions)
+              for s in degrees}
+    assert towers[1].params["complexes"] is towers[2].params["complexes"]
+    for s, tower in towers.items():
+        assert _materialized(tower) == PINNED[f"tor_{s}"]
+
+
+def test_koszul_towers_share_one_stage_object():
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    stages = KoszulStages(Q, (Q.el("x^2"), Q.el("x*y")))
+    low, high = (Tower.koszul_homology(Q, ["x^2", "x*y"], i, stages)
+                 for i in (1, 2))
+    assert _materialized(low) == PINNED["koszul_nonregular_1"]
+    high.stage(2)
+    assert stages.chain_map(1).source is stages.complex(2)
+    assert stages.complex(2)._hcache.keys() == {1, 2}
+
+
+def _count(monkeypatch, module, name, seen):
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("doc", [
+    {"ring": {"base": "Z"}, "ideal": ["5"],
+     "modules": {"M": {"generators": 2, "relations": [["25", "0"]]}}},
+    {"ring": {"base": "Q", "vars": ["x", "y"]}, "ideal": ["x + y", "x*y"],
+     "modules": {"M": {"generators": 2, "relations": [
+         ["-2*x - 3*y", "-3"], ["0", "-x - 2*y"]]}},
+     "options": {"precision": 4, "K": 4, "lag": 2}},
+], ids=["Z", "Qxy"])
+def test_gm_check_resolves_once_and_limits_each_tower_once(doc, monkeypatch):
+    import lodua.cli
+    import lodua.local
+    import lodua.towers
+    resolutions, limits = [], []
+    _count(monkeypatch, lodua.towers, "free_resolution", resolutions)
+    _count(monkeypatch, lodua.local, "lim_lim1", limits)
+    code, report = lodua.cli.run(doc, "gm-check", {"target": "M", "s": 1})
+    assert code == 0, report
+    assert len(resolutions) == 1
+    tor = [args[0] for args in limits if args[0].kind == "tor"]
+    assert len(tor) == 2 and tor[0] is not tor[1]
+    assert tor[0].params["complexes"] is tor[1].params["complexes"]
+
+
+def _comodule_gm(order, monkeypatch):
+    """(computed homology modules, their distinct (complex, degree) pairs)
+    of a comodule-gm run of Q[x,y]^2/((x, y)) under a group of that order."""
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    if order == 1:
+        h = make_group_like(Q, ["e"], {("e", "e"): "e"}, {})
+        action = {}
+    else:
+        h = make_group_like(Q, ["e", "s"],
+                            {("e", "e"): "e", ("e", "s"): "s",
+                             ("s", "e"): "s", ("s", "s"): "e"},
+                            {"s": {"x": "y", "y": "x"}})
+        action = {"s": [[Q.el(0), Q.el(1)], [Q.el(1), Q.el(0)]]}
+    M = FPModule(Q, 2, [(Q.el("x"), Q.el("y"))])
+    seen = []
+    orig = ChainComplex._homology_data
+
+    def counted(cx, n):
+        seen.append((cx, n))   # holding cx keeps its id unique
+        return orig(cx, n)
+
+    monkeypatch.setattr(ChainComplex, "_homology_data", counted)
+    monkeypatch.setattr(lodua.local, "_LAMBDA_CACHE", {})
+    out = verify_theorems(h, IdealData(Q, ["x + y", "x*y"]),
+                          Comodule(h, M, action), "comodule-gm",
+                          precision=4, stage_bound=4, lag=2)
+    monkeypatch.undo()
+    assert out["verdict"] == "pass"
+    return len(seen), len({(id(cx), n) for cx, n in seen})
+
+
+def test_comodule_gm_builds_each_stage_homology_once(monkeypatch):
+    counts = [_comodule_gm(order, monkeypatch) for order in (1, 2)]
+    # each homology is computed once, and the group's order adds none
+    assert all(calls == distinct for calls, distinct in counts)
+    assert counts[0] == counts[1]
+
+
+def test_tensor_chain_map_commutes_with_the_differentials():
+    from lodua.complexes import ChainMap, tensor_chain_map
+    from lodua.koszul import koszul_chain, koszul_transition
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    A = FPModule.cyclic(Q, ["x - y"])
+    F = FPModule.free(Q, 2)
+    C = ChainComplex(Q, {0: A, 1: F}, {1: ModuleMap(F, A, [["x", "y^2"]])})
+    gens = ["x + y", "x*y"]
+    f = koszul_transition(Q, gens, 1, koszul_chain(Q, gens, 2),
+                          koszul_chain(Q, gens, 1))
+    g = tensor_chain_map(f, C, f.source.tensor_complex(C),
+                         f.target.tensor_complex(C))
+    assert sorted(g.maps) == [0, 1, 2, 3]
+    ChainMap(g.source, g.target, g.maps, check=True)   # raises if not

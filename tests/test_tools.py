@@ -30,3 +30,20 @@ def test_profile_script_prints_verbs_and_functions():
     assert re.fullmatch(r"  localhom +2 ops +\d+\.\d{3} s", lines[1])
     assert "function calls" in proc.stdout
     assert "lodua/cli.py" in proc.stdout
+
+
+def test_profile_script_profiles_one_verb():
+    # the three localhom ops before it still run, unprofiled
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "profile.py"),
+         "--workload", "poly-sweep", "--size", "4", "--verb", "complete",
+         "--sort", "ncalls", "--top", "5"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"poly-sweep seed 1: 4 ops \(1 complete profiled\), "
+                        r"\d+\.\d\d s profiled, 0 raised an internal error",
+                        lines[0])
+    assert re.fullmatch(r"  complete +1 ops +\d+\.\d{3} s", lines[1])
+    assert lines[2] == ""
+    assert "Ordered by: call count" in proc.stdout

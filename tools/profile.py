@@ -3,16 +3,20 @@
     python3 tools/profile.py --workload poly-sweep
     python3 tools/profile.py --workload completed-grid --seed 2 --top 40
     python3 tools/profile.py --workload integer-sweep --size 50 --sort tottime
+    python3 tools/profile.py --workload integer-sweep --verb gm-check --sort ncalls
 
 The op list comes from ``perfbench/workloads.py`` and each op is executed as
 ``perfbench/worker.py`` executes it (both imported, neither changed); the
 engine is imported from ``src/``.  Every op runs once, in order, under one
-profiler.  The script prints the profiled seconds spent in each verb (grid
-questions count as ``is_L_complete``), then the top functions of the
-profile.  Profiled times run well above plain ones, and calls cost more
-under the profiler than work inside them, so use the ranking to find
-candidates and ``perfbench/run.py`` to measure them.  Run from the root of a
-lodua checkout.
+profiler; with ``--verb`` every op still runs, so the state earlier ops
+leave behind is the benchmark's, but the profiler is on only around that
+verb's ops, and ``--sort ncalls`` then gives the verb's call counts.  The
+script prints the profiled seconds spent in each verb (grid questions count
+as ``is_L_complete``), then the top functions of the profile.  Profiled
+times run well above plain ones, and calls cost more under the profiler
+than work inside them, so use the ranking to find candidates and
+``perfbench/run.py`` to measure them.  Run from the root of a lodua
+checkout.
 """
 
 import os
@@ -35,17 +39,20 @@ import worker  # noqa: E402  (perfbench/worker.py)
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
 
-def profile_ops(ops):
-    """Run every op under one profiler: (profiler, {verb: [ops, seconds]},
-    number of ops that raised)."""
+def profile_ops(ops, only=None):
+    """Run every op, under one profiler unless ``only`` names another verb:
+    (profiler, {profiled verb: [ops, seconds]}, number of ops that
+    raised)."""
     worker.import_lodua()
     import lodua
     per_verb, raised = {}, 0
     prof = cProfile.Profile()
     for op in ops:
         verb = op.get("verb", "is_L_complete")
+        profiled = only in (None, verb)
         t0 = time.perf_counter()
-        prof.enable()
+        if profiled:
+            prof.enable()
         try:
             worker.execute(lodua, op)
         except lodua.LoduaError:  # a refusal is an answer, as in the benchmark
@@ -54,6 +61,8 @@ def profile_ops(ops):
             raised += 1
         finally:
             prof.disable()
+        if not profiled:
+            continue
         slot = per_verb.setdefault(verb, [0, 0.0])
         slot[0] += 1
         slot[1] += time.perf_counter() - t0
@@ -70,11 +79,17 @@ def main(argv=None):
                     help="number of functions to print")
     ap.add_argument("--sort", default="cumulative",
                     choices=("cumulative", "tottime", "ncalls"))
+    ap.add_argument("--verb", default=None,
+                    help="profile only this verb's ops (all ops still run)")
     ns = ap.parse_args(argv)
     ops = workloads.generate(ns.workload, ns.seed, ns.size)
-    prof, per_verb, raised = profile_ops(ops)
+    prof, per_verb, raised = profile_ops(ops, ns.verb)
+    if not per_verb:
+        print(f"no {ns.verb!r} op among the {len(ops)} ops", file=sys.stderr)
+        return 2
     total = sum(s for _, s in per_verb.values())
-    print(f"{ns.workload} seed {ns.seed}: {len(ops)} ops, "
+    scope = f" ({per_verb[ns.verb][0]} {ns.verb} profiled)" if ns.verb else ""
+    print(f"{ns.workload} seed {ns.seed}: {len(ops)} ops{scope}, "
           f"{total:.2f} s profiled, {raised} raised an internal error")
     for verb, (n, s) in sorted(per_verb.items(), key=lambda kv: -kv[1][1]):
         print(f"  {verb:<16} {n:>5} ops {s:>9.3f} s")
