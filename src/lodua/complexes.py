@@ -8,8 +8,9 @@ d(f) = d . f - (-1)^|f| f . d; these are used consistently everywhere.
 import operator
 
 from .errors import InvalidInput
-from .modules import (FPModule, HomModule, ModuleMap, identity_map,
-                      tensor, tensor_map, zero_map)
+from .modules import (FPModule, HomModule, ModuleMap, block_matrix,
+                      block_sum, diagonal_map, identity_kron, identity_map,
+                      kron_identity, power, tensor, tensor_map, zero_map)
 
 
 class ChainComplex:
@@ -111,28 +112,18 @@ class ChainComplex:
 
     def hom_into_module(self, N):
         """Hom(C, N) for a complex of frees, placed in negative degrees."""
-        ring = self.ring
         homs = {}
         for n, M in self.modules.items():
             if M.relations:
                 raise InvalidInput("hom_into_module expects free levels")
-            homs[n] = _module_power(N, M.ngens)
+            homs[n] = power(N, M.ngens)
         mods = {-n: H for n, H in homs.items()}
-        diffs = {}
-        for n, d in self.diffs.items():
-            # precomposition Hom(C_(n-1), N) -> Hom(C_n, N), degree -(n-1) -> -n
-            src, tgt = homs[n - 1], homs[n]
-            gN = N.ngens
-            mat = [[ring.zero()] * src.ngens for _ in range(tgt.ngens)]
-            for i in range(d.target.ngens):      # gens of C_(n-1)
-                for t in range(d.source.ngens):  # gens of C_n
-                    c = d.matrix[i][t]
-                    if c.is_zero():
-                        continue
-                    for j in range(gN):
-                        mat[t * gN + j][i * gN + j] = c
-            diffs[-(n - 1)] = ModuleMap(src, tgt, mat, check=False)
-        return ChainComplex(ring, mods, diffs, check=False)
+        # precomposition with d_n: Hom(C_(n-1), N) -> Hom(C_n, N), degree
+        # -(n-1) -> -n, is the transpose of d_n tensored with id_N
+        diffs = {-(n - 1): ModuleMap(homs[n - 1], homs[n], kron_identity(
+            self.ring, d.cols(), N.ngens), check=False)
+            for n, d in self.diffs.items()}
+        return ChainComplex(self.ring, mods, diffs, check=False)
 
     def truncate_ge(self, n):
         """tau_>=n: H_i preserved for i >= n, zero below."""
@@ -165,20 +156,13 @@ class ChainComplex:
         return ChainComplex(self.ring, mods, diffs, check=False)
 
     def direct_sum(self, other):
-        from .modules import direct_sum as msum
-        mods, inc1, inc2 = {}, {}, {}
-        for n in set(self.modules) | set(other.modules):
-            S, i1, i2 = msum(self.module(n), other.module(n))
-            mods[n], inc1[n], inc2[n] = S, i1, i2
+        mods = {n: block_sum([self.module(n), other.module(n)])
+                for n in set(self.modules) | set(other.modules)}
         diffs = {}
         for n in set(self.diffs) | set(other.diffs):
-            d1, d2 = self.diff(n), other.diff(n)
             S, T = mods.get(n), mods.get(n - 1)
-            if S is None or T is None:
-                continue
-            diffs[n] = block_map(self.ring, S, T, [
-                (0, 0, d1.matrix),
-                (d1.target.ngens, d1.source.ngens, d2.matrix)])
+            if S is not None and T is not None:
+                diffs[n] = diagonal_map(S, T, [self.diff(n), other.diff(n)])
         return ChainComplex(self.ring, mods, diffs, check=False)
 
     def tensor_complex(self, other):
@@ -189,10 +173,12 @@ class ChainComplex:
 
         def blocks(p, q):
             if (p - 1, q) in pieces and p in self.diffs:
-                yield (p - 1, q), tensor_map(self.diffs[p], other.module(q)).matrix
+                yield (p - 1, q), kron_identity(ring, self.diffs[p].matrix,
+                                                other.module(q).ngens)
             if (p, q - 1) in pieces and q in other.diffs:
-                dm = _tensor_map_right(self.module(p), other.diffs[q])
-                yield (p, q - 1), dm.scale(ring.el(-1 if p % 2 else 1)).matrix
+                dq = other.diffs[q].scale(ring.el(-1 if p % 2 else 1))
+                yield (p, q - 1), identity_kron(ring, self.module(p).ngens,
+                                                dq.matrix)
 
         return _totalize(ring, pieces, operator.add, blocks, check=False)
 
@@ -200,30 +186,25 @@ class ChainComplex:
         return f"<ChainComplex degrees [{self.lo},{self.hi}] over {self.ring}>"
 
 
-def _paste(mat, block, row_off, col_off):
-    for i, row in enumerate(block):
-        for j, e in enumerate(row):
-            mat[row_off + i][col_off + j] = e
-
-
-def _offsets(sizes, degree):
-    """Where each piece {(p, q): ngens} starts when the pieces of one total
-    degree(p, q) are stacked in sorted (p, q) order."""
-    offsets, ends = {}, {}
+def _layout(sizes, degree):
+    """How pieces {(p, q): ngens} stack: {n: {piece: ngens}} holding the
+    pieces with degree(p, q) = n in sorted (p, q) order."""
+    out = {}
     for key in sorted(sizes):
-        n = degree(*key)
-        offsets[key] = ends.get(n, 0)
-        ends[n] = offsets[key] + sizes[key]
-    return offsets
+        out.setdefault(degree(*key), {})[key] = sizes[key]
+    return out
 
 
-def block_map(ring, S, T, blocks):
-    """The map S -> T whose matrix is zero but for the pasted blocks, each
-    given as (row offset, column offset, block)."""
-    mat = [[ring.zero()] * S.ngens for _ in range(T.ngens)]
-    for row_off, col_off, block in blocks:
-        _paste(mat, block, row_off, col_off)
-    return ModuleMap(S, T, mat, check=False)
+def _stacked_map(S, T, src_sizes, tgt_sizes, parts):
+    """The map between stacks of pieces S -> T, zero but for ``parts``
+    {(target piece, source piece): matrix}; the sizes are {piece: ngens}
+    in stacking order."""
+    col = {key: b for b, key in enumerate(src_sizes)}
+    row = {key: b for b, key in enumerate(tgt_sizes)}
+    return ModuleMap(S, T, block_matrix(
+        S.ring, list(tgt_sizes.values()), list(src_sizes.values()),
+        {(row[tgt], col[src]): mat for (tgt, src), mat in parts.items()}),
+        check=False)
 
 
 def _totalize(ring, pieces, degree, blocks, check):
@@ -231,53 +212,15 @@ def _totalize(ring, pieces, degree, blocks, check):
     with degree(p, q) = n in sorted (p, q) order; ``blocks(p, q)`` yields
     (target piece, matrix) for each part of the differential leaving a
     piece."""
-    offsets = _offsets({key: P.ngens for key, P in pieces.items()}, degree)
-    mods = {}
-    for key, P in sorted(pieces.items()):
-        n = degree(*key)
-        prev = mods.get(n)
-        mods[n] = P if prev is None else FPModule(
-            ring, prev.ngens + P.ngens,
-            [tuple(col) + (ring.zero(),) * P.ngens for col in prev.relations]
-            + [(ring.zero(),) * prev.ngens + tuple(col) for col in P.relations])
-    diffs = {}
-    for n in sorted(mods):
-        if (n - 1) in mods:
-            diffs[n] = block_map(
-                ring, mods[n], mods[n - 1],
-                [(offsets[tgt], offsets[key], block)
-                 for key in pieces if degree(*key) == n
-                 for tgt, block in blocks(*key)])
+    layout = _layout({key: P.ngens for key, P in pieces.items()}, degree)
+    mods = {n: block_sum([pieces[key] for key in sizes])
+            for n, sizes in layout.items()}
+    diffs = {n: _stacked_map(mods[n], mods[n - 1], layout[n], layout[n - 1],
+                             {(tgt, key): mat for key in pieces
+                              if key in layout[n]
+                              for tgt, mat in blocks(*key)})
+             for n in sorted(mods) if (n - 1) in mods}
     return ChainComplex(ring, mods, diffs, check=check)
-
-
-def _module_power(N, r):
-    """N^r flattened as (i, j) -> i*N.ngens + j."""
-    ring = N.ring
-    g = r * N.ngens
-    rels = []
-    for i in range(r):
-        for col in N.relations:
-            vec = [ring.zero()] * g
-            for j in range(N.ngens):
-                vec[i * N.ngens + j] = col[j]
-            rels.append(tuple(vec))
-    return FPModule(ring, g, rels)
-
-
-def _tensor_map_right(M, g):
-    """id_M (x) g."""
-    ring = g.ring
-    S = tensor(M, g.source)
-    T = tensor(M, g.target)
-    mat = [[ring.zero()] * S.ngens for _ in range(T.ngens)]
-    for i in range(M.ngens):
-        for a in range(g.target.ngens):
-            for b in range(g.source.ngens):
-                c = g.matrix[a][b]
-                if not c.is_zero():
-                    mat[i * g.target.ngens + a][i * g.source.ngens + b] = c
-    return ModuleMap(S, T, mat, check=False)
 
 
 class ChainMap:
@@ -302,39 +245,38 @@ class ChainMap:
 def tensor_chain_map(f, C, source, target):
     """f (x) id_C: source -> target for a chain map f: X -> Y, where source
     and target are X.tensor_complex(C) and Y.tensor_complex(C)."""
-    def offsets(Z):
-        return _offsets({(p, q): Z.module(p).ngens * C.module(q).ngens
-                         for p in Z.modules for q in C.modules}, operator.add)
+    def layout(Z):
+        return _layout({(p, q): Z.module(p).ngens * C.module(q).ngens
+                        for p in Z.modules for q in C.modules}, operator.add)
 
-    src, tgt = offsets(f.source), offsets(f.target)
+    src, tgt = layout(f.source), layout(f.target)
     maps = {}
     for n in target.degrees():
-        blocks = [(tgt[p, q], src[p, q],
-                   tensor_map(f.map(p), C.module(q)).matrix)
-                  for p, q in src if p + q == n and (p, q) in tgt]
-        maps[n] = block_map(source.ring, source.module(n), target.module(n),
-                            blocks)
+        src_n, tgt_n = src.get(n, {}), tgt.get(n, {})
+        maps[n] = _stacked_map(
+            source.module(n), target.module(n), src_n, tgt_n,
+            {(key, key): kron_identity(source.ring, f.map(key[0]).matrix,
+                                       C.module(key[1]).ngens)
+             for key in src_n if key in tgt_n})
     return ChainMap(source, target, maps, check=False)
 
 
 def cone(f):
     """cone(f)_n = Y_n + X_(n-1); d(y, x) = (dy + fx, -dx)."""
-    from .modules import direct_sum
     X, Y = f.source, f.target
     ring = X.ring
     lo = min(Y.lo, X.lo + 1)
     hi = max(Y.hi, X.hi + 1)
-    mods = {}
-    for n in range(lo, hi + 1):
-        S, _, _ = direct_sum(Y.module(n), X.module(n - 1))
-        mods[n] = S
+    mods = {n: block_sum([Y.module(n), X.module(n - 1)])
+            for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo + 1, hi + 1):
         dx = X.diff(n - 1).scale(ring.el(-1))
-        diffs[n] = block_map(ring, mods[n], mods[n - 1], [
-            (0, 0, Y.diff(n).matrix),
-            (0, Y.module(n).ngens, f.map(n - 1).matrix),
-            (Y.module(n - 1).ngens, Y.module(n).ngens, dx.matrix)])
+        diffs[n] = ModuleMap(mods[n], mods[n - 1], block_matrix(
+            ring, [Y.module(n - 1).ngens, X.module(n - 2).ngens],
+            [Y.module(n).ngens, X.module(n - 1).ngens],
+            {(0, 0): Y.diff(n).matrix, (0, 1): f.map(n - 1).matrix,
+             (1, 1): dx.matrix}), check=False)
     return ChainComplex(ring, mods, diffs, check=True)
 
 

@@ -18,7 +18,7 @@ family; that case is out of scope here.
 from .descriptors import (FPObj, LimitModule, Sum, Telescope, values_agree)
 from .errors import InvalidInput, UnsupportedRing
 from .local import GradedObject, derived_completion, gamma, _ideal_nilpotent_on
-from .modules import FPModule, ext as module_ext
+from .modules import FPModule, base_change, ext as module_ext
 from .towers import mult_tower_values
 
 
@@ -63,10 +63,7 @@ def _ext_against_stage(d, i, desc, q):
             return FPObj(module_ext(C, M, q))
         if M.ring.is_completed and M.ring.underlying() == ring:
             # flat base change: Ext_A(C, M) = Ext_A^(C^, M) for f.p. C
-            chat = FPModule(M.ring, C.ngens,
-                            [tuple(M.ring.el(e.num, e.dexp) for e in col)
-                             for col in C.relations])
-            return FPObj(module_ext(chat, M, q))
+            return FPObj(module_ext(base_change(C, M.ring), M, q))
         raise UnsupportedRing(f"no Ext rule from {ring} into {M.ring}")
     if desc.kind == "rational":
         if i == 1:

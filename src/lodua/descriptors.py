@@ -18,7 +18,8 @@ never silently converts an unrecognized answer into a guess.
 """
 
 from .errors import InvalidInput
-from .modules import FPModule, iso_check
+from .modules import (FPModule, ModuleMap, base_change, iso_check,
+                      scalar_map, scalar_matrix)
 
 
 class Descriptor:
@@ -73,32 +74,20 @@ class TelescopeQuotient(Descriptor):
 
     def _check_regularity(self):
         # u must act injectively on M, else the stage maps are not inclusions
-        from .modules import ModuleMap
-        mat = [[self.mult if i == j else self.ring.zero()
-                for j in range(self.module.ngens)] for i in range(self.module.ngens)]
-        f = ModuleMap(self.module, self.module, mat, check=False)
-        K, _ = f.kernel()
+        K, _ = scalar_map(self.module, self.mult).kernel()
         if not K.is_zero():
             raise InvalidInput("telescope quotient needs an injective multiplier")
 
     def stage(self, k):
         """M/u^k M."""
-        extra = []
-        uk = self.mult ** k
-        for i in range(self.module.ngens):
-            col = [self.ring.zero()] * self.module.ngens
-            col[i] = uk
-            extra.append(tuple(col))
+        extra = scalar_matrix(self.ring, self.module.ngens, self.mult ** k)
         return FPModule(self.ring, self.module.ngens,
                         self.module.relations + extra)
 
     def stage_map(self, k):
         """Multiplication by u: stage k -> stage k+1 (injective)."""
-        from .modules import ModuleMap
-        mat = [[self.mult if i == j else self.ring.zero()
-                for j in range(self.module.ngens)]
-               for i in range(self.module.ngens)]
-        return ModuleMap(self.stage(k), self.stage(k + 1), mat, check=False)
+        return ModuleMap(self.stage(k), self.stage(k + 1), scalar_matrix(
+            self.ring, self.module.ngens, self.mult), check=False)
 
     def describe(self):
         return {"kind": "telescope_quotient", "module": self.module.describe(),
@@ -277,9 +266,7 @@ def values_agree(a, b):
             # a torsion module killed by a power of I equals its completion
             from .towers import _killing_power
             if _killing_power(Mb, ra.completion[0], 24) is not None:
-                lifted = FPModule(ra, Mb.ngens,
-                                  [tuple(ra.el(e.num, e.dexp) for e in col)
-                                   for col in Mb.relations])
+                lifted = base_change(Mb, ra)
                 if ra.is_euclidean:
                     return bool(iso_check(Ma, lifted)), \
                         "I-power-torsion module compared after completion"
@@ -347,5 +334,4 @@ def change_precision(M, prec):
     if prec > ring.precision:
         raise InvalidInput("cannot refine precision of a computed answer")
     new_ring = ring.at_precision(prec)
-    rels = [tuple(new_ring.el(e.num, e.dexp) for e in col) for col in M.relations]
-    return FPModule(new_ring, M.ngens, rels)
+    return base_change(M, new_ring)

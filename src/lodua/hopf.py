@@ -17,7 +17,9 @@ from .descriptors import LimitModule, values_agree
 from .errors import InternalInconsistency, InvalidInput, UnsupportedRing
 from .linalg import lift_through, mat_mul, mat_vec, member
 from .local import local_homology_Ls
-from .modules import FPModule, ModuleMap, identity_map
+from .modules import (FPModule, ModuleMap, base_change, base_change_rows,
+                      block_matrix, block_sum, identity_map, kron_identity,
+                      scalar_matrix)
 from .poly import Poly
 from .ring import DEFAULT_PRECISION
 from .towers import Tower, TorStages, completed_module, lim_lim1
@@ -226,8 +228,8 @@ class Comodule:
             for k in h.elements:
                 gk = h.mul(g, k)
                 # P_g . g(P_k) = P_(gk)
-                prod = _mat_mul_ring(ring, self.maps[g],
-                                     h.apply_matrix(g, self.maps[k]))
+                prod = mat_mul(ring, self.maps[g],
+                               h.apply_matrix(g, self.maps[k]))
                 if not _mats_equal_mod(M, prod, self.maps[gk]):
                     raise InvalidInput(
                         f"group law fails: phi_{g} phi_{k} != phi_{gk}")
@@ -246,51 +248,32 @@ class Comodule:
         h, M, ring = self.hopf, self.module, self.ring
         EM, _ = extended_module(h, M)
         EEM, _ = extended_module(h, EM)
-        n, mE = M.ngens, EM.ngens
         # Psi (x) psi: block g of Psi (x) M maps into block g of the double
         # extension by the g-twisted coaction matrix
-        psi_psi = [[ring.zero()] * mE for _ in range(EEM.ngens)]
-        for gi, g in enumerate(h.elements):
-            twisted = h.apply_matrix(g, co.matrix)
-            for r in range(mE):
-                for c in range(n):
-                    val = twisted[r][c]
-                    if not val.is_zero():
-                        psi_psi[gi * mE + r][gi * n + c] = val
-        map1 = ModuleMap(EM, EEM, psi_psi, check=False)
-        # Delta (x) M: the g block spreads over all factorizations g = h k
-        delta = [[ring.zero()] * mE for _ in range(EEM.ngens)]
-        for gi, g in enumerate(h.elements):
-            for hi, hh in enumerate(h.elements):
-                for ki, kk in enumerate(h.elements):
-                    if h.mul(hh, kk) != g:
-                        continue
-                    for i in range(n):
-                        delta[hi * mE + ki * n + i][gi * n + i] = ring.one()
-        map2 = ModuleMap(EM, EEM, delta, check=False)
+        map1 = ModuleMap(EM, EEM, _twisted_blocks(h, co.matrix, EM.ngens,
+                                                  M.ngens), check=False)
+        # Delta (x) M: the g block spreads over all factorizations g = h k,
+        # block (h, k) of Psi (x) Psi (x) M
+        els, one, zero = h.elements, ring.one(), ring.zero()
+        delta = [[one if h.mul(a, b) == g else zero for g in els]
+                 for a in els for b in els]
+        map2 = ModuleMap(EM, EEM, kron_identity(ring, delta, M.ngens),
+                         check=False)
         if not map1.compose(co).equals(map2.compose(co)):
             raise InternalInconsistency("coaction is not coassociative")
 
     def coaction(self):
         """psi: M -> Psi (x) M, block g carrying Q_g = g(P_(g^-1))."""
-        h, M, ring = self.hopf, self.module, self.ring
-        EM, blocks = extended_module(h, M)
+        h, M = self.hopf, self.module
+        EM, _ = extended_module(h, M)
         rows = []
         for g in h.elements:
-            q = _coaction_block(self, g)
-            rows.extend(q)
+            rows.extend(_coaction_block(self, g))
         return ModuleMap(M, EM, rows, check=True)
 
     def extended_counit(self):
         """Psi (x) M -> M: projection to the identity block."""
-        h, M, ring = self.hopf, self.module, self.ring
-        EM, blocks = extended_module(h, M)
-        e_index = h.elements.index(h.identity)
-        mat = [[ring.zero()] * EM.ngens for _ in range(M.ngens)]
-        off = e_index * M.ngens
-        for i in range(M.ngens):
-            mat[i][off + i] = ring.one()
-        return ModuleMap(EM, M, mat, check=False)
+        return _extended_counit(self.hopf, self.module)
 
     def describe(self):
         return {"module": self.module.describe(),
@@ -299,13 +282,25 @@ class Comodule:
 
 
 def _coaction_block(comod, g):
-    h, ring = comod.hopf, comod.ring
-    ginv = h.inverse[g]
-    return h.apply_matrix(g, comod.maps[ginv])
+    h = comod.hopf
+    return h.apply_matrix(g, comod.maps[h.inverse[g]])
 
 
-def _mat_mul_ring(ring, A, B):
-    return mat_mul(ring, A, B)
+def _extended_counit(h, M):
+    """Psi (x) M -> M: projection to the identity block."""
+    EM, _ = extended_module(h, M)
+    mat = block_matrix(M.ring, [M.ngens], [M.ngens] * h.order, {
+        (0, h.elements.index(h.identity)): scalar_matrix(M.ring, M.ngens,
+                                                         M.ring.one())})
+    return ModuleMap(EM, M, mat, check=False)
+
+
+def _twisted_blocks(h, mat, nrows, ncols):
+    """The block-diagonal matrix whose block g is g(mat), of shape nrows x
+    ncols."""
+    return block_matrix(h.ring, [nrows] * h.order, [ncols] * h.order,
+                        {(b, b): h.apply_matrix(g, mat)
+                         for b, g in enumerate(h.elements)})
 
 
 def _mats_equal_mod(M, A, B):
@@ -318,19 +313,8 @@ def _mats_equal_mod(M, A, B):
 
 def extended_module(h, M):
     """The underlying module of Psi (x) M: one g-twisted block per element."""
-    ring = M.ring
-    g_count = h.order
-    n = M.ngens
-    big = g_count * n
-    rels = []
-    for bi, g in enumerate(h.elements):
-        twisted = h.twist_module(M, g)
-        for col in twisted.relations:
-            vec = [ring.zero()] * big
-            for i in range(n):
-                vec[bi * n + i] = col[i]
-            rels.append(tuple(vec))
-    return FPModule(ring, big, rels), list(h.elements)
+    return (block_sum([h.twist_module(M, g) for g in h.elements]),
+            list(h.elements))
 
 
 def extended_comodule(h, N):
@@ -339,18 +323,12 @@ def extended_comodule(h, N):
     The defining adjunction Hom_Psi(M, Psi (x) N) = Hom_A(M, N) is exposed
     through `extended_adjunction`.
     """
-    EM, blocks = extended_module(h, N)
-    ring = N.ring
-    n = N.ngens
-    maps = {}
-    for g in h.elements:
-        mat = [[ring.zero()] * EM.ngens for _ in range(EM.ngens)]
-        for ki, k in enumerate(h.elements):
-            gk = h.mul(g, k)
-            ti = h.elements.index(gk)
-            for i in range(n):
-                mat[ti * n + i][ki * n + i] = ring.one()
-        maps[g] = mat
+    EM, _ = extended_module(h, N)
+    els, one, zero = h.elements, N.ring.one(), N.ring.zero()
+    # phi_g is the permutation k -> gk of the blocks
+    maps = {g: kron_identity(N.ring, [[one if h.mul(g, k) == t else zero
+                                       for k in els] for t in els], N.ngens)
+            for g in els}
     return Comodule(h, EM, maps)
 
 
@@ -364,18 +342,16 @@ def extended_adjunction(h, M_comod, N):
     ring = N.ring
     M = M_comod.module
     E = extended_comodule(h, N)
-    e_index = h.elements.index(h.identity)
+    counit = _extended_counit(h, N)
 
     def forward(f):
-        mat = [[f.matrix[e_index * N.ngens + j][i] for i in range(M.ngens)]
-               for j in range(N.ngens)]
-        return ModuleMap(M, N, mat, check=True)
+        return ModuleMap(M, N, counit.compose(f).matrix, check=True)
 
     def backward(alpha):
         rows = []
         for g in h.elements:
             ginv = h.inverse[g]
-            blk = _mat_mul_ring(ring, alpha.matrix, M_comod.maps[ginv])
+            blk = mat_mul(ring, alpha.matrix, M_comod.maps[ginv])
             blk = h.apply_matrix(g, blk)
             rows.extend(blk)
         return ModuleMap(M, E.module, rows, check=True)
@@ -480,12 +456,8 @@ def _completed_hopf(h, ideal_gens, precision):
 
 def _base_change_comodule(h_hat, comod):
     ring = h_hat.ring
-    M = comod.module
-    rels = [tuple(ring.el(e.num, e.dexp) for e in col) for col in M.relations]
-    Mhat = FPModule(ring, M.ngens, rels)
-    maps = {g: [[ring.el(e.num, e.dexp) for e in row] for row in mat]
-            for g, mat in comod.maps.items()}
-    return Comodule(h_hat, Mhat, maps, check=True)
+    maps = {g: base_change_rows(mat, ring) for g, mat in comod.maps.items()}
+    return Comodule(h_hat, base_change(comod.module, ring), maps, check=True)
 
 
 def comodule_limit(tower, method="kernel", stage_bound=12, precision=None,
@@ -559,7 +531,7 @@ def _cofree_map(comod):
     f = (Psi (x) pi) . psi_(Psi (x) M): precompose the extended comodule's
     coaction with the blockwise-twisted projection onto the cokernel.
     """
-    h, ring, M = comod.hopf, comod.ring, comod.module
+    h, M = comod.hopf, comod.module
     co = comod.coaction()
     EM, _ = extended_module(h, M)
     T, proj = co.cokernel()
@@ -567,15 +539,8 @@ def _cofree_map(comod):
     psi_EM = E_com.coaction()            # EM -> Psi (x) EM
     EEM, _ = extended_module(h, EM)
     ET, _ = extended_module(h, T)
-    mat = [[ring.zero()] * EEM.ngens for _ in range(ET.ngens)]
-    for bi, g in enumerate(h.elements):
-        blk = h.apply_matrix(g, proj.matrix)
-        for i in range(T.ngens):
-            for j in range(EM.ngens):
-                c = blk[i][j]
-                if not c.is_zero():
-                    mat[bi * T.ngens + i][bi * EM.ngens + j] = c
-    psi_pi = ModuleMap(EEM, ET, mat, check=False)
+    psi_pi = ModuleMap(EEM, ET, _twisted_blocks(h, proj.matrix, T.ngens,
+                                                EM.ngens), check=False)
     return psi_pi.compose(psi_EM)
 
 
@@ -614,17 +579,12 @@ def iota(N_complete):
     is an isomorphism; the coaction axioms of the result are re-checked.
     """
     com = N_complete.comodule
-    h = com.hopf
-    ring = com.ring
-    N = com.module
-    EM, _ = extended_module(h, N)       # this is Psi (x) N = Psi^ (x)^ N
     cert = {}
     cert["j"] = ("Psi (x) N and Psi^ (x)^ N share the block presentation "
                  "over the completed ring; j is the identity, in particular "
                  "a monomorphism")
-    co = com.coaction()                 # psi^
-    # pullback of (co, j = id): the graph of co; first projection is iso
-    result = Comodule(h, N, com.maps, check=True)
+    # pullback of (psi^, j = id): the graph of psi^; first projection is iso
+    result = Comodule(com.hopf, com.module, com.maps, check=True)
     cert["pullback"] = ("iota N = {(n, w) : j w = psi^ n} is the graph of "
                         "psi^; the projection iota N -> N is an isomorphism")
     cert["injective"] = "iota N -> N is injective (indeed invertible)"
@@ -641,12 +601,19 @@ def true_level_probe(h, d, precision=DEFAULT_PRECISION):
     unit = Comodule(h_hat, FPModule.free(ring, 1),
                     {g: [[ring.one()]] for g in h.elements})
     probes = [unit, extended_comodule(h_hat, unit.module)]
+    # the same probes over A, before completion
+    unit_A = FPModule.free(h.ring, 1)
+    over_A = [unit_A, extended_module(h, unit_A)[0]]
     from .descriptors import _same_presentation
-    for i, probe in enumerate(probes):
+    for probe, N in zip(probes, over_A):
+        # Psi^ (x)^ probe over the completed ring vs the completion of
+        # Psi (x) N built over A, as in the pullback limit
         EM, _ = extended_module(h_hat, probe.module)
-        # Psi (x) probe vs Psi^ (x)^ probe: identical block presentations
-        if not _same_presentation(EM, EM):
-            raise InternalInconsistency("presentation self-check failed")
+        lim = completed_module(extended_module(h, N)[0], d.gens, precision)
+        if not _same_presentation(EM, lim):
+            raise InternalInconsistency(
+                "Psi (x) N and Psi^ (x)^ N differ on a probe: the canonical "
+                "map is not an identity presentation")
     return {"verdict": "true-level",
             "detail": ("Psi (x) N -> Psi^ (x)^ N and "
                        "Psi (x) (Psi^ (x)^ N) -> Psi^ (x)^ Psi^ (x)^ N are "
@@ -669,9 +636,9 @@ def _semilinear_chain_lift(h, g, comod, res, length):
     for j in range(1, length + 1):
         d = res.diffs.get(j)
         if d is None or d.source.ngens == 0:
-            X[j] = [[ring.zero()] * 0 for _ in range(0)]
+            X[j] = []
             break
-        target = _mat_mul_ring(ring, X[j - 1], h.apply_matrix(g, d.matrix))
+        target = mat_mul(ring, X[j - 1], h.apply_matrix(g, d.matrix))
         cols = d.cols()
         out_cols = []
         for t in range(d.source.ngens):
@@ -810,8 +777,8 @@ def _transition_equivariant(h, T, src_actions, tgt_actions):
         _, P_tgt = tgt_actions[g]
         # matrices act on g-twisted coordinates, so compare
         # T . P_src against P_tgt . g(T)
-        left = _mat_mul_ring(ring, T.matrix, P_src)
-        right = _mat_mul_ring(ring, P_tgt, h.apply_matrix(g, T.matrix))
+        left = mat_mul(ring, T.matrix, P_src)
+        right = mat_mul(ring, P_tgt, h.apply_matrix(g, T.matrix))
         for j in range(T.source.ngens):
             col = tuple(left[i][j] - right[i][j]
                         for i in range(T.target.ngens))

@@ -19,7 +19,8 @@ from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
 from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
                      UnsupportedRing)
 from .koszul import koszul_chain, koszul_cochain
-from .modules import FPModule, ModuleMap, iso_check
+from .modules import (FPModule, ModuleMap, base_change, block_sum, iso_check,
+                      power, scalar_matrix)
 from .ring import DEFAULT_PRECISION, _reject_zerodivisor
 from .sequences import is_regular_sequence
 from .towers import (KoszulStages, KoszulTensorStages, Tower, _killing_power,
@@ -144,9 +145,8 @@ def _add_value(acc, n, v):
         return
     old = acc[n]
     if old.kind == "module" and v.kind == "module" and old.payload.ring == v.payload.ring:
-        from .modules import direct_sum
-        S, _, _ = direct_sum(old.payload, v.payload)
-        acc[n] = LimitModule.of_module(S, basis="direct sum")
+        acc[n] = LimitModule.of_module(block_sum([old.payload, v.payload]),
+                                       basis="direct sum")
     else:
         acc[n] = LimitModule("ind", {"sum": [old.describe(), v.describe()]},
                              basis="direct sum of values")
@@ -331,40 +331,11 @@ def _torsion_submodule(d, M, stage_bound):
 
 
 def _power_torsion_gens(d, M, k):
-    """Generators of {m : x_i^k m = 0 for all i}."""
-    ring = d.ring
-    blocks = []
-    for x in d.gens:
-        xk = x ** k
-        mat = [[xk if i == j else ring.zero() for j in range(M.ngens)]
-               for i in range(M.ngens)]
-        blocks.append(ModuleMap(M, M, mat, check=False))
-    # kernel of the diagonal map M -> M^n
-    from .modules import direct_sum
-    target = M
-    incls = None
-    if len(blocks) > 1:
-        target = None
-        cols = []
-        for i in range(M.ngens):
-            col = []
-            for b in blocks:
-                col.extend(b.col(i))
-            cols.append(tuple(col))
-        big_ngens = M.ngens * len(blocks)
-        rels = []
-        for t, b in enumerate(blocks):
-            for colr in M.relations:
-                vec = [ring.zero()] * big_ngens
-                for j in range(M.ngens):
-                    vec[t * M.ngens + j] = colr[j]
-                rels.append(tuple(vec))
-        big = FPModule(ring, big_ngens, rels)
-        mat = [[cols[j][i] for j in range(M.ngens)] for i in range(big_ngens)]
-        f = ModuleMap(M, big, mat, check=False)
-    else:
-        f = blocks[0]
-    K, incl = f.kernel()
+    """Generators of {m : x_i^k m = 0 for all i}: the kernel of the map
+    M -> M^n stacking the multiplications by x_i^k."""
+    rows = [row for x in d.gens
+            for row in scalar_matrix(M.ring, M.ngens, x ** k)]
+    K, incl = ModuleMap(M, power(M, len(d.gens)), rows, check=False).kernel()
     return [incl.col(t) for t in range(K.ngens)]
 
 
@@ -729,11 +700,8 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
                 return LimitModule.of_module(module_ext(M, N, q),
                                              basis="Ext of f.p. modules")
             if N.ring.is_completed and N.ring.underlying() == M.ring:
-                mhat = FPModule(N.ring, M.ngens,
-                                [tuple(N.ring.el(e.num, e.dexp) for e in col)
-                                 for col in M.relations])
                 return LimitModule.of_module(
-                    module_ext(mhat, N, q),
+                    module_ext(base_change(M, N.ring), N, q),
                     basis="flat base change to the completion")
         if D2.kind == "rational" and M.ring.nvars == 0:
             if q == 0 and not M.relations:
@@ -775,11 +743,8 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
                 raise InternalInconsistency("adic tower with nonzero lim^1")
             value = res.lim
             if r > 1 and value.kind == "module":
-                from .modules import direct_sum
-                out = value.payload
-                for _ in range(r - 1):
-                    out, _, _ = direct_sum(out, value.payload)
-                value = LimitModule.of_module(out, basis=value.basis)
+                value = LimitModule.of_module(power(value.payload, r),
+                                              basis=value.basis)
             return value
         return LimitModule.zero(
             basis="stages have projective dimension one; higher Ext vanish")

@@ -196,14 +196,116 @@ def minimize_presentation(M):
 
 
 def identity_map(M):
-    one, zero = M.ring.one(), M.ring.zero()
-    mat = [[one if i == j else zero for j in range(M.ngens)] for i in range(M.ngens)]
-    return ModuleMap(M, M, mat, check=False)
+    return scalar_map(M, M.ring.one())
 
 
 def zero_map(M, N):
     mat = [[N.ring.zero() for _ in range(M.ngens)] for _ in range(N.ngens)]
     return ModuleMap(M, N, mat, check=False)
+
+
+# -- block layouts --------------------------------------------------------------
+#
+# The only code that knows how block presentations and block matrices are
+# laid out.  In a sum of modules block b follows block b - 1, generators
+# and relations alike; in N^r, in M (x) N and in Hom(A^r, N) generator
+# (i, j) is number i * N.ngens + j.  Builders place entries and never
+# multiply them.
+
+
+def block_matrix(ring, row_sizes, col_sizes, blocks):
+    """The matrix cut into row blocks of ``row_sizes`` and column blocks of
+    ``col_sizes``, zero but for ``blocks``: {(row block, column block):
+    block matrix}."""
+    row_at, col_at = _starts(row_sizes), _starts(col_sizes)
+    zero = ring.zero()
+    mat = [[zero] * col_at[-1] for _ in range(row_at[-1])]
+    for (bi, bj), block in blocks.items():
+        for i, row in enumerate(block):
+            mat[row_at[bi] + i][col_at[bj]:col_at[bj] + len(row)] = row
+    return mat
+
+
+def _starts(sizes):
+    """Where each block starts, then the total."""
+    out = [0]
+    for size in sizes:
+        out.append(out[-1] + size)
+    return out
+
+
+def kron_identity(ring, A, n):
+    """A (x) I_n: entry A[i][j] at (i*n + t, j*n + t) for every t < n."""
+    zero = ring.zero()
+    out = []
+    for row in A:
+        for t in range(n):
+            new = [zero] * (len(row) * n)
+            new[t::n] = row
+            out.append(new)
+    return out
+
+
+def identity_kron(ring, n, B):
+    """I_n (x) B: n copies of B down the diagonal."""
+    width = len(B[0]) if B else 0
+    zero = ring.zero()
+    out = []
+    for b in range(n):
+        for row in B:
+            new = [zero] * (n * width)
+            new[b * width:(b + 1) * width] = row
+            out.append(new)
+    return out
+
+
+def block_sum(mods):
+    """The direct sum of a nonempty list of modules over one ring; a sum of
+    one module is that module."""
+    if len(mods) == 1:
+        return mods[0]
+    rels = block_matrix(mods[0].ring, [len(M.relations) for M in mods],
+                        [M.ngens for M in mods],
+                        {(b, b): M.relations for b, M in enumerate(mods)})
+    return FPModule(mods[0].ring, sum(M.ngens for M in mods), rels)
+
+
+def power(N, r):
+    """N^r, with generator (i, j) numbered i * N.ngens + j."""
+    return block_sum([N] * r) if r else FPModule.zero(N.ring)
+
+
+def diagonal_map(S, T, maps):
+    """The map S -> T with ``maps`` down the diagonal, S and T being the
+    block sums of their sources and of their targets."""
+    return ModuleMap(S, T, block_matrix(
+        S.ring, [f.target.ngens for f in maps], [f.source.ngens for f in maps],
+        {(b, b): f.matrix for b, f in enumerate(maps)}), check=False)
+
+
+def scalar_matrix(ring, n, x):
+    """x . I_n; being diagonal, its rows are also its columns."""
+    zero = ring.zero()
+    mat = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        mat[i][i] = x
+    return mat
+
+
+def scalar_map(M, x):
+    """x . id_M."""
+    return ModuleMap(M, M, scalar_matrix(M.ring, M.ngens, x), check=False)
+
+
+def base_change(M, ring):
+    """The presentation of M read over ``ring``: a completion of M's ring or
+    the same completion at another precision."""
+    return FPModule(ring, M.ngens, base_change_rows(M.relations, ring))
+
+
+def base_change_rows(rows, ring):
+    """The entries of a matrix or of a list of columns read over ``ring``."""
+    return [tuple(ring.el(e.num, e.dexp) for e in row) for row in rows]
 
 
 class ModuleMap:
@@ -365,18 +467,12 @@ def _check_middle_exactness(f, K, incl):
 
 
 def direct_sum(M, N):
-    ring = M.ring
-    g = M.ngens + N.ngens
-    rels = [tuple(col) + tuple(ring.zero() for _ in range(N.ngens))
-            for col in M.relations]
-    rels += [tuple(ring.zero() for _ in range(M.ngens)) + tuple(col)
-             for col in N.relations]
-    S = FPModule(ring, g, rels)
-    one, zero = ring.one(), ring.zero()
-    inc1 = ModuleMap(M, S, [[one if i == j else zero for j in range(M.ngens)]
-                            for i in range(g)], check=False)
-    inc2 = ModuleMap(N, S, [[one if i - M.ngens == j else zero for j in range(N.ngens)]
-                            for i in range(g)], check=False)
+    ring, sizes, one = M.ring, [M.ngens, N.ngens], M.ring.one()
+    S = block_sum([M, N])
+    inc1 = ModuleMap(M, S, block_matrix(ring, sizes, [M.ngens], {
+        (0, 0): scalar_matrix(ring, M.ngens, one)}), check=False)
+    inc2 = ModuleMap(N, S, block_matrix(ring, sizes, [N.ngens], {
+        (1, 0): scalar_matrix(ring, N.ngens, one)}), check=False)
     return S, inc1, inc2
 
 
@@ -385,37 +481,18 @@ def tensor(M, N):
     if M.ring != N.ring:
         raise InvalidInput("tensor needs a common ring")
     ring = M.ring
-    g = M.ngens * N.ngens
-    rels = []
-    for col in M.relations:
-        for j in range(N.ngens):
-            vec = [ring.zero()] * g
-            for i in range(M.ngens):
-                vec[i * N.ngens + j] = col[i]
-            rels.append(tuple(vec))
-    for col in N.relations:
-        for i in range(M.ngens):
-            vec = [ring.zero()] * g
-            for j in range(N.ngens):
-                vec[i * N.ngens + j] = col[j]
-            rels.append(tuple(vec))
-    return FPModule(ring, g, rels)
+    rels = kron_identity(ring, M.relations, N.ngens)
+    # then I_(M.ngens) (x) the relations of N, relation by relation
+    s = len(N.relations)
+    spread = identity_kron(ring, M.ngens, N.relations)
+    rels += [row for c in range(s) for row in spread[c::s]]
+    return FPModule(ring, M.ngens * N.ngens, rels)
 
 
 def tensor_map(f, N):
     """f (x) id_N."""
-    ring = f.ring
-    S = tensor(f.source, N)
-    T = tensor(f.target, N)
-    mat = [[ring.zero()] * S.ngens for _ in range(T.ngens)]
-    for i in range(f.target.ngens):
-        for j in range(f.source.ngens):
-            c = f.matrix[i][j]
-            if c.is_zero():
-                continue
-            for t in range(N.ngens):
-                mat[i * N.ngens + t][j * N.ngens + t] = c
-    return ModuleMap(S, T, mat, check=False)
+    return ModuleMap(tensor(f.source, N), tensor(f.target, N),
+                     kron_identity(f.ring, f.matrix, N.ngens), check=False)
 
 
 class HomModule:
@@ -430,38 +507,16 @@ class HomModule:
             raise InvalidInput("hom needs a common ring")
         ring = M.ring
         self.M, self.N, self.ring = M, N, ring
-        gN, gM = N.ngens, M.ngens
-        big = gM * gN
-        rels = []
-        for i in range(gM):
-            for col in N.relations:
-                vec = [ring.zero()] * big
-                for j in range(gN):
-                    vec[i * gN + j] = col[j]
-                rels.append(tuple(vec))
-        self.ambient = FPModule(ring, big, rels)     # Hom(A^gM, N) = N^gM
-        sM = len(M.relations)
-        if sM == 0:
+        self.ambient = power(N, M.ngens)     # Hom(A^gM, N) = N^gM
+        if not M.relations:
             self.module = self.ambient
-            self.gens_as_vecs = [self.module.gen(t) for t in range(big)]
+            self.gens_as_vecs = [self.module.gen(t)
+                                 for t in range(self.module.ngens)]
         else:
-            rels_t = []
-            for t in range(sM):
-                for col in N.relations:
-                    vec = [ring.zero()] * (sM * gN)
-                    for j in range(gN):
-                        vec[t * gN + j] = col[j]
-                    rels_t.append(tuple(vec))
-            NS = FPModule(ring, sM * gN, rels_t)     # Hom(A^sM, N) = N^sM
-            mat = [[ring.zero()] * big for _ in range(NS.ngens)]
-            for t, col in enumerate(M.relations):
-                for i in range(gM):
-                    c = col[i]
-                    if c.is_zero():
-                        continue
-                    for j in range(gN):
-                        mat[t * gN + j][i * gN + j] = c
-            restrict = ModuleMap(self.ambient, NS, mat, check=False)
+            # restriction to the relations, into Hom(A^sM, N) = N^sM
+            restrict = ModuleMap(self.ambient, power(N, len(M.relations)),
+                                 kron_identity(ring, M.relations, N.ngens),
+                                 check=False)
             self.module, incl = restrict.kernel()
             self.gens_as_vecs = [incl.col(t) for t in range(self.module.ngens)]
 

@@ -18,14 +18,14 @@ guess.
 from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .complexes import (ChainMap, block_map, induced_on_homology,
-                        tensor_chain_map)
+from .complexes import ChainMap, induced_on_homology, tensor_chain_map
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope)
 from .errors import InvalidInput, UnrecognizedTower, UnsupportedRing
 from .koszul import koszul_chain, koszul_transition
 from .linalg import lift_through, member, span_basis
-from .modules import (FPModule, ModuleMap, free_resolution, identity_map,
-                      zero_map)
+from .modules import (FPModule, ModuleMap, base_change, block_sum,
+                      diagonal_map, free_resolution, identity_map,
+                      scalar_map, scalar_matrix, zero_map)
 from .ring import power_products, prefix_products
 
 DEFAULT_STAGE_BOUND = 12
@@ -41,12 +41,7 @@ def quotient_by_ideal_power(M, gens, k):
     """M/(I^k)M with the same generators."""
     ring = M.ring
     prods = power_products([ring.el(g) for g in gens], k)
-    extra = []
-    for f in prods:
-        for i in range(M.ngens):
-            col = [ring.zero()] * M.ngens
-            col[i] = ring.el(f)
-            extra.append(tuple(col))
+    extra = [col for f in prods for col in scalar_matrix(ring, M.ngens, f)]
     return FPModule(ring, M.ngens, M.relations + extra)
 
 
@@ -61,12 +56,10 @@ def _killing_power(M, gens, bound):
     """
     ring = M.ring
     prod = prefix_products([ring.el(g) for g in gens])
-    zero = ring.zero()
 
     def kills(f):
-        return all(M.contains_in_relations(
-            tuple(f if k == i else zero for k in range(M.ngens)))
-            for i in range(M.ngens))
+        return all(M.contains_in_relations(col)
+                   for col in scalar_matrix(ring, M.ngens, f))
 
     for j in range(1, bound + 1):
         combos = combinations_with_replacement(range(len(gens)), j)
@@ -325,12 +318,7 @@ class Tower:
                 return stages[(k - 1 - len(stages)) % period + len(stages) - period]
             raise InvalidInput(f"explicit tower has no stage {k}")
         if kind == "sum":
-            from .modules import direct_sum
-            parts = [t.stage(k) for t in self.params["parts"]]
-            out = parts[0]
-            for p in parts[1:]:
-                out, _, _ = direct_sum(out, p)
-            return out
+            return block_sum([t.stage(k) for t in self.params["parts"]])
         raise InvalidInput(f"unknown tower kind {kind}")
 
     def _make_transition(self, k):
@@ -341,11 +329,7 @@ class Tower:
             return ModuleMap(self.stage(k + 1), self.stage(k),
                              identity_map(self.params["module"]).matrix, check=False)
         if kind == "mult":
-            M = self.stage(k)
-            x = self.params["x"]
-            mat = [[x if i == j else self.ring.zero() for j in range(M.ngens)]
-                   for i in range(M.ngens)]
-            return ModuleMap(M, M, mat, check=False)
+            return scalar_map(self.stage(k), self.params["x"])
         if kind in ("tor", "koszul_homology", "koszul_stage"):
             return induced_on_homology(
                 self.params["complexes"].chain_map(k), self.params["s"])
@@ -358,12 +342,8 @@ class Tower:
                 return trans[(k - 1 - len(trans)) % period + len(trans) - period]
             raise InvalidInput(f"explicit tower has no transition {k}")
         if kind == "sum":
-            blocks, ro, co = [], 0, 0
-            for m in (t.transition(k) for t in self.params["parts"]):
-                blocks.append((ro, co, m.matrix))
-                ro, co = ro + m.target.ngens, co + m.source.ngens
-            return block_map(self.ring, self.stage(k + 1), self.stage(k),
-                             blocks)
+            return diagonal_map(self.stage(k + 1), self.stage(k),
+                                [t.transition(k) for t in self.params["parts"]])
         raise InvalidInput(f"unknown tower kind {kind}")
 
 
@@ -494,9 +474,7 @@ def weak_proregularity_check(ring, seq, stage_bound=4, lag=DEFAULT_LAG):
 
 
 def _mult_is_iso(M, x):
-    mat = [[x if i == j else M.ring.zero() for j in range(M.ngens)]
-           for i in range(M.ngens)]
-    f = ModuleMap(M, M, mat, check=False)
+    f = scalar_map(M, x)
     # the cokernel is the cheaper test and usually settles it: by Nakayama
     # x.M != M whenever x lies in the completion ideal and M != 0
     C, _ = f.cokernel()
@@ -595,10 +573,7 @@ def divisible_part(M, x):
                 anns.append(q)
         if not anns:
             return LimitModule.zero(basis="euclidean decomposition")
-        from .modules import direct_sum
-        D = FPModule.cyclic(ring, [anns[0]])
-        for a in anns[1:]:
-            D, _, _ = direct_sum(D, FPModule.cyclic(ring, [a]))
+        D = block_sum([FPModule.cyclic(ring, [a]) for a in anns])
         return LimitModule.of_module(D, basis="euclidean decomposition")
     if kind == "poly" and not ring.is_completed and _all_homogeneous(M, x):
         return LimitModule.zero(basis="graded: positive-degree multiplier")
@@ -670,8 +645,7 @@ def completed_module(M, ideal_gens, precision=None):
     else:
         gens = tuple(ring.el(g).num for g in ideal_gens)
         new_ring = ring.completed(gens, precision or DEFAULT_PRECISION)
-    rels = [tuple(new_ring.el(e.num, e.dexp) for e in col) for col in M.relations]
-    return FPModule(new_ring, M.ngens, rels)
+    return base_change(M, new_ring)
 
 
 def mult_tower_values(desc, x, precision=None):
@@ -754,11 +728,8 @@ def _combine_sum(parts):
         if len(vals) == 1:
             return vals[0]
         if all(v.kind == "module" for v in vals):
-            from .modules import direct_sum
-            out = vals[0].payload
-            for v in vals[1:]:
-                out, _, _ = direct_sum(out, v.payload)
-            return LimitModule.of_module(out, basis="direct sum")
+            return LimitModule.of_module(block_sum([v.payload for v in vals]),
+                                         basis="direct sum")
         return LimitModule("ind", {"sum": [v.describe() for v in vals]},
                            basis="direct sum of values")
 

@@ -1,7 +1,9 @@
 import pytest
 
+import lodua.hopf
 from lodua import (Comodule, ComoduleTower, CompleteComodule, FPModule,
-                   IdealData, InvalidInput, comodule_completion, comodule_limit,
+                   IdealData, InternalInconsistency, InvalidInput,
+                   comodule_completion, comodule_limit,
                    extended_adjunction, extended_comodule, iota, iso_check,
                    make_group_like, make_ring, verify_theorems)
 from lodua.descriptors import _same_presentation
@@ -266,3 +268,18 @@ def test_comodule_gm_runs_share_no_state():
     # the resolutions lived in each call's own dict, not on the function
     assert hopf.tor_stage_action.__defaults__ == (None,)
     assert not vars(hopf.tor_stage_action)
+
+
+def test_true_level_probe_compares_both_sides(QQxy, swap, dI, monkeypatch):
+    # completing Psi (x) N over A gives one relation too many: the probe
+    # must see that Psi^ (x)^ N over the completed ring differs
+    complete = lodua.hopf.completed_module
+
+    def skewed(M, gens, precision=None):
+        C = complete(M, gens, precision)
+        extra = (C.ring.el("x"),) + (C.ring.zero(),) * (C.ngens - 1)
+        return FPModule(C.ring, C.ngens, C.relations + [extra])
+
+    monkeypatch.setattr(lodua.hopf, "completed_module", skewed)
+    with pytest.raises(InternalInconsistency):
+        true_level_probe(swap, dI, precision=5)

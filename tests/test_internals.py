@@ -113,7 +113,8 @@ def test_koszul_self_duality(QQxy, ZZ):
 
 def test_semilinear_chain_lift_commutes(QQxy):
     from lodua import Comodule, IdealData, make_group_like
-    from lodua.hopf import _semilinear_chain_lift, _mat_mul_ring
+    from lodua.hopf import _semilinear_chain_lift
+    from lodua.linalg import mat_mul
     from lodua.modules import free_resolution
     table = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
     swap = make_group_like(QQxy, ["e", "s"], table,
@@ -126,8 +127,8 @@ def test_semilinear_chain_lift_commutes(QQxy):
         d = res.diffs.get(j)
         if d is None or d.source.ngens == 0 or j not in X:
             continue
-        left = _mat_mul_ring(QQxy, d.matrix, X[j])
-        right = _mat_mul_ring(QQxy, X[j - 1], swap.apply_matrix("s", d.matrix))
+        left = mat_mul(QQxy, d.matrix, X[j])
+        right = mat_mul(QQxy, X[j - 1], swap.apply_matrix("s", d.matrix))
         for i in range(len(left)):
             for t in range(len(left[0]) if left else 0):
                 assert left[i][t] == right[i][t], (j, i, t)

@@ -5,7 +5,8 @@ import pytest
 from lodua import (FPModule, InvalidInput, ModuleMap, ext, free_resolution,
                    hom_module, hom_or_tensor, iso_check, make_ring,
                    subquotient, tensor, tor)
-from lodua.modules import direct_sum, identity_map
+from lodua.modules import (base_change, block_sum, direct_sum, identity_kron,
+                           identity_map, kron_identity, power, scalar_map)
 
 from conftest import zmod
 
@@ -170,3 +171,43 @@ def test_minimize_presentation_asks_each_nonunit_once(monkeypatch):
     # the rescan of the first relation asks nothing again
     assert [p.render(R.names) for p in asked] == ["x", "y", "1"]
     assert Mmin.ngens == 2 and Mmin.relations == [(R.el("x"), R.el("y"))]
+
+
+# -- block builders -----------------------------------------------------------
+
+
+def _rendered(mat):
+    return [[e.render() for e in row] for row in mat]
+
+
+def test_block_sums(ZZ):
+    M, N = zmod(ZZ, 4), FPModule(ZZ, 2, [(ZZ.el(2), ZZ.el(6))])
+    assert block_sum([M]) is M
+    S = block_sum([M, N, M])
+    assert S.ngens == 4
+    assert [[e.render() for e in col] for col in S.relations] == [
+        ["4", "0", "0", "0"], ["0", "2", "6", "0"], ["0", "0", "0", "4"]]
+    assert S.relations == direct_sum(direct_sum(M, N)[0], M)[0].relations
+    assert power(N, 1) is N
+    assert power(N, 0).ngens == 0
+    assert power(N, 2).relations == block_sum([N, N]).relations
+
+
+def test_kronecker_layouts(ZZ):
+    A = [[ZZ.el(1), ZZ.el(2)]]
+    assert _rendered(kron_identity(ZZ, A, 2)) == [
+        ["1", "0", "2", "0"], ["0", "1", "0", "2"]]
+    assert _rendered(identity_kron(ZZ, 2, A)) == [
+        ["1", "2", "0", "0"], ["0", "0", "1", "2"]]
+    assert kron_identity(ZZ, [], 3) == [] and identity_kron(ZZ, 3, []) == []
+
+
+def test_scalar_map_and_base_change(ZZ, Z5hat):
+    M = FPModule(ZZ, 2, [(ZZ.el(3), ZZ.el(10))])
+    assert _rendered(scalar_map(M, ZZ.el(7)).matrix) == [["7", "0"],
+                                                          ["0", "7"]]
+    assert identity_map(M).matrix == scalar_map(M, ZZ.el(1)).matrix
+    Mhat = base_change(M, Z5hat)
+    assert Mhat.ring is Z5hat and Mhat.ngens == 2
+    assert [[e.render() for e in col] for col in Mhat.relations] == [
+        ["3", "10"]]

@@ -47,3 +47,20 @@ def test_profile_script_profiles_one_verb():
     assert re.fullmatch(r"  complete +1 ops +\d+\.\d{3} s", lines[1])
     assert lines[2] == ""
     assert "Ordered by: call count" in proc.stdout
+
+
+def test_sameness_script_prints_repeatable_fingerprints():
+    def run():
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "sameness.py"),
+             "--workload", "integer-sweep", "--size", "4"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    out = run()
+    assert re.fullmatch(r"integer-sweep seed 1: 4 ops, answers sha256 "
+                        r"[0-9a-f]{64}\n"
+                        r"contains_in_relations: [1-9]\d* queries, "
+                        r"sha256 [0-9a-f]{64}\n", out)
+    assert run() == out
