@@ -9,18 +9,30 @@ Three primitives drive every module computation:
 plus Smith normal form with tracked transforms over euclidean rings.
 Columns and vectors are tuples of RingElement.
 
-Over euclidean rings all three come from the Smith form.  Its one
-elimination loop runs on the values of a small arithmetic record (zero
-test, size, divmod, multiply-add, unit part, inverse) with two instances:
-plain Python ints over Z and over Z_p at precision N (every value reduced
-mod p^N), converted back to RingElements only for what a caller returns;
-and RingElements, through the ring's own divmod, over fields, u^-1 Z and
-k[t].  Both pick the same pivots and divide the same way, so they give the
-same transforms.  Over the other rings all three reach the Groebner engine
-through one span per (ring, nrows, columns), kept in an LRU table of 128:
-one basis of the columns and ``ring.modulus_vectors(nrows)``, its syzygy
-heads (rows cut to the columns before any Poly is built) and its
-membership answers.
+Every column set has one span per (ring, nrows, columns), kept in an LRU
+table of 128 (``_span``); the key holds the canonical columns only
+(``Ring.vec_key``).  A span builds what answers the three primitives once,
+on first use:
+
+* over Z, Z_p, fields and u^-1 Z (``_Span``), the Smith form of the columns
+  with its transforms, which also gives the invariant factors and
+  ``smith_normal_form``;
+* over the other polynomial rings (``_GroebnerSpan``), one Groebner basis
+  of the columns and ``ring.modulus_vectors(nrows)`` (syzygy rows are cut
+  to the columns before any Poly is built), with its syzygy heads and
+  membership answers; over k[t] the Smith form as well, for the invariant
+  factors.
+
+Localized polynomial rings have no spans of their own: they compute in the
+Rabinowitsch model A[t]/(t*u - 1), whose spans keep the work.
+
+The Smith form's one elimination loop, ``_smith``, runs on the values of a
+small arithmetic record (zero test, size, divmod, multiply-add, unit part,
+inverse) with two instances: plain Python ints over Z and over Z_p at
+precision N (every value reduced mod p^N), converted back to RingElements
+only for what a caller returns; and RingElements, through the ring's own
+divmod, over fields, u^-1 Z and k[t].  Both pick the same pivots and divide
+the same way, so they give the same transforms.
 """
 
 from functools import lru_cache
@@ -83,6 +95,7 @@ def vec_is_zero(v):
 class _IntArith:
     """Z, or Z_p at precision N with every value reduced mod p^N."""
 
+    __slots__ = ("ring", "m", "p")
     zero, one = 0, 1
 
     def __init__(self, ring):
@@ -93,11 +106,12 @@ class _IntArith:
             self.p = abs(int(ring.completion[0][0].constant()))
 
     def from_el(self, e):
-        a = int(e.num.constant())
+        a = e.num.terms.get((), 0)
         return a % self.m if self.m else a
 
     def to_el(self, a):
-        return self.ring.el(a)
+        # a value is its own canonical form: over Z_p it is reduced mod p^N
+        return self.ring.from_key(a)
 
     def is_zero(self, a):
         return a == 0
@@ -149,6 +163,8 @@ class _IntArith:
 
 class _ElArith:
     """RingElements, through the ring's own euclidean division."""
+
+    __slots__ = ("ring", "zero", "one")
 
     def __init__(self, ring):
         self.ring = ring
@@ -223,11 +239,11 @@ def smith_normal_form(ring, A):
     """(U, D, V, Uinv, Vinv) with U*A*V = D, divisibility along the diagonal.
 
     Works over any ring exposing euclidean division (Z, fields, k[t], and
-    completed Z at a prime, where it holds at the stated precision).
+    completed Z at a prime, where it holds at the stated precision).  The
+    form is the one the span of A's columns keeps.
     """
-    ar = _arithmetic(ring)
-    out = _smith(ar, [[ar.from_el(e) for e in row] for row in A])
-    return tuple([[ar.to_el(a) for a in row] for row in X] for X in out)
+    ar, form = _span_of(ring, list(zip(*A)), len(A)).smith()
+    return tuple([[ar.to_el(a) for a in row] for row in X] for X in form)
 
 
 def _smith(ar, D):
@@ -348,14 +364,22 @@ _EUCLIDEAN = ("int", "field", "int_completed", "int_localized")
 
 def syzygies(ring, cols, nrows):
     """Generators of the kernel of A^c -> A^r, x -> sum x_j cols_j."""
-    return _solve(ring, "syz", cols, None, nrows) if cols else []
+    if not cols:
+        return []
+    if ring.classify() == "poly_localized":
+        return _localized_poly(ring, "syz", cols, None, nrows)
+    return _span_of(ring, cols, nrows).syzygies()
 
 
 def lift_through(ring, cols, target, nrows):
     """Coefficients x with sum x_j cols_j = target, or None."""
     if vec_is_zero(target):
         return tuple(ring.zero() for _ in cols)
-    return _solve(ring, "lift", cols, target, nrows) if cols else None
+    if not cols:
+        return None
+    if ring.classify() == "poly_localized":
+        return _localized_poly(ring, "lift", cols, target, nrows)
+    return _span_of(ring, cols, nrows).lift(target)
 
 
 def member(ring, cols, target, nrows):
@@ -364,41 +388,35 @@ def member(ring, cols, target, nrows):
 
 
 def membership_test(ring, cols, nrows):
-    """Membership in the column span as a function of the target; over
-    polynomial rings it holds the span, so a question costs no lookup, and
-    the basis may be built untracked."""
+    """Membership in the column span as a function of the target; it holds
+    the span, so a question costs no lookup."""
     if not cols:
         return vec_is_zero
-    kind = ring.classify()
-    if kind in _EUCLIDEAN or kind == "poly_localized":
+    if ring.classify() == "poly_localized":
         return lambda target: lift_through(ring, cols, target, nrows) is not None
-    span = _span(ring, nrows, _key(cols))
-    return lambda target: vec_is_zero(target) or span.member(
-        tuple(e.num for e in target))
+    return _span_of(ring, cols, nrows).member
 
 
 def span_basis(ring, cols, nrows):
     """The Groebner basis of cols and the modulus vectors (polynomial rings)."""
-    return _span(ring, nrows, _key(cols)).basis(track=False)
+    return _span_of(ring, cols, nrows).basis(track=False)
 
 
-def _key(cols):
-    return tuple(tuple(e.num for e in col) for col in cols)
+def invariant_factors(ring, relation_cols, ngens):
+    """Canonical decomposition over a euclidean ring.
+
+    Returns (torsion_factors, free_rank); factors are the nonunit, nonzero
+    diagonal entries of the Smith form of the relation matrix.
+    """
+    if not relation_cols:
+        return [], ngens
+    ar, form = _span_of(ring, relation_cols, ngens).smith()
+    return _invariant_factors(ar, form[1])
 
 
-def _solve(ring, op, cols, target, nrows):
-    kind = ring.classify()
-    if kind == "poly_localized":
-        return _localized_poly(ring, op, cols, target, nrows)
-    if kind in _EUCLIDEAN:
-        ar = _arithmetic(ring)
-        if op == "syz":
-            return _syz_euclidean(ar, cols, nrows)
-        return _lift_euclidean(ar, cols, target, nrows)
-    span = _span(ring, nrows, _key(cols))
-    if op == "syz":
-        return span.syzygies()
-    return span.lift(tuple(e.num for e in target))
+def _span_of(ring, cols, nrows):
+    vec_key = ring.vec_key
+    return _span(ring, nrows, tuple([vec_key(col) for col in cols]))
 
 
 def _localized_poly(ring, op, cols, target, nrows):
@@ -439,48 +457,125 @@ def _localized_poly(ring, op, cols, target, nrows):
     return tuple(back(x) for x in lifted)
 
 
-def _syz_euclidean(ar, cols, nrows):
-    # Completed Z is treated as the valuation domain Z_p: a nonzero diagonal
-    # entry p^a contributes no syzygy.  Entries of valuation >= N are stored
-    # as zero, which is the stated at-precision semantics.
-    c = len(cols)
-    if nrows == 0:
-        ring = ar.ring
-        return [tuple(ring.one() if i == j else ring.zero() for i in range(c))
-                for j in range(c)]
-    _, D, V, _, _ = _smith(ar, _rows(ar, cols, nrows))
-    rank_bound = min(nrows, c)
+# -- answers read off a Smith form ---------------------------------------------
+#
+# form = (U, D, V, Uinv, Vinv) from _smith, with U*A*V = D for the matrix A
+# of c columns (rows of values of the arithmetic ar).  Completed Z is treated
+# as the valuation domain Z_p: a nonzero diagonal entry p^a contributes no
+# syzygy.  Entries of valuation >= N are stored as zero, which is the stated
+# at-precision semantics.
+
+
+def _syz_euclidean(ar, form, c):
+    """The columns of V beyond the nonzero diagonal of D."""
+    _, D, V, _, _ = form
+    if not D:  # no rows: every vector is a syzygy
+        V = [[ar.one if i == j else ar.zero for j in range(c)] for i in range(c)]
+    rank_bound = min(len(D), c)
     return [tuple(ar.to_el(V[i][j]) for i in range(c)) for j in range(c)
             if j >= rank_bound or ar.is_zero(D[j][j])]
 
 
-def _lift_euclidean(ar, cols, target, nrows):
-    c = len(cols)
-    U, D, V, _, _ = _smith(ar, _rows(ar, cols, nrows))
-    ub = _mat_vec(ar, U, [ar.from_el(e) for e in target])
-    rank_bound = min(nrows, c)
-    y = [ar.zero] * c
-    for i in range(nrows):
-        d = D[i][i] if i < rank_bound else None
-        if ar.is_zero(ub[i]):
+def _diagonal_solve(ar, form, b):
+    """y with D*y = U*b (values of ar), or None when b is not in the span."""
+    U, D, V, _, _ = form
+    ub = _mat_vec(ar, U, b)
+    rank_bound = min(len(D), len(V))
+    y = [ar.zero] * len(V)
+    for i, x in enumerate(ub):
+        if ar.is_zero(x):
             continue  # zero lifts to zero, not to p^(N-v)/u over Z_p
-        if d is not None and not ar.is_zero(d):
-            q, r = ar.divmod(ub[i], d)
-            if not ar.is_zero(r):
-                return None
-            y[i] = q
-        else:
+        d = D[i][i] if i < rank_bound else ar.zero
+        if ar.is_zero(d):
             return None
-    return tuple(ar.to_el(x) for x in _mat_vec(ar, V, y))
+        q, r = ar.divmod(x, d)
+        if not ar.is_zero(r):
+            return None
+        y[i] = q
+    return y
+
+
+def _lift_euclidean(ar, form, b):
+    """x with A*x = b (b in values of ar) as RingElements, or None."""
+    y = _diagonal_solve(ar, form, b)
+    return None if y is None else tuple(ar.to_el(x) for x in _mat_vec(ar, form[2], y))
+
+
+def _invariant_factors(ar, D):
+    """(nonunit nonzero diagonal entries, free rank) of a Smith form D."""
+    factors = []
+    rank = 0
+    for i in range(min(len(D), len(D[0]) if D else 0)):
+        d = D[i][i]
+        if ar.is_zero(d):
+            continue
+        rank += 1
+        if not ar.is_unit(d):
+            factors.append(ar.to_el(d))
+    return factors, len(D) - rank
+
+
+# -- the span of a column set ---------------------------------------------------
 
 
 class _Span:
-    """The span of some columns in A^nrows over a polynomial ring.  Its basis
-    is built untracked for membership alone; a lift or the syzygies replace
-    it by a tracked one."""
+    """The span of some columns in A^nrows; ``cols`` is their key (see
+    ``Ring.vec_key``).  Over Z, Z_p, fields and u^-1 Z it answers every
+    question from the Smith form of the columns, built on first use with the
+    arithmetic ``_arithmetic`` picks and stored, as tuples, only once
+    complete; syzygies, lifts and membership are read off it on every call.
+    """
+
+    __slots__ = ("ring", "nrows", "cols", "_form")
 
     def __init__(self, ring, nrows, cols):
         self.ring, self.nrows, self.cols = ring, nrows, cols
+        self._form = None
+
+    def columns(self):
+        """The columns as RingElements."""
+        from_key = self.ring.from_key
+        return [tuple(map(from_key, col)) for col in self.cols]
+
+    def smith(self):
+        """(ar, (U, D, V, Uinv, Vinv)): the Smith form of the columns on the
+        values of the arithmetic ar, as tuples of rows."""
+        form = self._form
+        if form is None:
+            ar = _arithmetic(self.ring)
+            rows = _rows(ar, self.columns(), self.nrows)
+            form = self._form = (ar, tuple(tuple(map(tuple, X))
+                                           for X in _smith(ar, rows)))
+        return form
+
+    def syzygies(self):
+        return _syz_euclidean(*self.smith(), len(self.cols))
+
+    def lift(self, target):
+        """x with sum x_j cols_j = target, or None; target is RingElements."""
+        ar, form = self.smith()
+        return _lift_euclidean(ar, form, [ar.from_el(e) for e in target])
+
+    def member(self, target):
+        """Whether target (RingElements) lies in the span."""
+        if vec_is_zero(target):
+            return True
+        ar, form = self.smith()
+        return _diagonal_solve(
+            ar, form, [ar.from_el(e) for e in target]) is not None
+
+
+class _GroebnerSpan(_Span):
+    """The span over a polynomial ring without inverted elements: one
+    Groebner basis of the columns and ``ring.modulus_vectors(nrows)``,
+    untracked for membership alone; a lift or the syzygies replace it by a
+    tracked one.  It keeps its syzygy heads and membership answers.  Over
+    k[t] the inherited Smith form serves the invariant factors."""
+
+    __slots__ = ("_gb", "_syz", "_member")
+
+    def __init__(self, ring, nrows, cols):
+        super().__init__(ring, nrows, cols)
         self._gb = self._syz = None
         self._member = {}
 
@@ -505,22 +600,25 @@ class _Span:
                     if key not in heads and not vec_is_zero(head):
                         heads.add(key)
                         out.append(head)
-            self._syz = out
+            self._syz = tuple(out)
         return list(self._syz)
 
-    def member(self, target):
-        ans = self._member.get(target)
-        if ans is None:
-            ans = self.basis(track=False).contains(target)
-            if len(self._member) >= _MEMO_LIMIT:
-                self._member.clear()
-            self._member[target] = ans
-        return ans
-
     def lift(self, target):
-        cof = self.basis().lift(target)
+        cof = self.basis().lift(tuple(e.num for e in target))
         return None if cof is None else tuple(
             self.ring.el(p) for p in cof[:len(self.cols)])
+
+    def member(self, target):
+        if vec_is_zero(target):
+            return True
+        key = tuple(e.num for e in target)
+        ans = self._member.get(key)
+        if ans is None:
+            ans = self.basis(track=False).contains(key)
+            if len(self._member) >= _MEMO_LIMIT:
+                self._member.clear()
+            self._member[key] = ans
+        return ans
 
 
 # Least recently used spans are evicted first.  At 128 the benchmark's seed-1
@@ -532,29 +630,6 @@ _MEMO_LIMIT = 256   # membership answers kept per span
 
 @lru_cache(maxsize=_SPAN_LIMIT)
 def _span(ring, nrows, cols):
-    return _Span(ring, nrows, cols)
-
-
-def invariant_factors(ring, relation_cols, ngens):
-    """Canonical decomposition over a euclidean ring.
-
-    Returns (torsion_factors, free_rank); factors are the nonunit, nonzero
-    diagonal entries of the Smith form of the relation matrix.
-    """
-    if not relation_cols:
-        return [], ngens
-    return _invariant_factors(_arithmetic(ring), relation_cols, ngens)
-
-
-def _invariant_factors(ar, cols, ngens):
-    _, D, _, _, _ = _smith(ar, _rows(ar, cols, ngens))
-    factors = []
-    rank = 0
-    for i in range(min(ngens, len(cols))):
-        d = D[i][i]
-        if ar.is_zero(d):
-            continue
-        rank += 1
-        if not ar.is_unit(d):
-            factors.append(ar.to_el(d))
-    return factors, ngens - rank
+    if ring.classify() in _EUCLIDEAN:
+        return _Span(ring, nrows, cols)
+    return _GroebnerSpan(ring, nrows, cols)

@@ -24,6 +24,17 @@ from .poly import GF, Poly, QQ, ZZ, order_key
 
 DEFAULT_PRECISION = 20
 
+# Ring.get interns every ring here, so equal rings are one object and
+# Ring.__eq__, Ring.__hash__ and every span key of linalg._span are cheap.
+# The table is not bounded: a process meets few rings, and a ring that has
+# been built is needed again.  After the seed-1 op list of each benchmark
+# workload it holds 2 rings (integer-sweep: Z and Z_5), 8 (poly-sweep: Q and
+# F_7 [x,y], each completed at two ideals, and the C2 documents' three
+# precisions) and 7 (completed-grid: Q and F_7 [x,y] and their completions
+# at (x, y) to the grid's precisions); repeating verbs adds none
+# (tests/test_ring.py).  Evicting a ring would leave live elements on an
+# object that a later Ring.get no longer returns, so every comparison with
+# them would fall back to the structural test.
 _RING_CACHE = {}
 
 
@@ -85,6 +96,8 @@ class Ring:
         self._series = None
         self._zero = None
         self._one = None
+        self._kind = _classify(base, self.nvars, inverted, completion)
+        self._hash = hash(self._key())
 
     # -- construction and interning ----------------------------------------
 
@@ -254,19 +267,7 @@ class Ring:
         'poly_z' | 'poly_localized'.  A completed Z localized at its own
         prime (Q_p at precision) behaves as a field at precision.
         """
-        if self.inverted is not None:
-            if self.nvars == 0 and self.base == "Z":
-                return "field" if self.is_completed else "int_localized"
-            if self.nvars == 0:
-                return "field"
-            return "poly_localized"
-        if self.nvars == 0:
-            if self.base == "Z":
-                return "int_completed" if self.is_completed else "int"
-            return "field"
-        if self.base == "Z":
-            return "poly_z"
-        return "poly"
+        return self._kind
 
     @property
     def is_euclidean(self):
@@ -351,6 +352,30 @@ class Ring:
                     return RingElement(self, num, 0)
         return RingElement(self, num, dexp)
 
+    def vec_key(self, vec):
+        """The canonical, hashable form of a vector of elements: integers
+        over Z and Z_p, (numerator, denominator exponent) pairs over a
+        localization, else the numerators.  ``from_key`` inverts one entry."""
+        kind = self._kind
+        if kind == "int":
+            return tuple([e.num.terms.get((), 0) for e in vec])
+        if kind == "int_completed":
+            m = self.int_modulus
+            # a negation is not reduced mod p^N (RingElement.__neg__)
+            return tuple([e.num.terms.get((), 0) % m for e in vec])
+        if self.inverted is None:
+            return tuple([e.num for e in vec])
+        return tuple([(e.num, e.dexp) for e in vec])
+
+    def from_key(self, k):
+        """The element with canonical form k (an entry of ``vec_key``)."""
+        kind = self._kind
+        if kind == "int" or kind == "int_completed":
+            return RingElement(self, Poly.const(self.dom, 0, k), 0)
+        if self.inverted is None:
+            return RingElement(self, k, 0)
+        return RingElement(self, *k)
+
     def _divide_exact(self, f, g):
         """f/g in the quotient ring, or None when g does not divide f."""
         if self.nvars == 0:
@@ -381,6 +406,9 @@ class Ring:
         if e.num.is_zero():
             return False
         num = e.num
+        if self._kind == "int_localized":
+            # +-(a product of primes dividing u) over a power of u
+            return self.strip_inverted(e)[0] == self.one()
         if self.inverted is not None:
             base = self.without_inversion()
             while True:
@@ -449,6 +477,13 @@ class Ring:
             return self.el(v)
         if not self.is_unit_el(e):
             return None
+        if self._kind == "int_localized":
+            # e = a/u^d with a | u^k: its inverse is (u^k/a) * u^d / u^k
+            a, u = int(e.num.constant()), int(self.inverted.constant())
+            k = 0
+            while u ** k % a:
+                k += 1
+            return self._normal(Poly.const(self.dom, 0, u ** k // a * u ** e.dexp), k)
         if self.inverted is not None:
             base = self.without_inversion()
             num, extra = e.num, 0
@@ -580,11 +615,31 @@ class Ring:
         return (self.base, self.p, self.names, self.quotient, self.inverted,
                 self.completion, self.order)
 
+    # Rings come only from Ring.get, which interns them, so equal rings are
+    # almost always one object; the structural test is the fallback.
     def __eq__(self, other):
-        return isinstance(other, Ring) and self._key() == other._key()
+        return self is other or (
+            isinstance(other, Ring) and self._key() == other._key())
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
+
+
+def _classify(base, nvars, inverted, completion):
+    """The dispatch key of Ring.classify, fixed at construction."""
+    if inverted is not None:
+        if nvars == 0 and base == "Z":
+            return "field" if completion is not None else "int_localized"
+        if nvars == 0:
+            return "field"
+        return "poly_localized"
+    if nvars == 0:
+        if base == "Z":
+            return "int_completed" if completion is not None else "int"
+        return "field"
+    if base == "Z":
+        return "poly_z"
+    return "poly"
 
 
 def _gcd(a, b):
@@ -630,7 +685,7 @@ class RingElement:
     def _match(self, other):
         if not isinstance(other, RingElement):
             other = self.ring.el(other)
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise InvalidInput(f"mixed rings {self.ring} and {other.ring}")
         return other
 
@@ -674,7 +729,7 @@ class RingElement:
                 and self.dexp == other.dexp)
 
     def __hash__(self):
-        return hash((self.ring._key(), self.num, self.dexp))
+        return hash((self.ring, self.num, self.dexp))
 
     def render(self):
         s = self.num.render(self.ring.names)

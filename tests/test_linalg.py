@@ -183,8 +183,8 @@ def _as_elements(ar, X):
 @settings(max_examples=150)
 @given(_int_matrices())
 def test_integer_and_element_arithmetic_agree(case):
-    from lodua.linalg import (_invariant_factors, _lift_euclidean, _smith,
-                              _syz_euclidean)
+    from lodua.linalg import (_invariant_factors, _lift_euclidean, _rows,
+                              _smith, _syz_euclidean)
     ring, A, target = case
     ints, els = _both_arithmetics(ring)
     E = as_mat(ring, A)
@@ -195,16 +195,20 @@ def test_integer_and_element_arithmetic_agree(case):
     assert tuple(smith_normal_form(ring, E)) == want
     check_smith(ring, E)
 
-    n = len(A)
-    cols = [tuple(E[i][j] for i in range(n)) for j in range(len(A[0]))]
+    n, m = len(A), len(A[0])
+    cols = [tuple(E[i][j] for i in range(n)) for j in range(m)]
     tgt = tuple(ring.el(t) for t in target)
-    assert _syz_euclidean(ints, cols, n) == _syz_euclidean(els, cols, n)
-    assert _lift_euclidean(ints, cols, tgt, n) == _lift_euclidean(els, cols, tgt, n)
-    assert _invariant_factors(ints, cols, n) == _invariant_factors(els, cols, n)
-    assert syzygies(ring, cols, n) == _syz_euclidean(els, cols, n)
+    # each answer read off each arithmetic's own Smith form of the columns
+    f_int = _smith(ints, _rows(ints, cols, n))
+    f_el = _smith(els, _rows(els, cols, n))
+    b_int, b_el = [ints.from_el(t) for t in tgt], list(tgt)
+    assert _syz_euclidean(ints, f_int, m) == _syz_euclidean(els, f_el, m)
+    assert _lift_euclidean(ints, f_int, b_int) == _lift_euclidean(els, f_el, b_el)
+    assert _invariant_factors(ints, f_int[1]) == _invariant_factors(els, f_el[1])
+    assert syzygies(ring, cols, n) == _syz_euclidean(els, f_el, m)
     if any(not t.is_zero() for t in tgt):  # a zero target lifts to zero
-        assert lift_through(ring, cols, tgt, n) == _lift_euclidean(els, cols, tgt, n)
-    assert invariant_factors(ring, cols, n) == _invariant_factors(els, cols, n)
+        assert lift_through(ring, cols, tgt, n) == _lift_euclidean(els, f_el, b_el)
+    assert invariant_factors(ring, cols, n) == _invariant_factors(els, f_el[1])
 
 
 def test_integer_divmod_matches_ring_divmod():
@@ -374,8 +378,6 @@ def test_concurrent_callers_get_identical_answers():
     # holds, with thread switches every microsecond, so lookups race with
     # evictions and with spans filling their memos
     import json
-    import sys
-    import threading
 
     from lodua import cli
     doc = {"version": "1", "ring": {"base": "Q", "vars": ["x", "y"]},
@@ -400,6 +402,15 @@ def test_concurrent_callers_get_identical_answers():
                 for _ in range(5) for cols in sweep]
         return out
 
+    _assert_threads_agree(bodies)
+
+
+def _assert_threads_agree(bodies):
+    """Run bodies() once, then in four threads with thread switches every
+    microsecond; each thread must get the single-thread answers."""
+    import sys
+    import threading
+
     want = bodies()
     got, errors = [], []
 
@@ -416,8 +427,167 @@ def test_concurrent_callers_get_identical_answers():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=300)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert got == [want] * 4
+
+
+def test_concurrent_euclidean_callers_get_identical_answers():
+    # the euclidean sibling: an op list over Z and Z_5, then two more
+    # integer column sets than the span table holds, asked in turn, so that
+    # lookups race with evictions and with spans storing their Smith forms
+    import json
+
+    from lodua import cli
+    doc = {"version": "1", "ring": {"base": "Z"}, "ideal": ["5"],
+           "modules": {"M": {"generators": 2, "relations": [["0", "25"]]},
+                       "N": {"generators": 2, "relations": [
+                           ["5", "0"], ["0", "125"]]}}}
+    z5 = dict(doc, ring={"base": "Z", "completion": {
+        "ideal": ["5"], "precision": 20}})
+    ops = [(d, verb, args) for d in (doc, z5) for verb, args in (
+        ("tor", {"M": "M", "N": "N", "s": 1}),
+        ("ext", {"M": "N", "N": "M", "s": 1}),
+        ("localhom", {"target": "M", "s": 1}),
+        ("localcoh", {"target": "N", "s": 0}))]
+    Z = make_ring(doc["ring"])
+    sweep = [[(Z.el(k), Z.el(2 * k)), (Z.el(k + 1), Z.el(3))]
+             for k in range(1, linalg._SPAN_LIMIT + 3)]
+    e0, v = (Z.el(1), Z.el(0)), (Z.el(5), Z.el(1))
+
+    def bodies():
+        out = [json.dumps(cli.run(d, verb, args), sort_keys=True)
+               for d, verb, args in ops]
+        out += [repr(syzygies(Z, cols, 2)) for cols in sweep]
+        out += [repr(lift_through(Z, cols, e0, 2)) for cols in sweep]
+        out += [linalg.member(Z, cols, v, 2)
+                for _ in range(3) for cols in sweep]
+        out += [repr(invariant_factors(Z, cols, 2)) for cols in sweep]
+        return out
+
+    _assert_threads_agree(bodies)
+
+
+# -- one Smith form per span over the euclidean rings ---------------------------
+#
+# Over Z, Z_p, fields and u^-1 Z the span of a column set keeps the Smith form
+# of its columns; syzygies, lifts, membership and invariant factors read it.
+
+_Q = make_ring({"base": "Q"})
+_Z6 = make_ring({"base": "Z", "invert": "6"})
+
+
+@st.composite
+def _euclidean_cases(draw):
+    """(ring, columns, target, nrows) over Z, Z_5 (N = 20), Q or Z[1/6]."""
+    from fractions import Fraction
+    ring = draw(st.sampled_from([_Z, _Z5[20], _Q, _Z6]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if ring is _Z5[20]:
+        entry = st.builds(lambda u, v: ring.el(u * 5 ** v), st.integers(-4, 4),
+                          st.integers(0, 3))
+    elif ring is _Q:
+        entry = st.builds(lambda a, b: ring.el(Fraction(a, b)),
+                          st.integers(-6, 6), st.integers(1, 4))
+    elif ring is _Z6:
+        entry = st.builds(ring.el, st.integers(-9, 9), st.integers(0, 2))
+    else:
+        entry = st.builds(ring.el, st.integers(-9, 9))
+    cols = [tuple(draw(entry) for _ in range(n)) for _ in range(m)]
+    if draw(st.booleans()):  # a target in the column span
+        x = [draw(entry) for _ in range(m)]
+        target = tuple(sum((x[j] * cols[j][i] for j in range(m)), ring.zero())
+                       for i in range(n))
+    else:
+        target = tuple(draw(entry) for _ in range(n))
+    return ring, cols, target, n
+
+
+def _euclidean_answers(ring, cols, target, nrows, order):
+    ask = {"syz": lambda: syzygies(ring, cols, nrows),
+           "lift": lambda: lift_through(ring, cols, target, nrows),
+           "member": lambda: linalg.member(ring, cols, target, nrows),
+           "factors": lambda: invariant_factors(ring, cols, nrows)}
+    got = {op: ask[op]() for op in order}
+    return tuple(got[op] for op in ("syz", "lift", "member", "factors"))
+
+
+def _combination(ring, cols, x, nrows):
+    return tuple(sum((x[j] * cols[j][i] for j in range(len(cols))), ring.zero())
+                 for i in range(nrows))
+
+
+@settings(max_examples=150)
+@given(_euclidean_cases(),
+       st.permutations(["syz", "lift", "member", "factors"]))
+def test_euclidean_span_answers_do_not_depend_on_history(case, order):
+    ring, cols, target, nrows = case
+    linalg._span.cache_clear()
+    cold = _euclidean_answers(ring, cols, target, nrows, order)
+    span = linalg._span_of(ring, cols, nrows)
+    # equal columns built afresh reach the same span and its stored form
+    fresh = [tuple(ring.el(e.num, e.dexp) for e in col) for col in cols]
+    if ring is _Z5[20]:  # a negated difference is not reduced mod 5^20
+        fresh = [tuple(-(ring.zero() - e) for e in col) for col in cols]
+    assert linalg._span_of(ring, fresh, nrows) is span
+    assert _euclidean_answers(ring, fresh, target, nrows, order[::-1]) == cold
+    linalg._span.cache_clear()
+    assert _euclidean_answers(ring, cols, target, nrows, order[::-1]) == cold
+
+    syz, lift, member, (factors, rank) = cold
+    zero = (ring.zero(),) * nrows
+    for s in syz:
+        assert _combination(ring, cols, s, nrows) == zero
+    if lift is not None:
+        assert _combination(ring, cols, lift, nrows) == target
+    assert member == (lift is not None)
+    assert rank + len(factors) <= nrows
+
+
+def _int_doc():
+    return {"version": "1", "ring": {"base": "Z"}, "ideal": ["5"],
+            "modules": {"M": {"generators": 3, "relations": [
+                ["5", "25", "0"], ["0", "5", "10"]]}},
+            "descriptors": {"fpM": {"kind": "fp", "module": "M"}}}
+
+
+def test_each_smith_form_is_computed_once(monkeypatch):
+    # one gm-check and one localhom op over Z compute the Smith form of each
+    # distinct column set once, however often its span is asked
+    from lodua import cli
+    from lodua.modules import FPModule
+    calls = []
+    smith = linalg._smith
+
+    def counted(ar, D):
+        calls.append((ar.ring, tuple(map(tuple, D))))
+        return smith(ar, D)
+
+    monkeypatch.setattr(linalg, "_smith", counted)
+    asked = []
+    span_smith = linalg._Span.smith
+    monkeypatch.setattr(linalg._Span, "smith",
+                        lambda self: (asked.append(self), span_smith(self))[1])
+    for verb, args in (("gm-check", {"target": "fpM", "s": 0}),
+                       ("localhom", {"target": "M", "s": 1})):
+        linalg._span.cache_clear()
+        calls.clear()
+        asked.clear()
+        cli.run(_int_doc(), verb, args)
+        assert len(set(calls)) == len(calls) > 0
+        assert len(asked) > len(calls)   # the other questions were hits
+
+    # the decomposition, membership, map checks and the canonical
+    # presentation of one module share one elimination
+    Z = _Z
+    M = FPModule(Z, 2, [(Z.el(4), Z.el(6)), (Z.el(2), Z.el(8))])
+    linalg._span.cache_clear()
+    calls.clear()
+    assert [str(f) for f in M.decomposition()[0]] == ["2", "10"]
+    assert M.contains_in_relations((Z.el(6), Z.el(14)))
+    assert not M.contains_in_relations((Z.el(1), Z.el(0)))
+    can, fwd, bwd = M.canonical_presentation()
+    assert len(calls) == 1

@@ -263,3 +263,83 @@ def test_monomial_modulus_is_decided_per_ring():
                       "quotient": ["x^4", "3*x^6"]})
     assert quot.monomial_modulus == ((4,),) and not quot.is_power_series
     assert quot.zero() is quot.zero() and quot.one() is quot.one()
+
+
+def test_rings_are_interned_and_compare_by_identity(monkeypatch):
+    Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 20}})
+    assert make_ring({"base": "Z", "completion": {
+        "ideal": ["5"], "precision": 20}}) is Z5
+    # a ring built around Ring.get is still equal, structurally
+    twin = Ring(Z5.base, Z5.p, Z5.names, Z5.quotient, Z5.inverted,
+                Z5.completion, Z5.order)
+    assert twin is not Z5 and twin == Z5 and hash(twin) == hash(Z5)
+    assert hash(Z5.el(7)) == hash((Z5._key(), Z5.el(7).num, 0))
+
+    # arithmetic, hashing and dispatch on interned rings build no ring key
+    keys = []
+    key = Ring._key
+    monkeypatch.setattr(Ring, "_key", lambda self: (keys.append(self), key(self))[1])
+    a, b = Z5.el(10), Z5.el(3)
+    assert (a + b) * a - b == Z5.el(127)
+    assert len({a, b, Z5.el(10)}) == 2 and Z5.classify() == "int_completed"
+    assert keys == []
+    assert twin == Z5 and len(keys) == 2   # the structural fallback
+
+
+def test_repeated_integer_verbs_leave_the_tables_flat():
+    # one process, 200 integer verbs: after the first pass over the verb
+    # list neither the ring table nor the span table grows
+    from lodua import cli, linalg
+    from lodua.ring import _RING_CACHE
+    doc = {"version": "1", "ring": {"base": "Z"}, "ideal": ["5"],
+           "modules": {"M": {"generators": 2, "relations": [["0", "25"]]},
+                       "N": {"generators": 1, "relations": [["25"]]}}}
+    z5 = dict(doc, ring={"base": "Z", "completion": {
+        "ideal": ["5"], "precision": 20}})
+    verbs = [(d, verb, args) for d in (doc, z5) for verb, args in (
+        ("localhom", {"target": "M", "s": 0}), ("tor", {"M": "M", "N": "N", "s": 1}),
+        ("ext", {"M": "M", "N": "N", "s": 1}), ("complete", {"module": "N"}),
+        ("localcoh", {"target": "N", "s": 0}))]
+    first = [cli.run(*v) for v in verbs]
+    rings, spans = len(_RING_CACHE), linalg._span.cache_info().currsize
+    for k in range(200):
+        d, verb, args = verbs[k % len(verbs)]
+        assert cli.run(d, verb, args) == first[k % len(verbs)]
+    assert len(_RING_CACHE) == rings
+    assert linalg._span.cache_info().currsize == spans
+
+
+def test_units_of_integers_with_a_composite_element_inverted():
+    # in Z[1/6] every product of 2s and 3s is a unit, with either sign
+    Z6 = make_ring({"base": "Z", "invert": "6"})
+    one = Z6.one()
+    assert Z6.el(2).is_unit() and Z6.el(-3).is_unit() and Z6.el(12).is_unit()
+    assert not Z6.el(5).is_unit() and not Z6.el(10).is_unit()
+    for a in (2, -3, 12, -18):
+        assert Z6.el(a).inv() * Z6.el(a) == one
+    assert Z6.el(-2, 3).inv() * Z6.el(-2, 3) == one
+    assert Z6.unit_inverse(Z6.el(5)) is None
+    with pytest.raises(ZeroDivisionError):
+        Z6.el(10).inv()
+    # a non-squarefree inverted element: Z[1/4] is Z[1/2]
+    Z4 = make_ring({"base": "Z", "invert": "4"})
+    assert Z4.el(2).is_unit() and Z4.el(2).inv() * Z4.el(2) == Z4.one()
+    assert Z4.el(-8).inv() * Z4.el(-8) == Z4.one()
+    assert not Z4.el(3).is_unit()
+
+
+def test_canonical_keys_round_trip():
+    rings = [make_ring({"base": "Z"}),
+             make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 4}}),
+             make_ring({"base": "Z", "invert": "6"}),
+             make_ring({"base": "Q", "vars": ["x", "y"]})]
+    for R in rings:
+        vec = (R.zero(), R.one(), R.el(-7), R.el(10) * R.el(3))
+        if R.inverted is not None:
+            vec += (R.el(5, 2), R.el(12, 1))
+        key = R.vec_key(vec)
+        assert hash(key) == hash(R.vec_key(vec))
+        assert tuple(map(R.from_key, key)) == vec
+    # over Z_p a negation is keyed by its reduced value
+    Z5 = rings[1]
+    assert Z5.vec_key((-Z5.el(3),)) == Z5.vec_key((Z5.el(5 ** 4 - 3),))
