@@ -50,8 +50,10 @@ def default_budget():
 
 
 def _flat(v):
-    """Tuple of Poly -> {(coord, mono): coeff}."""
-    return {(i, m): c for i, p in enumerate(v) for m, c in p.terms.items()}
+    """Tuple of Poly -> {(coord, mono): coeff}; zero coordinates are
+    skipped before their terms are asked for."""
+    return {(i, m): c for i, p in enumerate(v) if p.terms
+            for m, c in p.terms.items()}
 
 
 def _scaled(v, s, p):

@@ -7,12 +7,13 @@ Three primitives drive every module computation:
     member(ring, cols, target, nrows)       -- whether such an x exists
 
 plus Smith normal form with tracked transforms over euclidean rings.
-Columns and vectors are tuples of RingElement.
+Columns and vectors in and out are dense tuples of RingElement.
 
-Every column set has one span per (ring, nrows, columns), kept in an LRU
-table of 128 (``_span``); the key holds the canonical columns only
-(``Ring.vec_key``).  A span builds what answers the three primitives once,
-on first use:
+``Ring.vec_key`` is the one hashable form of a vector here: every column
+set has one span per (ring, nrows, column keys), kept in an LRU table of
+128 (``_span``), and a span's syzygy heads and membership answers are
+kept under the same keys.  A span builds what answers the three
+primitives once, on first use:
 
 * over Z, Z_p, fields and u^-1 Z (``_Span``), the Smith form of the columns
   with its transforms, which also gives the invariant factors and
@@ -570,7 +571,9 @@ class _GroebnerSpan(_Span):
     Groebner basis of the columns and ``ring.modulus_vectors(nrows)``,
     untracked for membership alone; a lift or the syzygies replace it by a
     tracked one.  It keeps its syzygy heads and membership answers.  Over
-    k[t] the inherited Smith form serves the invariant factors."""
+    k[t] the inherited Smith form serves the invariant factors.  Over these
+    rings ``Ring.vec_key`` is the tuple of numerators, so the keys of the
+    columns and targets are also the basis's input vectors."""
 
     __slots__ = ("_gb", "_syz", "_member")
 
@@ -590,28 +593,25 @@ class _GroebnerSpan(_Span):
     def syzygies(self):
         """The distinct nonzero heads of the rows of ``GBasis.syzygies``."""
         if self._syz is None:
-            el, zero = self.ring.el, self.ring.zero()
-            out, rows, heads = [], set(), set()
+            ring = self.ring
+            el, zero, vec_key = ring.el, ring.zero(), ring.vec_key
+            heads = {}
             for s in self.basis().syzygies(len(self.cols)):
-                if s not in rows:
-                    rows.add(s)
-                    head = tuple(el(p) if p.terms else zero for p in s)
-                    key = tuple(e.num for e in head)
-                    if key not in heads and not vec_is_zero(head):
-                        heads.add(key)
-                        out.append(head)
-            self._syz = tuple(out)
+                head = tuple([el(p) if p.terms else zero for p in s])
+                heads.setdefault(vec_key(head), head)
+            heads.pop(vec_key((zero,) * len(self.cols)), None)
+            self._syz = tuple(heads.values())
         return list(self._syz)
 
     def lift(self, target):
-        cof = self.basis().lift(tuple(e.num for e in target))
+        cof = self.basis().lift(self.ring.vec_key(target))
         return None if cof is None else tuple(
             self.ring.el(p) for p in cof[:len(self.cols)])
 
     def member(self, target):
         if vec_is_zero(target):
             return True
-        key = tuple(e.num for e in target)
+        key = self.ring.vec_key(target)
         ans = self._member.get(key)
         if ans is None:
             ans = self.basis(track=False).contains(key)

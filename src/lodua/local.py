@@ -23,9 +23,9 @@ from .modules import (FPModule, ModuleMap, base_change, block_sum, iso_check,
                       power, scalar_matrix)
 from .ring import DEFAULT_PRECISION, _reject_zerodivisor
 from .sequences import is_regular_sequence
-from .towers import (KoszulStages, KoszulTensorStages, Tower, _killing_power,
-                     completed_module, lim_lim1, quotient_by_ideal_power,
-                     weak_proregularity_check)
+from .towers import (KoszulStages, KoszulTensorStages, Tower,
+                     _capped_killing_power, completed_module, lim_lim1,
+                     quotient_by_ideal_power, weak_proregularity_check)
 
 
 class IdealData:
@@ -340,16 +340,14 @@ def _power_torsion_gens(d, M, k):
 
 
 def _ideal_nilpotent_on(d, M, bound=24):
-    """The least j with I^j M = 0, or None; M may live over the completion."""
+    """The least j with I^j M = 0, or None; M may live over the completion,
+    where only j below the precision count (``_capped_killing_power``)."""
     gens = d.gens
     if M.ring != d.ring:
         if not (M.ring.is_completed and M.ring.underlying() == d.ring):
             raise InvalidInput("module lives over a different ring")
         gens = [M.ring.el(g.num, g.dexp) for g in gens]
-    # at-precision vanishing only counts below the precision (see towers)
-    if M.ring.is_completed:
-        bound = min(bound, (M.ring.precision or 1) - 1)
-    return _killing_power(M, gens, bound)
+    return _capped_killing_power(M, gens, bound)
 
 
 def _verify_top_witness(d, M, stage_bound=4):

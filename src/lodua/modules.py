@@ -16,19 +16,15 @@ class FPModule:
     def __init__(self, ring, ngens, relations=(), name=None):
         self.ring = ring
         self.ngens = ngens
-        rels = []
-        seen = set()
+        vec_key = ring.vec_key
+        rels = {}   # the first column of each key, in order
         for col in relations:
-            col = tuple(ring.el(e) for e in col)
+            col = tuple(map(ring.el, col))
             if len(col) != ngens:
                 raise InvalidInput("relation column length != generator count")
-            if vec_is_zero(col):
-                continue
-            key = tuple((e.num, e.dexp) for e in col)
-            if key not in seen:
-                seen.add(key)
-                rels.append(col)
-        self.relations = rels
+            rels.setdefault(vec_key(col), col)
+        rels.pop(vec_key((ring.zero(),) * ngens), None)
+        self.relations = list(rels.values())
         self.name = name
         self._decomp = None
         self._member = None   # membership in the relations' span
@@ -126,73 +122,66 @@ def minimize_presentation(M):
 
     fwd: M -> M_min and bwd: M_min -> M are mutually inverse isomorphisms;
     the module is unchanged up to this explicit change of presentation.
+
+    Relation columns, and each original generator's expression in the
+    remaining generators, are held sparse, as {original generator: nonzero
+    entry}, so elimination touches nonzero entries only.  The pivot is the
+    first unit entry, in generator order, of the first relation that has
+    one; each elimination restarts that search, and a value once found to
+    be a nonunit is not asked about again.
     """
     ring = M.ring
-    gens = list(range(M.ngens))
-    rels = [list(col) for col in M.relations]
-    # expr[g] = expression of original generator g in the current generators
-    expr = {g: {g: ring.one()} for g in gens}
-    # values already found to be nonunits: a rescan does not ask them again
+    zero = ring.zero()
+    rels = [{g: e for g, e in enumerate(col) if not e.is_zero()}
+            for col in M.relations]
+    expr = [{g: ring.one()} for g in range(M.ngens)]
     nonunits = set()
-    changed = True
-    while changed:
-        changed = False
-        for ci, col in enumerate(rels):
-            unit_at = None
-            for pos, g in enumerate(gens):
-                e = col[pos]
-                if e.is_zero() or (e.num, e.dexp) in nonunits:
-                    continue
-                inv = ring.unit_inverse(e)  # one question: unit and inverse
-                if inv is not None:
-                    unit_at = (pos, g, inv)
-                    break
-                nonunits.add((e.num, e.dexp))
-            if unit_at is None:
-                continue
-            pos, g, inv = unit_at
-            # g = -inv * sum_{h != g} col_h * h
-            subst = {}
-            for p2, h in enumerate(gens):
-                if h != g and not col[p2].is_zero():
-                    subst[h] = ring.zero() - inv * col[p2]
-            for other in rels:
-                if other is col:
-                    continue
-                c = other[pos]
-                if c.is_zero():
-                    continue
-                for p2, h in enumerate(gens):
-                    if h in subst:  # adding c * 0 changes nothing
-                        other[p2] = other[p2] + c * subst[h]
-                other[pos] = ring.zero()
-            for src, e_map in expr.items():
-                c = e_map.pop(g, None)
-                if c is not None and not c.is_zero():
-                    for h, s in subst.items():
-                        e_map[h] = e_map.get(h, ring.zero()) + c * s
-            rels.pop(ci)
-            for other in rels:
-                other.pop(pos)
-            gens.pop(pos)
-            changed = True
+    gens = list(range(M.ngens))
+    while True:
+        pivot = _unit_entry(ring, rels, nonunits)
+        if pivot is None:
             break
+        ci, g, inv = pivot
+        col = rels.pop(ci)
+        gens.remove(g)
+        # g = -inv * sum_{h != g} col_h * h
+        subst = {h: zero - inv * c for h, c in col.items() if h != g}
+        for vec in rels + expr:
+            c = vec.pop(g, None)
+            if c is not None:
+                for h, s in subst.items():
+                    e = vec.get(h, zero) + c * s
+                    if e.is_zero():
+                        vec.pop(h, None)
+                    else:
+                        vec[h] = e
     new_index = {g: i for i, g in enumerate(gens)}
-    cols = []
-    for col in rels:
-        vec = tuple(col[i] for i in range(len(gens)))
-        if not vec_is_zero(vec):
-            cols.append(vec)
-    Mmin = FPModule(ring, len(gens), cols)
-    fwd_mat = [[ring.zero()] * M.ngens for _ in range(len(gens))]
-    for src in range(M.ngens):
-        for h, c in expr[src].items():
+    Mmin = FPModule(ring, len(gens), [tuple(col.get(g, zero) for g in gens)
+                                      for col in rels if col])
+    fwd_mat = [[zero] * M.ngens for _ in gens]
+    for src, e_map in enumerate(expr):
+        for h, c in e_map.items():
             fwd_mat[new_index[h]][src] = c
-    bwd_mat = [[ring.one() if i == g else ring.zero() for g in gens]
+    bwd_mat = [[ring.one() if i == g else zero for g in gens]
                for i in range(M.ngens)]
     fwd = ModuleMap(M, Mmin, fwd_mat, check=False)
     bwd = ModuleMap(Mmin, M, bwd_mat, check=False)
     return Mmin, fwd, bwd
+
+
+def _unit_entry(ring, rels, nonunits):
+    """(relation index, generator, inverse) of the first unit entry of the
+    sparse relations, or None; nonunits met on the way are added to the
+    set ``nonunits``."""
+    for ci, col in enumerate(rels):
+        for g in sorted(col):
+            e = col[g]
+            if e not in nonunits:
+                inv = ring.unit_inverse(e)  # one question: unit and inverse
+                if inv is not None:
+                    return ci, g, inv
+                nonunits.add(e)
+    return None
 
 
 def identity_map(M):

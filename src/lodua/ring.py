@@ -357,12 +357,8 @@ class Ring:
         over Z and Z_p, (numerator, denominator exponent) pairs over a
         localization, else the numerators.  ``from_key`` inverts one entry."""
         kind = self._kind
-        if kind == "int":
+        if kind == "int" or kind == "int_completed":
             return tuple([e.num.terms.get((), 0) for e in vec])
-        if kind == "int_completed":
-            m = self.int_modulus
-            # a negation is not reduced mod p^N (RingElement.__neg__)
-            return tuple([e.num.terms.get((), 0) % m for e in vec])
         if self.inverted is None:
             return tuple([e.num for e in vec])
         return tuple([(e.num, e.dexp) for e in vec])
@@ -409,14 +405,8 @@ class Ring:
         if self._kind == "int_localized":
             # +-(a product of primes dividing u) over a power of u
             return self.strip_inverted(e)[0] == self.one()
-        if self.inverted is not None:
-            base = self.without_inversion()
-            while True:
-                q = base._divide_exact(num, self.inverted)
-                if q is None:
-                    break
-                num = q
-            return base.is_unit_el(base.el(num))
+        if self._kind == "poly_localized":
+            return self.unit_inverse(e) is not None
         k = self.classify()
         if k == "int":
             return num.is_constant() and num.constant() in (1, -1)
@@ -452,6 +442,11 @@ class Ring:
     def unit_inverse(self, e):
         """The inverse of e, or None when e is not a unit."""
         e = self.el(e)
+        if self._kind == "poly_localized":
+            # x with e * x = 1, lifted in the Rabinowitsch model of u^-1 A
+            from .linalg import lift_through
+            x = lift_through(self, [(e,)], (self.one(),), 1)
+            return None if x is None else x[0]
         if self.inverted is None and self.nvars > 0 and (
                 self.quotient or self.is_completed):
             if self.is_power_series:
@@ -485,6 +480,7 @@ class Ring:
                 k += 1
             return self._normal(Poly.const(self.dom, 0, u ** k // a * u ** e.dexp), k)
         if self.inverted is not None:
+            # Z_p[1/p]: divide out the powers of p, invert the rest in Z_p
             base = self.without_inversion()
             num, extra = e.num, 0
             while True:
@@ -701,7 +697,11 @@ class RingElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElement(self.ring, -self.num, self.dexp)
+        r = self.ring
+        if r.nvars == 0 and r.completion is not None:
+            # over Z_p and Z_p[1/p] numerators stay in [0, p^N)
+            return r._normal(-self.num, self.dexp)
+        return RingElement(r, -self.num, self.dexp)
 
     def __sub__(self, other):
         return self + (-self._match(other))

@@ -68,6 +68,15 @@ def _killing_power(M, gens, bound):
     return None
 
 
+def _capped_killing_power(M, gens, bound=24):
+    """``_killing_power``, where over a completed ring only exponents below
+    the precision N are evidence: I^j M = 0 at precision N with j < N
+    implies I^j M = 0 exactly, since I^N M lies in I . I^j M (Nakayama)."""
+    if M.ring.is_completed:
+        bound = min(bound, (M.ring.precision or 1) - 1)
+    return _killing_power(M, gens, bound)
+
+
 class StageComplexes:
     """The complexes C_1, C_2, ... behind a homology tower and the chain
     maps C_(k+1) -> C_k, each built once on first use by a subclass's
@@ -484,20 +493,6 @@ def _mult_is_iso(M, x):
     return K.is_zero()
 
 
-def _mult_is_nilpotent(M, x, bound=24):
-    # over a completed ring only exponents below the precision are evidence:
-    # x^j M = 0 at precision N with j < N implies x^j M = 0 exactly
-    # (Nakayama: x^j M is contained in x M . x^j M)
-    if M.ring.is_completed:
-        bound = min(bound, (M.ring.precision or 1) - 1)
-    for j in range(1, bound + 1):
-        xj = x ** j
-        if all(M.contains_in_relations(tuple(xj * e for e in M.gen(i)))
-               for i in range(M.ngens)):
-            return j
-    return None
-
-
 def _gcd_el(ring, a, b):
     while not b.is_zero():
         _, r = ring.divmod_el(a, b)
@@ -550,7 +545,7 @@ def divisible_part(M, x):
     ring = M.ring
     if M.is_zero():
         return LimitModule.zero(basis="zero module")
-    if _mult_is_nilpotent(M, x):
+    if _capped_killing_power(M, [x]):
         return LimitModule.zero(basis="nilpotent multiplier")
     if _mult_is_iso(M, x):
         return LimitModule.of_module(M, basis="invertible multiplier")
@@ -694,7 +689,7 @@ def mult_tower_values(desc, x, precision=None):
         return TowerLimits(LimitModule.of_module(M, basis="invertible multiplier"),
                            LimitModule.zero(basis="invertible multiplier"),
                            "invertible multiplier")
-    nil = _mult_is_nilpotent(M, x)
+    nil = _capped_killing_power(M, [x])
     if nil:
         why = (f"x^{nil} = 0 on M at precision {ring.precision}"
                if ring.is_completed else f"x^{nil} = 0 on M")

@@ -271,6 +271,20 @@ def test_killing_power_capped_below_precision(N):
     assert _ideal_nilpotent_on(IdealData(Q, ["x", "y"]), torsion) == expected
 
 
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_nilpotent_multiplier_capped_below_precision(N):
+    # the multiplication tower asks the same capped question of one element
+    from lodua.towers import _capped_killing_power
+    Qc = make_ring({"base": "Q", "vars": ["x", "y"],
+                    "completion": {"ideal": ["x", "y"], "precision": N}})
+    x = Qc.el("x")
+    assert _capped_killing_power(FPModule.free(Qc, 2), [x]) is None
+    killed = FPModule(Qc, 2, [(Qc.el("x^2"), Qc.zero()), (Qc.zero(), x)])
+    assert _capped_killing_power(killed, [x]) == (2 if N > 2 else None)
+    Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": N}})
+    assert _capped_killing_power(FPModule.free(Z5, 1), [Z5.el(5)]) is None
+
+
 def test_ideal_nilpotent_on_rejects_a_foreign_ring(ZZ):
     from lodua.local import _ideal_nilpotent_on
     F7 = make_ring({"base": "Fp", "p": 7, "vars": ["x", "y"]})

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodua import (FPModule, InvalidInput, ModuleMap, ext, free_resolution,
                    hom_module, hom_or_tensor, iso_check, make_ring,
                    subquotient, tensor, tor)
 from lodua.modules import (base_change, block_sum, direct_sum, identity_kron,
-                           identity_map, kron_identity, power, scalar_map)
+                           identity_map, kron_identity, minimize_presentation,
+                           power, scalar_map)
 
 from conftest import zmod
 
@@ -171,6 +174,49 @@ def test_minimize_presentation_asks_each_nonunit_once(monkeypatch):
     # the rescan of the first relation asks nothing again
     assert [p.render(R.names) for p in asked] == ["x", "y", "1"]
     assert Mmin.ngens == 2 and Mmin.relations == [(R.el("x"), R.el("y"))]
+
+
+_SPARSE_RINGS = {
+    "Z": make_ring({"base": "Z"}),
+    "Q[x,y]": make_ring({"base": "Q", "vars": ["x", "y"]}),
+    "Q[[x,y]]": make_ring({"base": "Q", "vars": ["x", "y"],
+                           "completion": {"ideal": ["x", "y"],
+                                          "precision": 3}}),
+}
+# units and nonunits of each ring
+_SPARSE_ENTRIES = {
+    "Z": ["1", "-1", "2", "-3", "6"],
+    "Q[x,y]": ["1", "-2", "x", "y", "x*y - 1", "x^2"],
+    "Q[[x,y]]": ["1", "1 + x", "2 - y", "x", "y", "x*y"],
+}
+
+
+@st.composite
+def _sparse_presentations(draw):
+    """20 to 24 generators; at most 2 nonzero entries in each relation, so
+    at least 90% of the entries are zero."""
+    name = draw(st.sampled_from(sorted(_SPARSE_RINGS)))
+    ring = _SPARSE_RINGS[name]
+    ngens = draw(st.integers(20, 24))
+    entry = st.sampled_from(_SPARSE_ENTRIES[name])
+    placed = st.dictionaries(st.integers(0, ngens - 1), entry,
+                             min_size=1, max_size=ngens // 10)
+    cols = [tuple(ring.el(nonzero.get(g, 0)) for g in range(ngens))
+            for nonzero in draw(st.lists(placed, min_size=1, max_size=8))]
+    return FPModule(ring, ngens, cols)
+
+
+@settings(max_examples=45)
+@given(_sparse_presentations())
+def test_minimize_presentation_on_long_sparse_relations(M):
+    Mmin, fwd, bwd = minimize_presentation(M)
+    # check=True validates that relations map to relations
+    ModuleMap(M, Mmin, fwd.matrix, check=True)
+    ModuleMap(Mmin, M, bwd.matrix, check=True)
+    assert fwd.compose(bwd).equals(identity_map(Mmin))
+    assert bwd.compose(fwd).equals(identity_map(M))
+    again, _, _ = minimize_presentation(Mmin)
+    assert again.ngens == Mmin.ngens and again.relations == Mmin.relations
 
 
 # -- block builders -----------------------------------------------------------

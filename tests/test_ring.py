@@ -343,3 +343,32 @@ def test_canonical_keys_round_trip():
     # over Z_p a negation is keyed by its reduced value
     Z5 = rings[1]
     assert Z5.vec_key((-Z5.el(3),)) == Z5.vec_key((Z5.el(5 ** 4 - 3),))
+
+
+def test_negation_over_z_p_is_canonical():
+    # -1 and 5^20 - 1 are one element of Z_5, and of Z_5[1/5]
+    Z5 = make_ring({"base": "Z",
+                    "completion": {"ideal": ["5"], "precision": 20}})
+    Q5 = make_ring({"base": "Z", "invert": "5",
+                    "completion": {"ideal": ["5"], "precision": 20}})
+    cases = [(Z5, a, 0) for a in (1, 7, 5 ** 19, 0)]
+    cases += [(Q5, a, d) for a, d in ((1, 0), (3, 2), (-4, 1))]
+    for R, a, d in cases:
+        neg, want = -R.el(a, d), R.el(-a, d)
+        assert neg == want and hash(neg) == hash(want)
+        assert 0 <= neg.num.constant() < 5 ** 20
+        assert (R.el(a, d) - R.el(a, d)).is_zero()
+
+
+def test_units_of_a_localized_polynomial_ring():
+    # in Q[x,y][1/(xy)] the factors of the inverted element are units too
+    R = make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x*y"})
+    for a in ("x", "x*y", "-2*y^3"):
+        e = R.el(a)
+        assert e.is_unit() and e.inv() * e == R.one()
+    assert R.el("x").inv() == R.el("y", 1)
+    assert R.el("x").inv().render() == "(y)/(x*y)"
+    assert not R.el("x + 1").is_unit()
+    assert R.unit_inverse(R.el("x + 1")) is None
+    with pytest.raises(ZeroDivisionError):
+        R.el("x + 1").inv()

@@ -23,7 +23,8 @@ NAMES = "xyzwuv"
 
 # (number of variables, rank, precision N)
 STANDARD = ([(2, 1, n) for n in (2, 4, 6, 8, 10, 12)]
-            + [(2, 2, 4), (2, 3, 4), (2, 2, 6), (3, 1, 2), (3, 1, 3)])
+            + [(2, 2, 4), (2, 3, 4), (2, 2, 6), (3, 1, 2), (3, 1, 3),
+               (3, 1, 4)])
 
 
 def point(nvars, rank, n):
