@@ -121,6 +121,21 @@ class ValueTable:
     def degrees(self):
         return sorted(self.entries)
 
+    def as_graded_object(self, ring, name):
+        """The table as a GradedObject of descriptors, for re-consumption;
+        ``name`` (Gamma, Lambda) labels the refusal of a piece that is not."""
+        pieces = {}
+        for n, v in self.entries.items():
+            if v.kind == "module":
+                pieces[n] = FPObj(v.payload)
+            elif v.kind in ("telescope", "telescope_quotient", "rational"):
+                pieces[n] = v.payload
+            else:
+                raise UnsupportedRing(
+                    f"{name} output in degree {n} is not re-consumable: "
+                    f"{v.kind}")
+        return GradedObject(ring, pieces)
+
     def is_zero(self):
         return not self.entries
 
@@ -384,16 +399,7 @@ class GammaObject:
         return self.table.value(n)
 
     def as_graded_object(self):
-        pieces = {}
-        for n, v in self.table.entries.items():
-            if v.kind == "module":
-                pieces[n] = FPObj(v.payload)
-            elif v.kind in ("telescope", "telescope_quotient", "rational"):
-                pieces[n] = v.payload
-            else:
-                raise UnsupportedRing(
-                    f"Gamma output in degree {n} is not re-consumable: {v.kind}")
-        return GradedObject(self.ideal.ring, pieces)
+        return self.table.as_graded_object(self.ideal.ring, "Gamma")
 
     def describe(self):
         return {"construction": list(self.construction),
@@ -796,16 +802,10 @@ def adjunction_check(d, X, Y, stage_bound=12, lag=6, precision=None):
     lam = derived_completion(d, Y, stage_bound, lag, precision)
     Yobj = GradedObject.of(Y)
     gx_pieces = gx.as_graded_object()
-    lam_pieces = {}
-    for n, v in lam.entries.items():
-        if v.kind == "module":
-            lam_pieces[n] = FPObj(v.payload)
-        elif v.kind in ("telescope", "telescope_quotient", "rational"):
-            lam_pieces[n] = v.payload
-        else:
-            raise UnsupportedRing("Lambda output not re-consumable")
+    lam_pieces = lam.as_graded_object(d.ring, "Lambda")
     left = _hom_sum(gx_pieces.pieces, Yobj.pieces, stage_bound, lag, precision)
-    right = _hom_sum(Xobj.pieces, lam_pieces, stage_bound, lag, precision)
+    right = _hom_sum(Xobj.pieces, lam_pieces.pieces, stage_bound, lag,
+                     precision)
     ok, detail = values_agree(left, right)
     if not ok:
         raise InternalInconsistency(

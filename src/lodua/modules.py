@@ -93,9 +93,7 @@ class FPModule:
         cols = []
         rank_bound = min(self.ngens, len(self.relations))
         for j in range(rank_bound):
-            if not D[j][j].is_zero() and not D[j][j].is_unit():
-                cols.append(tuple(D[i][j] for i in range(self.ngens)))
-            elif D[j][j].is_unit():
+            if not D[j][j].is_zero():
                 cols.append(tuple(D[i][j] for i in range(self.ngens)))
         can = FPModule(self.ring, self.ngens, cols)
         fwd = ModuleMap(self, can, U, check=False)

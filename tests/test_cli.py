@@ -222,11 +222,46 @@ def test_budget_env_var_exits_two(tmp_path):
 
 
 def test_golden_comodule_verify_report():
-    code, out, _ = run_cli("verify", fixture("c2-swap.json"),
-                           "--which", "completion-formula")
-    assert code == 0
-    with open(fixture("golden/c2-swap.completion-formula.json")) as fh:
-        assert out == fh.read()
+    """The comodule verbs on c2-swap, byte for byte."""
+    for args, golden in [
+        (["verify", "--which", "completion-formula"], "completion-formula"),
+        (["comodule-complete", "--comodule", "CA"], "comodule-complete"),
+        (["comodule-limit", "--comodule", "CA", "--method", "pullback"],
+         "comodule-limit-pullback"),
+        (["iota", "--comodule", "CA"], "iota"),
+        (["verify", "--which", "comodule-gm"], "comodule-gm"),
+        (["verify", "--which", "fg-vanishing"], "fg-vanishing"),
+        (["verify", "--which", "injective-vanishing"], "injective-vanishing"),
+        (["verify", "--which", "true-level"], "true-level"),
+    ]:
+        code, out, _ = run_cli(args[0], fixture("c2-swap.json"), *args[1:])
+        assert code == 0, golden
+        with open(fixture(f"golden/c2-swap.{golden}.json")) as fh:
+            assert out == fh.read(), golden
+
+
+@pytest.mark.parametrize("module, action, axiom", [
+    ({"generators": 1, "relations": []}, {"e": [["2"]], "s": [["1"]]},
+     "not counital"),
+    ({"generators": 1, "relations": [["x"]]}, {"s": [["1"]]},
+     "not semilinear"),
+    ({"generators": 1, "relations": []}, {"s": [["2"]]},
+     "not coassociative"),
+    ({"generators": 1, "relations": []}, {"s": [["1"], ["0"]]},
+     "wrong shape"),
+])
+def test_invalid_comodule_action_exits_three(tmp_path, module, action, axiom):
+    """phi_e = id, semilinearity and the group law, each broken in turn, and
+    an action matrix of the wrong shape."""
+    with open(fixture("c2-swap.json")) as fh:
+        doc = json.load(fh)
+    doc["modules"]["A"] = module
+    doc["comodules"]["CA"]["action"] = action
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 3 and out == ""
+    assert axiom in err and "Traceback" not in err
 
 
 def test_lambda_and_localcoh_on_descriptors(tmp_path):

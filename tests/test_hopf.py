@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lodua.hopf
 from lodua import (Comodule, ComoduleTower, CompleteComodule, FPModule,
@@ -9,6 +11,7 @@ from lodua import (Comodule, ComoduleTower, CompleteComodule, FPModule,
 from lodua.descriptors import _same_presentation
 from lodua.hopf import (_base_change_comodule, _completed_hopf,
                         extended_module, tor_stage_action, true_level_probe)
+from lodua.linalg import mat_mul, mat_vec
 
 from conftest import zmod
 
@@ -283,3 +286,113 @@ def test_true_level_probe_compares_both_sides(QQxy, swap, dI, monkeypatch):
     monkeypatch.setattr(lodua.hopf, "completed_module", skewed)
     with pytest.raises(InternalInconsistency):
         true_level_probe(swap, dI, precision=5)
+
+
+
+def test_true_level_probe_compares_relations(QQxy, swap, dI, monkeypatch):
+    # completing Psi (x) N over A loses one relation, generator counts kept:
+    # only the probe on A/I, whose relations are not empty, can see that
+    complete = lodua.hopf.completed_module
+
+    def dropped(M, gens, precision=None):
+        C = complete(M, gens, precision)
+        return FPModule(C.ring, C.ngens, C.relations[:-1])
+
+    monkeypatch.setattr(lodua.hopf, "completed_module", dropped)
+    with pytest.raises(InternalInconsistency):
+        true_level_probe(swap, dI, precision=5)
+
+
+# -- the coaction check against the group-element conditions ------------------
+
+_Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+_F3 = make_ring({"base": "Fp", "p": 3, "vars": ["x", "y", "z"]})
+_GROUPS = {
+    "c2": make_group_like(_Q, ["e", "s"], C2_TABLE,
+                          {"s": {"x": "y", "y": "x"}}),
+    "c3": make_group_like(
+        _F3, ["e", "r", "rr"],
+        {("e", "e"): "e", ("e", "r"): "r", ("e", "rr"): "rr",
+         ("r", "e"): "r", ("r", "r"): "rr", ("r", "rr"): "e",
+         ("rr", "e"): "rr", ("rr", "r"): "e", ("rr", "rr"): "r"},
+        {"r": {"x": "y", "y": "z", "z": "x"},
+         "rr": {"x": "z", "y": "x", "z": "y"}}),
+}
+_RELATIONS = {"c2": ["0", "x + y", "x*y", "x", "x - y"],
+              "c3": ["0", "x + y + z", "x*y*z", "x", "x - y"]}
+_ENTRIES = ["0", "1", "-1", "x"]
+# matrices of order 1, 2 or 3, so that valid actions are drawn often
+_ORDERED = {1: [[["1"]], [["-1"]]],
+            2: [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]],
+                [["0", "-1"], ["1", "-1"]]]}
+
+
+@st.composite
+def _candidates(draw):
+    """(group, module, action): a rank <= 2 module with <= 2 relations and
+    matrices P_g of small order or with small entries; P_e is often left out
+    (the identity), and P_rr is often derived from P_r by the group law."""
+    name = draw(st.sampled_from(sorted(_GROUPS)))
+    h = _GROUPS[name]
+    ring = h.ring
+    n = draw(st.integers(1, 2))
+    rels = draw(st.lists(st.tuples(*[st.sampled_from(_RELATIONS[name])] * n),
+                         max_size=2))
+    M = FPModule(ring, n, [tuple(ring.el(e) for e in col) for col in rels])
+    entries = st.lists(st.lists(st.sampled_from(_ENTRIES), min_size=n,
+                                max_size=n), min_size=n, max_size=n)
+    matrix = st.one_of(st.sampled_from(_ORDERED[n]), entries).map(
+        lambda rows: [[ring.el(e) for e in row] for row in rows])
+    action = {}
+    for g in h.elements:
+        if g == h.identity:
+            if draw(st.booleans()):
+                continue
+            action[g] = draw(matrix)
+        elif g == "rr" and draw(st.booleans()):
+            P = action["r"]
+            action[g] = mat_mul(ring, P, h.apply_matrix("r", P))
+        else:
+            action[g] = draw(matrix)
+    return h, M, action
+
+
+def _group_element_conditions(h, M, action):
+    """phi_e = id, each phi_g semilinear on the relations, and the group law
+    P_g g(P_k) = P_gk, all modulo the relations of M."""
+    ring = M.ring
+    ident = [[ring.one() if i == j else ring.zero() for j in range(M.ngens)]
+             for i in range(M.ngens)]
+    P = {g: action.get(g, ident) for g in h.elements}
+
+    def same(A, B):
+        return all(M.contains_in_relations(
+            tuple(A[i][j] - B[i][j] for i in range(M.ngens)))
+            for j in range(M.ngens))
+
+    return (same(P[h.identity], ident)
+            and all(M.contains_in_relations(mat_vec(ring, P[g],
+                                                    h.apply_vec(g, col)))
+                    for g in h.elements for col in M.relations)
+            and all(same(mat_mul(ring, P[g], h.apply_matrix(g, P[k])),
+                         P[h.mul(g, k)])
+                    for g in h.elements for k in h.elements))
+
+
+def test_coaction_check_is_the_group_element_conditions():
+    seen = set()
+
+    @settings(max_examples=120)
+    @given(_candidates())
+    def check(candidate):
+        h, M, action = candidate
+        try:
+            Comodule(h, M, action, check=True)
+            accepted = True
+        except InvalidInput:
+            accepted = False
+        assert accepted == _group_element_conditions(h, M, action)
+        seen.add((h.order, accepted))
+
+    check()
+    assert seen == {(2, True), (2, False), (3, True), (3, False)}
