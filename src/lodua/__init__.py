@@ -11,7 +11,7 @@ from .complexes import (ChainComplex, ChainMap, complex_algebra, cone,
 from .criteria import (CompletenessCertificate, ext_telescope,
                        homology_membership, is_L_complete, is_lambda_local)
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Rational,
-                          Sum, Telescope, TelescopeQuotient, values_agree)
+                          Telescope, TelescopeQuotient, values_agree)
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      LoduaError, PrecisionMismatch, UnrecognizedTower,
                      UnsupportedRing)

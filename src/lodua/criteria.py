@@ -15,7 +15,7 @@ itself.  Rings with nontrivial projectives would need the full dualizable
 family; that case is out of scope here.
 """
 
-from .descriptors import (FPObj, LimitModule, Sum, Telescope, values_agree)
+from .descriptors import (FPObj, LimitModule, Telescope, values_agree)
 from .errors import InvalidInput, UnsupportedRing
 from .local import GradedObject, derived_completion, gamma, _ideal_nilpotent_on
 from .modules import FPModule, base_change, ext as module_ext
@@ -84,9 +84,6 @@ def _ext_against_stage(d, i, desc, q):
             return desc if q == 0 else FPObj(FPModule.zero(ring))
         raise UnsupportedRing(
             "telescope-quotient targets are supported at the first stage only")
-    if desc.kind == "sum":
-        parts = [_ext_against_stage(d, i, p, q) for p in desc.parts]
-        return Sum(parts)
     raise UnsupportedRing(f"no Ext rule for descriptor kind {desc.kind}")
 
 
@@ -141,8 +138,7 @@ def _coerce(desc, x):
 
 
 def _is_zero_desc(desc):
-    return desc.kind == "fp" and desc.module.is_zero() or \
-        (desc.kind == "sum" and not desc.parts)
+    return desc.kind == "fp" and desc.module.is_zero()
 
 
 def is_L_complete(desc, d, precision=None):

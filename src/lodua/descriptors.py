@@ -8,7 +8,6 @@ consumes can be:
                                 (u regular on M, certified); e.g. Z/p^infty
   * Rational(dim)            -- Q^dim as a Z-module: every nonzero integer
                                 acts invertibly
-  * Sum(parts)               -- a finite direct sum of the above
 
 plus LimitModule, the stamped value type for lim/lim1 and local homology:
 zero, an honest module (possibly over a completed ring at stated precision),
@@ -113,25 +112,6 @@ class Rational(Descriptor):
 
     def __repr__(self):
         return f"<Q^{self.dim}>"
-
-
-class Sum(Descriptor):
-    kind = "sum"
-
-    def __init__(self, parts):
-        parts = [p for p in parts if not _desc_is_zero(p)]
-        self.parts = parts
-        self.ring = parts[0].ring if parts else None
-
-    def describe(self):
-        return {"kind": "sum", "parts": [p.describe() for p in self.parts]}
-
-    def __repr__(self):
-        return " + ".join(repr(p) for p in self.parts) or "<0>"
-
-
-def _desc_is_zero(d):
-    return d.kind == "fp" and d.module.is_zero()
 
 
 class CompletionCokernel:

@@ -11,10 +11,10 @@ relations (every phi_g is semilinear), the counit (phi_e = id) and
 coassociativity (the group law phi_g phi_k = phi_gk).  A map f of comodules
 is tested in the same form, (Psi (x) f) . psi_X = psi_Y . f.
 
-Inverse limits of comodules are computed two ways: as the kernel of the map
-between extended comodules built from the coaction cokernels, and as the
-pullback against the extended comodule of the limit; the two results come
-with a comparison isomorphism.
+Inverse limits of comodules are certified two ways in one pass, on one
+base change: as the kernel of the map between extended comodules built from
+the coaction cokernels, and as the pullback against the extended comodule
+of the limit.
 """
 
 from .descriptors import LimitModule, values_agree
@@ -209,6 +209,7 @@ class Comodule:
             else:
                 mat = maps[g]
             self.maps[g] = [[self.ring.el(e) for e in row] for row in mat]
+        self._coaction = None
         if check:
             self._validate()
 
@@ -245,11 +246,14 @@ class Comodule:
 
     def coaction(self):
         """psi: M -> Psi (x) M, block g carrying Q_g = g(P_(g^-1)); built
-        with the check that it carries relations to relations."""
-        h, M = self.hopf, self.module
-        rows = [row for g in h.elements
-                for row in h.apply_matrix(g, self.maps[h.inverse[g]])]
-        return ModuleMap(M, extended_module(h, M)[0], rows, check=True)
+        once, with the check that it carries relations to relations."""
+        if self._coaction is None:
+            h, M = self.hopf, self.module
+            rows = [row for g in h.elements
+                    for row in h.apply_matrix(g, self.maps[h.inverse[g]])]
+            self._coaction = ModuleMap(M, extended_module(h, M)[0], rows,
+                                       check=True)
+        return self._coaction
 
     def extended_counit(self):
         """Psi (x) M -> M: projection to the identity block."""
@@ -289,7 +293,8 @@ def extended_module(h, M):
 def extended_comodule(h, N):
     """Psi (x) N with the block-permutation action phi_g: block k -> block gk.
 
-    The defining adjunction Hom_Psi(M, Psi (x) N) = Hom_A(M, N) is exposed
+    It is a comodule for every module N, so it is built unchecked.  The
+    defining adjunction Hom_Psi(M, Psi (x) N) = Hom_A(M, N) is exposed
     through `extended_adjunction`.
     """
     EM, _ = extended_module(h, N)
@@ -298,7 +303,7 @@ def extended_comodule(h, N):
     maps = {g: kron_identity(N.ring, [[one if h.mul(g, k) == t else zero
                                        for k in els] for t in els], N.ngens)
             for g in els}
-    return Comodule(h, EM, maps)
+    return Comodule(h, EM, maps, check=False)
 
 
 def extended_adjunction(h, M_comod, N):
@@ -408,9 +413,9 @@ def _base_change_comodule(h_hat, comod):
     return Comodule(h_hat, base_change(comod.module, ring), maps, check=True)
 
 
-def comodule_limit(tower, method="kernel", stage_bound=12, precision=None,
-                   check_stages=2):
-    """The inverse limit of an adic comodule tower, by either construction.
+def comodule_limit(tower, method="kernel", precision=None, check_stages=2):
+    """The inverse limit of an adic comodule tower, certified by both
+    constructions in one pass on one base change.
 
     kernel:   lim_Psi(M_k) = ker(lim f_k) for f_k: Psi (x) M_k -> Psi (x) T_k
               built from the coaction cokernels; the completed sequence is
@@ -421,39 +426,39 @@ def comodule_limit(tower, method="kernel", stage_bound=12, precision=None,
               checked (it holds because Psi is finite free), so the pullback
               is the graph of j^-1 lim(psi) and is isomorphic to lim M_k.
 
-    Returns (Comodule over the completed ring, certificate dict).
+    Returns (Comodule over the completed ring, certificate of ``method``).
     """
+    if method not in ("kernel", "pullback"):
+        raise InvalidInput(f"unknown method {method!r}")
     h = tower.hopf
     precision = precision or DEFAULT_PRECISION
     h_hat = _completed_hopf(h, tower.gens, precision)
     base_hat = _base_change_comodule(h_hat, tower.base)
-    cert = {"method": method}
-
     for k in range(1, check_stages + 1):
         _stage_exactness_check(tower, k)
-    cert["stage_exactness"] = (f"ker(f_k) = psi(M_k) verified for k <= "
-                               f"{check_stages}")
-
+    # kernel: the kernel of the completed f is the image of the completed
+    # coaction, a split monomorphism; exactness cited and stage-checked
+    f_hat = _cofree_map(base_hat)
+    if not f_hat.compose(base_hat.coaction()).is_zero_map():
+        raise InternalInconsistency("f . psi != 0 after completion")
+    # pullback: j is bijective when Psi^ (x) lim and lim(Psi (x) -) agree
+    EMhat, _ = extended_module(h_hat, base_hat.module)
+    lim_of_extended = completed_module(
+        extended_module(h, tower.base.module)[0], tower.gens, precision)
+    from .descriptors import _same_presentation
+    if not _same_presentation(EMhat, lim_of_extended):
+        raise InternalInconsistency(
+            "Psi (x) lim and lim(Psi (x) -) differ: j is not bijective")
+    cert = {"method": method,
+            "stage_exactness": (f"ker(f_k) = psi(M_k) verified for k <= "
+                                f"{check_stages}")}
     if method == "kernel":
-        # the kernel of the completed f is the image of the completed
-        # coaction, a split monomorphism; exactness cited and stage-checked
-        f_hat = _cofree_map(base_hat)
-        if not f_hat.compose(base_hat.coaction()).is_zero_map():
-            raise InternalInconsistency("f . psi != 0 after completion")
         cert["kernel"] = ("psi^ is a split monomorphism with f^ . psi^ = 0; "
                           "completion-exactness identifies ker(f^) with its "
                           "image")
         cert["tau"] = ("the underlying module of the comodule limit equals "
                        "the module limit: tau is the identity comparison")
-        return base_hat, cert
-    if method == "pullback":
-        EMhat, _ = extended_module(h_hat, base_hat.module)
-        lim_of_extended = completed_module(
-            extended_module(h, tower.base.module)[0], tower.gens, precision)
-        from .descriptors import _same_presentation
-        if not _same_presentation(EMhat, lim_of_extended):
-            raise InternalInconsistency(
-                "Psi (x) lim and lim(Psi (x) -) differ: j is not bijective")
+    else:
         cert["monomorphisms"] = (
             "j: Psi (x) lim M -> lim(Psi (x) M) is the identity presentation "
             "(Psi is finite free), and likewise for Psi (x) Psi (x) M; both "
@@ -461,8 +466,7 @@ def comodule_limit(tower, method="kernel", stage_bound=12, precision=None,
         cert["pullback"] = ("the pullback of lim(psi) along the bijection j "
                             "is the graph of j^-1 lim(psi), isomorphic to "
                             "lim M_k via the first projection")
-        return base_hat, cert
-    raise InvalidInput(f"unknown method {method!r}")
+    return base_hat, cert
 
 
 def _cofree_map(comod):
@@ -649,8 +653,15 @@ def completion_formula_check(h, d, M_comod, precision=DEFAULT_PRECISION):
     """Thm: the comodule completion agrees with iota of the module completion."""
     lhs, cert_l = comodule_completion(M_comod, d, precision=precision,
                                       method="kernel")
+    # rhs from the coaction over A: base-change its matrix and read
+    # P_g = g(Q_(g^-1)) off the block of g^-1
     h_hat = _completed_hopf(h, d.gens, precision)
-    chat = _base_change_comodule(h_hat, M_comod)
+    ring, n = h_hat.ring, M_comod.module.ngens
+    Q = base_change_rows(M_comod.coaction().matrix, ring)
+    block = {g: Q[b * n:(b + 1) * n] for b, g in enumerate(h.elements)}
+    chat = Comodule(h_hat, base_change(M_comod.module, ring),
+                    {g: h_hat.apply_matrix(g, block[h.inverse[g]])
+                     for g in h.elements}, check=False)
     rhs, cert_r = iota(CompleteComodule(h_hat, chat, precision))
     from .descriptors import _same_presentation
     if not _same_presentation(lhs.module, rhs.module):

@@ -37,7 +37,7 @@ class IdealData:
         if any(g.is_zero() for g in self.gens):
             raise InvalidInput("ideal generators must be nonzero")
         self._regular = None
-        self._wpr = None
+        self._wpr = {}
 
     @property
     def n(self):
@@ -49,10 +49,11 @@ class IdealData:
         return self._regular
 
     def weak_proregularity(self, stage_bound=4, lag=2):
-        if self._wpr is None:
-            self._wpr = weak_proregularity_check(self.ring, self.gens,
-                                                 stage_bound=stage_bound, lag=lag)
-        return self._wpr
+        key = (stage_bound, lag)
+        if key not in self._wpr:
+            self._wpr[key] = weak_proregularity_check(
+                self.ring, self.gens, stage_bound=stage_bound, lag=lag)
+        return self._wpr[key]
 
     def describe(self):
         return {"gens": [g.render() for g in self.gens], "ring": repr(self.ring)}
@@ -256,11 +257,6 @@ def local_cohomology_value(d, desc, s, stage_bound=8):
         from .towers import _require_radical_membership
         _require_radical_membership(ring, desc.mult, d.gens)
         return local_cohomology_value(d, FPObj(desc.module), s + 1, stage_bound)
-    if desc.kind == "sum":
-        acc = {}
-        for p in desc.parts:
-            _add_value(acc, 0, local_cohomology_value(d, p, s, stage_bound))
-        return acc.get(0, LimitModule.zero())
     M = desc.module
     if M.ring != ring:
         if M.ring.is_completed and M.ring.underlying() == ring:
@@ -454,12 +450,6 @@ def _lambda_route_A(d, desc, precision=None):
         _require_radical_membership(ring, desc.mult, d.gens)
         inner = _lambda_route_A(d, FPObj(desc.module), precision)
         return {s + 1: v for s, v in inner.items()}
-    if desc.kind == "sum":
-        acc = {}
-        for p in desc.parts:
-            for s, v in _lambda_route_A(d, p, precision).items():
-                _add_value(acc, s, v)
-        return acc
     M = desc.module
     out = completed_module(M, [g for g in d.gens], precision)
     if out.is_zero():
@@ -482,12 +472,6 @@ def _lambda_route_B(d, desc, stage_bound, lag, precision=None):
         _require_radical_membership(ring, desc.mult, d.gens)
         inner = _lambda_route_B(d, FPObj(desc.module), stage_bound, lag, precision)
         return {s + 1: v for s, v in inner.items()}
-    if desc.kind == "sum":
-        acc = {}
-        for p in desc.parts:
-            for s, v in _lambda_route_B(d, p, stage_bound, lag, precision).items():
-                _add_value(acc, s, v)
-        return acc
     C = ChainComplex.single(desc.module, 0)
     stages = KoszulTensorStages(C, d.gens)
     # weak proregularity was certified by derived_completion before either
@@ -754,12 +738,6 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
             basis="stages have projective dimension one; higher Ext vanish")
     if D1.kind == "rational":
         raise UnsupportedRing("rational sources are not needed and not supported")
-    if D1.kind == "sum":
-        acc = {}
-        for p in D1.parts:
-            _add_value(acc, 0, ext_of_descriptors(p, D2, q, stage_bound, lag,
-                                                  precision))
-        return acc.get(0, LimitModule.zero())
     raise UnsupportedRing(f"no Ext rule for source {D1.kind}")
 
 

@@ -24,8 +24,8 @@ from .errors import InvalidInput, UnrecognizedTower, UnsupportedRing
 from .koszul import koszul_chain, koszul_transition
 from .linalg import lift_through, member, span_basis
 from .modules import (FPModule, ModuleMap, base_change, block_sum,
-                      diagonal_map, free_resolution, identity_map,
-                      scalar_map, scalar_matrix, zero_map)
+                      free_resolution, identity_map, scalar_map,
+                      scalar_matrix, zero_map)
 from .ring import power_products, prefix_products
 
 DEFAULT_STAGE_BOUND = 12
@@ -197,7 +197,7 @@ class ProTrivialVerdict:
 
 class Tower:
     """kind in {'adic', 'mult', 'tor', 'koszul_homology', 'koszul_stage',
-    'explicit', 'zero', 'sum'}; stages are memoized."""
+    'explicit', 'zero'}; stages are memoized."""
 
     def __init__(self, ring, kind, params, note=None):
         self.ring = ring
@@ -241,9 +241,6 @@ class Tower:
                        {"why": "multiplier invertible and nilpotent on stages"})
         if desc.kind == "rational":
             return cls(ring, "zero", {"why": "ideal acts invertibly on Q"})
-        if desc.kind == "sum":
-            parts = [cls.tor(p, gens, s, resolutions) for p in desc.parts]
-            return cls(ring, "sum", {"parts": parts})
         if s == 0:
             return cls.adic(desc.module, gens)
         M = desc.module
@@ -326,8 +323,6 @@ class Tower:
             if period:
                 return stages[(k - 1 - len(stages)) % period + len(stages) - period]
             raise InvalidInput(f"explicit tower has no stage {k}")
-        if kind == "sum":
-            return block_sum([t.stage(k) for t in self.params["parts"]])
         raise InvalidInput(f"unknown tower kind {kind}")
 
     def _make_transition(self, k):
@@ -350,9 +345,6 @@ class Tower:
             if period:
                 return trans[(k - 1 - len(trans)) % period + len(trans) - period]
             raise InvalidInput(f"explicit tower has no transition {k}")
-        if kind == "sum":
-            return diagonal_map(self.stage(k + 1), self.stage(k),
-                                [t.transition(k) for t in self.params["parts"]])
         raise InvalidInput(f"unknown tower kind {kind}")
 
 
@@ -401,14 +393,6 @@ def is_pro_trivial(tower, lag=DEFAULT_LAG, stage_bound=DEFAULT_STAGE_BOUND):
                                      note="no materializable stages")
     if tower.kind == "zero":
         return ProTrivialVerdict("pro-trivial", lag=0)
-    if tower.kind == "sum":
-        worst = ProTrivialVerdict("pro-trivial", lag=0)
-        for part in tower.params["parts"]:
-            v = is_pro_trivial(part, lag, stage_bound)
-            if v.status != "pro-trivial":
-                return v
-            worst = v if (v.lag or 0) > (worst.lag or 0) else worst
-        return worst
     for j in range(0, lag + 1):
         if stage_bound - j < 1:
             break  # no composite of this lag is materializable: no claim
@@ -681,9 +665,6 @@ def mult_tower_values(desc, x, precision=None):
             lim = LimitModule.zero(basis="telescope-quotient six-term")
         return TowerLimits(lim, LimitModule.zero(basis="divisible target"),
                            "telescope-quotient six-term")
-    if desc.kind == "sum":
-        parts = [mult_tower_values(p, x, precision) for p in desc.parts]
-        return _combine_sum(parts)
     M = desc.module
     if _mult_is_iso(M, x):
         return TowerLimits(LimitModule.of_module(M, basis="invertible multiplier"),
@@ -710,27 +691,6 @@ def mult_tower_values(desc, x, precision=None):
     return TowerLimits(D, lim1, "completion comparison model")
 
 
-def _combine_sum(parts):
-    lims = [p.lim for p in parts]
-    lim1s = [p.lim1 for p in parts]
-
-    def combine(vals):
-        vals = [v for v in vals if not v.is_zero()]
-        if not vals:
-            return LimitModule.zero(basis="sum of zeros")
-        if any(not v.is_recognized() for v in vals):
-            return LimitModule.unrecognized("unrecognized summand")
-        if len(vals) == 1:
-            return vals[0]
-        if all(v.kind == "module" for v in vals):
-            return LimitModule.of_module(block_sum([v.payload for v in vals]),
-                                         basis="direct sum")
-        return LimitModule("ind", {"sum": [v.describe() for v in vals]},
-                           basis="direct sum of values")
-
-    return TowerLimits(combine(lims), combine(lim1s), "componentwise")
-
-
 # -- the main lim/lim1 dispatcher ------------------------------------------------
 
 
@@ -740,10 +700,6 @@ def lim_lim1(tower, stage_bound=DEFAULT_STAGE_BOUND, lag=DEFAULT_LAG,
     if kind == "zero":
         z = LimitModule.zero(basis=tower.params.get("why", "zero tower"))
         return TowerLimits(z, z, "zero tower")
-    if kind == "sum":
-        parts = [lim_lim1(t, stage_bound, lag, precision)
-                 for t in tower.params["parts"]]
-        return _combine_sum(parts)
     if kind == "adic":
         M = tower.params["module"]
         gens = tower.params["ideal"]

@@ -167,6 +167,6 @@ def test_unverified_hypotheses_are_stamped(ZZ):
     carries the outside-verified-hypotheses stamp."""
     from lodua import local_homology_Ls
     d = IdealData(ZZ, [5])
-    d._wpr = {"status": "inconclusive"}
+    d._wpr[(3, 2)] = {"status": "inconclusive"}
     v = local_homology_Ls(d, FPObj(FPModule.free(ZZ, 1)), 0)
     assert "outside verified hypotheses" in (v.basis or "")

@@ -289,6 +289,28 @@ def test_true_level_probe_compares_both_sides(QQxy, swap, dI, monkeypatch):
 
 
 
+def test_completion_formula_compares_two_constructions(QQxy, swap, dI,
+                                                       monkeypatch):
+    # P_s = [[1, x - y], [0, 1]] is a valid action on the free module of
+    # rank 2, and so is the identity: a comodule limit that trades one for
+    # the other must disagree with iota of the coaction built over A
+    one, zero = QQxy.one(), QQxy.zero()
+    M = Comodule(swap, FPModule.free(QQxy, 2),
+                 {"s": [[one, QQxy.el("x - y")], [zero, one]]})
+    out = verify_theorems(swap, dI, M, "completion-formula", precision=4)
+    assert out["verdict"] == "pass"
+    base_change = lodua.hopf._base_change_comodule
+
+    def trivialized(h_hat, comod):
+        ident = [[one if i == j else zero for j in range(2)] for i in range(2)]
+        return base_change(h_hat, Comodule(comod.hopf, comod.module,
+                                           {"s": ident}))
+
+    monkeypatch.setattr(lodua.hopf, "_base_change_comodule", trivialized)
+    with pytest.raises(InternalInconsistency, match="not equivariant"):
+        verify_theorems(swap, dI, M, "completion-formula", precision=4)
+
+
 def test_true_level_probe_compares_relations(QQxy, swap, dI, monkeypatch):
     # completing Psi (x) N over A loses one relation, generator counts kept:
     # only the probe on A/I, whose relations are not empty, can see that
@@ -328,17 +350,24 @@ _ORDERED = {1: [[["1"]], [["-1"]]],
 
 
 @st.composite
-def _candidates(draw):
-    """(group, module, action): a rank <= 2 module with <= 2 relations and
-    matrices P_g of small order or with small entries; P_e is often left out
-    (the identity), and P_rr is often derived from P_r by the group law."""
+def _modules(draw):
+    """(group, module): a rank <= 2 module with <= 2 relations."""
     name = draw(st.sampled_from(sorted(_GROUPS)))
     h = _GROUPS[name]
-    ring = h.ring
     n = draw(st.integers(1, 2))
     rels = draw(st.lists(st.tuples(*[st.sampled_from(_RELATIONS[name])] * n),
                          max_size=2))
-    M = FPModule(ring, n, [tuple(ring.el(e) for e in col) for col in rels])
+    return h, FPModule(h.ring, n, [tuple(h.ring.el(e) for e in col)
+                                   for col in rels])
+
+
+@st.composite
+def _candidates(draw):
+    """(group, module, action): a module from `_modules` and matrices P_g
+    of small order or with small entries; P_e is often left out (the
+    identity), and P_rr is often derived from P_r by the group law."""
+    h, M = draw(_modules())
+    ring, n = h.ring, M.ngens
     entries = st.lists(st.lists(st.sampled_from(_ENTRIES), min_size=n,
                                 max_size=n), min_size=n, max_size=n)
     matrix = st.one_of(st.sampled_from(_ORDERED[n]), entries).map(
@@ -396,3 +425,12 @@ def test_coaction_check_is_the_group_element_conditions():
 
     check()
     assert seen == {(2, True), (2, False), (3, True), (3, False)}
+
+
+@settings(max_examples=30)
+@given(_modules())
+def test_extended_comodule_is_a_comodule(candidate):
+    # extended_comodule builds Psi (x) N unchecked; every axiom must hold
+    h, N = candidate
+    E = extended_comodule(h, N)
+    Comodule(h, E.module, E.maps, check=True)

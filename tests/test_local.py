@@ -368,3 +368,21 @@ def test_power_products_match_the_left_to_right_product():
             naive = [_naive_product(gens, c)
                      for c in combinations_with_replacement(range(3), k)]
             assert power_products(gens, k) == naive
+
+
+def test_weak_proregularity_is_remembered_per_bounds(ZZ, monkeypatch):
+    """derived_completion and L_s ask with different lags: each pair of
+    bounds gets its own certificate, computed once."""
+    import lodua.local
+    calls = []
+    check = lodua.local.weak_proregularity_check
+
+    def counted(ring, seq, stage_bound, lag):
+        calls.append((stage_bound, lag))
+        return check(ring, seq, stage_bound=stage_bound, lag=lag)
+
+    monkeypatch.setattr(lodua.local, "weak_proregularity_check", counted)
+    d = IdealData(ZZ, [5])
+    for bounds in [(3, 2), (3, 5), (3, 2), (3, 5)]:
+        d.weak_proregularity(*bounds)
+    assert calls == [(3, 2), (3, 5)]
