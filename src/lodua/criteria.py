@@ -4,7 +4,8 @@ homology-level torsion/complete tests for bounded complexes.
 The completeness test follows the telescope grid: M is complete iff
 Ext^q(x_i^-1 A/(x_1..x_(i-1)), M) vanishes for 1 <= i <= n and 0 <= q <= i
 (higher q vanish for free: the telescope has projective dimension <= i).
-Each cell is assembled from multiplication towers on the Ext modules of
+Each cell comes from the Ext engine of `local`, which assembles Ext out
+of a telescope from multiplication towers on the Ext modules of
 A/(x_1..x_(i-1)) through the Milnor sequence, so every verdict carries an
 exact certificate or an explicit nonzero witness.
 
@@ -15,11 +16,12 @@ itself.  Rings with nontrivial projectives would need the full dualizable
 family; that case is out of scope here.
 """
 
-from .descriptors import (FPObj, LimitModule, Telescope, values_agree)
-from .errors import InvalidInput, UnsupportedRing
-from .local import GradedObject, derived_completion, gamma, _ideal_nilpotent_on
-from .modules import FPModule, base_change, ext as module_ext
-from .towers import mult_tower_values
+from .descriptors import FPObj, LimitModule, value_of, values_agree
+from .errors import InvalidInput
+from .local import (GradedObject, derived_completion, ext_out_of_telescope,
+                    gamma, _ideal_nilpotent_on)
+from .modules import FPModule
+from .towers import _require_radical_membership
 
 
 class CompletenessCertificate:
@@ -43,56 +45,12 @@ class CompletenessCertificate:
         return out
 
 
-def _stage_module(d, i):
-    """A/(x_1, ..., x_(i-1))."""
-    ring = d.ring
-    if i == 1:
-        return FPModule.free(ring, 1)
-    return FPModule.cyclic(ring, [d.gens[t] for t in range(i - 1)])
-
-
-def _ext_against_stage(d, i, desc, q):
-    """Ext^q(A/(x_1..x_(i-1)), target) as a descriptor-valued answer."""
-    ring = d.ring
-    C = _stage_module(d, i)
-    if q < 0:
-        return FPObj(FPModule.zero(ring))
-    if desc.kind == "fp":
-        M = desc.module
-        if M.ring == ring:
-            return FPObj(module_ext(C, M, q))
-        if M.ring.is_completed and M.ring.underlying() == ring:
-            # flat base change: Ext_A(C, M) = Ext_A^(C^, M) for f.p. C
-            return FPObj(module_ext(base_change(C, M.ring), M, q))
-        raise UnsupportedRing(f"no Ext rule from {ring} into {M.ring}")
-    if desc.kind == "rational":
-        if i == 1:
-            return desc if q == 0 else FPObj(FPModule.zero(ring))
-        # Hom out of torsion into Q vanishes, and Q is divisible
-        return FPObj(FPModule.zero(ring))
-    if desc.kind == "telescope":
-        # Ext^q(C, u^-1 N) = u^-1 Ext^q(C, N): localization is flat
-        inner = _ext_against_stage(d, i, FPObj(desc.module), q)
-        if inner.kind == "fp" and inner.module.is_zero():
-            return inner
-        if inner.kind != "fp":
-            raise UnsupportedRing("nested telescope targets unsupported")
-        return Telescope(inner.module, desc.mult)
-    if desc.kind == "telescope_quotient":
-        if i == 1:
-            # Ext^0(A, Z) = Z, higher vanish
-            return desc if q == 0 else FPObj(FPModule.zero(ring))
-        raise UnsupportedRing(
-            "telescope-quotient targets are supported at the first stage only")
-    raise UnsupportedRing(f"no Ext rule for descriptor kind {desc.kind}")
-
-
 def ext_telescope(d, i, desc, q, precision=None, towers=None):
-    """Ext^q(x_i^-1 A/(x_1..x_(i-1)), target) via multiplication towers.
+    """The grid cell Ext^q(x_i^-1 A/(x_1..x_(i-1)), target).
 
-    ``towers`` maps q to the tower values on Ext^q(A/(x_1..x_(i-1)), target)
-    at this stage; cells (i, q) and (i, q + 1) both read Ext^q, so a caller
-    walking one stage passes one dict to all its cells.
+    ``towers`` is the memo of `local.ext_out_of_telescope` for stage i; cells
+    (i, q) and (i, q + 1) both read Ext^q, so a caller walking one stage
+    passes one dict to all its cells.
     """
     if not (1 <= i <= d.n):
         raise InvalidInput(f"index {i} outside 1..{d.n}")
@@ -101,44 +59,9 @@ def ext_telescope(d, i, desc, q, precision=None, towers=None):
             basis=f"projective dimension of the telescope is at most {i}")
     if isinstance(desc, FPModule):
         desc = FPObj(desc)
-    if towers is None:
-        towers = {}
-    t_low = _ext_tower(d, i, desc, q - 1, precision, towers)
-    t_high = _ext_tower(d, i, desc, q, precision, towers)
-    lim1 = t_low.lim1 if t_low else LimitModule.zero(basis="Ext module vanishes")
-    lim = t_high.lim if t_high else LimitModule.zero(basis="Ext module vanishes")
-    if not lim.is_recognized() or not lim1.is_recognized():
-        return LimitModule.unrecognized({"lim": lim.describe(),
-                                         "lim1": lim1.describe()})
-    if lim1.is_zero():
-        return lim
-    if lim.is_zero():
-        return lim1
-    return LimitModule("ind", {"extension": [lim1.describe(), lim.describe()]},
-                       basis="Milnor extension, both terms nonzero")
-
-
-def _ext_tower(d, i, desc, q, precision, towers):
-    """Tower values of multiplication by x_i on Ext^q(A/(x_1..x_(i-1)),
-    target), or None when that Ext vanishes; remembered in ``towers``."""
-    if q not in towers:
-        ext = _ext_against_stage(d, i, desc, q)
-        towers[q] = None if _is_zero_desc(ext) else mult_tower_values(
-            ext, _coerce(ext, d.gens[i - 1]), precision)
-    return towers[q]
-
-
-def _coerce(desc, x):
-    ring = desc.ring
-    if ring == x.ring:
-        return x
-    if ring.is_completed and ring.underlying() == x.ring:
-        return ring.el(x.num, x.dexp)
-    raise UnsupportedRing(f"cannot act by {x.render()} on {ring}")
-
-
-def _is_zero_desc(desc):
-    return desc.kind == "fp" and desc.module.is_zero()
+    stage = FPModule.cyclic(d.ring, d.gens[:i - 1])   # A/(x_1..x_(i-1))
+    return ext_out_of_telescope(stage, d.gens[i - 1], desc, q, precision,
+                                towers)
 
 
 def is_L_complete(desc, d, precision=None):
@@ -187,7 +110,7 @@ def is_lambda_local(C, d, stage_bound=12, lag=6, precision=None):
     lam = derived_completion(d, obj, stage_bound, lag, precision)
     for dgr, piece in obj.pieces.items():
         got = lam.value(dgr)
-        expected = _expected_value(piece)
+        expected = value_of(piece)
         ok, detail = values_agree(got, expected)
         if not ok:
             out["verdict"] = "inconclusive"
@@ -195,16 +118,6 @@ def is_lambda_local(C, d, stage_bound=12, lag=6, precision=None):
             return out
     out["fixed_point"] = "completion returns the complex's own homology"
     return out
-
-
-def _expected_value(piece):
-    if piece.kind == "fp":
-        return LimitModule.of_module(piece.module)
-    if piece.kind == "rational":
-        return LimitModule("rational", piece)
-    if piece.kind in ("telescope", "telescope_quotient"):
-        return LimitModule(piece.kind, piece)
-    raise UnsupportedRing(f"no fixed-point form for {piece.kind}")
 
 
 def homology_membership(C, d, kind, stage_bound=12, lag=6, precision=None):
@@ -233,7 +146,6 @@ def homology_membership(C, d, kind, stage_bound=12, lag=6, precision=None):
                 report["per_degree"][str(dgr)] = {"torsion": True,
                                                   "killed_by_power": j}
             elif piece.kind == "telescope_quotient":
-                from .towers import _require_radical_membership
                 m = _require_radical_membership(d.ring, piece.mult, d.gens)
                 report["per_degree"][str(dgr)] = {
                     "torsion": True,
@@ -246,7 +158,7 @@ def homology_membership(C, d, kind, stage_bound=12, lag=6, precision=None):
         gm = gamma(d, obj)
         for dgr, piece in obj.pieces.items():
             got = gm.value(dgr)
-            ok, detail = values_agree(got, _expected_value(piece))
+            ok, detail = values_agree(got, value_of(piece))
             if not ok:
                 report["verdict"] = False
                 report["gamma_failure"] = {"degree": dgr, "detail": detail}

@@ -13,10 +13,11 @@ plus LimitModule, the stamped value type for lim/lim1 and local homology:
 zero, an honest module (possibly over a completed ring at stated precision),
 a completion cokernel (e.g. Z_p/Z, with an explicit nonzero witness), one of
 the ind descriptors above, or `unrecognized` carrying evidence.  The engine
-never silently converts an unrecognized answer into a guess.
+never silently converts an unrecognized answer into a guess.  `value_of` and
+`descriptor_of` translate between a descriptor and the value it stands for.
 """
 
-from .errors import InvalidInput
+from .errors import InvalidInput, UnsupportedRing
 from .modules import (FPModule, ModuleMap, base_change, iso_check,
                       scalar_map, scalar_matrix)
 
@@ -138,6 +139,10 @@ class CompletionCokernel:
                 "witness": self.witness}
 
 
+# the LimitModule kinds whose payload is a descriptor
+_DESCRIPTOR_KINDS = ("telescope", "telescope_quotient", "rational")
+
+
 class LimitModule:
     """A recognized exact value, stamped with its precision when completed."""
 
@@ -195,7 +200,7 @@ class LimitModule:
         if self.kind == "module":
             out["module"] = self.payload.describe()
             out["ring"] = repr(self.payload.ring)
-        elif self.kind in ("telescope", "telescope_quotient", "rational"):
+        elif self.kind in _DESCRIPTOR_KINDS:
             out["value"] = self.payload.describe()
         elif self.kind == "completion_cokernel":
             out.update(self.payload.describe())
@@ -211,6 +216,25 @@ class LimitModule:
         if self.kind == "module":
             return f"<value {self.payload!r}>"
         return f"<{self.kind} value>"
+
+
+def value_of(desc, basis=None):
+    """The LimitModule a descriptor stands for."""
+    if desc.kind == "fp":
+        return LimitModule.of_module(desc.module, basis=basis)
+    if desc.kind in _DESCRIPTOR_KINDS:
+        return LimitModule(desc.kind, desc, basis=basis)
+    raise UnsupportedRing(f"no fixed-point form for {desc.kind}")
+
+
+def descriptor_of(value):
+    """The descriptor a LimitModule stands for, or None when it stands for
+    none: zero, completion cokernels, ind and unrecognized values."""
+    if value.kind == "module":
+        return FPObj(value.payload)
+    if value.kind in _DESCRIPTOR_KINDS:
+        return value.payload
+    return None
 
 
 def values_agree(a, b):

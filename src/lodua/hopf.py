@@ -408,9 +408,14 @@ def _completed_hopf(h, ideal_gens, precision):
 
 
 def _base_change_comodule(h_hat, comod):
+    """A comodule read over the completed ring of ``h_hat``.
+
+    Each comodule axiom is an identity of matrices that base change along
+    the ring map to the completion preserves, so the result is built
+    unchecked."""
     ring = h_hat.ring
     maps = {g: base_change_rows(mat, ring) for g, mat in comod.maps.items()}
-    return Comodule(h_hat, base_change(comod.module, ring), maps, check=True)
+    return Comodule(h_hat, base_change(comod.module, ring), maps, check=False)
 
 
 def comodule_limit(tower, method="kernel", precision=None, check_stages=2):

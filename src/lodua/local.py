@@ -11,20 +11,29 @@ side is computed by two independent routes that are cross-checked:
   route B: Milnor sequences over the towers Kos(x^k) (x) C.
 
 Any disagreement between the routes is a hard InternalInconsistency.
+
+The Ext engine for descriptor pairs lives here too, in two rules:
+`ext_out_of_fp` (f.p. source, any target descriptor) and
+`ext_out_of_telescope`, which assembles Ext out of x^-1 C from lim and lim^1
+of the multiplication towers on Ext(C, -) through the Milnor sequence.  The
+derived Hom groups of the adjunction check and the cells of the
+completeness grid (`criteria.ext_telescope`) both call it.
 """
 
 from .complexes import ChainComplex
 from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
-                          Telescope, TelescopeQuotient, values_agree)
+                          Telescope, TelescopeQuotient, descriptor_of,
+                          value_of, values_agree)
 from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
                      UnsupportedRing)
 from .koszul import koszul_chain, koszul_cochain
-from .modules import (FPModule, ModuleMap, base_change, block_sum, iso_check,
-                      power, scalar_matrix)
+from .modules import (FPModule, ModuleMap, base_change, block_sum,
+                      ext as module_ext, iso_check, power, scalar_matrix)
 from .ring import DEFAULT_PRECISION, _reject_zerodivisor
 from .sequences import is_regular_sequence
 from .towers import (KoszulStages, KoszulTensorStages, Tower,
-                     _capped_killing_power, completed_module, lim_lim1,
+                     _capped_killing_power, _require_radical_membership,
+                     completed_module, lim_lim1, mult_tower_values,
                      quotient_by_ideal_power, weak_proregularity_check)
 
 
@@ -127,11 +136,8 @@ class ValueTable:
         ``name`` (Gamma, Lambda) labels the refusal of a piece that is not."""
         pieces = {}
         for n, v in self.entries.items():
-            if v.kind == "module":
-                pieces[n] = FPObj(v.payload)
-            elif v.kind in ("telescope", "telescope_quotient", "rational"):
-                pieces[n] = v.payload
-            else:
+            pieces[n] = descriptor_of(v)
+            if pieces[n] is None:
                 raise UnsupportedRing(
                     f"{name} output in degree {n} is not re-consumable: "
                     f"{v.kind}")
@@ -250,11 +256,9 @@ def local_cohomology_value(d, desc, s, stage_bound=8):
     if desc.kind == "rational":
         return LimitModule.zero(basis="ideal acts invertibly on Q")
     if desc.kind == "telescope":
-        from .towers import _require_radical_membership
         _require_radical_membership(ring, desc.mult, d.gens)
         return LimitModule.zero(basis="multiplier of the telescope lies in I")
     if desc.kind == "telescope_quotient":
-        from .towers import _require_radical_membership
         _require_radical_membership(ring, desc.mult, d.gens)
         return local_cohomology_value(d, FPObj(desc.module), s + 1, stage_bound)
     M = desc.module
@@ -427,52 +431,23 @@ def local_cohomology(d, M, s, stage_bound=8):
 # -- the completion side ----------------------------------------------------------
 
 
-def _lambda_route_A(d, desc, precision=None):
-    """The telescope-model route, {degree: value}.
+def _lambda_route_A(d, M, precision=None):
+    """The telescope-model route on an f.p. piece, {degree: value}.
 
     One generator at a time, RHom(x^-1 A, M) = [M -> M^] turns derived
-    completion of an f.p. piece into completion of its presentation; the
-    iteration over all generators collapses to base change to the jointly
-    completed ring.  Telescopes and rationals die (the multiplier becomes
-    invertible), and telescope quotients shift degree by one through their
-    defining triangle.
+    completion of M into completion of its presentation; the iteration over
+    all generators collapses to base change to the jointly completed ring.
     """
-    ring = d.ring
-    precision = precision or DEFAULT_PRECISION
-    if desc.kind == "rational":
-        return {}
-    if desc.kind == "telescope":
-        from .towers import _require_radical_membership
-        _require_radical_membership(ring, desc.mult, d.gens)
-        return {}
-    if desc.kind == "telescope_quotient":
-        from .towers import _require_radical_membership
-        _require_radical_membership(ring, desc.mult, d.gens)
-        inner = _lambda_route_A(d, FPObj(desc.module), precision)
-        return {s + 1: v for s, v in inner.items()}
-    M = desc.module
-    out = completed_module(M, [g for g in d.gens], precision)
+    out = completed_module(M, list(d.gens), precision or DEFAULT_PRECISION)
     if out.is_zero():
         return {}
     return {0: LimitModule.of_module(
         out, basis="iterated completion of an f.p. module (Artin-Rees)")}
 
 
-def _lambda_route_B(d, desc, stage_bound, lag, precision=None):
-    """Milnor sequences over the towers Kos(x^k) (x) -; {degree: value}."""
-    ring = d.ring
-    if desc.kind == "rational":
-        return {}
-    if desc.kind == "telescope":
-        from .towers import _require_radical_membership
-        _require_radical_membership(ring, desc.mult, d.gens)
-        return {}
-    if desc.kind == "telescope_quotient":
-        from .towers import _require_radical_membership
-        _require_radical_membership(ring, desc.mult, d.gens)
-        inner = _lambda_route_B(d, FPObj(desc.module), stage_bound, lag, precision)
-        return {s + 1: v for s, v in inner.items()}
-    C = ChainComplex.single(desc.module, 0)
+def _lambda_route_B(d, M, stage_bound, lag, precision=None):
+    """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}."""
+    C = ChainComplex.single(M, 0)
     stages = KoszulTensorStages(C, d.gens)
     # weak proregularity was certified by derived_completion before either
     # route runs; the towers may cite it
@@ -498,7 +473,13 @@ def _lambda_route_B(d, desc, stage_bound, lag, precision=None):
 
 
 def derived_completion(d, X, stage_bound=12, lag=6, precision=None):
-    """Lambda^I X computed by both routes and cross-checked degreewise."""
+    """Lambda^I X computed by both routes and cross-checked degreewise.
+
+    Both routes take f.p. pieces: rationals and telescopes supported on I
+    die (the multiplier becomes invertible), and a telescope quotient
+    u^-1 M / M contributes Lambda^I M shifted up by one through its defining
+    triangle.
+    """
     if d.ring.nvars > 0 or d.ring.base == "Z":
         wpr = d.weak_proregularity(stage_bound=3, lag=max(2, lag // 3))
         if wpr["status"] != "weakly-proregular":
@@ -507,9 +488,17 @@ def derived_completion(d, X, stage_bound=12, lag=6, precision=None):
     obj = GradedObject.of(X)
     accA, accB = {}, {}
     for dgr, piece in obj.pieces.items():
-        for s, v in _lambda_route_A(d, piece, precision).items():
+        if piece.kind == "rational":
+            continue
+        if piece.kind in ("telescope", "telescope_quotient"):
+            _require_radical_membership(d.ring, piece.mult, d.gens)
+            if piece.kind == "telescope":
+                continue
+            dgr += 1
+        for s, v in _lambda_route_A(d, piece.module, precision).items():
             _add_value(accA, s + dgr, v)
-        for s, v in _lambda_route_B(d, piece, stage_bound, lag, precision).items():
+        for s, v in _lambda_route_B(d, piece.module, stage_bound, lag,
+                                    precision).items():
             _add_value(accB, s + dgr, v)
     degrees = set(accA) | set(accB)
     for n in degrees:
@@ -659,15 +648,105 @@ def adic_completion(M, d, precision=DEFAULT_PRECISION):
     return out, nat
 
 
-# -- derived Hom groups and the adjunction spot-check --------------------------------
+# -- the Ext engine, derived Hom groups and the adjunction spot-check -----------
+
+
+def ext_out_of_fp(C, target, q):
+    """Ext^q(C, target) for an f.p. module C, as a LimitModule.
+
+    The target may be f.p. over A or over its completion, Q^d, u^-1 N or
+    u^-1 N / N.
+    """
+    ring = C.ring
+    if target.kind == "fp":
+        N = target.module
+        if N.ring == ring:
+            return LimitModule.of_module(module_ext(C, N, q),
+                                         basis="Ext of f.p. modules")
+        if N.ring.is_completed and N.ring.underlying() == ring:
+            return LimitModule.of_module(
+                module_ext(base_change(C, N.ring), N, q),
+                basis="flat base change to the completion")
+        raise UnsupportedRing(f"no Ext rule from {ring} into {N.ring}")
+    if target.kind == "telescope":
+        # Ext^q(C, u^-1 N) = u^-1 Ext^q(C, N): localization is flat
+        inner = ext_out_of_fp(C, FPObj(target.module), q)
+        if inner.is_zero():
+            return inner
+        return value_of(Telescope(inner.payload, target.mult),
+                        basis="localization is flat")
+    if target.kind == "rational":
+        # Q is injective over Z, and Hom(C, Q^d) = Q^(rd) for C of free rank
+        # r.  Over rings without invariant factors only the grid asks, and its
+        # stages A/(x_1..x_(i-1)) with relations are torsion.
+        if q == 0 and not C.relations:
+            rank = C.ngens
+        elif q == 0 and ring.is_euclidean:
+            rank = C.decomposition()[1]
+        else:
+            rank = 0
+        if rank:
+            return value_of(Rational(target.ring, rank * target.dim),
+                            basis="Hom(free, Q)")
+        return LimitModule.zero(basis="Q is divisible and torsion-free")
+    if target.kind == "telescope_quotient":
+        if C.ngens != 1 or C.relations:
+            raise UnsupportedRing(
+                "telescope-quotient targets are supported at the first stage "
+                "only")
+        if q == 0:
+            return value_of(target, basis="Hom(A, N) = N")
+        return LimitModule.zero(basis="A is projective")
+    raise UnsupportedRing(f"no Ext rule for descriptor kind {target.kind}")
+
+
+def ext_out_of_telescope(C, x, target, q, precision=None, towers=None):
+    """Ext^q(x^-1 C, target) for an f.p. module C, through the Milnor sequence
+
+        0 -> lim^1 Ext^(q-1)(C, target) -> Ext^q(x^-1 C, target)
+          -> lim Ext^q(C, target) -> 0
+
+    of the towers of multiplication by x (Greenlees-May).  ``towers`` maps p
+    to the tower values on Ext^p(C, target), None when that Ext vanishes;
+    Ext^q enters both q and q + 1, so a caller asking several degrees of one
+    C passes one dict to all of them.
+    """
+    if towers is None:
+        towers = {}
+    for p in (q - 1, q):
+        if p in towers:
+            continue
+        ext = descriptor_of(ext_out_of_fp(C, target, p)) if p >= 0 else None
+        towers[p] = None if ext is None else mult_tower_values(
+            ext, _coerce(ext.ring, x), precision)
+    low, high = towers[q - 1], towers[q]
+    lim1 = low.lim1 if low else LimitModule.zero(basis="Ext module vanishes")
+    lim = high.lim if high else LimitModule.zero(basis="Ext module vanishes")
+    if not lim.is_recognized() or not lim1.is_recognized():
+        return LimitModule.unrecognized({"lim": lim.describe(),
+                                         "lim1": lim1.describe()})
+    if lim1.is_zero():
+        return lim
+    if lim.is_zero():
+        return lim1
+    return LimitModule("ind", {"extension": [lim1.describe(), lim.describe()]},
+                       basis="Milnor extension, both terms nonzero")
+
+
+def _coerce(ring, x):
+    """x read in ``ring``: its own ring or a completion of it."""
+    if ring == x.ring:
+        return x
+    if ring.is_completed and ring.underlying() == x.ring:
+        return ring.el(x.num, x.dexp)
+    raise UnsupportedRing(f"cannot act by {x.render()} on {ring}")
 
 
 def derived_hom_value(D1, i, D2, j, stage_bound=12, lag=6, precision=None):
     """Hom in the derived category between shifted descriptors.
 
     Hom(M[i], N[j]) = Ext^(j-i)(M, N); sources may be f.p., telescopes, or
-    telescope quotients on free modules; targets f.p. over the ring or its
-    completion.  Values are exact LimitModules.
+    telescope quotients on free modules.  Values are exact LimitModules.
     """
     q = j - i
     if q < 0:
@@ -676,36 +755,22 @@ def derived_hom_value(D1, i, D2, j, stage_bound=12, lag=6, precision=None):
 
 
 def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
-    from .descriptors import FPObj, Rational, Telescope, TelescopeQuotient
-    from .modules import ext as module_ext
-    from .towers import Tower, lim_lim1, mult_tower_values
-    ring = D1.ring
-    if D1.kind == "fp":
-        M = D1.module
-        if D2.kind == "fp":
-            N = D2.module
-            if M.ring == N.ring:
-                return LimitModule.of_module(module_ext(M, N, q),
-                                             basis="Ext of f.p. modules")
-            if N.ring.is_completed and N.ring.underlying() == M.ring:
-                return LimitModule.of_module(
-                    module_ext(base_change(M, N.ring), N, q),
-                    basis="flat base change to the completion")
-        if D2.kind == "rational" and M.ring.nvars == 0:
-            if q == 0 and not M.relations:
-                return LimitModule("rational", Rational(M.ring, M.ngens),
-                                   basis="Hom(free, Q)")
-            return LimitModule.zero(basis="Q is divisible and torsion-free")
+    """Ext^q(D1, D2) into f.p. targets, and into Q^d out of Z or Z^.
+
+    f.p. and telescope sources go to the Ext engine, telescope-quotient
+    sources (free, over a euclidean ring) to the adic tower of the target.
+    Telescope and telescope-quotient targets are refused here although the
+    engine takes them for the grid: it carries u^-1 N on a u-power-torsion N
+    as a nonzero telescope, where the true group is zero.
+    """
+    if D1.kind in ("fp", "telescope") and not (
+            D2.kind == "fp" or D2.kind == "rational"
+            and D1.ring.base == "Z" and D1.ring.nvars == 0):
         raise UnsupportedRing(f"no Ext rule for target {D2.kind}")
+    if D1.kind == "fp":
+        return ext_out_of_fp(D1.module, D2, q)
     if D1.kind == "telescope":
-        inner_hi = ext_of_descriptors(FPObj(D1.module), D2, q,
-                                      stage_bound, lag, precision)
-        inner_lo = ext_of_descriptors(FPObj(D1.module), D2, q - 1,
-                                      stage_bound, lag, precision) \
-            if q >= 1 else LimitModule.zero()
-        lim = _mult_limit_of_value(inner_hi, D1.mult, precision, want="lim")
-        lim1 = _mult_limit_of_value(inner_lo, D1.mult, precision, want="lim1")
-        return _assemble_extension(lim1, lim)
+        return ext_out_of_telescope(D1.module, D1.mult, D2, q, precision)
     if D1.kind == "telescope_quotient":
         M, u = D1.module, D1.mult
         if M.relations or not M.ring.is_euclidean:
@@ -725,8 +790,8 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
             N = D2.module if D2.kind == "fp" else None
             if N is None:
                 raise UnsupportedRing("need an f.p. target")
-            gens = [N.ring.el(u.num, u.dexp)] if N.ring != u.ring else [u]
-            res = lim_lim1(Tower.adic(N, gens), stage_bound, lag, precision)
+            res = lim_lim1(Tower.adic(N, [_coerce(N.ring, u)]), stage_bound,
+                           lag, precision)
             if not res.lim1.is_zero():
                 raise InternalInconsistency("adic tower with nonzero lim^1")
             value = res.lim
@@ -739,34 +804,6 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
     if D1.kind == "rational":
         raise UnsupportedRing("rational sources are not needed and not supported")
     raise UnsupportedRing(f"no Ext rule for source {D1.kind}")
-
-
-def _mult_limit_of_value(value, u, precision, want):
-    from .descriptors import FPObj
-    from .towers import mult_tower_values
-    if value.is_zero():
-        return LimitModule.zero(basis="Ext module vanishes")
-    if value.kind == "module":
-        res = mult_tower_values(FPObj(value.payload),
-                                value.payload.ring.el(u.num, u.dexp)
-                                if value.payload.ring != u.ring else u,
-                                precision)
-        return res.lim if want == "lim" else res.lim1
-    if value.kind == "rational":
-        return value if want == "lim" else LimitModule.zero()
-    raise UnsupportedRing(f"multiplication tower on a {value.kind} value")
-
-
-def _assemble_extension(lim1, lim):
-    if not lim1.is_recognized() or not lim.is_recognized():
-        return LimitModule.unrecognized({"lim1": lim1.describe(),
-                                         "lim": lim.describe()})
-    if lim1.is_zero():
-        return lim
-    if lim.is_zero():
-        return lim1
-    return LimitModule("ind", {"extension": [lim1.describe(), lim.describe()]},
-                       basis="Milnor extension")
 
 
 def adjunction_check(d, X, Y, stage_bound=12, lag=6, precision=None):

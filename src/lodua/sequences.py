@@ -1,7 +1,7 @@
 """Regular-sequence testing with kernel certificates."""
 
 from .errors import InvalidInput
-from .modules import FPModule, ModuleMap
+from .modules import FPModule, scalar_map, scalar_matrix
 
 
 class RegularityVerdict:
@@ -35,21 +35,14 @@ def is_regular_sequence(ring, seq):
         raise InvalidInput("need a nonempty sequence")
     quotient = FPModule.free(ring, 1)
     for i, x in enumerate(seq):
-        mul = ModuleMap(quotient, quotient,
-                        [[x if a == b else ring.zero()
-                          for b in range(quotient.ngens)]
-                         for a in range(quotient.ngens)], check=False)
-        K, incl = mul.kernel()
+        K, incl = scalar_map(quotient, x).kernel()
         if not K.is_zero():
             for t in range(K.ngens):
                 w = incl.col(t)
                 if not quotient.contains_in_relations(w):
                     return RegularityVerdict(False, stage=i + 1, witness=w)
-        quotient = FPModule(ring, quotient.ngens,
-                            quotient.relations
-                            + [tuple(x if a == j else ring.zero()
-                                     for a in range(quotient.ngens))
-                               for j in range(quotient.ngens)])
+        quotient = FPModule(ring, quotient.ngens, quotient.relations
+                            + scalar_matrix(ring, quotient.ngens, x))
     nonzero = not quotient.is_zero()
     if not nonzero:
         return RegularityVerdict(False, stage=len(seq),

@@ -145,7 +145,7 @@ def test_torsion_coherence(ZZ, d5, prufer):
         r = homology_membership(GradedObject(ZZ, {0: desc}), d5, "torsion")
         assert (r["verdict"] is True) == expected
         g = gamma(d5, GradedObject(ZZ, {0: desc}))
-        from lodua.criteria import _expected_value
+        from lodua.descriptors import value_of as _expected_value
         fixed, _ = values_agree(g.value(0), _expected_value(desc))
         fixed = fixed and g.value(-1).is_zero()
         assert fixed == expected
@@ -170,3 +170,37 @@ def test_unverified_hypotheses_are_stamped(ZZ):
     d._wpr[(3, 2)] = {"status": "inconclusive"}
     v = local_homology_Ls(d, FPObj(FPModule.free(ZZ, 1)), 0)
     assert "outside verified hypotheses" in (v.basis or "")
+
+
+# -- graded polynomial rings: Q[x, y] at (x, y) ---------------------------------
+
+
+def test_grid_of_the_free_module_over_a_polynomial_ring(QQxy, dxy):
+    """No completion rule applies at (x) alone, which is not 0-dimensional,
+    so the i = 1 cells are unrecognized and the verdict is inconclusive."""
+    cert = is_L_complete(FPObj(FPModule.free(QQxy, 1)), dxy)
+    assert cert.verdict == "inconclusive"
+    assert not cert.table[(1, 0)].is_recognized()
+    assert not cert.table[(1, 1)].is_recognized()
+    assert cert.table[(1, 0)].evidence["lim"]["evidence"] == \
+        "no divisibility rule applies"
+    assert cert.table[(2, 0)].is_zero()
+
+
+def test_grid_of_a_finite_dimensional_quotient(QQxy, dxy):
+    cert = is_L_complete(FPObj(FPModule.cyclic(QQxy, ["x^2", "y"])), dxy)
+    assert cert.verdict == "complete"
+    assert cert.table[(1, 0)].basis == "x^2 = 0 on M"
+
+
+def test_grid_refusals_keep_their_wording(ZZ, QQxy, dxy):
+    """Q^d is a Z-module: x cannot act on it.  Telescope-quotient targets are
+    answered at the first stage only."""
+    from lodua import UnsupportedRing
+    with pytest.raises(UnsupportedRing, match="cannot act by x on ZZ"):
+        is_L_complete(Rational(ZZ, 2), dxy)
+    assert ext_telescope(dxy, 2, Rational(ZZ, 2), 0).is_zero()
+    tq = TelescopeQuotient(FPModule.free(QQxy, 1), "x")
+    with pytest.raises(UnsupportedRing,
+                       match="supported at the first stage only"):
+        ext_telescope(dxy, 2, tq, 0)

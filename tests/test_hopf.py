@@ -119,7 +119,10 @@ def test_comodule_limit_methods_agree(QQxy, swap, dI, unit_comodule):
     limP, certP = comodule_limit(tower, method="pullback", precision=5)
     assert _same_presentation(limK.module, limP.module)
     for g in swap.elements:
-        assert limK.maps[g] == limP.maps[g] or True
+        assert len(limK.maps[g]) == len(limP.maps[g])
+        for row_k, row_p in zip(limK.maps[g], limP.maps[g]):
+            assert len(row_k) == len(row_p)
+            assert all(a == b for a, b in zip(row_k, row_p))
     assert limK.module.ring.is_completed
     assert "stage_exactness" in certK and "monomorphisms" in certP
 
@@ -425,6 +428,29 @@ def test_coaction_check_is_the_group_element_conditions():
 
     check()
     assert seen == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_base_change_of_a_comodule_is_a_comodule():
+    # _base_change_comodule builds its result unchecked; every axiom must
+    # hold over the completion at the ideal of all variables
+    hats = {h.order: _completed_hopf(h, h.ring.names, 3)
+            for h in _GROUPS.values()}
+    seen = set()
+
+    @settings(max_examples=60)
+    @given(_candidates())
+    def check(candidate):
+        h, M, action = candidate
+        try:
+            comod = Comodule(h, M, action, check=True)
+        except InvalidInput:
+            return
+        chat = _base_change_comodule(hats[h.order], comod)
+        Comodule(chat.hopf, chat.module, chat.maps, check=True)
+        seen.add(h.order)
+
+    check()
+    assert seen == {2, 3}
 
 
 @settings(max_examples=30)

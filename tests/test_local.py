@@ -386,3 +386,68 @@ def test_weak_proregularity_is_remembered_per_bounds(ZZ, monkeypatch):
     for bounds in [(3, 2), (3, 5), (3, 2), (3, 5)]:
         d.weak_proregularity(*bounds)
     assert calls == [(3, 2), (3, 5)]
+
+
+# -- the Ext engine shared by the grid and derived Hom -------------------------
+
+
+def test_hom_into_rationals_has_rank_times_dimension(ZZ):
+    from lodua.local import ext_of_descriptors
+    v = ext_of_descriptors(FPObj(FPModule.free(ZZ, 2)), Rational(ZZ, 3), 0)
+    assert v.kind == "rational" and v.payload.dim == 6
+    # the torsion summand of Z + Z/5 contributes nothing
+    M = FPModule(ZZ, 2, [(ZZ.el(0), ZZ.el(5))])
+    v = ext_of_descriptors(FPObj(M), Rational(ZZ, 2), 0)
+    assert v.kind == "rational" and v.payload.dim == 2
+    assert ext_of_descriptors(FPObj(M), Rational(ZZ, 2), 1).is_zero()
+
+
+def test_ext_out_of_a_telescope_into_rationals(ZZ):
+    from lodua.local import ext_of_descriptors
+    tel = Telescope(FPModule.free(ZZ, 1), 5)
+    v = ext_of_descriptors(tel, Rational(ZZ, 2), 0)
+    assert v.kind == "rational" and v.payload.dim == 2
+
+
+def test_derived_hom_and_the_grid_share_one_rule(ZZ, d5, Z5hat):
+    """Ext^q(Z[1/5], t) asked as derived Hom and as the grid cell (1, q)."""
+    from lodua.criteria import ext_telescope
+    from lodua.local import ext_of_descriptors
+    tel = Telescope(FPModule.free(ZZ, 1), 5)
+    targets = [FPObj(FPModule.free(ZZ, 1)), FPObj(zmod(ZZ, 25)),
+               FPObj(FPModule.free(Z5hat, 1)), Rational(ZZ, 2)]
+    for t in targets:
+        for q in (0, 1):
+            assert ext_of_descriptors(tel, t, q).describe() == \
+                ext_telescope(d5, 1, t, q).describe()
+
+
+def test_adjunction_with_a_telescope_source(ZZ, d5):
+    from lodua import adjunction_check
+    tel = Telescope(FPModule.free(ZZ, 1), 5)
+    for Y in (FPModule.free(ZZ, 1), zmod(ZZ, 125)):
+        out = adjunction_check(d5, tel, Y, precision=20)
+        assert out["status"] == "agree"
+        # Gamma kills u^-1 Z, and Hom(u^-1 Z, Lambda Y) = 0 for complete Y
+        assert out["hom_gamma_x_y"] == {"kind": "zero"}
+        assert out["hom_x_lambda_y"]["kind"] == "zero"
+
+
+def test_derived_hom_refuses_telescope_targets(ZZ, d5):
+    """u^-1 N on a u-power-torsion N is zero, but the engine carries it as a
+    nonzero telescope, so derived Hom refuses telescope targets rather than
+    answer Ext^1(Z/25, Z[1/5]) = 5^-1(Z/25)."""
+    from lodua import UnsupportedRing, adjunction_check
+    from lodua.local import ext_of_descriptors
+    for src in (FPObj(zmod(ZZ, 25)), Telescope(FPModule.free(ZZ, 1), 5)):
+        for tgt in (Telescope(FPModule.free(ZZ, 1), 5),
+                    TelescopeQuotient(FPModule.free(ZZ, 1), 5)):
+            with pytest.raises(UnsupportedRing,
+                               match=f"no Ext rule for target {tgt.kind}"):
+                ext_of_descriptors(src, tgt, 1)
+    # the adjunction check refuses cleanly instead of reporting a mismatch
+    X = GradedObject(ZZ, {0: FPObj(zmod(ZZ, 25))})
+    for Y in (GradedObject(ZZ, {1: Telescope(FPModule.free(ZZ, 1), 5)}),
+              GradedObject(ZZ, {0: Telescope(zmod(ZZ, 25), 5)})):
+        with pytest.raises(UnsupportedRing):
+            adjunction_check(d5, X, Y, precision=20)

@@ -64,3 +64,28 @@ def test_sameness_script_prints_repeatable_fingerprints():
                         r"contains_in_relations: [1-9]\d* queries, "
                         r"sha256 [0-9a-f]{64}\n", out)
     assert run() == out
+
+
+def test_linecov_traces_one_small_call(ZZ):
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "linecov", os.path.join(ROOT, "tools", "linecov.py"))
+    linecov = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linecov)
+    from lodua import sequences
+    with linecov.LineTracer() as tracer:
+        assert sequences.is_regular_sequence(ZZ, [5]).regular
+    path = os.path.realpath(sequences.__file__)
+    total, never = linecov.missed(path, tracer.hits[path])
+    with open(path) as fh:
+        source = fh.read().splitlines()
+
+    def line(text):
+        return next(n for n, s in enumerate(source, 1) if text in s)
+
+    assert 0 < len(never) < total
+    assert line("K, incl = scalar_map") not in never
+    assert line("return RegularityVerdict(True") not in never
+    assert line("return RegularityVerdict(False, stage=i + 1") in never
+    assert line("raise InvalidInput") in never
+    assert linecov.ranges([3, 4, 5, 9]) == "3-5, 9"

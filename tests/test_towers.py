@@ -136,3 +136,18 @@ def test_mittag_leffler_surjective_implies_lim1_zero(ZZ):
     res = lim_lim1(Tower.adic(zmod(ZZ, 125), [ZZ.el(5)]))
     assert res.lim1.is_zero()
     assert iso_check(res.lim.payload, zmod(res.lim.payload.ring, 125))
+
+
+def test_graded_polynomial_rules(QQxy):
+    """Q[x, y]: the divisible part of a homogeneous presentation, and the
+    completion cokernel at (x), which is not 0-dimensional, and at (x, y)."""
+    from lodua.towers import completion_cokernel, divisible_part
+    x, y = QQxy.el("x"), QQxy.el("y")
+    free = FPModule.free(QQxy, 1)
+    D = divisible_part(free, x)
+    assert D.is_zero() and D.basis == "graded: positive-degree multiplier"
+    assert completion_cokernel(free, [x]) is None
+    c = completion_cokernel(free, [x, y])
+    assert not c.is_zero() and "unbounded grading" in c.witness
+    c = completion_cokernel(FPModule.cyclic(QQxy, ["x^2", "y"]), [x, y])
+    assert c.is_zero()

@@ -1,0 +1,166 @@
+"""List the statement lines of ``src/lodua`` that nothing executes.
+
+    python3 tools/linecov.py
+
+Traces lines with the standard library's ``sys.settrace`` (``coverage`` is
+not needed) while two things run in this process: the tier-1 tests, by
+``pytest.main``, and the seed-1 op lists of the three benchmark workloads,
+through the runner of ``tools/sameness.py``.
+Then it prints, for each module of ``src/lodua``, the statement lines no
+traced call executed, as ranges:
+
+    sequences.py: 3 of 36 statements not executed
+      22, 24, 35
+
+A statement counts as executed when any line of its header ran (the whole
+statement for a simple one, up to the body for a compound one).  The tracer
+sees this process only: lines that only a subprocess runs (the tests that
+start the CLI, the demos or a tool in a child interpreter) are listed as
+not executed.  Tracing slows the run down several times.  Run from the
+root of a lodua checkout.
+"""
+
+import argparse
+import ast
+import importlib.util
+import os
+import sys
+import threading
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+# run as a script, this file's directory comes first on the path, where
+# tools/profile.py would shadow the standard library's ``profile``
+sys.path[:] = [p for p in sys.path if os.path.abspath(p or ".") != HERE]
+SRC = os.path.join(ROOT, "src", "lodua")
+WORKLOADS = ("completed-grid", "integer-sweep", "poly-sweep")
+
+
+class LineTracer:
+    """The lines executed in files under one directory, per file."""
+
+    def __init__(self, directory=SRC):
+        self.prefix = os.path.realpath(directory) + os.sep
+        self.hits = {}      # real path -> set of line numbers
+        self._wanted = {}   # code object -> its hit set, or None
+
+    def _call(self, frame, event, arg):
+        code = frame.f_code
+        if code not in self._wanted:
+            path = os.path.realpath(code.co_filename)
+            self._wanted[code] = self.hits.setdefault(path, set()) \
+                if path.startswith(self.prefix) else None
+        lines = self._wanted[code]
+        if lines is None:
+            return None
+        lines.add(frame.f_lineno)
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return line
+        return line
+
+    def __enter__(self):
+        self._outer = sys.gettrace(), threading.gettrace()
+        threading.settrace(self._call)
+        sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(self._outer[0])
+        threading.settrace(self._outer[1])
+
+
+def statements(source):
+    """{first line: header lines} for each statement that runs code."""
+    nodes = list(ast.walk(ast.parse(source)))
+    docstrings = {id(node.body[0]) for node in nodes
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and _is_docstring(node.body[0])}
+    out = {}
+    for node in nodes:
+        # global and nonlocal compile to nothing, and `try:` to no line
+        if not isinstance(node, ast.stmt) or id(node) in docstrings or \
+                isinstance(node, (ast.Global, ast.Nonlocal, ast.Try)):
+            continue
+        body = getattr(node, "body", None)
+        first = min([node.lineno] + [d.lineno for d in
+                                     getattr(node, "decorator_list", [])])
+        if isinstance(body, list) and body:
+            last = body[0].lineno - 1
+        else:
+            last = node.end_lineno
+        out[first] = range(first, max(first, last) + 1)
+    return out
+
+
+def _is_docstring(node):
+    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def missed(path, hits):
+    """(statement count, first lines of the statements never executed)."""
+    with open(path) as fh:
+        stmts = statements(fh.read())
+    return len(stmts), sorted(first for first, header in stmts.items()
+                              if not hits.intersection(header))
+
+
+def ranges(lines):
+    """'3-5, 9' for [3, 4, 5, 9]."""
+    spans = []
+    for n in lines:
+        if spans and spans[-1][1] == n - 1:
+            spans[-1][1] = n
+        else:
+            spans.append([n, n])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def report(tracer):
+    """One block per module of ``src/lodua``."""
+    lines = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.realpath(os.path.join(SRC, name))
+        total, never = missed(path, tracer.hits.get(path, set()))
+        lines.append(f"{name}: {len(never)} of {total} statements not "
+                     "executed")
+        if never:
+            lines.append("  " + ranges(never))
+    return "\n".join(lines)
+
+
+def run_op_lists():
+    spec = importlib.util.spec_from_file_location(
+        "sameness", os.path.join(HERE, "sameness.py"))
+    sameness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sameness)
+    for workload in WORKLOADS:
+        sameness.fingerprint(sameness.workloads.generate(workload, 1))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.parse_args(argv)
+    src = os.path.join(ROOT, "src")
+    sys.path.insert(0, src)
+    # the tests that start a child interpreter import lodua from src too,
+    # as under the tier-1 command
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    with LineTracer() as tracer:
+        import pytest
+        pytest.main(["-q", "-p", "no:cacheprovider",
+                     os.path.join(ROOT, "tests")])
+        run_op_lists()
+    print(report(tracer))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
