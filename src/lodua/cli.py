@@ -87,7 +87,7 @@ class Problem:
         self.descriptors = {}
         for name, spec in doc.get("descriptors", {}).items():
             self._unique(name)
-            self.descriptors[name] = self._descriptor(spec)
+            self.descriptors[name] = self._descriptor(name, spec)
         self.complexes = {}
         for name, spec in doc.get("complexes", {}).items():
             self._unique(name)
@@ -152,7 +152,7 @@ class Problem:
             return self.descriptors[name]
         return self.module(name)
 
-    def _descriptor(self, spec):
+    def _descriptor(self, name, spec):
         kind = spec["kind"]
         if kind == "fp":
             return FPObj(self.module(spec["module"]))
@@ -163,7 +163,11 @@ class Problem:
             return TelescopeQuotient(self.module(spec["module"]),
                                      self.ring.el(spec["mult"]))
         if kind == "rational":
-            return Rational(self.ring, spec.get("dim", 1))
+            dim = spec.get("dim", 1)
+            if type(dim) is not int or dim < 0:
+                raise InvalidInput(f"{name!r} dim must be a non-negative "
+                                   f"integer, not {dim!r}")
+            return Rational(self.ring, dim)
         raise InvalidInput(f"unknown descriptor kind {kind!r}")
 
     def module(self, name):

@@ -180,7 +180,7 @@ class LimitModule:
             return self.payload.is_zero() if isinstance(self.payload, CompletionCokernel) \
                 else False
         if self.kind == "rational":
-            return self.payload == 0
+            return self.payload.dim == 0
         return False
 
     def is_recognized(self):
@@ -219,9 +219,15 @@ class LimitModule:
 
 
 def value_of(desc, basis=None):
-    """The LimitModule a descriptor stands for."""
+    """The LimitModule a descriptor stands for.  A telescope u^-1 M whose
+    multiplier is nilpotent on M is zero."""
     if desc.kind == "fp":
         return LimitModule.of_module(desc.module, basis=basis)
+    if desc.kind == "telescope":
+        from .towers import _capped_killing_power
+        if _capped_killing_power(desc.module, [desc.mult]):
+            return LimitModule("zero", precision=desc.ring.precision,
+                               basis="telescope of a nilpotent multiplier")
     if desc.kind in _DESCRIPTOR_KINDS:
         return LimitModule(desc.kind, desc, basis=basis)
     raise UnsupportedRing(f"no fixed-point form for {desc.kind}")

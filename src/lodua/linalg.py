@@ -29,19 +29,20 @@ Rabinowitsch model A[t]/(t*u - 1), whose spans keep the work.
 
 The Smith form's one elimination loop, ``_smith``, runs on the values of a
 small arithmetic record (zero test, size, divmod, multiply-add, unit part,
-inverse) with two instances: plain Python ints over Z and over Z_p at
-precision N (every value reduced mod p^N), converted back to RingElements
-only for what a caller returns; and RingElements, through the ring's own
-divmod, over fields, u^-1 Z and k[t].  Both pick the same pivots and divide
-the same way, so they give the same transforms.
+inverse).  The euclidean rules are the ring's, written once in ``ring``:
+over Z and Z_p the record is the ring's own ``Ring.int_arith``, on plain
+Python ints (over Z_p every value reduced mod p^N), converted back to
+RingElements only for what a caller returns; over fields, u^-1 Z and k[t]
+it is ``_ElArith``, on RingElements, which forwards each rule to the ring.
+Both pick the same pivots and divide the same way, so they give the same
+transforms.
 """
 
 from functools import lru_cache
 
 from .errors import UnsupportedRing
 from .groebner import GBasis
-from .poly import Poly, order_key
-from .ring import _val_unit
+from .poly import Poly
 
 # -- small matrix helpers (matrices are lists of rows) -------------------------
 
@@ -70,7 +71,7 @@ def mat_vec(ring, A, v):
 
 
 def _mat_vec(ar, A, v):
-    """A*v on the values of the arithmetic ar (see _IntArith, _ElArith)."""
+    """A*v on the values of the arithmetic ar (Ring.int_arith or _ElArith)."""
     zero, is_zero, add_mul = ar.zero, ar.is_zero, ar.add_mul
     out = []
     for row in A:
@@ -93,77 +94,8 @@ def vec_is_zero(v):
 # -- Smith normal form over euclidean rings ------------------------------------
 
 
-class _IntArith:
-    """Z, or Z_p at precision N with every value reduced mod p^N."""
-
-    __slots__ = ("ring", "m", "p")
-    zero, one = 0, 1
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.m = self.p = None
-        if ring.is_completed:
-            self.m = ring.int_modulus
-            self.p = abs(int(ring.completion[0][0].constant()))
-
-    def from_el(self, e):
-        a = e.num.terms.get((), 0)
-        return a % self.m if self.m else a
-
-    def to_el(self, a):
-        # a value is its own canonical form: over Z_p it is reduced mod p^N
-        return self.ring.from_key(a)
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a % self.p != 0 if self.m else a in (1, -1)
-
-    def size(self, a):
-        if self.m:
-            return _val_unit(a, self.p, self.m)[0] + 1
-        return abs(a)
-
-    def divmod(self, a, b):
-        m, p = self.m, self.p
-        if m:
-            # a = p^va * ua and b = p^vb * ub: b divides a iff va >= vb
-            va, ua = _val_unit(a, p, m)
-            vb, ub = _val_unit(b, p, m)
-            if va >= vb:
-                return p ** (va - vb) * ua * pow(ub, -1, m) % m, 0
-            return 0, a
-        q, r = divmod(a, b)
-        # prefer the remainder of smaller magnitude for faster descent
-        if r != 0 and 2 * r > abs(b):
-            q, r = q + 1, r - abs(b)
-        return q, r
-
-    def neg(self, a):
-        return -a % self.m if self.m else -a
-
-    def mul(self, a, b):
-        return a * b % self.m if self.m else a * b
-
-    def add_mul(self, a, c, b):
-        return (a + c * b) % self.m if self.m else a + c * b
-
-    def sub_mul(self, a, c, b):
-        return (a - c * b) % self.m if self.m else a - c * b
-
-    def unit(self, d):
-        """u with d = u * canonical(d): the sign, or the part prime to p."""
-        if self.m:
-            return _val_unit(d, self.p, self.m)[1]
-        return -1 if d < 0 else 1
-
-    def inv(self, u):
-        return pow(u, -1, self.m) if self.m else u
-
-
 class _ElArith:
-    """RingElements, through the ring's own euclidean division."""
+    """RingElements; each euclidean rule is the ring's own."""
 
     __slots__ = ("ring", "zero", "one")
 
@@ -202,33 +134,10 @@ class _ElArith:
         return a - c * b
 
     def unit(self, d):
-        """u with d = u * canonical(d)."""
-        ring = self.ring
-        kind = ring.classify()
-        if kind == "int":
-            return ring.el(-1) if int(d.num.constant()) < 0 else ring.one()
-        if kind == "field":
-            return d
-        if kind == "int_completed":
-            pgen = abs(int(ring.completion[0][0].constant()))
-            return ring.el(_val_unit(int(d.num.constant()), pgen, ring.int_modulus)[1])
-        if kind == "int_localized":
-            return ring.strip_inverted(d)[1]
-        # k[t]: the leading coefficient
-        _, lc = d.num.leading(order_key("lex"))
-        return ring.el(Poly.const(ring.dom, ring.nvars, lc))
+        return self.ring.unit_part(d)
 
     def inv(self, u):
         return u.inv()
-
-
-def _arithmetic(ring):
-    """Plain ints over Z and Z_p, RingElements over the other euclidean rings."""
-    if not ring.is_euclidean:
-        raise UnsupportedRing(f"Smith form needs a euclidean ring, not {ring}")
-    if ring.classify() in ("int", "int_completed"):
-        return _IntArith(ring)
-    return _ElArith(ring)
 
 
 def _rows(ar, cols, nrows):
@@ -360,8 +269,6 @@ def _smith(ar, D):
 
 # -- the three core primitives --------------------------------------------------
 
-_EUCLIDEAN = ("int", "field", "int_completed", "int_localized")
-
 
 def syzygies(ring, cols, nrows):
     """Generators of the kernel of A^c -> A^r, x -> sum x_j cols_j."""
@@ -485,7 +392,7 @@ def _diagonal_solve(ar, form, b):
     y = [ar.zero] * len(V)
     for i, x in enumerate(ub):
         if ar.is_zero(x):
-            continue  # zero lifts to zero, not to p^(N-v)/u over Z_p
+            continue  # zero lifts to zero, also where the diagonal is zero
         d = D[i][i] if i < rank_bound else ar.zero
         if ar.is_zero(d):
             return None
@@ -523,8 +430,9 @@ class _Span:
     """The span of some columns in A^nrows; ``cols`` is their key (see
     ``Ring.vec_key``).  Over Z, Z_p, fields and u^-1 Z it answers every
     question from the Smith form of the columns, built on first use with the
-    arithmetic ``_arithmetic`` picks and stored, as tuples, only once
-    complete; syzygies, lifts and membership are read off it on every call.
+    ring's ``int_arith`` over Z and Z_p, else ``_ElArith``, and stored, as
+    tuples, only once complete; syzygies, lifts and membership are read off
+    it on every call.
     """
 
     __slots__ = ("ring", "nrows", "cols", "_form")
@@ -543,7 +451,11 @@ class _Span:
         values of the arithmetic ar, as tuples of rows."""
         form = self._form
         if form is None:
-            ar = _arithmetic(self.ring)
+            ring = self.ring
+            if not ring.is_euclidean:
+                raise UnsupportedRing(
+                    f"Smith form needs a euclidean ring, not {ring}")
+            ar = ring.int_arith or _ElArith(ring)
             rows = _rows(ar, self.columns(), self.nrows)
             form = self._form = (ar, tuple(tuple(map(tuple, X))
                                            for X in _smith(ar, rows)))
@@ -630,6 +542,6 @@ _MEMO_LIMIT = 256   # membership answers kept per span
 
 @lru_cache(maxsize=_SPAN_LIMIT)
 def _span(ring, nrows, cols):
-    if ring.classify() in _EUCLIDEAN:
+    if ring.nvars == 0:  # Z, Z_p, fields and u^-1 Z
         return _Span(ring, nrows, cols)
     return _GroebnerSpan(ring, nrows, cols)

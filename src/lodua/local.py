@@ -760,8 +760,7 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
     f.p. and telescope sources go to the Ext engine, telescope-quotient
     sources (free, over a euclidean ring) to the adic tower of the target.
     Telescope and telescope-quotient targets are refused here although the
-    engine takes them for the grid: it carries u^-1 N on a u-power-torsion N
-    as a nonzero telescope, where the true group is zero.
+    engine takes them for the grid; widening derived Hom to them is open.
     """
     if D1.kind in ("fp", "telescope") and not (
             D2.kind == "fp" or D2.kind == "rational"

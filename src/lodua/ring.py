@@ -11,10 +11,16 @@ When quotient + I^N is generated by monomials (for instance k[[x, y]] at
 (x, y), which is truncated power series) the canonical form keeps the terms
 no generator divides.  That is the Groebner normal form, which is unique
 modulo a monomial ideal, computed without a Groebner basis.
+
+The ring is the one home of euclidean arithmetic (``divmod_el``,
+``euclidean_size``, ``unit_part``, ``is_unit_el``, ``unit_inverse``).  Over
+Z and Z_p each rule is written once, on plain ints, in ``_IntArith``, held
+per ring as ``Ring.int_arith``; the Smith loop of ``linalg`` runs on it.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 from operator import le
 
 from .errors import InvalidInput, PrecisionMismatch, UnsupportedRing
@@ -92,6 +98,7 @@ class Ring:
         self._modulus_vectors = {}
         self._reduction = None
         self._int_modulus = None
+        self._int_arith = None
         self._monomials = None
         self._series = None
         self._zero = None
@@ -123,8 +130,7 @@ class Ring:
             if self.base == "Z" and self.nvars == 0:
                 if len(gens) != 1 or not gens[0].is_constant():
                     raise InvalidInput("Z-completion needs one integer generator")
-                m = abs(int(gens[0].constant()))
-                if not _is_prime(m):
+                if not _is_prime(self.int_prime):
                     raise UnsupportedRing("Z-completions are supported at primes only")
             elif self.base == "Z":
                 raise UnsupportedRing("completion of Z[x...] is not supported")
@@ -179,12 +185,25 @@ class Ring:
         return self.completed(gens, n)
 
     @property
+    def int_prime(self):
+        """p over Z_p and Z_p[1/p]: the generator of the completion ideal."""
+        return abs(int(self.completion[0][0].constant()))
+
+    @property
     def int_modulus(self):
         """p^N over Z_p at precision N: the canonical form reduces by it."""
         if self._int_modulus is None:
-            gens, prec = self.completion
-            self._int_modulus = abs(int(gens[0].constant())) ** prec
+            self._int_modulus = self.int_prime ** self.completion[1]
         return self._int_modulus
+
+    @property
+    def int_arith(self):
+        """The euclidean arithmetic of Z or Z_p on plain ints (``_IntArith``),
+        built once per ring; None on every other ring."""
+        if self._int_arith is None:
+            self._int_arith = self._kind in ("int", "int_completed") and \
+                _IntArith(self)
+        return self._int_arith or None
 
     @property
     def modulus(self):
@@ -376,18 +395,11 @@ class Ring:
         """f/g in the quotient ring, or None when g does not divide f."""
         if self.nvars == 0:
             a, b = f.constant(), g.constant()
-            if self.classify() in ("int",) or (self.base == "Z" and not self.is_completed):
-                q = self.dom.exact_div(a, b)
-                return None if q is None else Poly.const(self.dom, 0, q)
-            if self.base == "Z" and self.is_completed:
-                m = self.int_modulus
-                pgen = abs(int(self.completion[0][0].constant()))
-                va, ua = _val_unit(int(a), pgen, m)
-                vb, ub = _val_unit(int(b), pgen, m)
-                if va < vb:
-                    return None
-                q = (pgen ** (va - vb)) * ua * pow(ub, -1, m) % m
-                return Poly.const(self.dom, 0, q)
+            if self.base == "Z":
+                # numerators of Z, u^-1 Z, Z_p and Z_p[1/p] divide in Z or Z_p
+                ints = self.without_inversion().int_arith
+                q, r = ints.divmod(int(a), int(b))
+                return None if r else Poly.const(self.dom, 0, q)
             return Poly.const(self.dom, 0, self.dom.exact_div(a, b))
         if not self.quotient and not self.is_completed:
             return f.exact_div(g, order_key(self.order))
@@ -401,18 +413,16 @@ class Ring:
         e = self.el(e)
         if e.num.is_zero():
             return False
+        ar = self.int_arith
+        if ar is not None:
+            return ar.is_unit(ar.from_el(e))
         num = e.num
         if self._kind == "int_localized":
             # +-(a product of primes dividing u) over a power of u
             return self.strip_inverted(e)[0] == self.one()
         if self._kind == "poly_localized":
             return self.unit_inverse(e) is not None
-        k = self.classify()
-        if k == "int":
-            return num.is_constant() and num.constant() in (1, -1)
-        if k == "int_completed":
-            return int(num.constant()) % abs(int(self.completion[0][0].constant())) != 0
-        if k == "field":
+        if self._kind == "field":
             return True
         if not self.quotient and not self.is_completed:
             return num.is_constant() and self.dom.is_unit(num.constant())
@@ -442,6 +452,10 @@ class Ring:
     def unit_inverse(self, e):
         """The inverse of e, or None when e is not a unit."""
         e = self.el(e)
+        ar = self.int_arith
+        if ar is not None:
+            a = ar.from_el(e)
+            return ar.to_el(ar.inv(a)) if ar.is_unit(a) else None
         if self._kind == "poly_localized":
             # x with e * x = 1, lifted in the Rabinowitsch model of u^-1 A
             from .linalg import lift_through
@@ -494,11 +508,9 @@ class Ring:
         k = self.classify()
         if k == "field" or k == "poly":
             return self.el(Poly.const(self.dom, self.nvars, self.dom.inv(e.num.constant())))
-        if k == "int_completed":
-            return self.el(pow(int(e.num.constant()), -1, self.int_modulus))
-        return e  # the units of Z and Z[x...] are +-1
+        return e  # the units of Z[x...] are +-1
 
-    # -- euclidean divmod for the Smith engine --------------------------------
+    # -- euclidean rules for the Smith engine ----------------------------------
 
     def strip_inverted(self, e):
         """(canonical part, unit) with e = unit * canonical part.
@@ -514,11 +526,11 @@ class Ring:
         sign = -1 if a < 0 else 1
         a = abs(a)
         stripped_factor = 1
-        g = _gcd(a, u)
+        g = gcd(a, u)
         while g > 1:
             a //= g
             stripped_factor *= g
-            g = _gcd(a, u)
+            g = gcd(a, u)
         unit = self._normal(Poly.const(self.dom, 0, sign * stripped_factor), e.dexp)
         return self.el(a), unit
 
@@ -526,32 +538,19 @@ class Ring:
         a, b = self.el(a), self.el(b)
         if b.is_zero():
             raise ZeroDivisionError("division by zero")
+        ar = self.int_arith
+        if ar is not None:
+            q, r = ar.divmod(ar.from_el(a), ar.from_el(b))
+            return ar.to_el(q), ar.to_el(r)
         k = self.classify()
         if k == "int_localized":
             sa, ua = self.strip_inverted(a)
             sb, ub = self.strip_inverted(b)
-            ia, ib = int(sa.num.constant()), int(sb.num.constant())
-            q0, r0 = divmod(ia, ib)
-            if r0 != 0 and 2 * r0 > ib:
-                q0, r0 = q0 + 1, r0 - ib
-            return (self.el(q0) * ua * ub.inv(), self.el(r0) * ua)
-        if k == "int":
-            q, r = divmod(int(a.num.constant()), int(b.num.constant()))
-            # prefer the remainder of smaller magnitude for faster descent
-            if r != 0 and 2 * r > abs(int(b.num.constant())):
-                q, r = q + 1, r - abs(int(b.num.constant()))
-            return self.el(q), self.el(r)
+            ints = self.without_inversion().int_arith
+            q, r = ints.divmod(ints.from_el(sa), ints.from_el(sb))
+            return self.el(q) * ua * ub.inv(), self.el(r) * ua
         if k == "field":
             return a * self.inv_el(b), self.zero()
-        if k == "int_completed":
-            m = self.int_modulus
-            pgen = abs(int(self.completion[0][0].constant()))
-            va, ua = _val_unit(int(a.num.constant()), pgen, m)
-            vb, ub = _val_unit(int(b.num.constant()), pgen, m)
-            if va >= vb:
-                q = pgen ** (va - vb) * ua * pow(ub, -1, m) % m
-                return self.el(q), self.zero()
-            return self.zero(), a
         if k == "poly" and self.is_euclidean:
             return self._poly_divmod(a, b)
         raise UnsupportedRing(f"no euclidean division in {self}")
@@ -574,21 +573,36 @@ class Ring:
         a = self.el(a)
         if a.is_zero():
             return -1
+        ar = self.int_arith
+        if ar is not None:
+            return ar.size(ar.from_el(a))
         k = self.classify()
         if k == "int_localized":
-            stripped, _ = self.strip_inverted(a)
-            return abs(int(stripped.num.constant()))
-        if k == "int":
-            return abs(int(a.num.constant()))
+            ints = self.without_inversion().int_arith
+            return ints.size(ints.from_el(self.strip_inverted(a)[0]))
         if k == "field":
             return 1
-        if k == "int_completed":
-            pgen = abs(int(self.completion[0][0].constant()))
-            v, _ = _val_unit(int(a.num.constant()), pgen, self.int_modulus)
-            return v + 1
         if k == "poly" and self.is_euclidean:
             return a.num.total_degree() + 1
         raise UnsupportedRing(f"no euclidean size in {self}")
+
+    def unit_part(self, d):
+        """u with d = u * canonical(d), for nonzero d of a euclidean ring:
+        the sign over Z, the part prime to p over Z_p, d itself over a
+        field, the unit ``strip_inverted`` splits off over u^-1 Z and the
+        leading coefficient over k[t]."""
+        ar = self.int_arith
+        if ar is not None:
+            return ar.to_el(ar.unit(ar.from_el(d)))
+        k = self.classify()
+        if k == "field":
+            return d
+        if k == "int_localized":
+            return self.strip_inverted(d)[1]
+        if k == "poly" and self.is_euclidean:
+            _, lc = d.num.leading(order_key("lex"))
+            return self.el(Poly.const(self.dom, self.nvars, lc))
+        raise UnsupportedRing(f"no unit part in {self}")
 
     # -- misc -----------------------------------------------------------------
 
@@ -638,27 +652,87 @@ def _classify(base, nvars, inverted, completion):
     return "poly"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+class _IntArith:
+    """Z, or Z_p at precision N with every value reduced mod p^N, on plain
+    ints: the one copy of each division, size and unit rule of these rings
+    (see the module docstring)."""
 
+    __slots__ = ("ring", "m", "p")
+    zero, one = 0, 1
 
-def _val_unit(a, p, m):
-    """(v, u) with a = p^v * u mod m, u prime to p; zero gets full valuation."""
-    a %= m
-    if a == 0:
-        v = 0
-        mm = m
-        while mm > 1:
-            mm //= p
+    def __init__(self, ring):
+        self.ring = ring
+        self.m = self.p = None
+        if ring.is_completed:
+            self.m, self.p = ring.int_modulus, ring.int_prime
+
+    def from_el(self, e):
+        a = e.num.terms.get((), 0)
+        return a % self.m if self.m else a
+
+    def to_el(self, a):
+        # a value is its own canonical form: over Z_p it is reduced mod p^N
+        return self.ring.from_key(a)
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_unit(self, a):
+        return a % self.p != 0 if self.m else a in (1, -1)
+
+    def _val_unit(self, a):
+        """(v, u) with a = p^v * u mod p^N, u prime to p; zero gets v = N."""
+        a %= self.m
+        if a == 0:
+            return self.ring.precision, 1
+        p, v = self.p, 0
+        while a % p == 0:
+            a //= p
             v += 1
-        return v, 1
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v, a
+        return v, a
+
+    def size(self, a):
+        if self.m:
+            return self._val_unit(a)[0] + 1
+        return abs(a)
+
+    def divmod(self, a, b):
+        m = self.m
+        if m:
+            if a % m == 0:
+                return 0, 0  # zero divides to zero, not to p^(N-v)/u
+            # a = p^va * ua and b = p^vb * ub: b divides a iff va >= vb
+            va, ua = self._val_unit(a)
+            vb, ub = self._val_unit(b)
+            if va >= vb:
+                return self.p ** (va - vb) * ua * pow(ub, -1, m) % m, 0
+            return 0, a
+        q, r = divmod(a, b)
+        # prefer the remainder of smaller magnitude for faster descent
+        if r != 0 and 2 * r > abs(b):
+            q, r = q + 1, r - abs(b)
+        return q, r
+
+    def neg(self, a):
+        return -a % self.m if self.m else -a
+
+    def mul(self, a, b):
+        return a * b % self.m if self.m else a * b
+
+    def add_mul(self, a, c, b):
+        return (a + c * b) % self.m if self.m else a + c * b
+
+    def sub_mul(self, a, c, b):
+        return (a - c * b) % self.m if self.m else a - c * b
+
+    def unit(self, d):
+        """u with d = u * canonical(d): the sign, or the part prime to p."""
+        if self.m:
+            return self._val_unit(d)[1]
+        return -1 if d < 0 else 1
+
+    def inv(self, u):
+        return pow(u, -1, self.m) if self.m else u
 
 
 class RingElement:

@@ -19,7 +19,8 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .complexes import ChainMap, induced_on_homology, tensor_chain_map
-from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope)
+from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope,
+                          value_of)
 from .errors import InvalidInput, UnrecognizedTower, UnsupportedRing
 from .koszul import koszul_chain, koszul_transition
 from .linalg import lift_through, member, span_basis
@@ -483,9 +484,7 @@ def _gcd_el(ring, a, b):
         a, b = b, r
     if a.is_zero():
         return a
-    from .linalg import _arithmetic
-    ar = _arithmetic(ring)
-    return a * ar.to_el(ar.inv(ar.unit(ar.from_el(a))))
+    return a * ring.unit_part(a).inv()
 
 
 def is_finite_dimensional(M):
@@ -647,7 +646,7 @@ def mult_tower_values(desc, x, precision=None):
             return TowerLimits(LimitModule.unrecognized("telescope multiplier"),
                                LimitModule.unrecognized("telescope multiplier"),
                                "unrecognized")
-        return TowerLimits(LimitModule("telescope", desc, basis="x invertible"),
+        return TowerLimits(value_of(desc, basis="x invertible"),
                            LimitModule.zero(basis="x invertible"),
                            "invertible multiplier")
     if desc.kind == "telescope_quotient":

@@ -558,6 +558,38 @@ def test_wrong_typed_ideal_or_matrix_exits_three(case, tmp_path, capsys):
     assert captured.err == f"invalid input: {message}\n"
 
 
+BAD_RATIONAL_DIMS = {"negative": -2, "string": "x", "float": 1.5,
+                     "boolean": True}
+
+
+@pytest.mark.parametrize("case", list(BAD_RATIONAL_DIMS))
+def test_bad_rational_dim_exits_three(case, tmp_path, capsys):
+    import lodua.cli
+    from lodua.errors import InvalidInput
+    dim = BAD_RATIONAL_DIMS[case]
+    message = f"'Q' dim must be a non-negative integer, not {dim!r}"
+    doc = {"ring": {"base": "Z"}, "ideal": ["5"],
+           "descriptors": {"Q": {"kind": "rational", "dim": dim}}}
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        lodua.cli.Problem(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert lodua.cli.main(["localcoh", str(path), "--target", "Q",
+                           "--s", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
+def test_rational_dim_zero_and_default_are_accepted():
+    import lodua.cli
+    doc = {"ring": {"base": "Z"},
+           "descriptors": {"Q0": {"kind": "rational", "dim": 0},
+                           "Q1": {"kind": "rational"}}}
+    problem = lodua.cli.Problem(doc)
+    assert [problem.descriptors[n].dim for n in ("Q0", "Q1")] == [0, 1]
+
+
 def test_well_typed_ideal_and_matrix_are_accepted():
     import lodua.cli
     doc = {"ring": {"base": "Q", "vars": ["x", "y"]}, "ideal": ["x", 1],

@@ -29,6 +29,31 @@ def test_ext_cell_rational(ZZ, d5):
     assert v.kind == "rational" and not v.is_zero()
 
 
+def test_rational_of_dimension_zero_is_zero(ZZ, d5):
+    # Q^0 is the zero module, so it is complete
+    cert = is_L_complete(Rational(ZZ, 0), d5)
+    assert cert.verdict == "complete"
+    assert all(v.is_zero() for v in cert.table.values())
+    assert not is_L_complete(Rational(ZZ, 2), d5)
+
+
+def test_telescope_on_torsion_is_zero(ZZ, d5):
+    # 5 is nilpotent on Z/25, so 5^-1(Z/25) = 0 and it is complete; 5^-1 Z
+    # is not
+    from lodua.descriptors import value_of
+    from lodua.local import ext_out_of_fp
+    from lodua.towers import mult_tower_values
+    tel = Telescope(zmod(ZZ, 25), 5)
+    assert value_of(tel).is_zero()
+    assert mult_tower_values(tel, ZZ.el(5)).lim.is_zero()
+    assert is_L_complete(tel, d5).verdict == "complete"
+    assert ext_out_of_fp(zmod(ZZ, 25), Telescope(FPModule.free(ZZ, 1), 5),
+                         1).is_zero()
+    free = Telescope(FPModule.free(ZZ, 1), 5)
+    assert value_of(free).kind == "telescope"
+    assert is_L_complete(free, d5).verdict == "not-complete"
+
+
 def test_ext1_of_z_is_completion_quotient(ZZ, d5):
     # Hom(Z[1/p], Z) = 0 and Ext^1 = Z_p/Z, the completion cokernel
     v0 = ext_telescope(d5, 1, FPObj(FPModule.free(ZZ, 1)), 0)

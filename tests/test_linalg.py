@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -172,7 +174,8 @@ def _int_matrices(draw):
 
 
 def _both_arithmetics(ring):
-    from lodua.linalg import _ElArith, _IntArith
+    from lodua.linalg import _ElArith
+    from lodua.ring import _IntArith
     return _IntArith(ring), _ElArith(ring)
 
 
@@ -224,6 +227,95 @@ def test_integer_divmod_matches_ring_divmod():
     # over Z_5 at precision 2: p^v * u divides p^w * t iff v <= w
     assert z5.divmod(10, 5) == (2, 0) and z5.divmod(5, 10) == (13, 0)
     assert z5.divmod(5, 3) == (10, 0) and z5.divmod(1, 5) == (0, 1)
+
+
+def test_zero_divided_in_zp_is_zero():
+    # 0 = 5 * 5^19 mod 5^20, but the quotient of zero is zero, not 5^19
+    for N, ring in _Z5.items():
+        ints, _ = _both_arithmetics(ring)
+        assert ints.divmod(0, 5) == (0, 0)
+        assert ints.divmod(0, 1) == (0, 0)
+        assert ring.divmod_el(0, 5) == (ring.zero(), ring.zero())
+        assert ring.divmod_el(0, 1) == (ring.zero(), ring.zero())
+
+
+# -- Smith forms against the determinantal divisors ----------------------------
+#
+# An independent oracle: for an integer matrix, d_1 ... d_k is the gcd of its
+# k x k minors over Z and has the least p-adic valuation of those minors over
+# Z_p, so the invariant factors follow from the minors alone.  At precision N
+# an invariant factor of valuation a is p^a when a < N and zero otherwise.
+
+
+def _det(M):
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:]
+                                           for row in M[1:]])
+               for j in range(len(M)))
+
+
+def _minors(A, k):
+    return [_det([[A[i][j] for j in cols] for i in rows])
+            for rows in combinations(range(len(A)), k)
+            for cols in combinations(range(len(A[0])), k)]
+
+
+def _valuation(a, p):
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def _oracle_diagonal(ring, A):
+    """The diagonal of the Smith form of A over ring, as ints, from the
+    determinantal divisors of A."""
+    out, prev = [], 1
+    if ring.is_completed:
+        p, N = 5, ring.precision
+        prev = 0
+        for k in range(1, min(len(A), len(A[0])) + 1):
+            vals = [_valuation(x, p) for x in _minors(A, k) if x]
+            if not vals:
+                break
+            delta = min(vals)
+            a, prev = delta - prev, delta
+            out.append(p ** a if a < N else 0)
+    else:
+        for k in range(1, min(len(A), len(A[0])) + 1):
+            g = gcd(*_minors(A, k))
+            if g == 0:
+                break
+            out.append(g // prev)
+            prev = g
+    return out + [0] * (min(len(A), len(A[0])) - len(out))
+
+
+@settings(max_examples=150)
+@given(_int_matrices(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_smith_matches_determinantal_divisors(case, xs):
+    ring, A, target = case
+    n, m = len(A), len(A[0])
+    E = as_mat(ring, A)
+    D = check_smith(ring, E)
+    want = _oracle_diagonal(ring, A)
+    assert [D[i][i] for i in range(min(n, m))] == [ring.el(d) for d in want]
+
+    rank = sum(1 for d in want if d)
+    cols = [tuple(E[i][j] for i in range(n)) for j in range(m)]
+    syz = syzygies(ring, cols, n)
+    assert len(syz) == m - rank
+    for s in syz:
+        assert all(e.is_zero() for e in mat_vec(ring, E, s))
+    in_span = [sum(a * c for a, c in zip(row, xs)) for row in A]
+    for b, spanned in ((in_span, True), (target, False)):
+        tgt = tuple(ring.el(t) for t in b)
+        x = lift_through(ring, cols, tgt, n)
+        assert x is not None or not spanned
+        if x is not None:
+            assert mat_vec(ring, E, x) == tgt
 
 
 # -- the span of a column set against a direct Groebner basis ------------------

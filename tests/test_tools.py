@@ -62,8 +62,35 @@ def test_sameness_script_prints_repeatable_fingerprints():
     assert re.fullmatch(r"integer-sweep seed 1: 4 ops, answers sha256 "
                         r"[0-9a-f]{64}\n"
                         r"contains_in_relations: [1-9]\d* queries, "
-                        r"sha256 [0-9a-f]{64}\n", out)
+                        r"sha256 [0-9a-f]{64}\n"
+                        r"smith: [1-9]\d* forms, sha256 [0-9a-f]{64}\n", out)
     assert run() == out
+
+
+def test_sameness_hashes_every_smith_form():
+    import importlib.util
+    from lodua import linalg
+    spec = importlib.util.spec_from_file_location(
+        "sameness", os.path.join(ROOT, "tools", "sameness.py"))
+    sameness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sameness)
+    calls = []
+    smith = linalg._smith
+
+    def counted(ar, D):
+        calls.append(len(D))
+        return smith(ar, D)
+
+    linalg._smith = counted
+    try:
+        linalg._span.cache_clear()
+        ops = sameness.workloads.generate("integer-sweep", 1, 4)
+        *_, nforms, forms = sameness.fingerprint(ops)
+        assert linalg._smith is counted  # the tool puts back what it wrapped
+    finally:
+        linalg._smith = smith
+    assert nforms == len(calls) > 0
+    assert re.fullmatch(r"[0-9a-f]{64}", forms)
 
 
 def test_linecov_traces_one_small_call(ZZ):

@@ -6,19 +6,25 @@
 Runs the op list of one workload and seed once, in order, in one process,
 as ``perfbench/worker.py`` executes it (``perfbench/workloads.py`` and
 ``worker.py`` are imported, neither changed; the engine comes from
-``src/``), and prints two lines:
+``src/``), and prints three lines:
 
     <workload> seed <S>: <n> ops, answers sha256 <hex>
     contains_in_relations: <q> queries, sha256 <hex>
+    smith: <s> forms, sha256 <hex>
 
 The first hashes every op's (exit code, body) pair, the body being the
 report or the refusal exactly as the benchmark hashes it.  The second
 hashes every ``FPModule.contains_in_relations`` question the run asks: the
 module's generator count and relations, the vector and the answer, in
-order.  Two trees whose lines match gave the same answers by asking the
-same membership questions, so a refactor that claims to move no
-certificate can be checked by running this script in both and comparing
-the output.  Run from the root of a lodua checkout.
+order.  The third hashes every ``linalg._smith`` call: the ring, the input
+matrix, and U, D, V, U^-1 and V^-1, each entry rendered as a ring element
+whatever arithmetic record the loop ran on.  Two trees whose lines match
+gave the same answers by asking the same membership questions and
+computing the same Smith forms (same pivots, same transforms), so a
+refactor that claims to move no certificate can be checked by running this
+script in both and comparing the output.  Run from the root of a lodua
+checkout; to compare with another tree, copy the script into that tree's
+``tools/`` and run it there.
 """
 
 import hashlib
@@ -39,14 +45,32 @@ def _render(vec):
     return [e.render() for e in vec]
 
 
+def _render_rows(ar, X):
+    return [[ar.to_el(a).render() for a in row] for row in X]
+
+
 def fingerprint(ops):
-    """(answers sha256, number of membership questions, their sha256)."""
+    """(answers sha256, number of membership questions, their sha256,
+    number of Smith forms, their sha256)."""
     worker.import_lodua()
     import lodua
+    from lodua import linalg
     from lodua.modules import FPModule
-    answers, queries = hashlib.sha256(), hashlib.sha256()
-    count = 0
+    answers, queries, forms = (hashlib.sha256(), hashlib.sha256(),
+                               hashlib.sha256())
+    count = nforms = 0
     ask = FPModule.contains_in_relations
+    smith = linalg._smith
+
+    def logged_smith(ar, D):
+        nonlocal nforms
+        given = _render_rows(ar, D)  # before _smith reduces D in place
+        out = smith(ar, D)
+        nforms += 1
+        forms.update(json.dumps(
+            [repr(ar.ring), given] + [_render_rows(ar, X) for X in out]
+        ).encode() + b"\n")
+        return out
 
     def logged(M, vec):
         nonlocal count
@@ -58,6 +82,7 @@ def fingerprint(ops):
         return got
 
     FPModule.contains_in_relations = logged
+    linalg._smith = logged_smith
     try:
         for op in ops:
             try:
@@ -69,7 +94,9 @@ def fingerprint(ops):
             answers.update(json.dumps([code, body]).encode() + b"\n")
     finally:
         FPModule.contains_in_relations = ask
-    return answers.hexdigest(), count, queries.hexdigest()
+        linalg._smith = smith
+    return (answers.hexdigest(), count, queries.hexdigest(), nforms,
+            forms.hexdigest())
 
 
 def main(argv=None):
@@ -80,10 +107,11 @@ def main(argv=None):
                     help="run only the first SIZE ops")
     ns = ap.parse_args(argv)
     ops = workloads.generate(ns.workload, ns.seed, ns.size)
-    answers, count, queries = fingerprint(ops)
+    answers, count, queries, nforms, forms = fingerprint(ops)
     print(f"{ns.workload} seed {ns.seed}: {len(ops)} ops, "
           f"answers sha256 {answers}")
     print(f"contains_in_relations: {count} queries, sha256 {queries}")
+    print(f"smith: {nforms} forms, sha256 {forms}")
     return 0
 
 
