@@ -33,7 +33,7 @@ from .local import (IdealData, adic_completion, derived_completion, gamma,
                     gm_ses_check, local_cohomology, local_homology_Ls)
 from .modules import FPModule, ModuleMap, ext as module_ext, tor as module_tor
 from .ring import DEFAULT_PRECISION, make_ring
-from .towers import weak_proregularity_check
+from .towers import lim_lim1, standard_tower, weak_proregularity_check
 
 SCHEMA_VERSION = "1"
 
@@ -127,7 +127,6 @@ class Problem:
                 raise InvalidInput(f"duplicate name {name!r}")
 
     def _tower(self, name, spec):
-        from .towers import standard_tower
         kind = spec["kind"]
         if kind in ("adic", "tor"):
             ideal = [self.ring.el(g)
@@ -163,11 +162,10 @@ class Problem:
             return TelescopeQuotient(self.module(spec["module"]),
                                      self.ring.el(spec["mult"]))
         if kind == "rational":
-            dim = spec.get("dim", 1)
-            if type(dim) is not int or dim < 0:
-                raise InvalidInput(f"{name!r} dim must be a non-negative "
-                                   f"integer, not {dim!r}")
-            return Rational(self.ring, dim)
+            try:
+                return Rational(self.ring, spec.get("dim", 1))
+            except InvalidInput as e:
+                raise InvalidInput(f"{name!r} {e}") from None
         raise InvalidInput(f"unknown descriptor kind {kind!r}")
 
     def module(self, name):
@@ -304,7 +302,6 @@ def run(doc, verb, args=None):
         report["descriptors"] = {n: d.describe() for n, d in
                                  sorted(problem.descriptors.items())}
         if problem.towers:
-            from .towers import lim_lim1
             report["towers"] = {
                 n: lim_lim1(t, K, lag, precision).describe()
                 for n, t in sorted(problem.towers.items())}
@@ -345,7 +342,6 @@ def run(doc, verb, args=None):
         tgt = problem.target(name("target"))
         out = gm_ses_check(d, tgt, s, K, lag, precision)
         report["result"] = out
-        code = 0 if out["status"] == "exact" else 2
     elif verb == "complete":
         d = problem.need_ideal()
         out, nat = adic_completion(problem.module(name("module")), d, precision)
@@ -399,7 +395,8 @@ def run(doc, verb, args=None):
         com = problem.comodule(cmd["comodule"]) if cmd.get("comodule") else None
         if com is None and problem.comodules:
             com = next(iter(problem.comodules.values()))
-        out = verify_theorems(problem.hopf, d, com, which, precision=precision)
+        out = verify_theorems(problem.hopf, d, com, which, precision=precision,
+                              stage_bound=K, lag=lag)
         report["result"] = out
         verdict = out.get("verdict", "pass")
         code = 0 if verdict in ("pass", "true-level") else 2

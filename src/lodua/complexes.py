@@ -10,7 +10,8 @@ import operator
 from .errors import InvalidInput
 from .modules import (FPModule, HomModule, ModuleMap, block_matrix,
                       block_sum, diagonal_map, identity_kron, identity_map,
-                      kron_identity, power, tensor, tensor_map, zero_map)
+                      kron_identity, minimize_presentation, power, tensor,
+                      tensor_map, zero_map)
 
 
 class ChainComplex:
@@ -90,7 +91,6 @@ class ChainComplex:
             H_raw = FPModule(self.ring, Z.ngens, Z.relations + g.cols())
         else:
             H_raw = Z
-        from .modules import minimize_presentation
         H, fwd, bwd = minimize_presentation(H_raw)
         proj = ModuleMap(Z, H, fwd.matrix, check=False)
         rep = ModuleMap(H, Z, bwd.matrix, check=False)

@@ -18,8 +18,9 @@ never silently converts an unrecognized answer into a guess.  `value_of` and
 """
 
 from .errors import InvalidInput, UnsupportedRing
-from .modules import (FPModule, ModuleMap, base_change, iso_check,
-                      scalar_map, scalar_matrix)
+from .modules import (FPModule, ModuleMap, _capped_killing_power,
+                      _killing_power, _same_presentation, base_change,
+                      iso_check, scalar_map, scalar_matrix)
 
 
 class Descriptor:
@@ -105,6 +106,9 @@ class Rational(Descriptor):
     def __init__(self, ring, dim=1):
         if ring.base != "Z" or ring.nvars != 0:
             raise InvalidInput("rational descriptors live over Z")
+        if type(dim) is not int or dim < 0:
+            raise InvalidInput(
+                f"dim must be a non-negative integer, not {dim!r}")
         self.ring = ring
         self.dim = dim
 
@@ -179,8 +183,6 @@ class LimitModule:
         if self.kind == "completion_cokernel":
             return self.payload.is_zero() if isinstance(self.payload, CompletionCokernel) \
                 else False
-        if self.kind == "rational":
-            return self.payload.dim == 0
         return False
 
     def is_recognized(self):
@@ -220,14 +222,15 @@ class LimitModule:
 
 def value_of(desc, basis=None):
     """The LimitModule a descriptor stands for.  A telescope u^-1 M whose
-    multiplier is nilpotent on M is zero."""
+    multiplier is nilpotent on M is zero, and so is Q^0."""
     if desc.kind == "fp":
         return LimitModule.of_module(desc.module, basis=basis)
-    if desc.kind == "telescope":
-        from .towers import _capped_killing_power
-        if _capped_killing_power(desc.module, [desc.mult]):
-            return LimitModule("zero", precision=desc.ring.precision,
-                               basis="telescope of a nilpotent multiplier")
+    if desc.kind == "telescope" and _capped_killing_power(desc.module,
+                                                          [desc.mult]):
+        return LimitModule("zero", precision=desc.ring.precision,
+                           basis="telescope of a nilpotent multiplier")
+    if desc.kind == "rational" and desc.dim == 0:
+        return LimitModule.zero(basis="Q^0 is the zero module")
     if desc.kind in _DESCRIPTOR_KINDS:
         return LimitModule(desc.kind, desc, basis=basis)
     raise UnsupportedRing(f"no fixed-point form for {desc.kind}")
@@ -274,7 +277,6 @@ def values_agree(a, b):
             return values_agree(b, a)
         if ra.is_completed and rb == ra.underlying():
             # a torsion module killed by a power of I equals its completion
-            from .towers import _killing_power
             if _killing_power(Mb, ra.completion[0], 24) is not None:
                 lifted = base_change(Mb, ra)
                 if ra.is_euclidean:
@@ -306,9 +308,7 @@ def values_agree(a, b):
                 for k in range(1, bound + 1):
                     sa, sb = da.stage(k), db.stage(k)
                     if sa.ring.is_euclidean and sb.ring.is_euclidean:
-                        fa = sorted(x.render() for x in sa.decomposition()[0])
-                        fb = sorted(x.render() for x in sb.decomposition()[0])
-                        if fa != fb or sa.decomposition()[1] != sb.decomposition()[1]:
+                        if sa.invariants() != sb.invariants():
                             return False, f"stages differ at k={k}"
                     elif not _same_presentation(sa, sb):
                         return False, f"stages differ at k={k}"
@@ -320,20 +320,6 @@ def values_agree(a, b):
         # symbolic values compare by their full structural description
         return a.describe() == b.describe(), "symbolic descriptor comparison"
     return False, "unrecognized values never compare equal"
-
-
-def _same_presentation(Ma, Mb):
-    if Ma.ngens != Mb.ngens:
-        # fall back to mutual witness-free zero test
-        return Ma.is_zero() and Mb.is_zero()
-    # same generators: mutual containment of relation lattices
-    for col in Ma.relations:
-        if not Mb.contains_in_relations(col):
-            return False
-    for col in Mb.relations:
-        if not Ma.contains_in_relations(col):
-            return False
-    return True
 
 
 def change_precision(M, prec):

@@ -43,6 +43,7 @@ from functools import lru_cache
 from .errors import UnsupportedRing
 from .groebner import GBasis
 from .poly import Poly
+from .ring import Ring
 
 # -- small matrix helpers (matrices are lists of rows) -------------------------
 
@@ -329,7 +330,6 @@ def _span_of(ring, cols, nrows):
 
 def _localized_poly(ring, op, cols, target, nrows):
     """Compute in A[t]/(t*u - 1), the Rabinowitsch model of u^-1 A."""
-    from .ring import Ring
     base = ring.without_inversion()
     if base.is_completed:
         raise UnsupportedRing("localized completed polynomial rings unsupported")

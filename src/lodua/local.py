@@ -4,13 +4,18 @@ Greenlees-May comparison.
 Everything operates on graded objects: finite formal sums of descriptors
 placed in homological degrees.  The torsion side is computed as the colimit
 of Koszul cochain stages on rising powers of the generators; the completion
-side is computed by two independent routes that are cross-checked:
+side is computed by two routes that are cross-checked:
 
   route A: iterated one-generator derived completion via the
            telescope/completion-comparison model RHom(x^-1 A, M) = [M -> M^];
   route B: Milnor sequences over the towers Kos(x^k) (x) C.
 
-Any disagreement between the routes is a hard InternalInconsistency.
+Any disagreement between the routes is a hard InternalInconsistency.  The
+routes are not fully independent: route B's degree-0 limit is the Artin-Rees
+value of the adic tower, the same `completed_module` base change route A
+computes.  What route B adds is the adic stage cross-check (over euclidean
+rings, the first min(K, 3) stages against the completed presentation) and
+the Koszul-stage probes in degrees 1..n.
 
 The Ext engine for descriptor pairs lives here too, in two rules:
 `ext_out_of_fp` (f.p. source, any target descriptor) and
@@ -27,14 +32,15 @@ from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
 from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
                      UnsupportedRing)
 from .koszul import koszul_chain, koszul_cochain
-from .modules import (FPModule, ModuleMap, base_change, block_sum,
-                      ext as module_ext, iso_check, power, scalar_matrix)
+from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
+                      block_sum, ext as module_ext, iso_check, power,
+                      scalar_matrix, stable_submodule)
 from .ring import DEFAULT_PRECISION, _reject_zerodivisor
 from .sequences import is_regular_sequence
 from .towers import (KoszulStages, KoszulTensorStages, Tower,
-                     _capped_killing_power, _require_radical_membership,
-                     completed_module, lim_lim1, mult_tower_values,
-                     quotient_by_ideal_power, weak_proregularity_check)
+                     _require_radical_membership, completed_module, lim_lim1,
+                     mult_tower_values, quotient_by_ideal_power,
+                     weak_proregularity_check)
 
 
 class IdealData:
@@ -329,20 +335,16 @@ def local_cohomology_value(d, desc, s, stage_bound=8):
 
 def _torsion_submodule(d, M, stage_bound):
     """H^0_I(M): the stabilized ascending chain of I^k-torsion submodules."""
-    from .towers import _submodule, _span_equal
-    ring = d.ring
-    prev = None
-    for k in range(1, stage_bound + 1):
-        gens_k = _power_torsion_gens(d, M, k)
-        if prev is not None and _span_equal(M, gens_k, prev):
-            sub = _submodule(M, prev)
-            if sub.is_zero():
-                return LimitModule.zero(basis=f"torsion chain stabilized at {k}")
-            return LimitModule.of_module(
-                sub, basis=f"torsion chain stabilized at {k}")
-        prev = gens_k
-    return LimitModule.unrecognized(
-        f"torsion chain did not stabilize within {stage_bound} stages")
+    found = stable_submodule(M, lambda k: _power_torsion_gens(d, M, k),
+                             stage_bound)
+    if found is None:
+        return LimitModule.unrecognized(
+            f"torsion chain did not stabilize within {stage_bound} stages")
+    k, sub = found
+    basis = f"torsion chain stabilized at {k}"
+    if sub.is_zero():
+        return LimitModule.zero(basis=basis)
+    return LimitModule.of_module(sub, basis=basis)
 
 
 def _power_torsion_gens(d, M, k):
@@ -457,19 +459,26 @@ def _lambda_route_B(d, M, stage_bound, lag, precision=None):
               for s in range(0, d.n + 2)]
     out = {}
     for s in range(0, d.n + 1):
-        lim, lim1 = towers[s].lim, towers[s + 1].lim1
-        if not lim.is_recognized() or not lim1.is_recognized():
-            out[s] = LimitModule.unrecognized(
-                {"lim": lim.describe(), "lim1": lim1.describe()})
-            continue
-        if lim1.is_zero():
-            if not lim.is_zero():
-                out[s] = lim
-        elif lim.is_zero():
-            out[s] = lim1
-        else:
-            out[s] = LimitModule.unrecognized("nonsplit extension not resolved")
-    return {s: v for s, v in out.items() if not v.is_zero()}
+        value = _milnor_value(towers[s].lim, towers[s + 1].lim1)
+        if value is None:
+            value = LimitModule.unrecognized("nonsplit extension not resolved")
+        if not value.is_zero():
+            out[s] = value
+    return out
+
+
+def _milnor_value(lim, lim1):
+    """The middle term of 0 -> lim^1 -> X -> lim -> 0 when an outer term
+    vanishes; unrecognized, with both terms as evidence, when either term
+    is; None when both are nonzero, a case each caller settles its own way."""
+    if not lim.is_recognized() or not lim1.is_recognized():
+        return LimitModule.unrecognized({"lim": lim.describe(),
+                                         "lim1": lim1.describe()})
+    if lim1.is_zero():
+        return lim
+    if lim.is_zero():
+        return lim1
+    return None
 
 
 def derived_completion(d, X, stage_bound=12, lag=6, precision=None):
@@ -542,16 +551,12 @@ def _local_homology(d, desc, s, lim, lim1, stamped, stage_bound, lag,
                     precision):
     """L_s from lim Tor_s and lim^1 Tor_(s+1); checked against Lambda when
     the sequence is weakly proregular (``stamped``), marked otherwise."""
-    if not lim.is_recognized() or not lim1.is_recognized():
-        raise UnrecognizedTower("Greenlees-May towers unrecognized",
-                                evidence={"lim": lim.describe(),
-                                          "lim1": lim1.describe()})
-    if lim1.is_zero():
-        value = lim
-    elif lim.is_zero():
-        value = lim1
-    else:
+    value = _milnor_value(lim, lim1)
+    if value is None:
         raise UnrecognizedTower("nonsplit Greenlees-May extension")
+    if not value.is_recognized():
+        raise UnrecognizedTower("Greenlees-May towers unrecognized",
+                                evidence=value.evidence)
     if not stamped:
         # the identification with the completion functor is only a theorem
         # under weak proregularity; report the tower answer, stamped
@@ -600,6 +605,7 @@ def gm_ses_check(d, desc, s, stage_bound=12, lag=6, precision=None):
     desc = _as_descriptor(desc, d.ring)
     t_s, t_s1 = _tor_limits(d, desc, s, stage_bound, lag, precision)
     left, right = t_s1.lim1, t_s.lim
+    # refused unless both terms are recognized and one of them vanishes
     L = _local_homology(d, desc, s, right, left, _wpr_certified(d),
                         stage_bound, lag, precision)
     report = {
@@ -607,8 +613,6 @@ def gm_ses_check(d, desc, s, stage_bound=12, lag=6, precision=None):
         "L_s": L.describe(),
         "lim_tor": right.describe(),
     }
-    if not (left.is_recognized() and right.is_recognized()):
-        return {"status": "inconclusive", **report}
     if left.is_zero():
         ok, detail = values_agree(L, right)
         if not ok:
@@ -624,16 +628,12 @@ def gm_ses_check(d, desc, s, stage_bound=12, lag=6, precision=None):
         else:
             report["witness"] = detail
         return {"status": "exact", **report}
-    if right.is_zero():
-        ok, detail = values_agree(L, left)
-        if not ok:
-            raise InternalInconsistency(f"GM sequence fails exactness: {detail}")
-        report["exactness"] = ("right term vanishes; lim^1 Tor_(s+1) -> L_s "
-                               f"is the certified isomorphism ({detail})")
-        return {"status": "exact", **report}
-    return {"status": "inconclusive",
-            "reason": "both outer terms nonzero; extension not resolved",
-            **report}
+    ok, detail = values_agree(L, left)
+    if not ok:
+        raise InternalInconsistency(f"GM sequence fails exactness: {detail}")
+    report["exactness"] = ("right term vanishes; lim^1 Tor_(s+1) -> L_s "
+                           f"is the certified isomorphism ({detail})")
+    return {"status": "exact", **report}
 
 
 def adic_completion(M, d, precision=DEFAULT_PRECISION):
@@ -722,15 +722,12 @@ def ext_out_of_telescope(C, x, target, q, precision=None, towers=None):
     low, high = towers[q - 1], towers[q]
     lim1 = low.lim1 if low else LimitModule.zero(basis="Ext module vanishes")
     lim = high.lim if high else LimitModule.zero(basis="Ext module vanishes")
-    if not lim.is_recognized() or not lim1.is_recognized():
-        return LimitModule.unrecognized({"lim": lim.describe(),
-                                         "lim1": lim1.describe()})
-    if lim1.is_zero():
-        return lim
-    if lim.is_zero():
-        return lim1
-    return LimitModule("ind", {"extension": [lim1.describe(), lim.describe()]},
-                       basis="Milnor extension, both terms nonzero")
+    value = _milnor_value(lim, lim1)
+    if value is None:
+        return LimitModule("ind",
+                           {"extension": [lim1.describe(), lim.describe()]},
+                           basis="Milnor extension, both terms nonzero")
+    return value
 
 
 def _coerce(ring, x):

@@ -7,9 +7,13 @@ relations.  Everything reduces to the two linear-algebra primitives
 rings, quotients, localizations, and completed rings at precision.
 """
 
+from itertools import combinations_with_replacement
+
 from .errors import InvalidInput, UnsupportedRing
-from .linalg import (lift_through, mat_vec, membership_test,
-                     smith_normal_form, syzygies, vec_is_zero)
+from .linalg import (cols_to_mat, invariant_factors, lift_through, mat_vec,
+                     member, membership_test, smith_normal_form, syzygies,
+                     vec_is_zero)
+from .ring import prefix_products
 
 
 class FPModule:
@@ -79,7 +83,6 @@ class FPModule:
         if not self.ring.is_euclidean:
             raise UnsupportedRing("invariant factors need a euclidean ring")
         if self._decomp is None:
-            from .linalg import invariant_factors
             self._decomp = invariant_factors(self.ring, self.relations, self.ngens)
         return self._decomp
 
@@ -87,7 +90,6 @@ class FPModule:
         """(M_can, iso M->M_can, iso M_can->M) over a euclidean ring."""
         if not self.relations:
             return self, identity_map(self), identity_map(self)
-        from .linalg import cols_to_mat
         R = cols_to_mat(self.ring, self.relations, self.ngens)
         U, D, V, Uinv, Vinv = smith_normal_form(self.ring, R)
         cols = []
@@ -100,12 +102,17 @@ class FPModule:
         bwd = ModuleMap(can, self, Uinv, check=False)
         return can, fwd, bwd
 
+    def invariants(self):
+        """(free rank, sorted rendered torsion factors) over a euclidean
+        ring: equal exactly when the modules are isomorphic."""
+        factors, rank = self.decomposition()
+        return rank, sorted(f.render() for f in factors)
+
     def describe(self):
         """Stable human/JSON description of the isomorphism type when known."""
         if self.ring.is_euclidean:
-            factors, rank = self.decomposition()
-            return {"free_rank": rank,
-                    "torsion": sorted(f.render() for f in factors)}
+            rank, torsion = self.invariants()
+            return {"free_rank": rank, "torsion": torsion}
         return {"generators": self.ngens,
                 "relations": sorted([e.render() for e in col]
                                     for col in self.relations)}
@@ -361,6 +368,11 @@ class ModuleMap:
         mat = [[c * a for a in row] for row in self.matrix]
         return ModuleMap(self.source, self.target, mat, check=False)
 
+    def is_iso(self):
+        """Kernel and cokernel both vanish; the cokernel, the cheaper test
+        and usually the deciding one, is asked first."""
+        return self.cokernel()[0].is_zero() and self.kernel()[0].is_zero()
+
     def is_zero_map(self):
         return all(self.target.contains_in_relations(self.col(j))
                    for j in range(self.source.ngens))
@@ -609,11 +621,8 @@ def iso_check(M, N, witness=None):
         return IsoVerdict(False, "different rings")
     if witness is None:
         if M.ring.is_euclidean:
-            fm, rm = M.decomposition()
-            fn, rn = N.decomposition()
-            same = (rm == rn and sorted(x.render() for x in fm)
-                    == sorted(x.render() for x in fn))
-            return IsoVerdict(same, "invariant factors compared")
+            return IsoVerdict(M.invariants() == N.invariants(),
+                              "invariant factors compared")
         if M.is_zero() and N.is_zero():
             return IsoVerdict(True, "both zero")
         raise InvalidInput("witness required over non-euclidean rings")
@@ -626,3 +635,64 @@ def iso_check(M, N, witness=None):
     if not C.is_zero():
         return IsoVerdict(False, "witness has nonzero cokernel", witness)
     return IsoVerdict(True, "witness certified: kernel and cokernel vanish", witness)
+
+
+def _same_presentation(Ma, Mb):
+    """Equal relation spans on the same generators, or both modules zero."""
+    if Ma.ngens != Mb.ngens:
+        # fall back to mutual witness-free zero test
+        return Ma.is_zero() and Mb.is_zero()
+    # same generators: mutual containment of relation lattices
+    return (all(Mb.contains_in_relations(col) for col in Ma.relations)
+            and all(Ma.contains_in_relations(col) for col in Mb.relations))
+
+
+def stable_submodule(M, chain, bound):
+    """(k, S) for the first k <= bound at which the submodules of M spanned
+    by chain(k - 1) and chain(k) agree, S being that submodule; None when
+    the chain does not stabilize within ``bound``."""
+    ring, n, prev = M.ring, M.ngens, None
+    for k in range(1, bound + 1):
+        gens = chain(k)
+        if prev is not None and all(
+                member(ring, prev + M.relations, g, n) for g in gens) and all(
+                member(ring, gens + M.relations, g, n) for g in prev):
+            return k, M.submodule([g for g in prev
+                                   if not M.contains_in_relations(g)])
+        prev = gens
+    return None
+
+
+# -- nilpotence -------------------------------------------------------------------
+
+
+def _killing_power(M, gens, bound):
+    """The least j <= bound with I^j M = 0 for I = (gens), or None.
+
+    I^j M = 0 implies I^(j+1) M = 0, so degrees are tried in turn.  Within
+    a degree the products come in combinations_with_replacement order, each
+    built from its prefix when first needed, and each is tested alone in
+    every generator's coordinate; the first one outside the relations ends
+    the degree.
+    """
+    ring = M.ring
+    prod = prefix_products([ring.el(g) for g in gens])
+
+    def kills(f):
+        return all(M.contains_in_relations(col)
+                   for col in scalar_matrix(ring, M.ngens, f))
+
+    for j in range(1, bound + 1):
+        combos = combinations_with_replacement(range(len(gens)), j)
+        if all(kills(prod(c)) for c in combos):
+            return j
+    return None
+
+
+def _capped_killing_power(M, gens, bound=24):
+    """``_killing_power``, where over a completed ring only exponents below
+    the precision N are evidence: I^j M = 0 at precision N with j < N
+    implies I^j M = 0 exactly, since I^N M lies in I . I^j M (Nakayama)."""
+    if M.ring.is_completed:
+        bound = min(bound, (M.ring.precision or 1) - 1)
+    return _killing_power(M, gens, bound)

@@ -16,18 +16,21 @@ guess.
 """
 
 from functools import cached_property
-from itertools import combinations_with_replacement
 
 from .complexes import ChainMap, induced_on_homology, tensor_chain_map
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope,
                           value_of)
-from .errors import InvalidInput, UnrecognizedTower, UnsupportedRing
+from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
+                     UnsupportedRing)
 from .koszul import koszul_chain, koszul_transition
-from .linalg import lift_through, member, span_basis
-from .modules import (FPModule, ModuleMap, base_change, block_sum,
+# towers calls no lift_through; the name stays bound here because
+# perfbench/selftest.py takes it as its example of a from-import copy
+from .linalg import lift_through, span_basis  # noqa: F401
+from .modules import (FPModule, ModuleMap, _capped_killing_power,
+                      _killing_power, base_change, block_sum,
                       free_resolution, identity_map, scalar_map,
-                      scalar_matrix, zero_map)
-from .ring import power_products, prefix_products
+                      scalar_matrix, stable_submodule, zero_map)
+from .ring import DEFAULT_PRECISION, power_products
 
 DEFAULT_STAGE_BOUND = 12
 DEFAULT_LAG = 6
@@ -44,38 +47,6 @@ def quotient_by_ideal_power(M, gens, k):
     prods = power_products([ring.el(g) for g in gens], k)
     extra = [col for f in prods for col in scalar_matrix(ring, M.ngens, f)]
     return FPModule(ring, M.ngens, M.relations + extra)
-
-
-def _killing_power(M, gens, bound):
-    """The least j <= bound with I^j M = 0 for I = (gens), or None.
-
-    I^j M = 0 implies I^(j+1) M = 0, so degrees are tried in turn.  Within
-    a degree the products come in combinations_with_replacement order, each
-    built from its prefix when first needed, and each is tested alone in
-    every generator's coordinate; the first one outside the relations ends
-    the degree.
-    """
-    ring = M.ring
-    prod = prefix_products([ring.el(g) for g in gens])
-
-    def kills(f):
-        return all(M.contains_in_relations(col)
-                   for col in scalar_matrix(ring, M.ngens, f))
-
-    for j in range(1, bound + 1):
-        combos = combinations_with_replacement(range(len(gens)), j)
-        if all(kills(prod(c)) for c in combos):
-            return j
-    return None
-
-
-def _capped_killing_power(M, gens, bound=24):
-    """``_killing_power``, where over a completed ring only exponents below
-    the precision N are evidence: I^j M = 0 at precision N with j < N
-    implies I^j M = 0 exactly, since I^N M lies in I . I^j M (Nakayama)."""
-    if M.ring.is_completed:
-        bound = min(bound, (M.ring.precision or 1) - 1)
-    return _killing_power(M, gens, bound)
 
 
 class StageComplexes:
@@ -365,11 +336,11 @@ def _stages_small(tower, upto, max_gens=8, max_rels=30, max_deg=6):
 
 
 def _require_radical_membership(ring, u, ideal_gens, bound=8):
-    for m in range(1, bound + 1):
-        target = (u ** m,)
-        cols = [(ring.el(g),) for g in ideal_gens]
-        if lift_through(ring, cols, target, 1) is not None:
-            return m
+    """The least m <= bound with u^m in the ideal: the killing power of u on
+    A/I."""
+    m = _killing_power(FPModule.cyclic(ring, ideal_gens), [u], bound)
+    if m is not None:
+        return m
     raise UnrecognizedTower(
         f"multiplier {u.render()} is not visibly in the radical of the ideal")
 
@@ -412,16 +383,14 @@ def is_pro_trivial(tower, lag=DEFAULT_LAG, stage_bound=DEFAULT_STAGE_BOUND):
     # a periodic tower of isomorphisms can never be pro-trivial
     if tower.kind == "explicit" and tower.params.get("periodic"):
         comp = tower.composite(1, lag)
-        K, _ = comp.kernel()
-        C, _ = comp.cokernel()
-        if K.is_zero() and C.is_zero() and not comp.source.is_zero():
+        if comp.is_iso() and not comp.source.is_zero():
             return ProTrivialVerdict(
                 "not-pro-trivial", failing_stage=1,
                 note="periodic tower with isomorphic composites")
     if tower.kind == "mult":
         desc = tower.params["desc"]
         x = tower.params["x"]
-        if desc.kind == "fp" and _mult_is_iso(desc.module, x) \
+        if desc.kind == "fp" and scalar_map(desc.module, x).is_iso() \
                 and not desc.module.is_zero():
             return ProTrivialVerdict("not-pro-trivial", failing_stage=1,
                                      note="multiplier acts invertibly")
@@ -465,17 +434,6 @@ def weak_proregularity_check(ring, seq, stage_bound=4, lag=DEFAULT_LAG):
 
 
 # -- multiplication towers: the completion-comparison model ---------------------
-
-
-def _mult_is_iso(M, x):
-    f = scalar_map(M, x)
-    # the cokernel is the cheaper test and usually settles it: by Nakayama
-    # x.M != M whenever x lies in the completion ideal and M != 0
-    C, _ = f.cokernel()
-    if not C.is_zero():
-        return False
-    K, _ = f.kernel()
-    return K.is_zero()
 
 
 def _gcd_el(ring, a, b):
@@ -530,7 +488,7 @@ def divisible_part(M, x):
         return LimitModule.zero(basis="zero module")
     if _capped_killing_power(M, [x]):
         return LimitModule.zero(basis="nilpotent multiplier")
-    if _mult_is_iso(M, x):
+    if scalar_map(M, x).is_iso():
         return LimitModule.of_module(M, basis="invertible multiplier")
     kind = ring.classify()
     if ring.is_euclidean and not ring.is_completed:
@@ -557,28 +515,17 @@ def divisible_part(M, x):
         return LimitModule.zero(basis="graded: positive-degree multiplier")
     if ring.is_completed:
         # at stated precision the image chain stabilizes; report that value
-        prev_gens = None
-        for k in range(1, (ring.precision or 8) + 2):
+        def image(k):
             xk = x ** k
-            gens = [tuple(xk * e for e in M.gen(i)) for i in range(M.ngens)]
-            if prev_gens is not None and _span_equal(M, gens, prev_gens):
-                sub = _submodule(M, prev_gens)
-                if sub.is_zero():
-                    return LimitModule.zero(basis=f"image chain stabilized at {k}")
-                return LimitModule.of_module(sub,
-                                             basis=f"image chain stabilized at {k}")
-            prev_gens = gens
+            return [tuple(xk * e for e in M.gen(i)) for i in range(M.ngens)]
+        found = stable_submodule(M, image, (ring.precision or 8) + 1)
+        if found:
+            k, sub = found
+            basis = f"image chain stabilized at {k}"
+            if sub.is_zero():
+                return LimitModule.zero(basis=basis)
+            return LimitModule.of_module(sub, basis=basis)
     return None
-
-
-def _span_equal(M, gens_a, gens_b):
-    ring, n = M.ring, M.ngens
-    return (all(member(ring, gens_b + M.relations, g, n) for g in gens_a)
-            and all(member(ring, gens_a + M.relations, g, n) for g in gens_b))
-
-
-def _submodule(M, gens):
-    return M.submodule([g for g in gens if not M.contains_in_relations(g)])
 
 
 def completion_cokernel(M, ideal_gens):
@@ -613,7 +560,6 @@ def completion_cokernel(M, ideal_gens):
 
 def completed_module(M, ideal_gens, precision=None):
     """M (x) A^ by base-changing the presentation (exact for f.p. modules)."""
-    from .ring import DEFAULT_PRECISION
     ring = M.ring
     if ring.is_completed:
         old = set(g.num for g in (ring.el(h) for h in ring.completion[0]))
@@ -636,7 +582,7 @@ def mult_tower_values(desc, x, precision=None):
     ring = desc.ring
     x = ring.el(x)
     if desc.kind == "rational":
-        return TowerLimits(LimitModule("rational", desc, basis="x invertible on Q"),
+        return TowerLimits(value_of(desc, basis="x invertible on Q"),
                            LimitModule.zero(basis="x invertible on Q"),
                            "invertible multiplier")
     if desc.kind == "telescope":
@@ -665,7 +611,7 @@ def mult_tower_values(desc, x, precision=None):
         return TowerLimits(lim, LimitModule.zero(basis="divisible target"),
                            "telescope-quotient six-term")
     M = desc.module
-    if _mult_is_iso(M, x):
+    if scalar_map(M, x).is_iso():
         return TowerLimits(LimitModule.of_module(M, basis="invertible multiplier"),
                            LimitModule.zero(basis="invertible multiplier"),
                            "invertible multiplier")
@@ -722,34 +668,47 @@ def lim_lim1(tower, stage_bound=DEFAULT_STAGE_BOUND, lag=DEFAULT_LAG,
         # attempted only when the materialized stages are small (a
         # deterministic size gate), and the theorem carries the verdict
         # otherwise.
-        bound = min(stage_bound, 4)
-        if _stages_small(tower, bound):
-            verdict = is_pro_trivial(tower, lag=min(lag, 3), stage_bound=bound)
-            if verdict.status == "pro-trivial":
-                z = LimitModule.zero(
-                    basis=f"Artin-Rees pro-trivial Tor tower (lag {verdict.lag})")
-                return TowerLimits(z, z, "artin-rees pro-trivial",
-                                   {"lag": verdict.lag})
-            note = {"materialized": verdict.describe()}
-        else:
-            note = {"materialized": "stage presentations exceed the probe gate"}
+        found, note = _probe_lag(tower, stage_bound, lag)
+        if found is not None:
+            z = LimitModule.zero(
+                basis=f"Artin-Rees pro-trivial Tor tower (lag {found})")
+            return TowerLimits(z, z, "artin-rees pro-trivial", {"lag": found})
         z = LimitModule.zero(
             basis="Artin-Rees: Tor towers of f.p. modules over Noetherian "
                   "rings are pro-zero in positive degrees "
                   "(lag not located within the materialization bounds)")
-        return TowerLimits(z, z, "artin-rees theorem", note)
+        return TowerLimits(z, z, "artin-rees theorem", {"materialized": note})
     if kind == "koszul_stage":
         return _koszul_stage_limits(tower, stage_bound, lag, precision)
     if kind == "explicit":
         return _explicit_limits(tower, stage_bound, lag)
     if kind == "koszul_homology":
-        verdict = is_pro_trivial(tower, lag=lag, stage_bound=stage_bound)
-        if verdict.status == "pro-trivial":
-            z = LimitModule.zero(basis=f"pro-trivial (lag {verdict.lag})")
-            return TowerLimits(z, z, "pro-trivial", {"lag": verdict.lag})
-        u = LimitModule.unrecognized(verdict.describe())
-        return TowerLimits(u, u, "unrecognized")
+        return _pro_trivial_limits(tower, stage_bound, lag)
     raise InvalidInput(f"unknown tower kind {kind}")
+
+
+def _probe_lag(tower, stage_bound, lag):
+    """The size-gated lag probe, capped at lag 3 and at 4 stages: (k, None)
+    when a composite of lag k vanishes on the probed stages, else
+    (None, note) with the materialized evidence."""
+    bound = min(stage_bound, 4)
+    if not _stages_small(tower, bound):
+        return None, "stage presentations exceed the probe gate"
+    verdict = is_pro_trivial(tower, lag=min(lag, 3), stage_bound=bound)
+    if verdict.status == "pro-trivial":
+        return verdict.lag, None
+    return None, verdict.describe()
+
+
+def _pro_trivial_limits(tower, stage_bound, lag):
+    """lim = lim^1 = 0 when the tower is pro-trivial within the bounds, else
+    unrecognized with the verdict as evidence."""
+    verdict = is_pro_trivial(tower, lag=lag, stage_bound=stage_bound)
+    if verdict.status == "pro-trivial":
+        z = LimitModule.zero(basis=f"pro-trivial (lag {verdict.lag})")
+        return TowerLimits(z, z, "pro-trivial", {"lag": verdict.lag})
+    u = LimitModule.unrecognized(verdict.describe())
+    return TowerLimits(u, u, "unrecognized")
 
 
 def _adic_stage_crosscheck(tower, Mhat, upto):
@@ -760,12 +719,8 @@ def _adic_stage_crosscheck(tower, Mhat, upto):
         hat_stage = quotient_by_ideal_power(Mhat, [Mhat.ring.el(g.num, g.dexp)
                                                    for g in gens], k)
         if stage.ring.is_euclidean and hat_stage.ring.is_euclidean:
-            fa = sorted(x.render() for x in stage.decomposition()[0])
-            fb = sorted(x.render() for x in hat_stage.decomposition()[0])
-            ra = stage.decomposition()[1]
-            rb = hat_stage.decomposition()[1]
-            if k < (Mhat.ring.precision or k + 1) and (fa != fb or ra != rb):
-                from .errors import InternalInconsistency
+            same = stage.invariants() == hat_stage.invariants()
+            if k < (Mhat.ring.precision or k + 1) and not same:
                 raise InternalInconsistency(
                     f"adic recognition disagrees with stage {k}")
 
@@ -782,15 +737,7 @@ def _explicit_limits(tower, stage_bound, lag):
     if verdict.status == "pro-trivial":
         z = LimitModule.zero(basis=f"periodic pro-trivial (lag {verdict.lag})")
         return TowerLimits(z, z, "periodic pro-trivial")
-    all_iso = True
-    for k in range(1, bound):
-        f = tower.transition(k)
-        K, _ = f.kernel()
-        C, _ = f.cokernel()
-        if not (K.is_zero() and C.is_zero()):
-            all_iso = False
-            break
-    if all_iso:
+    if all(tower.transition(k).is_iso() for k in range(1, bound)):
         return TowerLimits(
             LimitModule.of_module(tower.stage(1),
                                   basis="periodic tower of isomorphisms"),
@@ -816,17 +763,11 @@ def _koszul_stage_limits(tower, stage_bound, lag, precision):
         if s - d < 0 or s - d > len(gens):
             z = LimitModule.zero(basis="degree outside Koszul range")
             return TowerLimits(z, z, "range")
-        bound = min(stage_bound, 4)
-        if _stages_small(tower, bound):
-            verdict = is_pro_trivial(tower, lag=min(lag, 3), stage_bound=bound)
-            if verdict.status == "pro-trivial":
-                z = LimitModule.zero(
-                    basis="weakly proregular stages pro-trivial "
-                          f"(lag {verdict.lag})")
-                return TowerLimits(z, z, "pro-trivial", {"lag": verdict.lag})
-            note = verdict.describe()
-        else:
-            note = "stage presentations exceed the probe gate"
+        found, note = _probe_lag(tower, stage_bound, lag)
+        if found is not None:
+            z = LimitModule.zero(
+                basis=f"weakly proregular stages pro-trivial (lag {found})")
+            return TowerLimits(z, z, "pro-trivial", {"lag": found})
         if tower.params["wpr_certified"]:
             z = LimitModule.zero(
                 basis="weak proregularity + Artin-Rees: Koszul-stage towers "
@@ -837,12 +778,7 @@ def _koszul_stage_limits(tower, stage_bound, lag, precision):
         return TowerLimits(u, u, "unrecognized")
     # general bounded complex: fall back to materialized pro-triviality or
     # stabilization; adic-type content is handled by the caller splitting C
-    verdict = is_pro_trivial(tower, lag=lag, stage_bound=stage_bound)
-    if verdict.status == "pro-trivial":
-        z = LimitModule.zero(basis=f"pro-trivial (lag {verdict.lag})")
-        return TowerLimits(z, z, "pro-trivial", {"lag": verdict.lag})
-    u = LimitModule.unrecognized(verdict.describe())
-    return TowerLimits(u, u, "unrecognized")
+    return _pro_trivial_limits(tower, stage_bound, lag)
 
 
 def standard_tower(kind, **kwargs):

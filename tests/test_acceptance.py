@@ -20,7 +20,7 @@ from lodua import (ChainComplex, ChainMap, Comodule, FPModule, FPObj,
                    make_ring, values_agree, verify_theorems,
                    weak_proregularity_check)
 from lodua.hopf import ComoduleTower, comodule_limit
-from lodua.descriptors import _same_presentation
+from lodua.modules import _same_presentation
 from lodua.towers import Tower, completed_module, mult_tower_values
 
 P = 5

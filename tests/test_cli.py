@@ -428,6 +428,26 @@ def _c2_doc():
         return json.load(fh)
 
 
+@pytest.mark.parametrize("which, verifier", [
+    ("comodule-gm", "comodule_gm_check"),
+    ("fg-vanishing", "fg_vanishing_check")])
+def test_verify_passes_K_and_lag(monkeypatch, which, verifier):
+    import lodua.cli
+    import lodua.hopf
+    doc = {**_c2_doc(), "command": {"comodule": "CA"}}
+    seen = {}
+
+    def fake(h, d, M_comod, precision, stage_bound=None, lag=None):
+        seen.update(K=stage_bound, lag=lag, precision=precision)
+        return {"verdict": "pass"}
+
+    monkeypatch.setattr(lodua.hopf, verifier, fake)
+    assert lodua.cli.run(doc, "verify", {"which": which})[0] == 0
+    assert seen == {"K": 6, "lag": 3, "precision": 5}
+    lodua.cli.run(doc, "verify", {"which": which, "K": 2, "lag": 0})
+    assert seen == {"K": 2, "lag": 0, "precision": 5}
+
+
 _Z_MODULES = {"Z": {"generators": 1, "relations": []}}
 
 # one malformed document per block: (blocks replacing the fixture's, the
@@ -565,6 +585,7 @@ BAD_RATIONAL_DIMS = {"negative": -2, "string": "x", "float": 1.5,
 @pytest.mark.parametrize("case", list(BAD_RATIONAL_DIMS))
 def test_bad_rational_dim_exits_three(case, tmp_path, capsys):
     import lodua.cli
+    from lodua import Rational, make_ring
     from lodua.errors import InvalidInput
     dim = BAD_RATIONAL_DIMS[case]
     message = f"'Q' dim must be a non-negative integer, not {dim!r}"
@@ -572,6 +593,10 @@ def test_bad_rational_dim_exits_three(case, tmp_path, capsys):
            "descriptors": {"Q": {"kind": "rational", "dim": dim}}}
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         lodua.cli.Problem(doc)
+    # the library constructor refuses the same values; the CLI only adds
+    # the descriptor's name
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message[4:])}$"):
+        Rational(make_ring({"base": "Z"}), dim)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert lodua.cli.main(["localcoh", str(path), "--target", "Q",
@@ -590,6 +615,16 @@ def test_rational_dim_zero_and_default_are_accepted():
     assert [problem.descriptors[n].dim for n in ("Q0", "Q1")] == [0, 1]
 
 
+def test_rational_off_z_names_the_descriptor():
+    import lodua.cli
+    from lodua.errors import InvalidInput
+    doc = {"ring": {"base": "Q", "vars": ["x"]},
+           "descriptors": {"R": {"kind": "rational"}}}
+    with pytest.raises(InvalidInput,
+                       match="^'R' rational descriptors live over Z$"):
+        lodua.cli.Problem(doc)
+
+
 def test_well_typed_ideal_and_matrix_are_accepted():
     import lodua.cli
     doc = {"ring": {"base": "Q", "vars": ["x", "y"]}, "ideal": ["x", 1],
@@ -606,7 +641,7 @@ def test_well_typed_ideal_and_matrix_are_accepted():
 # Z_5 modules the Koszul-stage route refuses: "chain map does not preserve
 # cycles" (exit 3), where Z answers the same presentation
 _Z5_DEFECT = ("valid Z_5 modules are refused in the Koszul-stage "
-              "transitions; see ROADMAP item 2")
+              "transitions; see ROADMAP item 1")
 
 
 def _z5_doc(ngens, relations):

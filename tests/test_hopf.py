@@ -8,7 +8,7 @@ from lodua import (Comodule, ComoduleTower, CompleteComodule, FPModule,
                    comodule_completion, comodule_limit,
                    extended_adjunction, extended_comodule, iota, iso_check,
                    make_group_like, make_ring, verify_theorems)
-from lodua.descriptors import _same_presentation
+from lodua.modules import _same_presentation
 from lodua.hopf import (_base_change_comodule, _completed_hopf,
                         extended_module, tor_stage_action, true_level_probe)
 from lodua.linalg import mat_mul, mat_vec

@@ -243,7 +243,7 @@ def _brute_killing_power(M, gens, bound):
 
 def test_killing_power_exact_values(ZZ):
     from lodua.local import _ideal_nilpotent_on
-    from lodua.towers import _killing_power
+    from lodua.modules import _killing_power
     R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2", "y^3"]})
     # x y^2 survives in degree 3; every degree-4 monomial dies
     assert _killing_power(FPModule.free(R, 1), [R.el("x"), R.el("y")], 24) == 4
@@ -257,7 +257,7 @@ def test_killing_power_exact_values(ZZ):
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_killing_power_capped_below_precision(N):
     from lodua.local import _ideal_nilpotent_on
-    from lodua.towers import _killing_power
+    from lodua.modules import _killing_power
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
     Qc = make_ring({"base": "Q", "vars": ["x", "y"],
                     "completion": {"ideal": ["x", "y"], "precision": N}})
@@ -274,7 +274,7 @@ def test_killing_power_capped_below_precision(N):
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_nilpotent_multiplier_capped_below_precision(N):
     # the multiplication tower asks the same capped question of one element
-    from lodua.towers import _capped_killing_power
+    from lodua.modules import _capped_killing_power
     Qc = make_ring({"base": "Q", "vars": ["x", "y"],
                     "completion": {"ideal": ["x", "y"], "precision": N}})
     x = Qc.el("x")
@@ -336,14 +336,14 @@ def _small_modules(draw):
 @settings(max_examples=40)
 @given(_small_modules())
 def test_killing_power_matches_the_definition(case):
-    from lodua.towers import _killing_power
+    from lodua.modules import _killing_power
     M, gens, bound = case
     assert _killing_power(M, gens, bound) == _brute_killing_power(M, gens, bound)
 
 
 def test_killing_power_builds_each_product_once(monkeypatch):
+    from lodua.modules import _killing_power
     from lodua.ring import RingElement
-    from lodua.towers import _killing_power
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
     gens = [Q.el("x + y"), Q.el("x*y")]
     calls = [0]
