@@ -11,7 +11,7 @@ from .errors import InvalidInput
 from .modules import (FPModule, HomModule, ModuleMap, block_matrix,
                       block_sum, diagonal_map, identity_kron, identity_map,
                       kron_identity, minimize_presentation, power, tensor,
-                      tensor_map, zero_map)
+                      zero_map)
 
 
 class ChainComplex:
@@ -107,7 +107,11 @@ class ChainComplex:
 
     def tensor_module(self, N):
         mods = {n: tensor(M, N) for n, M in self.modules.items()}
-        diffs = {n: tensor_map(d, N) for n, d in self.diffs.items()}
+        # d (x) id_N between the levels just built, not fresh copies of them
+        diffs = {n: ModuleMap(mods[n], mods[n - 1],
+                              kron_identity(self.ring, d.matrix, N.ngens),
+                              check=False)
+                 for n, d in self.diffs.items()}
         return ChainComplex(self.ring, mods, diffs, check=False)
 
     def hom_into_module(self, N):

@@ -526,12 +526,27 @@ def derived_completion(d, X, stage_bound=12, lag=6, precision=None):
 
 
 def local_homology_Ls(d, desc, s, stage_bound=12, lag=6, precision=None):
-    """L_s via the Greenlees-May extension of lim Tor_s by lim^1 Tor_(s+1)."""
+    """L_s via the Greenlees-May extension of lim Tor_s by lim^1 Tor_(s+1).
+
+    Only the Tor_s tower is materialized.  The Tor_(s+1) tower is built as
+    an object, so its descriptor checks run; when it is a Tor tower in
+    positive degree, Artin-Rees makes it pro-zero and its lim^1 is zero
+    without any stage built.  Any other kind (the zero tower, or at s = 0
+    the adic tower of a telescope quotient, with its stage cross-check)
+    goes through ``lim_lim1``.  ``gm_ses_check`` materializes both towers.
+    """
     stamped = _wpr_certified(d)
     desc = _as_descriptor(desc, d.ring)
-    t_s, t_s1 = _tor_limits(d, desc, s, stage_bound, lag, precision)
-    return _local_homology(d, desc, s, t_s.lim, t_s1.lim1, stamped,
-                           stage_bound, lag, precision)
+    lim = lim_lim1(Tower.tor(desc, d.gens, s), stage_bound, lag,
+                   precision).lim
+    nxt = Tower.tor(desc, d.gens, s + 1)
+    if nxt.kind == "tor":
+        lim1 = LimitModule.zero(basis="Artin-Rees: lim^1 of a Tor tower in "
+                                      "positive degree vanishes")
+    else:
+        lim1 = lim_lim1(nxt, stage_bound, lag, precision).lim1
+    return _local_homology(d, desc, s, lim, lim1, stamped, stage_bound, lag,
+                           precision)
 
 
 def _wpr_certified(d):

@@ -681,3 +681,84 @@ def test_localhom_on_z5_does_not_depend_on_history(tmp_path):
                           capture_output=True, text=True)
     assert fresh[0] == 0 and proc.returncode == 0
     assert proc.stdout.split("---\n", 1)[1] == fresh[1]
+
+
+def _localhom(tmp_path, doc, target, s):
+    import lodua.cli
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return lodua.cli.main(["localhom", str(path), "--target", target,
+                           "--s", str(s)])
+
+
+def _z_doc(descriptors=None):
+    return {"version": "1", "ring": {"base": "Z"}, "ideal": ["5"],
+            "modules": {"Z": {"generators": 1, "relations": []},
+                        "M": {"generators": 2, "relations": [["25", "0"]]}},
+            "descriptors": descriptors or {}}
+
+
+def test_localhom_checks_the_multiplier_of_the_next_tower(tmp_path,
+                                                         monkeypatch, capsys):
+    # at s = 0 only the Tor_1 tower of a telescope quotient checks that its
+    # multiplier lies in the radical of the ideal; Lambda, which checks it
+    # too, must not be reached
+    import lodua.local
+
+    def unreached(*args):
+        raise AssertionError("Lambda reached")
+
+    monkeypatch.setattr(lodua.local, "_cached_lambda", unreached)
+    doc = _z_doc({"q": {"kind": "telescope_quotient", "module": "Z",
+                        "mult": "3"}})
+    assert _localhom(tmp_path, doc, "q", 0) == 2
+    assert "multiplier 3 is not visibly in the radical" in \
+        capsys.readouterr().err
+
+
+def test_localhom_keeps_the_adic_stage_crosscheck(tmp_path, monkeypatch,
+                                                  capsys):
+    # at s = 0 the Tor_1 tower of a telescope quotient is the adic tower of
+    # its module; count the cross-checks outside Lambda's route B
+    import lodua.local
+    import lodua.towers
+    calls, in_route_B = [], []
+    route_B = lodua.local._lambda_route_B
+    crosscheck = lodua.towers._adic_stage_crosscheck
+
+    def traced_route_B(*args):
+        in_route_B.append(True)
+        try:
+            return route_B(*args)
+        finally:
+            in_route_B.pop()
+
+    def counted(tower, Mhat, upto):
+        if not in_route_B:
+            calls.append(upto)
+        return crosscheck(tower, Mhat, upto)
+
+    monkeypatch.setattr(lodua.local, "_lambda_route_B", traced_route_B)
+    monkeypatch.setattr(lodua.towers, "_adic_stage_crosscheck", counted)
+    doc = _z_doc({"q": {"kind": "telescope_quotient", "module": "Z",
+                        "mult": "5"}})
+    assert _localhom(tmp_path, doc, "q", 0) == 0
+    assert calls == [3]
+    assert json.loads(capsys.readouterr().out)["result"]["kind"] == "zero"
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_localhom_builds_no_stage_of_the_next_tor_tower(tmp_path, monkeypatch,
+                                                        s):
+    import lodua.towers
+    degrees = set()
+    stage = lodua.towers.Tower.stage
+
+    def recorded(self, k):
+        if self.kind == "tor":
+            degrees.add(self.params["s"])
+        return stage(self, k)
+
+    monkeypatch.setattr(lodua.towers.Tower, "stage", recorded)
+    assert _localhom(tmp_path, _z_doc(), "M", s) == 0
+    assert degrees == ({s} if s else set())

@@ -451,3 +451,56 @@ def test_derived_hom_refuses_telescope_targets(ZZ, d5):
               GradedObject(ZZ, {0: Telescope(zmod(ZZ, 25), 5)})):
         with pytest.raises(UnsupportedRing):
             adjunction_check(d5, X, Y, precision=20)
+
+
+_Z = make_ring({"base": "Z"})
+_Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 20}})
+_QXY = make_ring({"base": "Q", "vars": ["x", "y"]})
+_QXY_MODULES = [FPModule.free(_QXY, 1), FPModule.cyclic(_QXY, ["x", "y"]),
+                FPModule.cyclic(_QXY, ["x"]),
+                FPModule.cyclic(_QXY, ["x^2", "x*y"]),
+                FPModule(_QXY, 2, [(_QXY.el("x"), _QXY.el("y"))])]
+
+
+@st.composite
+def _z_targets(draw):
+    """A small presentation over Z at (5), as itself or, when 5 acts
+    injectively on it, as the telescope quotient 5^-1 M / M."""
+    ngens = draw(st.integers(1, 2))
+    rels = draw(st.lists(st.tuples(*[st.integers(-30, 30)] * ngens),
+                         max_size=2))
+    M = FPModule(_Z, ngens, [tuple(_Z.el(e) for e in col) for col in rels])
+    desc = FPObj(M)
+    if draw(st.booleans()):
+        try:
+            desc = TelescopeQuotient(M, _Z.el(5))
+        except InvalidInput:  # 5 kills an element of M
+            pass
+    return IdealData(_Z, [5]), desc
+
+
+@st.composite
+def _z5_diagonal_targets(draw):
+    """A diagonal presentation over Z_5: off the diagonal the Koszul-stage
+    route still refuses valid Z_5 modules (ROADMAP item 1)."""
+    diag = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=2))
+    n = len(diag)
+    rels = [tuple(_Z5.el(u * 5 ** a if k == i else 0) for k in range(n))
+            for i, (a, u) in enumerate(diag)]
+    return IdealData(_Z5, [5]), FPObj(FPModule(_Z5, n, rels))
+
+
+_QXY_TARGETS = st.sampled_from(_QXY_MODULES).map(
+    lambda M: (IdealData(_QXY, ["x", "y"]), FPObj(M)))
+
+
+@settings(max_examples=60)
+@given(st.one_of(_z_targets(), _z5_diagonal_targets(), _QXY_TARGETS))
+def test_localhom_agrees_with_the_gm_check(case):
+    # gm_ses_check materializes both Tor towers; local_homology_Ls takes
+    # lim^1 Tor_(s+1) from Artin-Rees without building its stages
+    d, desc = case
+    for s in (0, 1, 2):
+        assert local_homology_Ls(d, desc, s).describe() == \
+            gm_ses_check(d, desc, s)["L_s"]
