@@ -9,7 +9,7 @@ import json
 from lodua import (FPModule, FPObj, GradedObject, IdealData, Rational,
                    Telescope, TelescopeQuotient, derived_completion, gamma,
                    gm_ses_check, local_cohomology, local_homology_Ls,
-                   make_ring, stable_koszul_complex)
+                   make_ring, settings, stable_koszul_complex)
 
 Z = make_ring({"base": "Z"})
 d = IdealData(Z, [5])
@@ -42,4 +42,5 @@ Q = make_ring({"base": "Q", "vars": ["x", "y"]})
 dxy = IdealData(Q, ["x", "y"])
 A = FPModule.free(Q, 1)
 print("H^0 = H^1 = 0; H^2:", local_cohomology(dxy, A, 2).basis)
-print("Lambda(A) =", derived_completion(dxy, A, stage_bound=6, lag=3, precision=6))
+with settings(K=6, lag=3, precision=6):   # bounds for this block only
+    print("Lambda(A) =", derived_completion(dxy, A))

@@ -5,7 +5,7 @@ Run with:  python demos/05_comodules.py
 """
 
 from lodua import (Comodule, FPModule, IdealData, comodule_completion,
-                   extended_comodule, make_group_like, make_ring,
+                   extended_comodule, make_group_like, make_ring, settings,
                    verify_theorems)
 
 kxy = make_ring({"base": "Q", "vars": ["x", "y"]})
@@ -21,16 +21,16 @@ E = extended_comodule(swap, A.module)
 print("extended comodule Psi (x) A has rank", E.module.ngens)
 
 d = IdealData(kxy, ["x + y", "x*y"])     # G-fixed generators
-lim, cert = comodule_completion(A, d, precision=5, method="kernel")
-print("\ncomodule completion at (x+y, xy):", lim.module)
-print("  kernel-method certificate:", cert["kernel"][:60] + "...")
-lim2, cert2 = comodule_completion(A, d, precision=5, method="pullback")
-print("  pullback method agrees:", lim.module.ngens == lim2.module.ngens)
+# completions at precision 5, towers probed to 5 stages and lag 3
+with settings(precision=5, K=5, lag=3):
+    lim, cert = comodule_completion(A, d, method="kernel")
+    print("\ncomodule completion at (x+y, xy):", lim.module)
+    print("  kernel-method certificate:", cert["kernel"][:60] + "...")
+    lim2, cert2 = comodule_completion(A, d, method="pullback")
+    print("  pullback method agrees:", lim.module.ngens == lim2.module.ngens)
 
-print("\n== theorem verifiers ==")
-for which in ("true-level", "completion-formula", "fg-vanishing",
-              "injective-vanishing", "comodule-gm"):
-    out = verify_theorems(swap, d, A, which, precision=5,
-                          **({"stage_bound": 5, "lag": 3}
-                             if which in ("comodule-gm", "fg-vanishing") else {}))
-    print(f"  {which:20s} {out.get('verdict')}")
+    print("\n== theorem verifiers ==")
+    for which in ("true-level", "completion-formula", "fg-vanishing",
+                  "injective-vanishing", "comodule-gm"):
+        out = verify_theorems(swap, d, A, which)
+        print(f"  {which:20s} {out.get('verdict')}")

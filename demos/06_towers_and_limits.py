@@ -5,26 +5,25 @@ Run with:  python demos/06_towers_and_limits.py
 """
 
 from lodua import (FPModule, FPObj, TelescopeQuotient, Tower, is_pro_trivial,
-                   lim_lim1, make_ring, standard_tower,
-                   weak_proregularity_check)
+                   lim_lim1, make_ring, weak_proregularity_check)
 from lodua.modules import identity_map
 
 Z = make_ring({"base": "Z"})
 free = FPModule.free(Z, 1)
 
 print("== recognized towers ==")
-t = standard_tower("adic", module=free, ideal=[5])
+t = Tower.adic(free, [5])
 res = lim_lim1(t)
 print(f"adic(Z, (5)):        lim = {res.lim!r}, lim1 = {res.lim1!r}")
 print(f"                     basis: {res.basis}")
 
-t = standard_tower("mult", descriptor=FPObj(free), x=Z.el(5))
+t = Tower.mult(FPObj(free), Z.el(5))
 res = lim_lim1(t)
 print(f"mult(Z, 5):          lim = {res.lim!r}, lim1 nonzero: "
       f"{not res.lim1.is_zero()}  (the completion cokernel Z_5/Z)")
 
 prufer = TelescopeQuotient(free, Z.el(5))
-t = standard_tower("tor", descriptor=prufer, ideal=[Z.el(5)], s=1)
+t = Tower.tor(prufer, [Z.el(5)], 1)
 res = lim_lim1(t)
 print(f"Tor_1 tower of Z/5^infty: lim = {res.lim!r}  "
       "(stages Z/5^k with surjective transitions)")
@@ -36,7 +35,7 @@ res = lim_lim1(evil)
 print("explicit tower without a periodicity tag:", res.lim.kind)
 
 print("\n== pro-triviality and weak proregularity ==")
-t = standard_tower("tor", descriptor=FPObj(M), ideal=[Z.el(5)], s=1)
+t = Tower.tor(FPObj(M), [Z.el(5)], 1)
 v = is_pro_trivial(t, lag=3, stage_bound=6)
 print(f"Tor_1 tower of Z/5: {v.status}, lag {v.lag}")
 Q = make_ring({"base": "Q", "vars": ["x", "y"]})

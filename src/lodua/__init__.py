@@ -8,6 +8,7 @@ algebroids, all with exact arithmetic and explicit certificates.
 
 from .complexes import (ChainComplex, ChainMap, complex_algebra, cone,
                         hom_complex, induced_on_homology, total_complex)
+from .context import settings
 from .criteria import (CompletenessCertificate, ext_telescope,
                        homology_membership, is_L_complete, is_lambda_local)
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Rational,
@@ -19,7 +20,7 @@ from .groebner import GBasis, groebner_ideal, ideal_basis_polys
 from .hopf import (Comodule, ComoduleTower, CompleteComodule,
                    GroupLikeHopfAlgebroid, comodule_completion, comodule_limit,
                    extended_adjunction, extended_comodule, iota,
-                   make_comodule, make_group_like, verify_theorems)
+                   make_group_like, verify_theorems)
 from .linalg import invariant_factors, smith_normal_form, syzygies
 from .local import (CechComplex, GammaObject, GradedObject, IdealData,
                     ValueTable, adic_completion, adjunction_check,
@@ -33,6 +34,6 @@ from .ring import (Ring, RingElement, groebner_basis, make_ring,
                    normal_form)
 from .sequences import is_regular_sequence
 from .towers import (Tower, TowerLimits, is_pro_trivial, lim_lim1,
-                     standard_tower, weak_proregularity_check)
+                     weak_proregularity_check)
 
 __version__ = "0.1.0"

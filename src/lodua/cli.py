@@ -16,24 +16,23 @@ Timing goes to stderr so identical inputs produce byte-identical reports.
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from .complexes import ChainComplex
+from .context import at_least, budget, current, settings
 from .criteria import homology_membership, is_L_complete, is_lambda_local
 from .descriptors import FPObj, Rational, Telescope, TelescopeQuotient
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      LoduaError, UnrecognizedTower, UnsupportedRing)
-from .groebner import default_budget
 from .hopf import (Comodule, CompleteComodule, comodule_completion, iota,
                    make_group_like, verify_theorems, _completed_hopf,
                    _base_change_comodule)
 from .local import (IdealData, adic_completion, derived_completion, gamma,
                     gm_ses_check, local_cohomology, local_homology_Ls)
 from .modules import FPModule, ModuleMap, ext as module_ext, tor as module_tor
-from .ring import DEFAULT_PRECISION, make_ring
-from .towers import lim_lim1, standard_tower, weak_proregularity_check
+from .ring import make_ring
+from .towers import Tower, lim_lim1, weak_proregularity_check
 
 SCHEMA_VERSION = "1"
 
@@ -53,22 +52,15 @@ VERBS = ("resolve", "tor", "ext", "localcoh", "localhom", "gamma", "lambda",
 
 
 class Problem:
-    """A validated problem document with name resolution."""
+    """A problem document, of a checked version, validated block by block
+    with name resolution."""
 
     def __init__(self, doc):
-        if not isinstance(doc, dict):
-            raise InvalidInput("document must be a JSON object")
-        if doc.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise InvalidInput(f"unsupported schema version {doc.get('version')}")
         for block, keys in _REQUIRED.items():
             for name, spec in _fields(doc.get(block, {}), block).items():
                 _fields(spec, repr(name), *keys)
                 if block in ("descriptors", "towers"):
                     _fields(spec, repr(name), *_KIND_REQUIRED.get(spec["kind"], ()))
-        self.doc = doc
-        self.options = dict(doc.get("options", {}))
-        if "LODUA_BUDGET" in os.environ:
-            self.options.setdefault("budget", default_budget())
         self.ring = make_ring(doc.get("ring", {"base": "Z"}))
         self.ideal = None
         if "ideal" in doc and _elements("ideal", doc["ideal"]):
@@ -132,17 +124,13 @@ class Problem:
             ideal = [self.ring.el(g)
                      for g in _elements(f"{name!r} ideal", spec["ideal"])]
         if kind == "adic":
-            return standard_tower("adic", module=self.module(spec["module"]),
-                                  ideal=ideal)
+            return Tower.adic(self.module(spec["module"]), ideal)
         if kind == "mult":
-            return standard_tower("mult",
-                                  descriptor=self._target_or_module(spec),
-                                  x=self.ring.el(spec["x"]))
+            return Tower.mult(self._target_or_module(spec),
+                              self.ring.el(spec["x"]))
         if kind == "tor":
-            return standard_tower("tor",
-                                  descriptor=self._target_or_module(spec),
-                                  ideal=ideal,
-                                  s=_int_setting("s", spec["s"], 0))
+            return Tower.tor(self._target_or_module(spec), ideal,
+                             at_least("s", spec["s"], 0))
         raise InvalidInput(f"unknown tower kind {kind!r}")
 
     def _target_or_module(self, spec):
@@ -198,9 +186,6 @@ class Problem:
             raise InvalidInput("this verb needs an `ideal` block")
         return self.ideal
 
-    def opt(self, key, default):
-        return self.options.get(key, default)
-
 
 def _fields(spec, what, *keys):
     """spec, checked to be a JSON object holding each of keys."""
@@ -251,47 +236,50 @@ def _matrix(name, mat, source, target):
     return mat
 
 
-def _int_setting(key, value, least):
-    """An integer setting of at least ``least``; anything else is invalid."""
-    if value is None:
-        raise InvalidInput(f"missing --{key}")
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ValueError
-        n = int(value)
-    except ValueError:
-        raise InvalidInput(f"{key} must be an integer, not {value!r}") from None
-    if n < least:
-        raise InvalidInput(f"{key} must be at least {least}, not {n}")
-    return n
+_BOUNDS = ("precision", "K", "lag")
+
+
+def _settings(doc, args):
+    """(settings, command) of a verb on a document, checked to be an object
+    of this schema version.  Precision, K and lag come from a flag, then the
+    options, then the command; the budget from ``LODUA_BUDGET``, checked
+    here at verb start."""
+    version = _fields(doc, "document").get("version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise InvalidInput(f"unsupported schema version {version}")
+    flags = {k: v for k, v in args.items() if v is not None}
+    options = _fields(doc.get("options", {}), "options")
+    unknown = sorted(options.keys() - set(_BOUNDS))
+    if unknown:
+        raise InvalidInput(f"unknown option {unknown[0]!r}: options hold "
+                           "precision, K and lag (the budget is LODUA_BUDGET)")
+    command = _fields(doc.get("command", {}), "command")
+    chosen = {**command, **options, **flags}
+    given = {key: chosen[key] for key in _BOUNDS
+             if chosen.get(key) is not None}
+    return {**given, "budget": budget()}, {**command, **flags}
 
 
 def run(doc, verb, args=None):
-    """Execute a verb on a document; returns (exit_code, report dict)."""
-    args = args or {}
-    problem = Problem(doc)
-    cmd = dict(doc.get("command", {}))
-    cmd.update({k: v for k, v in args.items() if v is not None})
+    """Execute a verb on a document under its settings; returns
+    (exit_code, report dict)."""
+    given, cmd = _settings(doc, args or {})
+    with settings(**given):
+        return _run(Problem(doc), verb, cmd)
 
-    def setting(key, default, least):
-        # an explicit flag, then the document's options, then its command,
-        # then the default
-        value = args.get(key)
-        if value is None:
-            value = problem.opt(key, cmd.get(key))
-        return _int_setting(key, default if value is None else value, least)
 
+def _run(problem, verb, cmd):
     def name(key):
         if cmd.get(key) is None:
             raise InvalidInput(f"missing --{key}")
         return cmd[key]
 
-    precision = setting("precision", DEFAULT_PRECISION, 1)
-    K = setting("K", 12, 1)
-    lag = setting("lag", 6, 0)
+    if verb not in VERBS:
+        raise InvalidInput(f"unknown verb {verb!r}")
     s = None
     if verb in ("tor", "ext", "localcoh", "localhom", "gm-check"):
-        s = _int_setting("s", cmd.get("s"), 0)
+        s = at_least("s", name("s"), 0)
+    d = None if verb in ("resolve", "tor", "ext") else problem.need_ideal()
     report = {"version": SCHEMA_VERSION, "verb": verb}
     code = 0
 
@@ -303,7 +291,7 @@ def run(doc, verb, args=None):
                                  sorted(problem.descriptors.items())}
         if problem.towers:
             report["towers"] = {
-                n: lim_lim1(t, K, lag, precision).describe()
+                n: lim_lim1(t).describe()
                 for n, t in sorted(problem.towers.items())}
         if problem.ideal:
             report["ideal"] = problem.ideal.describe()
@@ -316,92 +304,73 @@ def run(doc, verb, args=None):
         out = module_ext(M, N, s)
         report["result"] = out.describe()
     elif verb == "localcoh":
-        d = problem.need_ideal()
         v = local_cohomology(d, problem.target(name("target")), s)
         report["result"] = v.describe()
         code = 0 if v.is_recognized() else 2
     elif verb == "localhom":
-        d = problem.need_ideal()
         tgt = problem.target(name("target"))
         if isinstance(tgt, ChainComplex):
             raise InvalidInput("localhom takes a module or descriptor; "
                                "use `lambda` for complexes")
-        v = local_homology_Ls(d, tgt, s, K, lag, precision)
+        v = local_homology_Ls(d, tgt, s)
         report["result"] = v.describe()
     elif verb == "gamma":
-        d = problem.need_ideal()
         g = gamma(d, problem.target(name("target")))
         report["result"] = g.describe()
     elif verb == "lambda":
-        d = problem.need_ideal()
-        table = derived_completion(d, problem.target(name("target")),
-                                   K, lag, precision)
+        table = derived_completion(d, problem.target(name("target")))
         report["result"] = table.describe()
     elif verb == "gm-check":
-        d = problem.need_ideal()
         tgt = problem.target(name("target"))
-        out = gm_ses_check(d, tgt, s, K, lag, precision)
+        out = gm_ses_check(d, tgt, s)
         report["result"] = out
     elif verb == "complete":
-        d = problem.need_ideal()
-        out, nat = adic_completion(problem.module(name("module")), d, precision)
+        out, nat = adic_completion(problem.module(name("module")), d)
         report["result"] = out.describe()
         report["natural_map"] = nat
-        report["precision"] = precision
+        report["precision"] = nat["precision"]
     elif verb == "lcomplete-check":
-        d = problem.need_ideal()
-        cert = is_L_complete(problem.target(name("target")), d, precision)
+        cert = is_L_complete(problem.target(name("target")), d)
         report["result"] = cert.describe()
         code = {"complete": 0, "not-complete": 1, "inconclusive": 2}[cert.verdict]
     elif verb == "torsion-check":
-        d = problem.need_ideal()
-        out = homology_membership(problem.target(name("target")), d, "torsion",
-                                  K, lag, precision)
+        out = homology_membership(problem.target(name("target")), d, "torsion")
         report["result"] = out
         code = 0 if out["verdict"] is True else (
             1 if out["verdict"] is False else 2)
     elif verb == "lambda-local-check":
-        d = problem.need_ideal()
-        out = is_lambda_local(problem.target(name("target")), d, K, lag, precision)
+        out = is_lambda_local(problem.target(name("target")), d)
         report["result"] = out
         code = {"local": 0, "not-local": 1, "inconclusive": 2}[out["verdict"]]
     elif verb == "proreg-check":
-        d = problem.need_ideal()
         out = weak_proregularity_check(problem.ring, d.gens,
-                                       stage_bound=min(K, 4), lag=lag)
+                                       min(current().K, 4), current().lag)
         report["result"] = out
         code = {"weakly-proregular": 0, "not-weakly-proregular": 1,
                 "inconclusive": 2}[out["status"]]
     elif verb in ("comodule-limit", "comodule-complete"):
-        d = problem.need_ideal()
         com = problem.comodule(name("comodule"))
-        limit, cert = comodule_completion(com, d, precision,
-                                          cmd.get("method", "kernel"))
+        limit, cert = comodule_completion(com, d, cmd.get("method", "kernel"))
         report["result"] = limit.describe()
         report["certificate"] = cert
         report["method_agreement"] = ("kernel and pullback limits share the "
                                       "presentation; identity witness")
     elif verb == "iota":
-        d = problem.need_ideal()
         com = problem.comodule(name("comodule"))
-        h_hat = _completed_hopf(problem.hopf, d.gens, precision)
+        h_hat = _completed_hopf(problem.hopf, d.gens)
         chat = _base_change_comodule(h_hat, com)
-        res, cert = iota(CompleteComodule(h_hat, chat, precision))
+        res, cert = iota(CompleteComodule(h_hat, chat, h_hat.ring.precision))
         report["result"] = res.describe()
         report["certificate"] = cert
     elif verb == "verify":
-        d = problem.need_ideal()
         which = name("which")
         com = problem.comodule(cmd["comodule"]) if cmd.get("comodule") else None
         if com is None and problem.comodules:
             com = next(iter(problem.comodules.values()))
-        out = verify_theorems(problem.hopf, d, com, which, precision=precision,
-                              stage_bound=K, lag=lag)
+        out = verify_theorems(problem.hopf, d, com, which)
         report["result"] = out
         verdict = out.get("verdict", "pass")
         code = 0 if verdict in ("pass", "true-level") else 2
-    else:
-        raise InvalidInput(f"unknown verb {verb!r}")
     return code, report
 
 
@@ -414,7 +383,8 @@ def recheck(doc, report):
     (grid coverage and verdict consistency for the completeness check,
     outer-term/isomorphism consistency for the lim/lim^1 sequence).
     """
-    problem = Problem(doc)
+    with settings(**_settings(doc, {})[0]):
+        problem = Problem(doc)
     if report.get("version") != SCHEMA_VERSION:
         raise InvalidInput("report version mismatch")
     body = json.dumps(report, sort_keys=True)

@@ -45,7 +45,7 @@ class CompletenessCertificate:
         return out
 
 
-def ext_telescope(d, i, desc, q, precision=None, towers=None):
+def ext_telescope(d, i, desc, q, towers=None):
     """The grid cell Ext^q(x_i^-1 A/(x_1..x_(i-1)), target).
 
     ``towers`` is the memo of `local.ext_out_of_telescope` for stage i; cells
@@ -60,12 +60,12 @@ def ext_telescope(d, i, desc, q, precision=None, towers=None):
     if isinstance(desc, FPModule):
         desc = FPObj(desc)
     stage = FPModule.cyclic(d.ring, d.gens[:i - 1])   # A/(x_1..x_(i-1))
-    return ext_out_of_telescope(stage, d.gens[i - 1], desc, q, precision,
-                                towers)
+    return ext_out_of_telescope(stage, d.gens[i - 1], desc, q, towers)
 
 
 def is_L_complete(desc, d, precision=None):
-    """The full (i, q) grid; complete iff every cell vanishes."""
+    """The full (i, q) grid; complete iff every cell vanishes.  No cell
+    reads ``precision``, a keyword kept for the callers that pass it."""
     cert = d.regular_certificate()
     if not cert.regular:
         raise InvalidInput("completeness grid needs a regular sequence "
@@ -78,7 +78,7 @@ def is_L_complete(desc, d, precision=None):
     for i in range(1, d.n + 1):
         towers = {}
         for q in range(0, i + 1):
-            cell = ext_telescope(d, i, desc, q, precision, towers)
+            cell = ext_telescope(d, i, desc, q, towers)
             table[(i, q)] = cell
             if not cell.is_recognized():
                 verdict = "inconclusive"
@@ -90,14 +90,14 @@ def is_L_complete(desc, d, precision=None):
                                    witness=witness)
 
 
-def is_lambda_local(C, d, stage_bound=12, lag=6, precision=None):
+def is_lambda_local(C, d):
     """True iff every homology module passes the grid; cross-checked against
     the completion functor returning the complex's own homology."""
     obj = GradedObject.of(C)
     table = {}
     verdict = "local"
     for dgr, piece in sorted(obj.pieces.items()):
-        cert = is_L_complete(piece, d, precision)
+        cert = is_L_complete(piece, d)
         table[dgr] = cert
         if cert.verdict == "inconclusive":
             verdict = "inconclusive"
@@ -107,7 +107,7 @@ def is_lambda_local(C, d, stage_bound=12, lag=6, precision=None):
            "per_degree": {str(k): v.describe() for k, v in table.items()}}
     if verdict != "local":
         return out
-    lam = derived_completion(d, obj, stage_bound, lag, precision)
+    lam = derived_completion(d, obj)
     for dgr, piece in obj.pieces.items():
         got = lam.value(dgr)
         expected = value_of(piece)
@@ -120,7 +120,7 @@ def is_lambda_local(C, d, stage_bound=12, lag=6, precision=None):
     return out
 
 
-def homology_membership(C, d, kind, stage_bound=12, lag=6, precision=None):
+def homology_membership(C, d, kind):
     """Degreewise torsion/completeness of homology, with functor certification.
 
     kind='torsion': every H_n is I-power torsion, certified by the torsion
@@ -168,7 +168,7 @@ def homology_membership(C, d, kind, stage_bound=12, lag=6, precision=None):
                                        "homology unchanged")
         return report
     # kind == 'complete'
-    local = is_lambda_local(C, d, stage_bound, lag, precision)
+    local = is_lambda_local(C, d)
     report["per_degree"] = local.get("per_degree", {})
     if local["verdict"] == "local":
         report["verdict"] = True

@@ -20,33 +20,17 @@ stable.
 
 The budget counts reduction steps, one ``_tick`` call each.  A construction
 may take ``budget`` steps in all, and every later query on the finished
-basis (normal form, membership, lift) may take ``budget`` steps of its own.
+basis (normal form, membership, lift) may take ``budget`` steps of its own,
+``budget`` being the one in force when it runs (``context.budget``); a query
+refuses a basis built in more steps than that, as a new build would fail.
 """
 
 import heapq
-import os
 from operator import add, le, sub
 
-from .errors import BudgetExceeded, InvalidInput, UnsupportedRing
+from . import context
+from .errors import BudgetExceeded, UnsupportedRing
 from .poly import Poly, descending_key, mono_div, mono_lcm, order_key
-
-
-def default_budget():
-    """The step budget: ``LODUA_BUDGET`` when set, else 100000.
-
-    A set value that is not an integer of at least 1 is invalid input.
-    """
-    value = os.environ.get("LODUA_BUDGET")
-    if value is None:
-        return 100000
-    try:
-        n = int(value)
-    except ValueError:
-        raise InvalidInput(
-            f"LODUA_BUDGET must be an integer, not {value!r}") from None
-    if n < 1:
-        raise InvalidInput(f"LODUA_BUDGET must be at least 1, not {n}")
-    return n
 
 
 def _flat(v):
@@ -89,7 +73,7 @@ def _sub_shifted(v, g, q, f, p, heap=None, hkey=None):
 class GBasis:
     """A Groebner basis of a submodule of A^nrows with cofactor data."""
 
-    def __init__(self, gens, nrows, order="grevlex", budget=None, track=True):
+    def __init__(self, gens, nrows, order="grevlex", track=True):
         if not gens:
             raise ValueError("need at least one generator (possibly zero)")
         self.nrows = nrows
@@ -102,7 +86,7 @@ class GBasis:
         self._p = self.dom.p if self.dom.kind == "F" else None
         self.gens = [tuple(g) for g in gens]
         self.track = track
-        self.budget = budget if budget is not None else default_budget()
+        self.budget = context.budget()
         self._steps = 0          # reduction steps of the construction
         self._vecs = []          # basis vectors, flat
         self._cofs = []          # {(j, m): c}, _vecs[i] = sum c*m*gens[j]
@@ -111,8 +95,8 @@ class GBasis:
         self._syz = []           # syzygies over the original generators, flat
         self._run()
 
-    def _tick(self, steps):
-        if steps > self.budget:
+    def _tick(self, steps, budget):
+        if steps > budget:
             raise BudgetExceeded("groebner budget exceeded",
                                  partial=[list(e) for e in self.elements])
 
@@ -122,7 +106,7 @@ class GBasis:
                 "Groebner over Z is restricted to unit leading coefficients")
         return c
 
-    def _reduce(self, v, cof, steps, skip=None):
+    def _reduce(self, v, cof, steps, budget, skip=None):
         """Full normal form of the flat vector v against the basis.
 
         Element ``skip`` is left out of the reducers.  v is consumed and cof
@@ -142,7 +126,7 @@ class GBasis:
             if c is None:
                 continue  # cancelled after it was pushed
             steps += 1
-            self._tick(steps)
+            self._tick(steps, budget)
             coord, m = t
             for idx, gm, gc in self._by_coord.get(coord, ()):
                 if idx != skip and all(map(le, gm, m)):
@@ -167,7 +151,7 @@ class GBasis:
         A zero remainder leaves its cofactor, when nonzero, as a syzygy:
         0 = cof . gens.  Returns whether an element was added.
         """
-        nf, cof, self._steps = self._reduce(v, cof, self._steps)
+        nf, cof, self._steps = self._reduce(v, cof, self._steps, self.budget)
         if not nf:
             if cof:
                 self._syz.append(cof)
@@ -262,7 +246,7 @@ class GBasis:
             # a minimal element's lead is reduced by no other element, so the
             # cached lead and the reducer table stay valid
             self._vecs[i], self._cofs[i], self._steps = self._reduce(
-                self._vecs[i], self._cofs[i], self._steps, skip=i)
+                self._vecs[i], self._cofs[i], self._steps, self.budget, skip=i)
         if self.dom.kind == "Z":
             # field elements are monic already; over Z fix the sign
             for i, (lead, c) in enumerate(self._leads):
@@ -299,7 +283,7 @@ class GBasis:
     def _lift_flat(self, v):
         """Flat cofactor c with v = -sum c.gens, or None when v is not in
         the module."""
-        nf, cof, _ = self._reduce(_flat(v), {}, 0)
+        nf, cof, _ = self._reduce(_flat(v), {}, 0, self.within_budget())
         return None if nf else cof
 
     # public interface ----------------------------------------------------
@@ -321,12 +305,18 @@ class GBasis:
         """(coord, mono) of the leading term of each element."""
         return [lead for lead, _ in self._leads]
 
+    def within_budget(self):
+        """The budget in force, once the construction is seen to fit it."""
+        budget = context.budget()
+        self._tick(self._steps, budget)
+        return budget
+
     def normal_form(self, v):
-        nf, _, _ = self._reduce(_flat(v), None, 0)
+        nf, _, _ = self._reduce(_flat(v), None, 0, self.within_budget())
         return self._polys(nf, self.nrows)
 
     def contains(self, v):
-        return not self._reduce(_flat(v), None, 0)[0]
+        return not self._reduce(_flat(v), None, 0, self.within_budget())[0]
 
     def lift(self, v):
         """Coefficients c with v = sum_j c[j] * gens[j], or None."""
@@ -356,11 +346,10 @@ class GBasis:
         return out
 
 
-def groebner_ideal(polys, order="grevlex", budget=None):
+def groebner_ideal(polys, order="grevlex"):
     """Reduced Groebner basis of the ideal generated by polys (rank 1)."""
     gens = [(p,) for p in polys]
-    gb = GBasis(gens, 1, order=order, budget=budget)
-    return gb
+    return GBasis(gens, 1, order=order)
 
 
 def ideal_basis_polys(gb):

@@ -17,6 +17,7 @@ the coaction cokernels, and as the pullback against the extended comodule
 of the limit.
 """
 
+from .context import precision_for
 from .descriptors import FPObj, LimitModule, Rational, Telescope, values_agree
 from .errors import InternalInconsistency, InvalidInput, UnsupportedRing
 from .linalg import lift_through, mat_mul, mat_vec, member
@@ -25,7 +26,6 @@ from .modules import (FPModule, ModuleMap, _same_presentation, base_change,
                       base_change_rows, block_matrix, block_sum, identity_map,
                       kron_identity, scalar_matrix)
 from .poly import Poly
-from .ring import DEFAULT_PRECISION
 from .towers import Tower, TorStages, completed_module, lim_lim1
 
 
@@ -177,12 +177,6 @@ def make_group_like(ring, elements, table, action):
     return GroupLikeHopfAlgebroid(ring, elements, table, action)
 
 
-def make_comodule(hopf, module, maps):
-    """Validated comodule: the coaction is checked to be well defined,
-    counital and coassociative; a failure names the axiom."""
-    return Comodule(hopf, module, maps, check=True)
-
-
 class Comodule:
     """An FPModule M with its coaction psi: M -> Psi (x) M.
 
@@ -251,7 +245,7 @@ class Comodule:
             h, M = self.hopf, self.module
             rows = [row for g in h.elements
                     for row in h.apply_matrix(g, self.maps[h.inverse[g]])]
-            self._coaction = ModuleMap(M, extended_module(h, M)[0], rows,
+            self._coaction = ModuleMap(M, extended_module(h, M), rows,
                                        check=True)
         return self._coaction
 
@@ -267,7 +261,7 @@ class Comodule:
 
 def _extended_counit(h, M):
     """Psi (x) M -> M: projection to the identity block."""
-    EM, _ = extended_module(h, M)
+    EM = extended_module(h, M)
     mat = block_matrix(M.ring, [M.ngens], [M.ngens] * h.order, {
         (0, h.elements.index(h.identity)): scalar_matrix(M.ring, M.ngens,
                                                          M.ring.one())})
@@ -280,14 +274,13 @@ def _extended_map(h, f):
     mat = block_matrix(h.ring, [Y.ngens] * h.order, [X.ngens] * h.order,
                        {(b, b): h.apply_matrix(g, f.matrix)
                         for b, g in enumerate(h.elements)})
-    return ModuleMap(extended_module(h, X)[0], extended_module(h, Y)[0], mat,
+    return ModuleMap(extended_module(h, X), extended_module(h, Y), mat,
                      check=False)
 
 
 def extended_module(h, M):
     """The underlying module of Psi (x) M: one g-twisted block per element."""
-    return (block_sum([h.twist_module(M, g) for g in h.elements]),
-            list(h.elements))
+    return block_sum([h.twist_module(M, g) for g in h.elements])
 
 
 def extended_comodule(h, N):
@@ -297,7 +290,7 @@ def extended_comodule(h, N):
     defining adjunction Hom_Psi(M, Psi (x) N) = Hom_A(M, N) is exposed
     through `extended_adjunction`.
     """
-    EM, _ = extended_module(h, N)
+    EM = extended_module(h, N)
     els, one, zero = h.elements, N.ring.one(), N.ring.zero()
     # phi_g is the permutation k -> gk of the blocks
     maps = {g: kron_identity(N.ring, [[one if h.mul(g, k) == t else zero
@@ -394,13 +387,14 @@ class CompleteComodule:
         return out
 
 
-def _completed_hopf(h, ideal_gens, precision):
+def _completed_hopf(h, ideal_gens):
+    """h over its ring completed at the ideal (a completed ring is kept)."""
     ring = h.ring
     if ring.is_completed:
         new_ring = ring
     else:
         new_ring = ring.completed(tuple(ring.el(g).num for g in ideal_gens),
-                                  precision)
+                                  precision_for(ring))
     action = {g: dict(zip(ring.names, h.action[g]))
               for g in h.elements if g != h.identity}
     return GroupLikeHopfAlgebroid(new_ring, h.elements,
@@ -418,7 +412,7 @@ def _base_change_comodule(h_hat, comod):
     return Comodule(h_hat, base_change(comod.module, ring), maps, check=False)
 
 
-def comodule_limit(tower, method="kernel", precision=None, check_stages=2):
+def comodule_limit(tower, method="kernel", check_stages=2):
     """The inverse limit of an adic comodule tower, certified by both
     constructions in one pass on one base change.
 
@@ -436,8 +430,7 @@ def comodule_limit(tower, method="kernel", precision=None, check_stages=2):
     if method not in ("kernel", "pullback"):
         raise InvalidInput(f"unknown method {method!r}")
     h = tower.hopf
-    precision = precision or DEFAULT_PRECISION
-    h_hat = _completed_hopf(h, tower.gens, precision)
+    h_hat = _completed_hopf(h, tower.gens)
     base_hat = _base_change_comodule(h_hat, tower.base)
     for k in range(1, check_stages + 1):
         _stage_exactness_check(tower, k)
@@ -447,9 +440,9 @@ def comodule_limit(tower, method="kernel", precision=None, check_stages=2):
     if not f_hat.compose(base_hat.coaction()).is_zero_map():
         raise InternalInconsistency("f . psi != 0 after completion")
     # pullback: j is bijective when Psi^ (x) lim and lim(Psi (x) -) agree
-    EMhat, _ = extended_module(h_hat, base_hat.module)
-    lim_of_extended = completed_module(
-        extended_module(h, tower.base.module)[0], tower.gens, precision)
+    EMhat = extended_module(h_hat, base_hat.module)
+    lim_of_extended = completed_module(extended_module(h, tower.base.module),
+                                       tower.gens)
     if not _same_presentation(EMhat, lim_of_extended):
         raise InternalInconsistency(
             "Psi (x) lim and lim(Psi (x) -) differ: j is not bijective")
@@ -501,12 +494,11 @@ def _stage_exactness_check(tower, k):
                 f"kernel of f_k exceeds psi(M_k) at stage {k}")
 
 
-def comodule_completion(M_comod, d, precision=DEFAULT_PRECISION,
-                        method="kernel"):
+def comodule_completion(M_comod, d, method="kernel"):
     """C^I_Psi(M): the comodule limit of the adic comodule tower."""
     tower = ComoduleTower(M_comod.hopf, M_comod, d.gens)
-    limit, cert = comodule_limit(tower, method=method, precision=precision)
-    cert["precision"] = precision
+    limit, cert = comodule_limit(tower, method=method)
+    cert["precision"] = limit.ring.precision
     return limit, cert
 
 
@@ -534,12 +526,12 @@ def iota(N_complete):
     return result, cert
 
 
-def true_level_probe(h, d, precision=DEFAULT_PRECISION):
+def true_level_probe(h, d):
     """Check the two canonical maps are monomorphisms on probe complete
     comodules: the completed unit, its extended comodule, and the extended
     comodule on the completed A/I (a comodule whether or not I is
     invariant), whose relations the comparison must match too."""
-    h_hat = _completed_hopf(h, d.gens, precision)
+    h_hat = _completed_hopf(h, d.gens)
     ring = h_hat.ring
     unit = Comodule(h_hat, FPModule.free(ring, 1),
                     {g: [[ring.one()]] for g in h.elements})
@@ -547,13 +539,13 @@ def true_level_probe(h, d, precision=DEFAULT_PRECISION):
               extended_comodule(h_hat, FPModule.cyclic(ring, d.gens))]
     # the same probes over A, before completion
     unit_A = FPModule.free(h.ring, 1)
-    over_A = [unit_A, extended_module(h, unit_A)[0],
-              extended_module(h, FPModule.cyclic(h.ring, d.gens))[0]]
+    over_A = [unit_A, extended_module(h, unit_A),
+              extended_module(h, FPModule.cyclic(h.ring, d.gens))]
     for probe, N in zip(probes, over_A):
         # Psi^ (x)^ probe over the completed ring vs the completion of
         # Psi (x) N built over A, as in the pullback limit
-        EM, _ = extended_module(h_hat, probe.module)
-        lim = completed_module(extended_module(h, N)[0], d.gens, precision)
+        EM = extended_module(h_hat, probe.module)
+        lim = completed_module(extended_module(h, N), d.gens)
         if not _same_presentation(EM, lim):
             raise InternalInconsistency(
                 "Psi (x) N and Psi^ (x)^ N differ on a probe: the canonical "
@@ -652,20 +644,19 @@ def _tor_stage_comodule(h, comod, d, s, k, cache, comods):
 # -- theorem verifiers --------------------------------------------------------------
 
 
-def completion_formula_check(h, d, M_comod, precision=DEFAULT_PRECISION):
+def completion_formula_check(h, d, M_comod):
     """Thm: the comodule completion agrees with iota of the module completion."""
-    lhs, cert_l = comodule_completion(M_comod, d, precision=precision,
-                                      method="kernel")
+    lhs, cert_l = comodule_completion(M_comod, d, method="kernel")
     # rhs from the coaction over A: base-change its matrix and read
     # P_g = g(Q_(g^-1)) off the block of g^-1
-    h_hat = _completed_hopf(h, d.gens, precision)
+    h_hat = _completed_hopf(h, d.gens)
     ring, n = h_hat.ring, M_comod.module.ngens
     Q = base_change_rows(M_comod.coaction().matrix, ring)
     block = {g: Q[b * n:(b + 1) * n] for b, g in enumerate(h.elements)}
     chat = Comodule(h_hat, base_change(M_comod.module, ring),
                     {g: h_hat.apply_matrix(g, block[h.inverse[g]])
                      for g in h.elements}, check=False)
-    rhs, cert_r = iota(CompleteComodule(h_hat, chat, precision))
+    rhs, cert_r = iota(CompleteComodule(h_hat, chat, ring.precision))
     if not _same_presentation(lhs.module, rhs.module):
         raise InternalInconsistency(
             "comodule completion and iota of the module completion differ")
@@ -678,11 +669,10 @@ def completion_formula_check(h, d, M_comod, precision=DEFAULT_PRECISION):
             "equivariance": "the comparison commutes with every phi_g",
             "witness": [[e.render() for e in row] for row in ident.matrix],
             "lhs_certificate": cert_l, "rhs_certificate": cert_r,
-            "precision": precision}
+            "precision": ring.precision}
 
 
-def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), precision=None,
-                      stage_bound=12, lag=6, stage_checks=2):
+def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), stage_checks=2):
     """The degenerate two-column comodule spectral sequence: for each s the
     sequence 0 -> lim^1 Tor_(s+1) -> Lambda_s -> lim Tor_s -> 0 is exact and
     all of its maps commute with the group action.
@@ -693,8 +683,7 @@ def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), precision=None,
     """
     out, cache = {}, {}   # tor_stage_action's stage complexes, for this call
     for s in s_range:
-        module_report = gm_ses_check(d, FPObj(M_comod.module), s,
-                                     stage_bound, lag, precision)
+        module_report = gm_ses_check(d, FPObj(M_comod.module), s)
         equiv = []
         stages, _ = _tor_stage_data(h, M_comod, d, s, cache)
         tower = Tower.tor(FPObj(M_comod.module), d.gens, s,
@@ -720,13 +709,11 @@ def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), precision=None,
     return out
 
 
-def fg_vanishing_check(h, d, M_comod, precision=DEFAULT_PRECISION,
-                       stage_bound=12, lag=6):
+def fg_vanishing_check(h, d, M_comod):
     """For f.g. M over Noetherian A the completion spectral sequence
     collapses: Lambda_0 = lim_Psi(M (x) A/I^k) and lim^s_Psi = 0 for s > 0."""
-    lam0 = local_homology_Ls(d, FPObj(M_comod.module), 0, stage_bound, lag,
-                             precision)
-    lim_psi, cert = comodule_completion(M_comod, d, precision=precision)
+    lam0 = local_homology_Ls(d, FPObj(M_comod.module), 0)
+    lim_psi, cert = comodule_completion(M_comod, d)
     got = LimitModule.of_module(lim_psi.module)
     ok, detail = values_agree(lam0, got)
     if not ok:
@@ -734,8 +721,7 @@ def fg_vanishing_check(h, d, M_comod, precision=DEFAULT_PRECISION,
             f"Lambda_0 and the comodule limit disagree: {detail}")
     higher = {}
     for s in (1, 2):
-        v = local_homology_Ls(d, FPObj(M_comod.module), s, stage_bound, lag,
-                              precision)
+        v = local_homology_Ls(d, FPObj(M_comod.module), s)
         if not v.is_zero():
             raise InternalInconsistency(f"L_{s} of an f.p. module is nonzero")
         higher[s] = v.describe()
@@ -764,31 +750,26 @@ def injective_vanishing_check(h, d):
             u = u * x
         probe = Telescope(FPModule.free(ring, 1), u)
         name = f"({u.render()})^-1 A"
-    stages = {}
-    for s in (0,):
-        t = Tower.tor(probe, d.gens, 0)
-        res = lim_lim1(t)
-        if not (res.lim.is_zero() and res.lim1.is_zero()):
-            raise InternalInconsistency("stages of the probe do not vanish")
-        stages["lim"] = res.lim.describe()
-        stages["basis"] = res.basis
+    res = lim_lim1(Tower.tor(probe, d.gens, 0))
+    if not (res.lim.is_zero() and res.lim1.is_zero()):
+        raise InternalInconsistency("stages of the probe do not vanish")
+    stages = {"lim": res.lim.describe(), "basis": res.basis}
     return {"verdict": "pass",
             "probe": f"Psi (x) {name}",
             "stages": "A/I^k (x) J = Psi (x) (J'/I^k J') = 0 for every k",
             "detail": stages}
 
 
-def verify_theorems(h, d, M_comod, which, precision=None, **kw):
+def verify_theorems(h, d, M_comod, which):
     """Dispatcher for the comodule-level theorem verifiers."""
-    precision = precision or DEFAULT_PRECISION
     if which == "true-level":
-        return true_level_probe(h, d, precision)
+        return true_level_probe(h, d)
     if which == "completion-formula":
-        return completion_formula_check(h, d, M_comod, precision)
+        return completion_formula_check(h, d, M_comod)
     if which == "comodule-gm":
-        return comodule_gm_check(h, d, M_comod, precision=precision, **kw)
+        return comodule_gm_check(h, d, M_comod)
     if which == "fg-vanishing":
-        return fg_vanishing_check(h, d, M_comod, precision, **kw)
+        return fg_vanishing_check(h, d, M_comod)
     if which == "injective-vanishing":
         return injective_vanishing_check(h, d)
     raise InvalidInput(f"unknown theorem tag {which!r}")

@@ -26,6 +26,7 @@ completeness grid (`criteria.ext_telescope`) both call it.
 """
 
 from .complexes import ChainComplex
+from .context import current
 from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
                           Telescope, TelescopeQuotient, descriptor_of,
                           value_of, values_agree)
@@ -35,7 +36,7 @@ from .koszul import koszul_chain, koszul_cochain
 from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
                       block_sum, ext as module_ext, iso_check, power,
                       scalar_matrix, stable_submodule)
-from .ring import DEFAULT_PRECISION, _reject_zerodivisor
+from .ring import _reject_zerodivisor
 from .sequences import is_regular_sequence
 from .towers import (KoszulStages, KoszulTensorStages, Tower,
                      _require_radical_membership, completed_module, lim_lim1,
@@ -63,7 +64,7 @@ class IdealData:
             self._regular = is_regular_sequence(self.ring, self.gens)
         return self._regular
 
-    def weak_proregularity(self, stage_bound=4, lag=2):
+    def weak_proregularity(self, stage_bound, lag):
         key = (stage_bound, lag)
         if key not in self._wpr:
             self._wpr[key] = weak_proregularity_check(
@@ -253,7 +254,10 @@ def stable_koszul_complex(d):
 # -- the torsion side ------------------------------------------------------------
 
 
-def local_cohomology_value(d, desc, s, stage_bound=8):
+_TORSION_STAGES = 8   # of the torsion chain of H^0_I
+
+
+def local_cohomology_value(d, desc, s):
     """H^s_I(desc) as a recognized exact value."""
     ring = d.ring
     n = d.n
@@ -266,19 +270,19 @@ def local_cohomology_value(d, desc, s, stage_bound=8):
         return LimitModule.zero(basis="multiplier of the telescope lies in I")
     if desc.kind == "telescope_quotient":
         _require_radical_membership(ring, desc.mult, d.gens)
-        return local_cohomology_value(d, FPObj(desc.module), s + 1, stage_bound)
+        return local_cohomology_value(d, FPObj(desc.module), s + 1)
     M = desc.module
     if M.ring != ring:
         if M.ring.is_completed and M.ring.underlying() == ring:
             # an A^-module is I A^-torsion the same way: coerce the ideal
             lifted = IdealData(M.ring, [M.ring.el(g.num, g.dexp)
                                         for g in d.gens])
-            return local_cohomology_value(lifted, desc, s, stage_bound)
+            return local_cohomology_value(lifted, desc, s)
         raise InvalidInput("descriptor lives over a different ring")
     if M.is_zero():
         return LimitModule.zero()
     if s == 0:
-        return _torsion_submodule(d, M, stage_bound)
+        return _torsion_submodule(d, M)
     # split euclidean modules into free and torsion cyclic pieces first;
     # torsion pieces contribute nothing above degree zero (each splits into
     # an I-nilpotent part and a part on which I acts invertibly)
@@ -314,7 +318,7 @@ def local_cohomology_value(d, desc, s, stage_bound=8):
     if free and s == n:
         cert = d.regular_certificate()
         if cert.regular:
-            _verify_top_witness(d, M, stage_bound=min(stage_bound, 4))
+            _verify_top_witness(d, M)
             return LimitModule(
                 "ind",
                 {"system": "colim_k M/(x^k)M along multiplication by prod(x)",
@@ -333,13 +337,13 @@ def local_cohomology_value(d, desc, s, stage_bound=8):
          "module": M.describe(), "degree": s})
 
 
-def _torsion_submodule(d, M, stage_bound):
+def _torsion_submodule(d, M):
     """H^0_I(M): the stabilized ascending chain of I^k-torsion submodules."""
     found = stable_submodule(M, lambda k: _power_torsion_gens(d, M, k),
-                             stage_bound)
+                             _TORSION_STAGES)
     if found is None:
         return LimitModule.unrecognized(
-            f"torsion chain did not stabilize within {stage_bound} stages")
+            f"torsion chain did not stabilize within {_TORSION_STAGES} stages")
     k, sub = found
     basis = f"torsion chain stabilized at {k}"
     if sub.is_zero():
@@ -367,13 +371,13 @@ def _ideal_nilpotent_on(d, M, bound=24):
     return _capped_killing_power(M, gens, bound)
 
 
-def _verify_top_witness(d, M, stage_bound=4):
-    """The class of (prod x)^(k-1) must be nonzero in M/(x^k)M."""
+def _verify_top_witness(d, M):
+    """The class of (prod x)^(k-1) must be nonzero in M/(x^k)M, k <= 4."""
     ring = d.ring
     u = ring.one()
     for x in d.gens:
         u = u * x
-    for k in range(1, stage_bound + 1):
+    for k in range(1, 5):
         stage = quotient_by_ideal_power(M, [x ** k for x in d.gens], 1)
         wit = tuple(u ** (k - 1) * e for e in M.gen(0))
         if stage.contains_in_relations(wit):
@@ -408,18 +412,18 @@ class GammaObject:
                 "homology": self.table.describe()}
 
 
-def gamma(d, X, stage_bound=8):
+def gamma(d, X):
     """The derived I-torsion functor, as a homology table with certificates."""
     obj = GradedObject.of(X)
     acc = {}
     for dgr, piece in obj.pieces.items():
         for s in range(0, d.n + 1):
-            v = local_cohomology_value(d, piece, s, stage_bound)
+            v = local_cohomology_value(d, piece, s)
             _add_value(acc, dgr - s, v)
     return GammaObject(d, obj, ValueTable(acc))
 
 
-def local_cohomology(d, M, s, stage_bound=8):
+def local_cohomology(d, M, s):
     """H^s_I(M) for a module or descriptor."""
     obj = GradedObject.of(M)
     if list(obj.pieces) not in ([0], []):
@@ -427,35 +431,34 @@ def local_cohomology(d, M, s, stage_bound=8):
     piece = obj.pieces.get(0)
     if piece is None:
         return LimitModule.zero()
-    return local_cohomology_value(d, piece, s, stage_bound)
+    return local_cohomology_value(d, piece, s)
 
 
 # -- the completion side ----------------------------------------------------------
 
 
-def _lambda_route_A(d, M, precision=None):
+def _lambda_route_A(d, M):
     """The telescope-model route on an f.p. piece, {degree: value}.
 
     One generator at a time, RHom(x^-1 A, M) = [M -> M^] turns derived
     completion of M into completion of its presentation; the iteration over
     all generators collapses to base change to the jointly completed ring.
     """
-    out = completed_module(M, list(d.gens), precision or DEFAULT_PRECISION)
+    out = completed_module(M, list(d.gens))
     if out.is_zero():
         return {}
     return {0: LimitModule.of_module(
         out, basis="iterated completion of an f.p. module (Artin-Rees)")}
 
 
-def _lambda_route_B(d, M, stage_bound, lag, precision=None):
+def _lambda_route_B(d, M):
     """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}."""
     C = ChainComplex.single(M, 0)
     stages = KoszulTensorStages(C, d.gens)
     # weak proregularity was certified by derived_completion before either
     # route runs; the towers may cite it
     towers = [lim_lim1(Tower.koszul_stage(C, d.gens, s, stages,
-                                          wpr_certified=True),
-                       stage_bound, lag, precision)
+                                          wpr_certified=True))
               for s in range(0, d.n + 2)]
     out = {}
     for s in range(0, d.n + 1):
@@ -481,19 +484,21 @@ def _milnor_value(lim, lim1):
     return None
 
 
-def derived_completion(d, X, stage_bound=12, lag=6, precision=None):
+def derived_completion(d, X):
     """Lambda^I X computed by both routes and cross-checked degreewise.
 
     Both routes take f.p. pieces: rationals and telescopes supported on I
     die (the multiplier becomes invertible), and a telescope quotient
     u^-1 M / M contributes Lambda^I M shifted up by one through its defining
-    triangle.
+    triangle.  Completions are taken at the precision setting (unset: the
+    ring's own, or 20 over a discrete ring), and the K and lag settings
+    bound route B's probes and the weak-proregularity question.
     """
     if d.ring.nvars > 0 or d.ring.base == "Z":
-        wpr = d.weak_proregularity(stage_bound=3, lag=max(2, lag // 3))
-        if wpr["status"] != "weakly-proregular":
+        status = _wpr_status(d)
+        if status != "weakly-proregular":
             raise UnrecognizedTower(
-                f"weak proregularity not certified: {wpr['status']}")
+                f"weak proregularity not certified: {status}")
     obj = GradedObject.of(X)
     accA, accB = {}, {}
     for dgr, piece in obj.pieces.items():
@@ -504,10 +509,9 @@ def derived_completion(d, X, stage_bound=12, lag=6, precision=None):
             if piece.kind == "telescope":
                 continue
             dgr += 1
-        for s, v in _lambda_route_A(d, piece.module, precision).items():
+        for s, v in _lambda_route_A(d, piece.module).items():
             _add_value(accA, s + dgr, v)
-        for s, v in _lambda_route_B(d, piece.module, stage_bound, lag,
-                                    precision).items():
+        for s, v in _lambda_route_B(d, piece.module).items():
             _add_value(accB, s + dgr, v)
     degrees = set(accA) | set(accB)
     for n in degrees:
@@ -525,7 +529,7 @@ def derived_completion(d, X, stage_bound=12, lag=6, precision=None):
                                             "agree degreewise"})
 
 
-def local_homology_Ls(d, desc, s, stage_bound=12, lag=6, precision=None):
+def local_homology_Ls(d, desc, s):
     """L_s via the Greenlees-May extension of lim Tor_s by lim^1 Tor_(s+1).
 
     Only the Tor_s tower is materialized.  The Tor_(s+1) tower is built as
@@ -535,35 +539,25 @@ def local_homology_Ls(d, desc, s, stage_bound=12, lag=6, precision=None):
     the adic tower of a telescope quotient, with its stage cross-check)
     goes through ``lim_lim1``.  ``gm_ses_check`` materializes both towers.
     """
-    stamped = _wpr_certified(d)
+    stamped = _wpr_status(d) == "weakly-proregular"
     desc = _as_descriptor(desc, d.ring)
-    lim = lim_lim1(Tower.tor(desc, d.gens, s), stage_bound, lag,
-                   precision).lim
+    lim = lim_lim1(Tower.tor(desc, d.gens, s)).lim
     nxt = Tower.tor(desc, d.gens, s + 1)
     if nxt.kind == "tor":
         lim1 = LimitModule.zero(basis="Artin-Rees: lim^1 of a Tor tower in "
                                       "positive degree vanishes")
     else:
-        lim1 = lim_lim1(nxt, stage_bound, lag, precision).lim1
-    return _local_homology(d, desc, s, lim, lim1, stamped, stage_bound, lag,
-                           precision)
+        lim1 = lim_lim1(nxt).lim1
+    return _local_homology(d, desc, s, lim, lim1, stamped)
 
 
-def _wpr_certified(d):
-    return d.weak_proregularity(stage_bound=3, lag=2)["status"] == \
-        "weakly-proregular"
+def _wpr_status(d):
+    """The one weak-proregularity question of the completion side: three
+    stages of the Koszul homology towers, lag max(2, lag setting // 3)."""
+    return d.weak_proregularity(3, max(2, current().lag // 3))["status"]
 
 
-def _tor_limits(d, desc, s, stage_bound, lag, precision):
-    """lim/lim^1 of the Tor_s and Tor_(s+1) towers, built over one
-    resolution of each module."""
-    resolutions = {}
-    return [lim_lim1(Tower.tor(desc, d.gens, t, resolutions), stage_bound,
-                     lag, precision) for t in (s, s + 1)]
-
-
-def _local_homology(d, desc, s, lim, lim1, stamped, stage_bound, lag,
-                    precision):
+def _local_homology(d, desc, s, lim, lim1, stamped):
     """L_s from lim Tor_s and lim^1 Tor_(s+1); checked against Lambda when
     the sequence is weakly proregular (``stamped``), marked otherwise."""
     value = _milnor_value(lim, lim1)
@@ -578,7 +572,7 @@ def _local_homology(d, desc, s, lim, lim1, stamped, stage_bound, lag,
         return LimitModule(value.kind, value.payload, value.precision,
                            basis=(value.basis or "") +
                            " [formula outside verified hypotheses]")
-    lam = _cached_lambda(d, desc, stage_bound, lag, precision)
+    lam = _cached_lambda(d, desc)
     ok, detail = values_agree(value, lam.value(s))
     if not ok:
         raise InternalInconsistency(
@@ -589,16 +583,15 @@ def _local_homology(d, desc, s, lim, lim1, stamped, stage_bound, lag,
 _LAMBDA_CACHE = {}
 
 
-def _cached_lambda(d, desc, stage_bound, lag, precision):
+def _cached_lambda(d, desc):
     """The completion table is degree-independent; memoize it per input."""
     key = (d.ring._key(), tuple(g.render() for g in d.gens),
-           repr(desc.describe()), stage_bound, lag, precision)
+           repr(desc.describe()), current())
     hit = _LAMBDA_CACHE.get(key)
     if hit is None:
         if len(_LAMBDA_CACHE) > 512:
             _LAMBDA_CACHE.clear()
-        hit = derived_completion(d, _desc_to_graded(desc), stage_bound, lag,
-                                 precision)
+        hit = derived_completion(d, desc)
         _LAMBDA_CACHE[key] = hit
     return hit
 
@@ -611,18 +604,16 @@ def _as_descriptor(x, ring):
     raise InvalidInput(f"expected a module or descriptor, got {x!r}")
 
 
-def _desc_to_graded(desc):
-    return GradedObject(desc.ring, {0: desc})
-
-
-def gm_ses_check(d, desc, s, stage_bound=12, lag=6, precision=None):
+def gm_ses_check(d, desc, s):
     """Materialize 0 -> lim^1 Tor_(s+1) -> L_s -> lim Tor_s -> 0 and certify it."""
     desc = _as_descriptor(desc, d.ring)
-    t_s, t_s1 = _tor_limits(d, desc, s, stage_bound, lag, precision)
+    resolutions = {}   # the Tor_s and Tor_(s+1) towers share one resolution
+    t_s, t_s1 = [lim_lim1(Tower.tor(desc, d.gens, t, resolutions))
+                 for t in (s, s + 1)]
     left, right = t_s1.lim1, t_s.lim
     # refused unless both terms are recognized and one of them vanishes
-    L = _local_homology(d, desc, s, right, left, _wpr_certified(d),
-                        stage_bound, lag, precision)
+    L = _local_homology(d, desc, s, right, left,
+                        _wpr_status(d) == "weakly-proregular")
     report = {
         "lim1_tor_next": left.describe(),
         "L_s": L.describe(),
@@ -651,15 +642,16 @@ def gm_ses_check(d, desc, s, stage_bound=12, lag=6, precision=None):
     return {"status": "exact", **report}
 
 
-def adic_completion(M, d, precision=DEFAULT_PRECISION):
-    """C^I(M): the same presentation base-changed to A^, stamped with N.
+def adic_completion(M, d):
+    """C^I(M): the same presentation base-changed to A^, stamped with the
+    precision N it was taken at.
 
     The natural map M -> C^I(M) sends generator i to generator i.
     """
-    out = completed_module(M, list(d.gens), precision)
+    out = completed_module(M, list(d.gens))
     nat = {"map": "generator i -> generator i",
            "source": M.describe(), "target": out.describe(),
-           "precision": precision}
+           "precision": out.ring.precision}
     return out, nat
 
 
@@ -715,7 +707,7 @@ def ext_out_of_fp(C, target, q):
     raise UnsupportedRing(f"no Ext rule for descriptor kind {target.kind}")
 
 
-def ext_out_of_telescope(C, x, target, q, precision=None, towers=None):
+def ext_out_of_telescope(C, x, target, q, towers=None):
     """Ext^q(x^-1 C, target) for an f.p. module C, through the Milnor sequence
 
         0 -> lim^1 Ext^(q-1)(C, target) -> Ext^q(x^-1 C, target)
@@ -733,7 +725,7 @@ def ext_out_of_telescope(C, x, target, q, precision=None, towers=None):
             continue
         ext = descriptor_of(ext_out_of_fp(C, target, p)) if p >= 0 else None
         towers[p] = None if ext is None else mult_tower_values(
-            ext, _coerce(ext.ring, x), precision)
+            ext, _coerce(ext.ring, x))
     low, high = towers[q - 1], towers[q]
     lim1 = low.lim1 if low else LimitModule.zero(basis="Ext module vanishes")
     lim = high.lim if high else LimitModule.zero(basis="Ext module vanishes")
@@ -754,7 +746,7 @@ def _coerce(ring, x):
     raise UnsupportedRing(f"cannot act by {x.render()} on {ring}")
 
 
-def derived_hom_value(D1, i, D2, j, stage_bound=12, lag=6, precision=None):
+def derived_hom_value(D1, i, D2, j):
     """Hom in the derived category between shifted descriptors.
 
     Hom(M[i], N[j]) = Ext^(j-i)(M, N); sources may be f.p., telescopes, or
@@ -763,10 +755,10 @@ def derived_hom_value(D1, i, D2, j, stage_bound=12, lag=6, precision=None):
     q = j - i
     if q < 0:
         return LimitModule.zero(basis="negative Ext degree")
-    return ext_of_descriptors(D1, D2, q, stage_bound, lag, precision)
+    return ext_of_descriptors(D1, D2, q)
 
 
-def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
+def ext_of_descriptors(D1, D2, q):
     """Ext^q(D1, D2) into f.p. targets, and into Q^d out of Z or Z^.
 
     f.p. and telescope sources go to the Ext engine, telescope-quotient
@@ -781,7 +773,7 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
     if D1.kind == "fp":
         return ext_out_of_fp(D1.module, D2, q)
     if D1.kind == "telescope":
-        return ext_out_of_telescope(D1.module, D1.mult, D2, q, precision)
+        return ext_out_of_telescope(D1.module, D1.mult, D2, q)
     if D1.kind == "telescope_quotient":
         M, u = D1.module, D1.mult
         if M.relations or not M.ring.is_euclidean:
@@ -801,8 +793,7 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
             N = D2.module if D2.kind == "fp" else None
             if N is None:
                 raise UnsupportedRing("need an f.p. target")
-            res = lim_lim1(Tower.adic(N, [_coerce(N.ring, u)]), stage_bound,
-                           lag, precision)
+            res = lim_lim1(Tower.adic(N, [_coerce(N.ring, u)]))
             if not res.lim1.is_zero():
                 raise InternalInconsistency("adic tower with nonzero lim^1")
             value = res.lim
@@ -817,7 +808,7 @@ def ext_of_descriptors(D1, D2, q, stage_bound=12, lag=6, precision=None):
     raise UnsupportedRing(f"no Ext rule for source {D1.kind}")
 
 
-def adjunction_check(d, X, Y, stage_bound=12, lag=6, precision=None):
+def adjunction_check(d, X, Y):
     """[Gamma X, Y] = [X, Lambda Y] on connected components, materialized.
 
     Both sides are assembled from shifted Ext groups of the homology pieces
@@ -825,13 +816,12 @@ def adjunction_check(d, X, Y, stage_bound=12, lag=6, precision=None):
     """
     gx = gamma(d, X)
     Xobj = GradedObject.of(X)
-    lam = derived_completion(d, Y, stage_bound, lag, precision)
+    lam = derived_completion(d, Y)
     Yobj = GradedObject.of(Y)
     gx_pieces = gx.as_graded_object()
     lam_pieces = lam.as_graded_object(d.ring, "Lambda")
-    left = _hom_sum(gx_pieces.pieces, Yobj.pieces, stage_bound, lag, precision)
-    right = _hom_sum(Xobj.pieces, lam_pieces.pieces, stage_bound, lag,
-                     precision)
+    left = _hom_sum(gx_pieces.pieces, Yobj.pieces)
+    right = _hom_sum(Xobj.pieces, lam_pieces.pieces)
     ok, detail = values_agree(left, right)
     if not ok:
         raise InternalInconsistency(
@@ -843,10 +833,10 @@ def adjunction_check(d, X, Y, stage_bound=12, lag=6, precision=None):
             "detail": detail}
 
 
-def _hom_sum(src_pieces, tgt_pieces, stage_bound, lag, precision):
+def _hom_sum(src_pieces, tgt_pieces):
     acc = {}
     for i, D1 in src_pieces.items():
         for j, D2 in tgt_pieces.items():
-            v = derived_hom_value(D1, i, D2, j, stage_bound, lag, precision)
+            v = derived_hom_value(D1, i, D2, j)
             _add_value(acc, 0, v)
     return acc.get(0, LimitModule.zero())

@@ -23,12 +23,12 @@ from itertools import combinations_with_replacement
 from math import gcd
 from operator import le
 
+from .context import DEFAULT_PRECISION
 from .errors import InvalidInput, PrecisionMismatch, UnsupportedRing
 from .expr import parse_poly
 from .groebner import GBasis, groebner_ideal, ideal_basis_polys
 from .poly import GF, Poly, QQ, ZZ, order_key
 
-DEFAULT_PRECISION = 20
 
 # Ring.get interns every ring here, so equal rings are one object and
 # Ring.__eq__, Ring.__hash__ and every span key of linalg._span are cheap.
@@ -160,7 +160,7 @@ class Ring:
         return Ring.get(self.base, self.p, self.names, self.quotient,
                         None, self.completion, self.order)
 
-    def completed(self, gens, precision=DEFAULT_PRECISION):
+    def completed(self, gens, precision):
         gens = tuple(g.num if isinstance(g, RingElement) else g for g in gens)
         r = Ring.get(self.base, self.p, self.names, self.quotient,
                      self.inverted, (gens, precision), self.order)
@@ -839,7 +839,7 @@ def make_ring(descriptor):
     ring = Ring.get(base, p, names, quotient)
     ring._validate()
     if quotient and ring.monomial_modulus is None:
-        ring.reduction_basis()  # fails early on budget problems
+        ring.reduction_basis().within_budget()  # fails early on budget problems
     comp = descriptor.get("completion")
     if comp:
         gens = tuple(ring.el(g).num for g in comp["ideal"])
@@ -874,7 +874,7 @@ def normal_form(ring, expression):
     return ring.el(expression)
 
 
-def groebner_basis(ring, gens, order=None, budget=None):
+def groebner_basis(ring, gens, order=None):
     """The reduced Groebner basis of an ideal, as ring elements.
 
     Deterministic: repeated calls return identical bases.  Budget overruns
@@ -885,5 +885,5 @@ def groebner_basis(ring, gens, order=None, budget=None):
     order = order or ring.order
     polys = [ring.el(g).num if not isinstance(g, RingElement) else g.num
              for g in gens]
-    gb = groebner_ideal(polys, order=order, budget=budget)
+    gb = groebner_ideal(polys, order=order)
     return [ring.el(p) for p in ideal_basis_polys(gb)]

@@ -18,6 +18,7 @@ guess.
 from functools import cached_property
 
 from .complexes import ChainMap, induced_on_homology, tensor_chain_map
+from .context import current, precision_for
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope,
                           value_of)
 from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
@@ -30,10 +31,7 @@ from .modules import (FPModule, ModuleMap, _capped_killing_power,
                       _killing_power, base_change, block_sum,
                       free_resolution, identity_map, scalar_map,
                       scalar_matrix, stable_submodule, zero_map)
-from .ring import DEFAULT_PRECISION, power_products
-
-DEFAULT_STAGE_BOUND = 12
-DEFAULT_LAG = 6
+from .ring import power_products
 
 
 def ideal_power_module(ring, gens, k):
@@ -348,13 +346,15 @@ def _require_radical_membership(ring, u, ideal_gens, bound=8):
 # -- pro-triviality -------------------------------------------------------------
 
 
-def is_pro_trivial(tower, lag=DEFAULT_LAG, stage_bound=DEFAULT_STAGE_BOUND):
+def is_pro_trivial(tower, lag=None, stage_bound=None):
     """Composite-vanishing test with the minimal lag, else a failing stage.
 
-    Needs materialization within the bounds; towers that run out of stages
-    (finite explicit lists without a periodicity tag) are inconclusive, not
-    an error.
+    Needs materialization within the bounds, by default the settings;
+    towers that run out of stages (finite explicit lists without a
+    periodicity tag) are inconclusive, not an error.
     """
+    lag = current().lag if lag is None else lag
+    stage_bound = current().K if stage_bound is None else stage_bound
     if tower.kind == "explicit" and not tower.params.get("periodic"):
         avail = len(tower.params["stages"])
         trans = len(tower.params["transitions"])
@@ -397,7 +397,7 @@ def is_pro_trivial(tower, lag=DEFAULT_LAG, stage_bound=DEFAULT_STAGE_BOUND):
     return ProTrivialVerdict("inconclusive", note=f"lag bound {lag} exhausted")
 
 
-def weak_proregularity_check(ring, seq, stage_bound=4, lag=DEFAULT_LAG):
+def weak_proregularity_check(ring, seq, stage_bound, lag):
     """Pro-triviality of H_i(Kos(x^k)) for every 0 < i <= n, within bounds.
 
     Over a completed ring the check runs on the underlying ring: completion
@@ -410,9 +410,8 @@ def weak_proregularity_check(ring, seq, stage_bound=4, lag=DEFAULT_LAG):
         raise InvalidInput("need a nonempty sequence")
     if ring.is_completed:
         base = ring.underlying()
-        out = weak_proregularity_check(base, [base.el(x.num, x.dexp)
-                                              for x in seq],
-                                       stage_bound, lag)
+        lifted = [base.el(x.num, x.dexp) for x in seq]
+        out = weak_proregularity_check(base, lifted, stage_bound, lag)
         out["note"] = ("computed over the underlying ring; completion is "
                        "flat, so pro-triviality transfers")
         return out
@@ -558,21 +557,19 @@ def completion_cokernel(M, ideal_gens):
     return None
 
 
-def completed_module(M, ideal_gens, precision=None):
-    """M (x) A^ by base-changing the presentation (exact for f.p. modules)."""
+def completed_module(M, ideal_gens):
+    """M (x) A^ by base-changing the presentation (exact for f.p. modules),
+    at the precision setting."""
     ring = M.ring
+    gens = tuple(ring.el(g).num for g in ideal_gens)
     if ring.is_completed:
         old = set(g.num for g in (ring.el(h) for h in ring.completion[0]))
-        gens = tuple(ring.el(g).num for g in ideal_gens)
-        joined = tuple(sorted(old | set(gens), key=lambda p: sorted(p.terms)))
-        new_ring = ring.underlying().completed(joined, precision or ring.precision)
-    else:
-        gens = tuple(ring.el(g).num for g in ideal_gens)
-        new_ring = ring.completed(gens, precision or DEFAULT_PRECISION)
-    return base_change(M, new_ring)
+        gens = tuple(sorted(old | set(gens), key=lambda p: sorted(p.terms)))
+    return base_change(M, ring.underlying().completed(gens,
+                                                      precision_for(ring)))
 
 
-def mult_tower_values(desc, x, precision=None):
+def mult_tower_values(desc, x):
     """(lim, lim1) of the tower (M <-x- M <-x- ...) via RHom(x^-1 A, M) = [M -> M^].
 
     Exact on: fp modules over euclidean/graded/completed supported rings,
@@ -597,8 +594,8 @@ def mult_tower_values(desc, x, precision=None):
                            "invertible multiplier")
     if desc.kind == "telescope_quotient":
         # triangle M -> T -> Z: lim fits 0 -> Hom(tel,T) -> lim -> coker(eta_M) -> 0
-        inner = mult_tower_values(FPObj(desc.module), x, precision)
-        tpart = mult_tower_values(Telescope(desc.module, desc.mult), x, precision)
+        inner = mult_tower_values(FPObj(desc.module), x)
+        tpart = mult_tower_values(Telescope(desc.module, desc.mult), x)
         nonzero = (not tpart.lim.is_zero()) or (not inner.lim1.is_zero())
         if nonzero:
             lim = LimitModule("ind",
@@ -639,9 +636,12 @@ def mult_tower_values(desc, x, precision=None):
 # -- the main lim/lim1 dispatcher ------------------------------------------------
 
 
-def lim_lim1(tower, stage_bound=DEFAULT_STAGE_BOUND, lag=DEFAULT_LAG,
-             precision=None):
+def lim_lim1(tower):
+    """lim and lim^1 of a tower; the probes materialize at most K stages
+    and composites of lag at most ``lag`` (the settings), and an adic
+    tower's limit is its completion at the precision setting."""
     kind = tower.kind
+    K, lag = current().K, current().lag
     if kind == "zero":
         z = LimitModule.zero(basis=tower.params.get("why", "zero tower"))
         return TowerLimits(z, z, "zero tower")
@@ -652,15 +652,15 @@ def lim_lim1(tower, stage_bound=DEFAULT_STAGE_BOUND, lag=DEFAULT_LAG,
             # M = IM forces M = I^k M for every k: all stages vanish
             z = LimitModule.zero(basis="M = IM, all stages vanish")
             return TowerLimits(z, z, "degenerate adic tower")
-        Mhat = completed_module(M, gens, precision)
-        _adic_stage_crosscheck(tower, Mhat, min(stage_bound, 3))
+        Mhat = completed_module(M, gens)
+        _adic_stage_crosscheck(tower, Mhat, min(K, 3))
         return TowerLimits(
             LimitModule.of_module(Mhat, basis="Artin-Rees: adic tower of an "
                                               "f.p. module"),
             LimitModule.zero(basis="Mittag-Leffler: surjective transitions"),
             "artin-rees")
     if kind == "mult":
-        return mult_tower_values(tower.params["desc"], tower.params["x"], precision)
+        return mult_tower_values(tower.params["desc"], tower.params["x"])
     if kind == "tor":
         # Artin-Rees: for a finitely presented module over a Noetherian
         # supported ring, the towers Tor_s(A/I^k, M) are pro-zero for s >= 1.
@@ -668,7 +668,7 @@ def lim_lim1(tower, stage_bound=DEFAULT_STAGE_BOUND, lag=DEFAULT_LAG,
         # attempted only when the materialized stages are small (a
         # deterministic size gate), and the theorem carries the verdict
         # otherwise.
-        found, note = _probe_lag(tower, stage_bound, lag)
+        found, note = _probe_lag(tower, K, lag)
         if found is not None:
             z = LimitModule.zero(
                 basis=f"Artin-Rees pro-trivial Tor tower (lag {found})")
@@ -679,11 +679,11 @@ def lim_lim1(tower, stage_bound=DEFAULT_STAGE_BOUND, lag=DEFAULT_LAG,
                   "(lag not located within the materialization bounds)")
         return TowerLimits(z, z, "artin-rees theorem", {"materialized": note})
     if kind == "koszul_stage":
-        return _koszul_stage_limits(tower, stage_bound, lag, precision)
+        return _koszul_stage_limits(tower)
     if kind == "explicit":
-        return _explicit_limits(tower, stage_bound, lag)
+        return _explicit_limits(tower, K, lag)
     if kind == "koszul_homology":
-        return _pro_trivial_limits(tower, stage_bound, lag)
+        return _pro_trivial_limits(tower, K, lag)
     raise InvalidInput(f"unknown tower kind {kind}")
 
 
@@ -748,8 +748,9 @@ def _explicit_limits(tower, stage_bound, lag):
                        "unrecognized")
 
 
-def _koszul_stage_limits(tower, stage_bound, lag, precision):
+def _koszul_stage_limits(tower):
     """Stages H_s(Kos(x^k) (x) C) for a bounded complex C with f.p. levels."""
+    K, lag = current().K, current().lag
     C = tower.params["complex"]
     gens = tower.params["ideal"]
     s = tower.params["s"]
@@ -759,11 +760,11 @@ def _koszul_stage_limits(tower, stage_bound, lag, precision):
         (d, M), = C.modules.items()
         if s - d == 0:
             inner = Tower.adic(M, gens)
-            return lim_lim1(inner, stage_bound, lag, precision)
+            return lim_lim1(inner)
         if s - d < 0 or s - d > len(gens):
             z = LimitModule.zero(basis="degree outside Koszul range")
             return TowerLimits(z, z, "range")
-        found, note = _probe_lag(tower, stage_bound, lag)
+        found, note = _probe_lag(tower, K, lag)
         if found is not None:
             z = LimitModule.zero(
                 basis=f"weakly proregular stages pro-trivial (lag {found})")
@@ -778,15 +779,4 @@ def _koszul_stage_limits(tower, stage_bound, lag, precision):
         return TowerLimits(u, u, "unrecognized")
     # general bounded complex: fall back to materialized pro-triviality or
     # stabilization; adic-type content is handled by the caller splitting C
-    return _pro_trivial_limits(tower, stage_bound, lag)
-
-
-def standard_tower(kind, **kwargs):
-    """Front door for the standard tower kinds: adic | tor | mult."""
-    if kind == "adic":
-        return Tower.adic(kwargs["module"], kwargs["ideal"])
-    if kind == "tor":
-        return Tower.tor(kwargs["descriptor"], kwargs["ideal"], kwargs["s"])
-    if kind == "mult":
-        return Tower.mult(kwargs["descriptor"], kwargs["x"])
-    raise InvalidInput(f"unknown standard tower kind {kind!r}")
+    return _pro_trivial_limits(tower, K, lag)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-All comparisons are exact; completed values are compared at precision 20
-unless the criterion's instance states otherwise.  Bounds (stage bound K,
-lag) are pinned here, not tuned at runtime.
+All comparisons are exact; completed values are compared at precision 20,
+the default over Z and over Z_5 at 20, unless the criterion's instance
+states otherwise.  Bounds (stage bound K, lag) are pinned here, not tuned
+at runtime.
 """
 
 import random
@@ -17,7 +18,7 @@ from lodua import (ChainComplex, ChainMap, Comodule, FPModule, FPObj,
                    gm_ses_check, homology_membership, is_L_complete,
                    is_pro_trivial, is_regular_sequence, iso_check,
                    local_cohomology, local_homology_Ls, make_group_like,
-                   make_ring, values_agree, verify_theorems,
+                   make_ring, settings, values_agree, verify_theorems,
                    weak_proregularity_check)
 from lodua.hopf import ComoduleTower, comodule_limit
 from lodua.modules import _same_presentation
@@ -91,7 +92,7 @@ def test_criterion_1_gm_ses_suite(Z, dZ):
     }
     for name, desc in z_suite(Z).items():
         for s in (0, 1, 2):
-            rep = gm_ses_check(dZ, desc, s, precision=PRECISION)
+            rep = gm_ses_check(dZ, desc, s)
             assert rep["status"] == "exact", (name, s, rep)
             want = expected_L[name].get(s)
             L = rep["L_s"]
@@ -114,11 +115,12 @@ def test_criterion_2_route_agreement(Z, dZ, kxy, dxy):
     # derived_completion raises InternalInconsistency on any degreewise
     # disagreement between the telescope route and the Koszul-tower route
     for name, desc in z_suite(Z).items():
-        derived_completion(dZ, GradedObject(Z, {0: desc}), precision=PRECISION)
+        derived_completion(dZ, GradedObject(Z, {0: desc}))
     poly_suite = [FPModule.free(kxy, 1), FPModule.cyclic(kxy, ["x"]),
                   FPModule.cyclic(kxy, ["x", "y"])]
-    for M in poly_suite:
-        derived_completion(dxy, M, stage_bound=6, lag=3, precision=6)
+    with settings(K=6, lag=3, precision=6):
+        for M in poly_suite:
+            derived_completion(dxy, M)
     report(2, True, "telescope and Koszul-tower routes agree degreewise "
                     "on the Z suite and on k[x,y] with M in {A, A/(x), k}")
 
@@ -126,13 +128,13 @@ def test_criterion_2_route_agreement(Z, dZ, kxy, dxy):
 def test_criterion_3_named_values(Z, dZ):
     free = FPModule.free(Z, 1)
     prufer = TelescopeQuotient(free, Z.el(P))
-    L0 = local_homology_Ls(dZ, FPObj(free), 0, precision=PRECISION)
+    L0 = local_homology_Ls(dZ, FPObj(free), 0)
     assert _is_zp(L0)
     for s in (1, 2):
-        assert local_homology_Ls(dZ, FPObj(free), s, precision=PRECISION).is_zero()
-    L1 = local_homology_Ls(dZ, prufer, 1, precision=PRECISION)
+        assert local_homology_Ls(dZ, FPObj(free), s).is_zero()
+    L1 = local_homology_Ls(dZ, prufer, 1)
     assert _is_zp(L1)
-    assert local_homology_Ls(dZ, prufer, 0, precision=PRECISION).is_zero()
+    assert local_homology_Ls(dZ, prufer, 0).is_zero()
     lamQ = derived_completion(dZ, GradedObject(Z, {0: Rational(Z, 1)}))
     assert lamQ.is_zero()
     lam_tel = derived_completion(dZ, GradedObject(Z, {0: Telescope(free, Z.el(P))}))
@@ -169,20 +171,19 @@ def test_criterion_4_finitely_generated_collapse(Z, dZ, kxy, dxy):
     for _ in range(25):
         M = _random_fp_module(Z, rng)
         for s in (1, 2):
-            assert local_homology_Ls(dZ, FPObj(M), s, precision=PRECISION).is_zero()
-        L0 = local_homology_Ls(dZ, FPObj(M), 0, precision=PRECISION)
-        hat = completed_module(M, dZ.gens, PRECISION)
+            assert local_homology_Ls(dZ, FPObj(M), s).is_zero()
+        L0 = local_homology_Ls(dZ, FPObj(M), 0)
+        hat = completed_module(M, dZ.gens)
         ok, why = values_agree(L0, LimitModule.of_module(hat))
         assert ok, why
     for _ in range(25):
         M = _random_fp_module(kxy, rng)
         desc = FPObj(M)
-        for s in (1, 2):
-            assert local_homology_Ls(dxy, desc, s, stage_bound=4, lag=2,
-                                     precision=4).is_zero()
-        L0 = local_homology_Ls(dxy, desc, 0, stage_bound=4, lag=2,
-                               precision=4)
-        hat = completed_module(M, dxy.gens, 4)
+        with settings(K=4, lag=2, precision=4):
+            for s in (1, 2):
+                assert local_homology_Ls(dxy, desc, s).is_zero()
+            L0 = local_homology_Ls(dxy, desc, 0)
+            hat = completed_module(M, dxy.gens)
         ok, why = values_agree(L0, LimitModule.of_module(hat))
         assert ok, why
     report(4, True, "25 random f.p. modules over Z and over k[x,y]: "
@@ -199,22 +200,21 @@ def test_criterion_5_ext_completeness(Z, dZ):
     S, _, _ = direct_sum(FPModule.cyclic(Z, [P]), FPModule.cyclic(Z, [P ** 2]))
     complete_cases.append(FPObj(S))
     for desc in complete_cases:
-        cert = is_L_complete(desc, dZ, precision=PRECISION)
+        cert = is_L_complete(desc, dZ)
         assert cert.verdict == "complete", cert.describe()
     free = FPModule.free(Z, 1)
     incomplete = {"Z": FPObj(free), "Q": Rational(Z, 1),
                   "Z/p^infty": TelescopeQuotient(free, Z.el(P)),
                   "Z[1/p]": Telescope(free, Z.el(P))}
     for name, desc in incomplete.items():
-        cert = is_L_complete(desc, dZ, precision=PRECISION)
+        cert = is_L_complete(desc, dZ)
         assert cert.verdict == "not-complete" and cert.witness, name
     # coherence: verdict iff Lambda fixes the object in degree 0
     for desc, expect in [(FPObj(Zp), True), (FPObj(FPModule.cyclic(Z, [P])), True),
                          (FPObj(free), False),
                          (TelescopeQuotient(free, Z.el(P)), False)]:
         d = dZ if not desc.ring.is_completed else IdealData(desc.ring, [P])
-        lam = derived_completion(d, GradedObject(desc.ring, {0: desc}),
-                                 precision=PRECISION)
+        lam = derived_completion(d, GradedObject(desc.ring, {0: desc}))
         if desc.kind == "fp":
             fixed = lam.value(1).is_zero() and values_agree(
                 lam.value(0), LimitModule.of_module(desc.module))[0]
@@ -231,7 +231,7 @@ def test_criterion_6_klim_module_level():
     Zp_ring = make_ring({"base": "Z",
                          "completion": {"ideal": [str(P)], "precision": PRECISION}})
     K0 = FPModule.free(Zp_ring, 1)
-    res = mult_tower_values(FPObj(K0), Zp_ring.el(P), precision=PRECISION)
+    res = mult_tower_values(FPObj(K0), Zp_ring.el(P))
     assert res.lim.is_zero() and res.lim1.is_zero()
     report(6, True, "lim^s of the multiplication-by-p tower on Z_p is 0 "
                     "for s = 0, 1 (p-completeness), exactly at precision 20")
@@ -272,7 +272,7 @@ def test_criterion_8_adjunction_and_inverse_equivalences(Z, dZ):
     free = FPModule.free(Z, 1)
     m3 = FPModule.cyclic(Z, [P ** 3])
     for X, Y in [(free, free), (m3, m3), (free, m3), (m3, free)]:
-        out = adjunction_check(dZ, X, Y, precision=PRECISION)
+        out = adjunction_check(dZ, X, Y)
         assert out["status"] == "agree"
     # mutually inverse equivalences on homology over the criterion-1 suite
     Zp_ring = make_ring({"base": "Z",
@@ -283,9 +283,8 @@ def test_criterion_8_adjunction_and_inverse_equivalences(Z, dZ):
         d = dZ if not ring.is_completed else IdealData(ring, [P])
         X = GradedObject(ring, {0: desc})
         gm = gamma(d, X)
-        lam = derived_completion(d, X, precision=PRECISION)
-        lam_gamma = derived_completion(d, gm.as_graded_object(),
-                                       precision=PRECISION)
+        lam = derived_completion(d, X)
+        lam_gamma = derived_completion(d, gm.as_graded_object())
         for n in range(-2, 3):
             ok, why = values_agree(lam_gamma.value(n), lam.value(n))
             assert ok, (name, n, why)
@@ -320,15 +319,14 @@ def test_criterion_9_comodule_suite(Z, kxy):
     CA = Comodule(swap, FPModule.free(kxy, 1), {"s": [[kxy.el(1)]]})
     for which in ("true-level", "completion-formula", "comodule-gm",
                   "fg-vanishing", "injective-vanishing"):
-        out = verify_theorems(swap, dI, CA, which, precision=5,
-                              **({"stage_bound": 5, "lag": 3}
-                                 if which in ("comodule-gm", "fg-vanishing")
-                                 else {}))
+        with settings(precision=5, K=5, lag=3):
+            out = verify_theorems(swap, dI, CA, which)
         assert out.get("verdict") in ("pass", "true-level"), (which, out)
     # kernel vs pullback agreement, witnessed
     tower = ComoduleTower(swap, CA, dI.gens)
-    limK, _ = comodule_limit(tower, method="kernel", precision=5)
-    limP, _ = comodule_limit(tower, method="pullback", precision=5)
+    with settings(precision=5):
+        limK, _ = comodule_limit(tower, method="kernel")
+        limP, _ = comodule_limit(tower, method="pullback")
     assert _same_presentation(limK.module, limP.module)
     for g in swap.elements:
         for row_k, row_p in zip(limK.maps[g], limP.maps[g]):
@@ -339,7 +337,7 @@ def test_criterion_9_comodule_suite(Z, kxy):
     MZ = Comodule(discrete, FPModule.free(Z, 1), {})
     for which in ("true-level", "completion-formula", "comodule-gm",
                   "fg-vanishing", "injective-vanishing"):
-        out = verify_theorems(discrete, dZ5, MZ, which, precision=PRECISION)
+        out = verify_theorems(discrete, dZ5, MZ, which)
         assert out.get("verdict") in ("pass", "true-level"), (which, out)
     elapsed = time.time() - t0
     assert elapsed < 60, f"comodule suite took {elapsed:.1f}s"

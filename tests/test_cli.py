@@ -334,14 +334,22 @@ def test_out_of_range_document_options_exit_three(tmp_path):
         assert code == 3 and "invalid input" in err
 
 
+def _seen_settings(seen, d, **extra):
+    """Record the settings a verb runs under, the precision as used over
+    the ring of ``d``."""
+    from lodua.context import current, precision_for
+    seen.update(K=current().K, lag=current().lag,
+                precision=precision_for(d.ring), **extra)
+
+
 def test_explicit_zero_is_not_replaced_by_a_default(monkeypatch):
     import lodua.cli
     with open(fixture("z-mod-p-infty.json")) as fh:
         doc = json.load(fh)
     seen = {}
 
-    def fake(d, target, s, K, lag, precision):
-        seen.update(s=s, K=K, lag=lag, precision=precision)
+    def fake(d, target, s):
+        _seen_settings(seen, d, s=s)
         return {"status": "exact"}
 
     monkeypatch.setattr(lodua.cli, "gm_ses_check", fake)
@@ -402,6 +410,87 @@ def test_bad_budget_variable_exits_three(value):
     assert "LODUA_BUDGET" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# localhom over Q[x,y] builds Groebner bases: one reduction step is too few
+_BUDGET_DOC = {"version": "1", "ring": {"base": "Q", "vars": ["x", "y"]},
+               "ideal": ["x", "y"],
+               "modules": {"M": {"generators": 1, "relations": [["x^2 + y"]]}},
+               "command": {"target": "M", "s": 0}}
+
+
+def _cli(args, doc, tmp_path, variable=None):
+    """Exit code and stderr of the CLI on doc, with LODUA_BUDGET set to
+    variable (unset when None)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    env = {k: v for k, v in os.environ.items() if k != "LODUA_BUDGET"}
+    if variable is not None:
+        env["LODUA_BUDGET"] = variable
+    proc = subprocess.run([sys.executable, "-m", "lodua.cli", *args,
+                           str(path)], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("option, variable, code", [
+    (None, None, 0), (None, "1", 2), (None, "lots", 3), (1, None, 3),
+    ("lots", None, 3), (100000, "1", 3)])
+def test_the_budget_is_the_variable_alone(tmp_path, option, variable, code):
+    doc = dict(_BUDGET_DOC)
+    if option is not None:
+        doc["options"] = {"budget": option}
+    got, err = _cli(["localhom"], doc, tmp_path, variable)
+    assert got == code, err
+    if option is not None:
+        assert "unknown option 'budget'" in err
+
+
+def test_recheck_runs_under_the_verbs_settings(tmp_path):
+    doc = dict(_BUDGET_DOC, ring={"base": "Q", "vars": ["x", "y"],
+                                  "quotient": ["x^3 - 2*x*y",
+                                               "x^2*y - 2*y^2 + x"]})
+    code, out, _ = run_cli("resolve", fixture("z.json"))
+    prior = tmp_path / "report.json"
+    prior.write_text(out)
+    recheck = ["resolve", "--recheck", str(prior)]
+    assert _cli(recheck, doc, tmp_path)[0] == 0
+    assert _cli(recheck, doc, tmp_path, "1")[0] == 2
+    assert _cli(recheck, doc, tmp_path, "lots")[0] == 3
+    assert _cli(recheck, dict(doc, options={"budget": 1}), tmp_path)[0] == 3
+
+
+def test_a_cached_basis_answers_as_a_new_one(monkeypatch):
+    """A verb run again in one process, now under a budget of one step,
+    fails as it does in a new process, whatever bases it left cached."""
+    from lodua.cli import run
+    from lodua.errors import BudgetExceeded
+    monkeypatch.delenv("LODUA_BUDGET", raising=False)
+    assert run(_BUDGET_DOC, "localhom")[0] == 0
+    monkeypatch.setenv("LODUA_BUDGET", "1")
+    with pytest.raises(BudgetExceeded):
+        run(_BUDGET_DOC, "localhom")
+
+
+def test_unset_precision_is_the_document_rings(tmp_path):
+    """Over Z_5 at precision 3, lambda answers at 3 unless told otherwise."""
+    doc = {"version": "1",
+           "ring": {"base": "Z", "completion": {"ideal": ["5"],
+                                                "precision": 3}},
+           "ideal": ["5"],
+           "modules": {"M": {"generators": 1, "relations": []},
+                       "T": {"generators": 1, "relations": [["25"]]}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for target in ("M", "T"):
+        code, out, err = run_cli("lambda", str(path), "--target", target)
+        assert code == 0, err
+        value = json.loads(out)["result"]["0"]
+        assert value["precision"] == 3
+        assert value["ring"] == "ZZ completed at (5) to precision 3"
+    code, out, _ = run_cli("complete", str(path), "--module", "T",
+                           "--precision", "2")
+    report = json.loads(out)
+    assert report["precision"] == report["natural_map"]["precision"] == 2
+
+
 @pytest.mark.parametrize("key, flag, doc_value", [
     ("precision", 7, 3), ("K", 7, 1), ("lag", 7, 0)])
 def test_explicit_flag_overrides_document_option(monkeypatch, key, flag,
@@ -412,8 +501,8 @@ def test_explicit_flag_overrides_document_option(monkeypatch, key, flag,
     doc = {**doc, "options": {key: doc_value}}
     seen = {}
 
-    def fake(d, target, s, K, lag, precision):
-        seen.update(K=K, lag=lag, precision=precision)
+    def fake(d, target, s):
+        _seen_settings(seen, d)
         return {"status": "exact"}
 
     monkeypatch.setattr(lodua.cli, "gm_ses_check", fake)
@@ -437,8 +526,8 @@ def test_verify_passes_K_and_lag(monkeypatch, which, verifier):
     doc = {**_c2_doc(), "command": {"comodule": "CA"}}
     seen = {}
 
-    def fake(h, d, M_comod, precision, stage_bound=None, lag=None):
-        seen.update(K=stage_bound, lag=lag, precision=precision)
+    def fake(h, d, M_comod):
+        _seen_settings(seen, d)
         return {"verdict": "pass"}
 
     monkeypatch.setattr(lodua.hopf, verifier, fake)
@@ -479,6 +568,10 @@ MALFORMED = {
                   "'CA' needs 'module'"),
     "comodules-action": ({"comodules": {"CA": {"module": "A", "action": {}}}},
                          "the comodule action misses 's'"),
+    "options-unknown": ({"options": {"K": 2, "budget": 1, "Lag": 2}},
+                        "unknown option 'Lag': options hold precision, K "
+                        "and lag (the budget is LODUA_BUDGET)"),
+    "version": ({"version": "2"}, "unsupported schema version 2"),
 }
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lodua
 from lodua import BudgetExceeded, Ring, UnsupportedRing
 from lodua.groebner import GBasis, groebner_ideal, ideal_basis_polys
 from lodua.poly import GF, QQ, Poly, mono_lcm, mono_div, order_key
@@ -95,8 +96,8 @@ def test_syzygies_are_syzygies():
 def test_budget_exceeded_carries_partial():
     R = lexring()
     gens = [R.el("x^3 - 2*x*y").num, R.el("x^2*y - 2*y^2 + x").num]
-    with pytest.raises(BudgetExceeded) as err:
-        groebner_ideal(gens, order="lex", budget=3)
+    with pytest.raises(BudgetExceeded) as err, lodua.settings(budget=3):
+        groebner_ideal(gens, order="lex")
     assert err.value.partial is not None
 
 
@@ -113,14 +114,30 @@ def test_queries_count_their_own_steps():
     # every query gets the full budget: a finished basis keeps answering
     # however many queries it has served
     R = Ring.get("Q", None, ("x", "y"))
-    gb = GBasis([(R.el(s).num,) for s in ("x^2 - y", "y^2 - x")], 1,
-                budget=20)
-    target = (R.el("x^3 + x^2*y + 3*x*y^2 + y").num,)
-    for _ in range(1000):
-        assert gb.normal_form(target) == (R.el("x*y + x + 4*y").num,)
-    # but one query that needs more steps than the budget still stops
-    with pytest.raises(BudgetExceeded):
-        gb.normal_form((R.el("(x + y)^8").num,))
+    with lodua.settings(budget=20):
+        gb = GBasis([(R.el(s).num,) for s in ("x^2 - y", "y^2 - x")], 1)
+        target = (R.el("x^3 + x^2*y + 3*x*y^2 + y").num,)
+        for _ in range(1000):
+            assert gb.normal_form(target) == (R.el("x*y + x + 4*y").num,)
+        # but one query that needs more steps than the budget still stops
+        with pytest.raises(BudgetExceeded):
+            gb.normal_form((R.el("(x + y)^8").num,))
+    # the budget of a query is the one in force when it runs
+    assert gb.normal_form((R.el("(x + y)^8").num,))
+
+
+def test_a_basis_over_the_budget_answers_no_query():
+    """A basis built in more steps than the budget in force is refused, as
+    building it afresh under that budget would be."""
+    R = lexring()
+    gb = groebner_ideal([R.el("x^3 - 2*x*y").num,
+                         R.el("x^2*y - 2*y^2 + x").num], order="lex")
+    g = gb.gens[0]
+    with lodua.settings(budget=gb._steps):
+        assert gb.contains(g)
+    with lodua.settings(budget=gb._steps - 1):
+        with pytest.raises(BudgetExceeded):
+            gb.contains(g)
 
 
 # -- the Buchberger path, pinned -------------------------------------------
@@ -328,12 +345,15 @@ def test_reduced_basis_ignores_generator_order(data):
 
 def test_budget_variable_is_parsed_once(monkeypatch):
     from lodua import InvalidInput
-    from lodua.groebner import default_budget
+    from lodua.context import budget
     monkeypatch.delenv("LODUA_BUDGET", raising=False)
-    assert default_budget() == 100000
+    assert budget() == 100000
     monkeypatch.setenv("LODUA_BUDGET", "7")
-    assert default_budget() == 7
+    assert budget() == 7
+    assert GBasis([(Poly.var(QQ, 1, 0),)], 1).budget == 7
+    with lodua.settings(budget=9):   # a set budget wins over the variable
+        assert budget() == 9
     for bad in ("abc", "", "0", "-3", "2.5"):
         monkeypatch.setenv("LODUA_BUDGET", bad)
         with pytest.raises(InvalidInput, match="LODUA_BUDGET"):
-            default_budget()
+            budget()

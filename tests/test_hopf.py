@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lodua
 import lodua.hopf
 from lodua import (Comodule, ComoduleTower, CompleteComodule, FPModule,
                    IdealData, InternalInconsistency, InvalidInput,
@@ -115,8 +116,9 @@ def test_adjunction_bijection(QQxy, swap, unit_comodule):
 
 def test_comodule_limit_methods_agree(QQxy, swap, dI, unit_comodule):
     tower = ComoduleTower(swap, unit_comodule, dI.gens)
-    limK, certK = comodule_limit(tower, method="kernel", precision=5)
-    limP, certP = comodule_limit(tower, method="pullback", precision=5)
+    with lodua.settings(precision=5):
+        limK, certK = comodule_limit(tower, method="kernel")
+        limP, certP = comodule_limit(tower, method="pullback")
     assert _same_presentation(limK.module, limP.module)
     for g in swap.elements:
         assert len(limK.maps[g]) == len(limP.maps[g])
@@ -130,8 +132,9 @@ def test_comodule_limit_methods_agree(QQxy, swap, dI, unit_comodule):
 def test_limit_of_constant_tower_is_module(ZZ, discrete, d5):
     # an already complete torsion module is its own completion
     M = Comodule(discrete, zmod(ZZ, 25), {})
-    lim, cert = comodule_completion(M, d5, precision=20)
+    lim, cert = comodule_completion(M, d5)
     assert iso_check(lim.module, zmod(lim.module.ring, 25))
+    assert cert["precision"] == lim.module.ring.precision == 20
 
 
 def test_extended_psilim_identity(QQxy, swap, dI, unit_comodule):
@@ -139,9 +142,10 @@ def test_extended_psilim_identity(QQxy, swap, dI, unit_comodule):
     from lodua.towers import completed_module
     E = extended_comodule(swap, unit_comodule.module)
     tower = ComoduleTower(swap, E, dI.gens)
-    lim, _ = comodule_limit(tower, precision=5)
-    rhs = completed_module(extended_module(swap, unit_comodule.module)[0],
-                           dI.gens, 5)
+    with lodua.settings(precision=5):
+        lim, _ = comodule_limit(tower)
+        rhs = completed_module(extended_module(swap, unit_comodule.module),
+                               dI.gens)
     assert _same_presentation(lim.module, rhs)
 
 
@@ -151,7 +155,9 @@ def test_non_invariant_ideal_rejected(QQxy, swap, unit_comodule):
 
 
 def test_iota_on_complete_comodule(QQxy, swap, dI, unit_comodule):
-    h_hat = _completed_hopf(swap, dI.gens, 5)
+    with lodua.settings(precision=5):
+        h_hat = _completed_hopf(swap, dI.gens)
+    assert h_hat.ring.precision == 5
     chat = _base_change_comodule(h_hat, unit_comodule)
     res, cert = iota(CompleteComodule(h_hat, chat, 5))
     assert _same_presentation(res.module, chat.module)
@@ -159,27 +165,28 @@ def test_iota_on_complete_comodule(QQxy, swap, dI, unit_comodule):
 
 
 def test_iota_discrete_is_identity(ZZ, discrete, d5):
-    h_hat = _completed_hopf(discrete, d5.gens, 20)
+    h_hat = _completed_hopf(discrete, d5.gens)
     M = _base_change_comodule(h_hat, Comodule(discrete, zmod(ZZ, 25), {}))
     res, cert = iota(CompleteComodule(h_hat, M, 20))
     assert _same_presentation(res.module, M.module)
 
 
 def test_true_level(QQxy, swap, dI):
-    out = true_level_probe(swap, dI, precision=5)
+    with lodua.settings(precision=5):
+        out = true_level_probe(swap, dI)
     assert out["verdict"] == "true-level"
 
 
 def test_completion_formula(QQxy, swap, dI, unit_comodule):
-    out = verify_theorems(swap, dI, unit_comodule, "completion-formula",
-                          precision=5)
-    assert out["verdict"] == "pass"
+    with lodua.settings(precision=5):
+        out = verify_theorems(swap, dI, unit_comodule, "completion-formula")
+    assert out["verdict"] == "pass" and out["precision"] == 5
     assert out["equivariance"]
 
 
 def test_comodule_gm(QQxy, swap, dI, unit_comodule, ZZ, discrete, d5):
-    out = verify_theorems(swap, dI, unit_comodule, "comodule-gm", precision=5,
-                          stage_bound=5, lag=3)
+    with lodua.settings(precision=5, K=5, lag=3):
+        out = verify_theorems(swap, dI, unit_comodule, "comodule-gm")
     assert out["verdict"] == "pass"
     # discrete instance reduces to the module-level sequence
     M = Comodule(discrete, FPModule.free(ZZ, 1), {})
@@ -188,8 +195,8 @@ def test_comodule_gm(QQxy, swap, dI, unit_comodule, ZZ, discrete, d5):
 
 
 def test_fg_vanishing(QQxy, swap, dI, unit_comodule, ZZ, discrete, d5):
-    out = verify_theorems(swap, dI, unit_comodule, "fg-vanishing", precision=5,
-                          stage_bound=5, lag=3)
+    with lodua.settings(precision=5, K=5, lag=3):
+        out = verify_theorems(swap, dI, unit_comodule, "fg-vanishing")
     assert out["verdict"] == "pass"
     M3 = Comodule(discrete, zmod(ZZ, 125), {})
     out = verify_theorems(discrete, d5, M3, "fg-vanishing")
@@ -217,9 +224,9 @@ def test_forgetful_exactness_tau(QQxy, swap, dI, unit_comodule):
     """tau: the underlying module of the comodule limit is the module limit."""
     from lodua.towers import Tower, lim_lim1
     tower = ComoduleTower(swap, unit_comodule, dI.gens)
-    lim, cert = comodule_limit(tower, precision=5)
-    module_side = lim_lim1(Tower.adic(unit_comodule.module, dI.gens),
-                           precision=5)
+    with lodua.settings(precision=5):
+        lim, cert = comodule_limit(tower)
+        module_side = lim_lim1(Tower.adic(unit_comodule.module, dI.gens))
     assert _same_presentation(lim.module, module_side.lim.payload)
     assert "tau" in cert
 
@@ -229,8 +236,9 @@ def test_gm_transition_equivariance_on_nonzero_stages(QQxy, swap, dI):
     the-action check genuinely fires."""
     MI = Comodule(swap, FPModule.cyclic(QQxy, ["x + y", "x*y"]),
                   {"s": [[QQxy.el(1)]]})
-    out = verify_theorems(swap, dI, MI, "comodule-gm", precision=5,
-                          stage_bound=5, lag=3, stage_checks=2, s_range=(1,))
+    with lodua.settings(precision=5, K=5, lag=3):
+        out = lodua.hopf.comodule_gm_check(swap, dI, MI, s_range=(1,),
+                                           stage_checks=2)
     assert out["verdict"] == "pass"
     lines = out["1"]["equivariance"]
     assert any("commutes with every phi_g" in line for line in lines)
@@ -249,9 +257,9 @@ def _gm_report(case):
     else:
         M = FPModule(Q, 2, [(Q.el("x"), Q.el("y"))])
         action = [[Q.el(0), Q.el(1)], [Q.el(1), Q.el(0)]]
-    out = verify_theorems(h, IdealData(Q, ["x + y", "x*y"]),
-                          Comodule(h, M, {"s": action}), "comodule-gm",
-                          precision=4, stage_bound=4, lag=2)
+    with lodua.settings(precision=4, K=4, lag=2):
+        out = verify_theorems(h, IdealData(Q, ["x + y", "x*y"]),
+                              Comodule(h, M, {"s": action}), "comodule-gm")
     return json.dumps(out, sort_keys=True)
 
 
@@ -281,14 +289,14 @@ def test_true_level_probe_compares_both_sides(QQxy, swap, dI, monkeypatch):
     # must see that Psi^ (x)^ N over the completed ring differs
     complete = lodua.hopf.completed_module
 
-    def skewed(M, gens, precision=None):
-        C = complete(M, gens, precision)
+    def skewed(M, gens):
+        C = complete(M, gens)
         extra = (C.ring.el("x"),) + (C.ring.zero(),) * (C.ngens - 1)
         return FPModule(C.ring, C.ngens, C.relations + [extra])
 
     monkeypatch.setattr(lodua.hopf, "completed_module", skewed)
-    with pytest.raises(InternalInconsistency):
-        true_level_probe(swap, dI, precision=5)
+    with pytest.raises(InternalInconsistency), lodua.settings(precision=5):
+        true_level_probe(swap, dI)
 
 
 
@@ -300,7 +308,8 @@ def test_completion_formula_compares_two_constructions(QQxy, swap, dI,
     one, zero = QQxy.one(), QQxy.zero()
     M = Comodule(swap, FPModule.free(QQxy, 2),
                  {"s": [[one, QQxy.el("x - y")], [zero, one]]})
-    out = verify_theorems(swap, dI, M, "completion-formula", precision=4)
+    with lodua.settings(precision=4):
+        out = verify_theorems(swap, dI, M, "completion-formula")
     assert out["verdict"] == "pass"
     base_change = lodua.hopf._base_change_comodule
 
@@ -310,8 +319,9 @@ def test_completion_formula_compares_two_constructions(QQxy, swap, dI,
                                            {"s": ident}))
 
     monkeypatch.setattr(lodua.hopf, "_base_change_comodule", trivialized)
-    with pytest.raises(InternalInconsistency, match="not equivariant"):
-        verify_theorems(swap, dI, M, "completion-formula", precision=4)
+    with pytest.raises(InternalInconsistency, match="not equivariant"), \
+            lodua.settings(precision=4):
+        verify_theorems(swap, dI, M, "completion-formula")
 
 
 def test_true_level_probe_compares_relations(QQxy, swap, dI, monkeypatch):
@@ -319,13 +329,13 @@ def test_true_level_probe_compares_relations(QQxy, swap, dI, monkeypatch):
     # only the probe on A/I, whose relations are not empty, can see that
     complete = lodua.hopf.completed_module
 
-    def dropped(M, gens, precision=None):
-        C = complete(M, gens, precision)
+    def dropped(M, gens):
+        C = complete(M, gens)
         return FPModule(C.ring, C.ngens, C.relations[:-1])
 
     monkeypatch.setattr(lodua.hopf, "completed_module", dropped)
-    with pytest.raises(InternalInconsistency):
-        true_level_probe(swap, dI, precision=5)
+    with pytest.raises(InternalInconsistency), lodua.settings(precision=5):
+        true_level_probe(swap, dI)
 
 
 # -- the coaction check against the group-element conditions ------------------
@@ -433,8 +443,9 @@ def test_coaction_check_is_the_group_element_conditions():
 def test_base_change_of_a_comodule_is_a_comodule():
     # _base_change_comodule builds its result unchecked; every axiom must
     # hold over the completion at the ideal of all variables
-    hats = {h.order: _completed_hopf(h, h.ring.names, 3)
-            for h in _GROUPS.values()}
+    with lodua.settings(precision=3):
+        hats = {h.order: _completed_hopf(h, h.ring.names)
+                for h in _GROUPS.values()}
     seen = set()
 
     @settings(max_examples=60)

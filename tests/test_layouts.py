@@ -71,7 +71,7 @@ def _cases():
                             _vecs(hm_free.gens_as_vecs)],
         "ext_0": _module(ext(M, N, 0)),
         "ext_1": _module(ext(M, N, 1)),
-        "extended_module": _module(extended_module(swap, comod.module)[0]),
+        "extended_module": _module(extended_module(swap, comod.module)),
         "coaction": _map(comod.coaction()),
         "power_torsion_1": _vecs(_power_torsion_gens(dxy, T, 1)),
         "power_torsion_2": _vecs(_power_torsion_gens(dxy, T, 2)),

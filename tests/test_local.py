@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lodua
+
 from lodua import (FPModule, FPObj, GradedObject, IdealData, InvalidInput,
                    LimitModule, Rational, Telescope, TelescopeQuotient,
                    adic_completion, derived_completion, gamma, gm_ses_check,
@@ -123,7 +125,8 @@ def test_lambda_polynomial_suite(QQxy, dxy):
     kk = FPModule.cyclic(QQxy, ["x", "y"])
     Ax = FPModule.cyclic(QQxy, ["x"])
     for M in (A, kk, Ax):
-        lam = derived_completion(dxy, M, stage_bound=6, lag=3, precision=6)
+        with lodua.settings(K=6, lag=3, precision=6):
+            lam = derived_completion(dxy, M)
         assert lam.value(0).kind == "module"
         assert lam.value(1).is_zero() and lam.value(2).is_zero()
 
@@ -152,14 +155,17 @@ def test_gm_ses_suite(ZZ, d5, prufer):
 
 def test_adic_completion_presentation(ZZ, d5, QQxy, dxy):
     M = zmod(ZZ, 125)
-    Mhat, nat = adic_completion(M, d5, 20)
+    Mhat, nat = adic_completion(M, d5)
     assert Mhat.ring.is_completed and Mhat.ring.precision == 20
+    assert nat["precision"] == 20
     assert iso_check(Mhat, FPModule.cyclic(Mhat.ring, [125]))
     assert nat["map"] == "generator i -> generator i"
     # base change of a presentation over k[x,y]
     N = FPModule(QQxy, 1, [(QQxy.el("x"),), (QQxy.el("y"),)])
-    Nhat, _ = adic_completion(N, dxy, 6)
+    with lodua.settings(precision=6):
+        Nhat, nat = adic_completion(N, dxy)
     assert Nhat.ngens == 1 and len(Nhat.relations) == 2
+    assert Nhat.ring.precision == nat["precision"] == 6
 
 
 def test_route_agreement_is_enforced(ZZ, d5):
@@ -371,8 +377,8 @@ def test_power_products_match_the_left_to_right_product():
 
 
 def test_weak_proregularity_is_remembered_per_bounds(ZZ, monkeypatch):
-    """derived_completion and L_s ask with different lags: each pair of
-    bounds gets its own certificate, computed once."""
+    """The lag setting changes the question: each pair of bounds gets its
+    own certificate, computed once."""
     import lodua.local
     calls = []
     check = lodua.local.weak_proregularity_check
@@ -426,7 +432,7 @@ def test_adjunction_with_a_telescope_source(ZZ, d5):
     from lodua import adjunction_check
     tel = Telescope(FPModule.free(ZZ, 1), 5)
     for Y in (FPModule.free(ZZ, 1), zmod(ZZ, 125)):
-        out = adjunction_check(d5, tel, Y, precision=20)
+        out = adjunction_check(d5, tel, Y)
         assert out["status"] == "agree"
         # Gamma kills u^-1 Z, and Hom(u^-1 Z, Lambda Y) = 0 for complete Y
         assert out["hom_gamma_x_y"] == {"kind": "zero"}
@@ -450,7 +456,7 @@ def test_derived_hom_refuses_telescope_targets(ZZ, d5):
     for Y in (GradedObject(ZZ, {1: Telescope(FPModule.free(ZZ, 1), 5)}),
               GradedObject(ZZ, {0: Telescope(zmod(ZZ, 25), 5)})):
         with pytest.raises(UnsupportedRing):
-            adjunction_check(d5, X, Y, precision=20)
+            adjunction_check(d5, X, Y)
 
 
 _Z = make_ring({"base": "Z"})

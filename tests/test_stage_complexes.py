@@ -186,9 +186,9 @@ def _comodule_gm(order, monkeypatch):
 
     monkeypatch.setattr(ChainComplex, "_homology_data", counted)
     monkeypatch.setattr(lodua.local, "_LAMBDA_CACHE", {})
-    out = verify_theorems(h, IdealData(Q, ["x + y", "x*y"]),
-                          Comodule(h, M, action), "comodule-gm",
-                          precision=4, stage_bound=4, lag=2)
+    with lodua.settings(precision=4, K=4, lag=2):
+        out = verify_theorems(h, IdealData(Q, ["x + y", "x*y"]),
+                              Comodule(h, M, action), "comodule-gm")
     monkeypatch.undo()
     assert out["verdict"] == "pass"
     return len(seen), len({(id(cx), n) for cx, n in seen})

@@ -2,7 +2,7 @@ import pytest
 
 from lodua import (FPModule, FPObj, Rational, Telescope, TelescopeQuotient,
                    Tower, is_pro_trivial, iso_check, lim_lim1, make_ring,
-                   standard_tower, weak_proregularity_check)
+                   weak_proregularity_check)
 from lodua.modules import identity_map
 from lodua.towers import mult_tower_values, quotient_by_ideal_power
 
@@ -10,7 +10,7 @@ from conftest import zmod
 
 
 def test_adic_tower_stages(ZZ):
-    t = standard_tower("adic", module=FPModule.free(ZZ, 1), ideal=[5])
+    t = Tower.adic(FPModule.free(ZZ, 1), [5])
     assert iso_check(t.stage(2), zmod(ZZ, 25))
     # transitions are the canonical reductions
     f = t.transition(2)
