@@ -17,8 +17,7 @@ from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      LoduaError, PrecisionMismatch, UnrecognizedTower,
                      UnsupportedRing)
 from .groebner import GBasis, groebner_ideal, ideal_basis_polys
-from .hopf import (Comodule, ComoduleTower, CompleteComodule,
-                   GroupLikeHopfAlgebroid, comodule_completion, comodule_limit,
+from .hopf import (Comodule, GroupLikeHopfAlgebroid, comodule_completion,
                    extended_adjunction, extended_comodule, iota,
                    make_group_like, verify_theorems)
 from .linalg import invariant_factors, smith_normal_form, syzygies

@@ -25,9 +25,8 @@ from .criteria import homology_membership, is_L_complete, is_lambda_local
 from .descriptors import FPObj, Rational, Telescope, TelescopeQuotient
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      LoduaError, UnrecognizedTower, UnsupportedRing)
-from .hopf import (Comodule, CompleteComodule, comodule_completion, iota,
-                   make_group_like, verify_theorems, _completed_hopf,
-                   _base_change_comodule)
+from .hopf import (Comodule, comodule_completion, iota, make_group_like,
+                   verify_theorems, _completed_hopf, _base_change_comodule)
 from .local import (IdealData, adic_completion, derived_completion, gamma,
                     gm_ses_check, local_cohomology, local_homology_Ls)
 from .modules import FPModule, ModuleMap, ext as module_ext, tor as module_tor
@@ -357,9 +356,8 @@ def _run(problem, verb, cmd):
                                       "presentation; identity witness")
     elif verb == "iota":
         com = problem.comodule(name("comodule"))
-        h_hat = _completed_hopf(problem.hopf, d.gens)
-        chat = _base_change_comodule(h_hat, com)
-        res, cert = iota(CompleteComodule(h_hat, chat, h_hat.ring.precision))
+        res, cert = iota(_base_change_comodule(
+            _completed_hopf(problem.hopf, d.gens), com))
         report["result"] = res.describe()
         report["certificate"] = cert
     elif verb == "verify":

@@ -246,25 +246,6 @@ class ChainMap:
         return self.maps.get(n, zero_map(self.source.module(n), self.target.module(n)))
 
 
-def tensor_chain_map(f, C, source, target):
-    """f (x) id_C: source -> target for a chain map f: X -> Y, where source
-    and target are X.tensor_complex(C) and Y.tensor_complex(C)."""
-    def layout(Z):
-        return _layout({(p, q): Z.module(p).ngens * C.module(q).ngens
-                        for p in Z.modules for q in C.modules}, operator.add)
-
-    src, tgt = layout(f.source), layout(f.target)
-    maps = {}
-    for n in target.degrees():
-        src_n, tgt_n = src.get(n, {}), tgt.get(n, {})
-        maps[n] = _stacked_map(
-            source.module(n), target.module(n), src_n, tgt_n,
-            {(key, key): kron_identity(source.ring, f.map(key[0]).matrix,
-                                       C.module(key[1]).ngens)
-             for key in src_n if key in tgt_n})
-    return ChainMap(source, target, maps, check=False)
-
-
 def cone(f):
     """cone(f)_n = Y_n + X_(n-1); d(y, x) = (dy + fx, -dx)."""
     X, Y = f.source, f.target

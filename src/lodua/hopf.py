@@ -17,7 +17,6 @@ the coaction cokernels, and as the pullback against the extended comodule
 of the limit.
 """
 
-from .context import precision_for
 from .descriptors import FPObj, LimitModule, Rational, Telescope, values_agree
 from .errors import InternalInconsistency, InvalidInput, UnsupportedRing
 from .linalg import lift_through, mat_mul, mat_vec, member
@@ -26,7 +25,8 @@ from .modules import (FPModule, ModuleMap, _same_presentation, base_change,
                       base_change_rows, block_matrix, block_sum, identity_map,
                       kron_identity, scalar_matrix)
 from .poly import Poly
-from .towers import Tower, TorStages, completed_module, lim_lim1
+from .towers import (Tower, TorStages, completed_module, completed_ring,
+                     lim_lim1)
 
 
 class GroupLikeHopfAlgebroid:
@@ -349,56 +349,13 @@ def _is_equivariant(X, Y, f):
         Y.coaction().compose(f))
 
 
-class ComoduleTower:
-    """A tower of comodules over a fixed Hopf algebroid: adic towers
-    M (x) A/I^k with the inherited action, or explicit stages."""
-
-    def __init__(self, hopf, base_comodule, ideal_gens):
-        self.hopf = hopf
-        self.base = base_comodule
-        self.gens = tuple(base_comodule.ring.el(g) for g in ideal_gens)
-        bad = hopf.fixes_ideal_generators(self.gens)
-        if bad is not None:
-            raise InvalidInput(
-                f"ideal generator {bad[1].render()} is moved by {bad[0]}; "
-                "invariant ideals must have G-fixed generators")
-        self.module_tower = Tower.adic(base_comodule.module, self.gens)
-
-    def stage(self, k):
-        """M (x) A/I^k with the inherited action, checked as a comodule."""
-        return Comodule(self.hopf, self.module_tower.stage(k), self.base.maps)
-
-
-class CompleteComodule:
-    """A comodule whose underlying module lives over the completed ring."""
-
-    def __init__(self, hopf_hat, comodule, precision):
-        self.hopf = hopf_hat
-        self.comodule = comodule
-        self.precision = precision
-
-    @property
-    def module(self):
-        return self.comodule.module
-
-    def describe(self):
-        out = self.comodule.describe()
-        out["precision"] = self.precision
-        return out
-
-
 def _completed_hopf(h, ideal_gens):
-    """h over its ring completed at the ideal (a completed ring is kept)."""
+    """h over its ring completed at the ideal (``completed_ring``)."""
     ring = h.ring
-    if ring.is_completed:
-        new_ring = ring
-    else:
-        new_ring = ring.completed(tuple(ring.el(g).num for g in ideal_gens),
-                                  precision_for(ring))
     action = {g: dict(zip(ring.names, h.action[g]))
               for g in h.elements if g != h.identity}
-    return GroupLikeHopfAlgebroid(new_ring, h.elements,
-                                  h.table, action)
+    return GroupLikeHopfAlgebroid(completed_ring(ring, ideal_gens),
+                                  h.elements, h.table, action)
 
 
 def _base_change_comodule(h_hat, comod):
@@ -412,9 +369,22 @@ def _base_change_comodule(h_hat, comod):
     return Comodule(h_hat, base_change(comod.module, ring), maps, check=False)
 
 
-def comodule_limit(tower, method="kernel", check_stages=2):
-    """The inverse limit of an adic comodule tower, certified by both
-    constructions in one pass on one base change.
+def _j_is_identity(h, h_hat, N, N_hat, gens):
+    """Psi^ (x)^ N^, built over the completed ring, has the presentation of
+    the completion of Psi (x) N, built over A: the canonical map j between
+    them is the identity."""
+    return _same_presentation(extended_module(h_hat, N_hat),
+                              completed_module(extended_module(h, N), gens))
+
+
+# the adic stages M (x) A/I^k, k <= this, whose exactness is checked
+_STAGE_CHECKS = 2
+
+
+def comodule_completion(M_comod, d, method="kernel"):
+    """C^I_Psi(M): the inverse limit of the adic comodule tower
+    M (x) A/I^k, certified by both constructions in one pass on one base
+    change.
 
     kernel:   lim_Psi(M_k) = ker(lim f_k) for f_k: Psi (x) M_k -> Psi (x) T_k
               built from the coaction cokernels; the completed sequence is
@@ -427,28 +397,32 @@ def comodule_limit(tower, method="kernel", check_stages=2):
 
     Returns (Comodule over the completed ring, certificate of ``method``).
     """
+    h, M = M_comod.hopf, M_comod.module
+    bad = h.fixes_ideal_generators(d.gens)
+    if bad is not None:
+        raise InvalidInput(
+            f"ideal generator {bad[1].render()} is moved by {bad[0]}; "
+            "invariant ideals must have G-fixed generators")
     if method not in ("kernel", "pullback"):
         raise InvalidInput(f"unknown method {method!r}")
-    h = tower.hopf
-    h_hat = _completed_hopf(h, tower.gens)
-    base_hat = _base_change_comodule(h_hat, tower.base)
-    for k in range(1, check_stages + 1):
-        _stage_exactness_check(tower, k)
+    h_hat = _completed_hopf(h, d.gens)
+    base_hat = _base_change_comodule(h_hat, M_comod)
+    tower = Tower.adic(M, d.gens)
+    for k in range(1, _STAGE_CHECKS + 1):
+        # M (x) A/I^k with the inherited action, checked as a comodule
+        _stage_exactness_check(Comodule(h, tower.stage(k), M_comod.maps), k)
     # kernel: the kernel of the completed f is the image of the completed
     # coaction, a split monomorphism; exactness cited and stage-checked
     f_hat = _cofree_map(base_hat)
     if not f_hat.compose(base_hat.coaction()).is_zero_map():
         raise InternalInconsistency("f . psi != 0 after completion")
     # pullback: j is bijective when Psi^ (x) lim and lim(Psi (x) -) agree
-    EMhat = extended_module(h_hat, base_hat.module)
-    lim_of_extended = completed_module(extended_module(h, tower.base.module),
-                                       tower.gens)
-    if not _same_presentation(EMhat, lim_of_extended):
+    if not _j_is_identity(h, h_hat, M, base_hat.module, d.gens):
         raise InternalInconsistency(
             "Psi (x) lim and lim(Psi (x) -) differ: j is not bijective")
     cert = {"method": method,
             "stage_exactness": (f"ker(f_k) = psi(M_k) verified for k <= "
-                                f"{check_stages}")}
+                                f"{_STAGE_CHECKS}")}
     if method == "kernel":
         cert["kernel"] = ("psi^ is a split monomorphism with f^ . psi^ = 0; "
                           "completion-exactness identifies ker(f^) with its "
@@ -463,6 +437,7 @@ def comodule_limit(tower, method="kernel", check_stages=2):
         cert["pullback"] = ("the pullback of lim(psi) along the bijection j "
                             "is the graph of j^-1 lim(psi), isomorphic to "
                             "lim M_k via the first projection")
+    cert["precision"] = h_hat.ring.precision
     return base_hat, cert
 
 
@@ -478,9 +453,8 @@ def _cofree_map(comod):
     return _extended_map(h, proj).compose(psi_EM)
 
 
-def _stage_exactness_check(tower, k):
-    """ker(f_k) = psi(M_k) for the materialized stage."""
-    stage = tower.stage(k)
+def _stage_exactness_check(stage, k):
+    """ker(f_k) = psi(M_k) for the comodule stage M_k."""
     co = stage.coaction()
     f_k = _cofree_map(stage)
     if not f_k.compose(co).is_zero_map():
@@ -494,16 +468,9 @@ def _stage_exactness_check(tower, k):
                 f"kernel of f_k exceeds psi(M_k) at stage {k}")
 
 
-def comodule_completion(M_comod, d, method="kernel"):
-    """C^I_Psi(M): the comodule limit of the adic comodule tower."""
-    tower = ComoduleTower(M_comod.hopf, M_comod, d.gens)
-    limit, cert = comodule_limit(tower, method=method)
-    cert["precision"] = limit.ring.precision
-    return limit, cert
-
-
-def iota(N_complete):
-    """The pullback extracting the comodule inside a complete comodule.
+def iota(com):
+    """The pullback extracting the comodule inside a complete comodule
+    ``com``, one over the completed ring.
 
     Built literally: iota N = pullback of psi^: N -> Psi^ (x)^ N against
     j: Psi (x) N -> Psi^ (x)^ N.  For a group-like Hopf algebroid and f.p.
@@ -511,7 +478,6 @@ def iota(N_complete):
     presentation), so the pullback is the graph of j^-1 psi^ and iota N -> N
     is an isomorphism; the coaction axioms of the result are re-checked.
     """
-    com = N_complete.comodule
     cert = {}
     cert["j"] = ("Psi (x) N and Psi^ (x)^ N share the block presentation "
                  "over the completed ring; j is the identity, in particular "
@@ -542,11 +508,7 @@ def true_level_probe(h, d):
     over_A = [unit_A, extended_module(h, unit_A),
               extended_module(h, FPModule.cyclic(h.ring, d.gens))]
     for probe, N in zip(probes, over_A):
-        # Psi^ (x)^ probe over the completed ring vs the completion of
-        # Psi (x) N built over A, as in the pullback limit
-        EM = extended_module(h_hat, probe.module)
-        lim = completed_module(extended_module(h, N), d.gens)
-        if not _same_presentation(EM, lim):
+        if not _j_is_identity(h, h_hat, N, probe.module, d.gens):
             raise InternalInconsistency(
                 "Psi (x) N and Psi^ (x)^ N differ on a probe: the canonical "
                 "map is not an identity presentation")
@@ -590,55 +552,45 @@ def _semilinear_chain_lift(h, g, comod, res, length):
     return X
 
 
-def tor_stage_action(h, g, comod, d, s, k, cache=None):
-    """The semilinear action of g on Tor_s(A/I^k, M) for a comodule M.
+class TorStageComodules:
+    """The stages Tor_s(A/I^k, M) of a comodule M, each a checked comodule,
+    kept by k: one free resolution of M, and the chain lifts of every phi_g
+    through it, serve every stage."""
 
-    The resolution of M, its chain lifts and the stage complexes do not
-    depend on g; a caller asking for several (g, k) passes one dict as
-    ``cache`` and owns it, so nothing outlives that caller.
-    """
-    ring = comod.ring
-    stages, lifts = _tor_stage_data(h, comod, d, s, {} if cache is None
-                                    else cache)
-    data = stages.complex(k).homology_data(s)
-    H = data.H
-    X = lifts[g].get(s)
-    if X is None or H.ngens == 0:
-        return H, [[ring.zero()] * H.ngens for _ in range(H.ngens)]
-    cols = []
-    for t in range(H.ngens):
-        z = data.incl.apply(data.rep.col(t))
-        w = mat_vec(ring, X, h.apply_vec(g, z))
-        lifted = data.incl.lift_element(w)
-        if lifted is None:
-            raise InternalInconsistency("action does not preserve cycles")
-        cols.append(data.proj.apply(lifted))
-    mat = [[cols[j][i] for j in range(H.ngens)] for i in range(H.ngens)]
-    return H, mat
+    def __init__(self, comod, gens, s):
+        self.comod, self.s = comod, s
+        self.stages = TorStages(comod.module, gens, s + 2)
+        h = comod.hopf
+        self.lifts = {g: _semilinear_chain_lift(h, g, comod,
+                                                self.stages.resolution, s + 1)
+                      for g in h.elements}
+        self._comodules = {}
 
+    def comodule(self, k):
+        """Tor_s(A/I^k, M) with its semilinear action."""
+        if k not in self._comodules:
+            data = self.stages.complex(k).homology_data(self.s)
+            self._comodules[k] = Comodule(
+                self.comod.hopf, data.H,
+                {g: self._action(g, data) for g in self.comod.hopf.elements})
+        return self._comodules[k]
 
-def _tor_stage_data(h, comod, d, s, cache):
-    """(TorStages of M, {g: chain lifts}) for Tor_s, kept in ``cache``."""
-    # the key holds the comodule, not its id, so a recycled id cannot match
-    key = (comod, tuple(x.render() for x in d.gens), s)
-    if key not in cache:
-        stages = TorStages(comod.module, d.gens, s + 2)
-        lifts = {g: _semilinear_chain_lift(h, g, comod, stages.resolution,
-                                           s + 1)
-                 for g in h.elements}
-        cache[key] = (stages, lifts)
-    return cache[key]
-
-
-def _tor_stage_comodule(h, comod, d, s, k, cache, comods):
-    """Tor_s(A/I^k, M) with its semilinear action, a checked comodule kept
-    in ``comods`` by k."""
-    if k not in comods:
-        actions = {g: tor_stage_action(h, g, comod, d, s, k, cache)
-                   for g in h.elements}
-        comods[k] = Comodule(h, actions[h.identity][0],
-                             {g: mat for g, (_, mat) in actions.items()})
-    return comods[k]
+    def _action(self, g, data):
+        """The matrix of g on H_s: each representative cycle, acted on by g
+        and carried by the chain lift, read back in H_s."""
+        h, ring, H = self.comod.hopf, self.comod.ring, data.H
+        X = self.lifts[g].get(self.s)
+        if X is None or H.ngens == 0:
+            return [[ring.zero()] * H.ngens for _ in range(H.ngens)]
+        cols = []
+        for t in range(H.ngens):
+            z = data.incl.apply(data.rep.col(t))
+            w = mat_vec(ring, X, h.apply_vec(g, z))
+            lifted = data.incl.lift_element(w)
+            if lifted is None:
+                raise InternalInconsistency("action does not preserve cycles")
+            cols.append(data.proj.apply(lifted))
+        return [[cols[j][i] for j in range(H.ngens)] for i in range(H.ngens)]
 
 
 # -- theorem verifiers --------------------------------------------------------------
@@ -649,14 +601,14 @@ def completion_formula_check(h, d, M_comod):
     lhs, cert_l = comodule_completion(M_comod, d, method="kernel")
     # rhs from the coaction over A: base-change its matrix and read
     # P_g = g(Q_(g^-1)) off the block of g^-1
-    h_hat = _completed_hopf(h, d.gens)
+    h_hat = lhs.hopf
     ring, n = h_hat.ring, M_comod.module.ngens
     Q = base_change_rows(M_comod.coaction().matrix, ring)
     block = {g: Q[b * n:(b + 1) * n] for b, g in enumerate(h.elements)}
     chat = Comodule(h_hat, base_change(M_comod.module, ring),
                     {g: h_hat.apply_matrix(g, block[h.inverse[g]])
                      for g in h.elements}, check=False)
-    rhs, cert_r = iota(CompleteComodule(h_hat, chat, ring.precision))
+    rhs, cert_r = iota(chat)
     if not _same_presentation(lhs.module, rhs.module):
         raise InternalInconsistency(
             "comodule completion and iota of the module completion differ")
@@ -681,21 +633,19 @@ def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), stage_checks=2):
     and each tower transition T is checked to be a comodule map,
     (Psi (x) T) . psi = psi . T.
     """
-    out, cache = {}, {}   # tor_stage_action's stage complexes, for this call
+    out = {}
     for s in s_range:
         module_report = gm_ses_check(d, FPObj(M_comod.module), s)
         equiv = []
-        stages, _ = _tor_stage_data(h, M_comod, d, s, cache)
+        tor = TorStageComodules(M_comod, d.gens, s)
         tower = Tower.tor(FPObj(M_comod.module), d.gens, s,
-                          {M_comod.module: stages})
-        comods = {}
+                          {M_comod.module: tor.stages})
         for k in range(1, stage_checks + 1):
-            C_k = _tor_stage_comodule(h, M_comod, d, s, k, cache, comods)
+            C_k = tor.comodule(k)
             equiv.append(f"s={s}, k={k}: Tor stage carries a verified "
                          "comodule structure")
             if tower.kind == "tor" and not C_k.module.is_zero():
-                C_next = _tor_stage_comodule(h, M_comod, d, s, k + 1, cache,
-                                             comods)
+                C_next = tor.comodule(k + 1)
                 if not _is_equivariant(C_next, C_k, tower.transition(k)):
                     raise InternalInconsistency(
                         f"tower transition at stage {k} is not equivariant")

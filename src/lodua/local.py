@@ -59,8 +59,8 @@ class IdealData:
     def n(self):
         return len(self.gens)
 
-    def regular_certificate(self, recompute=False):
-        if self._regular is None or recompute:
+    def regular_certificate(self):
+        if self._regular is None:
             self._regular = is_regular_sequence(self.ring, self.gens)
         return self._regular
 
@@ -87,15 +87,15 @@ class GradedObject:
                        if not (p.kind == "fp" and p.module.is_zero())}
 
     @classmethod
-    def of(cls, x, degree=0):
+    def of(cls, x):
         if isinstance(x, GradedObject):
             return x
         if isinstance(x, ChainComplex):
             return cls.from_complex(x)
         if isinstance(x, FPModule):
-            return cls(x.ring, {degree: FPObj(x)})
+            return cls(x.ring, {0: FPObj(x)})
         if isinstance(x, Descriptor):
-            return cls(x.ring, {degree: x})
+            return cls(x.ring, {0: x})
         raise InvalidInput(f"cannot grade {x!r}")
 
     @classmethod
@@ -360,7 +360,7 @@ def _power_torsion_gens(d, M, k):
     return [incl.col(t) for t in range(K.ngens)]
 
 
-def _ideal_nilpotent_on(d, M, bound=24):
+def _ideal_nilpotent_on(d, M):
     """The least j with I^j M = 0, or None; M may live over the completion,
     where only j below the precision count (``_capped_killing_power``)."""
     gens = d.gens
@@ -368,7 +368,7 @@ def _ideal_nilpotent_on(d, M, bound=24):
         if not (M.ring.is_completed and M.ring.underlying() == d.ring):
             raise InvalidInput("module lives over a different ring")
         gens = [M.ring.el(g.num, g.dexp) for g in gens]
-    return _capped_killing_power(M, gens, bound)
+    return _capped_killing_power(M, gens)
 
 
 def _verify_top_witness(d, M):
@@ -453,11 +453,10 @@ def _lambda_route_A(d, M):
 
 def _lambda_route_B(d, M):
     """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}."""
-    C = ChainComplex.single(M, 0)
-    stages = KoszulTensorStages(C, d.gens)
+    stages = KoszulTensorStages(M, d.gens)
     # weak proregularity was certified by derived_completion before either
     # route runs; the towers may cite it
-    towers = [lim_lim1(Tower.koszul_stage(C, d.gens, s, stages,
+    towers = [lim_lim1(Tower.koszul_stage(M, d.gens, s, stages,
                                           wpr_certified=True))
               for s in range(0, d.n + 2)]
     out = {}

@@ -36,17 +36,17 @@ class FPModule:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def free(cls, ring, n, name=None):
-        return cls(ring, n, (), name=name)
+    def free(cls, ring, n):
+        return cls(ring, n, ())
 
     @classmethod
     def zero(cls, ring):
         return cls(ring, 0, ())
 
     @classmethod
-    def cyclic(cls, ring, annihilators, name=None):
+    def cyclic(cls, ring, annihilators):
         """A / (annihilators)."""
-        return cls(ring, 1, [(ring.el(a),) for a in annihilators], name=name)
+        return cls(ring, 1, [(ring.el(a),) for a in annihilators])
 
     # -- membership and elements --------------------------------------------
 
@@ -689,10 +689,12 @@ def _killing_power(M, gens, bound):
     return None
 
 
-def _capped_killing_power(M, gens, bound=24):
-    """``_killing_power``, where over a completed ring only exponents below
-    the precision N are evidence: I^j M = 0 at precision N with j < N
-    implies I^j M = 0 exactly, since I^N M lies in I . I^j M (Nakayama)."""
+def _capped_killing_power(M, gens):
+    """``_killing_power`` up to 24, where over a completed ring only
+    exponents below the precision N are evidence: I^j M = 0 at precision N
+    with j < N implies I^j M = 0 exactly, since I^N M lies in I . I^j M
+    (Nakayama)."""
+    bound = 24
     if M.ring.is_completed:
         bound = min(bound, (M.ring.precision or 1) - 1)
     return _killing_power(M, gens, bound)

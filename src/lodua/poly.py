@@ -280,11 +280,10 @@ class Poly:
             return self.scale(-1) if c < 0 else self
         return self.scale(self.dom.inv(c))
 
-    def substitute(self, images, target=None):
-        """Evaluate with variable i replaced by images[i] (Polys in the target)."""
-        if target is None:
-            target = self
-        dom, nv = target.dom, target.nvars
+    def substitute(self, images):
+        """Evaluate with variable i replaced by images[i], Polys over the
+        same domain in as many variables."""
+        dom, nv = self.dom, self.nvars
         out = Poly.zero(dom, nv)
         for m, c in sorted(self.terms.items()):
             term = Poly.const(dom, nv, c)

@@ -17,7 +17,7 @@ guess.
 
 from functools import cached_property
 
-from .complexes import ChainMap, induced_on_homology, tensor_chain_map
+from .complexes import ChainMap, induced_on_homology
 from .context import current, precision_for
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope,
                           value_of)
@@ -29,8 +29,8 @@ from .koszul import koszul_chain, koszul_transition
 from .linalg import lift_through, span_basis  # noqa: F401
 from .modules import (FPModule, ModuleMap, _capped_killing_power,
                       _killing_power, base_change, block_sum,
-                      free_resolution, identity_map, scalar_map,
-                      scalar_matrix, stable_submodule, zero_map)
+                      free_resolution, identity_map, kron_identity,
+                      scalar_map, scalar_matrix, stable_submodule, zero_map)
 from .ring import power_products
 
 
@@ -109,20 +109,24 @@ class KoszulStages(StageComplexes):
 
 
 class KoszulTensorStages(StageComplexes):
-    """C_k = Kos(x^k) (x) C with the chain maps ``koszul_transition`` (x)
-    id_C."""
+    """C_k = Kos(x^k) (x) M for an f.p. module M, with the chain maps
+    ``koszul_transition`` (x) id_M."""
 
-    def __init__(self, C, gens):
-        super().__init__(C.ring)
-        self.inner = C
-        self.koszul = KoszulStages(C.ring, gens)
+    def __init__(self, M, gens):
+        super().__init__(M.ring)
+        self.module = M
+        self.koszul = KoszulStages(M.ring, gens)
 
     def _build(self, k):
-        return self.koszul.complex(k).tensor_complex(self.inner)
+        return self.koszul.complex(k).tensor_module(self.module)
 
     def _connect(self, k, nxt, this):
-        return tensor_chain_map(self.koszul.chain_map(k), self.inner,
-                                nxt, this)
+        f, n = self.koszul.chain_map(k), self.module.ngens
+        maps = {j: ModuleMap(nxt.module(j), this.module(j),
+                             kron_identity(self.ring, f.map(j).matrix, n),
+                             check=False)
+                for j in this.degrees()}
+        return ChainMap(nxt, this, maps, check=False)
 
 
 class TowerLimits:
@@ -228,15 +232,15 @@ class Tower:
         return cls(ring, "koszul_homology", {"s": i, "complexes": stages})
 
     @classmethod
-    def koszul_stage(cls, C, gens, s, stages=None, wpr_certified=False):
-        """H_s(Kos(x^k) (x) C); towers in several degrees share ``stages``,
-        and ``wpr_certified`` lets the tower cite weak proregularity of the
-        sequence, certified by the caller."""
-        gens = tuple(C.ring.el(g) for g in gens)
+    def koszul_stage(cls, M, gens, s, stages=None, wpr_certified=False):
+        """H_s(Kos(x^k) (x) M) for an f.p. module M; towers in several
+        degrees share ``stages``, and ``wpr_certified`` lets the tower cite
+        weak proregularity of the sequence, certified by the caller."""
+        gens = tuple(M.ring.el(g) for g in gens)
         if stages is None:
-            stages = KoszulTensorStages(C, gens)
-        return cls(C.ring, "koszul_stage",
-                   {"complex": C, "ideal": gens, "s": s, "complexes": stages,
+            stages = KoszulTensorStages(M, gens)
+        return cls(M.ring, "koszul_stage",
+                   {"module": M, "ideal": gens, "s": s, "complexes": stages,
                     "wpr_certified": wpr_certified})
 
     @classmethod
@@ -247,8 +251,8 @@ class Tower:
                     "periodic": periodic})
 
     @classmethod
-    def zero_tower(cls, ring, why=""):
-        return cls(ring, "zero", {"why": why})
+    def zero_tower(cls, ring):
+        return cls(ring, "zero", {"why": ""})
 
     # -- materialization -----------------------------------------------------
 
@@ -318,25 +322,26 @@ class Tower:
         raise InvalidInput(f"unknown tower kind {kind}")
 
 
-def _stages_small(tower, upto, max_gens=8, max_rels=30, max_deg=6):
-    """Deterministic gate for the optional lag probe: composite checks on
-    large stage presentations are skipped in favor of the theorem, keeping
-    reports byte-stable without wall-clock heuristics."""
+def _stages_small(tower, upto):
+    """Deterministic gate for the optional lag probe, passed by stages of at
+    most 8 generators and 30 relations of degree at most 6: composite checks
+    on larger stage presentations are skipped in favor of the theorem,
+    keeping reports byte-stable without wall-clock heuristics."""
     for k in range(1, upto + 1):
         M = tower.stage(k)
-        if M.ngens > max_gens or len(M.relations) > max_rels:
+        if M.ngens > 8 or len(M.relations) > 30:
             return False
         for col in M.relations:
             for e in col:
-                if e.num.total_degree() > max_deg:
+                if e.num.total_degree() > 6:
                     return False
     return True
 
 
-def _require_radical_membership(ring, u, ideal_gens, bound=8):
-    """The least m <= bound with u^m in the ideal: the killing power of u on
+def _require_radical_membership(ring, u, ideal_gens):
+    """The least m <= 8 with u^m in the ideal: the killing power of u on
     A/I."""
-    m = _killing_power(FPModule.cyclic(ring, ideal_gens), [u], bound)
+    m = _killing_power(FPModule.cyclic(ring, ideal_gens), [u], 8)
     if m is not None:
         return m
     raise UnrecognizedTower(
@@ -557,16 +562,20 @@ def completion_cokernel(M, ideal_gens):
     return None
 
 
-def completed_module(M, ideal_gens):
-    """M (x) A^ by base-changing the presentation (exact for f.p. modules),
-    at the precision setting."""
-    ring = M.ring
+def completed_ring(ring, ideal_gens):
+    """A^ at the ideal, at the precision setting; a ring that is already
+    completed is completed again, at the sum of both ideals."""
     gens = tuple(ring.el(g).num for g in ideal_gens)
     if ring.is_completed:
         old = set(g.num for g in (ring.el(h) for h in ring.completion[0]))
         gens = tuple(sorted(old | set(gens), key=lambda p: sorted(p.terms)))
-    return base_change(M, ring.underlying().completed(gens,
-                                                      precision_for(ring)))
+    return ring.underlying().completed(gens, precision_for(ring))
+
+
+def completed_module(M, ideal_gens):
+    """M (x) A^ by base-changing the presentation (exact for f.p. modules),
+    at the precision setting."""
+    return base_change(M, completed_ring(M.ring, ideal_gens))
 
 
 def mult_tower_values(desc, x):
@@ -682,8 +691,6 @@ def lim_lim1(tower):
         return _koszul_stage_limits(tower)
     if kind == "explicit":
         return _explicit_limits(tower, K, lag)
-    if kind == "koszul_homology":
-        return _pro_trivial_limits(tower, K, lag)
     raise InvalidInput(f"unknown tower kind {kind}")
 
 
@@ -698,17 +705,6 @@ def _probe_lag(tower, stage_bound, lag):
     if verdict.status == "pro-trivial":
         return verdict.lag, None
     return None, verdict.describe()
-
-
-def _pro_trivial_limits(tower, stage_bound, lag):
-    """lim = lim^1 = 0 when the tower is pro-trivial within the bounds, else
-    unrecognized with the verdict as evidence."""
-    verdict = is_pro_trivial(tower, lag=lag, stage_bound=stage_bound)
-    if verdict.status == "pro-trivial":
-        z = LimitModule.zero(basis=f"pro-trivial (lag {verdict.lag})")
-        return TowerLimits(z, z, "pro-trivial", {"lag": verdict.lag})
-    u = LimitModule.unrecognized(verdict.describe())
-    return TowerLimits(u, u, "unrecognized")
 
 
 def _adic_stage_crosscheck(tower, Mhat, upto):
@@ -749,34 +745,24 @@ def _explicit_limits(tower, stage_bound, lag):
 
 
 def _koszul_stage_limits(tower):
-    """Stages H_s(Kos(x^k) (x) C) for a bounded complex C with f.p. levels."""
+    """Stages H_s(Kos(x^k) (x) M) for an f.p. module M."""
     K, lag = current().K, current().lag
-    C = tower.params["complex"]
-    gens = tower.params["ideal"]
-    s = tower.params["s"]
-    ring = tower.ring
-    # single-module complexes in degree d reduce to plain Koszul homology of M
-    if len(C.modules) == 1:
-        (d, M), = C.modules.items()
-        if s - d == 0:
-            inner = Tower.adic(M, gens)
-            return lim_lim1(inner)
-        if s - d < 0 or s - d > len(gens):
-            z = LimitModule.zero(basis="degree outside Koszul range")
-            return TowerLimits(z, z, "range")
-        found, note = _probe_lag(tower, K, lag)
-        if found is not None:
-            z = LimitModule.zero(
-                basis=f"weakly proregular stages pro-trivial (lag {found})")
-            return TowerLimits(z, z, "pro-trivial", {"lag": found})
-        if tower.params["wpr_certified"]:
-            z = LimitModule.zero(
-                basis="weak proregularity + Artin-Rees: Koszul-stage towers "
-                      "of f.p. modules are pro-zero in positive degrees "
-                      "(lag not located within the materialization bounds)")
-            return TowerLimits(z, z, "wpr theorem", {"materialized": note})
-        u = LimitModule.unrecognized(note)
-        return TowerLimits(u, u, "unrecognized")
-    # general bounded complex: fall back to materialized pro-triviality or
-    # stabilization; adic-type content is handled by the caller splitting C
-    return _pro_trivial_limits(tower, K, lag)
+    M, gens, s = (tower.params[key] for key in ("module", "ideal", "s"))
+    if s == 0:
+        return lim_lim1(Tower.adic(M, gens))
+    if s < 0 or s > len(gens):
+        z = LimitModule.zero(basis="degree outside Koszul range")
+        return TowerLimits(z, z, "range")
+    found, note = _probe_lag(tower, K, lag)
+    if found is not None:
+        z = LimitModule.zero(
+            basis=f"weakly proregular stages pro-trivial (lag {found})")
+        return TowerLimits(z, z, "pro-trivial", {"lag": found})
+    if tower.params["wpr_certified"]:
+        z = LimitModule.zero(
+            basis="weak proregularity + Artin-Rees: Koszul-stage towers "
+                  "of f.p. modules are pro-zero in positive degrees "
+                  "(lag not located within the materialization bounds)")
+        return TowerLimits(z, z, "wpr theorem", {"materialized": note})
+    u = LimitModule.unrecognized(note)
+    return TowerLimits(u, u, "unrecognized")

@@ -20,7 +20,6 @@ from lodua import (ChainComplex, ChainMap, Comodule, FPModule, FPObj,
                    local_cohomology, local_homology_Ls, make_group_like,
                    make_ring, settings, values_agree, verify_theorems,
                    weak_proregularity_check)
-from lodua.hopf import ComoduleTower, comodule_limit
 from lodua.modules import _same_presentation
 from lodua.towers import Tower, completed_module, mult_tower_values
 
@@ -323,10 +322,9 @@ def test_criterion_9_comodule_suite(Z, kxy):
             out = verify_theorems(swap, dI, CA, which)
         assert out.get("verdict") in ("pass", "true-level"), (which, out)
     # kernel vs pullback agreement, witnessed
-    tower = ComoduleTower(swap, CA, dI.gens)
     with settings(precision=5):
-        limK, _ = comodule_limit(tower, method="kernel")
-        limP, _ = comodule_limit(tower, method="pullback")
+        limK, _ = comodule_completion(CA, dI, method="kernel")
+        limP, _ = comodule_completion(CA, dI, method="pullback")
     assert _same_presentation(limK.module, limP.module)
     for g in swap.elements:
         for row_k, row_p in zip(limK.maps[g], limP.maps[g]):

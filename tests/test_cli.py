@@ -517,6 +517,26 @@ def _c2_doc():
         return json.load(fh)
 
 
+def test_comodule_verbs_on_a_completed_ring_take_the_precision():
+    # the ring completed at the ideal to precision 3: the comodule verbs,
+    # like lambda, complete it again at the precision asked for
+    import lodua.cli
+    doc = _c2_doc()
+    doc["ring"] = {**doc["ring"], "completion": {
+        "ideal": ["x + y", "x*y"], "precision": 3}}
+    unset = {**doc, "options": {"K": 6, "lag": 3}}
+    for d, flags, want in ((doc, {}, 5), (unset, {"precision": 5}, 5),
+                           (unset, {}, 3)):
+        _, report = lodua.cli.run(d, "comodule-complete",
+                                  {"comodule": "CA", **flags})
+        assert report["certificate"]["precision"] == want
+        _, report = lodua.cli.run(d, "verify", {
+            "which": "completion-formula", "comodule": "CA", **flags})
+        assert report["result"]["precision"] == want
+        _, report = lodua.cli.run(d, "lambda", {"target": "A", **flags})
+        assert report["result"]["0"]["precision"] == want
+
+
 @pytest.mark.parametrize("which, verifier", [
     ("comodule-gm", "comodule_gm_check"),
     ("fg-vanishing", "fg_vanishing_check")])

@@ -4,14 +4,13 @@ from hypothesis import strategies as st
 
 import lodua
 import lodua.hopf
-from lodua import (Comodule, ComoduleTower, CompleteComodule, FPModule,
-                   IdealData, InternalInconsistency, InvalidInput,
-                   comodule_completion, comodule_limit,
-                   extended_adjunction, extended_comodule, iota, iso_check,
-                   make_group_like, make_ring, verify_theorems)
+from lodua import (Comodule, FPModule, IdealData, InternalInconsistency,
+                   InvalidInput, comodule_completion, extended_adjunction,
+                   extended_comodule, iota, iso_check, make_group_like,
+                   make_ring, verify_theorems)
 from lodua.modules import _same_presentation
-from lodua.hopf import (_base_change_comodule, _completed_hopf,
-                        extended_module, tor_stage_action, true_level_probe)
+from lodua.hopf import (TorStageComodules, _base_change_comodule,
+                        _completed_hopf, extended_module, true_level_probe)
 from lodua.linalg import mat_mul, mat_vec
 
 from conftest import zmod
@@ -115,10 +114,10 @@ def test_adjunction_bijection(QQxy, swap, unit_comodule):
 
 
 def test_comodule_limit_methods_agree(QQxy, swap, dI, unit_comodule):
-    tower = ComoduleTower(swap, unit_comodule, dI.gens)
     with lodua.settings(precision=5):
-        limK, certK = comodule_limit(tower, method="kernel")
-        limP, certP = comodule_limit(tower, method="pullback")
+        limK, certK = comodule_completion(unit_comodule, dI, method="kernel")
+        limP, certP = comodule_completion(unit_comodule, dI,
+                                          method="pullback")
     assert _same_presentation(limK.module, limP.module)
     for g in swap.elements:
         assert len(limK.maps[g]) == len(limP.maps[g])
@@ -141,17 +140,16 @@ def test_extended_psilim_identity(QQxy, swap, dI, unit_comodule):
     """lim_Psi(Psi (x) N_k) = Psi (x) lim N_k on the adic tower."""
     from lodua.towers import completed_module
     E = extended_comodule(swap, unit_comodule.module)
-    tower = ComoduleTower(swap, E, dI.gens)
     with lodua.settings(precision=5):
-        lim, _ = comodule_limit(tower)
+        lim, _ = comodule_completion(E, dI)
         rhs = completed_module(extended_module(swap, unit_comodule.module),
                                dI.gens)
     assert _same_presentation(lim.module, rhs)
 
 
 def test_non_invariant_ideal_rejected(QQxy, swap, unit_comodule):
-    with pytest.raises(InvalidInput):
-        ComoduleTower(swap, unit_comodule, [QQxy.el("x")])
+    with pytest.raises(InvalidInput, match="moved by s"):
+        comodule_completion(unit_comodule, IdealData(QQxy, ["x"]))
 
 
 def test_iota_on_complete_comodule(QQxy, swap, dI, unit_comodule):
@@ -159,7 +157,7 @@ def test_iota_on_complete_comodule(QQxy, swap, dI, unit_comodule):
         h_hat = _completed_hopf(swap, dI.gens)
     assert h_hat.ring.precision == 5
     chat = _base_change_comodule(h_hat, unit_comodule)
-    res, cert = iota(CompleteComodule(h_hat, chat, 5))
+    res, cert = iota(chat)
     assert _same_presentation(res.module, chat.module)
     assert "injective" in cert
 
@@ -167,7 +165,7 @@ def test_iota_on_complete_comodule(QQxy, swap, dI, unit_comodule):
 def test_iota_discrete_is_identity(ZZ, discrete, d5):
     h_hat = _completed_hopf(discrete, d5.gens)
     M = _base_change_comodule(h_hat, Comodule(discrete, zmod(ZZ, 25), {}))
-    res, cert = iota(CompleteComodule(h_hat, M, 20))
+    res, cert = iota(M)
     assert _same_presentation(res.module, M.module)
 
 
@@ -182,6 +180,23 @@ def test_completion_formula(QQxy, swap, dI, unit_comodule):
         out = verify_theorems(swap, dI, unit_comodule, "completion-formula")
     assert out["verdict"] == "pass" and out["precision"] == 5
     assert out["equivariance"]
+
+
+def test_completion_formula_builds_the_completed_hopf_once(
+        QQxy, swap, dI, unit_comodule, monkeypatch):
+    # the iota side reads h^ off the comodule completion
+    built = []
+    complete = lodua.hopf._completed_hopf
+
+    def counted(h, gens):
+        built.append(h)
+        return complete(h, gens)
+
+    monkeypatch.setattr(lodua.hopf, "_completed_hopf", counted)
+    with lodua.settings(precision=4):
+        out = verify_theorems(swap, dI, unit_comodule, "completion-formula")
+    assert out["verdict"] == "pass"
+    assert built == [swap]
 
 
 def test_comodule_gm(QQxy, swap, dI, unit_comodule, ZZ, discrete, d5):
@@ -213,19 +228,18 @@ def test_injective_vanishing(QQxy, swap, dI, ZZ, discrete, d5, unit_comodule):
 
 def test_tor_stage_actions_are_comodules(QQxy, swap, dI, unit_comodule):
     for s in (0, 1):
+        tor = TorStageComodules(unit_comodule, dI.gens, s)
         for k in (1, 2):
-            H, mat = tor_stage_action(swap, "s", unit_comodule, dI, s, k)
-            maps = {g: tor_stage_action(swap, g, unit_comodule, dI, s, k)[1]
-                    for g in swap.elements}
-            Comodule(swap, H, maps, check=True)
+            C = tor.comodule(k)
+            assert C is tor.comodule(k)
+            Comodule(swap, C.module, C.maps, check=True)
 
 
 def test_forgetful_exactness_tau(QQxy, swap, dI, unit_comodule):
     """tau: the underlying module of the comodule limit is the module limit."""
     from lodua.towers import Tower, lim_lim1
-    tower = ComoduleTower(swap, unit_comodule, dI.gens)
     with lodua.settings(precision=5):
-        lim, cert = comodule_limit(tower)
+        lim, cert = comodule_completion(unit_comodule, dI)
         module_side = lim_lim1(Tower.adic(unit_comodule.module, dI.gens))
     assert _same_presentation(lim.module, module_side.lim.payload)
     assert "tau" in cert
@@ -267,7 +281,6 @@ def test_comodule_gm_runs_share_no_state():
     import os
     import subprocess
     import sys
-    from lodua import hopf
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(here), "src"), here]))
@@ -279,9 +292,6 @@ def test_comodule_gm_runs_share_no_state():
     assert fresh[0] != fresh[1]
     assert [_gm_report(0), _gm_report(1)] == fresh
     assert [_gm_report(1), _gm_report(0)] == fresh[::-1]
-    # the resolutions lived in each call's own dict, not on the function
-    assert hopf.tor_stage_action.__defaults__ == (None,)
-    assert not vars(hopf.tor_stage_action)
 
 
 def test_true_level_probe_compares_both_sides(QQxy, swap, dI, monkeypatch):

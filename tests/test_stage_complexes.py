@@ -10,9 +10,8 @@ import pytest
 import lodua.local
 from lodua import (Comodule, FPModule, FPObj, IdealData, Tower,
                    make_group_like, make_ring, verify_theorems)
-from lodua.complexes import ChainComplex
-from lodua.modules import ModuleMap
-from lodua.towers import KoszulStages
+from lodua.complexes import ChainComplex, ChainMap
+from lodua.towers import KoszulStages, KoszulTensorStages
 
 ZERO = ([(0, [])] * 3, [[], []])
 
@@ -50,14 +49,6 @@ PINNED = {
         [(1, [["-x + y"], ["x"]]), (1, [["x - y"], ["-x^2"]]),
          (1, [["x - y"], ["-x^3"]])],
         [[["-y"]], [["y"]]]),
-    "stage_complex_1": (
-        [(1, [["-x"], ["-y"]]), (1, [["-x"], ["-y^2"]]),
-         (1, [["-x"], ["-y^3"]])],
-        [[["x"]], [["x"]]]),
-    "stage_complex_0": (
-        [(1, [["x"], ["y"]]), (1, [["x"], ["x^2"], ["y^2"]]),
-         (1, [["x"], ["x^3"], ["y^3"]])],
-        [[["1"]], [["1"]]]),
 }
 
 
@@ -72,9 +63,7 @@ def _towers():
     Z5 = make_ring({"base": "Z",
                     "completion": {"ideal": ["5"], "precision": 20}})
     z5 = FPModule(Z5, 2, [(Z5.el(5), Z5.el(50))])
-    line = ChainComplex.single(FPModule.cyclic(Q, ["x - y"]), 0)
-    A = FPModule.free(Q, 1)
-    two_term = ChainComplex(Q, {0: A, 1: A}, {1: ModuleMap(A, A, [["x"]])})
+    line = FPModule.cyclic(Q, ["x - y"])
     xy, sum_product = ["x", "y"], ["x + y", "x*y"]
     return {
         "tor_1": Tower.tor(FPObj(_ext(Q)), sum_product, 1),
@@ -86,8 +75,6 @@ def _towers():
         "koszul_sum_product_2": Tower.koszul_homology(Q, sum_product, 2),
         "koszul_nonregular_1": Tower.koszul_homology(Q, ["x^2", "x*y"], 1),
         "stage_module_1": Tower.koszul_stage(line, xy, 1),
-        "stage_complex_1": Tower.koszul_stage(two_term, xy, 1),
-        "stage_complex_0": Tower.koszul_stage(two_term, xy, 0),
     }
 
 
@@ -201,17 +188,52 @@ def test_comodule_gm_builds_each_stage_homology_once(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_tensor_chain_map_commutes_with_the_differentials():
-    from lodua.complexes import ChainMap, tensor_chain_map
-    from lodua.koszul import koszul_chain, koszul_transition
+def _kron_identity(T, m):
+    """T (x) I_m, entry by entry."""
+    return [[T[a][b] if i == j else 0 for b in range(len(T[0]))
+             for j in range(m)] for a in range(len(T)) for i in range(m)]
+
+
+def _koszul_tensor_cases():
+    Z = make_ring({"base": "Z"})
+    Z5 = make_ring({"base": "Z",
+                    "completion": {"ideal": ["5"], "precision": 20}})
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
-    A = FPModule.cyclic(Q, ["x - y"])
-    F = FPModule.free(Q, 2)
-    C = ChainComplex(Q, {0: A, 1: F}, {1: ModuleMap(F, A, [["x", "y^2"]])})
-    gens = ["x + y", "x*y"]
-    f = koszul_transition(Q, gens, 1, koszul_chain(Q, gens, 2),
-                          koszul_chain(Q, gens, 1))
-    g = tensor_chain_map(f, C, f.source.tensor_complex(C),
-                         f.target.tensor_complex(C))
-    assert sorted(g.maps) == [0, 1, 2, 3]
-    ChainMap(g.source, g.target, g.maps, check=True)   # raises if not
+    return [
+        (FPModule(Z, 2, [(Z.el(25), Z.el(0))]), [5]),
+        (FPModule(Z5, 2, [(Z5.el(5), Z5.el(50))]), [5]),
+        (FPModule.free(Z5, 1), [5]),
+        (FPModule.cyclic(Q, ["x - y"]), ["x", "y"]),
+        (_ext(Q), ["x + y", "x*y"]),
+        (FPModule.zero(Q), ["x", "y"]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_koszul_tensor_stages_are_kos_tensor_the_module(case):
+    # the reference: Kos(x^k) (x) M as a tensor product of complexes, and
+    # koszul_transition (x) id_M written out entry by entry
+    from lodua.koszul import koszul_chain, koszul_transition
+    M, gens = _koszul_tensor_cases()[case]
+    ring = M.ring
+    stages = KoszulTensorStages(M, tuple(ring.el(g) for g in gens))
+    ref = {k: koszul_chain(ring, gens, k).tensor_complex(
+        ChainComplex.single(M, 0)) for k in (1, 2, 3)}
+    for k in (1, 2, 3):
+        C = stages.complex(k)
+        assert sorted(C.modules) == sorted(ref[k].modules)
+        for n in ref[k].modules:
+            assert C.module(n).ngens == ref[k].module(n).ngens
+            assert _rendered(C.module(n).relations) == \
+                _rendered(ref[k].module(n).relations)
+            assert _rendered(C.diff(n).matrix) == \
+                _rendered(ref[k].diff(n).matrix)
+    for k in (1, 2):
+        f = stages.chain_map(k)
+        T = koszul_transition(ring, gens, k, koszul_chain(ring, gens, k + 1),
+                              koszul_chain(ring, gens, k))
+        for n in ref[k].modules:
+            want = _kron_identity(T.map(n).matrix, M.ngens)
+            assert _rendered(f.map(n).matrix) == \
+                _rendered([[ring.el(e) for e in row] for row in want])
+        ChainMap(ref[k + 1], ref[k], f.maps, check=True)   # raises if not
