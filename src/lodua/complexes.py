@@ -9,9 +9,8 @@ import operator
 
 from .errors import InvalidInput
 from .modules import (FPModule, HomModule, ModuleMap, block_matrix,
-                      block_sum, diagonal_map, identity_kron, identity_map,
-                      kron_identity, minimize_presentation, power, tensor,
-                      zero_map)
+                      block_sum, identity_kron, identity_map, kron_identity,
+                      minimize_presentation, power, tensor, zero_map)
 
 
 class ChainComplex:
@@ -157,16 +156,6 @@ class ChainComplex:
         if n in self.diffs:
             d = self.diffs[n]
             diffs[n] = ModuleMap(Q, d.target, d.matrix, check=True)
-        return ChainComplex(self.ring, mods, diffs, check=False)
-
-    def direct_sum(self, other):
-        mods = {n: block_sum([self.module(n), other.module(n)])
-                for n in set(self.modules) | set(other.modules)}
-        diffs = {}
-        for n in set(self.diffs) | set(other.diffs):
-            S, T = mods.get(n), mods.get(n - 1)
-            if S is not None and T is not None:
-                diffs[n] = diagonal_map(S, T, [self.diff(n), other.diff(n)])
         return ChainComplex(self.ring, mods, diffs, check=False)
 
     def tensor_complex(self, other):

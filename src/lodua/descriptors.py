@@ -188,11 +188,6 @@ class LimitModule:
     def is_recognized(self):
         return self.kind != "unrecognized"
 
-    def module(self):
-        if self.kind != "module":
-            raise InvalidInput(f"no module payload in a {self.kind} value")
-        return self.payload
-
     def describe(self):
         out = {"kind": self.kind}
         if self.basis:

@@ -559,7 +559,7 @@ class TorStageComodules:
 
     def __init__(self, comod, gens, s):
         self.comod, self.s = comod, s
-        self.stages = TorStages(comod.module, gens, s + 2)
+        self.stages = TorStages(comod.module, gens, s + 1)
         h = comod.hopf
         self.lifts = {g: _semilinear_chain_lift(h, g, comod,
                                                 self.stages.resolution, s + 1)
@@ -624,7 +624,11 @@ def completion_formula_check(h, d, M_comod):
             "precision": ring.precision}
 
 
-def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), stage_checks=2):
+_GM_DEGREES = (0, 1, 2)   # the degrees s that comodule_gm_check checks
+_GM_STAGE_CHECKS = 2      # and in each, the Tor stages k <= this
+
+
+def comodule_gm_check(h, d, M_comod):
     """The degenerate two-column comodule spectral sequence: for each s the
     sequence 0 -> lim^1 Tor_(s+1) -> Lambda_s -> lim Tor_s -> 0 is exact and
     all of its maps commute with the group action.
@@ -634,17 +638,17 @@ def comodule_gm_check(h, d, M_comod, s_range=(0, 1, 2), stage_checks=2):
     (Psi (x) T) . psi = psi . T.
     """
     out = {}
-    for s in s_range:
+    for s in _GM_DEGREES:
         module_report = gm_ses_check(d, FPObj(M_comod.module), s)
         equiv = []
         tor = TorStageComodules(M_comod, d.gens, s)
-        tower = Tower.tor(FPObj(M_comod.module), d.gens, s,
-                          {M_comod.module: tor.stages})
-        for k in range(1, stage_checks + 1):
+        tower = tor.stages.tower(s)
+        for k in range(1, _GM_STAGE_CHECKS + 1):
             C_k = tor.comodule(k)
             equiv.append(f"s={s}, k={k}: Tor stage carries a verified "
                          "comodule structure")
-            if tower.kind == "tor" and not C_k.module.is_zero():
+            # at s = 0 the transitions are identity presentations
+            if s > 0 and not C_k.module.is_zero():
                 C_next = tor.comodule(k + 1)
                 if not _is_equivariant(C_next, C_k, tower.transition(k)):
                     raise InternalInconsistency(

@@ -38,10 +38,9 @@ from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
                       scalar_matrix, stable_submodule)
 from .ring import _reject_zerodivisor
 from .sequences import is_regular_sequence
-from .towers import (KoszulStages, KoszulTensorStages, Tower,
-                     _require_radical_membership, completed_module, lim_lim1,
-                     mult_tower_values, quotient_by_ideal_power,
-                     weak_proregularity_check)
+from .towers import (KoszulTensorStages, Tower, _require_radical_membership,
+                     completed_module, lim_lim1, mult_tower_values,
+                     quotient_by_ideal_power, weak_proregularity_check)
 
 
 class IdealData:
@@ -115,12 +114,6 @@ class GradedObject:
             "cannot split a complex with several nonzero homologies over "
             f"{ring}; provide a formal graded object instead")
 
-    def shifted(self, k):
-        return GradedObject(self.ring, {d + k: p for d, p in self.pieces.items()})
-
-    def degrees(self):
-        return sorted(self.pieces)
-
     def describe(self):
         return {str(d): p.describe() for d, p in sorted(self.pieces.items())}
 
@@ -134,9 +127,6 @@ class ValueTable:
 
     def value(self, n):
         return self.entries.get(n, LimitModule.zero())
-
-    def degrees(self):
-        return sorted(self.entries)
 
     def as_graded_object(self, ring, name):
         """The table as a GradedObject of descriptors, for re-consumption;
@@ -187,10 +177,6 @@ def _add_value(acc, n, v):
 def koszul_complex(d, powers=1):
     """The Koszul chain complex on (x_1^k, ..., x_n^k), degrees n..0."""
     return koszul_chain(d.ring, d.gens, powers)
-
-
-def koszul_transition_map(d, k):
-    return KoszulStages(d.ring, d.gens).chain_map(k)
 
 
 class CechComplex:
@@ -401,9 +387,6 @@ class GammaObject:
     def value(self, n):
         return self.table.value(n)
 
-    def homology(self, n):
-        return self.table.value(n)
-
     def as_graded_object(self):
         return self.table.as_graded_object(self.ideal.ring, "Gamma")
 
@@ -453,12 +436,10 @@ def _lambda_route_A(d, M):
 
 def _lambda_route_B(d, M):
     """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}."""
-    stages = KoszulTensorStages(M, d.gens)
     # weak proregularity was certified by derived_completion before either
     # route runs; the towers may cite it
-    towers = [lim_lim1(Tower.koszul_stage(M, d.gens, s, stages,
-                                          wpr_certified=True))
-              for s in range(0, d.n + 2)]
+    stages = KoszulTensorStages(M, d.gens, wpr_certified=True)
+    towers = [lim_lim1(stages.tower(s)) for s in range(0, d.n + 2)]
     out = {}
     for s in range(0, d.n + 1):
         value = _milnor_value(towers[s].lim, towers[s + 1].lim1)
@@ -606,9 +587,7 @@ def _as_descriptor(x, ring):
 def gm_ses_check(d, desc, s):
     """Materialize 0 -> lim^1 Tor_(s+1) -> L_s -> lim Tor_s -> 0 and certify it."""
     desc = _as_descriptor(desc, d.ring)
-    resolutions = {}   # the Tor_s and Tor_(s+1) towers share one resolution
-    t_s, t_s1 = [lim_lim1(Tower.tor(desc, d.gens, t, resolutions))
-                 for t in (s, s + 1)]
+    t_s, t_s1 = [lim_lim1(Tower.tor(desc, d.gens, t)) for t in (s, s + 1)]
     left, right = t_s1.lim1, t_s.lim
     # refused unless both terms are recognized and one of them vanishes
     L = _local_homology(d, desc, s, right, left,

@@ -269,14 +269,6 @@ def power(N, r):
     return block_sum([N] * r) if r else FPModule.zero(N.ring)
 
 
-def diagonal_map(S, T, maps):
-    """The map S -> T with ``maps`` down the diagonal, S and T being the
-    block sums of their sources and of their targets."""
-    return ModuleMap(S, T, block_matrix(
-        S.ring, [f.target.ngens for f in maps], [f.source.ngens for f in maps],
-        {(b, b): f.matrix for b, f in enumerate(maps)}), check=False)
-
-
 def scalar_matrix(ring, n, x):
     """x . I_n; being diagonal, its rows are also its columns."""
     zero = ring.zero()

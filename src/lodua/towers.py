@@ -3,10 +3,10 @@
 A Tower materializes stages M_1, M_2, ... with transition maps
 M_(k+1) -> M_k.  The homology towers (Tor, Koszul homology and Koszul
 stages, after Greenlees & May) materialize one way: a StageComplexes object
-builds each complex C_k and each chain map C_(k+1) -> C_k once, stage k is
-H_s(C_k) and transition k is H_s of the chain map, so the complexes' own
-homology memo is the only one, and towers in several degrees over the same
-complexes share one object.  The lim/lim^1 engine only ever reports a value
+builds each complex C_k and each chain map C_(k+1) -> C_k once, and a
+homology tower is ``stages.tower(s)``, whose stage k is H_s(C_k) and whose
+transition k is H_s of the chain map, so the complexes' own homology memo
+is the only one.  The lim/lim^1 engine only ever reports a value
 when a recognition rule with an exact justification applies (Artin-Rees for
 adic and Tor towers of finitely presented modules, Mittag-Leffler via
 surjective or stabilized images, multiplication towers via the
@@ -50,12 +50,18 @@ def quotient_by_ideal_power(M, gens, k):
 class StageComplexes:
     """The complexes C_1, C_2, ... behind a homology tower and the chain
     maps C_(k+1) -> C_k, each built once on first use by a subclass's
-    ``_build(k)`` and ``_connect(k, C_(k+1), C_k)``."""
+    ``_build(k)`` and ``_connect(k, C_(k+1), C_k)``; a subclass names the
+    ``kind`` of its towers."""
 
     def __init__(self, ring):
         self.ring = ring
         self._complexes = {}
         self._maps = {}
+
+    def tower(self, s):
+        """The tower H_s(C_k), the one way to build a homology tower:
+        towers made from one stage object share its complexes."""
+        return Tower(self.ring, self.kind, {"s": s, "complexes": self})
 
     def complex(self, k):
         if k not in self._complexes:
@@ -74,6 +80,8 @@ class TorStages(StageComplexes):
     """C_k = F (x) A/I^k for one free resolution F of M to ``length``, built
     on first use, with identity chain maps: H_s(C_k) = Tor_s(A/I^k, M) for
     every s < length."""
+
+    kind = "tor"
 
     def __init__(self, M, gens, length):
         super().__init__(M.ring)
@@ -97,9 +105,11 @@ class TorStages(StageComplexes):
 class KoszulStages(StageComplexes):
     """C_k = Kos(x^k) with the chain maps ``koszul_transition``."""
 
+    kind = "koszul_homology"
+
     def __init__(self, ring, gens):
         super().__init__(ring)
-        self.gens = gens
+        self.gens = tuple(ring.el(g) for g in gens)
 
     def _build(self, k):
         return koszul_chain(self.ring, self.gens, k)
@@ -110,12 +120,16 @@ class KoszulStages(StageComplexes):
 
 class KoszulTensorStages(StageComplexes):
     """C_k = Kos(x^k) (x) M for an f.p. module M, with the chain maps
-    ``koszul_transition`` (x) id_M."""
+    ``koszul_transition`` (x) id_M; ``wpr_certified`` lets its towers cite
+    weak proregularity of the sequence, certified by the caller."""
 
-    def __init__(self, M, gens):
+    kind = "koszul_stage"
+
+    def __init__(self, M, gens, wpr_certified=False):
         super().__init__(M.ring)
         self.module = M
         self.koszul = KoszulStages(M.ring, gens)
+        self.wpr_certified = wpr_certified
 
     def _build(self, k):
         return self.koszul.complex(k).tensor_module(self.module)
@@ -171,7 +185,8 @@ class ProTrivialVerdict:
 
 class Tower:
     """kind in {'adic', 'mult', 'tor', 'koszul_homology', 'koszul_stage',
-    'explicit', 'zero'}; stages are memoized."""
+    'explicit', 'zero'}; stages are memoized.  A tower of kind 'tor',
+    'koszul_homology' or 'koszul_stage' comes from ``StageComplexes.tower``."""
 
     def __init__(self, ring, kind, params, note=None):
         self.ring = ring
@@ -195,10 +210,8 @@ class Tower:
         return cls(desc.ring, "mult", {"desc": desc, "x": desc.ring.el(x)})
 
     @classmethod
-    def tor(cls, desc, ideal_gens, s, resolutions=None):
-        """Tor_s(A/I^k, desc); ``resolutions``, a dict the caller owns from
-        each module to its TorStages, lets towers in several degrees share
-        one resolution of each module."""
+    def tor(cls, desc, ideal_gens, s):
+        """Tor_s(A/I^k, desc)."""
         if isinstance(desc, FPModule):
             desc = FPObj(desc)
         ring = desc.ring
@@ -208,7 +221,7 @@ class Tower:
                 return cls(ring, "zero", {"why": "Tor_0 of a divisible quotient"})
             _require_radical_membership(ring, desc.mult, gens)
             # triangle M -> u^-1 M -> Z shifts Tor degrees by one
-            return cls.tor(FPObj(desc.module), gens, s - 1, resolutions)
+            return cls.tor(FPObj(desc.module), gens, s - 1)
         if desc.kind == "telescope":
             _require_radical_membership(ring, desc.mult, gens)
             return cls(ring, "zero",
@@ -217,31 +230,8 @@ class Tower:
             return cls(ring, "zero", {"why": "ideal acts invertibly on Q"})
         if s == 0:
             return cls.adic(desc.module, gens)
-        M = desc.module
-        resolutions = {} if resolutions is None else resolutions
-        if M not in resolutions or resolutions[M].length <= s:
-            resolutions[M] = TorStages(M, gens, s + 2)
-        return cls(ring, "tor", {"s": s, "complexes": resolutions[M]})
-
-    @classmethod
-    def koszul_homology(cls, ring, gens, i, stages=None):
-        """H_i(Kos(x^k)); towers in several degrees share ``stages``."""
-        gens = tuple(ring.el(g) for g in gens)
-        if stages is None:
-            stages = KoszulStages(ring, gens)
-        return cls(ring, "koszul_homology", {"s": i, "complexes": stages})
-
-    @classmethod
-    def koszul_stage(cls, M, gens, s, stages=None, wpr_certified=False):
-        """H_s(Kos(x^k) (x) M) for an f.p. module M; towers in several
-        degrees share ``stages``, and ``wpr_certified`` lets the tower cite
-        weak proregularity of the sequence, certified by the caller."""
-        gens = tuple(M.ring.el(g) for g in gens)
-        if stages is None:
-            stages = KoszulTensorStages(M, gens)
-        return cls(M.ring, "koszul_stage",
-                   {"module": M, "ideal": gens, "s": s, "complexes": stages,
-                    "wpr_certified": wpr_certified})
+        # H_s needs F_(s+1) and nothing beyond it
+        return TorStages(desc.module, gens, s + 1).tower(s)
 
     @classmethod
     def explicit(cls, stages, transitions, periodic=None):
@@ -421,9 +411,9 @@ def weak_proregularity_check(ring, seq, stage_bound, lag):
                        "flat, so pro-triviality transfers")
         return out
     results = {}
-    stages = KoszulStages(ring, tuple(seq))
+    stages = KoszulStages(ring, seq)
     for i in range(1, len(seq) + 1):
-        t = Tower.koszul_homology(ring, seq, i, stages)
+        t = stages.tower(i)
         v = is_pro_trivial(t, lag=lag, stage_bound=stage_bound)
         results[i] = v
         if v.status == "inconclusive":
@@ -650,7 +640,6 @@ def lim_lim1(tower):
     and composites of lag at most ``lag`` (the settings), and an adic
     tower's limit is its completion at the precision setting."""
     kind = tower.kind
-    K, lag = current().K, current().lag
     if kind == "zero":
         z = LimitModule.zero(basis=tower.params.get("why", "zero tower"))
         return TowerLimits(z, z, "zero tower")
@@ -662,7 +651,7 @@ def lim_lim1(tower):
             z = LimitModule.zero(basis="M = IM, all stages vanish")
             return TowerLimits(z, z, "degenerate adic tower")
         Mhat = completed_module(M, gens)
-        _adic_stage_crosscheck(tower, Mhat, min(K, 3))
+        _adic_stage_crosscheck(tower, Mhat, min(current().K, 3))
         return TowerLimits(
             LimitModule.of_module(Mhat, basis="Artin-Rees: adic tower of an "
                                               "f.p. module"),
@@ -677,7 +666,7 @@ def lim_lim1(tower):
         # attempted only when the materialized stages are small (a
         # deterministic size gate), and the theorem carries the verdict
         # otherwise.
-        found, note = _probe_lag(tower, K, lag)
+        found, note = _probe_lag(tower)
         if found is not None:
             z = LimitModule.zero(
                 basis=f"Artin-Rees pro-trivial Tor tower (lag {found})")
@@ -690,18 +679,18 @@ def lim_lim1(tower):
     if kind == "koszul_stage":
         return _koszul_stage_limits(tower)
     if kind == "explicit":
-        return _explicit_limits(tower, K, lag)
+        return _explicit_limits(tower)
     raise InvalidInput(f"unknown tower kind {kind}")
 
 
-def _probe_lag(tower, stage_bound, lag):
-    """The size-gated lag probe, capped at lag 3 and at 4 stages: (k, None)
-    when a composite of lag k vanishes on the probed stages, else
-    (None, note) with the materialized evidence."""
-    bound = min(stage_bound, 4)
+def _probe_lag(tower):
+    """The size-gated lag probe, within the settings and at most lag 3 and
+    4 stages: (k, None) when a composite of lag k vanishes on the probed
+    stages, else (None, note) with the materialized evidence."""
+    bound, lag = min(current().K, 4), min(current().lag, 3)
     if not _stages_small(tower, bound):
         return None, "stage presentations exceed the probe gate"
-    verdict = is_pro_trivial(tower, lag=min(lag, 3), stage_bound=bound)
+    verdict = is_pro_trivial(tower, lag=lag, stage_bound=bound)
     if verdict.status == "pro-trivial":
         return verdict.lag, None
     return None, verdict.describe()
@@ -721,15 +710,15 @@ def _adic_stage_crosscheck(tower, Mhat, upto):
                     f"adic recognition disagrees with stage {k}")
 
 
-def _explicit_limits(tower, stage_bound, lag):
+def _explicit_limits(tower):
     period = tower.params.get("periodic")
     stages = tower.params["stages"]
     if not period:
         return TowerLimits(LimitModule.unrecognized("no periodicity tag"),
                            LimitModule.unrecognized("no periodicity tag"),
                            "unrecognized")
-    bound = min(stage_bound, len(stages) + period)
-    verdict = is_pro_trivial(tower, lag=lag, stage_bound=bound)
+    bound = min(current().K, len(stages) + period)
+    verdict = is_pro_trivial(tower, lag=current().lag, stage_bound=bound)
     if verdict.status == "pro-trivial":
         z = LimitModule.zero(basis=f"periodic pro-trivial (lag {verdict.lag})")
         return TowerLimits(z, z, "periodic pro-trivial")
@@ -746,19 +735,19 @@ def _explicit_limits(tower, stage_bound, lag):
 
 def _koszul_stage_limits(tower):
     """Stages H_s(Kos(x^k) (x) M) for an f.p. module M."""
-    K, lag = current().K, current().lag
-    M, gens, s = (tower.params[key] for key in ("module", "ideal", "s"))
+    stages, s = tower.params["complexes"], tower.params["s"]
+    M, gens = stages.module, stages.koszul.gens
     if s == 0:
         return lim_lim1(Tower.adic(M, gens))
     if s < 0 or s > len(gens):
         z = LimitModule.zero(basis="degree outside Koszul range")
         return TowerLimits(z, z, "range")
-    found, note = _probe_lag(tower, K, lag)
+    found, note = _probe_lag(tower)
     if found is not None:
         z = LimitModule.zero(
             basis=f"weakly proregular stages pro-trivial (lag {found})")
         return TowerLimits(z, z, "pro-trivial", {"lag": found})
-    if tower.params["wpr_certified"]:
+    if stages.wpr_certified:
         z = LimitModule.zero(
             basis="weak proregularity + Artin-Rees: Koszul-stage towers "
                   "of f.p. modules are pro-zero in positive degrees "

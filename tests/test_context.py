@@ -107,8 +107,8 @@ def test_one_weak_proregularity_question(ZZ, monkeypatch):
 # functions of these modules that may take a bound: those whose bound
 # differs from call to call, and the value constructors that store one
 _KEPT = {
-    "towers": {"is_pro_trivial", "weak_proregularity_check", "_probe_lag",
-               "_explicit_limits", "ProTrivialVerdict.__init__"},
+    "towers": {"is_pro_trivial", "weak_proregularity_check",
+               "ProTrivialVerdict.__init__"},
     "local": {"IdealData.weak_proregularity"},
     "criteria": {"is_L_complete"},
     "hopf": set(),

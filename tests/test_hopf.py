@@ -251,8 +251,7 @@ def test_gm_transition_equivariance_on_nonzero_stages(QQxy, swap, dI):
     MI = Comodule(swap, FPModule.cyclic(QQxy, ["x + y", "x*y"]),
                   {"s": [[QQxy.el(1)]]})
     with lodua.settings(precision=5, K=5, lag=3):
-        out = lodua.hopf.comodule_gm_check(swap, dI, MI, s_range=(1,),
-                                           stage_checks=2)
+        out = lodua.hopf.comodule_gm_check(swap, dI, MI)
     assert out["verdict"] == "pass"
     lines = out["1"]["equivariance"]
     assert any("commutes with every phi_g" in line for line in lines)

@@ -10,7 +10,7 @@ from lodua import (FPModule, FPObj, GradedObject, IdealData, InvalidInput,
                    iso_check, koszul_complex, local_cohomology,
                    local_homology_Ls, make_ring, stable_koszul_complex,
                    values_agree)
-from lodua.local import koszul_transition_map
+from lodua.towers import KoszulStages
 
 from conftest import zmod
 
@@ -25,7 +25,7 @@ def test_koszul_complex_with_transitions(d5, QQxy, dxy):
     assert iso_check(kz.homology(0), zmod(d5.ring, 5))
     assert kz.homology(1).is_zero()
     # transitions commute by construction (checked inside ChainMap)
-    koszul_transition_map(d5, 2)
+    KoszulStages(d5.ring, d5.gens).chain_map(2)
     kos = koszul_complex(dxy, 1)
     assert [kos.module(j).ngens for j in (0, 1, 2)] == [1, 2, 1]
     assert kos.homology(1).is_zero() and kos.homology(2).is_zero()

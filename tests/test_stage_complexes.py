@@ -11,7 +11,8 @@ import lodua.local
 from lodua import (Comodule, FPModule, FPObj, IdealData, Tower,
                    make_group_like, make_ring, verify_theorems)
 from lodua.complexes import ChainComplex, ChainMap
-from lodua.towers import KoszulStages, KoszulTensorStages
+from lodua.towers import (KoszulStages, KoszulTensorStages, TorStages,
+                          lim_lim1)
 
 ZERO = ([(0, [])] * 3, [[], []])
 
@@ -69,12 +70,12 @@ def _towers():
         "tor_1": Tower.tor(FPObj(_ext(Q)), sum_product, 1),
         "tor_2": Tower.tor(FPObj(_ext(Q)), sum_product, 2),
         "tor_z5": Tower.tor(FPObj(z5), [5], 1),
-        "koszul_xy_1": Tower.koszul_homology(Q, xy, 1),
-        "koszul_xy_2": Tower.koszul_homology(Q, xy, 2),
-        "koszul_sum_product_1": Tower.koszul_homology(Q, sum_product, 1),
-        "koszul_sum_product_2": Tower.koszul_homology(Q, sum_product, 2),
-        "koszul_nonregular_1": Tower.koszul_homology(Q, ["x^2", "x*y"], 1),
-        "stage_module_1": Tower.koszul_stage(line, xy, 1),
+        "koszul_xy_1": KoszulStages(Q, xy).tower(1),
+        "koszul_xy_2": KoszulStages(Q, xy).tower(2),
+        "koszul_sum_product_1": KoszulStages(Q, sum_product).tower(1),
+        "koszul_sum_product_2": KoszulStages(Q, sum_product).tower(2),
+        "koszul_nonregular_1": KoszulStages(Q, ["x^2", "x*y"]).tower(1),
+        "stage_module_1": KoszulTensorStages(line, xy).tower(1),
     }
 
 
@@ -93,24 +94,23 @@ def test_stages_and_transitions_are_pinned(name):
     assert _materialized(_towers()[name]) == PINNED[name]
 
 
-@pytest.mark.parametrize("degrees", [(1, 2), (2, 1)])
-def test_tor_towers_share_one_resolution(degrees):
-    # whichever tower comes first, the pair shares one resolution, and
-    # each keeps the stages it has alone
+@pytest.mark.parametrize("family", ["tor", "koszul_homology",
+                                    "koszul_stage"])
+def test_towers_of_one_stage_object_share_its_complexes(family):
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
-    M, resolutions = _ext(Q), {}
-    towers = {s: Tower.tor(FPObj(M), ["x + y", "x*y"], s, resolutions)
-              for s in degrees}
-    assert towers[1].params["complexes"] is towers[2].params["complexes"]
-    for s, tower in towers.items():
-        assert _materialized(tower) == PINNED[f"tor_{s}"]
+    gens = ["x + y", "x*y"]
+    one = {"tor": TorStages(_ext(Q), gens, 3),
+           "koszul_homology": KoszulStages(Q, gens),
+           "koszul_stage": KoszulTensorStages(_ext(Q), gens)}[family]
+    low, high = one.tower(1), one.tower(2)
+    assert low.kind == high.kind == family
+    assert low.params["complexes"] is high.params["complexes"] is one
 
 
 def test_koszul_towers_share_one_stage_object():
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
-    stages = KoszulStages(Q, (Q.el("x^2"), Q.el("x*y")))
-    low, high = (Tower.koszul_homology(Q, ["x^2", "x*y"], i, stages)
-                 for i in (1, 2))
+    stages = KoszulStages(Q, ["x^2", "x*y"])
+    low, high = (stages.tower(i) for i in (1, 2))
     assert _materialized(low) == PINNED["koszul_nonregular_1"]
     high.stage(2)
     assert stages.chain_map(1).source is stages.complex(2)
@@ -135,19 +135,27 @@ def _count(monkeypatch, module, name, seen):
          ["-2*x - 3*y", "-3"], ["0", "-x - 2*y"]]}},
      "options": {"precision": 4, "K": 4, "lag": 2}},
 ], ids=["Z", "Qxy"])
-def test_gm_check_resolves_once_and_limits_each_tower_once(doc, monkeypatch):
+def test_gm_check_limits_two_distinct_tor_towers_once(doc, monkeypatch):
     import lodua.cli
-    import lodua.local
-    import lodua.towers
-    resolutions, limits = [], []
-    _count(monkeypatch, lodua.towers, "free_resolution", resolutions)
+    limits = []
     _count(monkeypatch, lodua.local, "lim_lim1", limits)
     code, report = lodua.cli.run(doc, "gm-check", {"target": "M", "s": 1})
     assert code == 0, report
-    assert len(resolutions) == 1
     tor = [args[0] for args in limits if args[0].kind == "tor"]
     assert len(tor) == 2 and tor[0] is not tor[1]
-    assert tor[0].params["complexes"] is tor[1].params["complexes"]
+
+
+@pytest.mark.parametrize("certified", [False, True])
+def test_koszul_stage_tower_cites_weak_proregularity_when_certified(
+        certified):
+    # at lag 0 the probe locates no lag on the nonzero degree-1 stages, so
+    # only the certificate of the stage object can carry the verdict
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    stages = KoszulTensorStages(FPModule.cyclic(Q, ["x - y"]), ["x", "y"],
+                                wpr_certified=certified)
+    with lodua.settings(lag=0):
+        out = lim_lim1(stages.tower(1))
+    assert out.basis == ("wpr theorem" if certified else "unrecognized")
 
 
 def _comodule_gm(order, monkeypatch):

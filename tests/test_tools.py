@@ -115,4 +115,8 @@ def test_linecov_traces_one_small_call(ZZ):
     assert line("return RegularityVerdict(True") not in never
     assert line("return RegularityVerdict(False, stage=i + 1") in never
     assert line("raise InvalidInput") in never
+    uncalled = linecov.never_called(path, tracer.hits[path])
+    assert "RegularityVerdict.describe" in uncalled
+    assert "is_regular_sequence" not in uncalled
+    assert "RegularityVerdict.__init__" not in uncalled
     assert linecov.ranges([3, 4, 5, 9]) == "3-5, 9"

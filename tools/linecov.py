@@ -7,17 +7,21 @@ not needed) while two things run in this process: the tier-1 tests, by
 ``pytest.main``, and the seed-1 op lists of the three benchmark workloads,
 through the runner of ``tools/sameness.py``.
 Then it prints, for each module of ``src/lodua``, the statement lines no
-traced call executed, as ranges:
+traced call executed, as ranges, and the functions never called, as
+``Class.method``:
 
     sequences.py: 3 of 36 statements not executed
       22, 24, 35
+      never called: RegularityVerdict.describe
 
 A statement counts as executed when any line of its header ran (the whole
-statement for a simple one, up to the body for a compound one).  The tracer
-sees this process only: lines that only a subprocess runs (the tests that
-start the CLI, the demos or a tool in a child interpreter) are listed as
-not executed.  Tracing slows the run down several times.  Run from the
-root of a lodua checkout.
+statement for a simple one, up to the body for a compound one), and a
+function as called when a line of its body after the docstring ran.
+The tracer sees this process only: lines that only a subprocess runs (the
+tests that start the CLI, the demos or a tool in a child interpreter) are
+listed as not executed, so code only the CLI reaches, such as
+``cli.recheck``, is listed as never called.  Tracing slows the run down
+several times.  Run from the root of a lodua checkout.
 """
 
 import argparse
@@ -86,14 +90,19 @@ def statements(source):
                 isinstance(node, (ast.Global, ast.Nonlocal, ast.Try)):
             continue
         body = getattr(node, "body", None)
-        first = min([node.lineno] + [d.lineno for d in
-                                     getattr(node, "decorator_list", [])])
+        first = _first_line(node)
         if isinstance(body, list) and body:
             last = body[0].lineno - 1
         else:
             last = node.end_lineno
         out[first] = range(first, max(first, last) + 1)
     return out
+
+
+def _first_line(node):
+    """A statement's first line, its decorators included."""
+    return min([node.lineno] + [d.lineno for d in
+                                getattr(node, "decorator_list", [])])
 
 
 def _is_docstring(node):
@@ -107,6 +116,31 @@ def missed(path, hits):
         stmts = statements(fh.read())
     return len(stmts), sorted(first for first, header in stmts.items()
                               if not hits.intersection(header))
+
+
+def never_called(path, hits):
+    """Names, as ``Class.method``, of the functions of which no line after
+    the docstring ran, in source order."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = child.body[1:] if _is_docstring(child.body[0]) \
+                    else child.body
+                # no body line runs before a call, not even a nested def's
+                if body and not hits.intersection(
+                        range(_first_line(body[0]), child.end_lineno + 1)):
+                    out.append(prefix + child.name)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                name = prefix + child.name + "."
+            visit(child, name)
+    visit(tree, "")
+    return out
 
 
 def ranges(lines):
@@ -127,11 +161,15 @@ def report(tracer):
         if not name.endswith(".py"):
             continue
         path = os.path.realpath(os.path.join(SRC, name))
-        total, never = missed(path, tracer.hits.get(path, set()))
+        hits = tracer.hits.get(path, set())
+        total, never = missed(path, hits)
         lines.append(f"{name}: {len(never)} of {total} statements not "
                      "executed")
         if never:
             lines.append("  " + ranges(never))
+        uncalled = never_called(path, hits)
+        if uncalled:
+            lines.append("  never called: " + ", ".join(uncalled))
     return "\n".join(lines)
 
 
