@@ -11,11 +11,13 @@ deterministic JSON (sorted keys, no timestamps in the body).  Exit codes:
        error (one line on stderr, no traceback)
     3  invalid input
 
+A report whose reader closed stdout before it was written exits 2 as well.
 Timing goes to stderr so identical inputs produce byte-identical reports.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -345,8 +347,7 @@ def _run(problem, verb, cmd):
         out = weak_proregularity_check(problem.ring, d.gens,
                                        min(current().K, 4), current().lag)
         report["result"] = out
-        code = {"weakly-proregular": 0, "not-weakly-proregular": 1,
-                "inconclusive": 2}[out["status"]]
+        code = 0 if out["status"] == "weakly-proregular" else 2
     elif verb in ("comodule-limit", "comodule-complete"):
         com = problem.comodule(name("comodule"))
         limit, cert = comodule_completion(com, d, cmd.get("method", "kernel"))
@@ -454,11 +455,9 @@ def main(argv=None):
         if ns.recheck:
             with open(ns.recheck) as fh:
                 prior = json.load(fh)
-            out = recheck(doc, prior)
-            print(json.dumps({"recheck": out}, sort_keys=True, indent=2))
-            print(f"# recheck in {time.time() - t0:.3f}s", file=sys.stderr)
-            return 0
-        code, report = run(doc, ns.verb, args)
+            code, report = 0, {"recheck": recheck(doc, prior)}
+        else:
+            code, report = run(doc, ns.verb, args)
     except InvalidInput as ex:
         print(f"invalid input: {ex}", file=sys.stderr)
         return 3
@@ -476,8 +475,15 @@ def main(argv=None):
         detail = " ".join(str(ex).split())
         print(f"internal error: {type(ex).__name__}: {detail}", file=sys.stderr)
         return 2
-    print(json.dumps(report, sort_keys=True, indent=2))
-    print(f"# {ns.verb} in {time.time() - t0:.3f}s", file=sys.stderr)
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader is gone; without a working stdout the flush at exit
+        # would raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    label = "recheck" if ns.recheck else ns.verb
+    print(f"# {label} in {time.time() - t0:.3f}s", file=sys.stderr)
     return code
 
 

@@ -17,10 +17,10 @@ never silently converts an unrecognized answer into a guess.  `value_of` and
 `descriptor_of` translate between a descriptor and the value it stands for.
 """
 
-from .errors import InvalidInput, UnsupportedRing
-from .modules import (FPModule, ModuleMap, _capped_killing_power,
-                      _killing_power, _same_presentation, base_change,
-                      iso_check, scalar_map, scalar_matrix)
+from .errors import InvalidInput
+from .modules import (ModuleMap, _capped_killing_power,
+                      _killing_power, _same_module, base_change,
+                      quotient_by_ideal_power, scalar_map, scalar_matrix)
 
 
 class Descriptor:
@@ -81,9 +81,7 @@ class TelescopeQuotient(Descriptor):
 
     def stage(self, k):
         """M/u^k M."""
-        extra = scalar_matrix(self.ring, self.module.ngens, self.mult ** k)
-        return FPModule(self.ring, self.module.ngens,
-                        self.module.relations + extra)
+        return quotient_by_ideal_power(self.module, [self.mult], k)
 
     def stage_map(self, k):
         """Multiplication by u: stage k -> stage k+1 (injective)."""
@@ -226,9 +224,8 @@ def value_of(desc, basis=None):
                            basis="telescope of a nilpotent multiplier")
     if desc.kind == "rational" and desc.dim == 0:
         return LimitModule.zero(basis="Q^0 is the zero module")
-    if desc.kind in _DESCRIPTOR_KINDS:
-        return LimitModule(desc.kind, desc, basis=basis)
-    raise UnsupportedRing(f"no fixed-point form for {desc.kind}")
+    # every other descriptor is of one of _DESCRIPTOR_KINDS
+    return LimitModule(desc.kind, desc, basis=basis)
 
 
 def descriptor_of(value):
@@ -256,29 +253,23 @@ def values_agree(a, b):
     if a.kind == "module":
         Ma, Mb = a.payload, b.payload
         if Ma.ring == Mb.ring:
-            if Ma.ring.is_euclidean:
-                return bool(iso_check(Ma, Mb)), "invariant factors"
-            same = _same_presentation(Ma, Mb)
-            return same, "presentation comparison"
+            return _same_module(Ma, Mb), (
+                "invariant factors" if Ma.ring.is_euclidean
+                else "presentation comparison")
         ra, rb = Ma.ring, Mb.ring
         if ra.is_completed and rb.is_completed and ra.underlying() == rb.underlying():
             prec = min(ra.precision, rb.precision)
             Ma2 = change_precision(Ma, prec)
             Mb2 = change_precision(Mb, prec)
-            if Ma2.ring.is_euclidean:
-                return bool(iso_check(Ma2, Mb2)), f"compared at precision {prec}"
-            return _same_presentation(Ma2, Mb2), f"compared at precision {prec}"
+            return (Ma2.ring == Mb2.ring and _same_module(Ma2, Mb2),
+                    f"compared at precision {prec}")
         if rb.is_completed and ra == rb.underlying():
             return values_agree(b, a)
         if ra.is_completed and rb == ra.underlying():
             # a torsion module killed by a power of I equals its completion
             if _killing_power(Mb, ra.completion[0], 24) is not None:
-                lifted = base_change(Mb, ra)
-                if ra.is_euclidean:
-                    return bool(iso_check(Ma, lifted)), \
-                        "I-power-torsion module compared after completion"
-                return _same_presentation(Ma, lifted), \
-                    "I-power-torsion module compared after completion"
+                return (_same_module(Ma, base_change(Mb, ra)),
+                        "I-power-torsion module compared after completion")
             return False, ("modules over the discrete ring must be I-power "
                            "torsion to equal a completed value")
         return False, f"rings differ: {ra} vs {rb}"
@@ -289,9 +280,9 @@ def values_agree(a, b):
         if da.ring == db.ring:
             if not (da.mult == db.mult):
                 return False, "multipliers differ"
-            if da.module.ring.is_euclidean:
-                return bool(iso_check(da.module, db.module)), "descriptor base modules"
-            return _same_presentation(da.module, db.module), "descriptor presentations"
+            return _same_module(da.module, db.module), (
+                "descriptor base modules" if da.ring.is_euclidean
+                else "descriptor presentations")
         if a.kind == "telescope_quotient":
             ra, rb = da.ring, db.ring
             ua, ub = ra.underlying(), rb.underlying()
@@ -301,11 +292,7 @@ def values_agree(a, b):
                 bound = min(r.precision for r in (ra, rb) if r.is_completed)
                 bound = min(bound - 1, 8) if bound else 8
                 for k in range(1, bound + 1):
-                    sa, sb = da.stage(k), db.stage(k)
-                    if sa.ring.is_euclidean and sb.ring.is_euclidean:
-                        if sa.invariants() != sb.invariants():
-                            return False, f"stages differ at k={k}"
-                    elif not _same_presentation(sa, sb):
+                    if not _same_module(da.stage(k), db.stage(k)):
                         return False, f"stages differ at k={k}"
                 return True, f"stage systems agree through k={bound}"
         return False, "rings differ"

@@ -137,8 +137,8 @@ class GBasis:
                 continue
             factor = dom.exact_div(c, gc)
             if factor is None:
+                # over Z with a lead that is no unit, which this refuses
                 self._unit_coeff(gc)
-                raise UnsupportedRing("non-exact coefficient division")
             q = tuple(map(sub, m, gm))
             _sub_shifted(v, self._vecs[idx], q, factor, p, heap, hkey)
             if cof is not None:

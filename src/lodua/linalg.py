@@ -183,18 +183,14 @@ def _smith(ar, D):
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(i, j, c):
-        # row_i += c*row_j
-        if is_zero(c):
-            return
+        # row_i += c*row_j, c nonzero: a quotient by a pivot of least size
         D[i] = [add_mul(a, c, b) for a, b in zip(D[i], D[j])]
         U[i] = [add_mul(a, c, b) for a, b in zip(U[i], U[j])]
         for r in Uinv:
             r[j] = sub_mul(r[j], c, r[i])
 
     def add_col(i, j, c):
-        # col_i += c*col_j
-        if is_zero(c):
-            return
+        # col_i += c*col_j, c nonzero
         for r in D:
             r[i] = add_mul(r[i], c, r[j])
         for r in V:
@@ -234,17 +230,12 @@ def _smith(ar, D):
 
     eliminate(0)
 
-    # enforce d_i | d_{i+1}
+    # enforce d_i | d_{i+1}; eliminate leaves the nonzero pivots first
     changed = True
     while changed:
         changed = False
         for i in range(rank_bound - 1):
             a, b = D[i][i], D[i + 1][i + 1]
-            if is_zero(a) and not is_zero(b):
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
-                changed = True
-                continue
             if is_zero(a) or is_zero(b):
                 continue
             if not is_zero(ar.divmod(b, a)[1]):

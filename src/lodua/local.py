@@ -35,12 +35,13 @@ from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
 from .koszul import koszul_chain, koszul_cochain
 from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
                       block_sum, ext as module_ext, iso_check, power,
-                      scalar_matrix, stable_submodule)
+                      quotient_by_ideal_power, scalar_matrix,
+                      stable_submodule)
 from .ring import _reject_zerodivisor
 from .sequences import is_regular_sequence
 from .towers import (KoszulTensorStages, Tower, _require_radical_membership,
                      completed_module, lim_lim1, mult_tower_values,
-                     quotient_by_ideal_power, weak_proregularity_check)
+                     weak_proregularity_check)
 
 
 class IdealData:
@@ -113,9 +114,6 @@ class GradedObject:
         raise UnsupportedRing(
             "cannot split a complex with several nonzero homologies over "
             f"{ring}; provide a formal graded object instead")
-
-    def describe(self):
-        return {str(d): p.describe() for d, p in sorted(self.pieces.items())}
 
 
 class ValueTable:
@@ -190,9 +188,6 @@ class CechComplex:
     def __init__(self, d):
         self.ideal = d
         self.ring = d.ring
-        for x in d.gens:
-            if x.is_zero():
-                raise InvalidInput("cannot localize at zero")
 
     def term_descriptors(self, j):
         from itertools import combinations
@@ -281,8 +276,6 @@ def local_cohomology_value(d, desc, s):
         if factors or rank != M.ngens or M.relations:
             # only the free part contributes above degree zero
             M = FPModule.free(ring, rank)
-            if rank == 0:
-                return LimitModule.zero(basis="euclidean split")
     nil = _ideal_nilpotent_on(d, M)
     if nil is not None:
         return LimitModule.zero(
@@ -292,8 +285,6 @@ def local_cohomology_value(d, desc, s):
     if free and n == 1:
         x = d.gens[0]
         # s = n = 1: top local cohomology of a free module over a domain
-        if M.ngens == 0:
-            return LimitModule.zero()
         stage1 = quotient_by_ideal_power(M, [x], 1)
         if stage1.is_zero():
             return LimitModule.zero(basis="x acts surjectively")
@@ -674,15 +665,14 @@ def ext_out_of_fp(C, target, q):
             return value_of(Rational(target.ring, rank * target.dim),
                             basis="Hom(free, Q)")
         return LimitModule.zero(basis="Q is divisible and torsion-free")
-    if target.kind == "telescope_quotient":
-        if C.ngens != 1 or C.relations:
-            raise UnsupportedRing(
-                "telescope-quotient targets are supported at the first stage "
-                "only")
-        if q == 0:
-            return value_of(target, basis="Hom(A, N) = N")
-        return LimitModule.zero(basis="A is projective")
-    raise UnsupportedRing(f"no Ext rule for descriptor kind {target.kind}")
+    # the last kind: a telescope quotient
+    if C.ngens != 1 or C.relations:
+        raise UnsupportedRing(
+            "telescope-quotient targets are supported at the first stage "
+            "only")
+    if q == 0:
+        return value_of(target, basis="Hom(A, N) = N")
+    return LimitModule.zero(basis="A is projective")
 
 
 def ext_out_of_telescope(C, x, target, q, towers=None):
@@ -742,7 +732,8 @@ def ext_of_descriptors(D1, D2, q):
     f.p. and telescope sources go to the Ext engine, telescope-quotient
     sources (free, over a euclidean ring) to the adic tower of the target.
     Telescope and telescope-quotient targets are refused here although the
-    engine takes them for the grid; widening derived Hom to them is open.
+    engine takes them for the grid, and so are all targets but f.p. ones
+    out of a telescope quotient; widening derived Hom to them is open.
     """
     if D1.kind in ("fp", "telescope") and not (
             D2.kind == "fp" or D2.kind == "rational"
@@ -758,6 +749,8 @@ def ext_of_descriptors(D1, D2, q):
             raise UnsupportedRing(
                 "telescope-quotient sources are supported on free modules "
                 "over euclidean rings")
+        if D2.kind != "fp":
+            raise UnsupportedRing("need an f.p. target")
         r = M.ngens
         if q == 0:
             # Hom(colim M/u^k, N) = lim N[u^k] with u-transitions: zero for
@@ -768,9 +761,7 @@ def ext_of_descriptors(D1, D2, q):
             # 0 -> lim^1 Hom(M/u^k, N) -> Ext^1 -> lim Ext^1(M/u^k, N) -> 0;
             # the Hom tower has finite stages (Mittag-Leffler), and the Ext^1
             # tower is the adic tower of N, recognized by Artin-Rees
-            N = D2.module if D2.kind == "fp" else None
-            if N is None:
-                raise UnsupportedRing("need an f.p. target")
+            N = D2.module
             res = lim_lim1(Tower.adic(N, [_coerce(N.ring, u)]))
             if not res.lim1.is_zero():
                 raise InternalInconsistency("adic tower with nonzero lim^1")
@@ -781,9 +772,8 @@ def ext_of_descriptors(D1, D2, q):
             return value
         return LimitModule.zero(
             basis="stages have projective dimension one; higher Ext vanish")
-    if D1.kind == "rational":
-        raise UnsupportedRing("rational sources are not needed and not supported")
-    raise UnsupportedRing(f"no Ext rule for source {D1.kind}")
+    # the last kind: a rational source
+    raise UnsupportedRing("rational sources are not needed and not supported")
 
 
 def adjunction_check(d, X, Y):

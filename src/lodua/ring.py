@@ -121,8 +121,6 @@ class Ring:
         return hit
 
     def _validate(self):
-        if self.base == "F" and not _is_prime(self.p or 0):
-            raise InvalidInput(f"characteristic {self.p} is not prime")
         if self.completion is not None:
             gens, prec = self.completion
             if prec < 1:
@@ -155,8 +153,6 @@ class Ring:
                         self.inverted, None, self.order)
 
     def without_inversion(self):
-        if self.inverted is None:
-            return self
         return Ring.get(self.base, self.p, self.names, self.quotient,
                         None, self.completion, self.order)
 
@@ -366,9 +362,8 @@ class Ring:
                 q = self._divide_exact(num, self.inverted)
                 if q is None:
                     break
+                # q * u is num modulo the ideal, so q is not zero either
                 num, dexp = self._reduce_num(q), dexp - 1
-                if num.is_zero():
-                    return RingElement(self, num, 0)
         return RingElement(self, num, dexp)
 
     def vec_key(self, vec):
@@ -394,13 +389,12 @@ class Ring:
     def _divide_exact(self, f, g):
         """f/g in the quotient ring, or None when g does not divide f."""
         if self.nvars == 0:
+            # numerators of u^-1 Z and Z_p[1/p] divide in Z or Z_p; a field
+            # inverts no element, ``localized`` returns it as it is
             a, b = f.constant(), g.constant()
-            if self.base == "Z":
-                # numerators of Z, u^-1 Z, Z_p and Z_p[1/p] divide in Z or Z_p
-                ints = self.without_inversion().int_arith
-                q, r = ints.divmod(int(a), int(b))
-                return None if r else Poly.const(self.dom, 0, q)
-            return Poly.const(self.dom, 0, self.dom.exact_div(a, b))
+            ints = self.without_inversion().int_arith
+            q, r = ints.divmod(int(a), int(b))
+            return None if r else Poly.const(self.dom, 0, q)
         if not self.quotient and not self.is_completed:
             return f.exact_div(g, order_key(self.order))
         gb = GBasis(((g,),) + self.modulus_vectors(1), 1, order=self.order)
@@ -638,10 +632,8 @@ class Ring:
 def _classify(base, nvars, inverted, completion):
     """The dispatch key of Ring.classify, fixed at construction."""
     if inverted is not None:
-        if nvars == 0 and base == "Z":
+        if nvars == 0:   # Z: localizing a field returns the field
             return "field" if completion is not None else "int_localized"
-        if nvars == 0:
-            return "field"
         return "poly_localized"
     if nvars == 0:
         if base == "Z":
@@ -831,6 +823,9 @@ def make_ring(descriptor):
         base = "F"
     if base not in ("Z", "Q", "F"):
         raise InvalidInput(f"unknown base {base!r}")
+    # before Ring.get, whose coefficient domain asserts a prime
+    if base == "F" and not (type(p) is int and _is_prime(p)):
+        raise InvalidInput(f"characteristic {p!r} is not prime")
     names = tuple(descriptor.get("vars", ()))
     if len(set(names)) != len(names):
         raise InvalidInput("duplicate variable names")

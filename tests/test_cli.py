@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lodua.errors import InvalidInput
+from lodua.errors import InternalInconsistency, InvalidInput, PrecisionMismatch
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -400,6 +400,37 @@ def test_unexpected_exception_exits_two(monkeypatch, capsys):
     assert captured.err == "internal error: RuntimeError: multi line\n"
 
 
+@pytest.mark.parametrize("error, message", [
+    (InternalInconsistency("routes differ"),
+     "internal inconsistency (hard error): routes differ"),
+    (PrecisionMismatch("ring is not completed"),
+     "error: ring is not completed"),
+])
+def test_engine_errors_exit_two(monkeypatch, capsys, error, message):
+    import lodua.cli
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(lodua.cli, "run", failing)
+    assert lodua.cli.main(["resolve", fixture("z.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    read, write = os.pipe()
+    os.close(read)      # the reader is gone before the report is written
+    proc = subprocess.Popen([sys.executable, "-m", "lodua.cli", "resolve",
+                             fixture("z.json")], stdout=write,
+                            stderr=subprocess.PIPE, text=True)
+    os.close(write)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in err and err == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-4", "1.5"])
 def test_bad_budget_variable_exits_three(value):
     env = dict(os.environ, LODUA_BUDGET=value)
@@ -592,6 +623,14 @@ MALFORMED = {
                         "unknown option 'Lag': options hold precision, K "
                         "and lag (the budget is LODUA_BUDGET)"),
     "version": ({"version": "2"}, "unsupported schema version 2"),
+    "towers-unknown-kind": ({"towers": {"t": {"kind": "sum"}}},
+                            "unknown tower kind 'sum'"),
+    "descriptors-unknown-kind": ({"descriptors": {"d": {"kind": "sum"}}},
+                                 "unknown descriptor kind 'sum'"),
+    "maps-module": ({"maps": {"f": {"source": "W", "target": "A",
+                                    "matrix": [["1"]]}}},
+                    "unknown module 'W'"),
+    "comodules-group": ({"group": {}}, "comodules need a group block"),
 }
 
 
@@ -633,7 +672,7 @@ WRONG_TYPED = {
 @pytest.mark.parametrize("case", list(WRONG_TYPED))
 def test_wrong_typed_module_field_exits_three(case, tmp_path, capsys):
     import lodua.cli
-    from lodua.errors import InvalidInput
+    from lodua.errors import InternalInconsistency, InvalidInput, PrecisionMismatch
     spec, message = WRONG_TYPED[case]
     doc = {"ring": {"base": "Q", "vars": ["x", "y"]}, "modules": {"M": spec}}
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
@@ -676,7 +715,7 @@ WRONG_TYPED_BLOCKS = {
 @pytest.mark.parametrize("case", list(WRONG_TYPED_BLOCKS))
 def test_wrong_typed_ideal_or_matrix_exits_three(case, tmp_path, capsys):
     import lodua.cli
-    from lodua.errors import InvalidInput
+    from lodua.errors import InternalInconsistency, InvalidInput, PrecisionMismatch
     blocks, message = WRONG_TYPED_BLOCKS[case]
     doc = {"ring": {"base": "Q", "vars": ["x", "y"]}, "ideal": ["x", "y"],
            "modules": {"M": {"generators": 2}}, **blocks}
@@ -699,7 +738,7 @@ BAD_RATIONAL_DIMS = {"negative": -2, "string": "x", "float": 1.5,
 def test_bad_rational_dim_exits_three(case, tmp_path, capsys):
     import lodua.cli
     from lodua import Rational, make_ring
-    from lodua.errors import InvalidInput
+    from lodua.errors import InternalInconsistency, InvalidInput, PrecisionMismatch
     dim = BAD_RATIONAL_DIMS[case]
     message = f"'Q' dim must be a non-negative integer, not {dim!r}"
     doc = {"ring": {"base": "Z"}, "ideal": ["5"],
@@ -730,7 +769,7 @@ def test_rational_dim_zero_and_default_are_accepted():
 
 def test_rational_off_z_names_the_descriptor():
     import lodua.cli
-    from lodua.errors import InvalidInput
+    from lodua.errors import InternalInconsistency, InvalidInput, PrecisionMismatch
     doc = {"ring": {"base": "Q", "vars": ["x"]},
            "descriptors": {"R": {"kind": "rational"}}}
     with pytest.raises(InvalidInput,
@@ -875,3 +914,90 @@ def test_localhom_builds_no_stage_of_the_next_tor_tower(tmp_path, monkeypatch,
     monkeypatch.setattr(lodua.towers.Tower, "stage", recorded)
     assert _localhom(tmp_path, _z_doc(), "M", s) == 0
     assert degrees == ({s} if s else set())
+
+
+def _z_fixture(**blocks):
+    with open(fixture("z.json")) as fh:
+        return {**json.load(fh), **blocks}
+
+
+def test_tor_towers_and_towers_of_descriptors_resolve():
+    import lodua.cli
+    doc = _z_fixture(towers={
+        "t": {"kind": "tor", "module": "Zmod125", "ideal": ["5"], "s": 1},
+        "m": {"kind": "mult", "descriptor": "zinv", "x": "5"}})
+    code, report = lodua.cli.run(doc, "resolve")
+    assert code == 0
+    t, m = report["towers"]["t"], report["towers"]["m"]
+    assert t["basis"] == "artin-rees pro-trivial"
+    assert t["lim"]["kind"] == t["lim1"]["kind"] == "zero"
+    assert m["basis"] == "invertible multiplier"
+    assert m["lim"]["value"] == {"kind": "telescope", "mult": "5",
+                                 "module": {"free_rank": 1, "torsion": []}}
+
+
+def _z_with_a_complex():
+    """z.json with C = (Z -5-> Z), whose only homology is Z/5 in degree 0."""
+    return _z_fixture(
+        maps={"f": {"source": "Z", "target": "Z", "matrix": [["5"]]}},
+        complexes={"C": {"modules": {"0": "Z", "1": "Z"}, "diffs": {"1": "f"}}})
+
+
+@pytest.mark.parametrize("target, torsion, local", [
+    ("z", 1, 1), ("Zmod125", 0, 0), ("rat", 1, 1), ("C", 0, 0)])
+def test_torsion_and_lambda_local_verbs(target, torsion, local):
+    import lodua.cli
+    doc = _z_with_a_complex()
+    code, report = lodua.cli.run(doc, "torsion-check", {"target": target})
+    assert code == torsion
+    assert report["result"]["verdict"] is (torsion == 0)
+    code, report = lodua.cli.run(doc, "lambda-local-check", {"target": target})
+    assert code == local
+    assert report["result"]["verdict"] == ("local" if local == 0
+                                           else "not-local")
+
+
+def test_verbs_refuse_what_the_document_cannot_answer():
+    import lodua.cli
+    with pytest.raises(InvalidInput, match="unknown verb 'sum'"):
+        lodua.cli.run(_z_fixture(), "sum")
+    with pytest.raises(InvalidInput, match="localhom takes a module or "
+                                           "descriptor"):
+        lodua.cli.run(_z_with_a_complex(), "localhom", {"target": "C", "s": 0})
+    doc = _z_fixture()
+    del doc["ideal"]
+    with pytest.raises(InvalidInput, match="this verb needs an `ideal` block"):
+        lodua.cli.run(doc, "lambda", {"target": "z"})
+
+
+def test_verify_takes_the_first_comodule_when_none_is_named():
+    import lodua.cli
+    doc = {**_c2_doc(), "command": {}}
+    args = {"which": "completion-formula"}
+    assert lodua.cli.run(doc, "verify", args) == lodua.cli.run(
+        doc, "verify", {**args, "comodule": "CA"})
+
+
+def test_recheck_refuses_tampered_grids_and_sequences():
+    import lodua.cli
+    with open(fixture("zp.json")) as fh:
+        zp = json.load(fh)
+    _, report = lodua.cli.run(zp, "lcomplete-check")
+    with pytest.raises(InvalidInput, match="report version mismatch"):
+        lodua.cli.recheck(zp, {**report, "version": "0"})
+    result = report["result"]
+    cells = dict(result["table"])
+    cells.pop(next(iter(cells)))
+    with pytest.raises(InvalidInput, match="grid does not cover"):
+        lodua.cli.recheck(zp, {**report, "result": {**result, "table": cells}})
+    cells = {k: {"kind": "module"} for k in result["table"]}
+    with pytest.raises(InvalidInput, match="complete verdict with a nonzero"):
+        lodua.cli.recheck(zp, {**report, "result": {**result, "table": cells}})
+    with open(fixture("z-mod-p-infty.json")) as fh:
+        prufer = json.load(fh)
+    _, report = lodua.cli.run(prufer, "gm-check", {"s": 1})
+    assert lodua.cli.recheck(prufer, report)["invariants"] == [
+        "sequence has a vanishing outer term"]
+    result = {**report["result"], "lim1_tor_next": {"kind": "module"}}
+    with pytest.raises(InvalidInput, match="neither outer term is zero"):
+        lodua.cli.recheck(prufer, {**report, "result": result})

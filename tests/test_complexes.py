@@ -106,6 +106,52 @@ def test_truncations(ZZ):
     assert lo.homology(1).is_zero()
 
 
+def test_truncations_at_and_beyond_the_ends(ZZ):
+    C = two_term(ZZ, 5)            # Z -5-> Z in degrees 1, 0
+    for op, n in (("truncate_ge", 2), ("truncate_le", -1)):
+        T = complex_algebra(op, C, n)
+        assert not T.modules and list(T.degrees()) == []
+    assert complex_algebra("truncate_ge", C, 0) is C
+    assert complex_algebra("truncate_le", C, 1) is C
+    D = ChainComplex(ZZ, {0: FPModule.free(ZZ, 1), 1: FPModule.free(ZZ, 1),
+                          2: FPModule.free(ZZ, 1)},
+                     {1: ModuleMap(FPModule.free(ZZ, 1), FPModule.free(ZZ, 1),
+                                   [[ZZ.el(5)]])})
+    for op, n in (("truncate_ge", 1), ("truncate_le", 1)):
+        T = complex_algebra(op, D, n)
+        for k in range(3):
+            keep = k >= n if op == "truncate_ge" else k <= n
+            if keep:
+                assert iso_check(T.homology(k), D.homology(k))
+            else:
+                assert T.homology(k).is_zero()
+
+
+def test_complex_algebra_tensor_and_total(ZZ):
+    C = complex_algebra("tensor", two_term(ZZ, 4), two_term(ZZ, 6))
+    assert iso_check(C.homology(1), zmod(ZZ, 2))
+    F = FPModule.free(ZZ, 1)
+    five = ModuleMap(F, F, [[ZZ.el(5)]])
+    T = complex_algebra("total", ZZ, {(0, 0): F, (1, 0): F}, {(1, 0): five}, {})
+    assert iso_check(T.homology(0), zmod(ZZ, 5))
+    with pytest.raises(InvalidInput, match="unknown complex operation 'sum'"):
+        complex_algebra("sum", C)
+
+
+def test_complex_layer_refuses_malformed_input(ZZ):
+    F = FPModule.free(ZZ, 1)
+    C = ChainComplex(ZZ, {0: F, 1: F, 2: F},
+                     {1: ModuleMap(F, F, [[ZZ.el(2)]]),
+                      2: ModuleMap(F, F, [[ZZ.el(3)]])}, check=False)
+    with pytest.raises(InvalidInput, match="boundaries do not land in cycles"):
+        C.homology(1)
+    with pytest.raises(InvalidInput, match="expects free levels"):
+        ChainComplex.single(zmod(ZZ, 5)).hom_into_module(F)
+    with pytest.raises(InvalidInput, match="does not commute in degree 1"):
+        ChainMap(two_term(ZZ, 5), two_term(ZZ, 5),
+                 {0: ModuleMap(F, F, [[ZZ.el(1)]])})
+
+
 def test_hom_complex_matches_ext(ZZ):
     res = free_resolution(zmod(ZZ, 5), 2)
     H = complex_algebra("hom", res, ChainComplex.single(FPModule.free(ZZ, 1), 0))

@@ -229,3 +229,17 @@ def test_grid_refusals_keep_their_wording(ZZ, QQxy, dxy):
     with pytest.raises(UnsupportedRing,
                        match="supported at the first stage only"):
         ext_telescope(dxy, 2, tq, 0)
+
+
+def test_grid_entry_points_take_modules_and_check_indices(ZZ, d5):
+    from lodua import InvalidInput
+    M = zmod(ZZ, 25)
+    assert is_L_complete(M, d5).verdict == "complete"
+    assert ext_telescope(d5, 1, M, 0).describe() == \
+        ext_telescope(d5, 1, FPObj(M), 0).describe()
+    with pytest.raises(InvalidInput, match="index 2 outside 1..1"):
+        ext_telescope(d5, 2, M, 0)
+    with pytest.raises(InvalidInput, match="unknown membership kind 'sum'"):
+        homology_membership(M, d5, "sum")
+    out = homology_membership(FPModule.free(ZZ, 1), d5, "complete")
+    assert out["verdict"] is False

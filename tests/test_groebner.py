@@ -357,3 +357,18 @@ def test_budget_variable_is_parsed_once(monkeypatch):
         monkeypatch.setenv("LODUA_BUDGET", bad)
         with pytest.raises(InvalidInput, match="LODUA_BUDGET"):
             budget()
+
+
+def test_basis_corners():
+    Zx = Ring.get("Z", None, ("x",))
+    x = Zx.el("x").num
+    with pytest.raises(ValueError, match="need at least one generator"):
+        GBasis([], 1)
+    # over Z a negative leading coefficient is made positive
+    gb = GBasis([(-x,)], 1)
+    assert gb.elements == [(x,)] and gb.lift((x,)) == (-Zx.one().num,)
+    untracked = GBasis([(x,)], 1, track=False)
+    assert untracked.cofactors is None and untracked.contains((x * x,))
+    for ask in (lambda: untracked.lift((x,)), untracked.syzygies):
+        with pytest.raises(UnsupportedRing, match="built without cofactors"):
+            ask()

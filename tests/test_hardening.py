@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from lodua import (FPModule, FPObj, GradedObject, IdealData, Tower,
                    TelescopeQuotient, ext, gamma, groebner_basis,
                    is_pro_trivial, iso_check, make_ring, normal_form,
@@ -131,6 +133,64 @@ def test_precision_comparison_rules():
     import pytest
     with pytest.raises(Exception):
         change_precision(down, 20)  # refinement is refused
+
+
+def _values_agree_cases():
+    from lodua import (CompletionCokernel, LimitModule, Rational, Telescope,
+                       TelescopeQuotient)
+    from lodua.descriptors import value_of
+    Z = make_ring({"base": "Z"})
+    Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"],
+                                                "precision": 20}})
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+
+    def Qhat(n):
+        return make_ring({"base": "Q", "vars": ["x", "y"],
+                          "completion": {"ideal": ["x", "y"], "precision": n}})
+
+    def fp(ring, *ann):
+        return LimitModule.of_module(FPModule.cyclic(ring, list(ann)))
+
+    def free(ring):
+        return FPModule.free(ring, 1)
+
+    def tq(ring, u):
+        return value_of(TelescopeQuotient(free(ring), u, check_regular=False))
+
+    def coker():
+        return LimitModule("completion_cokernel",
+                           CompletionCokernel(free(Z), [Z.el(5)], 1))
+
+    return [
+        (fp(Z, 5), value_of(Rational(Z, 1)),
+         False, "kinds differ: module vs rational"),
+        (fp(Qhat(4), "x"), fp(Qhat(3), "x"), True, "compared at precision 3"),
+        (fp(Z, 5), fp(Q, "x"), False, "rings differ: ZZ vs QQ[x,y]"),
+        (value_of(Rational(Z, 1)), value_of(Rational(Z, 2)),
+         False, "rational dimension"),
+        (value_of(Telescope(free(Z), 5)), value_of(Telescope(free(Z), 25)),
+         False, "multipliers differ"),
+        (value_of(Telescope(FPModule.cyclic(Q, ["x"]), "y")),
+         value_of(Telescope(FPModule.cyclic(Q, ["x"]), "y")),
+         True, "descriptor presentations"),
+        (tq(Z, 5), tq(Z5, 25), False, "stages differ at k=1"),
+        (tq(Q, "x"), tq(Qhat(4), "x*y"), False, "stages differ at k=1"),
+        (tq(Q, "x"), tq(Qhat(4), "x"), True, "stage systems agree through k=3"),
+        (value_of(Telescope(free(Z), 5)), value_of(Telescope(free(Q), "x")),
+         False, "rings differ"),
+        (coker(), coker(), True, "cokernel descriptor"),
+        (LimitModule("ind", {"a": 1}), LimitModule("ind", {"a": 1}),
+         True, "symbolic descriptor comparison"),
+        (LimitModule.unrecognized("e"), LimitModule.unrecognized("e"),
+         False, "unrecognized values never compare equal"),
+    ]
+
+
+@pytest.mark.parametrize("a, b, same, detail", _values_agree_cases())
+def test_values_agree_answer_and_detail(a, b, same, detail):
+    """Report bodies print the detail, so each branch is pinned as is."""
+    from lodua import values_agree
+    assert values_agree(a, b) == (same, detail)
 
 
 def test_sum_tower_limits(ZZ, d5):

@@ -480,3 +480,48 @@ def test_extended_comodule_is_a_comodule(candidate):
     h, N = candidate
     E = extended_comodule(h, N)
     Comodule(h, E.module, E.maps, check=True)
+
+
+def test_group_like_refuses_malformed_input(QQxy):
+    from lodua import UnsupportedRing
+    swap = {"s": {"x": "y", "y": "x"}}
+    Z3ish = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a",
+             ("e", "b"): "b", ("b", "e"): "b", ("a", "a"): "a",
+             ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "e"}
+    refusals = [
+        (QQxy, ["e", "e"], C2_TABLE, swap, "duplicate group element labels"),
+        (QQxy, ["e", "s"], {("e", "e"): "e"}, swap,
+         "multiplication table misses \\(e,s\\)"),
+        (QQxy, ["e", "s"], {k: "e" for k in C2_TABLE}, swap,
+         "the table has no unique identity"),
+        (QQxy, ["e", "a", "b"], Z3ish, {}, "non-associative table"),
+        (QQxy, ["e", "s"], C2_TABLE, {}, "no action supplied for s"),
+        (QQxy, ["e", "s"], C2_TABLE, {"s": {"x": "y"}}, "action of s misses y"),
+        (make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2"]}),
+         ["e", "s"], C2_TABLE, swap, "does not preserve the quotient ideal"),
+        (make_ring({"base": "Q", "vars": ["x", "y"],
+                    "completion": {"ideal": ["x"], "precision": 3}}),
+         ["e", "s"], C2_TABLE, swap, "does not preserve the completion ideal"),
+    ]
+    for ring, elements, table, action, message in refusals:
+        with pytest.raises(InvalidInput, match=message):
+            make_group_like(ring, elements, table, action)
+    L = make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"})
+    h = make_group_like(L, ["e", "s"], C2_TABLE, swap)
+    with pytest.raises(UnsupportedRing, match="must fix the inverted element"):
+        h.apply("s", L.el("x").inv())
+
+
+def test_adjunction_skips_samples_that_are_not_maps(ZZ, discrete):
+    M = Comodule(discrete, zmod(ZZ, 5), {})
+    # Z/5 -> Z and Z/5 -> 0 have no elementary sample to transport
+    for N in (FPModule.free(ZZ, 1), FPModule.zero(ZZ)):
+        assert extended_adjunction(discrete, M, N)[2] == []
+
+
+def test_unknown_method_and_theorem_tag_are_refused(QQxy, swap, dI,
+                                                    unit_comodule):
+    with pytest.raises(InvalidInput, match="unknown method 'sum'"):
+        comodule_completion(unit_comodule, dI, "sum")
+    with pytest.raises(InvalidInput, match="unknown theorem tag 'sum'"):
+        verify_theorems(swap, dI, unit_comodule, "sum")

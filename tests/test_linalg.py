@@ -683,3 +683,27 @@ def test_each_smith_form_is_computed_once(monkeypatch):
     assert not M.contains_in_relations((Z.el(1), Z.el(0)))
     can, fwd, bwd = M.canonical_presentation()
     assert len(calls) == 1
+
+
+def test_linear_algebra_corners(ZZ, QQxy, monkeypatch):
+    from lodua.linalg import membership_test
+    assert syzygies(ZZ, [], 1) == []
+    assert lift_through(ZZ, [], (ZZ.el(1),), 1) is None
+    # no rows: every vector is a syzygy
+    assert syzygies(ZZ, [(), ()], 0) == [(ZZ.one(), ZZ.zero()),
+                                         (ZZ.zero(), ZZ.one())]
+    L = make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"})
+    in_y = membership_test(L, [(L.el("y"),)], 1)
+    assert in_y((L.el("x*y"),)) and not in_y((L.el("x"),))
+    Lhat = make_ring({"base": "Q", "vars": ["x"], "invert": "x",
+                      "completion": {"ideal": ["x"], "precision": 3}})
+    with pytest.raises(UnsupportedRing, match="localized completed"):
+        syzygies(Lhat, [(Lhat.el("x"),)], 1)
+    # a span keeps at most _MEMO_LIMIT membership answers
+    monkeypatch.setattr(linalg, "_MEMO_LIMIT", 2)
+    x, y = QQxy.el("x"), QQxy.el("y")
+    in_x = membership_test(QQxy, [(x,)], 1)
+    answers = [in_x((f,)) for f in (x * y, y, x * x, y * y)]
+    assert answers == [True, False, True, False]
+    span = linalg._span_of(QQxy, [(x,)], 1)
+    assert len(span._member) <= 2

@@ -459,6 +459,106 @@ def test_derived_hom_refuses_telescope_targets(ZZ, d5):
             adjunction_check(d5, X, Y)
 
 
+def test_derived_hom_out_of_a_telescope_quotient(ZZ, d5, prufer):
+    """Out of T = Z/5^infty only f.p. targets are answered: End(T) is Z_5,
+    not the zero that a Tate-module rule for f.p. targets would give."""
+    from lodua import UnsupportedRing, adjunction_check, derived_hom_value
+    for q in (0, 1, 2):
+        with pytest.raises(UnsupportedRing, match="need an f.p. target"):
+            derived_hom_value(prufer, 0, prufer, q)
+    with pytest.raises(UnsupportedRing, match="need an f.p. target"):
+        adjunction_check(d5, prufer, prufer)
+    Z = FPObj(FPModule.free(ZZ, 1))
+    assert derived_hom_value(prufer, 0, Z, 0).describe() == {
+        "kind": "zero", "basis": "f.p. targets have trivial Tate module"}
+    assert derived_hom_value(prufer, 0, Z, 2).describe() == {
+        "kind": "zero",
+        "basis": "stages have projective dimension one; higher Ext vanish"}
+    assert derived_hom_value(Z, 1, Z, 0).describe() == {
+        "kind": "zero", "basis": "negative Ext degree"}
+    for src, message in (
+            (Rational(ZZ, 1), "rational sources are not needed"),
+            (TelescopeQuotient(zmod(ZZ, 7), 5),
+             "supported on free modules over euclidean rings")):
+        with pytest.raises(UnsupportedRing, match=message):
+            derived_hom_value(src, 0, Z, 0)
+
+
+def test_milnor_extension_with_both_terms_nonzero(ZZ):
+    """Ext^1(5^-1 (Z + Z/7), Z): lim^1 of Hom is Z_5/Z and lim of Ext^1 is
+    Z/7, on which 5 acts invertibly; neither vanishes."""
+    from lodua import derived_hom_value
+    from lodua.modules import block_sum
+    C = block_sum([FPModule.free(ZZ, 1), zmod(ZZ, 7)])
+    v = derived_hom_value(Telescope(C, 5), 0, FPObj(FPModule.free(ZZ, 1)), 1)
+    assert v.kind == "ind" and v.basis == "Milnor extension, both terms nonzero"
+    lim1, lim = v.payload["extension"]
+    assert lim1["kind"] == "completion_cokernel"
+    assert lim["module"] == {"free_rank": 0, "torsion": ["7"]}
+
+
+def test_local_layer_refuses_malformed_input(ZZ, QQxy, d5):
+    from lodua import CechComplex, ChainComplex, UnsupportedRing
+    from lodua.local import ext_out_of_fp, local_cohomology_value
+    with pytest.raises(InvalidInput, match="ideal generators must be nonzero"):
+        IdealData(ZZ, [5, 0])
+    with pytest.raises(InvalidInput, match="multiplier must be nonzero"):
+        Telescope(FPModule.free(ZZ, 1), 0)
+    with pytest.raises(InvalidInput, match="cannot grade 'x'"):
+        GradedObject.of("x")
+    with pytest.raises(InvalidInput, match="expected a module or descriptor"):
+        local_homology_Ls(d5, "x", 0)
+    with pytest.raises(InvalidInput, match="single-generator form only"):
+        CechComplex(IdealData(QQxy, ["x", "y"])).top_cokernel_descriptor()
+    Qx = FPModule.cyclic(QQxy, ["x"])
+    with pytest.raises(InvalidInput, match="lives over a different ring"):
+        local_cohomology_value(d5, FPObj(Qx), 0)
+    with pytest.raises(UnsupportedRing, match="no Ext rule from"):
+        ext_out_of_fp(FPModule.free(ZZ, 1), FPObj(Qx), 0)
+    with pytest.raises(InvalidInput, match="expects a single-degree input"):
+        local_cohomology(d5, GradedObject(ZZ, {0: FPObj(zmod(ZZ, 5)),
+                                               1: FPObj(zmod(ZZ, 5))}), 0)
+    # two nonzero homologies over a ring that is not hereditary
+    C = ChainComplex(QQxy, {0: Qx, 1: Qx}, {})
+    with pytest.raises(UnsupportedRing, match="cannot split a complex"):
+        GradedObject.of(C)
+
+
+def test_local_cohomology_edge_values(ZZ, QQxy, d5):
+    from lodua.local import local_cohomology_value
+    zero = FPObj(FPModule.zero(ZZ))
+    assert local_cohomology_value(d5, zero, 1).describe() == {"kind": "zero"}
+    # a unit generator: x acts surjectively, so H^1 of a free module is zero
+    assert local_cohomology(IdealData(ZZ, [1]), FPModule.free(ZZ, 1),
+                            1).basis == "x acts surjectively"
+    # (x, x) is not regular, so the top degree is not recognized
+    v = local_cohomology(IdealData(QQxy, ["x", "x"]), FPModule.free(QQxy, 1), 2)
+    assert v.describe() == {"kind": "unrecognized",
+                            "evidence": "no regularity certificate"}
+
+
+def test_gamma_sums_unlike_values_symbolically(ZZ, d5):
+    from lodua import UnsupportedRing
+    # H^0 of Z/5 and H^1 of Z[1] both land in degree 0
+    X = GradedObject(ZZ, {0: FPObj(zmod(ZZ, 5)), 1: FPObj(FPModule.free(ZZ, 1))})
+    gx = gamma(d5, X)
+    v = gx.table.value(0)
+    assert v.kind == "ind" and v.basis == "direct sum of values"
+    assert [p["kind"] for p in v.payload["sum"]] == ["module",
+                                                     "telescope_quotient"]
+    with pytest.raises(UnsupportedRing, match="Gamma output in degree 0 is "
+                                              "not re-consumable: ind"):
+        gx.as_graded_object()
+
+
+def test_lambda_memo_is_cleared_when_full(ZZ, d5, monkeypatch):
+    import lodua.local
+    full = {("stale", i): None for i in range(513)}
+    monkeypatch.setattr(lodua.local, "_LAMBDA_CACHE", full)
+    local_homology_Ls(d5, FPModule.free(ZZ, 1), 0)
+    assert len(full) == 1 and ("stale", 0) not in full
+
+
 _Z = make_ring({"base": "Z"})
 _Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 20}})
 _QXY = make_ring({"base": "Q", "vars": ["x", "y"]})

@@ -257,3 +257,74 @@ def test_scalar_map_and_base_change(ZZ, Z5hat):
     assert Mhat.ring is Z5hat and Mhat.ngens == 2
     assert [[e.render() for e in col] for col in Mhat.relations] == [
         ["3", "10"]]
+
+
+def test_module_layer_refuses_malformed_input(ZZ, QQxy):
+    from lodua import UnsupportedRing
+    Z1, Z2, Q1 = (FPModule.free(ZZ, 1), FPModule.free(ZZ, 2),
+                  FPModule.free(QQxy, 1))
+    refusals = [
+        (lambda: FPModule(ZZ, 2, [(ZZ.el(1),)]),
+         "relation column length != generator count"),
+        (lambda: ModuleMap(Z1, Q1, [[1]]),
+         "source and target live over different rings"),
+        (lambda: ModuleMap(Z2, Z1, [[1]]), "wrong number of columns"),
+        (lambda: ModuleMap(Z2, Z1, [[1, 0], [0, 1]]), "wrong number of rows"),
+        (lambda: identity_map(Z1).compose(identity_map(Z2)),
+         "composition mismatch"),
+        (lambda: subquotient(identity_map(Z1), "sum"),
+         "unknown subquotient kind 'sum'"),
+        (lambda: tensor(Z1, Q1), "tensor needs a common ring"),
+        (lambda: hom_module(Z1, Q1), "hom needs a common ring"),
+        (lambda: hom_or_tensor("sum", Z1, Z1), "unknown kind 'sum'"),
+        (lambda: tor(Z1, Z1, -1), "Tor degree must be >= 0"),
+        (lambda: ext(Z1, Z1, -1), "Ext degree must be >= 0"),
+        (lambda: iso_check(Q1, Q1), "witness required over non-euclidean"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(InvalidInput, match=message):
+            call()
+    with pytest.raises(UnsupportedRing, match="need a euclidean ring"):
+        Q1.decomposition()
+
+
+def test_maps_out_of_and_into_the_zero_module(ZZ):
+    zero, Z2 = FPModule.zero(ZZ), FPModule.free(ZZ, 2)
+    into, out = ModuleMap(zero, Z2, [[], []]), ModuleMap(Z2, zero, [])
+    assert into.apply(()) == (ZZ.zero(), ZZ.zero())
+    assert out.apply(Z2.gen(0)) == ()
+    assert out.lift_element(()) == (ZZ.zero(), ZZ.zero())
+    assert into.lift_element(Z2.gen(0)) is None
+
+
+def test_iso_check_reasons(ZZ, QQxy):
+    Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"],
+                                                "precision": 20}})
+    assert iso_check(FPModule.free(ZZ, 1),
+                     FPModule.free(Z5, 1)).reason == "different rings"
+    zero = FPModule.zero(QQxy)
+    assert iso_check(zero, zero).reason == "both zero"
+    A, kx = FPModule.free(QQxy, 1), FPModule.cyclic(QQxy, ["x"])
+    x = ModuleMap(A, A, [[QQxy.el("x")]])
+    assert iso_check(A, A, x).reason == "witness has nonzero cokernel"
+    proj = ModuleMap(A, kx, [[1]])
+    assert iso_check(A, kx, proj).reason == "witness has nonzero kernel"
+    # a witness given between equal presentations is rebuilt on M and N
+    verdict = iso_check(kx, FPModule.cyclic(QQxy, ["x"]), identity_map(kx))
+    assert verdict and verdict.witness.source is kx
+
+
+def test_small_module_helpers(ZZ, QQxy):
+    from lodua.modules import HomModule, _same_presentation
+    Z2 = FPModule.free(ZZ, 2)
+    can, fwd, _ = Z2.canonical_presentation()
+    assert can is Z2 and fwd.equals(identity_map(Z2))
+    hm = HomModule(Z2, FPModule.free(ZZ, 1))
+    assert hm.interp(hm.module.gen(1)).matrix == [[ZZ.zero(), ZZ.one()]]
+    bad = ModuleMap(FPModule.free(ZZ, 1), zmod(ZZ, 3), [[1]])
+    assert HomModule(zmod(ZZ, 4), zmod(ZZ, 3)).coords(bad) is None
+    assert identity_map(Z2).factor_through(
+        ModuleMap(Z2, Z2, [[2, 0], [0, 1]])) is None
+    assert hom_or_tensor("tensor", Z2, Z2).ngens == 4
+    assert not _same_presentation(FPModule.free(QQxy, 1),
+                                  FPModule.free(QQxy, 2))

@@ -28,7 +28,7 @@ def test_adic_limit_counts_compatible_sequences(ZZ):
     res = lim_lim1(tower)
     out = res.lim.payload
     # the recognized limit reduced mod p^K is one cyclic group of that order
-    from lodua.towers import quotient_by_ideal_power
+    from lodua.modules import quotient_by_ideal_power
     reduced = quotient_by_ideal_power(out, [out.ring.el(p)], K)
     factors, rank = reduced.decomposition()
     assert rank == 0 and [str(f) for f in factors] == [str(p ** K)]

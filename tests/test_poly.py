@@ -251,3 +251,21 @@ def test_power_series_inverse_follows_the_coefficient_rule():
         if abs(u.num.constant()) == 1:
             # an integral unit of constant term +-1 has an integral inverse
             assert all(type(c) is int for c in v.num.terms.values())
+
+
+def test_coefficient_rule_corners():
+    import pytest
+    assert ZZ.normalize(Fraction(6, 3)) == 2 and type(ZZ.normalize(True)) is int
+    with pytest.raises(ValueError, match="1/2 is not an integer"):
+        ZZ.normalize(Fraction(1, 2))
+    assert QQ.normalize("1/3") == Fraction(1, 3)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        GF(4)
+    with pytest.raises(ZeroDivisionError, match="2 is not a unit in Z"):
+        ZZ.inv(2)
+    assert ZZ.exact_div(3, 0) is None
+    with pytest.raises(ValueError, match="unknown monomial order 'sum'"):
+        order_key("sum")
+    x = Poly(ZZ, 1, {(1,): 3})
+    assert x * 2 == Poly(ZZ, 1, {(1,): 6})
+    assert x.exact_div(Poly(ZZ, 1, {(1,): 2}), KEY) is None

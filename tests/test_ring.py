@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodua import InvalidInput, UnsupportedRing, make_ring, normal_form
+from lodua import (InvalidInput, PrecisionMismatch, UnsupportedRing, make_ring,
+                   normal_form)
 from lodua.expr import ParseError, parse_poly
 from lodua.poly import QQ, Poly
 from lodua.ring import Ring
@@ -92,6 +93,11 @@ def test_parse_error_positions():
     assert err.value.pos == 4
     with pytest.raises(ParseError):
         parse_poly("x^", ("x",), QQ)
+    for text, pos, what in (("x 1", 2, "trailing input 1 "),
+                            ("x + )", 4, "unexpected token '\\)'")):
+        with pytest.raises(ParseError, match=what) as err:
+            parse_poly(text, ("x",), QQ)
+        assert err.value.pos == pos
 
 
 def test_grammar_operations():
@@ -372,3 +378,68 @@ def test_units_of_a_localized_polynomial_ring():
     assert R.unit_inverse(R.el("x + 1")) is None
     with pytest.raises(ZeroDivisionError):
         R.el("x + 1").inv()
+
+
+def test_ring_layer_refuses_malformed_input():
+    Z, Q = make_ring({"base": "Z"}), make_ring({"base": "Q", "vars": ["x", "y"]})
+    refusals = [
+        ({"base": "Fp", "p": 1}, InvalidInput, "characteristic 1 is not prime"),
+        ({"base": "Fp", "p": 4}, InvalidInput, "characteristic 4 is not prime"),
+        ({"base": "Fp", "p": "5"}, InvalidInput, "characteristic '5' is not"),
+        ({"base": "Z", "completion": {"ideal": ["5", "7"]}}, InvalidInput,
+         "Z-completion needs one integer generator"),
+        ({"base": "Z", "vars": ["x"], "completion": {"ideal": ["x"]}},
+         UnsupportedRing, "completion of Z\\[x...\\] is not supported"),
+        ({"base": "Z", "invert": "0"}, InvalidInput, "cannot invert zero"),
+        ({"base": "Q", "vars": ["x", "x"]}, InvalidInput,
+         "duplicate variable names"),
+    ]
+    for spec, error, message in refusals:
+        with pytest.raises(error, match=message):
+            make_ring(spec)
+    Zl = make_ring({"base": "Z", "invert": "5"})
+    calls = [
+        (lambda: Z.localized(0), InvalidInput, "cannot invert zero"),
+        (lambda: Zl.localized(Zl.el(5).inv()), InvalidInput,
+         "already a denominator power"),
+        (lambda: Z.at_precision(3), PrecisionMismatch, "ring is not completed"),
+        (lambda: Z.el([1]), InvalidInput, "cannot interpret \\[1\\]"),
+        (lambda: Z.el(Q.el("x")), InvalidInput, "cannot coerce from"),
+        (lambda: Z.el(Zl.el(5).inv()), InvalidInput,
+         "does not invert the same element"),
+        (lambda: Z.el(2) + Q.el("x"), InvalidInput, "mixed rings"),
+        (lambda: Z.divmod_el(3, 0), ZeroDivisionError, "division by zero"),
+        (lambda: Q.divmod_el("x", "y"), UnsupportedRing,
+         "no euclidean division"),
+        (lambda: Q.euclidean_size("x"), UnsupportedRing, "no euclidean size"),
+        (lambda: Q.unit_part("x"), UnsupportedRing, "no unit part"),
+    ]
+    for call, error, message in calls:
+        with pytest.raises(error, match=message):
+            call()
+    from lodua import groebner_basis
+    with pytest.raises(UnsupportedRing, match="expects a plain polynomial"):
+        groebner_basis(make_ring({"base": "Q", "vars": ["x"],
+                                  "quotient": ["x^2"]}), ["x"])
+
+
+def test_element_arithmetic_corners():
+    Z = make_ring({"base": "Z"})
+    assert 3 - Z.el(2) == Z.el(1) and Z.el(2) + 3 == Z.el(5)
+    assert Z.el(2) == 2 and Z.el(2) != object()
+    assert Z.euclidean_size(0) == -1
+    Zx = make_ring({"base": "Z", "vars": ["x"]})
+    assert Zx.el(-1).inv() == Zx.el(-1)        # the units of Z[x] are +-1
+    Zl = make_ring({"base": "Z", "invert": "5"})
+    assert Zl.strip_inverted(0) == (Zl.zero(), Zl.one())
+    # Z_5[1/5]: divide out the powers of 5, invert the rest in Z_5
+    Z5l = make_ring({"base": "Z", "invert": "5",
+                     "completion": {"ideal": ["5"], "precision": 4}})
+    assert Z5l.el(50).inv().render() == "(313)/(5)^2"
+    assert Z5l.el(50) * Z5l.el(50).inv() == Z5l.one()
+    # denominators cancel over a quotient ring
+    R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["y^2"],
+                   "invert": "x"})
+    assert R.el("x^2", dexp=1) == R.el("x")
+    assert repr(make_ring({"base": "Q", "vars": ["x"],
+                           "quotient": ["x^2"]})) == "QQ[x]/(x^2)"

@@ -146,3 +146,16 @@ def test_brute_force_equivalence_small_grid(F2xy):
             nonzero_quotient = any(_reduce_f2(one, basis))
             oracle = ok_a and ok_b and nonzero_quotient
             assert engine == oracle, (a, b, engine, oracle)
+
+
+def test_verdicts_describe_their_evidence(ZZ, QQxy):
+    import pytest
+    from lodua import InvalidInput
+    assert is_regular_sequence(QQxy, ["x", "y"]).describe() == {
+        "regular": True, "final_quotient_nonzero": True}
+    out = is_regular_sequence(QQxy, ["x", "x"]).describe()
+    assert out["regular"] is False and out["stage"] == 2 and out["witness"]
+    assert is_regular_sequence(ZZ, [1]).describe() == {
+        "regular": False, "stage": 1, "final_quotient_nonzero": False}
+    with pytest.raises(InvalidInput, match="need a nonempty sequence"):
+        is_regular_sequence(ZZ, [])

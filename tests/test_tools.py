@@ -120,3 +120,27 @@ def test_linecov_traces_one_small_call(ZZ):
     assert "is_regular_sequence" not in uncalled
     assert "RegularityVerdict.__init__" not in uncalled
     assert linecov.ranges([3, 4, 5, 9]) == "3-5, 9"
+
+
+def test_linecov_traces_child_interpreters():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "linecov", os.path.join(ROOT, "tools", "linecov.py"))
+    linecov = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(linecov)
+    from lodua import sequences
+    child = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+             "from lodua import InvalidInput, make_ring, sequences\n"
+             "try:\n"
+             "    sequences.is_regular_sequence(make_ring({'base': 'Z'}), [])\n"
+             "except InvalidInput:\n"
+             "    pass\n")
+    with linecov.LineTracer() as tracer:
+        subprocess.run([sys.executable, "-c", child, os.path.join(ROOT, "src")],
+                       check=True, timeout=300)
+    path = os.path.realpath(sequences.__file__)
+    with open(path) as fh:
+        source = fh.read().splitlines()
+    refusal = next(n for n, s in enumerate(source, 1)
+                   if 'raise InvalidInput("need a nonempty' in s)
+    assert refusal not in linecov.missed(path, tracer.hits.get(path, set()))[1]

@@ -3,8 +3,8 @@ import pytest
 from lodua import (FPModule, FPObj, Rational, Telescope, TelescopeQuotient,
                    Tower, is_pro_trivial, iso_check, lim_lim1, make_ring,
                    weak_proregularity_check)
-from lodua.modules import identity_map
-from lodua.towers import mult_tower_values, quotient_by_ideal_power
+from lodua.modules import identity_map, quotient_by_ideal_power
+from lodua.towers import mult_tower_values
 
 from conftest import zmod
 
@@ -151,3 +151,69 @@ def test_graded_polynomial_rules(QQxy):
     assert not c.is_zero() and "unbounded grading" in c.witness
     c = completion_cokernel(FPModule.cyclic(QQxy, ["x^2", "y"]), [x, y])
     assert c.is_zero()
+
+
+def test_divisible_part_over_a_completed_ring():
+    """y kills A/(x, y) and acts as 1 on A/(y - 1): the image chain of y
+    stabilizes at the second summand."""
+    from lodua.modules import block_sum
+    from lodua.towers import divisible_part
+    R = make_ring({"base": "Q", "vars": ["x", "y"],
+                   "completion": {"ideal": ["x"], "precision": 3}})
+    M = block_sum([FPModule.cyclic(R, ["x", "y"]), FPModule.cyclic(R, ["y - 1"])])
+    D = divisible_part(M, R.el("y"))
+    assert D.basis == "image chain stabilized at 2"
+    assert iso_check(D.payload, FPModule.cyclic(R, ["y - 1"]),
+                     identity_map(D.payload))
+
+
+def test_mult_towers_on_descriptors_and_unrecognized_shapes(ZZ, QQxy):
+    from lodua import InvalidInput, UnsupportedRing
+    mult = mult_tower_values
+    # an invertible multiplier is a failing stage, not an inconclusive one
+    v = is_pro_trivial(Tower.mult(zmod(ZZ, 7), 5))
+    assert v.describe() == {"status": "not-pro-trivial", "failing_stage": 1,
+                            "note": "multiplier acts invertibly"}
+    with pytest.raises(UnsupportedRing, match="materialize fp stages only"):
+        is_pro_trivial(Tower.mult(Telescope(FPModule.free(ZZ, 1), 5), 5))
+    assert mult(Telescope(FPModule.free(ZZ, 1), 5), 7).basis == "unrecognized"
+    zero_tq = mult(TelescopeQuotient(FPModule.zero(ZZ), 5), 5)
+    assert zero_tq.lim.is_zero() and zero_tq.basis == "telescope-quotient six-term"
+    # rings and multipliers no divisibility or completion rule covers
+    Qx = make_ring({"base": "Q", "vars": ["x", "y"],
+                    "completion": {"ideal": ["x"], "precision": 3}})
+    L = make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"})
+    for M, x in ((FPModule.free(QQxy, 1), "x + y^2"),
+                 (FPModule.cyclic(QQxy, ["x - y^2"]), "y"),
+                 (FPModule.free(Qx, 1), "y"), (FPModule.free(L, 1), "y")):
+        assert mult(FPObj(M), M.ring.el(x)).basis == "unrecognized"
+    with pytest.raises(InvalidInput, match="need a nonempty sequence"):
+        weak_proregularity_check(ZZ, [], 2, 1)
+    # (x, x) has Koszul homology whose composites a lag of 0 cannot kill
+    out = weak_proregularity_check(QQxy, ["x", "x"], 2, 0)
+    assert out["status"] == "inconclusive" and out["degree"] == 1
+
+
+def test_explicit_and_zero_towers(ZZ):
+    from lodua import InvalidInput
+    from lodua.modules import scalar_map, zero_map
+    M = zmod(ZZ, 10)
+    periodic = Tower.explicit([M], [scalar_map(M, 2)], periodic=1)
+    assert periodic.stage(3) is M and periodic.transition(3).matrix == [[2]]
+    assert lim_lim1(periodic).basis == "unrecognized"
+    killed = Tower.explicit([M], [zero_map(M, M)], periodic=1)
+    assert lim_lim1(killed).basis == "periodic pro-trivial"
+    finite = Tower.explicit([M], [])
+    for ask, what in ((lambda: finite.stage(2), "stage 2"),
+                      (lambda: finite.transition(1), "transition 1")):
+        with pytest.raises(InvalidInput, match=f"explicit tower has no {what}"):
+            ask()
+    assert is_pro_trivial(finite, stage_bound=0).describe() == {
+        "status": "inconclusive", "note": "no materializable stages"}
+    zero = Tower.zero_tower(ZZ)
+    assert zero.stage(1).is_zero() and zero.transition(1).source.is_zero()
+    bogus = Tower(ZZ, "sum", {})
+    for ask in (lambda: bogus.stage(1), lambda: bogus.transition(1),
+                lambda: lim_lim1(bogus)):
+        with pytest.raises(InvalidInput, match="unknown tower kind sum"):
+            ask()

@@ -3,9 +3,10 @@
     python3 tools/linecov.py
 
 Traces lines with the standard library's ``sys.settrace`` (``coverage`` is
-not needed) while two things run in this process: the tier-1 tests, by
-``pytest.main``, and the seed-1 op lists of the three benchmark workloads,
-through the runner of ``tools/sameness.py``.
+not needed) while two things run, in this process and in every Python
+process they start: the tier-1 tests, by ``pytest.main``, and the seed-1
+op lists of the three benchmark workloads, through the runner of
+``tools/sameness.py``.
 Then it prints, for each module of ``src/lodua``, the statement lines no
 traced call executed, as ranges, and the functions never called, as
 ``Class.method``:
@@ -17,31 +18,43 @@ traced call executed, as ranges, and the functions never called, as
 A statement counts as executed when any line of its header ran (the whole
 statement for a simple one, up to the body for a compound one), and a
 function as called when a line of its body after the docstring ran.
-The tracer sees this process only: lines that only a subprocess runs (the
-tests that start the CLI, the demos or a tool in a child interpreter) are
-listed as not executed, so code only the CLI reaches, such as
-``cli.recheck``, is listed as never called.  Tracing slows the run down
-several times.  Run from the root of a lodua checkout.
+Child interpreters are traced too (the tests that start the CLI, the demos
+and the tools run in subprocesses): while the tracer runs, a directory
+with a ``sitecustomize.py`` comes first on ``PYTHONPATH``, so every Python
+child started meanwhile, and its own children, trace themselves and write
+their lines to that directory when they exit; the tracer merges them.  A
+child that is killed writes nothing.  Tracing slows the run down several
+times.  Run from the root of a lodua checkout.
 """
 
 import argparse
 import ast
+import atexit
 import importlib.util
+import json
 import os
 import sys
+import tempfile
 import threading
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-# run as a script, this file's directory comes first on the path, where
-# tools/profile.py would shadow the standard library's ``profile``
-sys.path[:] = [p for p in sys.path if os.path.abspath(p or ".") != HERE]
 SRC = os.path.join(ROOT, "src", "lodua")
 WORKLOADS = ("completed-grid", "integer-sweep", "poly-sweep")
+# the sitecustomize.py of the traced children: it loads this file by path
+SITECUSTOMIZE = """\
+import importlib.util, os
+_spec = importlib.util.spec_from_file_location("linecov", {linecov!r})
+_linecov = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_linecov)
+_linecov.trace_child(os.path.dirname(os.path.abspath(__file__)), {traced!r})
+"""
 
 
 class LineTracer:
-    """The lines executed in files under one directory, per file."""
+    """The lines executed in files under one directory, per file, by this
+    process and, as a context manager, by the Python children started
+    while it traces."""
 
     def __init__(self, directory=SRC):
         self.prefix = os.path.realpath(directory) + os.sep
@@ -65,15 +78,55 @@ class LineTracer:
             return line
         return line
 
-    def __enter__(self):
+    def start(self):
         self._outer = sys.gettrace(), threading.gettrace()
         threading.settrace(self._call)
         sys.settrace(self._call)
+
+    def stop(self):
+        sys.settrace(self._outer[0])
+        threading.settrace(self._outer[1])
+
+    def __enter__(self):
+        self._children = tempfile.TemporaryDirectory()
+        with open(os.path.join(self._children.name, "sitecustomize.py"),
+                  "w") as fh:
+            fh.write(SITECUSTOMIZE.format(linecov=os.path.abspath(__file__),
+                                          traced=self.prefix))
+        self._pythonpath = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            [self._children.name] + [p for p in [self._pythonpath] if p])
+        self.start()
         return self
 
     def __exit__(self, *exc):
-        sys.settrace(self._outer[0])
-        threading.settrace(self._outer[1])
+        self.stop()
+        if self._pythonpath is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = self._pythonpath
+        with self._children as directory:
+            for name in os.listdir(directory):
+                if name.endswith(".json"):
+                    with open(os.path.join(directory, name)) as fh:
+                        for path, lines in json.load(fh).items():
+                            self.hits.setdefault(path, set()).update(lines)
+
+
+def trace_child(out, traced):
+    """Trace the files under ``traced`` in this interpreter, and at its exit
+    write their lines to a new file in ``out`` (run by the children's
+    sitecustomize.py)."""
+    tracer = LineTracer(traced)
+    tracer.start()
+
+    def write():
+        tracer.stop()
+        fd, _ = tempfile.mkstemp(".json", dir=out)
+        with os.fdopen(fd, "w") as fh:
+            json.dump({path: sorted(lines)
+                       for path, lines in tracer.hits.items()}, fh)
+    atexit.register(write)
 
 
 def statements(source):
@@ -185,6 +238,9 @@ def run_op_lists():
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.parse_args(argv)
+    # run as a script, this file's directory comes first on the path, where
+    # tools/profile.py would shadow the standard library's ``profile``
+    sys.path[:] = [p for p in sys.path if os.path.abspath(p or ".") != HERE]
     src = os.path.join(ROOT, "src")
     sys.path.insert(0, src)
     # the tests that start a child interpreter import lodua from src too,
