@@ -321,9 +321,7 @@ def _span_of(ring, cols, nrows):
 
 def _localized_poly(ring, op, cols, target, nrows):
     """Compute in A[t]/(t*u - 1), the Rabinowitsch model of u^-1 A."""
-    base = ring.without_inversion()
-    if base.is_completed:
-        raise UnsupportedRing("localized completed polynomial rings unsupported")
+    base = ring.without_inversion()  # never completed: Ring._validate
     names = base.names + ("_t",)
     nv = len(names)
 

@@ -53,6 +53,7 @@ class IdealData:
         if any(g.is_zero() for g in self.gens):
             raise InvalidInput("ideal generators must be nonzero")
         self._regular = None
+        self._regular_underlying = None
         self._wpr = {}
 
     @property
@@ -63,6 +64,22 @@ class IdealData:
         if self._regular is None:
             self._regular = is_regular_sequence(self.ring, self.gens)
         return self._regular
+
+    def regular_underlying(self):
+        """Whether the generators are a regular sequence of the ring that
+        ``weak_proregularity_check`` works in: the ring itself when it is
+        discrete (then this is ``regular_certificate()``), else the
+        underlying discrete ring of the completion.  Computed once."""
+        if self._regular_underlying is None:
+            ring = self.ring
+            if ring.is_completed:
+                base = ring.underlying()
+                cert = is_regular_sequence(
+                    base, [base.el(g.num, g.dexp) for g in self.gens])
+            else:
+                cert = self.regular_certificate()
+            self._regular_underlying = cert.regular
+        return self._regular_underlying
 
     def weak_proregularity(self, stage_bound, lag):
         key = (stage_bound, lag)
@@ -523,8 +540,18 @@ def local_homology_Ls(d, desc, s):
 
 
 def _wpr_status(d):
-    """The one weak-proregularity question of the completion side: three
-    stages of the Koszul homology towers, lag max(2, lag setting // 3)."""
+    """The one weak-proregularity question of the completion side.
+
+    A regular sequence is weakly proregular with every Koszul homology
+    stage zero, since the powers of a regular sequence are regular
+    (Matsumura, Commutative Ring Theory, Thm 16.1; Schenzel, Math. Scand.
+    92, 2003), so its regularity certificate answers without a stage
+    built, in the ring the bounded check works in.  Any other sequence gets
+    the bounded check: three stages of the Koszul homology towers, lag
+    max(2, lag setting // 3).
+    """
+    if d.regular_underlying():
+        return "weakly-proregular"
     return d.weak_proregularity(3, max(2, current().lag // 3))["status"]
 
 

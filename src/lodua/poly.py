@@ -159,6 +159,16 @@ class Poly:
         return self
 
     @classmethod
+    def _raw_const(cls, dom, c):
+        """The polynomial in no variables with canonical coefficient c."""
+        self = object.__new__(cls)
+        self.dom = dom
+        self.nvars = 0
+        self._hash = None
+        self.terms = {(): c} if c else {}
+        return self
+
+    @classmethod
     def _canon(cls, dom, nvars, terms):
         """Terms computed with native + and * from canonical values, brought
         to the canonical form: reduced mod p over F_p, integral Fractions

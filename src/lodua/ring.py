@@ -12,16 +12,24 @@ When quotient + I^N is generated by monomials (for instance k[[x, y]] at
 no generator divides.  That is the Groebner normal form, which is unique
 modulo a monomial ideal, computed without a Groebner basis.
 
+Z and Z_p compute on plain ints.  Each holds one ``_IntArith`` as
+``Ring.int_arith``, built with the ring: element sums, differences,
+products, negation and powers, ``Ring.el`` of a number and ``from_key``
+compute there and build the canonical element directly, with no ``Poly``
+arithmetic and no ``_normal``.  ``_IntArith`` is the one home of the mod p^N
+rule of Z_p (the numerators of Z_p[1/p] are reduced by Z_p's record).
+
 The ring is the one home of euclidean arithmetic (``divmod_el``,
 ``euclidean_size``, ``unit_part``, ``is_unit_el``, ``unit_inverse``).  Over
-Z and Z_p each rule is written once, on plain ints, in ``_IntArith``, held
-per ring as ``Ring.int_arith``; the Smith loop of ``linalg`` runs on it.
+Z and Z_p each rule is written once, on plain ints, in ``_IntArith``; the
+Smith loop of ``linalg`` runs on it too.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 from operator import le
+import re
 
 from .context import DEFAULT_PRECISION
 from .errors import InvalidInput, PrecisionMismatch, UnsupportedRing
@@ -42,6 +50,10 @@ from .poly import GF, Poly, QQ, ZZ, order_key
 # object that a later Ring.get no longer returns, so every comparison with
 # them would fall back to the structural test.
 _RING_CACHE = {}
+
+# A plain integer literal: Ring.el reads it with int(), not the parser.  Only
+# ASCII digits, so "2_5", "+5" and " 5" still go to the parser as before.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _is_prime(n):
@@ -97,14 +109,18 @@ class Ring:
         self._modulus = None
         self._modulus_vectors = {}
         self._reduction = None
-        self._int_modulus = None
-        self._int_arith = None
         self._monomials = None
         self._series = None
         self._zero = None
         self._one = None
         self._kind = _classify(base, self.nvars, inverted, completion)
         self._hash = hash(self._key())
+        self._validate()
+        # the euclidean arithmetic of Z or Z_p on plain ints, None on every
+        # other ring: a plain attribute, so an operation on a polynomial
+        # ring pays one attribute read for the test
+        self.int_arith = _IntArith(self) if self._kind in (
+            "int", "int_completed") else None
 
     # -- construction and interning ----------------------------------------
 
@@ -121,6 +137,8 @@ class Ring:
         return hit
 
     def _validate(self):
+        """Refuse a ring the engine cannot compute in; run on construction,
+        so ``Ring.get`` never interns such a ring."""
         if self.completion is not None:
             gens, prec = self.completion
             if prec < 1:
@@ -132,6 +150,11 @@ class Ring:
                     raise UnsupportedRing("Z-completions are supported at primes only")
             elif self.base == "Z":
                 raise UnsupportedRing("completion of Z[x...] is not supported")
+            elif self.inverted is not None:
+                # kernels and lifts work in the Rabinowitsch model, which has
+                # no completed form
+                raise UnsupportedRing(
+                    "localized completed polynomial rings unsupported")
         if self.inverted is not None and self.inverted.is_zero():
             raise InvalidInput("cannot invert zero")
 
@@ -158,10 +181,8 @@ class Ring:
 
     def completed(self, gens, precision):
         gens = tuple(g.num if isinstance(g, RingElement) else g for g in gens)
-        r = Ring.get(self.base, self.p, self.names, self.quotient,
-                     self.inverted, (gens, precision), self.order)
-        r._validate()
-        return r
+        return Ring.get(self.base, self.p, self.names, self.quotient,
+                        self.inverted, (gens, precision), self.order)
 
     def localized(self, x):
         x = self.el(x)
@@ -169,10 +190,8 @@ class Ring:
             raise InvalidInput("element is already a denominator power")
         if self.is_unit_el(x):
             return self  # inverting a unit changes nothing
-        r = Ring.get(self.base, self.p, self.names, self.quotient,
-                     x.num, self.completion, self.order)
-        r._validate()
-        return r
+        return Ring.get(self.base, self.p, self.names, self.quotient,
+                        x.num, self.completion, self.order)
 
     def at_precision(self, n):
         if not self.is_completed:
@@ -184,22 +203,6 @@ class Ring:
     def int_prime(self):
         """p over Z_p and Z_p[1/p]: the generator of the completion ideal."""
         return abs(int(self.completion[0][0].constant()))
-
-    @property
-    def int_modulus(self):
-        """p^N over Z_p at precision N: the canonical form reduces by it."""
-        if self._int_modulus is None:
-            self._int_modulus = self.int_prime ** self.completion[1]
-        return self._int_modulus
-
-    @property
-    def int_arith(self):
-        """The euclidean arithmetic of Z or Z_p on plain ints (``_IntArith``),
-        built once per ring; None on every other ring."""
-        if self._int_arith is None:
-            self._int_arith = self._kind in ("int", "int_completed") and \
-                _IntArith(self)
-        return self._int_arith or None
 
     @property
     def modulus(self):
@@ -300,10 +303,14 @@ class Ring:
                 return x
             return self._coerce(x)
         if isinstance(x, str):
-            num = parse_poly(x, self.names, self.dom)
-        elif isinstance(x, Poly):
+            x = int(x) if _INTEGER.fullmatch(x) else \
+                parse_poly(x, self.names, self.dom)
+        if isinstance(x, Poly):
             num = x if x.dom == self.dom else Poly(self.dom, self.nvars, x.terms)
         elif isinstance(x, (int, Fraction)):
+            ar = self.int_arith
+            if ar is not None:
+                return ar.to_el(ar.reduce(self.dom.normalize(x)))
             num = Poly.const(self.dom, self.nvars, x)
         else:
             raise InvalidInput(f"cannot interpret {x!r} as a ring element")
@@ -337,10 +344,9 @@ class Ring:
 
     def _reduce_num(self, num):
         if self.nvars == 0:
-            if self.classify() == "int_completed" or (
-                    self.inverted is not None and self.is_completed):
-                c = int(num.constant()) % self.int_modulus
-                return Poly.const(self.dom, 0, c)
+            if self.inverted is not None and self.is_completed:
+                # Z_p[1/p]: a numerator is an element of Z_p
+                return self.without_inversion().el(num).num
             return num
         mons = self.monomial_modulus
         if mons is not None:
@@ -354,6 +360,10 @@ class Ring:
         return num
 
     def _normal(self, num, dexp):
+        ar = self.int_arith
+        if ar is not None:
+            # Z and Z_p invert nothing: dexp is 0
+            return ar.to_el(ar.reduce(num.terms.get((), 0)))
         num = self._reduce_num(num)
         if num.is_zero():
             return RingElement(self, num, 0)
@@ -370,8 +380,7 @@ class Ring:
         """The canonical, hashable form of a vector of elements: integers
         over Z and Z_p, (numerator, denominator exponent) pairs over a
         localization, else the numerators.  ``from_key`` inverts one entry."""
-        kind = self._kind
-        if kind == "int" or kind == "int_completed":
+        if self.int_arith is not None:
             return tuple([e.num.terms.get((), 0) for e in vec])
         if self.inverted is None:
             return tuple([e.num for e in vec])
@@ -379,9 +388,9 @@ class Ring:
 
     def from_key(self, k):
         """The element with canonical form k (an entry of ``vec_key``)."""
-        kind = self._kind
-        if kind == "int" or kind == "int_completed":
-            return RingElement(self, Poly.const(self.dom, 0, k), 0)
+        ar = self.int_arith
+        if ar is not None:
+            return ar.to_el(k)
         if self.inverted is None:
             return RingElement(self, k, 0)
         return RingElement(self, *k)
@@ -646,25 +655,41 @@ def _classify(base, nvars, inverted, completion):
 
 class _IntArith:
     """Z, or Z_p at precision N with every value reduced mod p^N, on plain
-    ints: the one copy of each division, size and unit rule of these rings
-    (see the module docstring)."""
+    ints: the one copy of the canonical form and of each ring operation,
+    division, size and unit rule of these rings (see the module docstring).
+    A value is an int; over Z_p it lies in [0, p^N)."""
 
-    __slots__ = ("ring", "m", "p")
+    __slots__ = ("ring", "dom", "m", "p")
     zero, one = 0, 1
 
     def __init__(self, ring):
         self.ring = ring
+        self.dom = ring.dom
         self.m = self.p = None
         if ring.is_completed:
-            self.m, self.p = ring.int_modulus, ring.int_prime
+            # p^N: the canonical form of Z_p at precision N reduces by it
+            self.p = ring.int_prime
+            self.m = self.p ** ring.precision
 
-    def from_el(self, e):
-        a = e.num.terms.get((), 0)
+    def reduce(self, a):
+        """The value of the integer a: a mod p^N over Z_p, a over Z."""
         return a % self.m if self.m else a
 
+    def from_el(self, e):
+        return self.reduce(e.num.terms.get((), 0))
+
     def to_el(self, a):
-        # a value is its own canonical form: over Z_p it is reduced mod p^N
-        return self.ring.from_key(a)
+        """The canonical element of the value a."""
+        return RingElement(self.ring, Poly._raw_const(self.dom, a), 0)
+
+    def add(self, a, b):
+        return (a + b) % self.m if self.m else a + b
+
+    def sub(self, a, b):
+        return (a - b) % self.m if self.m else a - b
+
+    def pow(self, a, n):
+        return pow(a, n, self.m) if self.m else a ** n
 
     def is_zero(self, a):
         return a == 0
@@ -751,9 +776,17 @@ class RingElement:
             raise InvalidInput(f"mixed rings {self.ring} and {other.ring}")
         return other
 
+    # Over Z and Z_p (``Ring.int_arith`` set) the operators compute on the
+    # ints of ``_IntArith`` inside these same methods, so a wrapper that
+    # counts an operator by name (perfbench's CallCounter) sees every call.
+
     def __add__(self, other):
         other = self._match(other)
         r = self.ring
+        ar = r.int_arith
+        if ar is not None:
+            return ar.to_el(ar.add(self.num.terms.get((), 0),
+                                   other.num.terms.get((), 0)))
         if self.dexp == other.dexp:
             return r._normal(self.num + other.num, self.dexp)
         lo, hi = sorted((self, other), key=lambda e: e.dexp)
@@ -764,26 +797,43 @@ class RingElement:
 
     def __neg__(self):
         r = self.ring
+        ar = r.int_arith
+        if ar is not None:
+            return ar.to_el(ar.neg(self.num.terms.get((), 0)))
         if r.nvars == 0 and r.completion is not None:
-            # over Z_p and Z_p[1/p] numerators stay in [0, p^N)
+            # over Z_p[1/p] numerators stay in [0, p^N)
             return r._normal(-self.num, self.dexp)
         return RingElement(r, -self.num, self.dexp)
 
     def __sub__(self, other):
-        return self + (-self._match(other))
+        other = self._match(other)
+        ar = self.ring.int_arith
+        if ar is not None:
+            return ar.to_el(ar.sub(self.num.terms.get((), 0),
+                                   other.num.terms.get((), 0)))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._match(other) + (-self)
+        return self._match(other) - self
 
     def __mul__(self, other):
         other = self._match(other)
-        return self.ring._normal(self.num * other.num, self.dexp + other.dexp)
+        r = self.ring
+        ar = r.int_arith
+        if ar is not None:
+            return ar.to_el(ar.mul(self.num.terms.get((), 0),
+                                   other.num.terms.get((), 0)))
+        return r._normal(self.num * other.num, self.dexp + other.dexp)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         assert n >= 0
-        return self.ring._normal(self.num ** n, self.dexp * n)
+        r = self.ring
+        ar = r.int_arith
+        if ar is not None:
+            return ar.to_el(ar.pow(self.num.terms.get((), 0), n))
+        return r._normal(self.num ** n, self.dexp * n)
 
     def __eq__(self, other):
         if not isinstance(other, RingElement):
@@ -832,7 +882,6 @@ def make_ring(descriptor):
     plain = Ring.get(base, p, names)
     quotient = tuple(plain.el(q).num for q in descriptor.get("quotient", ()))
     ring = Ring.get(base, p, names, quotient)
-    ring._validate()
     if quotient and ring.monomial_modulus is None:
         ring.reduction_basis().within_budget()  # fails early on budget problems
     comp = descriptor.get("completion")

@@ -454,14 +454,11 @@ def _all_homogeneous(M, x):
 
 def divisible_part(M, x):
     """The largest submodule D with x.D = D (that is, the intersection of the
-    images of multiplication by x^k), as a LimitModule.  None if unrecognized."""
+    images of multiplication by x^k), as a LimitModule.  None if unrecognized.
+
+    Its one caller, ``mult_tower_values``, has already answered a zero
+    module, a nilpotent x and an invertible x."""
     ring = M.ring
-    if M.is_zero():
-        return LimitModule.zero(basis="zero module")
-    if _capped_killing_power(M, [x]):
-        return LimitModule.zero(basis="nilpotent multiplier")
-    if scalar_map(M, x).is_iso():
-        return LimitModule.of_module(M, basis="invertible multiplier")
     kind = ring.classify()
     if ring.is_euclidean and not ring.is_completed:
         factors, rank = M.decomposition()

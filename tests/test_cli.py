@@ -221,6 +221,24 @@ def test_budget_env_var_exits_two(tmp_path):
     assert "inconclusive" in proc.stderr
 
 
+def test_localized_completed_polynomial_ring_is_refused_on_reading(tmp_path):
+    """No verb can compute in a completed polynomial ring with an element
+    inverted, so even `resolve`, which asks nothing of the ring, refuses
+    the document: exit 2 and one line on stderr."""
+    doc = {
+        "version": "1",
+        "ring": {"base": "Q", "vars": ["x"], "invert": "x",
+                 "completion": {"ideal": ["x"], "precision": 3}},
+        "modules": {"M": {"generators": 1, "relations": []}},
+    }
+    path = tmp_path / "localized-completed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("resolve", str(path), "--module", "M")
+    assert (code, out) == (2, "")
+    assert err == ("inconclusive: localized completed polynomial rings "
+                   "unsupported\n")
+
+
 def test_golden_comodule_verify_report():
     """The comodule verbs on c2-swap, byte for byte."""
     for args, golden in [

@@ -187,13 +187,15 @@ def test_grid_over_completed_polynomial_ring(QQxy, dxy):
     assert set(cert.table) == {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)}
 
 
-def test_unverified_hypotheses_are_stamped(ZZ):
+def test_unverified_hypotheses_are_stamped():
     """When the weak-proregularity certificate is inconclusive the L_s value
-    carries the outside-verified-hypotheses stamp."""
+    carries the outside-verified-hypotheses stamp.  (x) in Q[x,y]/(xy) is
+    not a regular sequence, so the bounded check is the one consulted."""
     from lodua import local_homology_Ls
-    d = IdealData(ZZ, [5])
+    R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x*y"]})
+    d = IdealData(R, ["x"])
     d._wpr[(3, 2)] = {"status": "inconclusive"}
-    v = local_homology_Ls(d, FPObj(FPModule.free(ZZ, 1)), 0)
+    v = local_homology_Ls(d, FPObj(FPModule.free(R, 1)), 0)
     assert "outside verified hypotheses" in (v.basis or "")
 
 

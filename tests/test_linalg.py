@@ -695,10 +695,10 @@ def test_linear_algebra_corners(ZZ, QQxy, monkeypatch):
     L = make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"})
     in_y = membership_test(L, [(L.el("y"),)], 1)
     assert in_y((L.el("x*y"),)) and not in_y((L.el("x"),))
-    Lhat = make_ring({"base": "Q", "vars": ["x"], "invert": "x",
-                      "completion": {"ideal": ["x"], "precision": 3}})
+    # a localized completed polynomial ring is refused when it is built
     with pytest.raises(UnsupportedRing, match="localized completed"):
-        syzygies(Lhat, [(Lhat.el("x"),)], 1)
+        make_ring({"base": "Q", "vars": ["x"], "invert": "x",
+                   "completion": {"ideal": ["x"], "precision": 3}})
     # a span keeps at most _MEMO_LIMIT membership answers
     monkeypatch.setattr(linalg, "_MEMO_LIMIT", 2)
     x, y = QQxy.el("x"), QQxy.el("y")

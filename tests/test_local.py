@@ -610,3 +610,38 @@ def test_localhom_agrees_with_the_gm_check(case):
     for s in (0, 1, 2):
         assert local_homology_Ls(d, desc, s).describe() == \
             gm_ses_check(d, desc, s)["L_s"]
+
+
+@st.composite
+def _regular_sequences(draw):
+    """Regular sequences, as (ring, generators): (p^k) on Z and on Z_5 at
+    precision 20 (times a unit there), and (x + a*y, y^b) on Q[x, y]."""
+    ring = draw(st.sampled_from([_Z, _Z5, _QXY]))
+    if ring is _Z:
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        return ring, [p ** draw(st.integers(1, 4))]
+    if ring is _Z5:
+        unit = draw(st.sampled_from([1, 2, -1, 7]))
+        return ring, [unit * 5 ** draw(st.integers(1, 4))]
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+    return ring, [f"x + {a}*y", f"y^{b}"]
+
+
+@settings(max_examples=15)
+@given(_regular_sequences())
+def test_a_regular_sequence_is_weakly_proregular_by_its_certificate(case):
+    """The regularity certificate answers the weak-proregularity question
+    with no Koszul stage built, and the bounded check agrees."""
+    from lodua.local import _wpr_status
+    from lodua.towers import weak_proregularity_check
+
+    def refused(*args):
+        raise AssertionError("the bounded check was asked")
+
+    ring, gens = case
+    d = IdealData(ring, gens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lodua.local, "weak_proregularity_check", refused)
+        assert _wpr_status(d) == "weakly-proregular"
+    out = weak_proregularity_check(ring, gens, stage_bound=3, lag=2)
+    assert out["status"] == "weakly-proregular"

@@ -6,7 +6,7 @@ from lodua import (InvalidInput, PrecisionMismatch, UnsupportedRing, make_ring,
                    normal_form)
 from lodua.expr import ParseError, parse_poly
 from lodua.poly import QQ, Poly
-from lodua.ring import Ring
+from lodua.ring import Ring, RingElement
 
 
 def test_make_integers():
@@ -443,3 +443,68 @@ def test_element_arithmetic_corners():
     assert R.el("x^2", dexp=1) == R.el("x")
     assert repr(make_ring({"base": "Q", "vars": ["x"],
                            "quotient": ["x^2"]})) == "QQ[x]/(x^2)"
+
+
+# -- Z and Z_p on ints ----------------------------------------------------------
+
+_ZZ = make_ring({"base": "Z"})
+_Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 20}})
+_M5 = 5 ** 20
+
+
+def _poly_route(R, num):
+    """The element of a constant Poly as the generic route built it: Z keeps
+    the numerator, Z_5 reduces its constant mod 5^N."""
+    if R.is_completed:
+        num = Poly.const(R.dom, 0, int(num.constant()) % 5 ** R.precision)
+    return RingElement(R, num, 0)
+
+
+def _same_element(got, want):
+    assert got.num.terms == want.num.terms and got.dexp == want.dexp
+    assert got == want and hash(got) == hash(want)
+
+
+_VALUES = st.one_of(st.sampled_from([0, 1, -1, _M5 - 1, _M5, -_M5, 2 * _M5 + 3]),
+                    st.integers(-3 * _M5, 3 * _M5), st.integers(-30, 30))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([_ZZ, _Z5]), _VALUES, _VALUES, st.integers(0, 7))
+def test_integer_arithmetic_is_the_polynomial_route(R, a, b, n):
+    """Over Z and Z_5 (precision 20) every operation computes on ints and
+    builds the element the Poly arithmetic and the old canonical form
+    built: the same terms, denominator exponent, equality and hash."""
+    pa, pb = Poly.const(R.dom, 0, a), Poly.const(R.dom, 0, b)
+    ea, eb = R.el(a), R.el(b)
+    _same_element(ea, _poly_route(R, pa))
+    _same_element(R.from_key(R.vec_key([ea])[0]), ea)
+    # each canonical operand is the Poly it stands for: Z_p keeps [0, p^N)
+    qa, qb = ea.num, eb.num
+    for got, want in [
+            (ea + eb, qa + qb), (ea + b, qa + qb), (b + ea, qb + qa),
+            (ea - eb, qa - qb), (ea - b, qa - qb), (b - ea, qb - qa),
+            (ea * eb, qa * qb), (ea * b, qa * qb), (b * ea, qb * qa),
+            (-ea, -qa), (ea ** n, qa ** n)]:
+        _same_element(got, _poly_route(R, want))
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.from_regex(r"-?[0-9]+", fullmatch=True),
+                 st.sampled_from(["-0", "007", "-007", "0"])))
+def test_integer_literals_are_read_as_the_parser_reads_them(text):
+    QF = [make_ring({"base": "Q", "vars": ["x", "y"]}),
+          make_ring({"base": "Fp", "p": 7, "vars": ["x"]})]
+    for R in (_ZZ, _Z5):
+        _same_element(R.el(text), _poly_route(R, parse_poly(text, (), R.dom)))
+    for R in QF:
+        _same_element(R.el(text),
+                      R._normal(parse_poly(text, R.names, R.dom), 0))
+
+
+def test_other_integer_spellings_keep_the_parser():
+    for R in (_ZZ, _Z5, make_ring({"base": "Q", "vars": ["x"]})):
+        for text in ("+5", "2_5", "5x"):
+            with pytest.raises(ParseError):
+                R.el(text)
+        assert R.el(" 5") == R.el("5 ") == R.el("--5") == R.el(5)

@@ -144,3 +144,21 @@ def test_linecov_traces_child_interpreters():
     refusal = next(n for n, s in enumerate(source, 1)
                    if 'raise InvalidInput("need a nonempty' in s)
     assert refusal not in linecov.missed(path, tracer.hits.get(path, set()))[1]
+
+
+def test_counted_methods_sit_in_their_own_class():
+    """perfbench's CallCounter patches each method it counts in its class's
+    own __dict__; a method inherited, renamed or moved would stop being
+    counted without an error.  COUNTED is read from the file, unchanged."""
+    import ast
+    import importlib
+    with open(os.path.join(ROOT, "perfbench", "spans.py")) as fh:
+        tree = ast.parse(fh.read())
+    counted = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["COUNTED"])
+    assert counted
+    for _, modname, clsname, attrs in counted:
+        cls = getattr(importlib.import_module(modname), clsname)
+        for attr in attrs:
+            assert attr in vars(cls), f"{clsname}.{attr}"
