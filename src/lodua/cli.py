@@ -32,7 +32,7 @@ from .hopf import (Comodule, comodule_completion, iota, make_group_like,
 from .local import (IdealData, adic_completion, derived_completion, gamma,
                     gm_ses_check, local_cohomology, local_homology_Ls)
 from .modules import FPModule, ModuleMap, ext as module_ext, tor as module_tor
-from .ring import make_ring
+from .ring import _is_expression, make_ring
 from .towers import Tower, lim_lim1, weak_proregularity_check
 
 SCHEMA_VERSION = "1"
@@ -60,7 +60,8 @@ class Problem:
         for block, keys in _REQUIRED.items():
             for name, spec in _fields(doc.get(block, {}), block).items():
                 _fields(spec, repr(name), *keys)
-                if block in ("descriptors", "towers"):
+                if block in ("descriptors", "towers") \
+                        and isinstance(spec["kind"], str):
                     _fields(spec, repr(name), *_KIND_REQUIRED.get(spec["kind"], ()))
         self.ring = make_ring(doc.get("ring", {"base": "Z"}))
         self.ideal = None
@@ -84,9 +85,9 @@ class Problem:
         self.complexes = {}
         for name, spec in doc.get("complexes", {}).items():
             self._unique(name)
-            mods = {int(k): self.module(v)
+            mods = {_degree(name, k): self.module(v)
                     for k, v in _fields(spec["modules"], name).items()}
-            diffs = {int(k): self.map(v)
+            diffs = {_degree(name, k): self.map(v)
                      for k, v in _fields(spec.get("diffs", {}), name).items()}
             self.complexes[name] = ChainComplex(self.ring, mods, diffs)
         self.towers = {}
@@ -128,7 +129,7 @@ class Problem:
             return Tower.adic(self.module(spec["module"]), ideal)
         if kind == "mult":
             return Tower.mult(self._target_or_module(spec),
-                              self.ring.el(spec["x"]))
+                              self.ring.el(_element(f"{name!r} x", spec["x"])))
         if kind == "tor":
             return Tower.tor(self._target_or_module(spec), ideal,
                              at_least("s", spec["s"], 0))
@@ -136,9 +137,7 @@ class Problem:
 
     def _target_or_module(self, spec):
         name = spec.get("descriptor") or spec.get("module")
-        if name in self.descriptors:
-            return self.descriptors[name]
-        return self.module(name)
+        return _named(name, "module", self.descriptors, self.modules)
 
     def _descriptor(self, name, spec):
         kind = spec["kind"]
@@ -146,10 +145,12 @@ class Problem:
             return FPObj(self.module(spec["module"]))
         if kind == "telescope":
             return Telescope(self.module(spec["module"]),
-                             self.ring.el(spec["mult"]))
+                             self.ring.el(_element(f"{name!r} mult",
+                                                   spec["mult"])))
         if kind == "telescope_quotient":
             return TelescopeQuotient(self.module(spec["module"]),
-                                     self.ring.el(spec["mult"]))
+                                     self.ring.el(_element(f"{name!r} mult",
+                                                           spec["mult"])))
         if kind == "rational":
             try:
                 return Rational(self.ring, spec.get("dim", 1))
@@ -158,34 +159,32 @@ class Problem:
         raise InvalidInput(f"unknown descriptor kind {kind!r}")
 
     def module(self, name):
-        if name not in self.modules:
-            raise InvalidInput(f"unknown module {name!r}")
-        return self.modules[name]
+        return _named(name, "module", self.modules)
 
     def map(self, name):
-        if name not in self.maps:
-            raise InvalidInput(f"unknown map {name!r}")
-        return self.maps[name]
+        return _named(name, "map", self.maps)
 
     def comodule(self, name):
-        if name not in self.comodules:
-            raise InvalidInput(f"unknown comodule {name!r}")
-        return self.comodules[name]
+        return _named(name, "comodule", self.comodules)
 
     def target(self, name):
         """A module, descriptor, or complex by name."""
-        if name in self.descriptors:
-            return self.descriptors[name]
-        if name in self.modules:
-            return self.modules[name]
-        if name in self.complexes:
-            return self.complexes[name]
-        raise InvalidInput(f"unknown object {name!r}")
+        return _named(name, "object", self.descriptors, self.modules,
+                      self.complexes)
 
     def need_ideal(self):
         if self.ideal is None:
             raise InvalidInput("this verb needs an `ideal` block")
         return self.ideal
+
+
+def _named(name, what, *pools):
+    """The entry called ``name`` in the first pool holding it; a name that
+    is not a string names nothing."""
+    for pool in pools:
+        if isinstance(name, str) and name in pool:
+            return pool[name]
+    raise InvalidInput(f"unknown {what} {name!r}")
 
 
 def _fields(spec, what, *keys):
@@ -217,7 +216,25 @@ def _is_elements(value, n=None):
     """Is value a list of element expressions (strings or integers, not
     booleans), n of them unless n is None?"""
     return isinstance(value, list) and n in (None, len(value)) and all(
-        type(e) in (str, int) for e in value)
+        map(_is_expression, value))
+
+
+def _element(what, value):
+    """value, checked to be one element expression (a string or an integer,
+    not a boolean)."""
+    if not _is_expression(value):
+        raise InvalidInput(f"{what} must be a string or an integer, not "
+                           f"{value!r}")
+    return value
+
+
+def _degree(name, key):
+    """A complex's degree key as an integer."""
+    try:
+        return int(key)
+    except ValueError:
+        raise InvalidInput(f"{name!r} degree must be an integer, not "
+                           f"{key!r}") from None
 
 
 def _elements(what, value):

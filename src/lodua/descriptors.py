@@ -66,16 +66,15 @@ class TelescopeQuotient(Descriptor):
 
     kind = "telescope_quotient"
 
-    def __init__(self, module, mult, check_regular=True):
+    def __init__(self, module, mult):
         self.module = module
         self.ring = module.ring
         self.mult = self.ring.el(mult)
-        if check_regular:
-            self._check_regularity()
-
-    def _check_regularity(self):
-        # u must act injectively on M, else the stage maps are not inclusions
-        K, _ = scalar_map(self.module, self.mult).kernel()
+        # u must act injectively on M, else the stage maps are not
+        # inclusions; over A^ that is certified over A (A^ is flat over A)
+        base = self.ring.underlying()
+        K, _ = scalar_map(base_change(module, base),
+                          base.el(self.mult)).kernel()
         if not K.is_zero():
             raise InvalidInput("telescope quotient needs an injective multiplier")
 
@@ -258,10 +257,11 @@ def values_agree(a, b):
                 else "presentation comparison")
         ra, rb = Ma.ring, Mb.ring
         if ra.is_completed and rb.is_completed and ra.underlying() == rb.underlying():
+            # one ideal, in whatever order it is listed, is one completion
             prec = min(ra.precision, rb.precision)
             Ma2 = change_precision(Ma, prec)
-            Mb2 = change_precision(Mb, prec)
-            return (Ma2.ring == Mb2.ring and _same_module(Ma2, Mb2),
+            same = set(ra.completion[0]) == set(rb.completion[0])
+            return (same and _same_module(Ma2, base_change(Mb, Ma2.ring)),
                     f"compared at precision {prec}")
         if rb.is_completed and ra == rb.underlying():
             return values_agree(b, a)

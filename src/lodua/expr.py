@@ -7,13 +7,15 @@ Grammar (whitespace insensitive):
     factor := atom ('^' integer)*
     atom   := integer | name | '(' expr ')' | '-' atom
 
-Every failure is a ParseError carrying the offending position.
+Every failure is a ParseError carrying the offending position.  It is
+invalid input, so the CLI exits 3 on a malformed element of a document.
 """
 
+from .errors import InvalidInput
 from .poly import Poly
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInput):
     def __init__(self, msg, pos, text):
         super().__init__(f"{msg} at position {pos}: {text!r}")
         self.pos = pos

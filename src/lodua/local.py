@@ -53,7 +53,6 @@ class IdealData:
         if any(g.is_zero() for g in self.gens):
             raise InvalidInput("ideal generators must be nonzero")
         self._regular = None
-        self._regular_underlying = None
         self._wpr = {}
 
     @property
@@ -61,25 +60,12 @@ class IdealData:
         return len(self.gens)
 
     def regular_certificate(self):
+        """The one regularity certificate of the sequence, computed once;
+        over a completion its injectivity steps are certified in the
+        underlying ring (``is_regular_sequence``)."""
         if self._regular is None:
             self._regular = is_regular_sequence(self.ring, self.gens)
         return self._regular
-
-    def regular_underlying(self):
-        """Whether the generators are a regular sequence of the ring that
-        ``weak_proregularity_check`` works in: the ring itself when it is
-        discrete (then this is ``regular_certificate()``), else the
-        underlying discrete ring of the completion.  Computed once."""
-        if self._regular_underlying is None:
-            ring = self.ring
-            if ring.is_completed:
-                base = ring.underlying()
-                cert = is_regular_sequence(
-                    base, [base.el(g.num, g.dexp) for g in self.gens])
-            else:
-                cert = self.regular_certificate()
-            self._regular_underlying = cert.regular
-        return self._regular_underlying
 
     def weak_proregularity(self, stage_bound, lag):
         key = (stage_bound, lag)
@@ -305,7 +291,7 @@ def local_cohomology_value(d, desc, s):
         stage1 = quotient_by_ideal_power(M, [x], 1)
         if stage1.is_zero():
             return LimitModule.zero(basis="x acts surjectively")
-        tq = TelescopeQuotient(M, x, check_regular=not ring.is_completed)
+        tq = TelescopeQuotient(M, x)
         return LimitModule("telescope_quotient", tq,
                            precision=ring.precision,
                            basis="top local cohomology at one generator")
@@ -366,13 +352,17 @@ def _ideal_nilpotent_on(d, M):
 
 
 def _verify_top_witness(d, M):
-    """The class of (prod x)^(k-1) must be nonzero in M/(x^k)M, k <= 4."""
-    ring = d.ring
+    """The class of (prod x)^(k-1) must be nonzero in M/(x^k)M, k <= 4,
+    checked in the ring of the regularity certificate: over a completion,
+    its underlying ring, where (prod x)^(k-1) is not cut off by I^N."""
+    ring = d.ring.underlying()
+    M = base_change(M, ring)
+    gens = [ring.el(x) for x in d.gens]
     u = ring.one()
-    for x in d.gens:
+    for x in gens:
         u = u * x
     for k in range(1, 5):
-        stage = quotient_by_ideal_power(M, [x ** k for x in d.gens], 1)
+        stage = quotient_by_ideal_power(M, [x ** k for x in gens], 1)
         wit = tuple(u ** (k - 1) * e for e in M.gen(0))
         if stage.contains_in_relations(wit):
             raise InternalInconsistency(
@@ -550,7 +540,7 @@ def _wpr_status(d):
     the bounded check: three stages of the Koszul homology towers, lag
     max(2, lag setting // 3).
     """
-    if d.regular_underlying():
+    if d.regular_certificate().regular:
         return "weakly-proregular"
     return d.weak_proregularity(3, max(2, current().lag // 3))["status"]
 

@@ -294,8 +294,11 @@ def quotient_by_ideal_power(M, gens, k):
 
 
 def base_change(M, ring):
-    """The presentation of M read over ``ring``: a completion of M's ring or
-    the same completion at another precision."""
+    """The presentation of M read over ``ring``: a completion of M's ring,
+    the same completion at another precision, or the ring it completes
+    (M itself over its own ring)."""
+    if M.ring is ring:
+        return M
     return FPModule(ring, M.ngens, base_change_rows(M.relations, ring))
 
 

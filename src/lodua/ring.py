@@ -31,7 +31,7 @@ from math import gcd
 from operator import le
 import re
 
-from .context import DEFAULT_PRECISION
+from .context import DEFAULT_PRECISION, at_least
 from .errors import InvalidInput, PrecisionMismatch, UnsupportedRing
 from .expr import parse_poly
 from .groebner import GBasis, groebner_ideal, ideal_basis_polys
@@ -155,6 +155,11 @@ class Ring:
                 # no completed form
                 raise UnsupportedRing(
                     "localized completed polynomial rings unsupported")
+        if self.quotient and self.nvars == 0:
+            # the canonical forms reduce by a Groebner basis in the variables
+            raise UnsupportedRing(
+                "quotients of a ring without variables are not supported; "
+                "present the quotient as a cyclic module")
         if self.inverted is not None and self.inverted.is_zero():
             raise InvalidInput("cannot invert zero")
 
@@ -863,10 +868,15 @@ class RingElement:
 def make_ring(descriptor):
     """Build a Ring from a descriptor dict (the CLI JSON schema shape).
 
-    Keys: base ('Z' | 'Q' | 'Fp'), p, vars, quotient, invert,
-    completion {ideal, precision}.  Rejects inverting a provable
-    zerodivisor (detected by a syzygy computation).
+    Keys: base ('Z' | 'Q' | 'Fp'), p (with Fp only), vars, quotient,
+    invert, completion {ideal, precision}.  Each is checked for type first:
+    vars a list of names, quotient and the completion ideal lists of
+    element expressions (the ideal nonempty), the precision an integer of
+    at least 1.  Rejects inverting a provable zerodivisor (detected by a
+    syzygy computation).
     """
+    if not isinstance(descriptor, dict):
+        raise InvalidInput(f"ring must be a JSON object, not {descriptor!r}")
     base = descriptor.get("base", "Z")
     p = descriptor.get("p")
     if base == "Fp":
@@ -876,26 +886,59 @@ def make_ring(descriptor):
     # before Ring.get, whose coefficient domain asserts a prime
     if base == "F" and not (type(p) is int and _is_prime(p)):
         raise InvalidInput(f"characteristic {p!r} is not prime")
-    names = tuple(descriptor.get("vars", ()))
+    if base != "F" and p is not None:
+        raise InvalidInput(f"p is the characteristic of base Fp, not of "
+                           f"{base}")
+    names = _listed("ring vars", "names", descriptor.get("vars", []),
+                    lambda v: isinstance(v, str) and v.isidentifier())
     if len(set(names)) != len(names):
         raise InvalidInput("duplicate variable names")
     plain = Ring.get(base, p, names)
-    quotient = tuple(plain.el(q).num for q in descriptor.get("quotient", ()))
+    quotient = tuple(plain.el(q).num for q in _listed(
+        "ring quotient", "element expressions", descriptor.get("quotient", []),
+        _is_expression))
     ring = Ring.get(base, p, names, quotient)
     if quotient and ring.monomial_modulus is None:
         ring.reduction_basis().within_budget()  # fails early on budget problems
     comp = descriptor.get("completion")
-    if comp:
-        gens = tuple(ring.el(g).num for g in comp["ideal"])
-        ring = ring.completed(gens, comp.get("precision", DEFAULT_PRECISION))
+    if comp is not None:
+        if not isinstance(comp, dict) or "ideal" not in comp:
+            raise InvalidInput("ring completion must be a JSON object with an "
+                               f"'ideal', not {comp!r}")
+        ideal = _listed("completion ideal", "element expressions",
+                        comp["ideal"], _is_expression)
+        if not ideal:
+            raise InvalidInput("completion ideal must be nonempty")
+        ring = ring.completed(
+            tuple(ring.el(g).num for g in ideal),
+            at_least("completion precision",
+                     comp.get("precision", DEFAULT_PRECISION), 1))
     inv = descriptor.get("invert")
     if inv is not None:
+        if not _is_expression(inv):
+            raise InvalidInput(f"ring invert must be an element expression, "
+                               f"not {inv!r}")
         x = ring.el(inv)
         if x.is_zero():
             raise InvalidInput("cannot invert zero")
         _reject_zerodivisor(ring, x)
         ring = ring.localized(x)
     return ring
+
+
+def _is_expression(value):
+    """An element expression of a document: a string or an integer, not a
+    boolean."""
+    return type(value) in (str, int)
+
+
+def _listed(what, entries, value, check):
+    """``value`` as a tuple, checked to be a list whose every entry passes
+    ``check``."""
+    if not isinstance(value, (list, tuple)) or not all(map(check, value)):
+        raise InvalidInput(f"{what} must be a list of {entries}, not "
+                           f"{value!r}")
+    return tuple(value)
 
 
 def _reject_zerodivisor(ring, x):

@@ -1,7 +1,7 @@
 """Regular-sequence testing with kernel certificates."""
 
 from .errors import InvalidInput
-from .modules import FPModule, scalar_map, scalar_matrix
+from .modules import FPModule, base_change, scalar_map, scalar_matrix
 
 
 class RegularityVerdict:
@@ -29,11 +29,16 @@ def is_regular_sequence(ring, seq):
     """x_i must act injectively on A/(x_1..x_(i-1)); final quotient nonzero.
 
     Kernels are computed by syzygies; a failure carries the kernel witness.
+    Over a completion A^ of A the injectivity steps are certified in A (at
+    finite precision every x in the completion ideal is a zerodivisor), and
+    A^ is flat over A, so they hold in A^.  Whether the final quotient is
+    nonzero is decided in A^: x - 1 is regular in Q[x], a unit in Q[[x]].
     """
-    seq = [ring.el(x) for x in seq]
+    base = ring.underlying()
+    seq = [base.el(ring.el(x)) for x in seq]
     if not seq:
         raise InvalidInput("need a nonempty sequence")
-    quotient = FPModule.free(ring, 1)
+    quotient = FPModule.free(base, 1)
     for i, x in enumerate(seq):
         K, incl = scalar_map(quotient, x).kernel()
         if not K.is_zero():
@@ -41,8 +46,10 @@ def is_regular_sequence(ring, seq):
                 w = incl.col(t)
                 if not quotient.contains_in_relations(w):
                     return RegularityVerdict(False, stage=i + 1, witness=w)
-        quotient = FPModule(ring, quotient.ngens, quotient.relations
-                            + scalar_matrix(ring, quotient.ngens, x))
+        quotient = FPModule(base, quotient.ngens, quotient.relations
+                            + scalar_matrix(base, quotient.ngens, x))
+    if base is not ring:
+        quotient = base_change(quotient, ring)
     nonzero = not quotient.is_zero()
     if not nonzero:
         return RegularityVerdict(False, stage=len(seq),

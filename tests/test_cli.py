@@ -239,6 +239,61 @@ def test_localized_completed_polynomial_ring_is_refused_on_reading(tmp_path):
                    "unsupported\n")
 
 
+def _completed_doc(names, ideal, **blocks):
+    """The free module F over Q[[names]] completed at the variables, to
+    precision 3, with the document ideal ``ideal``."""
+    return {"ring": {"base": "Q", "vars": list(names),
+                     "completion": {"ideal": list(names), "precision": 3}},
+            "ideal": list(ideal), "modules": {"F": {"generators": 1}},
+            **blocks}
+
+
+def test_central_question_is_posed_through_the_cli():
+    """The regularity of the document ideal is certified in the ring the
+    completion completes, so the grid runs over Q[[x,y]]."""
+    import lodua.cli
+    doc = _completed_doc("xy", "xy")
+    code, report = lodua.cli.run(doc, "lcomplete-check", {"target": "F"})
+    assert (code, report["result"]["verdict"]) == (0, "complete")
+    # Lambda completes at (y, x), the same ideal in another order
+    code, report = lodua.cli.run(doc, "lambda-local-check", {"target": "F"})
+    assert (code, report["result"]["verdict"]) == (0, "local")
+
+
+def test_top_local_cohomology_over_a_completion():
+    import lodua.cli
+    doc = _completed_doc("xy", "xy")
+    basis = "top local cohomology of a regular sequence is nonzero"
+    code, report = lodua.cli.run(doc, "localcoh", {"target": "F", "s": 2})
+    assert (code, report["result"]["kind"]) == (0, "ind")
+    assert report["result"]["basis"] == basis
+    code, report = lodua.cli.run(doc, "gamma", {"target": "F"})
+    assert code == 0
+    assert report["result"]["homology"]["-2"]["basis"] == basis
+
+
+def test_telescope_quotient_over_a_completion_is_certified_below_it():
+    """x acts injectively on Q[x], so colim Q[[x]]/x^k is accepted; a
+    multiplier that kills an element of the underlying module is not."""
+    import lodua.cli
+    tq = {"kind": "telescope_quotient", "module": "F", "mult": "x"}
+    doc = _completed_doc("x", "x", descriptors={"T": tq})
+    code, report = lodua.cli.run(doc, "resolve")
+    assert (code, report["descriptors"]["T"]["mult"]) == (0, "x")
+    doc["modules"]["F"]["relations"] = [["x"]]
+    with pytest.raises(InvalidInput, match="needs an injective multiplier"):
+        lodua.cli.run(doc, "resolve")
+
+
+def test_unit_ideal_of_a_completion_is_still_refused(tmp_path):
+    """x - 1 is regular in Q[x] but a unit in Q[[x]]: the grid refuses."""
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(_completed_doc("x", ["x - 1"])))
+    code, out, err = run_cli("lcomplete-check", str(path), "--target", "F")
+    assert (code, out) == (3, "")
+    assert "'final_quotient_nonzero': False" in err
+
+
 def test_golden_comodule_verify_report():
     """The comodule verbs on c2-swap, byte for byte."""
     for args, golden in [
@@ -793,6 +848,135 @@ def test_rational_off_z_names_the_descriptor():
     with pytest.raises(InvalidInput,
                        match="^'R' rational descriptors live over Z$"):
         lodua.cli.Problem(doc)
+
+
+# one malformed element per case: (the document's blocks, the message);
+# the parse error keeps its position and is invalid input
+MALFORMED_ELEMENTS = {
+    "relation-unknown-variable": (
+        {"modules": {"M": {"generators": 1, "relations": [["y"]]}}},
+        "unknown variable 'y' at position 0: 'y'"),
+    "ideal-unfinished": ({"ideal": ["5+"]},
+                         "unexpected token 'end' at position 2: '5+'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ELEMENTS))
+def test_parse_errors_exit_three(case, tmp_path, capsys):
+    import lodua.cli
+    blocks, message = MALFORMED_ELEMENTS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"ring": {"base": "Z"}, **blocks}))
+    assert lodua.cli.main(["resolve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
+def _completion(precision, ideal=("5",)):
+    return {"base": "Z", "completion": {"ideal": list(ideal),
+                                        "precision": precision}}
+
+
+# one malformed ring block per case: (the ring, the message)
+MALFORMED_RINGS = {
+    "precision-float": (_completion(2.5), "completion precision must be an "
+                        "integer, not 2.5"),
+    "precision-boolean": (_completion(True), "completion precision must be "
+                          "an integer, not True"),
+    "precision-zero": (_completion(0), "completion precision must be at "
+                       "least 1, not 0"),
+    "precision-float-over-a-polynomial-ring": (
+        {"base": "Q", "vars": ["x"],
+         "completion": {"ideal": ["x"], "precision": 2.5}},
+        "completion precision must be an integer, not 2.5"),
+    "ring-string": ("Z", "ring must be a JSON object, not 'Z'"),
+    "vars-integer": ({"base": "Q", "vars": [1]},
+                     "ring vars must be a list of names, not [1]"),
+    "vars-string": ({"base": "Q", "vars": "xy"},
+                    "ring vars must be a list of names, not 'xy'"),
+    "quotient-string": ({"base": "Q", "vars": ["x"], "quotient": "x"},
+                        "ring quotient must be a list of element "
+                        "expressions, not 'x'"),
+    "completion-list": ({"base": "Q", "vars": ["x"], "completion": ["x"]},
+                        "ring completion must be a JSON object with an "
+                        "'ideal', not ['x']"),
+    "completion-ideal-string": (
+        {"base": "Z", "completion": {"ideal": "5", "precision": 3}},
+        "completion ideal must be a list of element expressions, not '5'"),
+    "completion-ideal-empty": (_completion(3, ()),
+                               "completion ideal must be nonempty"),
+    "p-over-z": ({"base": "Z", "p": 5},
+                 "p is the characteristic of base Fp, not of Z"),
+    "invert-boolean": ({"base": "Q", "vars": ["x"], "invert": True},
+                       "ring invert must be an element expression, not True"),
+}
+
+# entries that name or multiply by something of the wrong type, each found
+# by tests/test_fuzz.py: (the document's blocks over Z, the message)
+MALFORMED_ENTRIES = {
+    "kind-list": ({"descriptors": {"d": {"kind": [], "module": "Z"}}},
+                  "unknown descriptor kind []"),
+    "module-name-list": (
+        {"descriptors": {"d": {"kind": "fp", "module": ["Z"]}}},
+        "unknown module ['Z']"),
+    "mult-boolean": (
+        {"descriptors": {"d": {"kind": "telescope", "module": "Z",
+                               "mult": True}}},
+        "'d' mult must be a string or an integer, not True"),
+    "source-object": (
+        {"maps": {"f": {"source": {}, "target": "Z", "matrix": [["1"]]}}},
+        "unknown module {}"),
+    "tower-x-missing-value": (
+        {"towers": {"t": {"kind": "mult", "module": "Z", "x": None}}},
+        "'t' x must be a string or an integer, not None"),
+    "complex-degree": ({"complexes": {"C": {"modules": {"a": "Z"}}}},
+                       "'C' degree must be an integer, not 'a'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_ENTRIES))
+def test_wrong_typed_names_and_elements_exit_three(case, tmp_path, capsys):
+    import lodua.cli
+    blocks, message = MALFORMED_ENTRIES[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"ring": {"base": "Z"},
+                                "modules": {"Z": {"generators": 1}},
+                                **blocks}))
+    assert lodua.cli.main(["resolve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
+def test_quotient_of_a_ring_without_variables_is_refused(tmp_path):
+    """Z/4 as a ring would keep its elements unreduced; it is refused when
+    the document is read (a cyclic module presents it)."""
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps({"ring": {"base": "Z", "quotient": [4]}}))
+    code, out, err = run_cli("resolve", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("inconclusive: quotients of a ring without variables are "
+                   "not supported; present the quotient as a cyclic module\n")
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_RINGS))
+def test_malformed_ring_block_exits_three(case, tmp_path, capsys):
+    import lodua.cli
+    ring, message = MALFORMED_RINGS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"ring": ring}))
+    assert lodua.cli.main(["resolve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
+def test_ring_precision_is_read_as_the_other_bounds():
+    """A string of digits is an integer, as in `options`."""
+    import lodua.cli
+    code, report = lodua.cli.run({"ring": _completion("3")}, "resolve")
+    assert (code, report["ring"]) == (0, "ZZ completed at (5) to precision 3")
 
 
 def test_well_typed_ideal_and_matrix_are_accepted():

@@ -1,0 +1,88 @@
+"""The document contract under mutation: `resolve` on each fixture document
+with one value of its `ring`, `ideal`, `modules` or `descriptors` block
+replaced or deleted ends with exit code 0, 1, 2 or 3, prints no traceback
+and no `internal error:` line, and prints the same report when run again.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lodua.cli
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+DOCUMENTS = ("c2-swap.json", "z-mod-p-infty.json", "z.json", "zp.json")
+BLOCKS = ("ring", "ideal", "modules", "descriptors")
+
+# keys of the schema and names of the fixtures, so a drawn object can look
+# like a block entry; integers stay small, so that a drawn precision or
+# generator count keeps each document cheap to resolve
+_KEYS = ("base", "p", "vars", "quotient", "invert", "completion", "ideal",
+         "precision", "generators", "relations", "kind", "module", "mult",
+         "dim", "A", "Z", "Zp")
+_STRINGS = ("x", "y", "x + y", "x*y", "5", "0", "-1", "", "5+", "x^",
+            "(x", "z", "1/2", "xy", "x^9", "Z", "Q", "Fp", "fp", "telescope",
+            "telescope_quotient", "rational", "A")
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                     st.sampled_from((0.5, 2.5, -1.0)),
+                     st.sampled_from(_STRINGS))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(_KEYS), inner,
+                                            max_size=3)),
+    max_leaves=6)
+_DELETE = object()
+
+
+def _load(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return json.load(fh)
+
+
+def _mutate(data, doc):
+    """doc with one value under a block replaced by a drawn value, or
+    deleted; the path walks into objects and lists while the draw says so."""
+    parent, key = doc, data.draw(st.sampled_from(BLOCKS))
+    node = doc.get(key)
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        parent, key = node, data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    value = data.draw(st.one_of(st.just(_DELETE), _VALUES))
+    if value is _DELETE:
+        if isinstance(parent, dict):
+            parent.pop(key, None)
+        else:
+            del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+def _resolve(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = lodua.cli.main(["resolve", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(DOCUMENTS), st.data())
+def test_resolve_keeps_the_contract_on_mutated_documents(name, data):
+    doc = _mutate(data, copy.deepcopy(_load(name)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = _resolve(path)
+        again = _resolve(path)
+    assert code in (0, 1, 2, 3), (code, doc)
+    assert "Traceback" not in err and "internal error:" not in err, (err, doc)
+    assert again[:2] == (code, out), doc

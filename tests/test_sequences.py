@@ -36,6 +36,32 @@ def test_zero_divisor_in_z(ZZ):
     assert not is_regular_sequence(ZZ, [0])
 
 
+def _completed(names, ideal, precision=3):
+    return make_ring({"base": "Q", "vars": list(names),
+                      "completion": {"ideal": list(ideal),
+                                     "precision": precision}})
+
+
+def test_completed_ring_certifies_injectivity_in_the_underlying_ring():
+    # in the A/I^3 model x kills x^2, yet (x, y) is regular in Q[x,y] and
+    # Q[[x,y]] is flat over it
+    v = is_regular_sequence(_completed("xy", "xy"), ["x", "y"])
+    assert v.regular and v.quotient_nonzero
+    # a failing step carries its witness from the underlying ring
+    v = is_regular_sequence(_completed("xy", "xy"), ["x", "x"])
+    assert (v.regular, v.stage) == (False, 2)
+    assert v.witness[0].ring == make_ring({"base": "Q", "vars": ["x", "y"]})
+
+
+def test_completed_ring_decides_the_final_quotient_in_the_completion():
+    # x - 1 is regular in Q[x] but a unit in Q[[x]]
+    assert is_regular_sequence(make_ring({"base": "Q", "vars": ["x"]}),
+                               ["x - 1"])
+    v = is_regular_sequence(_completed("x", "x"), ["x - 1"])
+    assert v.describe() == {"regular": False, "stage": 1,
+                            "final_quotient_nonzero": False}
+
+
 # brute-force oracle: truncate to polynomials of degree <= D over F_2 and
 # check injectivity of multiplication as a finite-dimensional linear map
 

@@ -93,6 +93,36 @@ def test_sameness_hashes_every_smith_form():
     assert re.fullmatch(r"[0-9a-f]{64}", forms)
 
 
+def test_sameness_lists_the_ops_that_differ_from_the_refs(capsys):
+    """--refs agrees with perfbench/refs/ on this tree and names an op whose
+    recorded answer was changed (in memory: perfbench/ is only read)."""
+    import importlib.util
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "sameness.py"),
+         "--workload", "completed-grid", "--refs"],
+        capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, (
+        "completed-grid seed 1: 18 ops, 0 differ from "
+        "perfbench/refs/completed-grid.json\n")), proc.stderr
+    spec = importlib.util.spec_from_file_location(
+        "sameness", os.path.join(ROOT, "tools", "sameness.py"))
+    sameness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sameness)
+    refs = sameness.run.load_refs("completed-grid")
+    code, sha = refs["answers"][5]
+    refs["answers"][5] = [code + 1, sha]
+    load, sameness.run.load_refs = sameness.run.load_refs, lambda w: refs
+    try:
+        assert sameness.main(["--workload", "completed-grid", "--refs"]) == 1
+    finally:
+        sameness.run.load_refs = load
+    assert capsys.readouterr().out == (
+        f"op 5 grid: exit {code} sha256 {sha}, reference exit {code + 1} "
+        f"sha256 {sha}\n"
+        "completed-grid seed 1: 18 ops, 1 differ from "
+        "perfbench/refs/completed-grid.json\n")
+
+
 def test_linecov_traces_one_small_call(ZZ):
     import importlib.util
     spec = importlib.util.spec_from_file_location(
