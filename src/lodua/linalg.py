@@ -19,8 +19,8 @@ primitives once, on first use:
   with its transforms, which also gives the invariant factors and
   ``smith_normal_form``;
 * over the other polynomial rings (``_GroebnerSpan``), one Groebner basis
-  of the columns and ``ring.modulus_vectors(nrows)`` (syzygy rows are cut
-  to the columns before any Poly is built), with its syzygy heads and
+  of the columns and ``ring.modulus_vectors(nrows)`` (its cofactors track
+  the columns' coordinates only), with its syzygy heads and
   membership answers; over k[t] the Smith form as well, for the invariant
   factors.
 
@@ -470,9 +470,10 @@ class _Span:
 class _GroebnerSpan(_Span):
     """The span over a polynomial ring without inverted elements: one
     Groebner basis of the columns and ``ring.modulus_vectors(nrows)``,
-    untracked for membership alone; a lift or the syzygies replace it by a
-    tracked one.  It keeps its syzygy heads and membership answers.  Over
-    k[t] the inherited Smith form serves the invariant factors.  Over these
+    untracked for membership alone; a lift or the syzygies replace it by one
+    that tracks the columns' cofactor coordinates.  It keeps its syzygy
+    heads and membership answers.  Over k[t] the inherited Smith form serves
+    the invariant factors.  Over these
     rings ``Ring.vec_key`` is the tuple of numerators, so the keys of the
     columns and targets are also the basis's input vectors."""
 
@@ -486,9 +487,10 @@ class _GroebnerSpan(_Span):
     def basis(self, track=True):
         gb = self._gb
         if gb is None or (track and not gb.track):
+            # no caller reads a modulus vector's cofactor coordinate
             gens = self.cols + self.ring.modulus_vectors(self.nrows)
             gb = self._gb = GBasis(gens, self.nrows, order=self.ring.order,
-                                   track=track)
+                                   track=track and len(self.cols))
         return gb
 
     def syzygies(self):
@@ -497,7 +499,7 @@ class _GroebnerSpan(_Span):
             ring = self.ring
             el, zero, vec_key = ring.el, ring.zero(), ring.vec_key
             heads = {}
-            for s in self.basis().syzygies(len(self.cols)):
+            for s in self.basis().syzygies():
                 head = tuple([el(p) if p.terms else zero for p in s])
                 heads.setdefault(vec_key(head), head)
             heads.pop(vec_key((zero,) * len(self.cols)), None)
@@ -506,8 +508,7 @@ class _GroebnerSpan(_Span):
 
     def lift(self, target):
         cof = self.basis().lift(self.ring.vec_key(target))
-        return None if cof is None else tuple(
-            self.ring.el(p) for p in cof[:len(self.cols)])
+        return None if cof is None else tuple(map(self.ring.el, cof))
 
     def member(self, target):
         if vec_is_zero(target):

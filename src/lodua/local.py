@@ -33,6 +33,7 @@ from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
 from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
                      UnsupportedRing)
 from .koszul import koszul_chain, koszul_cochain
+from .linalg import member
 from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
                       block_sum, ext as module_ext, iso_check, power,
                       quotient_by_ideal_power, scalar_matrix,
@@ -318,17 +319,36 @@ def local_cohomology_value(d, desc, s):
 
 
 def _torsion_submodule(d, M):
-    """H^0_I(M): the stabilized ascending chain of I^k-torsion submodules."""
-    found = stable_submodule(M, lambda k: _power_torsion_gens(d, M, k),
+    """H^0_I(M): the stabilized ascending chain of I^k-torsion submodules.
+
+    Over a completed polynomial ring A^ the chain runs over A, where it
+    does not stop at I^N as in the A/I^N model, and H^0 comes back by base
+    change: A^ is flat over A.  When the chain reaches all of M (I is
+    nilpotent on M), the answer is M as presented."""
+    ring = M.ring
+    over = M
+    if ring.is_completed and ring.nvars:
+        A = ring.underlying()
+        over = base_change(M, A)
+        d = IdealData(A, [A.el(g.num, g.dexp) for g in d.gens])
+    found = stable_submodule(over, lambda k: _power_torsion_gens(d, over, k),
                              _TORSION_STAGES)
     if found is None:
         return LimitModule.unrecognized(
             f"torsion chain did not stabilize within {_TORSION_STAGES} stages")
-    k, sub = found
+    k, gens = found
+    sub = over.submodule(gens)
     basis = f"torsion chain stabilized at {k}"
     if sub.is_zero():
         return LimitModule.zero(basis=basis)
-    return LimitModule.of_module(sub, basis=basis)
+    # over a euclidean ring values compare by invariants, so the chain's
+    # presentation serves; elsewhere they compare presentations, and an
+    # I-torsion M is its own H^0 as presented
+    if not ring.is_euclidean and all(
+            member(over.ring, gens + over.relations, over.gen(i), over.ngens)
+            for i in range(over.ngens)):
+        return LimitModule.of_module(M, basis=basis)
+    return LimitModule.of_module(base_change(sub, ring), basis=basis)
 
 
 def _power_torsion_gens(d, M, k):

@@ -646,17 +646,17 @@ def _same_module(Ma, Mb):
 
 
 def stable_submodule(M, chain, bound):
-    """(k, S) for the first k <= bound at which the submodules of M spanned
-    by chain(k - 1) and chain(k) agree, S being that submodule; None when
-    the chain does not stabilize within ``bound``."""
+    """(k, gens) for the first k <= bound at which the submodules of M
+    spanned by chain(k - 1) and chain(k) agree, gens being the vectors of
+    chain(k - 1) that are not zero in M; None when the chain does not
+    stabilize within ``bound``.  ``M.submodule(gens)`` is the submodule."""
     ring, n, prev = M.ring, M.ngens, None
     for k in range(1, bound + 1):
         gens = chain(k)
         if prev is not None and all(
                 member(ring, prev + M.relations, g, n) for g in gens) and all(
                 member(ring, gens + M.relations, g, n) for g in prev):
-            return k, M.submodule([g for g in prev
-                                   if not M.contains_in_relations(g)])
+            return k, [g for g in prev if not M.contains_in_relations(g)]
         prev = gens
     return None
 

@@ -9,16 +9,22 @@ F_p an int in 1..p-1; over Q an int when the value is integral and a
 ``Fraction`` only when its denominator is not 1, as Singular stores small
 rationals.  Since ``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
 ``str(Fraction(n)) == str(n)``, the form changes no equality, hash or
-rendering; it spares building a Fraction for the usual 1, -1 or 3.  Three
-places keep it: ``Domain.normalize`` (any input), ``Domain.inv`` (the one
-division of coefficients; ``int / int`` would give a float) and
-``Poly._canon``.  The kernels (``+``, ``-``, ``*``, ``scale``, negation)
-add and multiply canonical values with native ``+`` and ``*`` into one dict,
-and ``Poly._canon`` then reduces that dict once per result: mod p over F_p,
-integral Fractions to int over Q, zeros dropped.
+rendering; it spares building a Fraction for the usual 1, -1 or 3.
+
+The kernels (``+``, ``-``, ``*``, ``scale``, negation) add and multiply
+canonical values with native ``+`` and ``*`` into one dict, and
+``Poly._canon`` then reduces that dict once per result: mod p over F_p,
+integral Fractions to int over Q, zeros dropped.  Over Q, when a Fraction
+is among the operands, ``+``, ``-``, ``*`` and ``scale`` run on numerators
+and denominators instead (``_q_sum``, ``_q_product``): each stored value
+costs one gcd (``qcoeff``), and a Fraction is built, without a second gcd
+(``fraction``), only where a denominator remains.  ``Domain.inv`` and
+``Domain.exact_div`` divide the same way (``int / int`` would give a
+float), and ``groebner`` updates its vectors with the same two helpers.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 
@@ -64,22 +70,40 @@ class Domain:
     def inv(self, a):
         if self.kind == "F":
             return pow(a, -1, self.p)
+        if type(a) is not int:    # a Fraction, over Q
+            n, d = a._numerator, a._denominator
+            if n < 0:
+                n, d = -n, -d
+            return d if n == 1 else fraction(d, n)
         if a == 1 or a == -1:
             return a
-        if self.kind == "Z":
-            raise ZeroDivisionError(f"{a} is not a unit in Z")
+        if self.kind == "Z" or not a:
+            raise ZeroDivisionError(f"{a} is not a unit in {self.kind}")
         # the one division of coefficients: int / int would give a float
-        q = Fraction(1) / a
-        return q.numerator if q.denominator == 1 else q
+        return fraction(1, a) if a > 0 else fraction(-1, -a)
 
     def exact_div(self, a, b):
         """a/b when it exists in the domain, else None."""
+        if self.kind == "Q":
+            if type(b) is int:
+                if b == 1:
+                    return a
+                if not b:
+                    return None
+                bn, bd = b, 1
+            else:
+                bn, bd = b._numerator, b._denominator
+            if bn < 0:
+                bn, bd = -bn, -bd
+            if type(a) is int:
+                return qcoeff(a * bd, bn)
+            return qcoeff(a._numerator * bd, a._denominator * bn)
         if b == 0:
             return None
         if self.kind == "Z":
             q, r = divmod(a, b)
             return q if r == 0 else None
-        return self.normalize(a * self.inv(b))
+        return a * pow(b, -1, self.p) % self.p
 
     def __eq__(self, other):
         return isinstance(other, Domain) and (self.kind, self.p) == (other.kind, other.p)
@@ -97,6 +121,87 @@ QQ = Domain("Q")
 
 def GF(p):
     return Domain("F", p)
+
+
+# Exact rationals on their numerators and denominators.  ``Fraction(n, d)``
+# takes a gcd and several type tests; the kernels below know when n/d is
+# already in lowest terms and build the Fraction directly, reading and
+# setting the two slots fractions.Fraction keeps.
+
+_new = object.__new__
+
+
+def fraction(n, d):
+    """The Fraction n/d of coprime ints n and d > 1, made without a gcd."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def qcoeff(n, d):
+    """n/d (ints, d > 0) in the canonical form over Q, by one gcd: an int
+    when d divides n, else a Fraction in lowest terms."""
+    g = gcd(n, d)
+    if g == d:
+        return n // d
+    if g != 1:
+        n //= g
+        d //= g
+    return fraction(n, d)
+
+
+def _parts(c):
+    """(numerator, denominator) of an int or a Fraction."""
+    return (c, 1) if type(c) is int else (c._numerator, c._denominator)
+
+
+def _q_product(a, b):
+    """The terms of a * b over Q: each product and sum on numerators and
+    denominators, one gcd per stored value."""
+    acc = {}
+    get = acc.get
+    right = [(m2,) + _parts(c2) for m2, c2 in b.items()]
+    for m1, c1 in a.items():
+        n1, d1 = _parts(c1)
+        for m2, n2, d2 in right:
+            m = tuple(map(add, m1, m2))
+            n, d = n1 * n2, d1 * d2
+            old = get(m)
+            if old is None:
+                acc[m] = (n, d)
+            else:
+                on, od = old
+                acc[m] = (on + n, d) if od == d else (on * d + n * od, od * d)
+    return {m: n if d == 1 else qcoeff(n, d)
+            for m, (n, d) in acc.items() if n}
+
+
+def _q_sum(t, items, sign):
+    """t[m] += sign * c for (m, c) in items, in place, over canonical Q
+    values: native while both values are ints, else by numerators and
+    denominators with one gcd; zeros are deleted."""
+    get = t.get
+    for m, c in items:
+        old = get(m)
+        if old is None:
+            if sign > 0:
+                t[m] = c
+            else:
+                t[m] = -c if type(c) is int else fraction(-c._numerator,
+                                                          c._denominator)
+            continue
+        if type(old) is int and type(c) is int:
+            r = old + sign * c
+        else:
+            on, od = _parts(old)
+            cn, cd = _parts(c)
+            r = qcoeff(on * cd + sign * cn * od, od * cd)
+        if type(r) is int and not r:
+            del t[m]
+        else:
+            t[m] = r
+    return t
 
 
 # Monomials are exponent tuples.  Orders compare via sort keys (bigger key
@@ -125,15 +230,6 @@ def order_key(order):
     raise ValueError(f"unknown monomial order {order!r}")
 
 
-def descending_key(order):
-    """Sort key that puts bigger monomials first: ascending order of this
-    key is descending order of ``order_key(order)``."""
-    if order == "lex":
-        return lambda m: tuple(-e for e in m)
-    # grevlex: its one caller, GBasis, has refused other names by order_key
-    return lambda m: (-sum(m), m[::-1])
-
-
 class Poly:
     __slots__ = ("dom", "nvars", "terms", "_hash")
 
@@ -150,12 +246,13 @@ class Poly:
 
     @classmethod
     def _raw(cls, dom, nvars, terms):
-        """Terms already canonical; only zero coefficients are dropped."""
+        """Terms already canonical and nonzero, in a dict of the caller's
+        that nothing else writes to."""
         self = object.__new__(cls)
         self.dom = dom
         self.nvars = nvars
         self._hash = None
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = terms
         return self
 
     @classmethod
@@ -219,6 +316,11 @@ class Poly:
         return len(degs) <= 1
 
     def __add__(self, other):
+        if self.dom.kind == "Q" and (
+                Fraction in map(type, self.terms.values())
+                or Fraction in map(type, other.terms.values())):
+            return Poly._raw(self.dom, self.nvars, _q_sum(
+                dict(self.terms), other.terms.items(), 1))
         t = dict(self.terms)
         get = t.get
         for m, c in other.terms.items():
@@ -230,6 +332,11 @@ class Poly:
                            {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        if self.dom.kind == "Q" and (
+                Fraction in map(type, self.terms.values())
+                or Fraction in map(type, other.terms.values())):
+            return Poly._raw(self.dom, self.nvars, _q_sum(
+                dict(self.terms), other.terms.items(), -1))
         t = dict(self.terms)
         get = t.get
         for m, c in other.terms.items():
@@ -239,6 +346,11 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
+        if self.dom.kind == "Q" and (
+                Fraction in map(type, self.terms.values())
+                or Fraction in map(type, other.terms.values())):
+            return Poly._raw(self.dom, self.nvars,
+                             _q_product(self.terms, other.terms))
         t = {}
         get = t.get
         right = other.terms.items()
@@ -250,6 +362,15 @@ class Poly:
 
     def scale(self, c):
         c = self.dom.normalize(c)
+        if self.dom.kind == "Q" and (type(c) is not int or Fraction in map(
+                type, self.terms.values())):
+            if not c:
+                return Poly._raw(self.dom, self.nvars, {})
+            cn, cd = _parts(c)
+            return Poly._raw(self.dom, self.nvars, {
+                m: qcoeff(cn * tc, cd) if type(tc) is int else
+                qcoeff(cn * tc._numerator, cd * tc._denominator)
+                for m, tc in self.terms.items()})
         return Poly._canon(self.dom, self.nvars,
                            {m: cc * c for m, cc in self.terms.items()})
 

@@ -411,7 +411,8 @@ class Ring:
             return None if r else Poly.const(self.dom, 0, q)
         if not self.quotient and not self.is_completed:
             return f.exact_div(g, order_key(self.order))
-        gb = GBasis(((g,),) + self.modulus_vectors(1), 1, order=self.order)
+        gb = GBasis(((g,),) + self.modulus_vectors(1), 1, order=self.order,
+                    track=1)
         cof = gb.lift((f,))
         return None if cof is None else cof[0]
 
@@ -446,7 +447,8 @@ class Ring:
         mod = list(self.quotient)
         if self.is_completed:
             mod += list(self.completion[0])
-        gb = GBasis([(num,)] + [(m,) for m in mod], 1, order=self.order)
+        gb = GBasis([(num,)] + [(m,) for m in mod], 1, order=self.order,
+                    track=1)
         cof = gb.lift((Poly.const(self.dom, self.nvars, 1),))
         return None if cof is None else cof[0]
 
@@ -948,7 +950,7 @@ def _reject_zerodivisor(ring, x):
     if not ring.quotient:
         return  # polynomial rings over domains are domains
     vecs = [(x.num,)] + [(q,) for q in ring.quotient]
-    gb = GBasis(vecs, 1, order=ring.order)
+    gb = GBasis(vecs, 1, order=ring.order, track=1)
     for syz in gb.syzygies():
         witness = ring.el(syz[0])
         if not witness.is_zero():

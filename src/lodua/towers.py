@@ -489,7 +489,8 @@ def divisible_part(M, x):
             return [tuple(xk * e for e in M.gen(i)) for i in range(M.ngens)]
         found = stable_submodule(M, image, (ring.precision or 8) + 1)
         if found:
-            k, sub = found
+            k, gens = found
+            sub = M.submodule(gens)
             basis = f"image chain stabilized at {k}"
             if sub.is_zero():
                 return LimitModule.zero(basis=basis)

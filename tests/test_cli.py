@@ -272,6 +272,42 @@ def test_top_local_cohomology_over_a_completion():
     assert report["result"]["homology"]["-2"]["basis"] == basis
 
 
+def test_torsion_of_a_free_module_over_a_completion_is_zero(tmp_path):
+    """H^0_I of the free Q[[x,y]]-module is zero: its torsion chain runs
+    over Q[x,y], not in the model Q[x,y]/I^3, where I^3 kills everything."""
+    import lodua.cli
+    doc = _completed_doc("xy", "xy")
+    code, report = lodua.cli.run(doc, "localcoh", {"target": "F", "s": 0})
+    assert (code, report["result"]) == (
+        0, {"kind": "zero", "basis": "torsion chain stabilized at 2"})
+    code, report = lodua.cli.run(doc, "gamma", {"target": "F"})
+    assert code == 0 and list(report["result"]["homology"]) == ["-2"]
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli("torsion-check", str(path), "--target", "F")
+    assert (code, json.loads(out)["result"]["verdict"]) == (1, False)
+
+
+def test_torsion_module_over_a_polynomial_ring_is_its_own_torsion(tmp_path):
+    """Q[x,y]/(x^2, y) is (x, y)-torsion: H^0 is the module as presented,
+    so torsion-check's Gamma comparison holds."""
+    doc = {"ring": {"base": "Q", "vars": ["x", "y"]}, "ideal": ["x", "y"],
+           "modules": {"M": {"generators": 1, "relations": [["x^2"], ["y"]]}}}
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("torsion-check", str(path), "--target", "M")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["verdict"] is True and "gamma_failure" not in result
+    assert result["per_degree"]["0"] == {"torsion": True, "killed_by_power": 2}
+    code, out, _ = run_cli("localcoh", str(path), "--target", "M", "--s", "0")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "kind": "module", "basis": "torsion chain stabilized at 3",
+        "module": {"generators": 1, "relations": [["x^2"], ["y"]]},
+        "ring": "QQ[x,y]"}
+
+
 def test_telescope_quotient_over_a_completion_is_certified_below_it():
     """x acts injectively on Q[x], so colim Q[[x]]/x^k is accepted; a
     multiplier that kills an element of the underlying module is not."""

@@ -279,6 +279,24 @@ def _pinned_case(name):
             [(R.el(t).num,) for t in targets])
 
 
+@pytest.mark.parametrize("name", ["q_completed_i3", "q_lex"])
+def test_every_reduction_step_ticks_once(monkeypatch, name):
+    """``_tick`` runs once per reduction step (the benchmark counts Groebner
+    steps by its calls): as many times as a construction's steps, and a
+    query's steps come on top."""
+    _, gens, nrows, order, targets = _pinned_case(name)
+    ticks = []
+    tick = GBasis._tick
+    monkeypatch.setattr(GBasis, "_tick", lambda self, steps, budget: (
+        ticks.append(steps), tick(self, steps, budget))[1])
+    gb = GBasis(gens, nrows, order=order)
+    assert ticks == list(range(1, gb._steps + 1))
+    del ticks[:]
+    gb.lift(targets[0])
+    # one check of the construction, then the query's own steps from 1
+    assert ticks[0] == gb._steps and ticks[1:] == list(range(1, len(ticks)))
+
+
 @pytest.mark.parametrize("name", list(PINNED))
 def test_buchberger_path_is_pinned(name):
     ring, gens, nrows, order, targets = _pinned_case(name)
@@ -322,17 +340,69 @@ def _combine(coeffs, gens, nrows):
 
 
 @settings(max_examples=60)
-@given(generator_sets())
-def test_basis_certificates_hold(case):
+@given(generator_sets(), st.sampled_from(["grevlex", "lex"]))
+def test_basis_certificates_hold(case, order):
     nrows, gens = case
-    gb = GBasis(gens, nrows)
+    gb = GBasis(gens, nrows, order=order)
+    zero = tuple(Poly.zero(gens[0][0].dom, 2) for _ in range(nrows))
     for e, cof in zip(gb.elements, gb.cofactors):
         assert e == _combine(cof, gens, nrows)
     for s in gb.syzygies():
         assert all(p.is_zero() for p in _combine(s, gens, nrows))
     for g in gens:
         assert gb.contains(g)
+        assert gb.normal_form(g) == zero
         assert _combine(gb.lift(g), gens, nrows) == g
+
+
+@settings(max_examples=40)
+@given(generator_sets(), st.sampled_from(["grevlex", "lex"]), st.data())
+def test_a_basis_tracking_the_first_generators_cuts_the_full_one(
+        case, order, data):
+    """Cofactors, lifts and syzygies over the first k generators are the
+    full ones cut to k coordinates, less the syzygies that are zero there."""
+    nrows, gens = case
+    k = data.draw(st.integers(1, len(gens)))
+    full, part = GBasis(gens, nrows, order=order), GBasis(gens, nrows,
+                                                          order=order, track=k)
+    assert part.elements == full.elements and part._steps == full._steps
+    assert part.cofactors == [c[:k] for c in full.cofactors]
+    assert [s for s in full.syzygies(k) if any(p.terms for p in s)] == [
+        s for s in part.syzygies() if any(p.terms for p in s)]
+    assert all(len(s) == k and any(p.terms for p in s)
+               for s in part.syzygies()[len(part._syz):])
+    for g in gens:
+        assert part.lift(g) == full.lift(g)[:k]
+
+
+def test_exponents_beyond_the_term_key_field_are_refused():
+    """An exponent too large for its key field raises UnsupportedRing, as
+    given and as made in a reduction; one at the limit is kept."""
+    from lodua.groebner import _LIMIT
+    R = lexring()
+    x, y = R.el("x").num, R.el("y").num
+    e = _LIMIT // 2 + 1
+    for order in ("grevlex", "lex"):
+        with pytest.raises(UnsupportedRing, match="exponents are limited"):
+            GBasis([(x ** (_LIMIT + 1),)], 1, order=order)
+        top = GBasis([(x ** _LIMIT,)], 1, order=order)
+        assert top.elements == [(x ** _LIMIT,)]
+        if order == "lex":   # no degree field: only exponents are bounded
+            assert top.contains((x ** _LIMIT * y,))
+        with pytest.raises(UnsupportedRing, match="exponents are limited"):
+            top.contains((y ** (_LIMIT + 1),) if order == "lex" else
+                         (x ** e * y ** e,))
+    # in lex a tail may outgrow its lead: x = y^e turns x^2 into y^(2e)
+    for dom in (QQ, GF(7)):
+        x, y = Poly.var(dom, 2, 0), Poly.var(dom, 2, 1)
+        gb = GBasis([(x - y ** e,)], 1, order="lex")
+        with pytest.raises(UnsupportedRing, match="exponents are limited"):
+            gb.normal_form((x * x,))
+        with pytest.raises(UnsupportedRing, match="exponents are limited"):
+            GBasis([(x - y ** e,), (x * x + y,)], 1, order="lex")
+    # in grevlex the degree field refuses an S-pair above the limit
+    with pytest.raises(UnsupportedRing, match="exponents are limited"):
+        GBasis([(x ** e + y,), (y ** e + x,)], 1)
 
 
 @settings(max_examples=60)

@@ -178,6 +178,52 @@ def test_monic_matches_the_reference(case):
         assert got.leading(KEY)[1] == 1
 
 
+def rationals():
+    return st.one_of(st.integers(-20, 20),
+                     st.fractions(-20, 20, max_denominator=12))
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two polys over Q in two variables; b is often -a or a, or a times a
+    constant, with a few terms changed, so sums cancel to integers and
+    zeros, and products mix ints with Fractions."""
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = st.dictionaries(mono, rationals(), max_size=5)
+    a = draw(terms)
+    b = draw(st.one_of(terms, st.builds(
+        lambda f, extra: {**{m: f * c for m, c in a.items()}, **extra},
+        st.sampled_from([-1, 1, 2, Fraction(-1, 2), Fraction(3, 4)]),
+        st.dictionaries(mono, rationals(), max_size=2))))
+    return Poly(QQ, 2, a), Poly(QQ, 2, b)
+
+
+@settings(max_examples=200)
+@given(rational_pairs(), rationals())
+def test_rational_kernels_match_the_reference(pair, c):
+    """Over Q, +, -, * and scale on numerators and denominators give the
+    term-by-term Fraction answer, stored as an int when integral and with
+    no zero coefficient."""
+    a, b = pair
+    ra, rb = ref_of(a), ref_of(b)
+    for got, want in [(a + b, ref_add(QQ, ra, rb)),
+                      (a - b, ref_add(QQ, ra, rb, -1)),
+                      (b - a, ref_add(QQ, rb, ra, -1)),
+                      (a * b, ref_mul(QQ, ra, rb)),
+                      (a.scale(c), ref_reduce(QQ, {m: v * Fraction(c)
+                                                   for m, v in ra.items()}))]:
+        assert got.terms == want
+        assert_canonical(QQ, got.terms.values())
+    for x, y in zip(list(ra.values()) + [Fraction(c)],
+                    list(rb.values()) + [Fraction(7, 3)]):
+        x, y = QQ.normalize(x), QQ.normalize(y)
+        q = QQ.exact_div(x, y)
+        assert q == Fraction(x) / Fraction(y)
+        assert_canonical(QQ, [q] if q else [])
+        assert QQ.inv(y) == 1 / Fraction(y)
+        assert_canonical(QQ, [QQ.inv(y)])
+
+
 def test_domain_inverse_and_normal_form_follow_the_rule():
     assert type(QQ.normalize(Fraction(6, 3))) is int
     assert type(QQ.normalize(3)) is int
@@ -263,7 +309,7 @@ def test_coefficient_rule_corners():
         GF(4)
     with pytest.raises(ZeroDivisionError, match="2 is not a unit in Z"):
         ZZ.inv(2)
-    assert ZZ.exact_div(3, 0) is None
+    assert ZZ.exact_div(3, 0) is None and QQ.exact_div(3, 0) is None
     with pytest.raises(ValueError, match="unknown monomial order 'sum'"):
         order_key("sum")
     x = Poly(ZZ, 1, {(1,): 3})

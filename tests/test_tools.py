@@ -49,6 +49,31 @@ def test_profile_script_profiles_one_verb():
     assert "Ordered by: call count" in proc.stdout
 
 
+def test_profile_script_prints_self_time_by_module():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "profile.py"),
+         "--workload", "poly-sweep", "--size", "2", "--top", "1",
+         "--by-module"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    start = lines.index("self time by module:")
+    assert start == 3 and lines[start - 1] == ""   # after the verb lines
+    rows = []
+    for line in lines[start + 1:lines.index("", start)]:
+        m = re.fullmatch(r"  (\S+) +(\d+\.\d{3}) s +(\d+\.\d)%", line)
+        assert m, line
+        rows.append((m[1], float(m[2]), float(m[3])))
+    names = [name for name, _, _ in rows]
+    assert len(set(names)) == len(names)
+    assert {"lodua.groebner", "lodua.poly", "builtins"} <= set(names)
+    assert all(re.fullmatch(r"lodua\.\w+|fractions|builtins|other", name)
+               for name in names)
+    assert [s for _, s, _ in rows] == sorted((s for _, s, _ in rows),
+                                             reverse=True)
+    assert abs(sum(share for _, _, share in rows) - 100) < 1
+
+
 def test_sameness_script_prints_repeatable_fingerprints():
     def run():
         proc = subprocess.run(

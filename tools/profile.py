@@ -4,6 +4,7 @@
     python3 tools/profile.py --workload completed-grid --seed 2 --top 40
     python3 tools/profile.py --workload integer-sweep --size 50 --sort tottime
     python3 tools/profile.py --workload integer-sweep --verb gm-check --sort ncalls
+    python3 tools/profile.py --workload poly-sweep --by-module
 
 The op list comes from ``perfbench/workloads.py`` and each op is executed as
 ``perfbench/worker.py`` executes it (both imported, neither changed); the
@@ -12,7 +13,10 @@ profiler; with ``--verb`` every op still runs, so the state earlier ops
 leave behind is the benchmark's, but the profiler is on only around that
 verb's ops, and ``--sort ncalls`` then gives the verb's call counts.  The
 script prints the profiled seconds spent in each verb (grid questions count
-as ``is_L_complete``), then the top functions of the profile.  Profiled
+as ``is_L_complete``); with ``--by-module``, the profiled self time of each
+source module (each ``lodua.*`` module, ``fractions``, ``builtins`` for the
+functions written in C, and ``other`` for the rest) with its share; then the
+top functions of the profile.  Profiled
 times run well above plain ones, and calls cost more under the profiler
 than work inside them, so use the ranking to find candidates and
 ``perfbench/run.py`` to measure them.  Run from the root of a lodua
@@ -69,6 +73,25 @@ def profile_ops(ops, only=None):
     return prof, per_verb, raised
 
 
+def self_time_by_module(prof):
+    """[(module, self seconds)] of a profile, the largest first: each
+    ``lodua.*`` module, ``fractions``, ``builtins`` (functions written in
+    C) and ``other``."""
+    lodua_dir = os.path.join(ROOT, "src", "lodua")
+    out = {}
+    for (path, _, _), (_, _, tottime, _, _) in pstats.Stats(prof).stats.items():
+        if path == "~":
+            module = "builtins"
+        elif os.path.dirname(os.path.abspath(path)) == lodua_dir:
+            module = "lodua." + os.path.splitext(os.path.basename(path))[0]
+        elif os.path.basename(path) == "fractions.py":
+            module = "fractions"
+        else:
+            module = "other"
+        out[module] = out.get(module, 0.0) + tottime
+    return sorted(out.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
@@ -81,6 +104,8 @@ def main(argv=None):
                     choices=("cumulative", "tottime", "ncalls"))
     ap.add_argument("--verb", default=None,
                     help="profile only this verb's ops (all ops still run)")
+    ap.add_argument("--by-module", action="store_true",
+                    help="also print the self time of each source module")
     ns = ap.parse_args(argv)
     ops = workloads.generate(ns.workload, ns.seed, ns.size)
     prof, per_verb, raised = profile_ops(ops, ns.verb)
@@ -94,6 +119,13 @@ def main(argv=None):
     for verb, (n, s) in sorted(per_verb.items(), key=lambda kv: -kv[1][1]):
         print(f"  {verb:<16} {n:>5} ops {s:>9.3f} s")
     print()
+    if ns.by_module:
+        modules = self_time_by_module(prof)
+        own = sum(s for _, s in modules) or 1.0
+        print("self time by module:")
+        for module, s in modules:
+            print(f"  {module:<18} {s:>9.3f} s {100 * s / own:>6.1f}%")
+        print()
     pstats.Stats(prof, stream=sys.stdout).sort_stats(ns.sort) \
         .print_stats(ns.top)
     return 1 if raised else 0
