@@ -76,3 +76,11 @@ def budget():
     if n is None:
         n = at_least("LODUA_BUDGET", os.environ.get("LODUA_BUDGET", 100000), 1)
     return n
+
+
+def resolved(ring):
+    """The settings in force with each one worked out as a computation over
+    ``ring`` reads it: the precision of a completion and the step budget
+    (``current()`` leaves both unset outside the CLI).  A memo keyed on them
+    misses whenever a cold computation could come out otherwise."""
+    return current()._replace(precision=precision_for(ring), budget=budget())

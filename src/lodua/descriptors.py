@@ -161,12 +161,13 @@ class LimitModule:
         return cls("zero", basis=basis)
 
     @classmethod
-    def of_module(cls, M, basis=None):
-        if M.is_zero():
-            return cls("zero", basis=basis,
-                       precision=M.ring.precision if M.ring.is_completed else None)
-        return cls("module", M, precision=M.ring.precision if M.ring.is_completed
-                   else None, basis=basis)
+    def of_module(cls, M, basis=None, nonzero=False):
+        """The value M; ``nonzero``: the caller has already found M nonzero,
+        so its zero test is not asked again."""
+        precision = M.ring.precision if M.ring.is_completed else None
+        if not nonzero and M.is_zero():
+            return cls("zero", basis=basis, precision=precision)
+        return cls("module", M, precision=precision, basis=basis)
 
     @classmethod
     def unrecognized(cls, evidence):

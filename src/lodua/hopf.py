@@ -192,7 +192,7 @@ class Comodule:
         self.maps = {}
         for g in hopf.elements:
             if g == hopf.identity and g not in maps:
-                mat = identity_map(module).matrix
+                mat = scalar_matrix(self.ring, module.ngens, self.ring.one())
             elif g not in maps:
                 raise InvalidInput(f"the comodule action misses {g!r}")
             else:

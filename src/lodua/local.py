@@ -26,7 +26,7 @@ completeness grid (`criteria.ext_telescope`) both call it.
 """
 
 from .complexes import ChainComplex
-from .context import current
+from .context import current, resolved
 from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
                           Telescope, TelescopeQuotient, descriptor_of,
                           value_of, values_agree)
@@ -347,8 +347,10 @@ def _torsion_submodule(d, M):
     if not ring.is_euclidean and all(
             member(over.ring, gens + over.relations, over.gen(i), over.ngens)
             for i in range(over.ngens)):
-        return LimitModule.of_module(M, basis=basis)
-    return LimitModule.of_module(base_change(sub, ring), basis=basis)
+        return LimitModule.of_module(M, basis=basis, nonzero=True)
+    # base_change returns sub itself when the chain ran over M's ring
+    return LimitModule.of_module(base_change(sub, ring), basis=basis,
+                                 nonzero=over is M)
 
 
 def _power_torsion_gens(d, M, k):
@@ -449,7 +451,8 @@ def _lambda_route_A(d, M):
     if out.is_zero():
         return {}
     return {0: LimitModule.of_module(
-        out, basis="iterated completion of an f.p. module (Artin-Rees)")}
+        out, basis="iterated completion of an f.p. module (Artin-Rees)",
+        nonzero=True)}
 
 
 def _lambda_route_B(d, M):
@@ -594,7 +597,7 @@ _LAMBDA_CACHE = {}
 def _cached_lambda(d, desc):
     """The completion table is degree-independent; memoize it per input."""
     key = (d.ring._key(), tuple(g.render() for g in d.gens),
-           repr(desc.describe()), current())
+           repr(desc.describe()), resolved(d.ring))
     hit = _LAMBDA_CACHE.get(key)
     if hit is None:
         if len(_LAMBDA_CACHE) > 512:

@@ -395,15 +395,16 @@ class ModuleMap:
                          [[gens[j][i] for j in range(len(gens))]
                           for i in range(self.target.ngens)], check=False)
         # I is generated by the images of the source's generators
-        proj = ModuleMap(self.source, I, identity_map(self.source).matrix,
-                         check=False)
+        proj = ModuleMap(self.source, I, scalar_matrix(
+            self.ring, self.source.ngens, self.ring.one()), check=False)
         return I, incl, proj
 
     def cokernel(self):
         """(C, projection target -> C)."""
         C = FPModule(self.ring, self.target.ngens,
                      self.target.relations + self.cols())
-        return C, ModuleMap(self.target, C, identity_map(self.target).matrix, check=False)
+        return C, ModuleMap(self.target, C, scalar_matrix(
+            self.ring, self.target.ngens, self.ring.one()), check=False)
 
     def lift_element(self, vec):
         """x in source with f(x) = vec in target, or None."""

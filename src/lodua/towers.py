@@ -13,12 +13,24 @@ surjective or stabilized images, multiplication towers via the
 completion-comparison model RHom(tel_x A, M) = [M -> M^]); anything else is
 reported as `unrecognized`, carrying the materialized evidence, never a
 guess.
+
+The limits of an adic, Tor or Koszul-stage tower depend only on a
+presentation and the settings, so ``lim_lim1`` keeps them in one
+process-wide LRU table of 256 (``_TOWER_LIMIT``), and every caller reuses a
+limit an earlier verb computed.  Its key is the kind and degree, the
+module's ring, generator count and ``Ring.vec_key`` of each relation in
+order, the ideal's generators, the resolution length (Tor) or the
+weak-proregularity flag (Koszul stages), and ``context.resolved`` settings
+(precision, K, lag and step budget as a computation reads them).  A hit
+returns what a cold computation on that key returned, and a refusal is
+never stored, so no answer depends on what ran before; a hit spends no
+budget steps.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .complexes import ChainMap, induced_on_homology
-from .context import current, precision_for
+from .context import current, precision_for, resolved
 from .descriptors import (CompletionCokernel, FPObj, LimitModule, Telescope,
                           value_of)
 from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
@@ -29,8 +41,8 @@ from .koszul import koszul_chain, koszul_transition
 from .linalg import lift_through, span_basis  # noqa: F401
 from .modules import (FPModule, ModuleMap, _capped_killing_power,
                       _killing_power, base_change, block_sum,
-                      free_resolution, identity_map, ideal_power_module,
-                      kron_identity, quotient_by_ideal_power, scalar_map,
+                      free_resolution, ideal_power_module, kron_identity,
+                      quotient_by_ideal_power, scalar_map, scalar_matrix,
                       stable_submodule, zero_map)
 
 
@@ -83,8 +95,10 @@ class TorStages(StageComplexes):
         return self.resolution.tensor_module(quot)
 
     def _connect(self, k, nxt, this):
+        one = self.ring.one()
         maps = {n: ModuleMap(nxt.module(n), this.module(n),
-                             identity_map(this.module(n)).matrix, check=False)
+                             scalar_matrix(self.ring, this.module(n).ngens, one),
+                             check=False)
                 for n in this.degrees()}
         return ChainMap(nxt, this, maps, check=False)
 
@@ -277,8 +291,10 @@ class Tower:
         if kind == "zero":
             return zero_map(self.stage(k + 1), self.stage(k))
         if kind == "adic":
+            M = self.params["module"]
             return ModuleMap(self.stage(k + 1), self.stage(k),
-                             identity_map(self.params["module"]).matrix, check=False)
+                             scalar_matrix(M.ring, M.ngens, M.ring.one()),
+                             check=False)
         if kind == "mult":
             return scalar_map(self.stage(k), self.params["x"])
         if kind in ("tor", "koszul_homology", "koszul_stage"):
@@ -494,7 +510,7 @@ def divisible_part(M, x):
             basis = f"image chain stabilized at {k}"
             if sub.is_zero():
                 return LimitModule.zero(basis=basis)
-            return LimitModule.of_module(sub, basis=basis)
+            return LimitModule.of_module(sub, basis=basis, nonzero=True)
     return None
 
 
@@ -614,7 +630,76 @@ def mult_tower_values(desc, x):
 def lim_lim1(tower):
     """lim and lim^1 of a tower; the probes materialize at most K stages
     and composites of lag at most ``lag`` (the settings), and an adic
-    tower's limit is its completion at the precision setting."""
+    tower's limit is its completion at the precision setting.  The limits
+    of an adic, Tor or Koszul-stage tower come from the table of limits
+    when its key was asked before."""
+    key = _table_key(tower)
+    if key is None:
+        return _limits(tower)
+    asked = _Asked(key, tower)
+    try:
+        return _presented_limits(asked)
+    finally:
+        asked.tower = None   # the table keeps keys, never stages
+
+
+def _table_key(tower):
+    """What the limits of an adic, Tor or Koszul-stage tower depend on: its
+    kind and degree, the presentation of its module (ring, generator count,
+    ``Ring.vec_key`` of each relation in order), its ideal's generators,
+    the resolution length of a Tor tower or the certificate flag of a
+    Koszul-stage tower, and the settings resolved over the module's ring.
+    None for the other kinds, which the table does not serve."""
+    kind, params = tower.kind, tower.params
+    if kind == "adic":
+        M, gens, extra = params["module"], params["ideal"], None
+    elif kind == "tor":
+        stages = params["complexes"]
+        M, gens, extra = stages.module, stages.gens, stages.length
+    elif kind == "koszul_stage":
+        stages = params["complexes"]
+        M, gens, extra = stages.module, stages.koszul.gens, stages.wpr_certified
+    else:
+        return None
+    ring = M.ring
+    return (kind, params.get("s"), ring, M.ngens,
+            tuple([ring.vec_key(col) for col in M.relations]),
+            tuple([(g.ring, g.num, g.dexp) for g in gens]), extra,
+            resolved(ring))
+
+
+class _Asked:
+    """A tower asked of the table, hashed and compared by its key alone."""
+
+    __slots__ = ("key", "tower")
+
+    def __init__(self, key, tower):
+        self.key, self.tower = key, tower
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+# Least recently used limits are evicted first.  A hit returns the object a
+# cold computation on the same key returned (the limits of these kinds are a
+# function of the key, and no caller mutates a TowerLimits or its values),
+# and an exception is never stored, so the table cannot change an answer.
+# At 256 the benchmark's seed-1 integer-sweep op list keeps all of its 211
+# distinct towers (630 asked, 215 computed, peak memory +1%); at 128 it
+# computes 230, and at 16-64 it computes 294-368 and, through the span
+# table's changed evictions, more Smith forms than with no table at all.
+_TOWER_LIMIT = 256
+
+
+@lru_cache(maxsize=_TOWER_LIMIT)
+def _presented_limits(asked):
+    return _limits(asked.tower)
+
+
+def _limits(tower):
     kind = tower.kind
     if kind == "zero":
         z = LimitModule.zero(basis=tower.params.get("why", "zero tower"))

@@ -9,8 +9,8 @@ import pytest
 import lodua
 import lodua.cli
 import lodua.local
-from lodua import (FPModule, FPObj, IdealData, InvalidInput, Tower,
-                   adic_completion, derived_completion, lim_lim1,
+from lodua import (BudgetExceeded, FPModule, FPObj, IdealData, InvalidInput,
+                   Tower, adic_completion, derived_completion, lim_lim1,
                    local_homology_Ls, make_ring)
 from lodua.context import Settings, current
 
@@ -52,6 +52,27 @@ def test_lim_lim1_probes_within_the_settings(ZZ):
         res = lim_lim1(tower())
     assert res.basis == "artin-rees theorem"
     assert res.certificates["materialized"]["note"] == "lag bound 0 exhausted"
+
+
+@pytest.mark.parametrize("memo", ["tower limits", "lambda"])
+def test_a_memo_gives_the_cold_answer_after_the_budget_drops(memo,
+                                                             monkeypatch):
+    """A warm answer at the default budget is not served at LODUA_BUDGET=3,
+    where the computation runs out of steps, as it does cold."""
+    Q = make_ring({"base": "Q", "vars": ["x", "y"]})
+    d, M = IdealData(Q, ["x", "y"]), FPObj(FPModule.cyclic(Q, ["x^2 + y"]))
+    monkeypatch.setattr(lodua.local, "_LAMBDA_CACHE", {})
+    if memo == "lambda":
+        def ask():
+            return lodua.local._cached_lambda(d, M)
+    else:
+        def ask():
+            return lim_lim1(Tower.tor(M, d.gens, 1))
+    monkeypatch.setenv("LODUA_BUDGET", "100000")
+    ask()
+    monkeypatch.setenv("LODUA_BUDGET", "3")
+    with pytest.raises(BudgetExceeded):
+        ask()
 
 
 def test_cli_run_restores_the_settings(monkeypatch):

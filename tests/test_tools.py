@@ -92,6 +92,21 @@ def test_sameness_script_prints_repeatable_fingerprints():
     assert run() == out
 
 
+def test_sameness_cold_run_gives_the_warm_answers():
+    def lines(*flags):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "sameness.py"),
+             "--workload", "integer-sweep", "--size", "16", *flags],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    warm, cold = lines(), lines("--cold")
+    assert cold[0] == warm[0]
+    # the cold run asks again what the warm one took from the table
+    assert cold[1] != warm[1]
+
+
 def test_sameness_hashes_every_smith_form():
     import importlib.util
     from lodua import linalg

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lodua import (FPModule, FPObj, Rational, Telescope, TelescopeQuotient,
-                   Tower, is_pro_trivial, iso_check, lim_lim1, make_ring,
-                   weak_proregularity_check)
+import lodua
+from lodua import (FPModule, FPObj, LoduaError, Rational, Telescope,
+                   TelescopeQuotient, Tower, is_pro_trivial, iso_check,
+                   lim_lim1, make_ring, weak_proregularity_check)
 from lodua.modules import identity_map, quotient_by_ideal_power
-from lodua.towers import mult_tower_values
+from lodua.towers import (_TOWER_LIMIT, KoszulTensorStages,
+                          _presented_limits, mult_tower_values)
 
 from conftest import zmod
 
@@ -217,3 +221,85 @@ def test_explicit_and_zero_towers(ZZ):
                 lambda: lim_lim1(bogus)):
         with pytest.raises(InvalidInput, match="unknown tower kind sum"):
             ask()
+
+
+# -- the table of tower limits ----------------------------------------------------
+
+# per ring: the ideal and small presentations (generator count, relation
+# columns), several alike in shape so that only the entries tell them apart;
+# Z_5 at precision 3 keeps its stages small
+_TABLE_RINGS = {
+    "Z": (make_ring({"base": "Z"}), ["5"],
+          [(1, []), (1, [["25"]]), (1, [["10"]]), (1, [["3"]]),
+           (2, [["5", "10"]]), (2, [["4", "0"], ["0", "25"]])]),
+    "Z_5": (make_ring({"base": "Z", "completion": {"ideal": ["5"],
+                                                    "precision": 3}}), ["5"],
+            [(1, []), (1, [["25"]]), (1, [["5"]]), (2, [["5", "50"]])]),
+    "Q[x]": (make_ring({"base": "Q", "vars": ["x"]}), ["x"],
+             [(1, []), (1, [["x^2"]]), (1, [["x - 1"]]), (1, [["x"]]),
+              (2, [["x", "x^2"]])]),
+}
+_TABLE_TOWERS = [("adic", None, False), ("tor", 1, False), ("tor", 2, False),
+                 ("koszul_stage", 0, False), ("koszul_stage", 1, False),
+                 ("koszul_stage", 1, True), ("koszul_stage", 2, True)]
+
+
+def _limits_or_refusal(ring, gens, item):
+    """describe() of the limits of a tower built afresh, or the refusal's
+    type."""
+    (ngens, rels), (kind, s, certified) = item
+    M = FPModule(ring, ngens, [tuple(col) for col in rels])
+    if kind == "adic":
+        tower = Tower.adic(M, gens)
+    elif kind == "tor":
+        tower = Tower.tor(FPObj(M), gens, s)
+    else:
+        tower = KoszulTensorStages(M, gens, certified).tower(s)
+    try:
+        return lim_lim1(tower).describe()
+    except LoduaError as ex:
+        return type(ex)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(_TABLE_RINGS)), st.data())
+def test_a_tower_gets_its_cold_limits_after_any_prefix(name, data):
+    ring, gens, modules = _TABLE_RINGS[name]
+    towers = st.tuples(st.sampled_from(modules), st.sampled_from(_TABLE_TOWERS))
+    prefix = data.draw(st.lists(towers, max_size=5))
+    # the tower asked last is often one the prefix asked already
+    target = data.draw(st.sampled_from(prefix) | towers if prefix else towers)
+    _presented_limits.cache_clear()
+    for item in prefix:
+        _limits_or_refusal(ring, gens, item)
+    warm = _limits_or_refusal(ring, gens, target)
+    _presented_limits.cache_clear()
+    assert _limits_or_refusal(ring, gens, target) == warm
+
+
+def test_a_change_of_setting_misses_the_table(ZZ):
+    def asked():
+        before = _presented_limits.cache_info()
+        lim_lim1(Tower.adic(FPModule.free(ZZ, 1), [5]))
+        after = _presented_limits.cache_info()
+        return after.misses - before.misses, after.hits - before.hits
+
+    _presented_limits.cache_clear()
+    assert [asked(), asked()] == [(1, 0), (0, 1)]
+    for changed in ({"K": 2}, {"lag": 1}, {"precision": 3}, {"budget": 500}):
+        with lodua.settings(**changed):
+            assert [asked(), asked()] == [(1, 0), (0, 1)], changed
+    # the settings are keyed resolved: 20 is the precision an unset one
+    # takes over Z, so the default run's entry answers
+    with lodua.settings(precision=20):
+        assert asked() == (0, 1)
+
+
+def test_the_table_holds_at_most_its_bound(ZZ):
+    _presented_limits.cache_clear()
+    for K in range(1, _TOWER_LIMIT + 9):
+        with lodua.settings(K=K):
+            lim_lim1(Tower.adic(FPModule.free(ZZ, 1), [5]))
+    info = _presented_limits.cache_info()
+    assert info.misses == _TOWER_LIMIT + 8
+    assert info.currsize == _TOWER_LIMIT

@@ -3,6 +3,7 @@
     python3 tools/sameness.py --workload poly-sweep
     python3 tools/sameness.py --workload integer-sweep --seed 2 --size 50
     python3 tools/sameness.py --workload integer-sweep --refs
+    python3 tools/sameness.py --workload integer-sweep --cold
 
 Runs the op list of one workload and seed once, in order, in one process,
 as ``perfbench/worker.py`` executes it (``perfbench/workloads.py`` and
@@ -26,6 +27,12 @@ refactor that claims to move no certificate can be checked by running this
 script in both and comparing the output.  Run from the root of a lodua
 checkout; to compare with another tree, copy the script into that tree's
 ``tools/`` and run it there.
+
+With ``--cold`` it clears the table of tower limits
+(``towers._presented_limits``) before every op, so each op computes its
+limits as in a fresh process; its answers line must equal the one of a run
+without it.  ``local._LAMBDA_CACHE`` is left alone: clearing it turns
+answers that a warm run gives into refusals (ROADMAP item 1).
 
 With ``--refs`` it instead runs the op list of the seed that
 ``perfbench/refs/<workload>.json`` was recorded for and lists every op
@@ -59,10 +66,13 @@ def _render_rows(ar, X):
     return [[ar.to_el(a).render() for a in row] for row in X]
 
 
-def answers(lodua, ops):
+def answers(lodua, ops, cold=False):
     """(exit code, body) of each op in turn, the body being the report or
-    the refusal exactly as the benchmark hashes it."""
+    the refusal exactly as the benchmark hashes it; ``cold``: the table of
+    tower limits is cleared before each op."""
     for op in ops:
+        if cold:
+            lodua.towers._presented_limits.cache_clear()
         try:
             code, report = worker.execute(lodua, op)
             body = json.dumps(report, sort_keys=True, indent=2)
@@ -72,7 +82,7 @@ def answers(lodua, ops):
         yield code, body
 
 
-def differences(workload):
+def differences(workload, cold=False):
     """(seed, ops, differing) for the seed ``perfbench/refs/<workload>.json``
     was recorded for: ``differing`` lists (op index, verb, [code, sha256],
     the reference's [code, sha256]) for each op whose answer is not the
@@ -89,14 +99,14 @@ def differences(workload):
     import lodua
     differing = []
     for i, (op, (code, body), ref) in enumerate(
-            zip(ops, answers(lodua, ops), refs["answers"])):
+            zip(ops, answers(lodua, ops, cold), refs["answers"])):
         got = [code, hashlib.sha256(body.encode()).hexdigest()]
         if got != ref:
             differing.append((i, op.get("verb", op["kind"]), got, ref))
     return seed, len(ops), differing
 
 
-def fingerprint(ops):
+def fingerprint(ops, cold=False):
     """(answers sha256, number of membership questions, their sha256,
     number of Smith forms, their sha256)."""
     worker.import_lodua()
@@ -131,7 +141,7 @@ def fingerprint(ops):
     FPModule.contains_in_relations = logged
     linalg._smith = logged_smith
     try:
-        for code, body in answers(lodua, ops):
+        for code, body in answers(lodua, ops, cold):
             answered.update(json.dumps([code, body]).encode() + b"\n")
     finally:
         FPModule.contains_in_relations = ask
@@ -149,12 +159,14 @@ def main(argv=None):
     ap.add_argument("--refs", action="store_true",
                     help="list the ops whose answer differs from "
                          "perfbench/refs/ at its seed")
+    ap.add_argument("--cold", action="store_true",
+                    help="clear the table of tower limits before every op")
     ns = ap.parse_args(argv)
     if ns.refs:
         if ns.seed is not None or ns.size is not None:
             ap.error("--refs runs the whole op list of the seed the "
                      "reference was recorded for; drop --seed and --size")
-        seed, n, differing = differences(ns.workload)
+        seed, n, differing = differences(ns.workload, ns.cold)
         for i, verb, (code, sha), (ref_code, ref_sha) in differing:
             print(f"op {i} {verb}: exit {code} sha256 {sha}, reference "
                   f"exit {ref_code} sha256 {ref_sha}")
@@ -163,7 +175,7 @@ def main(argv=None):
         return 1 if differing else 0
     seed = 1 if ns.seed is None else ns.seed
     ops = workloads.generate(ns.workload, seed, ns.size)
-    answered, count, queries, nforms, forms = fingerprint(ops)
+    answered, count, queries, nforms, forms = fingerprint(ops, ns.cold)
     print(f"{ns.workload} seed {seed}: {len(ops)} ops, "
           f"answers sha256 {answered}")
     print(f"contains_in_relations: {count} queries, sha256 {queries}")
