@@ -13,10 +13,26 @@ deterministic JSON (sorted keys, no timestamps in the body).  Exit codes:
 
 A report whose reader closed stdout before it was written exits 2 as well.
 Timing goes to stderr so identical inputs produce byte-identical reports.
+
+``run`` keeps the last document it parsed (``_parsed``, a table of one
+entry), so consecutive verbs on one document validate it once.  The key is
+the document's exact typed content, ``marshal.dumps(doc, 2)`` (version 2
+writes content alone, no references or interning flags; ``1``, ``true``,
+``1.0`` and ``"1"``, or an int and a string key, stay distinct), and the
+settings in force with the budget resolved; the ``Problem`` is built from
+those bytes, so it shares no object with the caller's document.  A hit is
+the cold parse: after construction nothing changes a ``Problem`` but memos
+of pure functions of its objects and the settings (module membership and
+decomposition, regularity and weak proregularity of the ideal, comodule
+coactions, homology of a complex), and the key covers both.  A refusal is
+not stored, and a document holding anything but builtin JSON-like values
+(marshal refuses it) is parsed on every call.
 """
 
 import argparse
+import functools
 import json
+import marshal
 import os
 import sys
 import time
@@ -280,10 +296,24 @@ def _settings(doc, args):
 
 def run(doc, verb, args=None):
     """Execute a verb on a document under its settings; returns
-    (exit_code, report dict)."""
+    (exit_code, report dict).  The document is parsed once for consecutive
+    calls on the same content under the same settings (``_parsed``)."""
     given, cmd = _settings(doc, args or {})
     with settings(**given):
-        return _run(Problem(doc), verb, cmd)
+        try:
+            blob = marshal.dumps(doc, 2)
+        except ValueError:  # no key for it, so it is parsed every time
+            problem = Problem(doc)
+        else:
+            problem = _parsed(blob, current())
+        return _run(problem, verb, cmd)
+
+
+@functools.lru_cache(maxsize=1)
+def _parsed(blob, in_force):
+    """The Problem of the document written as ``blob`` under the settings
+    ``in_force`` (the key only: ``run`` has put them in force)."""
+    return Problem(marshal.loads(blob))
 
 
 def _run(problem, verb, cmd):

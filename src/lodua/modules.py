@@ -376,10 +376,11 @@ class ModuleMap:
 
     def kernel(self):
         """(K, inclusion K -> source)."""
-        cols = self.cols() + self.target.relations
-        if self.target.ngens == 0:
+        if 0 in (self.source.ngens, self.target.ngens):
+            # all of the source, which has no generators or maps to zero
             gens = [self.source.gen(i) for i in range(self.source.ngens)]
         else:
+            cols = self.cols() + self.target.relations
             heads = (s[:self.source.ngens]
                      for s in syzygies(self.ring, cols, self.target.ngens))
             gens = [h for h in heads if not vec_is_zero(h)]
@@ -672,7 +673,9 @@ def _killing_power(M, gens, bound):
     a degree the products come in combinations_with_replacement order, each
     built from its prefix when first needed, and each is tested alone in
     every generator's coordinate; the first one outside the relations ends
-    the degree.
+    the degree.  When degree 1 fails, the cap's first product gens[0]^bound
+    is tried first: if it does not kill M then I^bound M != 0, so no degree
+    up to the bound does.
     """
     ring = M.ring
     prod = prefix_products([ring.el(g) for g in gens])
@@ -685,6 +688,8 @@ def _killing_power(M, gens, bound):
         combos = combinations_with_replacement(range(len(gens)), j)
         if all(kills(prod(c)) for c in combos):
             return j
+        if j == 1 and bound > 1 and not kills(prod((0,) * bound)):
+            return None
     return None
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lodua.errors import InternalInconsistency, InvalidInput, PrecisionMismatch
 
@@ -1242,3 +1244,199 @@ def test_recheck_refuses_tampered_grids_and_sequences():
     result = {**report["result"], "lim1_tor_next": {"kind": "module"}}
     with pytest.raises(InvalidInput, match="neither outer term is zero"):
         lodua.cli.recheck(prufer, {**report, "result": result})
+
+
+# -- the document table of cli.run -------------------------------------------
+
+# verbs on each fixture document; together they ask every verb
+_FIXTURE_OPS = {
+    "z.json": [
+        ("resolve", {}), ("tor", {"M": "Zmod125", "N": "Zmod125", "s": 1}),
+        ("ext", {"M": "Zmod125", "N": "Z", "s": 1}),
+        ("localcoh", {"target": "zinv", "s": 1}),
+        ("localcoh", {"target": "z", "s": 0}),
+        ("localhom", {"target": "z", "s": 0}),
+        ("localhom", {"target": "rat", "s": 1}),
+        ("gamma", {"target": "Zmod125"}), ("lambda", {"target": "zinv"}),
+        ("gm-check", {"target": "z", "s": 0}),
+        ("complete", {"module": "Zmod125"}),
+        ("lcomplete-check", {"target": "rat"}),
+        ("torsion-check", {"target": "Zmod125"}),
+        ("lambda-local-check", {"target": "z"}), ("proreg-check", {}),
+        ("localhom", {"target": "nothing", "s": 0})],
+    "zp.json": [
+        ("lcomplete-check", {}), ("lambda", {"target": "zp"}),
+        ("localhom", {"target": "zp", "s": 1}), ("gamma", {"target": "zp"}),
+        ("complete", {"module": "Zp"}), ("resolve", {})],
+    "z-mod-p-infty.json": [
+        ("gm-check", {"s": 1}), ("gm-check", {"s": 0}),
+        ("localhom", {"target": "prufer", "s": 0}),
+        ("localcoh", {"target": "prufer", "s": 0}),
+        ("lambda", {"target": "prufer"}),
+        ("torsion-check", {"target": "prufer"})],
+    "c2-swap.json": [
+        ("resolve", {}), ("comodule-limit", {"comodule": "CA"}),
+        ("comodule-complete", {"comodule": "CA", "method": "pullback"}),
+        ("iota", {"comodule": "CA"}), ("verify", {}),
+        ("verify", {"which": "fg-vanishing"}),
+        ("verify", {"which": "comodule-gm"}),
+        ("verify", {"which": "true-level"})],
+}
+_COLD = {}
+
+
+def _answer(doc, verb, args):
+    """(exit code, report body) of a verb, or the refusal's type and
+    message."""
+    import lodua.cli
+    try:
+        code, report = lodua.cli.run(doc, verb, args)
+    except Exception as ex:  # a refusal is an answer here
+        return type(ex).__name__, str(ex)
+    return code, json.dumps(report, sort_keys=True)
+
+
+def _fixture_doc(name):
+    with open(fixture(name)) as fh:
+        return json.load(fh)
+
+
+def _cold_answers(name):
+    import lodua.cli
+    if name not in _COLD:
+        doc, answers = _fixture_doc(name), []
+        for verb, args in _FIXTURE_OPS[name]:
+            lodua.cli._parsed.cache_clear()
+            answers.append(_answer(doc, verb, args))
+        _COLD[name] = answers
+    return _COLD[name]
+
+
+def test_fixture_ops_ask_every_verb():
+    import lodua.cli
+    asked = {verb for ops in _FIXTURE_OPS.values() for verb, _ in ops}
+    assert asked == set(lodua.cli.VERBS)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(sorted(_FIXTURE_OPS)), st.data())
+def test_a_verb_after_others_on_its_document_answers_as_after_a_cold_parse(
+        name, data):
+    import lodua.cli
+    ops = _FIXTURE_OPS[name]
+    cold = _cold_answers(name)
+    order = data.draw(st.permutations(range(len(ops))))
+    doc = _fixture_doc(name)
+    lodua.cli._parsed.cache_clear()
+    for i in order:
+        assert _answer(doc, *ops[i]) == cold[i], ops[i]
+    # every op after the first found the document in the table
+    assert lodua.cli._parsed.cache_info().hits == len(ops) - 1
+
+
+def _hits_and_misses():
+    import lodua.cli
+    info = lodua.cli._parsed.cache_info()
+    return info.hits, info.misses
+
+
+def _retyped(doc, path, value):
+    """A deep copy of doc with the entry at path replaced by value."""
+    doc = json.loads(json.dumps(doc))
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    return doc
+
+
+_COMPLEX_DOC = {"version": "1", "ring": {"base": "Z"}, "ideal": ["5"],
+                "modules": {"M": {"generators": 1, "relations": [["25"]]}},
+                "complexes": {"C": {"modules": {"0": "M"}}}}
+
+
+@pytest.mark.parametrize("path, value", [
+    (("ideal", 0), 5),
+    (("modules", "M", "generators"), True),
+    (("modules", "M", "generators"), 1.0),
+    (("modules", "M", "relations", 0, 0), 25),
+    (("complexes", "C", "modules"), {0: "M"}),
+])
+def test_documents_differing_in_types_miss_the_table(path, value):
+    import lodua.cli
+    variant = _retyped(_COMPLEX_DOC, path, value)
+    want = _answer(variant, "resolve", {})
+    lodua.cli._parsed.cache_clear()
+    _answer(_COMPLEX_DOC, "resolve", {})
+    hits, misses = _hits_and_misses()
+    assert _answer(variant, "resolve", {}) == want
+    assert _hits_and_misses() == (hits, misses + 1)
+
+
+@pytest.mark.parametrize("args, budget", [
+    ({}, "99999"), ({"precision": 10}, None), ({"K": 5}, None),
+    ({"lag": 2}, None)])
+def test_other_settings_miss_the_table(args, budget, monkeypatch):
+    import lodua.cli
+    doc = _fixture_doc("zp.json")
+    lodua.cli._parsed.cache_clear()
+    _answer(doc, "lcomplete-check", {})
+    if budget is not None:
+        monkeypatch.setenv("LODUA_BUDGET", budget)
+    hits, misses = _hits_and_misses()
+    _answer(doc, "lcomplete-check", args)
+    assert _hits_and_misses() == (hits, misses + 1)
+    _answer(doc, "lcomplete-check", args)
+    assert _hits_and_misses() == (hits + 1, misses + 1)
+
+
+def test_an_invalid_document_is_refused_every_time_and_never_stored():
+    import lodua.cli
+    doc = _fixture_doc("z.json")
+    bad = _retyped(doc, ("modules", "Z", "generators"), -1)
+    lodua.cli._parsed.cache_clear()
+    _answer(doc, "resolve", {})
+    for _ in range(3):
+        with pytest.raises(InvalidInput, match="non-negative integer"):
+            lodua.cli.run(bad, "resolve")
+    assert lodua.cli._parsed.cache_info().currsize == 1
+    hits, misses = _hits_and_misses()
+    _answer(doc, "resolve", {})   # still the stored document
+    assert _hits_and_misses() == (hits + 1, misses)
+
+
+def test_an_equal_document_built_anew_hits_the_table():
+    # the key is the content: a copy built by another route is the same key
+    import lodua.cli
+    lodua.cli._parsed.cache_clear()
+    _answer(_fixture_doc("z.json"), "resolve", {})
+    copy = json.loads(json.dumps(_fixture_doc("z.json")))
+    _answer(copy, "resolve", {})
+    assert _hits_and_misses() == (1, 1)
+
+
+def test_the_table_holds_one_document():
+    import lodua.cli
+    assert lodua.cli._parsed.cache_info().maxsize == 1
+    z, zp = _fixture_doc("z.json"), _fixture_doc("zp.json")
+    lodua.cli._parsed.cache_clear()
+    for doc in (z, zp, z):
+        _answer(doc, "resolve", {})
+    assert _hits_and_misses() == (0, 3)
+    assert lodua.cli._parsed.cache_info().currsize == 1
+
+
+class _Note(dict):
+    pass
+
+
+@pytest.mark.parametrize("note", [lambda: None, _Note()])
+def test_a_document_holding_other_types_is_parsed_every_time(note):
+    import lodua.cli
+    doc = _fixture_doc("z.json")
+    odd = {**doc, "command": {"note": note}}
+    lodua.cli._parsed.cache_clear()
+    for _ in range(2):
+        assert lodua.cli.run(odd, "resolve") == lodua.cli.run(doc, "resolve")
+    # the plain twin missed once and hit once; the odd one asked nothing
+    assert _hits_and_misses() == (1, 1)

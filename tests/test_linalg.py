@@ -666,6 +666,7 @@ def test_each_smith_form_is_computed_once(monkeypatch):
     for verb, args in (("gm-check", {"target": "fpM", "s": 0}),
                        ("localhom", {"target": "M", "s": 1})):
         linalg._span.cache_clear()
+        cli._parsed.cache_clear()   # its modules keep their spans
         calls.clear()
         asked.clear()
         cli.run(_int_doc(), verb, args)

@@ -260,6 +260,49 @@ def test_killing_power_exact_values(ZZ):
     assert _killing_power(FPModule.cyclic(ZZ, [125]), [ZZ.el(5)], 2) is None
 
 
+# per ring: its spec, candidate ideal generators and relation entries
+_KILLING_RINGS = {
+    "Z": ({"base": "Z"}, ["2", "5", "10", "25"],
+          ["0", "1", "8", "25", "125", "250", "5^9", "2^20"]),
+    "Z_5": ({"base": "Z", "completion": {"ideal": ["5"], "precision": 20}},
+            ["5", "10", "25"], ["0", "3", "5", "25", "5^8", "5^19"]),
+    "Q[x,y]": ({"base": "Q", "vars": ["x", "y"]}, ["x", "y", "x + y", "x*y"],
+               ["0", "1", "x^2", "y^3", "x*y", "x^5", "y^9", "x + y"]),
+}
+
+
+@st.composite
+def _killing_cases(draw):
+    spec, gens, entries = _KILLING_RINGS[draw(st.sampled_from(
+        sorted(_KILLING_RINGS)))]
+    R = make_ring(spec)
+    n = draw(st.integers(1, 2))
+    cols = draw(st.lists(st.lists(st.sampled_from(entries), min_size=n,
+                                  max_size=n), max_size=3))
+    ideal = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2,
+                          unique=True))
+    return (FPModule(R, n, [tuple(map(R.el, col)) for col in cols]),
+            [R.el(g) for g in ideal])
+
+
+@settings(max_examples=60)
+@given(_killing_cases(), st.sampled_from([8, 19, 24]))
+def test_killing_power_matches_the_linear_scan(case, bound):
+    # the early None (gens[0]^bound does not kill M) is the scan's answer
+    from lodua.modules import _killing_power
+    M, gens = case
+    assert _killing_power(M, gens, bound) == _brute_killing_power(M, gens,
+                                                                  bound)
+
+
+@pytest.mark.parametrize("bound, expected", [(19, None), (20, 20), (24, 20)])
+def test_killing_power_near_the_bound(ZZ, bound, expected):
+    from lodua.modules import _killing_power
+    M = FPModule.cyclic(ZZ, [2 ** 20])
+    assert _killing_power(M, [ZZ.el(2)], bound) == expected
+    assert _brute_killing_power(M, [ZZ.el(2)], bound) == expected
+
+
 @pytest.mark.parametrize("N", [2, 3, 5])
 def test_killing_power_capped_below_precision(N):
     from lodua.local import _ideal_nilpotent_on

@@ -328,3 +328,19 @@ def test_small_module_helpers(ZZ, QQxy):
     assert hom_or_tensor("tensor", Z2, Z2).ngens == 4
     assert not _same_presentation(FPModule.free(QQxy, 1),
                                   FPModule.free(QQxy, 2))
+
+
+def test_kernel_of_a_map_out_of_zero_asks_no_syzygies(QQxy, monkeypatch):
+    # a source without generators is its own kernel, the zero submodule
+    from lodua import linalg, modules
+    from lodua.modules import zero_map
+
+    def refused(*args):
+        raise AssertionError("syzygies asked")
+
+    monkeypatch.setattr(linalg, "syzygies", refused)
+    monkeypatch.setattr(modules, "syzygies", refused)
+    zero = FPModule.zero(QQxy)
+    K, incl = zero_map(zero, FPModule.cyclic(QQxy, ["x", "y^2"])).kernel()
+    assert (K.ngens, K.relations) == (0, [])
+    assert (incl.source, incl.target) == (K, zero)

@@ -41,6 +41,16 @@ def test_bad_precision_rejected():
         make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 0}})
 
 
+def test_ring_get_refuses_a_completion_of_precision_zero():
+    # make_ring refuses precision 0 before it reaches Ring.get; a direct
+    # call meets the guard of Ring._validate, and no such ring is interned
+    five = (make_ring({"base": "Z"}).el(5).num,)
+    for _ in range(2):
+        with pytest.raises(InvalidInput,
+                           match="completion precision must be >= 1"):
+            Ring.get("Z", completion=(five, 0))
+
+
 def test_normal_form_quotient():
     # divide x^3 by x^2 - y by hand: x^3 = x(x^2 - y) + xy
     Q = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2 - y"]})
