@@ -3,15 +3,15 @@
 Run with:  python demos/01_rings_and_groebner.py
 """
 
-from lodua import groebner_basis, make_ring, normal_form, smith_normal_form
+from lodua import groebner_basis, make_ring, smith_normal_form
 from lodua.linalg import mat_mul
 
 print("== canonical forms ==")
 Q = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2 - y"]})
-print(f"in Q[x,y]/(x^2 - y):  x^3  ->  {normal_form(Q, 'x^3')}")
+print(f"in Q[x,y]/(x^2 - y):  x^3  ->  {Q.el('x^3')}")
 
 Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 3}})
-print(f"in Z_5 at precision 3:  126  ->  {normal_form(Z5, '126')}")
+print(f"in Z_5 at precision 3:  126  ->  {Z5.el('126')}")
 
 Zloc = make_ring({"base": "Z", "invert": "5"})
 e = Zloc.el(10, dexp=1)

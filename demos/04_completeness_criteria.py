@@ -33,7 +33,7 @@ for name, desc in cases.items():
 print("\n== homology-level membership for complexes ==")
 X = ChainComplex.single(free, 0)
 cn = cone(ChainMap(X, X, {0: ModuleMap(free, free, [[Z.el(5)]])}))
-r = homology_membership(cn, d, "torsion")
+r = homology_membership(cn, d)
 print("cone(5) is I-power torsion:", r["verdict"], "--", r["gamma_fixed_point"])
 
 Zp = FPModule.free(Zp_ring, 1)

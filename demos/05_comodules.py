@@ -4,13 +4,14 @@ k[x, y] with the invariant ideal (x + y, xy), and the theorem verifiers.
 Run with:  python demos/05_comodules.py
 """
 
-from lodua import (Comodule, FPModule, IdealData, comodule_completion,
-                   extended_comodule, make_group_like, make_ring, settings,
-                   verify_theorems)
+from lodua import (Comodule, FPModule, GroupLikeHopfAlgebroid, IdealData,
+                   comodule_completion, extended_comodule, make_ring,
+                   settings, verify_theorems)
 
 kxy = make_ring({"base": "Q", "vars": ["x", "y"]})
 table = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-swap = make_group_like(kxy, ["e", "s"], table, {"s": {"x": "y", "y": "x"}})
+swap = GroupLikeHopfAlgebroid(kxy, ["e", "s"], table,
+                              {"s": {"x": "y", "y": "x"}})
 print("Hopf algebroid:", swap.describe())
 
 A = Comodule(swap, FPModule.free(kxy, 1), {"s": [[kxy.el(1)]]})

@@ -43,12 +43,13 @@ from .criteria import homology_membership, is_L_complete, is_lambda_local
 from .descriptors import FPObj, Rational, Telescope, TelescopeQuotient
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      LoduaError, UnrecognizedTower, UnsupportedRing)
-from .hopf import (Comodule, comodule_completion, iota, make_group_like,
-                   verify_theorems, _completed_hopf, _base_change_comodule)
+from .hopf import (Comodule, GroupLikeHopfAlgebroid, comodule_completion,
+                   iota, verify_theorems, _completed_hopf,
+                   _base_change_comodule)
 from .local import (IdealData, adic_completion, derived_completion, gamma,
                     gm_ses_check, local_cohomology, local_homology_Ls)
 from .modules import FPModule, ModuleMap, ext as module_ext, tor as module_tor
-from .ring import _is_expression, make_ring
+from .ring import _is_expression, _listed, make_ring
 from .towers import Tower, lim_lim1, weak_proregularity_check
 
 SCHEMA_VERSION = "1"
@@ -113,20 +114,26 @@ class Problem:
         self.hopf = None
         if doc.get("group"):
             g = _fields(doc["group"], "group", "elements", "table")
+            els = _listed("group elements", "strings", g["elements"],
+                          lambda v: type(v) is str)
             try:
-                table = {(a, b): g["table"][a][b] for a in g["elements"]
-                         for b in g["elements"]}
+                table = {(a, b): g["table"][a][b] for a in els for b in els}
             except (KeyError, TypeError):
                 raise InvalidInput("the group table needs every product") from None
-            self.hopf = make_group_like(self.ring, g["elements"], table,
-                                        g.get("action", {}))
+            action = _fields(g.get("action", {}), "group action")
+            for h, spec in action.items():
+                for x, img in _fields(spec, f"group action of {h!r}").items():
+                    _element(f"group action of {h!r} on {x!r}", img)
+            self.hopf = GroupLikeHopfAlgebroid(self.ring, els, table, action)
         self.comodules = {}
         for name, spec in doc.get("comodules", {}).items():
             self._unique(name)
             if self.hopf is None:
                 raise InvalidInput("comodules need a group block")
-            self.comodules[name] = Comodule(self.hopf, self.module(spec["module"]),
-                                            _fields(spec.get("action", {}), name))
+            M = self.module(spec["module"])
+            action = {h: _matrix(f"{name} action of {h}", mat, M, M)
+                      for h, mat in _fields(spec.get("action", {}), name).items()}
+            self.comodules[name] = Comodule(self.hopf, M, action)
 
     def _unique(self, name):
         for pool in (getattr(self, "modules", {}), getattr(self, "maps", {}),
@@ -382,7 +389,7 @@ def _run(problem, verb, cmd):
         report["result"] = cert.describe()
         code = {"complete": 0, "not-complete": 1, "inconclusive": 2}[cert.verdict]
     elif verb == "torsion-check":
-        out = homology_membership(problem.target(name("target")), d, "torsion")
+        out = homology_membership(problem.target(name("target")), d)
         report["result"] = out
         code = 0 if out["verdict"] is True else (
             1 if out["verdict"] is False else 2)

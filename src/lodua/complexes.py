@@ -282,25 +282,6 @@ def induced_on_homology(f, n):
     return ModuleMap(src.H, tgt.H, mat, check=True)
 
 
-def complex_algebra(op, *args):
-    """Dispatcher: cone | shift | tensor | hom | truncate_ge | truncate_le | total."""
-    if op == "cone":
-        return cone(*args)
-    if op == "shift":
-        return args[0].shift(args[1])
-    if op == "tensor":
-        return args[0].tensor_complex(args[1])
-    if op == "hom":
-        return hom_complex(*args)
-    if op == "truncate_ge":
-        return args[0].truncate_ge(args[1])
-    if op == "truncate_le":
-        return args[0].truncate_le(args[1])
-    if op == "total":
-        return total_complex(*args)
-    raise InvalidInput(f"unknown complex operation {op!r}")
-
-
 def hom_complex(C, D):
     """Hom(C, D)_n = prod_p Hom(C_p, D_(p+n)); d(f) = d.f - (-1)^|f| f.d."""
     ring = C.ring

@@ -120,61 +120,43 @@ def is_lambda_local(C, d):
     return out
 
 
-def homology_membership(C, d, kind):
-    """Degreewise torsion/completeness of homology, with functor certification.
-
-    kind='torsion': every H_n is I-power torsion, certified by the torsion
-    functor returning the homology unchanged.  kind='complete': every H_n
-    passes the Ext grid (discrete rings only), certified by the completion
-    functor returning the homology unchanged.
-    """
-    if kind not in ("torsion", "complete"):
-        raise InvalidInput(f"unknown membership kind {kind!r}")
+def homology_membership(C, d):
+    """Degreewise torsion of homology, with functor certification: every H_n
+    is I-power torsion, certified by the torsion functor returning the
+    homology unchanged.  Completeness of homology is `is_lambda_local`."""
     obj = GradedObject.of(C)
-    report = {"kind": kind, "per_degree": {}}
-    if kind == "torsion":
-        for dgr, piece in sorted(obj.pieces.items()):
-            if piece.kind == "fp":
-                j = _ideal_nilpotent_on(d, piece.module)
-                if j is None:
-                    report["per_degree"][str(dgr)] = {
-                        "torsion": False,
-                        "witness": "generator not killed by any materialized "
-                                   "power of I"}
-                    report["verdict"] = False
-                    return report
-                report["per_degree"][str(dgr)] = {"torsion": True,
-                                                  "killed_by_power": j}
-            elif piece.kind == "telescope_quotient":
-                m = _require_radical_membership(d.ring, piece.mult, d.gens)
+    report = {"kind": "torsion", "per_degree": {}}
+    for dgr, piece in sorted(obj.pieces.items()):
+        if piece.kind == "fp":
+            j = _ideal_nilpotent_on(d, piece.module)
+            if j is None:
                 report["per_degree"][str(dgr)] = {
-                    "torsion": True,
-                    "note": f"stage k is killed by I^{m}k"}
-            else:
-                report["per_degree"][str(dgr)] = {"torsion": False,
-                                                  "witness": piece.kind}
+                    "torsion": False,
+                    "witness": "generator not killed by any materialized "
+                               "power of I"}
                 report["verdict"] = False
                 return report
-        gm = gamma(d, obj)
-        for dgr, piece in obj.pieces.items():
-            got = gm.value(dgr)
-            ok, detail = values_agree(got, value_of(piece))
-            if not ok:
-                report["verdict"] = False
-                report["gamma_failure"] = {"degree": dgr, "detail": detail}
-                return report
-        report["verdict"] = True
-        report["gamma_fixed_point"] = ("the torsion functor returns the "
-                                       "homology unchanged")
-        return report
-    # kind == 'complete'
-    local = is_lambda_local(C, d)
-    report["per_degree"] = local.get("per_degree", {})
-    if local["verdict"] == "local":
-        report["verdict"] = True
-        report["lambda_fixed_point"] = local.get("fixed_point")
-    elif local["verdict"] == "not-local":
-        report["verdict"] = False
-    else:
-        report["verdict"] = "inconclusive"
+            report["per_degree"][str(dgr)] = {"torsion": True,
+                                              "killed_by_power": j}
+        elif piece.kind == "telescope_quotient":
+            m = _require_radical_membership(d.ring, piece.mult, d.gens)
+            report["per_degree"][str(dgr)] = {
+                "torsion": True,
+                "note": f"stage k is killed by I^{m}k"}
+        else:
+            report["per_degree"][str(dgr)] = {"torsion": False,
+                                              "witness": piece.kind}
+            report["verdict"] = False
+            return report
+    gm = gamma(d, obj)
+    for dgr, piece in obj.pieces.items():
+        got = gm.value(dgr)
+        ok, detail = values_agree(got, value_of(piece))
+        if not ok:
+            report["verdict"] = False
+            report["gamma_failure"] = {"degree": dgr, "detail": detail}
+            return report
+    report["verdict"] = True
+    report["gamma_fixed_point"] = ("the torsion functor returns the "
+                                   "homology unchanged")
     return report

@@ -494,13 +494,11 @@ class GBasis:
             return None
         return self._polys(_scaled(cof, -1, self._p), self.track)
 
-    def syzygies(self, ncoords=None):
-        """Generators of the syzygy module of the original generators; each
-        cut to its first ncoords coordinates when given."""
+    def syzygies(self):
+        """Generators of the syzygy module of the original generators."""
         if not self.track:
             raise UnsupportedRing("this basis was built without cofactors")
-        ngen = self.track if ncoords is None else ncoords
-        out = [self._polys(s, ngen) for s in self._syz]
+        out = [self._polys(s, self.track) for s in self._syz]
         # relations expressing each original generator over the basis give
         # extra syzygies e_j - lift(gen_j) = e_j + row
         one, zero = self.dom.normalize(1), (0,) * self.nvars
@@ -511,7 +509,7 @@ class GBasis:
                 _sub_shifted(row, {self._keys.key(j, zero): one}, 0, -1,
                              self._p, self._keys)
             if row:
-                out.append(self._polys(row, ngen))
+                out.append(self._polys(row, self.track))
         return out
 
 

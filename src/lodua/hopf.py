@@ -167,11 +167,6 @@ class GroupLikeHopfAlgebroid:
                 "ring": repr(self.ring)}
 
 
-def make_group_like(ring, elements, table, action):
-    """Validated constructor; rejects non-groups and non-automorphisms."""
-    return GroupLikeHopfAlgebroid(ring, elements, table, action)
-
-
 class Comodule:
     """An FPModule M with its coaction psi: M -> Psi (x) M.
 

@@ -32,7 +32,7 @@ from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
                           value_of, values_agree)
 from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
                      UnsupportedRing)
-from .koszul import koszul_chain, koszul_cochain
+from .koszul import koszul_cochain
 from .linalg import member
 from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
                       block_sum, ext as module_ext, iso_check, power,
@@ -174,11 +174,6 @@ def _add_value(acc, n, v):
 
 
 # -- Koszul and Cech models ------------------------------------------------------
-
-
-def koszul_complex(d, powers=1):
-    """The Koszul chain complex on (x_1^k, ..., x_n^k), degrees n..0."""
-    return koszul_chain(d.ring, d.gens, powers)
 
 
 class CechComplex:

@@ -535,21 +535,6 @@ class HomModule:
         return tuple(sol[:self.module.ngens])
 
 
-def hom_module(M, N):
-    """(H, interp) with H = Hom(M, N) and interp(vec) a ModuleMap M -> N."""
-    hm = HomModule(M, N)
-    return hm.module, hm.interp
-
-
-def hom_or_tensor(kind, M, N):
-    if kind == "tensor":
-        return tensor(M, N)
-    if kind == "hom":
-        H, _ = hom_module(M, N)
-        return H
-    raise InvalidInput(f"unknown kind {kind!r}")
-
-
 def free_resolution(M, length):
     """F_length -> ... -> F_0 with H_0 = M, exact in middle degrees."""
     from .complexes import ChainComplex

@@ -958,11 +958,6 @@ def _reject_zerodivisor(ring, x):
                 f"{x.render()} is a zerodivisor: {witness.render()} kills it")
 
 
-def normal_form(ring, expression):
-    """Canonical representative of an element expression; idempotent."""
-    return ring.el(expression)
-
-
 def groebner_basis(ring, gens, order=None):
     """The reduced Groebner basis of an ideal, as ring elements.
 

@@ -151,9 +151,6 @@ class TowerLimits:
         self.basis = basis
         self.certificates = certificates or {}
 
-    def recognized(self):
-        return self.lim.is_recognized() and self.lim1.is_recognized()
-
     def describe(self):
         return {"lim": self.lim.describe(), "lim1": self.lim1.describe(),
                 "basis": self.basis, "certificates": self.certificates}

@@ -359,11 +359,11 @@ def test_golden_comodule_verify_report():
     ({"generators": 1, "relations": []}, {"s": [["2"]]},
      "not coassociative"),
     ({"generators": 1, "relations": []}, {"s": [["1"], ["0"]]},
-     "wrong shape"),
+     "matrix must be a list of 1 lists of 1"),
 ])
 def test_invalid_comodule_action_exits_three(tmp_path, module, action, axiom):
     """phi_e = id, semilinearity and the group law, each broken in turn, and
-    an action matrix of the wrong shape."""
+    an action matrix of the wrong shape, refused on reading."""
     with open(fixture("c2-swap.json")) as fh:
         doc = json.load(fh)
     doc["modules"]["A"] = module
@@ -700,6 +700,7 @@ def test_verify_passes_K_and_lag(monkeypatch, which, verifier):
 
 
 _Z_MODULES = {"Z": {"generators": 1, "relations": []}}
+_C2_GROUP = _c2_doc()["group"]
 
 # one malformed document per block: (blocks replacing the fixture's, the
 # message naming the fault)
@@ -742,6 +743,20 @@ MALFORMED = {
                                     "matrix": [["1"]]}}},
                     "unknown module 'W'"),
     "comodules-group": ({"group": {}}, "comodules need a group block"),
+    "group-elements-string": ({"group": {**_C2_GROUP, "elements": "es"}},
+                              "group elements must be a list of strings, "
+                              "not 'es'"),
+    "group-action-list": (
+        {"group": {**_C2_GROUP, "action": {"s": ["y", "x"]}}},
+        "group action of 's' must be a JSON object"),
+    "comodules-action-string": (
+        {"comodules": {"CA": {"module": "A", "action": {"s": "1"}}}},
+        "'CA action of s' matrix must be a list of 1 lists of 1 strings or "
+        "integers, not '1'"),
+    "comodules-action-row-string": (
+        {"comodules": {"CA": {"module": "A", "action": {"s": ["1"]}}}},
+        "'CA action of s' matrix must be a list of 1 lists of 1 strings or "
+        "integers, not ['1']"),
 }
 
 

@@ -1,8 +1,8 @@
 import pytest
 
 from lodua import (ChainComplex, ChainMap, FPModule, InvalidInput, ModuleMap,
-                   complex_algebra, cone, free_resolution, hom_complex,
-                   induced_on_homology, iso_check, make_ring)
+                   cone, free_resolution, hom_complex, induced_on_homology,
+                   iso_check, make_ring)
 from lodua.complexes import total_complex
 from lodua.koszul import koszul_chain
 
@@ -55,7 +55,7 @@ def test_koszul_detects_non_regularity():
 
 def test_shift_moves_homology(ZZ):
     C = two_term(ZZ, 5)
-    S = complex_algebra("shift", C, 3)
+    S = C.shift(3)
     assert iso_check(S.homology(3), C.homology(0))
     assert S.homology(0).is_zero()
 
@@ -64,7 +64,7 @@ def test_cone_quasi_iso(ZZ):
     F = FPModule.free(ZZ, 1)
     X = ChainComplex.single(F, 0)
     cm = ChainMap(X, X, {0: ModuleMap(F, F, [[ZZ.el(5)]])})
-    cn = complex_algebra("cone", cm)
+    cn = cone(cm)
     assert iso_check(cn.homology(0), zmod(ZZ, 5))
     assert cn.homology(1).is_zero()
 
@@ -98,44 +98,41 @@ def test_tensor_of_koszul_lines(ZZ):
 def test_truncations(ZZ):
     M = zmod(ZZ, 5)
     C = ChainComplex(ZZ, {0: M, 1: FPModule.free(ZZ, 1)}, {})
-    hi = complex_algebra("truncate_ge", C, 1)
+    hi = C.truncate_ge(1)
     assert hi.homology(0).is_zero()
     assert iso_check(hi.homology(1), C.homology(1))
-    lo = complex_algebra("truncate_le", C, 0)
+    lo = C.truncate_le(0)
     assert iso_check(lo.homology(0), M)
     assert lo.homology(1).is_zero()
 
 
 def test_truncations_at_and_beyond_the_ends(ZZ):
     C = two_term(ZZ, 5)            # Z -5-> Z in degrees 1, 0
-    for op, n in (("truncate_ge", 2), ("truncate_le", -1)):
-        T = complex_algebra(op, C, n)
+    for T in (C.truncate_ge(2), C.truncate_le(-1)):
         assert not T.modules and list(T.degrees()) == []
-    assert complex_algebra("truncate_ge", C, 0) is C
-    assert complex_algebra("truncate_le", C, 1) is C
+    assert C.truncate_ge(0) is C
+    assert C.truncate_le(1) is C
     D = ChainComplex(ZZ, {0: FPModule.free(ZZ, 1), 1: FPModule.free(ZZ, 1),
                           2: FPModule.free(ZZ, 1)},
                      {1: ModuleMap(FPModule.free(ZZ, 1), FPModule.free(ZZ, 1),
                                    [[ZZ.el(5)]])})
-    for op, n in (("truncate_ge", 1), ("truncate_le", 1)):
-        T = complex_algebra(op, D, n)
+    for ge in (True, False):
+        T = D.truncate_ge(1) if ge else D.truncate_le(1)
         for k in range(3):
-            keep = k >= n if op == "truncate_ge" else k <= n
+            keep = k >= 1 if ge else k <= 1
             if keep:
                 assert iso_check(T.homology(k), D.homology(k))
             else:
                 assert T.homology(k).is_zero()
 
 
-def test_complex_algebra_tensor_and_total(ZZ):
-    C = complex_algebra("tensor", two_term(ZZ, 4), two_term(ZZ, 6))
+def test_tensor_and_total_complexes(ZZ):
+    C = two_term(ZZ, 4).tensor_complex(two_term(ZZ, 6))
     assert iso_check(C.homology(1), zmod(ZZ, 2))
     F = FPModule.free(ZZ, 1)
     five = ModuleMap(F, F, [[ZZ.el(5)]])
-    T = complex_algebra("total", ZZ, {(0, 0): F, (1, 0): F}, {(1, 0): five}, {})
+    T = total_complex(ZZ, {(0, 0): F, (1, 0): F}, {(1, 0): five}, {})
     assert iso_check(T.homology(0), zmod(ZZ, 5))
-    with pytest.raises(InvalidInput, match="unknown complex operation 'sum'"):
-        complex_algebra("sum", C)
 
 
 def test_complex_layer_refuses_malformed_input(ZZ):
@@ -154,7 +151,7 @@ def test_complex_layer_refuses_malformed_input(ZZ):
 
 def test_hom_complex_matches_ext(ZZ):
     res = free_resolution(zmod(ZZ, 5), 2)
-    H = complex_algebra("hom", res, ChainComplex.single(FPModule.free(ZZ, 1), 0))
+    H = hom_complex(res, ChainComplex.single(FPModule.free(ZZ, 1), 0))
     assert iso_check(H.homology(-1), zmod(ZZ, 5))
     assert H.homology(0).is_zero()
 

@@ -134,12 +134,12 @@ def test_torsion_membership(ZZ, d5, prufer):
     F = FPModule.free(ZZ, 1)
     X = ChainComplex.single(F, 0)
     cm = ChainMap(X, X, {0: ModuleMap(F, F, [[ZZ.el(5)]])})
-    r = homology_membership(cone(cm), d5, "torsion")
+    r = homology_membership(cone(cm), d5)
     assert r["verdict"] is True
     assert "gamma_fixed_point" in r
-    r = homology_membership(ChainComplex.single(F, 0), d5, "torsion")
+    r = homology_membership(ChainComplex.single(F, 0), d5)
     assert r["verdict"] is False
-    r = homology_membership(GradedObject(ZZ, {0: prufer}), d5, "torsion")
+    r = homology_membership(GradedObject(ZZ, {0: prufer}), d5)
     assert r["verdict"] is True
 
 
@@ -150,15 +150,16 @@ def test_torsion_membership_over_the_completion():
                     "completion": {"ideal": ["x", "y"], "precision": 5}})
     M = FPModule(Ac, 1, [(Ac.el("x"),), (Ac.el("y^2"),)])
     r = homology_membership(GradedObject(Ac, {0: FPObj(M)}),
-                            IdealData(A, ["x", "y"]), "torsion")
+                            IdealData(A, ["x", "y"]))
     assert r["per_degree"]["0"] == {"torsion": True, "killed_by_power": 2}
     assert r["verdict"] is True
 
 
 def test_complete_membership_two_degrees(ZZ, d5, Zp, Z5hat):
     two = GradedObject(Z5hat, {0: FPObj(Zp), 1: FPObj(zmod(ZZ, 25))})
-    r = homology_membership(two, d5, "complete")
-    assert r["verdict"] is True
+    r = is_lambda_local(two, d5)
+    assert r["verdict"] == "local"
+    assert "fixed_point" in r
 
 
 def test_torsion_coherence(ZZ, d5, prufer):
@@ -167,7 +168,7 @@ def test_torsion_coherence(ZZ, d5, prufer):
     F = FPModule.free(ZZ, 1)
     cases = [(FPObj(zmod(ZZ, 25)), True), (prufer, True), (FPObj(F), False)]
     for desc, expected in cases:
-        r = homology_membership(GradedObject(ZZ, {0: desc}), d5, "torsion")
+        r = homology_membership(GradedObject(ZZ, {0: desc}), d5)
         assert (r["verdict"] is True) == expected
         g = gamma(d5, GradedObject(ZZ, {0: desc}))
         from lodua.descriptors import value_of as _expected_value
@@ -241,7 +242,5 @@ def test_grid_entry_points_take_modules_and_check_indices(ZZ, d5):
         ext_telescope(d5, 1, FPObj(M), 0).describe()
     with pytest.raises(InvalidInput, match="index 2 outside 1..1"):
         ext_telescope(d5, 2, M, 0)
-    with pytest.raises(InvalidInput, match="unknown membership kind 'sum'"):
-        homology_membership(M, d5, "sum")
-    out = homology_membership(FPModule.free(ZZ, 1), d5, "complete")
-    assert out["verdict"] is False
+    out = is_lambda_local(FPModule.free(ZZ, 1), d5)
+    assert out["verdict"] == "not-local"

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion without a traceback."""
+"""Every demo script runs to completion without a traceback and prints the
+bytes checked in as ``demos/expected/<demo>.out``."""
 
 import glob
 import os
@@ -21,6 +22,10 @@ def test_demo_runs(path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, path], capture_output=True,
-                          text=True, env=env, cwd=ROOT, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+                          env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    name = os.path.splitext(os.path.basename(path))[0]
+    with open(os.path.join(ROOT, "demos", "expected", f"{name}.out"),
+              "rb") as fh:
+        assert proc.stdout == fh.read()

@@ -1,7 +1,8 @@
 """The document contract under mutation: `resolve` on each fixture document
-with one value of its `ring`, `ideal`, `modules` or `descriptors` block
-replaced or deleted ends with exit code 0, 1, 2 or 3, prints no traceback
-and no `internal error:` line, and prints the same report when run again.
+with one value of its `ring`, `ideal`, `modules`, `descriptors`, `group` or
+`comodules` block replaced or deleted ends with exit code 0, 1, 2 or 3,
+prints no traceback and no `internal error:` line, and prints the same
+report when run again.
 """
 
 import contextlib
@@ -18,14 +19,15 @@ import lodua.cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 DOCUMENTS = ("c2-swap.json", "z-mod-p-infty.json", "z.json", "zp.json")
-BLOCKS = ("ring", "ideal", "modules", "descriptors")
+BLOCKS = ("ring", "ideal", "modules", "descriptors", "group", "comodules")
 
 # keys of the schema and names of the fixtures, so a drawn object can look
 # like a block entry; integers stay small, so that a drawn precision or
 # generator count keeps each document cheap to resolve
 _KEYS = ("base", "p", "vars", "quotient", "invert", "completion", "ideal",
          "precision", "generators", "relations", "kind", "module", "mult",
-         "dim", "A", "Z", "Zp")
+         "dim", "elements", "table", "action", "A", "Z", "Zp", "e", "s",
+         "CA")
 _STRINGS = ("x", "y", "x + y", "x*y", "5", "0", "-1", "", "5+", "x^",
             "(x", "z", "1/2", "xy", "x^9", "Z", "Q", "Fp", "fp", "telescope",
             "telescope_quotient", "rational", "A")

@@ -367,7 +367,7 @@ def test_a_basis_tracking_the_first_generators_cuts_the_full_one(
                                                           order=order, track=k)
     assert part.elements == full.elements and part._steps == full._steps
     assert part.cofactors == [c[:k] for c in full.cofactors]
-    assert [s for s in full.syzygies(k) if any(p.terms for p in s)] == [
+    assert [s[:k] for s in full.syzygies() if any(p.terms for p in s[:k])] == [
         s for s in part.syzygies() if any(p.terms for p in s)]
     assert all(len(s) == k and any(p.terms for p in s)
                for s in part.syzygies()[len(part._syz):])

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 import lodua
 import lodua.hopf
-from lodua import (Comodule, FPModule, IdealData, InternalInconsistency,
-                   InvalidInput, comodule_completion, extended_adjunction,
-                   extended_comodule, iota, iso_check, make_group_like,
+from lodua import (Comodule, FPModule, GroupLikeHopfAlgebroid, IdealData,
+                   InternalInconsistency, InvalidInput, comodule_completion,
+                   extended_adjunction, extended_comodule, iota, iso_check,
                    make_ring, verify_theorems)
 from lodua.modules import _same_presentation
 from lodua.hopf import (TorStageComodules, _base_change_comodule,
@@ -20,8 +20,8 @@ C2_TABLE = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
 
 @pytest.fixture(scope="module")
 def swap(QQxy):
-    return make_group_like(QQxy, ["e", "s"], C2_TABLE,
-                           {"s": {"x": "y", "y": "x"}})
+    return GroupLikeHopfAlgebroid(QQxy, ["e", "s"], C2_TABLE,
+                                  {"s": {"x": "y", "y": "x"}})
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def unit_comodule(QQxy, swap):
 
 @pytest.fixture(scope="module")
 def discrete(ZZ):
-    return make_group_like(ZZ, ["e"], {("e", "e"): "e"}, {})
+    return GroupLikeHopfAlgebroid(ZZ, ["e"], {("e", "e"): "e"}, {})
 
 
 def test_trivial_group_is_discrete(ZZ, discrete):
@@ -52,14 +52,15 @@ def test_swap_is_valid(swap):
 def test_non_automorphism_rejected(QQxy):
     # s^2 sends y to y + 1, so this "swap" is not an involution
     with pytest.raises(InvalidInput):
-        make_group_like(QQxy, ["e", "s"], C2_TABLE,
-                        {"s": {"x": "y", "y": "x + 1"}})
+        GroupLikeHopfAlgebroid(QQxy, ["e", "s"], C2_TABLE,
+                               {"s": {"x": "y", "y": "x + 1"}})
 
 
 def test_non_associative_table_rejected(QQxy):
     table = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "s"}
     with pytest.raises(InvalidInput):
-        make_group_like(QQxy, ["e", "s"], table, {"s": {"x": "y", "y": "x"}})
+        GroupLikeHopfAlgebroid(QQxy, ["e", "s"], table,
+                               {"s": {"x": "y", "y": "x"}})
 
 
 def test_comodule_validation(QQxy, swap):
@@ -263,7 +264,8 @@ def _gm_report(case):
     the action exchanging the generators."""
     import json
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
-    h = make_group_like(Q, ["e", "s"], C2_TABLE, {"s": {"x": "y", "y": "x"}})
+    h = GroupLikeHopfAlgebroid(Q, ["e", "s"], C2_TABLE,
+                               {"s": {"x": "y", "y": "x"}})
     if case == 0:
         M = FPModule(Q, 1, [(Q.el("x + y"),)])
         action = [[Q.el(1)]]
@@ -352,9 +354,9 @@ def test_true_level_probe_compares_relations(QQxy, swap, dI, monkeypatch):
 _Q = make_ring({"base": "Q", "vars": ["x", "y"]})
 _F3 = make_ring({"base": "Fp", "p": 3, "vars": ["x", "y", "z"]})
 _GROUPS = {
-    "c2": make_group_like(_Q, ["e", "s"], C2_TABLE,
-                          {"s": {"x": "y", "y": "x"}}),
-    "c3": make_group_like(
+    "c2": GroupLikeHopfAlgebroid(_Q, ["e", "s"], C2_TABLE,
+                                 {"s": {"x": "y", "y": "x"}}),
+    "c3": GroupLikeHopfAlgebroid(
         _F3, ["e", "r", "rr"],
         {("e", "e"): "e", ("e", "r"): "r", ("e", "rr"): "rr",
          ("r", "e"): "r", ("r", "r"): "rr", ("r", "rr"): "e",
@@ -505,9 +507,9 @@ def test_group_like_refuses_malformed_input(QQxy):
     ]
     for ring, elements, table, action, message in refusals:
         with pytest.raises(InvalidInput, match=message):
-            make_group_like(ring, elements, table, action)
+            GroupLikeHopfAlgebroid(ring, elements, table, action)
     L = make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"})
-    h = make_group_like(L, ["e", "s"], C2_TABLE, swap)
+    h = GroupLikeHopfAlgebroid(L, ["e", "s"], C2_TABLE, swap)
     with pytest.raises(UnsupportedRing, match="must fix the inverted element"):
         h.apply("s", L.el("x").inv())
 

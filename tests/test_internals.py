@@ -112,13 +112,13 @@ def test_koszul_self_duality(QQxy, ZZ):
 
 
 def test_semilinear_chain_lift_commutes(QQxy):
-    from lodua import Comodule, IdealData, make_group_like
+    from lodua import Comodule, GroupLikeHopfAlgebroid, IdealData
     from lodua.hopf import _semilinear_chain_lift
     from lodua.linalg import mat_mul
     from lodua.modules import free_resolution
     table = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-    swap = make_group_like(QQxy, ["e", "s"], table,
-                           {"s": {"x": "y", "y": "x"}})
+    swap = GroupLikeHopfAlgebroid(QQxy, ["e", "s"], table,
+                                  {"s": {"x": "y", "y": "x"}})
     MI = Comodule(swap, FPModule.cyclic(QQxy, ["x + y", "x*y"]),
                   {"s": [[QQxy.el(1)]]})
     res = free_resolution(MI.module, 3)

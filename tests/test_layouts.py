@@ -8,8 +8,8 @@ relation order and no matrix entry can move unnoticed.
 
 import pytest
 
-from lodua import (Comodule, FPModule, FPObj, IdealData, TelescopeQuotient,
-                   make_group_like, make_ring)
+from lodua import (Comodule, FPModule, FPObj, GroupLikeHopfAlgebroid,
+                   IdealData, TelescopeQuotient, make_ring)
 from lodua.complexes import ChainComplex
 from lodua.hopf import extended_module
 from lodua.local import _power_torsion_gens, ext_of_descriptors
@@ -52,8 +52,8 @@ def _cases():
                                        [[el("x - 1")]])})
     module = ChainComplex.single(M, 0)
     hm, hm_free = HomModule(M, N), HomModule(F2, N)
-    swap = make_group_like(Q, ["e", "s"], C2_TABLE,
-                           {"s": {"x": "y", "y": "x"}})
+    swap = GroupLikeHopfAlgebroid(Q, ["e", "s"], C2_TABLE,
+                                  {"s": {"x": "y", "y": "x"}})
     comod = Comodule(swap, FPModule(Q, 2, [(el("x"), el("y")),
                                            (el("x*y"), el("x*y"))]),
                      {"s": [[el(0), el(1)], [el(1), el(0)]]})

@@ -7,9 +7,9 @@ import lodua
 from lodua import (FPModule, FPObj, GradedObject, IdealData, InvalidInput,
                    LimitModule, Rational, Telescope, TelescopeQuotient,
                    adic_completion, derived_completion, gamma, gm_ses_check,
-                   iso_check, koszul_complex, local_cohomology,
-                   local_homology_Ls, make_ring, stable_koszul_complex,
-                   values_agree)
+                   iso_check, local_cohomology, local_homology_Ls,
+                   make_ring, stable_koszul_complex, values_agree)
+from lodua.koszul import koszul_chain
 from lodua.towers import KoszulStages
 
 from conftest import zmod
@@ -21,12 +21,12 @@ def prufer(ZZ):
 
 
 def test_koszul_complex_with_transitions(d5, QQxy, dxy):
-    kz = koszul_complex(d5, 1)
+    kz = koszul_chain(d5.ring, d5.gens, 1)
     assert iso_check(kz.homology(0), zmod(d5.ring, 5))
     assert kz.homology(1).is_zero()
     # transitions commute by construction (checked inside ChainMap)
     KoszulStages(d5.ring, d5.gens).chain_map(2)
-    kos = koszul_complex(dxy, 1)
+    kos = koszul_chain(dxy.ring, dxy.gens, 1)
     assert [kos.module(j).ngens for j in (0, 1, 2)] == [1, 2, 1]
     assert kos.homology(1).is_zero() and kos.homology(2).is_zero()
 
@@ -34,7 +34,7 @@ def test_koszul_complex_with_transitions(d5, QQxy, dxy):
 def test_koszul_non_regular_has_h1():
     Q = make_ring({"base": "Q", "vars": ["x"]})
     d = IdealData(Q, ["x", "x"])
-    kos = koszul_complex(d, 1)
+    kos = koszul_chain(d.ring, d.gens, 1)
     assert not kos.homology(1).is_zero()
 
 

@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodua import (FPModule, InvalidInput, ModuleMap, ext, free_resolution,
-                   hom_module, hom_or_tensor, iso_check, make_ring,
-                   subquotient, tensor, tor)
-from lodua.modules import (base_change, block_sum, direct_sum, identity_kron,
-                           identity_map, kron_identity, minimize_presentation,
-                           power, scalar_map)
+                   iso_check, make_ring, subquotient, tensor, tor)
+from lodua.modules import (HomModule, base_change, block_sum, direct_sum,
+                           identity_kron, identity_map, kron_identity,
+                           minimize_presentation, power, scalar_map)
 
 from conftest import zmod
 
@@ -57,10 +56,9 @@ def test_tensor_with_ring_is_identity(ZZ):
 
 
 def test_hom_basics(ZZ):
-    assert iso_check(hom_or_tensor("hom", FPModule.free(ZZ, 1), zmod(ZZ, 12)),
+    assert iso_check(HomModule(FPModule.free(ZZ, 1), zmod(ZZ, 12)).module,
                      zmod(ZZ, 12))
-    H = hom_or_tensor("hom", zmod(ZZ, 5), FPModule.free(ZZ, 1))
-    assert H.is_zero()
+    assert HomModule(zmod(ZZ, 5), FPModule.free(ZZ, 1)).module.is_zero()
 
 
 def test_free_resolution_shapes(ZZ, QQxy):
@@ -275,8 +273,7 @@ def test_module_layer_refuses_malformed_input(ZZ, QQxy):
         (lambda: subquotient(identity_map(Z1), "sum"),
          "unknown subquotient kind 'sum'"),
         (lambda: tensor(Z1, Q1), "tensor needs a common ring"),
-        (lambda: hom_module(Z1, Q1), "hom needs a common ring"),
-        (lambda: hom_or_tensor("sum", Z1, Z1), "unknown kind 'sum'"),
+        (lambda: HomModule(Z1, Q1), "hom needs a common ring"),
         (lambda: tor(Z1, Z1, -1), "Tor degree must be >= 0"),
         (lambda: ext(Z1, Z1, -1), "Ext degree must be >= 0"),
         (lambda: iso_check(Q1, Q1), "witness required over non-euclidean"),
@@ -315,7 +312,7 @@ def test_iso_check_reasons(ZZ, QQxy):
 
 
 def test_small_module_helpers(ZZ, QQxy):
-    from lodua.modules import HomModule, _same_presentation
+    from lodua.modules import _same_presentation
     Z2 = FPModule.free(ZZ, 2)
     can, fwd, _ = Z2.canonical_presentation()
     assert can is Z2 and fwd.equals(identity_map(Z2))
@@ -325,7 +322,7 @@ def test_small_module_helpers(ZZ, QQxy):
     assert HomModule(zmod(ZZ, 4), zmod(ZZ, 3)).coords(bad) is None
     assert identity_map(Z2).factor_through(
         ModuleMap(Z2, Z2, [[2, 0], [0, 1]])) is None
-    assert hom_or_tensor("tensor", Z2, Z2).ngens == 4
+    assert tensor(Z2, Z2).ngens == 4
     assert not _same_presentation(FPModule.free(QQxy, 1),
                                   FPModule.free(QQxy, 2))
 

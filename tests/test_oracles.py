@@ -96,10 +96,12 @@ def test_regularity_at_higher_degrees(F2xy):
 def test_comodule_suite_over_f3():
     """The group-like machinery is characteristic-independent: run the
     completion formula over F_3[x,y] with the swap."""
-    from lodua import Comodule, make_group_like, settings, verify_theorems
+    from lodua import (Comodule, GroupLikeHopfAlgebroid, settings,
+                       verify_theorems)
     F3 = make_ring({"base": "Fp", "p": 3, "vars": ["x", "y"]})
     table = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-    swap = make_group_like(F3, ["e", "s"], table, {"s": {"x": "y", "y": "x"}})
+    swap = GroupLikeHopfAlgebroid(F3, ["e", "s"], table,
+                                  {"s": {"x": "y", "y": "x"}})
     CA = Comodule(swap, FPModule.free(F3, 1), {"s": [[F3.el(1)]]})
     d = IdealData(F3, ["x + y", "x*y"])
     with settings(precision=4, K=4, lag=2):

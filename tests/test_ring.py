@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodua import (InvalidInput, PrecisionMismatch, UnsupportedRing, make_ring,
-                   normal_form)
+from lodua import InvalidInput, PrecisionMismatch, UnsupportedRing, make_ring
 from lodua.expr import ParseError, parse_poly
 from lodua.poly import QQ, Poly
 from lodua.ring import Ring, RingElement
@@ -54,15 +53,15 @@ def test_ring_get_refuses_a_completion_of_precision_zero():
 def test_normal_form_quotient():
     # divide x^3 by x^2 - y by hand: x^3 = x(x^2 - y) + xy
     Q = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2 - y"]})
-    assert normal_form(Q, "x^3") == Q.el("x*y")
-    assert normal_form(Q, "0").is_zero()
+    assert Q.el("x^3") == Q.el("x*y")
+    assert Q.el("0").is_zero()
 
 
 def test_normal_form_idempotent():
     Q = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2 - y"]})
     for raw in ["x^3", "x^2*y - y^2 + 7", "(x + y)^3", "x^5 - x"]:
-        once = normal_form(Q, raw)
-        assert normal_form(Q, once.num) == once
+        once = Q.el(raw)
+        assert Q.el(once.num) == once
 
 
 def test_localization_canonical_form():

@@ -8,8 +8,8 @@ towers materialize can move a stage or a transition unnoticed.
 import pytest
 
 import lodua.local
-from lodua import (Comodule, FPModule, FPObj, IdealData, Tower,
-                   make_group_like, make_ring, verify_theorems)
+from lodua import (Comodule, FPModule, FPObj, GroupLikeHopfAlgebroid,
+                   IdealData, Tower, make_ring, verify_theorems)
 from lodua.complexes import ChainComplex, ChainMap
 from lodua.towers import (KoszulStages, KoszulTensorStages, TorStages,
                           lim_lim1)
@@ -163,13 +163,13 @@ def _comodule_gm(order, monkeypatch):
     of a comodule-gm run of Q[x,y]^2/((x, y)) under a group of that order."""
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
     if order == 1:
-        h = make_group_like(Q, ["e"], {("e", "e"): "e"}, {})
+        h = GroupLikeHopfAlgebroid(Q, ["e"], {("e", "e"): "e"}, {})
         action = {}
     else:
-        h = make_group_like(Q, ["e", "s"],
-                            {("e", "e"): "e", ("e", "s"): "s",
-                             ("s", "e"): "s", ("s", "s"): "e"},
-                            {"s": {"x": "y", "y": "x"}})
+        h = GroupLikeHopfAlgebroid(Q, ["e", "s"],
+                                   {("e", "e"): "e", ("e", "s"): "s",
+                                    ("s", "e"): "s", ("s", "s"): "e"},
+                                   {"s": {"x": "y", "y": "x"}})
         action = {"s": [[Q.el(0), Q.el(1)], [Q.el(1), Q.el(0)]]}
     M = FPModule(Q, 2, [(Q.el("x"), Q.el("y"))])
     seen = []
