@@ -358,8 +358,9 @@ def test_golden_comodule_verify_report():
      "not semilinear"),
     ({"generators": 1, "relations": []}, {"s": [["2"]]},
      "not coassociative"),
-    ({"generators": 1, "relations": []}, {"s": [["1"], ["0"]]},
-     "matrix must be a list of 1 lists of 1"),
+    pytest.param({"generators": 1, "relations": []}, {"s": [["1"], ["0"]]},
+                 "matrix must be a list of 1 lists of 1",
+                 id="module3-action3-wrong shape"),
 ])
 def test_invalid_comodule_action_exits_three(tmp_path, module, action, axiom):
     """phi_e = id, semilinearity and the group law, each broken in turn, and
