@@ -122,7 +122,9 @@ class Problem:
                 raise InvalidInput("the group table needs every product") from None
             action = _fields(g.get("action", {}), "group action")
             for h, spec in action.items():
+                _named(h, "group element", dict.fromkeys(els))
                 for x, img in _fields(spec, f"group action of {h!r}").items():
+                    _named(x, "ring variable", dict.fromkeys(self.ring.names))
                     _element(f"group action of {h!r} on {x!r}", img)
             self.hopf = GroupLikeHopfAlgebroid(self.ring, els, table, action)
         self.comodules = {}
@@ -131,8 +133,10 @@ class Problem:
             if self.hopf is None:
                 raise InvalidInput("comodules need a group block")
             M = self.module(spec["module"])
-            action = {h: _matrix(f"{name} action of {h}", mat, M, M)
-                      for h, mat in _fields(spec.get("action", {}), name).items()}
+            action = {}
+            for h, mat in _fields(spec.get("action", {}), name).items():
+                _named(h, "group element", dict.fromkeys(self.hopf.elements))
+                action[h] = _matrix(f"{name} action of {h}", mat, M, M)
             self.comodules[name] = Comodule(self.hopf, M, action)
 
     def _unique(self, name):

@@ -8,6 +8,7 @@ d(f) = d . f - (-1)^|f| f . d; these are used consistently everywhere.
 import operator
 
 from .errors import InvalidInput
+from .linalg import cols_to_mat
 from .modules import (FPModule, HomModule, ModuleMap, block_matrix,
                       block_sum, identity_kron, identity_map, kron_identity,
                       minimize_presentation, power, tensor, zero_map)
@@ -264,22 +265,22 @@ class HomologyData:
         self.proj = proj
         self.rep = rep
 
+    def classes(self, f):
+        """f: X -> C_n read in H: the map proj . g for the g with
+        incl . g = f, or None when f does not land in the cycles."""
+        g = f.factor_through(self.incl)
+        return None if g is None else self.proj.compose(g)
+
 
 def induced_on_homology(f, n):
     """H_n(f): the map on homology induced by a chain map."""
     src = f.source.homology_data(n)
     tgt = f.target.homology_data(n)
-    cols = []
-    for t in range(src.H.ngens):
-        z = src.rep.col(t)                    # representative cycle
-        v = f.map(n).apply(src.incl.apply(z))
-        lifted = tgt.incl.lift_element(v)
-        if lifted is None:
-            raise InvalidInput("chain map does not preserve cycles")
-        cols.append(tgt.proj.apply(lifted))
-    mat = [[cols[j][i] for j in range(src.H.ngens)]
-           for i in range(tgt.H.ngens)]
-    return ModuleMap(src.H, tgt.H, mat, check=True)
+    # the representative cycles of H_n(source), carried by f_n
+    h = tgt.classes(f.map(n).compose(src.incl).compose(src.rep))
+    if h is None:
+        raise InvalidInput("chain map does not preserve cycles")
+    return ModuleMap(src.H, tgt.H, h.matrix, check=True)
 
 
 def hom_complex(C, D):
@@ -307,7 +308,7 @@ def hom_complex(C, D):
 
 def _coord_columns(hm, maps):
     """The matrix whose column t holds the coordinates of maps[t] in hm."""
-    return list(zip(*(hm.coords(f) for f in maps)))
+    return cols_to_mat([hm.coords(f) for f in maps], hm.module.ngens)
 
 
 def total_complex(ring, pieces, horiz, vert):

@@ -19,11 +19,11 @@ of the limit.
 
 from .descriptors import FPObj, LimitModule, Rational, Telescope, values_agree
 from .errors import InternalInconsistency, InvalidInput, UnsupportedRing
-from .linalg import lift_through, mat_mul, mat_vec, member
+from .linalg import mat_mul, member
 from .local import gm_ses_check, local_homology_Ls
 from .modules import (FPModule, ModuleMap, _same_presentation, base_change,
                       base_change_rows, block_matrix, block_sum, identity_map,
-                      kron_identity, scalar_matrix)
+                      kron_identity, quotient_by_ideal_power, scalar_matrix)
 from .poly import Poly
 from .towers import (Tower, TorStages, completed_module, completed_ring,
                      lim_lim1)
@@ -83,13 +83,13 @@ class GroupLikeHopfAlgebroid:
     def _install_action(self, action):
         ring = self.ring
         for g in self.elements:
-            if g == self.identity:
+            spec = action.get(g)
+            if spec is None and g == self.identity:
                 images = [Poly.var(ring.dom, ring.nvars, i)
                           for i in range(ring.nvars)]
+            elif spec is None:
+                raise InvalidInput(f"no action supplied for {g}")
             else:
-                spec = action.get(g)
-                if spec is None:
-                    raise InvalidInput(f"no action supplied for {g}")
                 images = []
                 for name in ring.names:
                     img = spec.get(name)
@@ -205,7 +205,7 @@ class Comodule:
                 "the coaction is not a map M -> Psi (x) M (some phi_g is "
                 f"not semilinear, or its matrix has the wrong shape): {exc}"
             ) from None
-        if not self.extended_counit().compose(co).equals(
+        if not _extended_counit(self.hopf, self.module).compose(co).equals(
                 identity_map(self.module)):
             raise InvalidInput(
                 "the coaction is not counital: phi_e is not the identity")
@@ -238,10 +238,6 @@ class Comodule:
             self._coaction = ModuleMap(M, extended_module(h, M), rows,
                                        check=True)
         return self._coaction
-
-    def extended_counit(self):
-        """Psi (x) M -> M: projection to the identity block."""
-        return _extended_counit(self.hopf, self.module)
 
     def describe(self):
         return {"module": self.module.describe(),
@@ -397,10 +393,10 @@ def comodule_completion(M_comod, d, method="kernel"):
         raise InvalidInput(f"unknown method {method!r}")
     h_hat = _completed_hopf(h, d.gens)
     base_hat = _base_change_comodule(h_hat, M_comod)
-    tower = Tower.adic(M, d.gens)
     for k in range(1, _STAGE_CHECKS + 1):
         # M (x) A/I^k with the inherited action, checked as a comodule
-        _stage_exactness_check(Comodule(h, tower.stage(k), M_comod.maps), k)
+        stage = quotient_by_ideal_power(M, d.gens, k)
+        _stage_exactness_check(Comodule(h, stage, M_comod.maps), k)
     # kernel: the kernel of the completed f is the image of the completed
     # coaction, a split monomorphism; exactness cited and stage-checked
     f_hat = _cofree_map(base_hat)
@@ -520,25 +516,19 @@ def _semilinear_chain_lift(h, g, comod, res, length):
     These lift the semilinear action through a free resolution; existence is
     the comparison theorem, and the solver fails loudly if lifting breaks.
     """
-    ring = comod.ring
     X = {0: comod.maps[g]}
     for j in range(1, length + 1):
         d = res.diffs.get(j)
         if d is None or d.source.ngens == 0:
             X[j] = []
             break
-        target = mat_mul(ring, X[j - 1], h.apply_matrix(g, d.matrix))
-        cols = d.cols()
-        out_cols = []
-        for t in range(d.source.ngens):
-            tcol = tuple(target[i][t] for i in range(d.target.ngens))
-            sol = lift_through(ring, cols, tcol, d.target.ngens)
-            if sol is None:
-                raise InternalInconsistency(
-                    f"semilinear lift failed in resolution degree {j}")
-            out_cols.append(sol)
-        X[j] = [[out_cols[t][i] for t in range(d.source.ngens)]
-                for i in range(d.source.ngens)]
+        target = ModuleMap(d.source, d.target, mat_mul(
+            comod.ring, X[j - 1], h.apply_matrix(g, d.matrix)), check=False)
+        lift = target.factor_through(d)
+        if lift is None:
+            raise InternalInconsistency(
+                f"semilinear lift failed in resolution degree {j}")
+        X[j] = lift.matrix
     return X
 
 
@@ -572,15 +562,14 @@ class TorStageComodules:
         X = self.lifts[g].get(self.s)
         if X is None or H.ngens == 0:
             return [[ring.zero()] * H.ngens for _ in range(H.ngens)]
-        cols = []
-        for t in range(H.ngens):
-            z = data.incl.apply(data.rep.col(t))
-            w = mat_vec(ring, X, h.apply_vec(g, z))
-            lifted = data.incl.lift_element(w)
-            if lifted is None:
-                raise InternalInconsistency("action does not preserve cycles")
-            cols.append(data.proj.apply(lifted))
-        return [[cols[j][i] for j in range(H.ngens)] for i in range(H.ngens)]
+        cycles = data.incl.compose(data.rep)
+        # g is semilinear: the map below only carries the acted cycles as
+        # its columns, for ``classes`` to read
+        acted = data.classes(ModuleMap(H, cycles.target, mat_mul(
+            ring, X, h.apply_matrix(g, cycles.matrix)), check=False))
+        if acted is None:
+            raise InternalInconsistency("action does not preserve cycles")
+        return acted.matrix
 
 
 # -- theorem verifiers --------------------------------------------------------------

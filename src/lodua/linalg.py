@@ -84,7 +84,8 @@ def _mat_vec(ar, A, v):
     return out
 
 
-def cols_to_mat(ring, cols, nrows):
+def cols_to_mat(cols, nrows):
+    """The matrix, as rows, whose columns are ``cols``."""
     return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
 
 

@@ -255,9 +255,7 @@ def local_cohomology_value(d, desc, s):
     if M.ring != ring:
         if M.ring.is_completed and M.ring.underlying() == ring:
             # an A^-module is I A^-torsion the same way: coerce the ideal
-            lifted = IdealData(M.ring, [M.ring.el(g.num, g.dexp)
-                                        for g in d.gens])
-            return local_cohomology_value(lifted, desc, s)
+            return local_cohomology_value(IdealData(M.ring, d.gens), desc, s)
         raise InvalidInput("descriptor lives over a different ring")
     if M.is_zero():
         return LimitModule.zero()
@@ -325,7 +323,7 @@ def _torsion_submodule(d, M):
     if ring.is_completed and ring.nvars:
         A = ring.underlying()
         over = base_change(M, A)
-        d = IdealData(A, [A.el(g.num, g.dexp) for g in d.gens])
+        d = IdealData(A, d.gens)
     found = stable_submodule(over, lambda k: _power_torsion_gens(d, over, k),
                              _TORSION_STAGES)
     if found is None:
@@ -360,12 +358,10 @@ def _power_torsion_gens(d, M, k):
 def _ideal_nilpotent_on(d, M):
     """The least j with I^j M = 0, or None; M may live over the completion,
     where only j below the precision count (``_capped_killing_power``)."""
-    gens = d.gens
-    if M.ring != d.ring:
-        if not (M.ring.is_completed and M.ring.underlying() == d.ring):
-            raise InvalidInput("module lives over a different ring")
-        gens = [M.ring.el(g.num, g.dexp) for g in gens]
-    return _capped_killing_power(M, gens)
+    if M.ring != d.ring and not (M.ring.is_completed
+                                 and M.ring.underlying() == d.ring):
+        raise InvalidInput("module lives over a different ring")
+    return _capped_killing_power(M, d.gens)
 
 
 def _verify_top_witness(d, M):
@@ -590,7 +586,13 @@ _LAMBDA_CACHE = {}
 
 
 def _cached_lambda(d, desc):
-    """The completion table is degree-independent; memoize it per input."""
+    """The completion table is degree-independent; memoize it per input.
+
+    The key holds ``repr(desc.describe())``, which over a euclidean ring is
+    only the isomorphism type of the module, not its presentation: a module
+    whose own presentation Lambda refuses over Z_5 (the precision seam of
+    ROADMAP item 1) is answered from an isomorphic one computed earlier, so
+    the memo hides those refusals."""
     key = (d.ring._key(), tuple(g.render() for g in d.gens),
            repr(desc.describe()), resolved(d.ring))
     hit = _LAMBDA_CACHE.get(key)
@@ -745,7 +747,7 @@ def _coerce(ring, x):
     if ring == x.ring:
         return x
     if ring.is_completed and ring.underlying() == x.ring:
-        return ring.el(x.num, x.dexp)
+        return ring.el(x)
     raise UnsupportedRing(f"cannot act by {x.render()} on {ring}")
 
 

@@ -87,7 +87,7 @@ class FPModule:
         """(M_can, iso M->M_can, iso M_can->M) over a euclidean ring."""
         if not self.relations:
             return self, identity_map(self), identity_map(self)
-        R = cols_to_mat(self.ring, self.relations, self.ngens)
+        R = cols_to_mat(self.relations, self.ngens)
         U, D, V, Uinv, Vinv = smith_normal_form(self.ring, R)
         cols = []
         rank_bound = min(self.ngens, len(self.relations))
@@ -304,7 +304,7 @@ def base_change(M, ring):
 
 def base_change_rows(rows, ring):
     """The entries of a matrix or of a list of columns read over ``ring``."""
-    return [tuple(ring.el(e.num, e.dexp) for e in row) for row in rows]
+    return [tuple(map(ring.el, row)) for row in rows]
 
 
 class ModuleMap:
@@ -346,9 +346,8 @@ class ModuleMap:
         if other.target is not self.source and other.target.ngens != self.source.ngens:
             raise InvalidInput("composition mismatch")
         cols = [self.apply(other.col(j)) for j in range(other.source.ngens)]
-        mat = [[cols[j][i] for j in range(other.source.ngens)]
-               for i in range(self.target.ngens)]
-        return ModuleMap(other.source, self.target, mat, check=False)
+        return ModuleMap(other.source, self.target,
+                         cols_to_mat(cols, self.target.ngens), check=False)
 
     def __sub__(self, other):
         mat = [[a - b for a, b in zip(r1, r2)]
@@ -385,16 +384,15 @@ class ModuleMap:
                      for s in syzygies(self.ring, cols, self.target.ngens))
             gens = [h for h in heads if not vec_is_zero(h)]
         K = self.source.submodule(gens)
-        mat = [[gens[j][i] for j in range(len(gens))] for i in range(self.source.ngens)]
-        return K, ModuleMap(K, self.source, mat, check=False)
+        return K, ModuleMap(K, self.source,
+                            cols_to_mat(gens, self.source.ngens), check=False)
 
     def image(self):
         """(I, inclusion I -> target, projection source -> I)."""
         gens = self.cols()
         I = self.target.submodule(gens)
-        incl = ModuleMap(I, self.target,
-                         [[gens[j][i] for j in range(len(gens))]
-                          for i in range(self.target.ngens)], check=False)
+        incl = ModuleMap(I, self.target, cols_to_mat(gens, self.target.ngens),
+                         check=False)
         # I is generated by the images of the source's generators
         proj = ModuleMap(self.source, I, scalar_matrix(
             self.ring, self.source.ngens, self.ring.one()), check=False)
@@ -417,16 +415,11 @@ class ModuleMap:
 
     def factor_through(self, other):
         """g with self = other . g, when the images allow it (other injective on need)."""
-        cols = other.cols() + self.target.relations
-        out_cols = []
-        for j in range(self.source.ngens):
-            sol = lift_through(self.ring, cols, self.col(j), self.target.ngens)
-            if sol is None:
-                return None
-            out_cols.append(tuple(sol[:other.source.ngens]))
-        mat = [[out_cols[j][i] for j in range(self.source.ngens)]
-               for i in range(other.source.ngens)]
-        return ModuleMap(self.source, other.source, mat, check=False)
+        out_cols = [other.lift_element(col) for col in self.cols()]
+        if None in out_cols:
+            return None
+        return ModuleMap(self.source, other.source,
+                         cols_to_mat(out_cols, other.source.ngens), check=False)
 
     def __repr__(self):
         return f"<ModuleMap {self.source.ngens}->{self.target.ngens} over {self.ring}>"
@@ -516,13 +509,8 @@ class HomModule:
                      for j in range(self.N.ngens))
 
     def interp(self, vec):
-        ring, gM, gN = self.ring, self.M.ngens, self.N.ngens
-        flat = [ring.zero()] * (gM * gN)
-        for t, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            for b in range(gM * gN):
-                flat[b] = flat[b] + c * self.gens_as_vecs[t][b]
+        gM, gN = self.M.ngens, self.N.ngens
+        flat = mat_vec(self.ring, cols_to_mat(self.gens_as_vecs, gM * gN), vec)
         mat = [[flat[i * gN + j] for i in range(gM)] for j in range(gN)]
         return ModuleMap(self.M, self.N, mat, check=False)
 
@@ -546,9 +534,8 @@ def free_resolution(M, length):
         F = FPModule.free(ring, len(current_cols))
         mods[n] = F
         prev = mods[n - 1]
-        mat = [[current_cols[j][i] for j in range(len(current_cols))]
-               for i in range(prev.ngens)]
-        maps[n] = ModuleMap(F, prev, mat, check=False)
+        maps[n] = ModuleMap(F, prev, cols_to_mat(current_cols, prev.ngens),
+                            check=False)
         if not current_cols:
             current_cols = []
             continue

@@ -330,7 +330,7 @@ class Ring:
             raise InvalidInput(
                 "cannot coerce an element with denominators into a ring "
                 "that does not invert the same element")
-        return self._normal(Poly(self.dom, self.nvars, x.num.terms), x.dexp)
+        return self.el(x.num, x.dexp)
 
     def zero(self):
         if self._zero is None:

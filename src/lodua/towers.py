@@ -274,13 +274,7 @@ class Tower:
             return self.params["complexes"].complex(k).homology(
                 self.params["s"])
         if kind == "explicit":
-            stages = self.params["stages"]
-            period = self.params.get("periodic")
-            if k <= len(stages):
-                return stages[k - 1]
-            if period:
-                return stages[(k - 1 - len(stages)) % period + len(stages) - period]
-            raise InvalidInput(f"explicit tower has no stage {k}")
+            return self._explicit("stages", k)
         raise InvalidInput(f"unknown tower kind {kind}")
 
     def _make_transition(self, k):
@@ -298,14 +292,19 @@ class Tower:
             return induced_on_homology(
                 self.params["complexes"].chain_map(k), self.params["s"])
         if kind == "explicit":
-            trans = self.params["transitions"]
-            period = self.params.get("periodic")
-            if k <= len(trans):
-                return trans[k - 1]
-            if period:
-                return trans[(k - 1 - len(trans)) % period + len(trans) - period]
-            raise InvalidInput(f"explicit tower has no transition {k}")
+            return self._explicit("transitions", k)
         raise InvalidInput(f"unknown tower kind {kind}")
+
+    def _explicit(self, key, k):
+        """Entry k of an explicit tower's ``key`` list (stages or
+        transitions); past its end a periodic tower repeats its last
+        ``periodic`` entries."""
+        items, period = self.params[key], self.params["periodic"]
+        if k <= len(items):
+            return items[k - 1]
+        if period:
+            return items[(k - 1 - len(items)) % period + len(items) - period]
+        raise InvalidInput(f"explicit tower has no {key[:-1]} {k}")
 
 
 def _stages_small(tower, upto):
@@ -400,9 +399,8 @@ def weak_proregularity_check(ring, seq, stage_bound, lag):
     if not seq:
         raise InvalidInput("need a nonempty sequence")
     if ring.is_completed:
-        base = ring.underlying()
-        lifted = [base.el(x.num, x.dexp) for x in seq]
-        out = weak_proregularity_check(base, lifted, stage_bound, lag)
+        out = weak_proregularity_check(ring.underlying(), seq, stage_bound,
+                                       lag)
         out["note"] = ("computed over the underlying ring; completion is "
                        "flat, so pro-triviality transfers")
         return out
@@ -703,12 +701,11 @@ def _limits(tower):
         return TowerLimits(z, z, "zero tower")
     if kind == "adic":
         M = tower.params["module"]
-        gens = tower.params["ideal"]
-        if M.is_zero() or quotient_by_ideal_power(M, gens, 1).is_zero():
+        if M.is_zero() or tower.stage(1).is_zero():
             # M = IM forces M = I^k M for every k: all stages vanish
             z = LimitModule.zero(basis="M = IM, all stages vanish")
             return TowerLimits(z, z, "degenerate adic tower")
-        Mhat = completed_module(M, gens)
+        Mhat = completed_module(M, tower.params["ideal"])
         _adic_stage_crosscheck(tower, Mhat, min(current().K, 3))
         return TowerLimits(
             LimitModule.of_module(Mhat, basis="Artin-Rees: adic tower of an "
@@ -759,8 +756,7 @@ def _adic_stage_crosscheck(tower, Mhat, upto):
     gens = tower.params["ideal"]
     for k in range(1, upto + 1):
         stage = tower.stage(k)
-        hat_stage = quotient_by_ideal_power(Mhat, [Mhat.ring.el(g.num, g.dexp)
-                                                   for g in gens], k)
+        hat_stage = quotient_by_ideal_power(Mhat, gens, k)
         if stage.ring.is_euclidean and hat_stage.ring.is_euclidean:
             same = stage.invariants() == hat_stage.invariants()
             if k < (Mhat.ring.precision or k + 1) and not same:

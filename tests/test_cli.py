@@ -758,6 +758,22 @@ MALFORMED = {
         {"comodules": {"CA": {"module": "A", "action": {"s": ["1"]}}}},
         "'CA action of s' matrix must be a list of 1 lists of 1 strings or "
         "integers, not ['1']"),
+    "group-action-identity": (
+        {"group": {**_C2_GROUP, "action": {**_C2_GROUP["action"],
+                                           "e": {"x": "y", "y": "x"}}}},
+        "action is not a homomorphism: (e.e) disagrees with e on x"),
+    "group-action-unknown-element": (
+        {"group": {**_C2_GROUP, "action": {**_C2_GROUP["action"],
+                                           "t": {"x": "y", "y": "x"}}}},
+        "unknown group element 't'"),
+    "group-action-unknown-variable": (
+        {"group": {**_C2_GROUP, "action": {"s": {"x": "y", "y": "x",
+                                                 "z": "x"}}}},
+        "unknown ring variable 'z'"),
+    "comodules-action-unknown-element": (
+        {"comodules": {"CA": {"module": "A",
+                              "action": {"s": [["1"]], "t": [["1"]]}}}},
+        "unknown group element 't'"),
 }
 
 

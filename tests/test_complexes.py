@@ -188,6 +188,16 @@ def test_induced_map_on_homology(ZZ):
     assert induced_on_homology(g, 0).is_zero_map()
 
 
+def test_induced_on_homology_refuses_a_map_off_the_cycles(ZZ):
+    # Z in degree 1 is all cycles; its identity lands on the generator of
+    # Z --2--> Z in degree 1, which is not a cycle
+    F = FPModule.free(ZZ, 1)
+    f = ChainMap(ChainComplex.single(F, 1), two_term(ZZ, 2),
+                 {1: ModuleMap(F, F, [[ZZ.el(1)]])}, check=False)
+    with pytest.raises(InvalidInput, match="chain map does not preserve cycles"):
+        induced_on_homology(f, 1)
+
+
 def test_total_complex_matches_tensor(ZZ):
     F = FPModule.free(ZZ, 1)
     pieces = {(0, 0): F, (1, 0): F, (0, 1): F, (1, 1): F}

@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lodua.cli
@@ -48,23 +48,32 @@ def _load(name):
         return json.load(fh)
 
 
-def _mutate(data, doc):
-    """doc with one value under a block replaced by a drawn value, or
-    deleted; the path walks into objects and lists while the draw says so."""
-    parent, key = doc, data.draw(st.sampled_from(BLOCKS))
-    node = doc.get(key)
-    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
-        parent, key = node, data.draw(st.sampled_from(
-            sorted(node) if isinstance(node, dict) else range(len(node))))
-        node = parent[key]
-    value = data.draw(st.one_of(st.just(_DELETE), _VALUES))
-    if value is _DELETE:
-        if isinstance(parent, dict):
-            parent.pop(key, None)
-        else:
-            del parent[key]
+@st.composite
+def _mutations(draw):
+    """(fixture, path, value): the path starts at a block and walks into
+    objects and lists while the draw says so; the value replaces the one at
+    the path, or deletes it."""
+    name = draw(st.sampled_from(DOCUMENTS))
+    path = [draw(st.sampled_from(BLOCKS))]
+    node = _load(name).get(path[0])
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        path.append(draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[path[-1]]
+    return name, path, draw(st.one_of(st.just(_DELETE), _VALUES))
+
+
+def _mutate(doc, path, value):
+    """doc with the value at path replaced by value, or deleted."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is not _DELETE:
+        parent[path[-1]] = value
+    elif isinstance(parent, dict):
+        parent.pop(path[-1], None)
     else:
-        parent[key] = value
+        del parent[path[-1]]
     return doc
 
 
@@ -75,10 +84,20 @@ def _resolve(path):
     return code, out.getvalue(), err.getvalue()
 
 
+# the walk reaches a group or comodule action entry in about one draw of a
+# thousand, so each is also run made a list, None, and under a key that
+# names no group element
 @settings(max_examples=200)
-@given(st.sampled_from(DOCUMENTS), st.data())
-def test_resolve_keeps_the_contract_on_mutated_documents(name, data):
-    doc = _mutate(data, copy.deepcopy(_load(name)))
+@given(_mutations())
+@example(("c2-swap.json", ["group", "action", "s"], ["y", "x"]))
+@example(("c2-swap.json", ["group", "action", "s"], None))
+@example(("c2-swap.json", ["group", "action", "t"], {"x": "y", "y": "x"}))
+@example(("c2-swap.json", ["comodules", "CA", "action", "s"], ["1"]))
+@example(("c2-swap.json", ["comodules", "CA", "action", "s"], None))
+@example(("c2-swap.json", ["comodules", "CA", "action", "t"], [["1"]]))
+def test_resolve_keeps_the_contract_on_mutated_documents(mutation):
+    name, keys, value = mutation
+    doc = _mutate(copy.deepcopy(_load(name)), keys, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w") as fh:
