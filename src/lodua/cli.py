@@ -442,6 +442,7 @@ def recheck(doc, report):
     """
     with settings(**_settings(doc, {})[0]):
         problem = Problem(doc)
+    report = _fields(report, "report")
     if report.get("version") != SCHEMA_VERSION:
         raise InvalidInput("report version mismatch")
     body = json.dumps(report, sort_keys=True)
@@ -453,25 +454,29 @@ def recheck(doc, report):
     if isinstance(wit, list) and problem.comodules:
         com = next(iter(problem.comodules.values()))
         M = com.module
-        ModuleMap(M, M, wit)  # raises if the witness is not a valid map
+        # raises if the witness is not a valid map
+        ModuleMap(M, M, _matrix("report witness", wit, M, M))
         rechecked["witnesses"] += 1
-    if verb == "lcomplete-check" and isinstance(result, dict):
-        table = result.get("table", {})
+    if verb == "lcomplete-check":
+        result = _fields(result, "lcomplete-check result")
+        table = _fields(result.get("table", {}), "certificate grid")
         n = problem.ideal.n if problem.ideal else 0
         want = {f"i={i},q={q}" for i in range(1, n + 1) for q in range(i + 1)}
         if set(table) != want:
             raise InvalidInput("certificate grid does not cover i<=n, q<=i")
-        all_zero = all(cell.get("kind") == "zero" for cell in table.values())
+        all_zero = all([_fields(cell, f"grid cell {key}").get("kind") == "zero"
+                        for key, cell in table.items()])
         verdict = result.get("verdict")
         if verdict == "complete" and not all_zero:
             raise InvalidInput("complete verdict with a nonzero cell")
         if verdict == "not-complete" and all_zero:
             raise InvalidInput("not-complete verdict with an all-zero grid")
         rechecked["invariants"].append("completeness grid covers and matches")
-    if verb == "gm-check" and isinstance(result, dict):
+    if verb == "gm-check":
+        result = _fields(result, "gm-check result")
         if result.get("status") == "exact":
-            left = result.get("lim1_tor_next", {}).get("kind")
-            right = result.get("lim_tor", {}).get("kind")
+            left, right = (_fields(result.get(term, {}), term).get("kind")
+                           for term in ("lim1_tor_next", "lim_tor"))
             if left != "zero" and right != "zero":
                 raise InvalidInput("exact status but neither outer term is zero")
             rechecked["invariants"].append("sequence has a vanishing outer term")

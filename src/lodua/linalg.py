@@ -22,10 +22,11 @@ primitives once, on first use:
   of the columns and ``ring.modulus_vectors(nrows)`` (its cofactors track
   the columns' coordinates only), with its syzygy heads and
   membership answers; over k[t] the Smith form as well, for the invariant
-  factors.
+  factors;
+* over a localized polynomial ring u^-1 A (``_LocalizedSpan``), the span
+  of the columns over its Rabinowitsch model A[t]/(t*u - 1).
 
-Localized polynomial rings have no spans of their own: they compute in the
-Rabinowitsch model A[t]/(t*u - 1), whose spans keep the work.
+``ring`` asks these spans its lifts and syzygies and is not imported here.
 
 The Smith form's one elimination loop, ``_smith``, runs on the values of a
 small arithmetic record (zero test, size, divmod, multiply-add, unit part,
@@ -43,7 +44,6 @@ from functools import lru_cache
 from .errors import UnsupportedRing
 from .groebner import GBasis
 from .poly import Poly
-from .ring import Ring
 
 # -- small matrix helpers (matrices are lists of rows) -------------------------
 
@@ -267,8 +267,6 @@ def syzygies(ring, cols, nrows):
     """Generators of the kernel of A^c -> A^r, x -> sum x_j cols_j."""
     if not cols:
         return []
-    if ring.classify() == "poly_localized":
-        return _localized_poly(ring, "syz", cols, None, nrows)
     return _span_of(ring, cols, nrows).syzygies()
 
 
@@ -278,8 +276,6 @@ def lift_through(ring, cols, target, nrows):
         return tuple(ring.zero() for _ in cols)
     if not cols:
         return None
-    if ring.classify() == "poly_localized":
-        return _localized_poly(ring, "lift", cols, target, nrows)
     return _span_of(ring, cols, nrows).lift(target)
 
 
@@ -293,8 +289,6 @@ def membership_test(ring, cols, nrows):
     the span, so a question costs no lookup."""
     if not cols:
         return vec_is_zero
-    if ring.classify() == "poly_localized":
-        return lambda target: lift_through(ring, cols, target, nrows) is not None
     return _span_of(ring, cols, nrows).member
 
 
@@ -318,41 +312,6 @@ def invariant_factors(ring, relation_cols, ngens):
 def _span_of(ring, cols, nrows):
     vec_key = ring.vec_key
     return _span(ring, nrows, tuple([vec_key(col) for col in cols]))
-
-
-def _localized_poly(ring, op, cols, target, nrows):
-    """Compute in A[t]/(t*u - 1), the Rabinowitsch model of u^-1 A."""
-    base = ring.without_inversion()  # never completed: Ring._validate
-    names = base.names + ("_t",)
-    nv = len(names)
-
-    def pad(p):
-        return Poly(base.dom, nv, {m + (0,): c for m, c in p.terms.items()})
-
-    tpoly = Poly.var(base.dom, nv, nv - 1)
-    quotient = tuple(pad(q) for q in base.quotient)
-    quotient += (pad(ring.inverted) * tpoly - Poly.const(base.dom, nv, 1),)
-    ext = Ring.get(base.base, base.p, names, quotient, None, None, base.order)
-
-    def fwd(e):
-        return ext.el(pad(e.num) * tpoly ** e.dexp)
-
-    def back(e):
-        # split off powers of t; each t becomes one denominator power
-        out = ring.zero()
-        for m, c in e.num.terms.items():
-            d = m[-1]
-            out = out + ring.el(Poly(base.dom, base.nvars, {m[:-1]: c}), d)
-        return out
-
-    ecols = [tuple(fwd(x) for x in col) for col in cols]
-    if op == "syz":
-        return [tuple(back(x) for x in s) for s in syzygies(ext, ecols, nrows)]
-    et = tuple(fwd(x) for x in target)
-    lifted = lift_through(ext, ecols, et, nrows)
-    if lifted is None:
-        return None
-    return tuple(back(x) for x in lifted)
 
 
 # -- answers read off a Smith form ---------------------------------------------
@@ -524,6 +483,48 @@ class _GroebnerSpan(_Span):
         return ans
 
 
+class _LocalizedSpan(_Span):
+    """The span over a localized polynomial ring u^-1 A answers through the
+    span ``model`` of its columns over A[t]/(t*u - 1), a/u^d entering as
+    a*t^d, and reads the answers back one power of t at a time."""
+
+    __slots__ = ("model",)
+
+    def __init__(self, ring, nrows, cols):
+        super().__init__(ring, nrows, cols)
+        model = ring.rabinowitsch_model()
+        self.model = _span_of(
+            model, [_to_model(model, col) for col in self.columns()], nrows)
+
+    def _from_model(self, vec):
+        ring, out = self.ring, []
+        for e in vec:
+            powers = {}  # the terms with t^d make one numerator over u^d
+            for m, c in e.num.terms.items():
+                powers.setdefault(m[-1], {})[m[:-1]] = c
+            out.append(sum((ring.el(Poly(ring.dom, ring.nvars, terms), d)
+                            for d, terms in powers.items()), ring.zero()))
+        return tuple(out)
+
+    def syzygies(self):
+        return [self._from_model(s) for s in self.model.syzygies()]
+
+    def lift(self, target):
+        x = self.model.lift(_to_model(self.model.ring, target))
+        return None if x is None else self._from_model(x)
+
+    def member(self, target):
+        return self.model.member(_to_model(self.model.ring, target))
+
+
+def _to_model(model, vec):
+    """A vector over u^-1 A as one over its model: a/u^d as a*t^d."""
+    dom, nv = model.dom, model.nvars
+    return tuple([model.el(Poly(dom, nv, {m + (e.dexp,): c
+                                          for m, c in e.num.terms.items()}))
+                  for e in vec])
+
+
 # Least recently used spans are evicted first.  At 128 the benchmark's seed-1
 # op lists keep every repeated completed-grid lookup and 93% of the
 # poly-sweep ones; 256 raised peak memory by 5-9% and saved no time.
@@ -535,4 +536,6 @@ _MEMO_LIMIT = 256   # membership answers kept per span
 def _span(ring, nrows, cols):
     if ring.nvars == 0:  # Z, Z_p, fields and u^-1 Z
         return _Span(ring, nrows, cols)
+    if ring.inverted is not None:
+        return _LocalizedSpan(ring, nrows, cols)
     return _GroebnerSpan(ring, nrows, cols)

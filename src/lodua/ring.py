@@ -23,6 +23,10 @@ The ring is the one home of euclidean arithmetic (``divmod_el``,
 ``euclidean_size``, ``unit_part``, ``is_unit_el``, ``unit_inverse``).  Over
 Z and Z_p each rule is written once, on plain ints, in ``_IntArith``; the
 Smith loop of ``linalg`` runs on it too.
+
+Lifts and syzygies are asked of ``linalg``'s spans (``unit_inverse`` off
+power series, ``_divide_exact``, ``_reject_zerodivisor``); the one Groebner
+basis the ring builds is that of its canonical form (``reduction_basis``).
 """
 
 from fractions import Fraction
@@ -34,7 +38,8 @@ import re
 from .context import DEFAULT_PRECISION, at_least
 from .errors import InvalidInput, PrecisionMismatch, UnsupportedRing
 from .expr import parse_poly
-from .groebner import GBasis, groebner_ideal, ideal_basis_polys
+from .groebner import groebner_ideal, ideal_basis_polys
+from .linalg import lift_through, syzygies
 from .poly import GF, Poly, QQ, ZZ, order_key
 
 
@@ -183,6 +188,19 @@ class Ring:
     def without_inversion(self):
         return Ring.get(self.base, self.p, self.names, self.quotient,
                         None, self.completion, self.order)
+
+    def rabinowitsch_model(self):
+        """The Rabinowitsch model A[t]/(t*u - 1) of a localized polynomial
+        ring u^-1 A (never completed: ``_validate``), t the last variable."""
+        nv = self.nvars + 1
+
+        def pad(p, d=0):  # p times t^d
+            return Poly(self.dom, nv, {m + (d,): c for m, c in p.terms.items()})
+
+        relation = pad(self.inverted, 1) - Poly.const(self.dom, nv, 1)
+        return Ring.get(self.base, self.p, self.names + ("_t",),
+                        tuple(map(pad, self.quotient)) + (relation,),
+                        None, None, self.order)
 
     def completed(self, gens, precision):
         gens = tuple(g.num if isinstance(g, RingElement) else g for g in gens)
@@ -401,20 +419,14 @@ class Ring:
         return RingElement(self, *k)
 
     def _divide_exact(self, f, g):
-        """f/g in the quotient ring, or None when g does not divide f."""
-        if self.nvars == 0:
-            # numerators of u^-1 Z and Z_p[1/p] divide in Z or Z_p; a field
-            # inverts no element, ``localized`` returns it as it is
-            a, b = f.constant(), g.constant()
-            ints = self.without_inversion().int_arith
-            q, r = ints.divmod(int(a), int(b))
-            return None if r else Poly.const(self.dom, 0, q)
-        if not self.quotient and not self.is_completed:
+        """f/g in the ring without inversion, or None when g does not
+        divide f."""
+        if self.nvars and not self.quotient:
+            # a Groebner lift over Z[x] refuses non-unit leading coefficients
             return f.exact_div(g, order_key(self.order))
-        gb = GBasis(((g,),) + self.modulus_vectors(1), 1, order=self.order,
-                    track=1)
-        cof = gb.lift((f,))
-        return None if cof is None else cof[0]
+        base = self.without_inversion()
+        q = lift_through(base, [(base.el(g),)], (base.el(f),), 1)
+        return None if q is None else q[0].num
 
     # -- units ---------------------------------------------------------------
 
@@ -425,32 +437,16 @@ class Ring:
         ar = self.int_arith
         if ar is not None:
             return ar.is_unit(ar.from_el(e))
-        num = e.num
         if self._kind == "int_localized":
             # +-(a product of primes dividing u) over a power of u
             return self.strip_inverted(e)[0] == self.one()
-        if self._kind == "poly_localized":
-            return self.unit_inverse(e) is not None
         if self._kind == "field":
             return True
-        if not self.quotient and not self.is_completed:
-            return num.is_constant() and self.dom.is_unit(num.constant())
+        if self.inverted is None and not self.modulus:  # plain polynomials
+            return e.num.is_constant() and self.dom.is_unit(e.num.constant())
         if self.is_power_series:
-            return num.constant() != 0
-        return self._unit_cofactor(num) is not None
-
-    def _unit_cofactor(self, num):
-        """c with c * num = 1 modulo quotient + I, or None for a nonunit.
-
-        Over a completion a unit modulo I itself is a unit (Newton lifting).
-        """
-        mod = list(self.quotient)
-        if self.is_completed:
-            mod += list(self.completion[0])
-        gb = GBasis([(num,)] + [(m,) for m in mod], 1, order=self.order,
-                    track=1)
-        cof = gb.lift((Poly.const(self.dom, self.nvars, 1),))
-        return None if cof is None else cof[0]
+            return e.num.constant() != 0
+        return self.unit_inverse(e) is not None
 
     def inv_el(self, e):
         e = self.el(e)
@@ -466,34 +462,24 @@ class Ring:
         if ar is not None:
             a = ar.from_el(e)
             return ar.to_el(ar.inv(a)) if ar.is_unit(a) else None
-        if self._kind == "poly_localized":
-            # x with e * x = 1, lifted in the Rabinowitsch model of u^-1 A
-            from .linalg import lift_through
+        if self.is_power_series:
+            # the inverse of the constant term is an inverse modulo I, and
+            # Newton lifting doubles I-adic accuracy each pass
+            c, acc = e.num.constant(), 1
+            if c == 0:
+                return None
+            v = Poly.const(self.dom, self.nvars, self.dom.inv(c))
+            two = Poly.const(self.dom, self.nvars, 2)
+            while acc < self.precision:
+                acc *= 2
+                v = self._reduce_num(v * (two - e.num * v))
+            return self.el(v)
+        if self.nvars and (self.inverted is not None or self.modulus):
+            # x with e * x = 1 modulo quotient + I^N is the unique inverse
+            if e.is_zero():
+                return None
             x = lift_through(self, [(e,)], (self.one(),), 1)
             return None if x is None else x[0]
-        if self.inverted is None and self.nvars > 0 and (
-                self.quotient or self.is_completed):
-            if self.is_power_series:
-                # the inverse of the constant term is an inverse modulo I
-                c = e.num.constant()
-                if c == 0:
-                    return None
-                v = Poly.const(self.dom, self.nvars, self.dom.inv(c))
-            else:
-                # one Groebner basis answers both the unit test and the lift
-                v = None if e.is_zero() else self._unit_cofactor(e.num)
-                if v is None:
-                    return None
-            if self.is_completed:
-                # Newton lifting doubles I-adic accuracy each pass
-                prec = self.completion[1]
-                two = Poly.const(self.dom, self.nvars, 2)
-                steps, acc = 0, 1
-                while acc < prec:
-                    acc, steps = acc * 2, steps + 1
-                for _ in range(steps):
-                    v = self._reduce_num(v * (two - e.num * v))
-            return self.el(v)
         if not self.is_unit_el(e):
             return None
         if self._kind == "int_localized":
@@ -944,15 +930,13 @@ def _listed(what, entries, value, check):
 
 
 def _reject_zerodivisor(ring, x):
-    """Certificate-based zerodivisor detection before localizing."""
-    if ring.nvars == 0:
-        return  # domains (Z, Q, F_p) and valuation rings at a prime
-    if not ring.quotient:
-        return  # polynomial rings over domains are domains
-    vecs = [(x.num,)] + [(q,) for q in ring.quotient]
-    gb = GBasis(vecs, 1, order=ring.order, track=1)
-    for syz in gb.syzygies():
-        witness = ring.el(syz[0])
+    """Certificate-based zerodivisor detection before localizing: the first
+    nonzero w with w * x = 0 modulo the quotient, read off the syzygies."""
+    if ring.nvars == 0 or not ring.quotient:
+        return  # Z, Q, F_p, Z_p and polynomial rings over them are domains
+    base = ring.underlying().without_inversion()
+    for (w,) in syzygies(base, [(base.el(x.num),)], 1):
+        witness = ring.el(w)
         if not witness.is_zero():
             raise InvalidInput(
                 f"{x.render()} is a zerodivisor: {witness.render()} kills it")

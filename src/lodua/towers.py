@@ -229,9 +229,16 @@ class Tower:
 
     @classmethod
     def explicit(cls, stages, transitions, periodic=None):
-        ring = stages[0].ring
-        return cls(ring, "explicit",
-                   {"stages": list(stages), "transitions": list(transitions),
+        stages, transitions = list(stages), list(transitions)
+        if not stages:
+            raise InvalidInput("an explicit tower needs a stage")
+        bound = min(len(stages), len(transitions))
+        if periodic is not None and not (
+                type(periodic) is int and 1 <= periodic <= bound):
+            raise InvalidInput(f"explicit tower period must be an integer "
+                               f"from 1 to {bound}, not {periodic!r}")
+        return cls(stages[0].ring, "explicit",
+                   {"stages": stages, "transitions": transitions,
                     "periodic": periodic})
 
     @classmethod

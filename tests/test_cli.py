@@ -1278,6 +1278,38 @@ def test_recheck_refuses_tampered_grids_and_sequences():
         lodua.cli.recheck(prufer, {**report, "result": result})
 
 
+# prior reports that are not the shape their verb writes: each exited 2
+# with `internal error: AttributeError` (a witness of rows that are not
+# lists: `TypeError`), but the lcomplete-check result [1], which passed
+# with nothing checked
+_MALFORMED_REPORTS = {
+    "not-an-object": ("zp.json", [1, 2]),
+    "gm-check-outer-term": ("z-mod-p-infty.json", {
+        "version": "1", "verb": "gm-check",
+        "result": {"status": "exact", "lim1_tor_next": 5,
+                   "lim_tor": {"kind": "module"}}}),
+    "lcomplete-check-cells": ("z.json", {
+        "version": "1", "verb": "lcomplete-check",
+        "result": {"verdict": "complete",
+                   "table": {"i=1,q=0": 3, "i=1,q=1": 4}}}),
+    "lcomplete-check-result": ("zp.json", {
+        "version": "1", "verb": "lcomplete-check", "result": [1]}),
+    "witness-rows": ("c2-swap.json", {
+        "version": "1", "verb": "verify", "result": {"witness": [1, 2]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_REPORTS))
+def test_recheck_refuses_a_malformed_report(tmp_path, capsys, case):
+    import lodua.cli
+    name, report = _MALFORMED_REPORTS[case]
+    prior = tmp_path / "report.json"
+    prior.write_text(json.dumps(report))
+    code = lodua.cli.main(["resolve", fixture(name), "--recheck", str(prior)])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("invalid input: "), err
+
+
 # -- the document table of cli.run -------------------------------------------
 
 # verbs on each fixture document; together they ask every verb

@@ -1,12 +1,14 @@
 """The document contract under mutation: `resolve` on each fixture document
 with one value of its `ring`, `ideal`, `modules`, `descriptors`, `group` or
-`comodules` block replaced or deleted ends with exit code 0, 1, 2 or 3,
-prints no traceback and no `internal error:` line, and prints the same
-report when run again.
+`comodules` block replaced or deleted, and `--recheck` of a real
+`lcomplete-check` or `gm-check` report with one value replaced or deleted,
+end with exit code 0, 1, 2 or 3, print no traceback and no `internal error:`
+line, and print the same report when run again.
 """
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -34,12 +36,19 @@ _STRINGS = ("x", "y", "x + y", "x*y", "5", "0", "-1", "", "5+", "x^",
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
                      st.sampled_from((0.5, 2.5, -1.0)),
                      st.sampled_from(_STRINGS))
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: st.one_of(st.lists(inner, max_size=3),
-                            st.dictionaries(st.sampled_from(_KEYS), inner,
-                                            max_size=3)),
-    max_leaves=6)
+
+
+def _values(keys, scalars):
+    """Scalars, and lists and objects of them under the given keys."""
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                st.dictionaries(st.sampled_from(keys), inner,
+                                                max_size=3)),
+        max_leaves=6)
+
+
+_VALUES = _values(_KEYS, _SCALARS)
 _DELETE = object()
 
 
@@ -55,12 +64,16 @@ def _mutations(draw):
     the path, or deletes it."""
     name = draw(st.sampled_from(DOCUMENTS))
     path = [draw(st.sampled_from(BLOCKS))]
-    node = _load(name).get(path[0])
+    _walk(draw, _load(name).get(path[0]), path)
+    return name, path, draw(st.one_of(st.just(_DELETE), _VALUES))
+
+
+def _walk(draw, node, path):
+    """Extend path from node into objects and lists while the draw says so."""
     while isinstance(node, (dict, list)) and node and draw(st.booleans()):
         path.append(draw(st.sampled_from(
             sorted(node) if isinstance(node, dict) else range(len(node)))))
         node = node[path[-1]]
-    return name, path, draw(st.one_of(st.just(_DELETE), _VALUES))
 
 
 def _mutate(doc, path, value):
@@ -77,10 +90,10 @@ def _mutate(doc, path, value):
     return doc
 
 
-def _resolve(path):
+def _main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = lodua.cli.main(["resolve", path])
+        code = lodua.cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -102,8 +115,64 @@ def test_resolve_keeps_the_contract_on_mutated_documents(mutation):
         path = os.path.join(tmp, "doc.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        code, out, err = _resolve(path)
-        again = _resolve(path)
+        code, out, err = _main("resolve", path)
+        again = _main("resolve", path)
     assert code in (0, 1, 2, 3), (code, doc)
     assert "Traceback" not in err and "internal error:" not in err, (err, doc)
     assert again[:2] == (code, out), doc
+
+
+# a real report of each verb whose certificate `--recheck` checks, and the
+# keys and words of such reports
+_REPORTS = {"zp.json": ("lcomplete-check", {}),
+            "z-mod-p-infty.json": ("gm-check", {"s": 1})}
+_REPORT_KEYS = ("version", "verb", "result", "verdict", "table", "status",
+                "kind", "lim1_tor_next", "lim_tor", "witness", "i=1,q=0",
+                "i=1,q=1")
+_REPORT_VALUES = _values(_REPORT_KEYS, st.one_of(_SCALARS, st.sampled_from(
+    ("1", "zero", "module", "exact", "complete", "not-complete",
+     "lcomplete-check", "gm-check"))))
+
+
+@functools.lru_cache(maxsize=None)
+def _report_text(name):
+    verb, args = _REPORTS[name]
+    return json.dumps(lodua.cli.run(_load(name), verb, args)[1])
+
+
+@st.composite
+def _report_mutations(draw):
+    """(fixture, path, value) as for ``_mutations``, the path starting at a
+    key of the fixture's report."""
+    name = draw(st.sampled_from(sorted(_REPORTS)))
+    report = json.loads(_report_text(name))
+    path = [draw(st.sampled_from(sorted(report)))]
+    _walk(draw, report[path[0]], path)
+    return name, path, draw(st.one_of(st.just(_DELETE), _REPORT_VALUES))
+
+
+# an empty path replaces the whole report; these four ended in
+# `internal error: AttributeError`, or checked nothing
+@settings(max_examples=150)
+@given(_report_mutations())
+@example(("zp.json", [], [1, 2]))
+@example(("z-mod-p-infty.json", ["result", "lim1_tor_next"], 5))
+@example(("z.json", [], {"version": "1", "verb": "lcomplete-check",
+                          "result": {"verdict": "complete",
+                                     "table": {"i=1,q=0": 3,
+                                               "i=1,q=1": 4}}}))
+@example(("zp.json", ["result"], [1]))
+def test_recheck_keeps_the_contract_on_mutated_reports(mutation):
+    name, keys, value = mutation
+    report = _mutate(json.loads(_report_text(name)), keys, value) if keys \
+        else value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        with open(path, "w") as fh:
+            json.dump(report, fh)
+        argv = ("resolve", os.path.join(FIXTURES, name), "--recheck", path)
+        code, out, err = _main(*argv)
+        again = _main(*argv)
+    assert code in (0, 1, 2, 3), (code, report)
+    assert "Traceback" not in err and "internal error:" not in err, (err, report)
+    assert again[:2] == (code, out), report

@@ -63,3 +63,12 @@ def test_a_longer_cycle_counts():
     assert _reaches(top, "a", "m")
     assert not _reaches(top, "c", "m")
     assert not _reaches(top, "m", "c")
+
+
+def test_the_layers_under_ring_import_no_ring():
+    # ring asks linalg for its lifts and syzygies, so linalg and the layers
+    # under it import nothing from ring, at the top or in a function
+    imports = {name: {node.module for node in ast.walk(tree) if _relative(node)}
+               for name, tree in _parsed_modules().items()}
+    assert [name for name in ("poly", "groebner", "linalg")
+            if _reaches(imports, name, "ring")] == []

@@ -160,13 +160,13 @@ def test_minimize_presentation_asks_each_nonunit_once(monkeypatch):
     R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^2"]})
     M = FPModule(R, 3, [("x", "y", "0"), ("0", "x", "1")])
     asked = []
-    cofactor = Ring._unit_cofactor
+    unit_inverse = Ring.unit_inverse
 
-    def counted(ring, num):
-        asked.append(num)
-        return cofactor(ring, num)
+    def counted(ring, e):
+        asked.append(ring.el(e).num)
+        return unit_inverse(ring, e)
 
-    monkeypatch.setattr(Ring, "_unit_cofactor", counted)
+    monkeypatch.setattr(Ring, "unit_inverse", counted)
     Mmin, fwd, bwd = minimize_presentation(M)
     # x and y once each, then the unit 1, which eliminates generator 3;
     # the rescan of the first relation asks nothing again

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodua import InvalidInput, PrecisionMismatch, UnsupportedRing, make_ring
 from lodua.expr import ParseError, parse_poly
+from lodua.linalg import lift_through, membership_test, syzygies
 from lodua.poly import QQ, Poly
 from lodua.ring import Ring, RingElement
 
@@ -80,6 +83,27 @@ def test_localizing_at_zero_divisor_rejected():
                    "quotient": ["x*y"], "invert": "x"})
 
 
+def test_zerodivisor_witness_is_the_first_nonzero_syzygy():
+    # the witness is the first nonzero syzygy of x modulo the quotient,
+    # read in the ring; over a completion one may vanish there
+    cases = [({"quotient": ["x*y"], "invert": "x"}, "x", "-y"),
+             ({"quotient": ["x^2*y - y"], "invert": "x - 1"}, "x - 1",
+              "-x*y - y"),
+             ({"quotient": ["x*y^2", "x^2*y"], "invert": "x + y"}, "x + y",
+              "-x*y"),
+             ({"quotient": ["x*y^3"], "invert": "x", "completion":
+               {"ideal": ["x", "y"], "precision": 5}}, "x", "-y^3")]
+    for desc, x, witness in cases:
+        with pytest.raises(InvalidInput, match=rf"^{re.escape(x)} is a "
+                           rf"zerodivisor: {re.escape(witness)} kills it$"):
+            make_ring({"base": "Q", "vars": ["x", "y"], **desc})
+    # y^3 is zero at precision 2, and no other witness is left
+    with pytest.raises(UnsupportedRing, match="localized completed"):
+        make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x*y^3"],
+                   "invert": "x", "completion": {"ideal": ["x", "y"],
+                                                 "precision": 2}})
+
+
 def test_localizing_unit_is_identity():
     Q = make_ring({"base": "Q", "vars": ["x"]})
     assert Q.localized(Q.el(3)) is Q
@@ -153,18 +177,18 @@ def test_quotient_budget_rejection():
 
 
 def test_inverse_over_completion_builds_one_basis(monkeypatch):
-    import lodua.ring as ring_mod
+    import lodua.linalg as linalg
     R = make_ring({"base": "Q", "vars": ["x", "y"],
                    "completion": {"ideal": ["x", "y"], "precision": 4}})
     u = R.el("1 + x - 2*y")
     built = []
-    real = ring_mod.GBasis
+    real = linalg.GBasis
 
     def counted(*args, **kwargs):
         built.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ring_mod, "GBasis", counted)
+    monkeypatch.setattr(linalg, "GBasis", counted)
     assert u * u.inv() == R.one()
     # Q[[x,y]] is truncated power series: no basis at all
     assert len(built) == 0
@@ -175,19 +199,20 @@ def test_inverse_over_completion_builds_one_basis(monkeypatch):
 
 
 def test_inverse_over_non_monomial_completion_builds_one_basis(monkeypatch):
-    import lodua.ring as ring_mod
+    import lodua.linalg as linalg
     R = make_ring({"base": "Q", "vars": ["x", "y"],
                    "completion": {"ideal": ["x + y", "x*y"], "precision": 4}})
     assert R.monomial_modulus is None and not R.is_power_series
     u = R.el("1 + x - 2*y")
     built = []
-    real = ring_mod.GBasis
+    real = linalg.GBasis
 
     def counted(*args, **kwargs):
         built.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ring_mod, "GBasis", counted)
+    monkeypatch.setattr(linalg, "GBasis", counted)
+    linalg._span.cache_clear()  # the span of u may be in the table already
     assert u * u.inv() == R.one()
     assert len(built) == 1
     with pytest.raises(ZeroDivisionError, match=r"^x \+ y is not a unit in "):
@@ -387,6 +412,72 @@ def test_units_of_a_localized_polynomial_ring():
     assert R.unit_inverse(R.el("x + 1")) is None
     with pytest.raises(ZeroDivisionError):
         R.el("x + 1").inv()
+
+
+# rings whose inverses, and over the localization whose spans, the ring
+# asks of linalg, each with an oracle for its units: Q[x,y]/(x^2 - y^3) is
+# Q[t^2, t^3], whose units are the nonzero constants; a unit of
+# Q[x,y][1/(xy)] has one term over a power of xy; Q[x,y] at (x + y, xy) has
+# residue ring Q[x]/(x^2), so a unit is one with a nonzero constant term
+_SPAN_RINGS = {
+    "cusp": (make_ring({"base": "Q", "vars": ["x", "y"],
+                        "quotient": ["x^2 - y^3"]}),
+             lambda e: e.num.is_constant() and not e.is_zero()),
+    "localized": (make_ring({"base": "Q", "vars": ["x", "y"],
+                             "invert": "x*y"}),
+                  lambda e: len(e.num.terms) == 1),
+    "completed": (make_ring({"base": "Q", "vars": ["x", "y"], "completion": {
+        "ideal": ["x + y", "x*y"], "precision": 3}}),
+                  lambda e: e.num.constant() != 0),
+}
+
+
+@st.composite
+def _elements(draw, R, n):
+    x, y = R.var("x"), R.var("y")
+    term = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2))
+
+    def element():
+        # a constant term and at most two more, so that units are drawn
+        # often; over the localization, whose spans build Groebner bases
+        # of fast growing size, one more times x^k over a power of xy
+        e = R.el(draw(st.integers(-2, 2)))
+        for c, i, j in draw(st.lists(term, max_size=1 if R.inverted else 2)):
+            e = e + R.el(c) * x ** i * y ** j
+        if R.inverted is not None:
+            e = e * x ** draw(st.integers(0, 2)) * R.el(
+                1, draw(st.integers(0, 2)))
+        return e
+    return [element() for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", sorted(_SPAN_RINGS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_units_syzygies_and_lifts_satisfy_their_equations(name, data):
+    R, is_unit = _SPAN_RINGS[name]
+    e, f, g, h, a, b = data.draw(_elements(R, 6))
+    inv = R.unit_inverse(e)
+    assert e.is_unit() == (inv is not None) == is_unit(e)
+    if inv is not None:
+        assert e * inv == R.one()
+    if R.inverted is None:
+        return
+    cols = [(e, f), (g, h), (f, e + g)]
+
+    def image(x):
+        return tuple(sum((x[j] * cols[j][i] for j in range(3)), R.zero())
+                     for i in range(2))
+
+    for s in syzygies(R, cols, 2):
+        assert image(s) == (R.zero(), R.zero())
+    target = image((a, b, a + b))
+    x = lift_through(R, cols, target, 2)
+    assert x is not None and image(x) == target
+    for other in ((a, b), (R.one(), R.zero())):
+        x = lift_through(R, cols, other, 2)
+        assert membership_test(R, cols, 2)(other) == (x is not None)
+        assert x is None or image(x) == other
 
 
 def test_ring_layer_refuses_malformed_input():

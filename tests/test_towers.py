@@ -126,6 +126,23 @@ def test_explicit_periodic_isomorphisms(ZZ):
     assert res.lim1.is_zero()
 
 
+def test_explicit_tower_refuses_a_period_its_lists_cannot_hold(ZZ):
+    from lodua import InvalidInput
+    Z4, Z9 = zmod(ZZ, 4), zmod(ZZ, 9)
+    # a period of 3 over two stages and one transition read past the front
+    # of the lists, and lim_lim1 ended in a bare IndexError
+    for period in (3, 2, 0, -1, True, 1.0, "1"):
+        with pytest.raises(InvalidInput, match="period must be an integer "
+                                               "from 1 to 1"):
+            Tower.explicit([Z4, Z9], [identity_map(Z9)], periodic=period)
+    with pytest.raises(InvalidInput, match="from 1 to 0, not 1"):
+        Tower.explicit([Z4], [], periodic=1)
+    with pytest.raises(InvalidInput, match="needs a stage"):
+        Tower.explicit([], [])
+    t = Tower.explicit([Z4, Z9], [identity_map(Z9)], periodic=1)
+    assert t.stage(3) is Z9 and t.transition(2).source is Z9
+
+
 def test_weak_proregularity(ZZ, QQxy):
     assert weak_proregularity_check(ZZ, [5], stage_bound=4, lag=2)["status"] \
         == "weakly-proregular"

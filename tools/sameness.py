@@ -29,9 +29,10 @@ checkout; to compare with another tree, copy the script into that tree's
 ``tools/`` and run it there.
 
 With ``--cold`` it clears the table of tower limits
-(``towers._presented_limits``) and the document table (``cli._parsed``)
-before every op, so each op parses its document and computes its limits as
-in a fresh process; its answers line must equal the one of a run without
+(``towers._presented_limits``), the document table (``cli._parsed``) and
+the span table (``linalg._span``) before every op, so each op parses its
+document, computes its limits and builds its Smith forms and Groebner bases
+as in a fresh process; its answers line must equal the one of a run without
 it.  ``local._LAMBDA_CACHE`` is left alone: clearing it turns
 answers that a warm run gives into refusals (ROADMAP item 1).
 
@@ -70,11 +71,13 @@ def _render_rows(ar, X):
 def answers(lodua, ops, cold=False):
     """(exit code, body) of each op in turn, the body being the report or
     the refusal exactly as the benchmark hashes it; ``cold``: the table of
-    tower limits and the document table are cleared before each op."""
+    tower limits, the document table and the span table are cleared before
+    each op."""
     for op in ops:
         if cold:
             lodua.towers._presented_limits.cache_clear()
             lodua.cli._parsed.cache_clear()
+            lodua.linalg._span.cache_clear()
         try:
             code, report = worker.execute(lodua, op)
             body = json.dumps(report, sort_keys=True, indent=2)
@@ -162,8 +165,8 @@ def main(argv=None):
                     help="list the ops whose answer differs from "
                          "perfbench/refs/ at its seed")
     ap.add_argument("--cold", action="store_true",
-                    help="clear the table of tower limits and the document "
-                         "table before every op")
+                    help="clear the table of tower limits, the document "
+                         "table and the span table before every op")
     ns = ap.parse_args(argv)
     if ns.refs:
         if ns.seed is not None or ns.size is not None:
