@@ -25,8 +25,9 @@ Z and Z_p each rule is written once, on plain ints, in ``_IntArith``; the
 Smith loop of ``linalg`` runs on it too.
 
 Lifts and syzygies are asked of ``linalg``'s spans (``unit_inverse`` off
-power series, ``_divide_exact``, ``_reject_zerodivisor``); the one Groebner
-basis the ring builds is that of its canonical form (``reduction_basis``).
+power series, ``_divide_exact`` over a quotient, ``_reject_zerodivisor``);
+the one Groebner basis the ring builds is that of its canonical form
+(``reduction_basis``).
 """
 
 from fractions import Fraction
@@ -421,7 +422,13 @@ class Ring:
     def _divide_exact(self, f, g):
         """f/g in the ring without inversion, or None when g does not
         divide f."""
-        if self.nvars and not self.quotient:
+        if self.nvars == 0:
+            # numerators of u^-1 Z and Z_p[1/p] divide in Z or Z_p; a field
+            # inverts no element, ``localized`` returns it as it is
+            ints = self.without_inversion().int_arith
+            q, r = ints.divmod(int(f.constant()), int(g.constant()))
+            return None if r else Poly.const(self.dom, 0, q)
+        if not self.quotient:
             # a Groebner lift over Z[x] refuses non-unit leading coefficients
             return f.exact_div(g, order_key(self.order))
         base = self.without_inversion()
@@ -444,9 +451,22 @@ class Ring:
             return True
         if self.inverted is None and not self.modulus:  # plain polynomials
             return e.num.is_constant() and self.dom.is_unit(e.num.constant())
-        if self.is_power_series:
-            return e.num.constant() != 0
+        if self.is_completed:
+            return self._inverse_mod_ideal(e) is not None
         return self.unit_inverse(e) is not None
+
+    def _inverse_mod_ideal(self, e):
+        """v with v * e = 1 modulo the quotient and the completed ideal I,
+        or None when e is not a unit of the completion."""
+        if self.is_power_series:
+            c = e.num.constant()
+            return None if c == 0 else Poly.const(self.dom, self.nvars,
+                                                  self.dom.inv(c))
+        # one lift through e and the generators of I, not of I^N
+        base = self.underlying()
+        cols = [(base.el(g),) for g in (e.num,) + self.completion[0]]
+        x = lift_through(base, cols, (base.one(),), 1)
+        return None if x is None else x[0].num
 
     def inv_el(self, e):
         e = self.el(e)
@@ -462,22 +482,21 @@ class Ring:
         if ar is not None:
             a = ar.from_el(e)
             return ar.to_el(ar.inv(a)) if ar.is_unit(a) else None
-        if self.is_power_series:
-            # the inverse of the constant term is an inverse modulo I, and
-            # Newton lifting doubles I-adic accuracy each pass
-            c, acc = e.num.constant(), 1
-            if c == 0:
+        if e.is_zero():
+            return None
+        if self.nvars and self.is_completed:
+            # an inverse modulo I, and Newton lifting doubles the I-adic
+            # accuracy each pass
+            v, acc = self._inverse_mod_ideal(e), 1
+            if v is None:
                 return None
-            v = Poly.const(self.dom, self.nvars, self.dom.inv(c))
             two = Poly.const(self.dom, self.nvars, 2)
             while acc < self.precision:
                 acc *= 2
                 v = self._reduce_num(v * (two - e.num * v))
             return self.el(v)
-        if self.nvars and (self.inverted is not None or self.modulus):
-            # x with e * x = 1 modulo quotient + I^N is the unique inverse
-            if e.is_zero():
-                return None
+        if self.nvars and (self.inverted is not None or self.quotient):
+            # x with e * x = 1 is the unique inverse
             x = lift_through(self, [(e,)], (self.one(),), 1)
             return None if x is None else x[0]
         if not self.is_unit_el(e):
@@ -491,16 +510,11 @@ class Ring:
             return self._normal(Poly.const(self.dom, 0, u ** k // a * u ** e.dexp), k)
         if self.inverted is not None:
             # Z_p[1/p]: divide out the powers of p, invert the rest in Z_p
-            base = self.without_inversion()
             num, extra = e.num, 0
-            while True:
-                q = base._divide_exact(num, self.inverted)
-                if q is None:
-                    break
+            while (q := self._divide_exact(num, self.inverted)) is not None:
                 num, extra = q, extra + 1
-            inv_base = base.inv_el(base.el(num))
-            return self._normal(inv_base.num * self.inverted ** e.dexp,
-                                extra + inv_base.dexp)
+            inv_base = self.without_inversion().inv_el(num)
+            return self._normal(inv_base.num * self.inverted ** e.dexp, extra)
         k = self.classify()
         if k == "field" or k == "poly":
             return self.el(Poly.const(self.dom, self.nvars, self.dom.inv(e.num.constant())))
@@ -934,7 +948,7 @@ def _reject_zerodivisor(ring, x):
     nonzero w with w * x = 0 modulo the quotient, read off the syzygies."""
     if ring.nvars == 0 or not ring.quotient:
         return  # Z, Q, F_p, Z_p and polynomial rings over them are domains
-    base = ring.underlying().without_inversion()
+    base = ring.underlying()
     for (w,) in syzygies(base, [(base.el(x.num),)], 1):
         witness = ring.el(w)
         if not witness.is_zero():
