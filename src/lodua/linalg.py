@@ -15,9 +15,9 @@ set has one span per (ring, nrows, column keys), kept in an LRU table of
 kept under the same keys.  A span builds what answers the three
 primitives once, on first use:
 
-* over Z, Z_p, fields and u^-1 Z (``_Span``), the Smith form of the columns
-  with its transforms, which also gives the invariant factors and
-  ``smith_normal_form``;
+* over Z, Z_p, fields, u^-1 Z and Z_p[1/u] (``_Span``), the Smith form of
+  the columns with its transforms, which also gives the invariant factors,
+  ``smith_form`` and ``smith_normal_form``;
 * over the other polynomial rings (``_GroebnerSpan``), one Groebner basis
   of the columns and ``ring.modulus_vectors(nrows)`` (its cofactors track
   the columns' coordinates only), with its syzygy heads and
@@ -30,11 +30,11 @@ primitives once, on first use:
 
 The Smith form's one elimination loop, ``_smith``, runs on the values of a
 small arithmetic record (zero test, size, divmod, multiply-add, unit part,
-inverse).  The euclidean rules are the ring's, written once in ``ring``:
-over Z and Z_p the record is the ring's own ``Ring.int_arith``, on plain
-Python ints (over Z_p every value reduced mod p^N), converted back to
-RingElements only for what a caller returns; over fields, u^-1 Z and k[t]
-it is ``_ElArith``, on RingElements, which forwards each rule to the ring.
+inverse).  The euclidean rules are the ring's record ``Ring.euclid``: over
+Z and Z_p the loop runs on it (``Ring.int_arith``, on plain ints, over Z_p
+reduced mod p^N), converted back to RingElements only for what a caller
+returns; over fields, k[t], u^-1 Z and Z_p[1/u] on ``_ElArith``, on
+RingElements, which forwards each rule to the ring and so to its record.
 Both pick the same pivots and divide the same way, so they give the same
 transforms.
 """
@@ -154,7 +154,12 @@ def smith_normal_form(ring, A):
     completed Z at a prime, where it holds at the stated precision).  The
     form is the one the span of A's columns keeps.
     """
-    ar, form = _span_of(ring, list(zip(*A)), len(A)).smith()
+    return smith_form(ring, list(zip(*A)), len(A))
+
+
+def smith_form(ring, cols, nrows):
+    """``smith_normal_form`` of the matrix with the given columns."""
+    ar, form = _span_of(ring, cols, nrows).smith()
     return tuple([[ar.to_el(a) for a in row] for row in X] for X in form)
 
 
@@ -377,7 +382,7 @@ def _invariant_factors(ar, D):
 
 class _Span:
     """The span of some columns in A^nrows; ``cols`` is their key (see
-    ``Ring.vec_key``).  Over Z, Z_p, fields and u^-1 Z it answers every
+    ``Ring.vec_key``).  Over a ring without variables it answers every
     question from the Smith form of the columns, built on first use with the
     ring's ``int_arith`` over Z and Z_p, else ``_ElArith``, and stored, as
     tuples, only once complete; syzygies, lifts and membership are read off
@@ -534,7 +539,7 @@ _MEMO_LIMIT = 256   # membership answers kept per span
 
 @lru_cache(maxsize=_SPAN_LIMIT)
 def _span(ring, nrows, cols):
-    if ring.nvars == 0:  # Z, Z_p, fields and u^-1 Z
+    if ring.nvars == 0:  # Z, Z_p, fields, u^-1 Z and Z_p[1/u]
         return _Span(ring, nrows, cols)
     if ring.inverted is not None:
         return _LocalizedSpan(ring, nrows, cols)

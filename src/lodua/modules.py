@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement
 
 from .errors import InvalidInput, UnsupportedRing
 from .linalg import (cols_to_mat, invariant_factors, lift_through, mat_vec,
-                     member, membership_test, smith_normal_form, syzygies,
+                     member, membership_test, smith_form, syzygies,
                      vec_is_zero)
 from .ring import power_products, prefix_products
 
@@ -87,8 +87,7 @@ class FPModule:
         """(M_can, iso M->M_can, iso M_can->M) over a euclidean ring."""
         if not self.relations:
             return self, identity_map(self), identity_map(self)
-        R = cols_to_mat(self.relations, self.ngens)
-        U, D, V, Uinv, Vinv = smith_normal_form(self.ring, R)
+        U, D, V, Uinv, Vinv = smith_form(self.ring, self.relations, self.ngens)
         cols = []
         rank_bound = min(self.ngens, len(self.relations))
         for j in range(rank_bound):

@@ -17,12 +17,13 @@ Z and Z_p compute on plain ints.  Each holds one ``_IntArith`` as
 products, negation and powers, ``Ring.el`` of a number and ``from_key``
 compute there and build the canonical element directly, with no ``Poly``
 arithmetic and no ``_normal``.  ``_IntArith`` is the one home of the mod p^N
-rule of Z_p (the numerators of Z_p[1/p] are reduced by Z_p's record).
+rule of Z_p (the numerators of Z_p[1/u] are reduced by Z_p's record).
 
-The ring is the one home of euclidean arithmetic (``divmod_el``,
-``euclidean_size``, ``unit_part``, ``is_unit_el``, ``unit_inverse``).  Over
-Z and Z_p each rule is written once, on plain ints, in ``_IntArith``; the
-Smith loop of ``linalg`` runs on it too.
+The ring is the one home of euclidean arithmetic: ``divmod_el``,
+``euclidean_size``, ``unit_part``, ``is_unit_el`` and ``unit_inverse`` each
+make one call to the ring's record ``Ring.euclid``.  Z and Z_p hold their
+``_IntArith``, which the Smith loop of ``linalg`` runs on too; u^-1 Z and
+Z_p[1/u] share ``_LocalArith``; fields and k[t] share ``_LeadArith``.
 
 Lifts and syzygies are asked of ``linalg``'s spans (``unit_inverse`` off
 power series, ``_divide_exact`` over a quotient, ``_reject_zerodivisor``);
@@ -127,6 +128,12 @@ class Ring:
         # ring pays one attribute read for the test
         self.int_arith = _IntArith(self) if self._kind in (
             "int", "int_completed") else None
+        # the rules of every euclidean ring (divmod, size, unit, inverse)
+        self.euclid = self.int_arith or (
+            _LocalArith(self) if self._kind == "int_localized" else
+            _LeadArith(self) if self._kind == "field" or (
+                self._kind == "poly" and self.nvars == 1 and not quotient
+                and completion is None) else None)
 
     # -- construction and interning ----------------------------------------
 
@@ -225,7 +232,7 @@ class Ring:
 
     @property
     def int_prime(self):
-        """p over Z_p and Z_p[1/p]: the generator of the completion ideal."""
+        """p over Z_p and Z_p[1/u]: the generator of the completion ideal."""
         return abs(int(self.completion[0][0].constant()))
 
     @property
@@ -306,18 +313,14 @@ class Ring:
         """Engine dispatch key.
 
         'field' | 'int' | 'int_completed' | 'int_localized' | 'poly' |
-        'poly_z' | 'poly_localized'.  A completed Z localized at its own
-        prime (Q_p at precision) behaves as a field at precision.
+        'poly_z' | 'poly_localized'.  Every Z with an element inverted,
+        completed or not, is 'int_localized' (see ``_LocalArith``).
         """
         return self._kind
 
     @property
     def is_euclidean(self):
-        k = self.classify()
-        if k in ("field", "int", "int_completed", "int_localized"):
-            return True
-        return (k == "poly" and self.nvars == 1 and not self.quotient
-                and not self.is_completed)
+        return self.euclid is not None
 
     # -- element construction ------------------------------------------------
 
@@ -369,7 +372,7 @@ class Ring:
     def _reduce_num(self, num):
         if self.nvars == 0:
             if self.inverted is not None and self.is_completed:
-                # Z_p[1/p]: a numerator is an element of Z_p
+                # Z_p[1/u]: a numerator is an element of Z_p
                 return self.without_inversion().el(num).num
             return num
         mons = self.monomial_modulus
@@ -423,7 +426,7 @@ class Ring:
         """f/g in the ring without inversion, or None when g does not
         divide f."""
         if self.nvars == 0:
-            # numerators of u^-1 Z and Z_p[1/p] divide in Z or Z_p; a field
+            # numerators of u^-1 Z and Z_p[1/u] divide in Z or Z_p; a field
             # inverts no element, ``localized`` returns it as it is
             ints = self.without_inversion().int_arith
             q, r = ints.divmod(int(f.constant()), int(g.constant()))
@@ -441,14 +444,9 @@ class Ring:
         e = self.el(e)
         if e.num.is_zero():
             return False
-        ar = self.int_arith
+        ar = self.euclid
         if ar is not None:
             return ar.is_unit(ar.from_el(e))
-        if self._kind == "int_localized":
-            # +-(a product of primes dividing u) over a power of u
-            return self.strip_inverted(e)[0] == self.one()
-        if self._kind == "field":
-            return True
         if self.inverted is None and not self.modulus:  # plain polynomials
             return e.num.is_constant() and self.dom.is_unit(e.num.constant())
         if self.is_completed:
@@ -478,13 +476,13 @@ class Ring:
     def unit_inverse(self, e):
         """The inverse of e, or None when e is not a unit."""
         e = self.el(e)
-        ar = self.int_arith
+        ar = self.euclid
         if ar is not None:
             a = ar.from_el(e)
             return ar.to_el(ar.inv(a)) if ar.is_unit(a) else None
         if e.is_zero():
             return None
-        if self.nvars and self.is_completed:
+        if self.is_completed:
             # an inverse modulo I, and Newton lifting doubles the I-adic
             # accuracy each pass
             v, acc = self._inverse_mod_ideal(e), 1
@@ -495,124 +493,43 @@ class Ring:
                 acc *= 2
                 v = self._reduce_num(v * (two - e.num * v))
             return self.el(v)
-        if self.nvars and (self.inverted is not None or self.quotient):
+        if self.inverted is not None or self.quotient:
             # x with e * x = 1 is the unique inverse
             x = lift_through(self, [(e,)], (self.one(),), 1)
             return None if x is None else x[0]
         if not self.is_unit_el(e):
             return None
-        if self._kind == "int_localized":
-            # e = a/u^d with a | u^k: its inverse is (u^k/a) * u^d / u^k
-            a, u = int(e.num.constant()), int(self.inverted.constant())
-            k = 0
-            while u ** k % a:
-                k += 1
-            return self._normal(Poly.const(self.dom, 0, u ** k // a * u ** e.dexp), k)
-        if self.inverted is not None:
-            # Z_p[1/p]: divide out the powers of p, invert the rest in Z_p
-            num, extra = e.num, 0
-            while (q := self._divide_exact(num, self.inverted)) is not None:
-                num, extra = q, extra + 1
-            inv_base = self.without_inversion().inv_el(num)
-            return self._normal(inv_base.num * self.inverted ** e.dexp, extra)
-        k = self.classify()
-        if k == "field" or k == "poly":
-            return self.el(Poly.const(self.dom, self.nvars, self.dom.inv(e.num.constant())))
-        return e  # the units of Z[x...] are +-1
+        return self.el(self.dom.inv(e.num.constant()))  # k[x...], Z[x...]
 
     # -- euclidean rules for the Smith engine ----------------------------------
 
-    def strip_inverted(self, e):
-        """(canonical part, unit) with e = unit * canonical part.
-
-        Over u^-1 Z: strips all factors of u as well as the sign, so the
-        canonical part is a positive integer prime to u.
-        """
-        e = self.el(e)
-        if e.is_zero():
-            return e, self.one()
-        a = int(e.num.constant())
-        u = abs(int(self.inverted.constant()))
-        sign = -1 if a < 0 else 1
-        a = abs(a)
-        stripped_factor = 1
-        g = gcd(a, u)
-        while g > 1:
-            a //= g
-            stripped_factor *= g
-            g = gcd(a, u)
-        unit = self._normal(Poly.const(self.dom, 0, sign * stripped_factor), e.dexp)
-        return self.el(a), unit
+    def _euclidean(self, what):
+        if self.euclid is None:
+            raise UnsupportedRing(f"no {what} in {self}")
+        return self.euclid
 
     def divmod_el(self, a, b):
         a, b = self.el(a), self.el(b)
         if b.is_zero():
             raise ZeroDivisionError("division by zero")
-        ar = self.int_arith
-        if ar is not None:
-            q, r = ar.divmod(ar.from_el(a), ar.from_el(b))
-            return ar.to_el(q), ar.to_el(r)
-        k = self.classify()
-        if k == "int_localized":
-            sa, ua = self.strip_inverted(a)
-            sb, ub = self.strip_inverted(b)
-            ints = self.without_inversion().int_arith
-            q, r = ints.divmod(ints.from_el(sa), ints.from_el(sb))
-            return self.el(q) * ua * ub.inv(), self.el(r) * ua
-        if k == "field":
-            return a * self.inv_el(b), self.zero()
-        if k == "poly" and self.is_euclidean:
-            return self._poly_divmod(a, b)
-        raise UnsupportedRing(f"no euclidean division in {self}")
-
-    def _poly_divmod(self, a, b):
-        key = order_key("lex")
-        q = Poly.zero(self.dom, 1)
-        r = a.num
-        bm, bc = b.num.leading(key)
-        while not r.is_zero():
-            rm, rc = r.leading(key)
-            if rm[0] < bm[0]:
-                break
-            t = Poly(self.dom, 1, {(rm[0] - bm[0],): rc * self.dom.inv(bc)})
-            q = q + t
-            r = r - t * b.num
-        return self.el(q), self.el(r)
+        ar = self._euclidean("euclidean division")
+        q, r = ar.divmod(ar.from_el(a), ar.from_el(b))
+        return ar.to_el(q), ar.to_el(r)
 
     def euclidean_size(self, a):
         a = self.el(a)
         if a.is_zero():
             return -1
-        ar = self.int_arith
-        if ar is not None:
-            return ar.size(ar.from_el(a))
-        k = self.classify()
-        if k == "int_localized":
-            ints = self.without_inversion().int_arith
-            return ints.size(ints.from_el(self.strip_inverted(a)[0]))
-        if k == "field":
-            return 1
-        if k == "poly" and self.is_euclidean:
-            return a.num.total_degree() + 1
-        raise UnsupportedRing(f"no euclidean size in {self}")
+        ar = self._euclidean("euclidean size")
+        return ar.size(ar.from_el(a))
 
     def unit_part(self, d):
         """u with d = u * canonical(d), for nonzero d of a euclidean ring:
-        the sign over Z, the part prime to p over Z_p, d itself over a
-        field, the unit ``strip_inverted`` splits off over u^-1 Z and the
-        leading coefficient over k[t]."""
-        ar = self.int_arith
-        if ar is not None:
-            return ar.to_el(ar.unit(ar.from_el(d)))
-        k = self.classify()
-        if k == "field":
-            return d
-        if k == "int_localized":
-            return self.strip_inverted(d)[1]
-        if k == "poly" and self.is_euclidean:
-            _, lc = d.num.leading(order_key("lex"))
-            return self.el(Poly.const(self.dom, self.nvars, lc))
-        raise UnsupportedRing(f"no unit part in {self}")
+        the sign over Z, the part prime to p over Z_p, the unit that the
+        record of u^-1 Z or Z_p[1/u] splits off, and the leading
+        coefficient over a field or k[t]."""
+        ar = self._euclidean("unit part")
+        return ar.to_el(ar.unit(ar.from_el(d)))
 
     # -- misc -----------------------------------------------------------------
 
@@ -647,10 +564,8 @@ class Ring:
 
 def _classify(base, nvars, inverted, completion):
     """The dispatch key of Ring.classify, fixed at construction."""
-    if inverted is not None:
-        if nvars == 0:   # Z: localizing a field returns the field
-            return "field" if completion is not None else "int_localized"
-        return "poly_localized"
+    if inverted is not None:  # over Z only: localizing a field returns it
+        return "int_localized" if nvars == 0 else "poly_localized"
     if nvars == 0:
         if base == "Z":
             return "int_completed" if completion is not None else "int"
@@ -759,6 +674,97 @@ class _IntArith:
         return pow(u, -1, self.m) if self.m else u
 
 
+class _LocalArith:
+    """u^-1 B for B = Z or Z_p, on RingElements: B's rules (its
+    ``_IntArith``) on the numerator once every factor it shares with w, the
+    part of u that B does not invert (|u| over Z, the power of p in u over
+    Z_p), is divided out.  So Z_p[1/u] is Q_p when p | u, else Z_p."""
+
+    __slots__ = ("ring", "ints", "u", "w")
+
+    def __init__(self, ring):
+        self.ring, self.u = ring, int(ring.inverted.constant())
+        self.ints = ints = ring.without_inversion().int_arith
+        self.w = ints.mul(self.u, ints.inv(ints.unit(self.u)))
+        if not self.w:  # u is 0 mod p^N, and u/u = 1 would be 0
+            raise UnsupportedRing(f"{self.u} is 0 in {ring}")
+
+    def from_el(self, e):
+        return e
+
+    to_el = from_el
+
+    def _split(self, e):
+        """(s, c, f) with e's numerator s * c * f: f the product of the
+        factors it shares with w, c a unit and s canonical in B."""
+        a, f = e.num.terms.get((), 0), 1
+        while a and (g := gcd(a, self.w)) > 1:
+            a, f = a // g, f * g
+        c = self.ints.unit(a)
+        return self.ints.mul(a, self.ints.inv(c)), c, f
+
+    def is_unit(self, e):
+        return self.ints.is_unit(self._split(e)[0])
+
+    def size(self, e):
+        return self.ints.size(self._split(e)[0])
+
+    def divmod(self, a, b):
+        q, r = self.ints.divmod(self._split(a)[0], self._split(b)[0])
+        ua, el = self.unit(a), self.ring.el
+        return el(q) * ua * self.inv(self.unit(b)), el(r) * ua
+
+    def unit(self, d):
+        _, c, f = self._split(d)
+        return self.ring.el(c * f, d.dexp)
+
+    def inv(self, e):
+        """e = c * f / u^d has the inverse c^-1 * (u^(d+k) / f) / u^k, k
+        the least with f | u^(d+k): canonical, so no numerator is divided."""
+        (_, c, f), n = self._split(e), self.u ** e.dexp
+        k = 0
+        while n % f:
+            n, k = n * self.u, k + 1
+        return self.ring.el(self.ints.mul(self.ints.inv(c), n // f), k)
+
+
+class _LeadArith:
+    """A field or k[t], on RingElements: one leading-term division, the
+    degree plus one as the size (a nonzero element is a unit exactly when
+    its size is 1) and the leading coefficient as the unit part."""
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    from_el = to_el = _LocalArith.from_el
+
+    def size(self, a):
+        return a.num.total_degree() + 1
+
+    def is_unit(self, a):
+        return self.size(a) == 1
+
+    def divmod(self, a, b):
+        dom, nvars = self.ring.dom, self.ring.nvars
+        (bm, bc), q, r = b.num.leading(sum), Poly.zero(dom, nvars), a.num
+        while not r.is_zero():
+            rm, rc = r.leading(sum)
+            if sum(rm) < sum(bm):
+                break
+            t = Poly(dom, nvars, {tuple(x - y for x, y in zip(rm, bm)):
+                                  rc * dom.inv(bc)})
+            q, r = q + t, r - t * b.num
+        return self.ring.el(q), self.ring.el(r)
+
+    def unit(self, d):
+        return self.ring.el(d.num.leading(sum)[1])
+
+    def inv(self, u):
+        return self.ring.el(self.ring.dom.inv(u.num.constant()))
+
+
 class RingElement:
     __slots__ = ("ring", "num", "dexp")
 
@@ -808,7 +814,7 @@ class RingElement:
         if ar is not None:
             return ar.to_el(ar.neg(self.num.terms.get((), 0)))
         if r.nvars == 0 and r.completion is not None:
-            # over Z_p[1/p] numerators stay in [0, p^N)
+            # over Z_p[1/u] numerators stay in [0, p^N)
             return r._normal(-self.num, self.dexp)
         return RingElement(r, -self.num, self.dexp)
 

@@ -15,7 +15,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "lodua.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -569,7 +569,8 @@ def _cli(args, doc, tmp_path, variable=None):
     if variable is not None:
         env["LODUA_BUDGET"] = variable
     proc = subprocess.run([sys.executable, "-m", "lodua.cli", *args,
-                           str(path)], capture_output=True, text=True, env=env)
+                           str(path)], capture_output=True, text=True, env=env,
+                          timeout=300)
     return proc.returncode, proc.stderr
 
 
@@ -1230,6 +1231,30 @@ def test_torsion_and_lambda_local_verbs(target, torsion, local):
     assert code == local
     assert report["result"]["verdict"] == ("local" if local == 0
                                            else "not-local")
+
+
+@pytest.mark.parametrize("invert, source", [("5", ["48"]), ("4", ["3"])])
+def test_a_localized_integer_document_completes_at_another_prime(
+        tmp_path, invert, source):
+    # Z[1/u] completed at 3, with 3 not dividing u, is Z_3, not a field:
+    # the relations' determinant -48 = -16 * 3 leaves the factor 3
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "ring": {"base": "Z", "invert": invert}, "ideal": ["3"],
+        "modules": {"M": {"generators": 2,
+                          "relations": [["4", "6"], ["10", "3"]]}}}))
+    z3 = {"free_rank": 0, "torsion": ["3"]}
+    ring = f"ZZ[({invert})^-1] completed at (3) to precision 20"
+    code, out, _ = run_cli("complete", "--module", "M", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["result"] == z3
+    assert report["natural_map"]["source"]["torsion"] == source
+    code, out, _ = run_cli("lambda", "--target", "M", str(path))
+    lam = json.loads(out)["result"]["0"]
+    assert code == 0 and lam["module"] == z3 and lam["ring"] == ring
+    code, out, _ = run_cli("localhom", "--target", "M", "--s", "0", str(path))
+    report = json.loads(out)["result"]
+    assert code == 0 and report["module"] == z3 and report["ring"] == ring
 
 
 def test_verbs_refuse_what_the_document_cannot_answer():

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -501,6 +502,8 @@ def test_ring_layer_refuses_malformed_input():
         (lambda: Zl.localized(Zl.el(5).inv()), InvalidInput,
          "already a denominator power"),
         (lambda: Z.at_precision(3), PrecisionMismatch, "ring is not completed"),
+        # 5 is 0 in Z_5 at precision 1: 5/5 = 1 would be 0
+        (lambda: Zl.completed((Zl.el(5),), 1), UnsupportedRing, "5 is 0 in"),
         (lambda: Z.el([1]), InvalidInput, "cannot interpret \\[1\\]"),
         (lambda: Z.el(Q.el("x")), InvalidInput, "cannot coerce from"),
         (lambda: Z.el(Zl.el(5).inv()), InvalidInput,
@@ -529,7 +532,7 @@ def test_element_arithmetic_corners():
     Zx = make_ring({"base": "Z", "vars": ["x"]})
     assert Zx.el(-1).inv() == Zx.el(-1)        # the units of Z[x] are +-1
     Zl = make_ring({"base": "Z", "invert": "5"})
-    assert Zl.strip_inverted(0) == (Zl.zero(), Zl.one())
+    assert Zl.divmod_el(0, 7) == (Zl.zero(), Zl.zero())
     # Z_5[1/5]: divide out the powers of 5, invert the rest in Z_5
     Z5l = make_ring({"base": "Z", "invert": "5",
                      "completion": {"ideal": ["5"], "precision": 4}})
@@ -546,6 +549,90 @@ def test_element_arithmetic_corners():
     assert R.el("x^2", dexp=1) == R.el("x")
     assert repr(make_ring({"base": "Q", "vars": ["x"],
                            "quotient": ["x^2"]})) == "QQ[x]/(x^2)"
+
+
+def test_an_element_shares_a_prime_with_the_inverted_element_of_z5():
+    # Z_5[1/25]: 5 is a unit, with the inverse 5/25
+    R = make_ring({"base": "Z", "invert": "25",
+                   "completion": {"ideal": ["5"], "precision": 3}})
+    assert R.el(5).is_unit() and R.el(5).inv().render() == "(5)/(25)"
+    assert R.el(5) * R.el(5).inv() == R.one()
+
+
+def test_z_with_an_element_inverted_completed_at_another_prime_is_z_p():
+    Z5 = make_ring({"base": "Z", "invert": "5"})
+    R = Z5.completed((Z5.el(3),), 20)
+    assert R.classify() == "int_localized" and R.is_euclidean
+    assert not R.el(3).is_unit() and R.unit_inverse(R.el(3)) is None
+    assert R.el(5).inv() * R.el(5) == R.one()
+    assert R.divmod_el(48, 3) == (R.el(16), R.zero())
+
+
+# -- one euclidean record per ring kind -----------------------------------------
+
+# every euclidean kind: Z[1/u] with u of either sign over one prime, two
+# primes and a prime power; Z_5[1/u] at precision 12 with v_5(u) = 0 (Z_5,
+# reached only by completing Z[1/3]), 1 and 2 (Q_5); Q, F_7, Q[t], F_5[t]
+_Z_INV3 = make_ring({"base": "Z", "invert": "3"})
+_EUCLIDEAN_RINGS = {
+    "Z[1/7]": make_ring({"base": "Z", "invert": "7"}),
+    "Z[1/-10]": make_ring({"base": "Z", "invert": "-10"}),
+    "Z[1/-8]": make_ring({"base": "Z", "invert": "-8"}),
+    "Z[1/12]": make_ring({"base": "Z", "invert": "12"}),
+    "Z5[1/3]": _Z_INV3.completed((_Z_INV3.el(5),), 12),
+    "Z5[1/10]": make_ring({"base": "Z", "invert": "10", "completion": {
+        "ideal": ["5"], "precision": 12}}),
+    "Z5[1/75]": make_ring({"base": "Z", "invert": "75", "completion": {
+        "ideal": ["5"], "precision": 12}}),
+    "Q": make_ring({"base": "Q"}),
+    "F7": make_ring({"base": "Fp", "p": 7}),
+    "Q[t]": make_ring({"base": "Q", "vars": ["t"]}),
+    "F5[t]": make_ring({"base": "Fp", "p": 5, "vars": ["t"]}),
+}
+
+
+@st.composite
+def _euclidean_element(draw, R, top=4):
+    """An element of R; over Z and Z_5 with an element inverted, +-2^i 3^j
+    5^k m / u^d with i, j, k at most ``top`` and d at most top // 2."""
+    if R.nvars:
+        coeffs = draw(st.lists(st.integers(-3, 3), max_size=4))
+        return R.el(Poly(R.dom, 1, {(i,): c for i, c in enumerate(coeffs)}))
+    if R.base == "Q":
+        return R.el(Fraction(draw(st.integers(-30, 30)),
+                             draw(st.integers(1, 30))))
+    if R.base == "F":
+        return R.el(draw(st.integers(0, 6)))
+    i, j, k = (draw(st.integers(0, top)) for _ in range(3))
+    num = draw(st.sampled_from([1, -1])) * 2 ** i * 3 ** j * 5 ** k * draw(
+        st.integers(0, 50))
+    return R.el(num, draw(st.integers(0, top // 2)))
+
+
+@pytest.mark.parametrize("name", sorted(_EUCLIDEAN_RINGS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_euclidean_records_satisfy_their_equations(name, data):
+    R = _EUCLIDEAN_RINGS[name]
+    a, b = data.draw(_euclidean_element(R)), data.draw(_euclidean_element(R))
+    # over Z_5[1/u] the inverse of e = a/u^d has u^d in its numerator, known
+    # mod 5^N only: e * e^-1 = 1 needs e's valuation well below N/2, so e
+    # is drawn with at most 5^2 (times m <= 50) over at most u^1 (N = 12)
+    e = data.draw(_euclidean_element(R, top=2 if R.is_completed else 4))
+    for x in (a, b, e):
+        assert x.is_unit() == (R.unit_inverse(x) is not None)
+    if e.is_unit():
+        assert e * e.inv() == R.one()
+    if b.is_zero():
+        return
+    q, r = R.divmod_el(a, b)
+    assert r.is_zero() or R.euclidean_size(r) < R.euclidean_size(b)
+    assert R.unit_part(b).is_unit()
+    # over Q_5 the canonical form divides a numerator known mod 5^N by u
+    # and so loses digits: q * b + r = a holds at precision N/2 there
+    same = (R.at_precision(R.precision // 2).el
+            if R.is_completed and R.el(5).is_unit() else R.el)
+    assert same(q * b + r) == same(a)
 
 
 # -- Z and Z_p on ints ----------------------------------------------------------
