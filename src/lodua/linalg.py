@@ -469,6 +469,8 @@ class _GroebnerSpan(_Span):
                 heads.setdefault(vec_key(head), head)
             heads.pop(vec_key((zero,) * len(self.cols)), None)
             self._syz = tuple(heads.values())
+        else:
+            self._gb.within_budget()   # a hit refuses as a query would
         return list(self._syz)
 
     def lift(self, target):
@@ -485,6 +487,8 @@ class _GroebnerSpan(_Span):
             if len(self._member) >= _MEMO_LIMIT:
                 self._member.clear()
             self._member[key] = ans
+        else:
+            self._gb.within_budget()
         return ans
 
 

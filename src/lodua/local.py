@@ -14,8 +14,8 @@ Any disagreement between the routes is a hard InternalInconsistency.  The
 routes are not fully independent: route B's degree-0 limit is the Artin-Rees
 value of the adic tower, the same `completed_module` base change route A
 computes.  What route B adds is the adic stage cross-check (over euclidean
-rings, the first min(K, 3) stages against the completed presentation) and
-the Koszul-stage probes in degrees 1..n.
+rings, the first min(K, 3) stages against the completed presentation), and
+over a completed ring only, the Koszul-stage probes in degrees 1..n.
 
 The Ext engine for descriptor pairs lives here too, in two rules:
 `ext_out_of_fp` (f.p. source, any target descriptor) and
@@ -447,9 +447,13 @@ def _lambda_route_A(d, M):
 
 
 def _lambda_route_B(d, M):
-    """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}."""
-    # weak proregularity was certified by derived_completion before either
-    # route runs; the towers may cite it
+    """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}.
+    Weak proregularity, certified by derived_completion, makes the towers
+    of degrees 1..n+1 pro-zero, so over an exact ring route B builds only
+    the adic tower of degree 0; over a completed ring it probes them all."""
+    if not M.ring.is_completed:
+        lim = lim_lim1(Tower.adic(M, d.gens)).lim
+        return {} if lim.is_zero() else {0: lim}
     stages = KoszulTensorStages(M, d.gens, wpr_certified=True)
     towers = [lim_lim1(stages.tower(s)) for s in range(0, d.n + 2)]
     out = {}
@@ -484,7 +488,8 @@ def derived_completion(d, X):
     u^-1 M / M contributes Lambda^I M shifted up by one through its defining
     triangle.  Completions are taken at the precision setting (unset: the
     ring's own, or 20 over a discrete ring), and the K and lag settings
-    bound route B's probes and the weak-proregularity question.
+    bound the weak-proregularity question and, over a completed ring,
+    route B's probes.
     """
     if d.ring.nvars > 0 or d.ring.base == "Z":
         status = _wpr_status(d)

@@ -437,6 +437,25 @@ def test_span_table_is_bounded():
     assert linalg._span.cache_info().currsize == linalg._SPAN_LIMIT
 
 
+def test_memoized_span_answers_pass_the_budget(QQxy):
+    """Syzygy heads and membership answers kept by a span are refused under
+    a budget that its basis exceeds, as a new query on it would be."""
+    import lodua
+    from lodua.errors import BudgetExceeded
+    cols = [(QQxy.el("x^2 - y"),), (QQxy.el("y^2 - x"),)]
+    target = (QQxy.el("x^3 - x*y"),)
+    linalg._span.cache_clear()
+    syz = syzygies(QQxy, cols, 1)
+    assert linalg.member(QQxy, cols, target, 1)
+    with lodua.settings(budget=1):
+        for ask in (lambda: syzygies(QQxy, cols, 1),
+                    lambda: linalg.member(QQxy, cols, target, 1),
+                    lambda: lift_through(QQxy, cols, target, 1)):
+            with pytest.raises(BudgetExceeded):
+                ask()
+    assert syzygies(QQxy, cols, 1) == syz
+
+
 def test_span_lookup_and_syzygies_skip_the_modulus(monkeypatch):
     # over Q[[x,y]] at N = 8 the modulus is the 9 monomials of degree 8: a
     # lookup compares or hashes none of them, and the syzygy rows are cut to

@@ -688,3 +688,81 @@ def test_a_regular_sequence_is_weakly_proregular_by_its_certificate(case):
         assert _wpr_status(d) == "weakly-proregular"
     out = weak_proregularity_check(ring, gens, stage_bound=3, lag=2)
     assert out["status"] == "weakly-proregular"
+
+
+# -- route B over exact rings ------------------------------------------------------
+
+_F7XY = make_ring({"base": "Fp", "p": 7, "vars": ["x", "y"]})
+_ENTRIES = ["0", "1", "x", "y", "x - y", "x^2", "x*y + 1", "y^2 - x"]
+
+
+@st.composite
+def _exact_route_B_cases(draw):
+    """A presentation with 1-2 generators and 0-2 relations, over Q[x,y] or
+    F_7[x,y] at (x, y) or (x + y, xy), or over Z at (5)."""
+    ring = draw(st.sampled_from([_QXY, _F7XY, _Z]))
+    if ring is _Z:
+        gens, entry = [5], st.integers(-30, 30)
+    else:
+        gens = draw(st.sampled_from([["x", "y"], ["x + y", "x*y"]]))
+        entry = st.sampled_from(_ENTRIES)
+    ngens = draw(st.integers(1, 2))
+    rels = draw(st.lists(st.lists(entry, min_size=ngens, max_size=ngens),
+                         max_size=2))
+    return (IdealData(ring, gens),
+            FPModule(ring, ngens, [tuple(ring.el(e) for e in col)
+                                   for col in rels]))
+
+
+@settings(max_examples=40)
+@given(_exact_route_B_cases())
+def test_exact_route_B_needs_no_koszul_stage_tower(case):
+    """Under the weak-proregularity certificate every Koszul-stage tower in
+    positive degree has zero lim and lim^1, so route B over an exact ring
+    equals the Milnor loop over all of its towers."""
+    from lodua.local import _lambda_route_B, _milnor_value, _wpr_status
+    from lodua.towers import KoszulTensorStages, lim_lim1
+    d, M = case
+    assert _wpr_status(d) == "weakly-proregular"
+    stages = KoszulTensorStages(M, d.gens, wpr_certified=True)
+    towers = [lim_lim1(stages.tower(s)) for s in range(d.n + 2)]
+    for t in towers[1:]:
+        assert t.lim.is_zero() and t.lim1.is_zero()
+    loop = {}
+    for s in range(d.n + 1):
+        value = _milnor_value(towers[s].lim, towers[s + 1].lim1)
+        if not value.is_zero():
+            loop[s] = value
+    assert ({s: v.describe() for s, v in _lambda_route_B(d, M).items()}
+            == {s: v.describe() for s, v in loop.items()})
+
+
+def _probed_kinds(doc, target, monkeypatch):
+    """The tower kinds ``towers._probe_lag`` is asked about by one cold
+    ``lambda`` on doc."""
+    import lodua.cli
+    import lodua.towers
+    kinds, probe = [], lodua.towers._probe_lag
+    monkeypatch.setattr(lodua.towers, "_probe_lag", lambda tower: (
+        kinds.append(tower.kind), probe(tower))[1])
+    lodua.towers._presented_limits.cache_clear()
+    code, _ = lodua.cli.run(doc, "lambda", {"target": target})
+    assert code == 0
+    return kinds
+
+
+def test_lambda_on_an_exact_ring_probes_no_koszul_stage_tower(monkeypatch):
+    doc = {"version": "1", "ring": {"base": "Q", "vars": ["x", "y"]},
+           "ideal": ["x", "y"],
+           "modules": {"M": {"generators": 2,
+                             "relations": [["x", "y"], ["x^2", "0"]]}}}
+    assert "koszul_stage" not in _probed_kinds(doc, "M", monkeypatch)
+
+
+def test_lambda_on_a_completed_ring_probes_koszul_stage_towers(monkeypatch):
+    import json
+    import os
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "fixtures", "zp.json")) as fh:
+        doc = json.load(fh)
+    assert "koszul_stage" in _probed_kinds(doc, "zp", monkeypatch)

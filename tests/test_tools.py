@@ -236,3 +236,32 @@ def test_counted_methods_sit_in_their_own_class():
         cls = getattr(importlib.import_module(modname), clsname)
         for attr in attrs:
             assert attr in vars(cls), f"{clsname}.{attr}"
+
+
+def test_pairs_script_records_alternating_runs(tmp_path):
+    """One pair of smoke runs on one tree: both runs land in --out in the
+    BENCH runs format, and every end-to-end metric gets its summary line."""
+    import json
+    out = tmp_path / "pairs.json"
+    out.write_text(json.dumps({"pr": 0}))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "pairs.py"),
+         "--parent", ROOT, "--change", ROOT, "--workload", "poly-sweep",
+         "--pairs", "1", "--size", "4", "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["pr"] == 0
+    assert [(r["pair"], r["side"], r["seed"], r["trace"])
+            for r in record["runs"]] == [(1, "parent", 1, 0),
+                                         (1, "change", 1, 0)]
+    assert all(r["result"]["correct"] and r["result"]["attempted"] % 4 == 0
+               for r in record["runs"])
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "poly-sweep seed 1: 1 pairs"
+    for name, line in zip(names, lines[1:], strict=True):
+        assert re.fullmatch(
+            rf"{name}: parent \S+ \[\S+, \S+\], change \S+ \[\S+, \S+\], "
+            r"change wins [01]/1, median gap \S+ (>|<=) parent IQR 0", line)
