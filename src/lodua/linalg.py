@@ -28,15 +28,12 @@ primitives once, on first use:
 
 ``ring`` asks these spans its lifts and syzygies and is not imported here.
 
-The Smith form's one elimination loop, ``_smith``, runs on the values of a
-small arithmetic record (zero test, size, divmod, multiply-add, unit part,
-inverse).  The euclidean rules are the ring's record ``Ring.euclid``: over
-Z and Z_p the loop runs on it (``Ring.int_arith``, on plain ints, over Z_p
+The Smith form's one elimination loop, ``_smith``, runs on the values of
+the ring's euclidean record ``Ring.euclid`` (zero test, size, divmod,
+multiply-add, unit part, inverse): plain ints over Z and Z_p (over Z_p
 reduced mod p^N), converted back to RingElements only for what a caller
-returns; over fields, k[t], u^-1 Z and Z_p[1/u] on ``_ElArith``, on
-RingElements, which forwards each rule to the ring and so to its record.
-Both pick the same pivots and divide the same way, so they give the same
-transforms.
+returns, and RingElements over fields, k[t], u^-1 Z and Z_p[1/u].  The
+rules are the ring's; ``linalg`` has no arithmetic of its own.
 """
 
 from functools import lru_cache
@@ -68,11 +65,14 @@ def mat_mul(ring, A, B):
 
 
 def mat_vec(ring, A, v):
-    return tuple(_mat_vec(_ElArith(ring), A, v))
+    zero = ring.zero()
+    return tuple([sum([a * x for a, x in zip(row, v)
+                       if not a.is_zero() and not x.is_zero()], zero)
+                  for row in A])
 
 
 def _mat_vec(ar, A, v):
-    """A*v on the values of the arithmetic ar (Ring.int_arith or _ElArith)."""
+    """A*v on the values of the euclidean record ar (``Ring.euclid``)."""
     zero, is_zero, add_mul = ar.zero, ar.is_zero, ar.add_mul
     out = []
     for row in A:
@@ -94,52 +94,6 @@ def vec_is_zero(v):
 
 
 # -- Smith normal form over euclidean rings ------------------------------------
-
-
-class _ElArith:
-    """RingElements; each euclidean rule is the ring's own."""
-
-    __slots__ = ("ring", "zero", "one")
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.zero, self.one = ring.zero(), ring.one()
-
-    def from_el(self, e):
-        return e
-
-    def to_el(self, a):
-        return a
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def is_unit(self, a):
-        return a.is_unit()
-
-    def size(self, a):
-        return self.ring.euclidean_size(a)
-
-    def divmod(self, a, b):
-        return self.ring.divmod_el(a, b)
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def add_mul(self, a, c, b):
-        return a + c * b
-
-    def sub_mul(self, a, c, b):
-        return a - c * b
-
-    def unit(self, d):
-        return self.ring.unit_part(d)
-
-    def inv(self, u):
-        return u.inv()
 
 
 def _rows(ar, cols, nrows):
@@ -383,10 +337,9 @@ def _invariant_factors(ar, D):
 class _Span:
     """The span of some columns in A^nrows; ``cols`` is their key (see
     ``Ring.vec_key``).  Over a ring without variables it answers every
-    question from the Smith form of the columns, built on first use with the
-    ring's ``int_arith`` over Z and Z_p, else ``_ElArith``, and stored, as
-    tuples, only once complete; syzygies, lifts and membership are read off
-    it on every call.
+    question from the Smith form of the columns, built on first use on the
+    ring's record ``Ring.euclid`` and stored, as tuples, only once complete;
+    syzygies, lifts and membership are read off it on every call.
     """
 
     __slots__ = ("ring", "nrows", "cols", "_form")
@@ -406,10 +359,10 @@ class _Span:
         form = self._form
         if form is None:
             ring = self.ring
-            if not ring.is_euclidean:
+            ar = ring.euclid
+            if ar is None:
                 raise UnsupportedRing(
                     f"Smith form needs a euclidean ring, not {ring}")
-            ar = ring.int_arith or _ElArith(ring)
             rows = _rows(ar, self.columns(), self.nrows)
             form = self._form = (ar, tuple(tuple(map(tuple, X))
                                            for X in _smith(ar, rows)))

@@ -625,32 +625,29 @@ def gm_ses_check(d, desc, s):
     # refused unless both terms are recognized and one of them vanishes
     L = _local_homology(d, desc, s, right, left,
                         _wpr_status(d) == "weakly-proregular")
-    report = {
-        "lim1_tor_next": left.describe(),
-        "L_s": L.describe(),
-        "lim_tor": right.describe(),
-    }
-    if left.is_zero():
-        ok, detail = values_agree(L, right)
-        if not ok:
-            raise InternalInconsistency(f"GM sequence fails exactness: {detail}")
-        report["exactness"] = ("left term vanishes; the epimorphism "
-                               "L_s -> lim Tor_s is the certified isomorphism "
-                               f"({detail})")
-        if right.kind == "module" and L.kind == "module" \
-                and L.payload.ring == right.payload.ring \
-                and L.payload.ring.is_euclidean:
-            w = iso_check(L.payload, right.payload)
-            report["witness"] = w.reason
-        else:
-            report["witness"] = detail
-        return {"status": "exact", **report}
-    ok, detail = values_agree(L, left)
+    if not left.is_zero():
+        # Tower.tor builds zero, adic or Tor towers, and _limits gives each
+        # lim^1 = 0: by definition, by M = IM or Mittag-Leffler, and by
+        # Artin-Rees
+        raise InternalInconsistency(
+            f"lim^1 Tor_{s + 1} is not zero: {left.describe()}")
+    ok, detail = values_agree(L, right)
     if not ok:
         raise InternalInconsistency(f"GM sequence fails exactness: {detail}")
-    report["exactness"] = ("right term vanishes; lim^1 Tor_(s+1) -> L_s "
-                           f"is the certified isomorphism ({detail})")
-    return {"status": "exact", **report}
+    if right.kind == "module" and L.kind == "module" \
+            and L.payload.ring == right.payload.ring \
+            and L.payload.ring.is_euclidean:
+        witness = iso_check(L.payload, right.payload).reason
+    else:
+        witness = detail
+    return {"status": "exact",
+            "lim1_tor_next": left.describe(),
+            "L_s": L.describe(),
+            "lim_tor": right.describe(),
+            "exactness": ("left term vanishes; the epimorphism "
+                          "L_s -> lim Tor_s is the certified isomorphism "
+                          f"({detail})"),
+            "witness": witness}
 
 
 def adic_completion(M, d):

@@ -19,11 +19,14 @@ compute there and build the canonical element directly, with no ``Poly``
 arithmetic and no ``_normal``.  ``_IntArith`` is the one home of the mod p^N
 rule of Z_p (the numerators of Z_p[1/u] are reduced by Z_p's record).
 
-The ring is the one home of euclidean arithmetic: ``divmod_el``,
-``euclidean_size``, ``unit_part``, ``is_unit_el`` and ``unit_inverse`` each
-make one call to the ring's record ``Ring.euclid``.  Z and Z_p hold their
-``_IntArith``, which the Smith loop of ``linalg`` runs on too; u^-1 Z and
-Z_p[1/u] share ``_LocalArith``; fields and k[t] share ``_LeadArith``.
+The ring is the one home of euclidean arithmetic: every euclidean ring
+holds one record ``Ring.euclid``, and the Smith loop of ``linalg`` runs on
+it.  Z and Z_p hold their ``_IntArith``; u^-1 Z and Z_p[1/u] share
+``_LocalArith``; fields and k[t] share ``_LeadArith``.  The last two take
+their value operations (zero, one, negation, products) from
+``_ElementArith``, the ring's own operators on RingElements.  ``divmod_el``,
+``unit_part``, ``is_unit_el`` and ``unit_inverse`` each make one call to
+the record.
 
 Lifts and syzygies are asked of ``linalg``'s spans (``unit_inverse`` off
 power series, ``_divide_exact`` over a quotient, ``_reject_zerodivisor``);
@@ -516,13 +519,6 @@ class Ring:
         q, r = ar.divmod(ar.from_el(a), ar.from_el(b))
         return ar.to_el(q), ar.to_el(r)
 
-    def euclidean_size(self, a):
-        a = self.el(a)
-        if a.is_zero():
-            return -1
-        ar = self._euclidean("euclidean size")
-        return ar.size(ar.from_el(a))
-
     def unit_part(self, d):
         """u with d = u * canonical(d), for nonzero d of a euclidean ring:
         the sign over Z, the part prime to p over Z_p, the unit that the
@@ -674,25 +670,54 @@ class _IntArith:
         return pow(u, -1, self.m) if self.m else u
 
 
-class _LocalArith:
-    """u^-1 B for B = Z or Z_p, on RingElements: B's rules (its
-    ``_IntArith``) on the numerator once every factor it shares with w, the
-    part of u that B does not invert (|u| over Z, the power of p in u over
-    Z_p), is divided out.  So Z_p[1/u] is Q_p when p | u, else Z_p."""
+class _ElementArith:
+    """The value operations of a record whose values are RingElements: the
+    identity ``from_el``/``to_el`` and the ring's own operators."""
 
-    __slots__ = ("ring", "ints", "u", "w")
+    __slots__ = ("ring",)
 
     def __init__(self, ring):
-        self.ring, self.u = ring, int(ring.inverted.constant())
-        self.ints = ints = ring.without_inversion().int_arith
-        self.w = ints.mul(self.u, ints.inv(ints.unit(self.u)))
-        if not self.w:  # u is 0 mod p^N, and u/u = 1 would be 0
-            raise UnsupportedRing(f"{self.u} is 0 in {ring}")
+        self.ring = ring
+
+    zero = property(lambda self: self.ring.zero())
+    one = property(lambda self: self.ring.one())
 
     def from_el(self, e):
         return e
 
     to_el = from_el
+
+    def is_zero(self, a):
+        return a.is_zero()
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def add_mul(self, a, c, b):
+        return a + c * b
+
+    def sub_mul(self, a, c, b):
+        return a - c * b
+
+
+class _LocalArith(_ElementArith):
+    """u^-1 B for B = Z or Z_p, on RingElements: B's rules (its
+    ``_IntArith``) on the numerator once every factor it shares with w, the
+    part of u that B does not invert (|u| over Z, the power of p in u over
+    Z_p), is divided out.  So Z_p[1/u] is Q_p when p | u, else Z_p."""
+
+    __slots__ = ("ints", "u", "w")
+
+    def __init__(self, ring):
+        super().__init__(ring)
+        self.u = int(ring.inverted.constant())
+        self.ints = ints = ring.without_inversion().int_arith
+        self.w = ints.mul(self.u, ints.inv(ints.unit(self.u)))
+        if not self.w:  # u is 0 mod p^N, and u/u = 1 would be 0
+            raise UnsupportedRing(f"{self.u} is 0 in {ring}")
 
     def _split(self, e):
         """(s, c, f) with e's numerator s * c * f: f the product of the
@@ -720,7 +745,11 @@ class _LocalArith:
 
     def inv(self, e):
         """e = c * f / u^d has the inverse c^-1 * (u^(d+k) / f) / u^k, k
-        the least with f | u^(d+k): canonical, so no numerator is divided."""
+        the least with f | u^(d+k): canonical, so no numerator is divided.
+        A non-unit, such as the zero that the precision seam of Z_p[1/u]
+        can leave as an inverse, has none."""
+        if not self.is_unit(e):
+            raise ZeroDivisionError(f"{e} is not a unit in {self.ring}")
         (_, c, f), n = self._split(e), self.u ** e.dexp
         k = 0
         while n % f:
@@ -728,17 +757,12 @@ class _LocalArith:
         return self.ring.el(self.ints.mul(self.ints.inv(c), n // f), k)
 
 
-class _LeadArith:
+class _LeadArith(_ElementArith):
     """A field or k[t], on RingElements: one leading-term division, the
     degree plus one as the size (a nonzero element is a unit exactly when
     its size is 1) and the leading coefficient as the unit part."""
 
-    __slots__ = ("ring",)
-
-    def __init__(self, ring):
-        self.ring = ring
-
-    from_el = to_el = _LocalArith.from_el
+    __slots__ = ()
 
     def size(self, a):
         return a.num.total_degree() + 1

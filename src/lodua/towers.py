@@ -548,8 +548,17 @@ def completion_cokernel(M, ideal_gens):
 
 def completed_ring(ring, ideal_gens):
     """A^ at the ideal, at the precision setting; a ring that is already
-    completed is completed again, at the sum of both ideals."""
-    gens = tuple(ring.el(g).num for g in ideal_gens)
+    completed is completed again, at the sum of both ideals.  Over a ring
+    without variables an ideal with a unit is refused: its completion is
+    the zero ring, which has no model here."""
+    els = [ring.el(g) for g in ideal_gens]
+    if ring.nvars == 0:
+        for e in els:
+            if e.is_unit():
+                raise UnsupportedRing(
+                    f"the ideal contains the unit {e.render()} of {ring}, so "
+                    "the completion is the zero ring")
+    gens = tuple(e.num for e in els)
     if ring.is_completed:
         old = set(g.num for g in (ring.el(h) for h in ring.completion[0]))
         gens = tuple(sorted(old | set(gens), key=lambda p: sorted(p.terms)))
@@ -742,6 +751,10 @@ def _limits(tower):
         return _koszul_stage_limits(tower)
     if kind == "explicit":
         return _explicit_limits(tower)
+    if kind == "koszul_homology":
+        raise UnrecognizedTower(
+            "no limit rule for Koszul homology towers H_s(Kos(x^k)); "
+            "weak_proregularity_check decides whether they are pro-zero")
     raise InvalidInput(f"unknown tower kind {kind}")
 
 

@@ -1233,6 +1233,27 @@ def test_torsion_and_lambda_local_verbs(target, torsion, local):
                                            else "not-local")
 
 
+@pytest.mark.parametrize("ring", [
+    {"base": "Z", "invert": "5"}, {"base": "Z", "invert": "10"},
+    {"base": "Q"},
+    {"base": "Z", "completion": {"ideal": ["5"], "precision": 6},
+     "invert": "5"}], ids=["Z[1/5]", "Z[1/10]", "Q", "Q_5"])
+def test_an_ideal_with_a_unit_is_refused(ring, tmp_path, capsys):
+    # 5 is a unit of each ring, so the completion at (5) is the zero ring
+    import lodua.cli
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "ring": ring, "ideal": ["5"],
+        "modules": {"F": {"generators": 1, "relations": []}}}))
+    for verb in (["complete", "--module", "F"], ["lambda", "--target", "F"],
+                 ["localhom", "--target", "F", "--s", "0"]):
+        assert lodua.cli.main([*verb, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("inconclusive: the ideal contains "
+                                       "the unit 5 of ")
+
+
 @pytest.mark.parametrize("invert, source", [("5", ["48"]), ("4", ["3"])])
 def test_a_localized_integer_document_completes_at_another_prime(
         tmp_path, invert, source):

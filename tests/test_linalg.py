@@ -10,6 +10,7 @@ from lodua import UnsupportedRing, linalg, make_ring, smith_normal_form
 from lodua.linalg import (invariant_factors, lift_through, mat_mul, mat_vec,
                           syzygies)
 from lodua.poly import Poly
+from lodua.ring import _ElementArith, _IntArith
 
 
 def as_mat(ring, rows):
@@ -139,9 +140,10 @@ def test_invariant_factors(ZZ):
 
 # -- the integer arithmetic against the RingElement arithmetic -----------------
 #
-# Over Z and Z_p the Smith loop runs on plain ints; the RingElement
-# arithmetic, which goes through Ring.divmod_el and Ring.euclidean_size, must
-# make exactly the same choices, so every transform and every answer agrees.
+# Over Z and Z_p the Smith loop runs on plain ints; the same loop run on
+# RingElements, each rule asked of the ring's element API (Ring.divmod_el,
+# Ring.unit_part, RingElement.is_unit and inv), must make exactly the same
+# choices, so every transform and every answer agrees.
 
 _Z = make_ring({"base": "Z"})
 _Z5 = {N: make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": N}})
@@ -173,10 +175,31 @@ def _int_matrices(draw):
     return ring, A, target
 
 
+class _ElementReference(_ElementArith):
+    """The Smith loop's record on RingElements of Z or Z_p: the reference
+    the integer record is compared against."""
+
+    __slots__ = ()
+
+    def size(self, a):
+        ints = self.ring.int_arith
+        return ints.size(ints.from_el(a))
+
+    def is_unit(self, a):
+        return a.is_unit()
+
+    def divmod(self, a, b):
+        return self.ring.divmod_el(a, b)
+
+    def unit(self, d):
+        return self.ring.unit_part(d)
+
+    def inv(self, u):
+        return u.inv()
+
+
 def _both_arithmetics(ring):
-    from lodua.linalg import _ElArith
-    from lodua.ring import _IntArith
-    return _IntArith(ring), _ElArith(ring)
+    return _IntArith(ring), _ElementReference(ring)
 
 
 def _as_elements(ar, X):

@@ -264,4 +264,36 @@ def test_pairs_script_records_alternating_runs(tmp_path):
     for name, line in zip(names, lines[1:], strict=True):
         assert re.fullmatch(
             rf"{name}: parent \S+ \[\S+, \S+\], change \S+ \[\S+, \S+\], "
-            r"change wins [01]/1, median gap \S+ (>|<=) parent IQR 0", line)
+            r"change wins [01]/1, median gap \S+ (>|<=) parent IQR 0; "
+            r"(worse|unresolved|no regression)", line)
+
+
+def test_pairs_summary_gives_a_regression_verdict():
+    """Each verdict of the no-regression rule, on synthetic runs of a
+    lower-is-better metric and a higher-is-better one, both of bound 0.25."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "pairs", os.path.join(ROOT, "tools", "pairs.py"))
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    metrics = [{"name": "t", "better": "lower", "bound": 0.25},
+               {"name": "q", "better": "higher", "bound": 0.25}]
+
+    def verdicts(parent, change):
+        runs = [{"pair": p, "side": side,
+                 "result": {"metrics": {"t": {"value": v},
+                                        "q": {"value": 2 / v}}}}
+                for side, values in (("parent", parent), ("change", change))
+                for p, v in enumerate(values, 1)]
+        return [line.rsplit("; ", 1)[1] for line in pairs.summary(runs, metrics)]
+
+    steady = [1.0, 1.0, 1.01, 0.99, 1.0]
+    # the median 1.3 is 30% worse, and 2/1.3 is 23% worse than 2
+    assert verdicts(steady, [1.3] * 5) == ["worse", "no regression"]
+    assert verdicts(steady, [1.2] * 5) == ["no regression", "no regression"]
+    assert verdicts(steady, [1.6] * 5) == ["worse", "worse"]
+    # a spread of 0.4 around the median 1 is wider than the bound
+    noisy = [0.6, 0.8, 1.0, 1.2, 1.4]
+    assert verdicts(noisy, [1.0] * 5) == ["unresolved", "unresolved"]
+    # unless every change run beats every parent run
+    assert verdicts(noisy, [0.5] * 5) == ["no regression", "no regression"]

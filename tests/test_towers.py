@@ -6,8 +6,9 @@ import lodua
 from lodua import (FPModule, FPObj, LoduaError, Rational, Telescope,
                    TelescopeQuotient, Tower, is_pro_trivial, iso_check,
                    lim_lim1, make_ring, weak_proregularity_check)
+from lodua.errors import UnrecognizedTower
 from lodua.modules import identity_map, quotient_by_ideal_power
-from lodua.towers import (_TOWER_LIMIT, KoszulTensorStages,
+from lodua.towers import (_TOWER_LIMIT, KoszulStages, KoszulTensorStages,
                           _presented_limits, mult_tower_values)
 
 from conftest import zmod
@@ -320,3 +321,45 @@ def test_the_table_holds_at_most_its_bound(ZZ):
     info = _presented_limits.cache_info()
     assert info.misses == _TOWER_LIMIT + 8
     assert info.currsize == _TOWER_LIMIT
+
+
+_TOR_RINGS = {
+    "Z": ({"base": "Z"}, ["5"], "5"),
+    "Z_5": ({"base": "Z", "completion": {"ideal": ["5"], "precision": 20}},
+            ["5"], "5"),
+    "Q[x,y]": ({"base": "Q", "vars": ["x", "y"]}, ["x", "y"], "x"),
+}
+
+
+def _tor_descriptor(kind, ring, gens, mult):
+    if kind == "fp":  # torsion and a free summand
+        return FPObj(FPModule(ring, 2, [(gens[0], 0)]))
+    if kind == "telescope":
+        return Telescope(FPModule.free(ring, 1), mult)
+    if kind == "telescope_quotient":
+        return TelescopeQuotient(FPModule.free(ring, 1), mult)
+    return Rational(ring, 1)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("ring_name, kind", [
+    (r, k) for r in _TOR_RINGS
+    for k in ("fp", "telescope", "telescope_quotient", "rational")
+    if k != "rational" or r != "Q[x,y]"])   # Q^d lives over Z
+def test_tor_towers_have_no_lim1(ring_name, kind, s):
+    # zero towers by definition, adic towers by M = IM or Mittag-Leffler,
+    # Tor towers by Artin-Rees: the right-term-vanishes case of
+    # local.gm_ses_check cannot arise
+    doc, gens, mult = _TOR_RINGS[ring_name]
+    ring = make_ring(doc)
+    gens = [ring.el(g) for g in gens]
+    desc = _tor_descriptor(kind, ring, gens, ring.el(mult))
+    assert lim_lim1(Tower.tor(desc, gens, s)).lim1.is_zero()
+
+
+def test_koszul_homology_towers_have_no_limit_rule(QQxy):
+    tower = KoszulStages(QQxy, ["x", "y"]).tower(1)
+    with pytest.raises(UnrecognizedTower,
+                       match="no limit rule for Koszul homology towers.*"
+                             "weak_proregularity_check"):
+        lim_lim1(tower)

@@ -19,8 +19,9 @@ better than the parent's in the same pair, in the metric's direction; a tie
 counts for neither), and whether the gap between the medians, in the
 metric's better direction, exceeds the parent's interquartile range.  A
 gain counts as a claim when the change wins at least nine pairs in ten and
-that gap exceeds the IQR.  It exits 1 when a run fails or reports wrong
-answers.
+that gap exceeds the IQR.  The line ends with the regression verdict (see
+``verdict``) read against the metric's ``bound`` in ``BENCHMARK.json``.
+It exits 1 when a run fails or reports wrong answers.
 """
 
 import argparse
@@ -66,6 +67,24 @@ def quartiles(values):
     return q1, med, q3
 
 
+def verdict(par, chg, bound, lower):
+    """The no-regression rule for one metric, on the runs of each side.
+
+    ``worse`` when the change's median is worse than the parent's by more
+    than bound times the parent's median; ``unresolved`` when the parent's
+    interquartile range exceeds bound times its median and not every change
+    run beats every parent run; ``no regression`` otherwise.
+    """
+    (pq1, pmed, pq3), (_, cmed, _) = quartiles(par), quartiles(chg)
+    worse_by = cmed - pmed if lower else pmed - cmed
+    if worse_by > bound * abs(pmed):
+        return "worse"
+    beats_all = max(chg) < min(par) if lower else min(chg) > max(par)
+    if pq3 - pq1 > bound * abs(pmed) and not beats_all:
+        return "unresolved"
+    return "no regression"
+
+
 def summary(runs, metrics):
     """One line per metric over the runs of one workload and seed."""
     sides = {"parent": {}, "change": {}}
@@ -84,7 +103,8 @@ def summary(runs, metrics):
                    f"change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}], "
                    f"change wins {wins}/{len(pairs)}, median gap {gap:.4g} "
                    f"{'>' if gap > pq3 - pq1 else '<='} parent IQR "
-                   f"{pq3 - pq1:.4g}")
+                   f"{pq3 - pq1:.4g}; "
+                   f"{verdict(par, chg, m['bound'], lower)}")
     return out
 
 
