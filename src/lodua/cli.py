@@ -23,7 +23,7 @@ settings in force with the budget resolved; the ``Problem`` is built from
 those bytes, so it shares no object with the caller's document.  A hit is
 the cold parse: after construction nothing changes a ``Problem`` but memos
 of pure functions of its objects and the settings (module membership and
-decomposition, regularity and weak proregularity of the ideal, comodule
+decomposition, the regularity certificate of the ideal, comodule
 coactions, homology of a complex), and the key covers both.  A refusal is
 not stored, and a document holding anything but builtin JSON-like values
 (marshal refuses it) is parsed on every call.
@@ -402,8 +402,8 @@ def _run(problem, verb, cmd):
         report["result"] = out
         code = {"local": 0, "not-local": 1, "inconclusive": 2}[out["verdict"]]
     elif verb == "proreg-check":
-        out = weak_proregularity_check(problem.ring, d.gens,
-                                       min(current().K, 4), current().lag)
+        out = weak_proregularity_check(problem.ring, d.gens, current().K,
+                                       current().lag)
         report["result"] = out
         code = 0 if out["status"] == "weakly-proregular" else 2
     elif verb in ("comodule-limit", "comodule-complete"):

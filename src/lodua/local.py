@@ -10,12 +10,17 @@ side is computed by two routes that are cross-checked:
            telescope/completion-comparison model RHom(x^-1 A, M) = [M -> M^];
   route B: Milnor sequences over the towers Kos(x^k) (x) C.
 
-Any disagreement between the routes is a hard InternalInconsistency.  The
-routes are not fully independent: route B's degree-0 limit is the Artin-Rees
-value of the adic tower, the same `completed_module` base change route A
-computes.  What route B adds is the adic stage cross-check (over euclidean
-rings, the first min(K, 3) stages against the completed presentation), and
-over a completed ring only, the Koszul-stage probes in degrees 1..n.
+Any disagreement between the routes is a hard InternalInconsistency.  Every
+supported ring is Noetherian, and in a Noetherian ring every finite sequence
+is weakly proregular (Schenzel, Math. Scand. 92, 2003; Porta, Shaul and
+Yekutieli, Algebr. Represent. Theory 17, 2014), so the towers of route B in
+degrees 1..n+1 are pro-zero and its Milnor sequences leave the limit of the
+adic tower in degree 0.  The routes are therefore not fully independent:
+that limit is the same `completed_module` base change route A computes.
+What route B adds is the adic stage cross-check (over euclidean rings, the
+first min(K, 3) stages against the completed presentation), and over a
+completed ring only, the lag probes of the Koszul-stage towers in degrees
+1..n.
 
 The Ext engine for descriptor pairs lives here too, in two rules:
 `ext_out_of_fp` (f.p. source, any target descriptor) and
@@ -26,12 +31,11 @@ completeness grid (`criteria.ext_telescope`) both call it.
 """
 
 from .complexes import ChainComplex
-from .context import current, resolved
+from .context import resolved
 from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
                           Telescope, TelescopeQuotient, descriptor_of,
                           value_of, values_agree)
-from .errors import (InternalInconsistency, InvalidInput, UnrecognizedTower,
-                     UnsupportedRing)
+from .errors import InternalInconsistency, InvalidInput, UnsupportedRing
 from .koszul import koszul_cochain
 from .linalg import member
 from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
@@ -41,12 +45,11 @@ from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
 from .ring import _reject_zerodivisor
 from .sequences import is_regular_sequence
 from .towers import (KoszulTensorStages, Tower, _require_radical_membership,
-                     completed_module, lim_lim1, mult_tower_values,
-                     weak_proregularity_check)
+                     completed_module, lim_lim1, mult_tower_values)
 
 
 class IdealData:
-    """An ordered generating sequence with its regularity certificates."""
+    """An ordered generating sequence with its regularity certificate."""
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -54,7 +57,6 @@ class IdealData:
         if any(g.is_zero() for g in self.gens):
             raise InvalidInput("ideal generators must be nonzero")
         self._regular = None
-        self._wpr = {}
 
     @property
     def n(self):
@@ -67,13 +69,6 @@ class IdealData:
         if self._regular is None:
             self._regular = is_regular_sequence(self.ring, self.gens)
         return self._regular
-
-    def weak_proregularity(self, stage_bound, lag):
-        key = (stage_bound, lag)
-        if key not in self._wpr:
-            self._wpr[key] = weak_proregularity_check(
-                self.ring, self.gens, stage_bound=stage_bound, lag=lag)
-        return self._wpr[key]
 
     def describe(self):
         return {"gens": [g.render() for g in self.gens], "ring": repr(self.ring)}
@@ -448,28 +443,23 @@ def _lambda_route_A(d, M):
 
 def _lambda_route_B(d, M):
     """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}.
-    Weak proregularity, certified by derived_completion, makes the towers
-    of degrees 1..n+1 pro-zero, so over an exact ring route B builds only
-    the adic tower of degree 0; over a completed ring it probes them all."""
-    if not M.ring.is_completed:
-        lim = lim_lim1(Tower.adic(M, d.gens)).lim
-        return {} if lim.is_zero() else {0: lim}
-    stages = KoszulTensorStages(M, d.gens, wpr_certified=True)
-    towers = [lim_lim1(stages.tower(s)) for s in range(0, d.n + 2)]
-    out = {}
-    for s in range(0, d.n + 1):
-        value = _milnor_value(towers[s].lim, towers[s + 1].lim1)
-        if value is None:
-            value = LimitModule.unrecognized("nonsplit extension not resolved")
-        if not value.is_zero():
-            out[s] = value
-    return out
+    The sequence is weakly proregular, so the towers of degrees 1..n+1 are
+    pro-zero and route B is the limit of the adic tower in degree 0.  Over
+    a completed ring the Koszul-stage towers of degrees 1..n are still asked
+    of the tower table, for their lag probe's stage cross-check."""
+    lim = lim_lim1(Tower.adic(M, d.gens)).lim
+    if M.ring.is_completed:
+        stages = KoszulTensorStages(M, d.gens)
+        for s in range(1, d.n + 1):
+            lim_lim1(stages.tower(s))
+    return {} if lim.is_zero() else {0: lim}
 
 
 def _milnor_value(lim, lim1):
     """The middle term of 0 -> lim^1 -> X -> lim -> 0 when an outer term
     vanishes; unrecognized, with both terms as evidence, when either term
-    is; None when both are nonzero, a case each caller settles its own way."""
+    is; None when both are nonzero, which ``ext_out_of_telescope`` reports
+    as a Milnor extension."""
     if not lim.is_recognized() or not lim1.is_recognized():
         return LimitModule.unrecognized({"lim": lim.describe(),
                                          "lim1": lim1.describe()})
@@ -488,14 +478,10 @@ def derived_completion(d, X):
     u^-1 M / M contributes Lambda^I M shifted up by one through its defining
     triangle.  Completions are taken at the precision setting (unset: the
     ring's own, or 20 over a discrete ring), and the K and lag settings
-    bound the weak-proregularity question and, over a completed ring,
-    route B's probes.
+    bound route B's probes over a completed ring.  No weak-proregularity
+    question is asked: every finite sequence of a Noetherian ring is weakly
+    proregular.
     """
-    if d.ring.nvars > 0 or d.ring.base == "Z":
-        status = _wpr_status(d)
-        if status != "weakly-proregular":
-            raise UnrecognizedTower(
-                f"weak proregularity not certified: {status}")
     obj = GradedObject.of(X)
     accA, accB = {}, {}
     for dgr, piece in obj.pieces.items():
@@ -515,7 +501,9 @@ def derived_completion(d, X):
         va = accA.get(n, LimitModule.zero())
         vb = accB.get(n, LimitModule.zero())
         if not va.is_recognized() or not vb.is_recognized():
-            raise UnrecognizedTower(
+            # route A returns a completed module and route B an adic limit,
+            # and both are always recognized
+            raise InternalInconsistency(
                 f"derived completion unrecognized in degree {n}")
         ok, detail = values_agree(va, vb)
         if not ok:
@@ -536,7 +524,6 @@ def local_homology_Ls(d, desc, s):
     the adic tower of a telescope quotient, with its stage cross-check)
     goes through ``lim_lim1``.  ``gm_ses_check`` materializes both towers.
     """
-    stamped = _wpr_status(d) == "weakly-proregular"
     desc = _as_descriptor(desc, d.ring)
     lim = lim_lim1(Tower.tor(desc, d.gens, s)).lim
     nxt = Tower.tor(desc, d.gens, s + 1)
@@ -545,46 +532,26 @@ def local_homology_Ls(d, desc, s):
                                       "positive degree vanishes")
     else:
         lim1 = lim_lim1(nxt).lim1
-    return _local_homology(d, desc, s, lim, lim1, stamped)
+    return _local_homology(d, desc, s, lim, lim1)
 
 
-def _wpr_status(d):
-    """The one weak-proregularity question of the completion side.
-
-    A regular sequence is weakly proregular with every Koszul homology
-    stage zero, since the powers of a regular sequence are regular
-    (Matsumura, Commutative Ring Theory, Thm 16.1; Schenzel, Math. Scand.
-    92, 2003), so its regularity certificate answers without a stage
-    built, in the ring the bounded check works in.  Any other sequence gets
-    the bounded check: three stages of the Koszul homology towers, lag
-    max(2, lag setting // 3).
-    """
-    if d.regular_certificate().regular:
-        return "weakly-proregular"
-    return d.weak_proregularity(3, max(2, current().lag // 3))["status"]
-
-
-def _local_homology(d, desc, s, lim, lim1, stamped):
-    """L_s from lim Tor_s and lim^1 Tor_(s+1); checked against Lambda when
-    the sequence is weakly proregular (``stamped``), marked otherwise."""
-    value = _milnor_value(lim, lim1)
-    if value is None:
-        raise UnrecognizedTower("nonsplit Greenlees-May extension")
-    if not value.is_recognized():
-        raise UnrecognizedTower("Greenlees-May towers unrecognized",
-                                evidence=value.evidence)
-    if not stamped:
-        # the identification with the completion functor is only a theorem
-        # under weak proregularity; report the tower answer, stamped
-        return LimitModule(value.kind, value.payload, value.precision,
-                           basis=(value.basis or "") +
-                           " [formula outside verified hypotheses]")
+def _local_homology(d, desc, s, lim, lim1):
+    """L_s, the extension of lim Tor_s by lim^1 Tor_(s+1), checked against
+    Lambda: the sequence is weakly proregular, so L_s is H_s of the derived
+    completion (Greenlees-May)."""
+    if not lim.is_recognized() or not lim1.is_zero():
+        # both callers pass limits of towers Tower.tor builds: zero, adic
+        # or Tor towers, whose lim is always recognized and whose lim^1 is
+        # zero (tests/test_towers.py::test_tor_towers_have_no_lim1)
+        raise InternalInconsistency(
+            f"Greenlees-May extension unresolved: lim {lim.describe()}, "
+            f"lim^1 {lim1.describe()}")
     lam = _cached_lambda(d, desc)
-    ok, detail = values_agree(value, lam.value(s))
+    ok, detail = values_agree(lim, lam.value(s))
     if not ok:
         raise InternalInconsistency(
             f"L_{s} disagrees with the telescope route: {detail}")
-    return value
+    return lim
 
 
 _LAMBDA_CACHE = {}
@@ -622,15 +589,9 @@ def gm_ses_check(d, desc, s):
     desc = _as_descriptor(desc, d.ring)
     t_s, t_s1 = [lim_lim1(Tower.tor(desc, d.gens, t)) for t in (s, s + 1)]
     left, right = t_s1.lim1, t_s.lim
-    # refused unless both terms are recognized and one of them vanishes
-    L = _local_homology(d, desc, s, right, left,
-                        _wpr_status(d) == "weakly-proregular")
-    if not left.is_zero():
-        # Tower.tor builds zero, adic or Tor towers, and _limits gives each
-        # lim^1 = 0: by definition, by M = IM or Mittag-Leffler, and by
-        # Artin-Rees
-        raise InternalInconsistency(
-            f"lim^1 Tor_{s + 1} is not zero: {left.describe()}")
+    # an InternalInconsistency unless the right term is recognized and the
+    # left one vanishes
+    L = _local_homology(d, desc, s, right, left)
     ok, detail = values_agree(L, right)
     if not ok:
         raise InternalInconsistency(f"GM sequence fails exactness: {detail}")

@@ -6,25 +6,25 @@ stages, after Greenlees & May) materialize one way: a StageComplexes object
 builds each complex C_k and each chain map C_(k+1) -> C_k once, and a
 homology tower is ``stages.tower(s)``, whose stage k is H_s(C_k) and whose
 transition k is H_s of the chain map, so the complexes' own homology memo
-is the only one.  The lim/lim^1 engine only ever reports a value
-when a recognition rule with an exact justification applies (Artin-Rees for
-adic and Tor towers of finitely presented modules, Mittag-Leffler via
-surjective or stabilized images, multiplication towers via the
-completion-comparison model RHom(tel_x A, M) = [M -> M^]); anything else is
-reported as `unrecognized`, carrying the materialized evidence, never a
-guess.
+is the only one.  The lim/lim^1 engine only ever reports a value when a
+recognition rule with an exact justification applies (Artin-Rees for adic
+and Tor towers of finitely presented modules, and for Koszul-stage towers
+with weak proregularity, which every finite sequence of a Noetherian ring
+has; Mittag-Leffler via surjective or stabilized images; multiplication
+towers via the completion-comparison model RHom(tel_x A, M) = [M -> M^]);
+anything else is reported as `unrecognized`, carrying the materialized
+evidence, never a guess.
 
 The limits of an adic, Tor or Koszul-stage tower depend only on a
 presentation and the settings, so ``lim_lim1`` keeps them in one
 process-wide LRU table of 256 (``_TOWER_LIMIT``), and every caller reuses a
 limit an earlier verb computed.  Its key is the kind and degree, the
 module's ring, generator count and ``Ring.vec_key`` of each relation in
-order, the ideal's generators, the resolution length (Tor) or the
-weak-proregularity flag (Koszul stages), and ``context.resolved`` settings
-(precision, K, lag and step budget as a computation reads them).  A hit
-returns what a cold computation on that key returned, and a refusal is
-never stored, so no answer depends on what ran before; a hit spends no
-budget steps.
+order, the ideal's generators, the resolution length (Tor), and the
+``context.resolved`` settings (precision, K, lag and step budget as a
+computation reads them).  A hit returns what a cold computation on that
+key returned, and a refusal is never stored, so no answer depends on what
+ran before; a hit spends no budget steps.
 """
 
 from functools import cached_property, lru_cache
@@ -121,16 +121,15 @@ class KoszulStages(StageComplexes):
 
 class KoszulTensorStages(StageComplexes):
     """C_k = Kos(x^k) (x) M for an f.p. module M, with the chain maps
-    ``koszul_transition`` (x) id_M; ``wpr_certified`` lets its towers cite
-    weak proregularity of the sequence, certified by the caller."""
+    ``koszul_transition`` (x) id_M; its towers cite weak proregularity of
+    the sequence, which every finite sequence of a Noetherian ring has."""
 
     kind = "koszul_stage"
 
-    def __init__(self, M, gens, wpr_certified=False):
+    def __init__(self, M, gens):
         super().__init__(M.ring)
         self.module = M
         self.koszul = KoszulStages(M.ring, gens)
-        self.wpr_certified = wpr_certified
 
     def _build(self, k):
         return self.koszul.complex(k).tensor_module(self.module)
@@ -397,10 +396,12 @@ def is_pro_trivial(tower, lag=None, stage_bound=None):
 def weak_proregularity_check(ring, seq, stage_bound, lag):
     """Pro-triviality of H_i(Kos(x^k)) for every 0 < i <= n, within bounds.
 
-    Over a completed ring the check runs on the underlying ring: completion
-    is flat, so the Koszul homology towers base-change and pro-triviality
-    transfers exactly (and the at-precision model would otherwise introduce
-    phantom classes).
+    This is bounded evidence for what holds by theorem on every supported
+    ring (every finite sequence of a Noetherian ring is weakly proregular),
+    and only ``proreg-check`` asks it.  Over a completed ring the check runs
+    on the underlying ring: completion is flat, so the Koszul homology
+    towers base-change and pro-triviality transfers exactly (and the
+    at-precision model would otherwise introduce phantom classes).
     """
     seq = [ring.el(x) for x in seq]
     if not seq:
@@ -658,8 +659,8 @@ def _table_key(tower):
     """What the limits of an adic, Tor or Koszul-stage tower depend on: its
     kind and degree, the presentation of its module (ring, generator count,
     ``Ring.vec_key`` of each relation in order), its ideal's generators,
-    the resolution length of a Tor tower or the certificate flag of a
-    Koszul-stage tower, and the settings resolved over the module's ring.
+    the resolution length of a Tor tower, and the settings resolved over
+    the module's ring.
     None for the other kinds, which the table does not serve."""
     kind, params = tower.kind, tower.params
     if kind == "adic":
@@ -669,7 +670,7 @@ def _table_key(tower):
         M, gens, extra = stages.module, stages.gens, stages.length
     elif kind == "koszul_stage":
         stages = params["complexes"]
-        M, gens, extra = stages.module, stages.koszul.gens, stages.wpr_certified
+        M, gens, extra = stages.module, stages.koszul.gens, None
     else:
         return None
     ring = M.ring
@@ -821,11 +822,8 @@ def _koszul_stage_limits(tower):
         z = LimitModule.zero(
             basis=f"weakly proregular stages pro-trivial (lag {found})")
         return TowerLimits(z, z, "pro-trivial", {"lag": found})
-    if stages.wpr_certified:
-        z = LimitModule.zero(
-            basis="weak proregularity + Artin-Rees: Koszul-stage towers "
-                  "of f.p. modules are pro-zero in positive degrees "
-                  "(lag not located within the materialization bounds)")
-        return TowerLimits(z, z, "wpr theorem", {"materialized": note})
-    u = LimitModule.unrecognized(note)
-    return TowerLimits(u, u, "unrecognized")
+    z = LimitModule.zero(
+        basis="weak proregularity + Artin-Rees: Koszul-stage towers "
+              "of f.p. modules are pro-zero in positive degrees "
+              "(lag not located within the materialization bounds)")
+    return TowerLimits(z, z, "wpr theorem", {"materialized": note})

@@ -149,6 +149,45 @@ def test_proreg_and_membership_verbs(tmp_path):
     assert json.loads(out)["result"]["status"] == "weakly-proregular"
 
 
+def _monomial_quotient_doc(tmp_path, a):
+    """Q[x,y]/(x^a y) at (x): a sequence that is not regular."""
+    doc = {"version": "1",
+           "ring": {"base": "Q", "vars": ["x", "y"], "quotient": [f"x^{a}*y"]},
+           "ideal": ["x"],
+           "modules": {"A": {"generators": 1, "relations": []}}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_lambda_and_localhom_answer_a_sequence_that_is_not_regular(tmp_path):
+    # (x) is weakly proregular, as every finite sequence of a Noetherian
+    # ring is, so Lambda answers and L_s carries no stamp
+    path = _monomial_quotient_doc(tmp_path, 3)
+    code, out, err = run_cli("lambda", path, "--target", "A")
+    assert code == 0, err
+    assert json.loads(out)["result"]["0"]["kind"] == "module"
+    for s in ("0", "1"):
+        code, out, err = run_cli("localhom", path, "--target", "A", "--s", s)
+        assert code == 0, err
+        assert "outside verified hypotheses" not in out
+
+
+@pytest.mark.parametrize("K", [None, "8"])
+def test_proreg_check_takes_the_K_setting(tmp_path, K):
+    # (x) on Q[x,y]/(x^5 y) needs lag 5, so the composites of lag 5 need
+    # six stages, which K = 8 and the default K = 12 allow
+    path = _monomial_quotient_doc(tmp_path, 5)
+    code, out, _ = run_cli("proreg-check", path,
+                           *(["--K", K] if K else []))
+    assert code == 0
+    assert json.loads(out)["result"]["per_degree"] == {
+        "1": {"lag": 5, "status": "pro-trivial"}}
+    code, out, _ = run_cli("proreg-check", path, "--K", "5")
+    assert code == 2
+    assert json.loads(out)["result"]["status"] == "inconclusive"
+
+
 def test_comodule_verbs_and_recheck(tmp_path):
     code, out, _ = run_cli("comodule-complete", fixture("c2-swap.json"),
                            "--comodule", "CA")

@@ -108,25 +108,25 @@ def test_unset_precision_is_the_rings_own():
         assert out.ring.precision == nat["precision"] == 3
 
 
-def test_one_weak_proregularity_question(monkeypatch):
-    """L_s and its Lambda cross-check ask the same question at any lag.
-
-    (x) in Q[x,y]/(xy) is not a regular sequence (y kills x) but is weakly
-    proregular, so the question goes to the bounded Koszul check."""
+def test_no_weak_proregularity_question(monkeypatch):
+    """L_s and its Lambda cross-check ask no weak-proregularity question at
+    any lag: every finite sequence of a Noetherian ring is weakly
+    proregular.  (x) in Q[x,y]/(xy) is not a regular sequence (y kills x),
+    and neither the bounded Koszul check nor the regularity certificate is
+    asked for it."""
+    import lodua.towers
     R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x*y"]})
-    asked = []
-    check = lodua.local.weak_proregularity_check
 
-    def counted(ring, seq, stage_bound, lag):
-        asked.append((stage_bound, lag))
-        return check(ring, seq, stage_bound, lag)
+    def refused(*args, **kwargs):
+        raise AssertionError("a weak-proregularity question was asked")
 
-    monkeypatch.setattr(lodua.local, "weak_proregularity_check", counted)
+    monkeypatch.setattr(lodua.towers, "weak_proregularity_check", refused)
+    monkeypatch.setattr(lodua.towers.KoszulStages, "tower", refused)
+    monkeypatch.setattr(IdealData, "regular_certificate", refused)
     monkeypatch.setattr(lodua.local, "_LAMBDA_CACHE", {})
     with lodua.settings(lag=9):
         value = local_homology_Ls(IdealData(R, ["x"]), FPModule.free(R, 1), 0)
-    assert "outside verified hypotheses" not in value.basis
-    assert asked == [(3, 3)]
+    assert value.basis == "Artin-Rees: adic tower of an f.p. module"
 
 
 # functions of these modules that may take a bound: those whose bound
@@ -134,7 +134,7 @@ def test_one_weak_proregularity_question(monkeypatch):
 _KEPT = {
     "towers": {"is_pro_trivial", "weak_proregularity_check",
                "ProTrivialVerdict.__init__"},
-    "local": {"IdealData.weak_proregularity"},
+    "local": set(),
     "criteria": {"is_L_complete"},
     "hopf": set(),
 }

@@ -689,7 +689,7 @@ def _int_doc():
 
 
 def test_each_smith_form_is_computed_once(monkeypatch):
-    # one gm-check and one localhom op over Z compute the Smith form of each
+    # one gm-check and one lambda op over Z compute the Smith form of each
     # distinct column set once, however often its span is asked
     from lodua import cli
     from lodua.modules import FPModule
@@ -706,7 +706,7 @@ def test_each_smith_form_is_computed_once(monkeypatch):
     monkeypatch.setattr(linalg._Span, "smith",
                         lambda self: (asked.append(self), span_smith(self))[1])
     for verb, args in (("gm-check", {"target": "fpM", "s": 0}),
-                       ("localhom", {"target": "M", "s": 1})):
+                       ("lambda", {"target": "M"})):
         linalg._span.cache_clear()
         cli._parsed.cache_clear()   # its modules keep their spans
         calls.clear()

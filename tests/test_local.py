@@ -1,15 +1,19 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lodua
 
-from lodua import (FPModule, FPObj, GradedObject, IdealData, InvalidInput,
-                   LimitModule, Rational, Telescope, TelescopeQuotient,
-                   adic_completion, derived_completion, gamma, gm_ses_check,
-                   iso_check, local_cohomology, local_homology_Ls,
-                   make_ring, stable_koszul_complex, values_agree)
-from lodua.koszul import koszul_chain
+from lodua import (BudgetExceeded, FPModule, FPObj, GradedObject, IdealData,
+                   InvalidInput, LimitModule, ModuleMap, Rational, Telescope,
+                   TelescopeQuotient, Tower, adic_completion,
+                   derived_completion, gamma, gm_ses_check, is_pro_trivial,
+                   iso_check, lim_lim1, local_cohomology, local_homology_Ls,
+                   make_ring, stable_koszul_complex, values_agree,
+                   weak_proregularity_check)
+from lodua.complexes import ChainMap, induced_on_homology
+from lodua.koszul import koszul_chain, koszul_transition
+from lodua.modules import kron_identity
 from lodua.towers import KoszulStages
 
 from conftest import zmod
@@ -419,24 +423,6 @@ def test_power_products_match_the_left_to_right_product():
             assert power_products(gens, k) == naive
 
 
-def test_weak_proregularity_is_remembered_per_bounds(ZZ, monkeypatch):
-    """The lag setting changes the question: each pair of bounds gets its
-    own certificate, computed once."""
-    import lodua.local
-    calls = []
-    check = lodua.local.weak_proregularity_check
-
-    def counted(ring, seq, stage_bound, lag):
-        calls.append((stage_bound, lag))
-        return check(ring, seq, stage_bound=stage_bound, lag=lag)
-
-    monkeypatch.setattr(lodua.local, "weak_proregularity_check", counted)
-    d = IdealData(ZZ, [5])
-    for bounds in [(3, 2), (3, 5), (3, 2), (3, 5)]:
-        d.weak_proregularity(*bounds)
-    assert calls == [(3, 2), (3, 5)]
-
-
 # -- the Ext engine shared by the grid and derived Hom -------------------------
 
 
@@ -605,6 +591,8 @@ def test_lambda_memo_is_cleared_when_full(ZZ, d5, monkeypatch):
 _Z = make_ring({"base": "Z"})
 _Z5 = make_ring({"base": "Z", "completion": {"ideal": ["5"], "precision": 20}})
 _QXY = make_ring({"base": "Q", "vars": ["x", "y"]})
+_F7XY = make_ring({"base": "Fp", "p": 7, "vars": ["x", "y"]})
+_X3Y = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x^3*y"]})
 _QXY_MODULES = [FPModule.free(_QXY, 1), FPModule.cyclic(_QXY, ["x", "y"]),
                 FPModule.cyclic(_QXY, ["x"]),
                 FPModule.cyclic(_QXY, ["x^2", "x*y"]),
@@ -673,36 +661,68 @@ def _regular_sequences(draw):
 @settings(max_examples=15)
 @given(_regular_sequences())
 def test_a_regular_sequence_is_weakly_proregular_by_its_certificate(case):
-    """The regularity certificate answers the weak-proregularity question
-    with no Koszul stage built, and the bounded check agrees."""
-    from lodua.local import _wpr_status
-    from lodua.towers import weak_proregularity_check
-
-    def refused(*args):
-        raise AssertionError("the bounded check was asked")
-
+    """A regular sequence carries its regularity certificate, and the
+    bounded Koszul check agrees at lag 0: the powers of a regular sequence
+    are regular, so every Koszul homology stage in positive degree is
+    zero."""
     ring, gens = case
-    d = IdealData(ring, gens)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lodua.local, "weak_proregularity_check", refused)
-        assert _wpr_status(d) == "weakly-proregular"
+    assert IdealData(ring, gens).regular_certificate().regular
     out = weak_proregularity_check(ring, gens, stage_bound=3, lag=2)
     assert out["status"] == "weakly-proregular"
+    assert all(v["lag"] == 0 for v in out["per_degree"].values())
+
+
+@st.composite
+def _monomial_quotients(draw):
+    """k[x,y]/(x^a y^b) with k = Q or F_7, 1 <= a <= 4 and 1 <= b <= 3, as
+    (ring, a)."""
+    base = draw(st.sampled_from([{"base": "Q"}, {"base": "Fp", "p": 7}]))
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return make_ring({**base, "vars": ["x", "y"],
+                      "quotient": [f"x^{a}*y^{b}"]}), a
+
+
+@settings(max_examples=12)
+@given(_monomial_quotients(), st.sampled_from([[], ["y"], ["x - y"]]))
+@example((_X3Y, 3), [])
+def test_a_sequence_that_is_not_regular_is_answered(case, rels):
+    """(x) on k[x,y]/(x^a y^b) is not a regular sequence: y^b x^(a-1)
+    kills x.  It is weakly proregular, as every finite sequence of a
+    Noetherian ring is, so Lambda and L_s answer, unstamped, each checked
+    inside the engine (route A against route B, L_s against Lambda).  The
+    bounded Koszul check agrees: its composites of lag j, multiplication by
+    x^j from the annihilator of x^(k+j) to that of x^k, all vanish exactly
+    when j >= a."""
+    ring, a = case
+    d = IdealData(ring, ["x"])
+    assert not d.regular_certificate().regular
+    M = FPModule.cyclic(ring, rels) if rels else FPModule.free(ring, 1)
+    table = derived_completion(d, M)
+    assert set(table.entries) == {0}
+    for s in (0, 1):
+        value = local_homology_Ls(d, FPObj(M), s)
+        assert "outside verified hypotheses" not in (value.basis or "")
+        assert value.is_zero() == (s == 1)
+    out = weak_proregularity_check(ring, ["x"], stage_bound=a + 2, lag=a)
+    assert out["status"] == "weakly-proregular"
+    assert out["per_degree"][1]["lag"] == a
 
 
 # -- route B over exact rings ------------------------------------------------------
 
-_F7XY = make_ring({"base": "Fp", "p": 7, "vars": ["x", "y"]})
 _ENTRIES = ["0", "1", "x", "y", "x - y", "x^2", "x*y + 1", "y^2 - x"]
 
 
 @st.composite
 def _exact_route_B_cases(draw):
     """A presentation with 1-2 generators and 0-2 relations, over Q[x,y] or
-    F_7[x,y] at (x, y) or (x + y, xy), or over Z at (5)."""
-    ring = draw(st.sampled_from([_QXY, _F7XY, _Z]))
+    F_7[x,y] at (x, y) or (x + y, xy), over Q[x,y]/(x^3 y) at (x), or over Z
+    at (5)."""
+    ring = draw(st.sampled_from([_QXY, _F7XY, _X3Y, _Z]))
     if ring is _Z:
         gens, entry = [5], st.integers(-30, 30)
+    elif ring is _X3Y:
+        gens, entry = ["x"], st.sampled_from(_ENTRIES)
     else:
         gens = draw(st.sampled_from([["x", "y"], ["x + y", "x*y"]]))
         entry = st.sampled_from(_ENTRIES)
@@ -714,27 +734,55 @@ def _exact_route_B_cases(draw):
                                    for col in rels]))
 
 
+def _kos_tensor_tower(M, gens, s, upto):
+    """H_s(Kos(x^k) (x) M) for k <= upto as an explicit tower, built from
+    ``koszul_chain``, ``tensor_module`` and ``koszul_transition`` (x) id_M."""
+    ring = M.ring
+    kos = {k: koszul_chain(ring, gens, k) for k in range(1, upto + 1)}
+    tensored = {k: C.tensor_module(M) for k, C in kos.items()}
+    transitions = []
+    for k in range(1, upto):
+        f = koszul_transition(ring, gens, k, kos[k + 1], kos[k])
+        src, tgt = tensored[k + 1], tensored[k]
+        maps = {j: ModuleMap(src.module(j), tgt.module(j),
+                             kron_identity(ring, f.map(j).matrix, M.ngens),
+                             check=False)
+                for j in tgt.degrees()}
+        transitions.append(
+            induced_on_homology(ChainMap(src, tgt, maps, check=False), s))
+    return Tower.explicit([tensored[k].homology(s) for k in kos], transitions)
+
+
 @settings(max_examples=40)
 @given(_exact_route_B_cases())
+@example((IdealData(_X3Y, ["x"]), FPModule.free(_X3Y, 1)))
+@example((IdealData(_F7XY, ["x", "y"]),
+          FPModule(_F7XY, 2, [(_F7XY.el("x^2"), _F7XY.zero()),
+                              (_F7XY.one(), _F7XY.el("x^2"))])))
 def test_exact_route_B_needs_no_koszul_stage_tower(case):
-    """Under the weak-proregularity certificate every Koszul-stage tower in
-    positive degree has zero lim and lim^1, so route B over an exact ring
-    equals the Milnor loop over all of its towers."""
-    from lodua.local import _lambda_route_B, _milnor_value, _wpr_status
-    from lodua.towers import KoszulTensorStages, lim_lim1
+    """Route B is the limit of the adic tower, on an exact ring as on any:
+    the Koszul-stage towers of degrees 1..n are pro-zero, and
+    ``is_pro_trivial`` finds them so on six stages built here (the second
+    example needs lag 4).  Lambda answers whether or not the sequence is
+    regular.  The oracle's Groebner bases run under a budget of 1000
+    steps: on a few presentations over Q[x,y] at (x + y, xy) the steps
+    grow so costly that the default budget runs for minutes, and such a
+    tower is left to the theorem."""
+    from lodua.local import _lambda_route_B
     d, M = case
-    assert _wpr_status(d) == "weakly-proregular"
-    stages = KoszulTensorStages(M, d.gens, wpr_certified=True)
-    towers = [lim_lim1(stages.tower(s)) for s in range(d.n + 2)]
-    for t in towers[1:]:
-        assert t.lim.is_zero() and t.lim1.is_zero()
-    loop = {}
-    for s in range(d.n + 1):
-        value = _milnor_value(towers[s].lim, towers[s + 1].lim1)
-        if not value.is_zero():
-            loop[s] = value
-    assert ({s: v.describe() for s, v in _lambda_route_B(d, M).items()}
-            == {s: v.describe() for s, v in loop.items()})
+    adic = lim_lim1(Tower.adic(M, d.gens)).lim
+    expected = {} if adic.is_zero() else {0: adic.describe()}
+    assert {s: v.describe() for s, v in _lambda_route_B(d, M).items()} \
+        == expected
+    assert set(derived_completion(d, M).entries) == set(expected)
+    for s in range(1, d.n + 1):
+        try:
+            with lodua.settings(budget=1000):
+                verdict = is_pro_trivial(_kos_tensor_tower(M, d.gens, s, 6),
+                                         lag=5, stage_bound=6)
+        except BudgetExceeded:
+            continue
+        assert verdict.status == "pro-trivial", verdict.describe()
 
 
 def _probed_kinds(doc, target, monkeypatch):

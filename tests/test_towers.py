@@ -257,22 +257,21 @@ _TABLE_RINGS = {
              [(1, []), (1, [["x^2"]]), (1, [["x - 1"]]), (1, [["x"]]),
               (2, [["x", "x^2"]])]),
 }
-_TABLE_TOWERS = [("adic", None, False), ("tor", 1, False), ("tor", 2, False),
-                 ("koszul_stage", 0, False), ("koszul_stage", 1, False),
-                 ("koszul_stage", 1, True), ("koszul_stage", 2, True)]
+_TABLE_TOWERS = [("adic", None), ("tor", 1), ("tor", 2), ("koszul_stage", 0),
+                 ("koszul_stage", 1), ("koszul_stage", 2)]
 
 
 def _limits_or_refusal(ring, gens, item):
     """describe() of the limits of a tower built afresh, or the refusal's
     type."""
-    (ngens, rels), (kind, s, certified) = item
+    (ngens, rels), (kind, s) = item
     M = FPModule(ring, ngens, [tuple(col) for col in rels])
     if kind == "adic":
         tower = Tower.adic(M, gens)
     elif kind == "tor":
         tower = Tower.tor(FPObj(M), gens, s)
     else:
-        tower = KoszulTensorStages(M, gens, certified).tower(s)
+        tower = KoszulTensorStages(M, gens).tower(s)
     try:
         return lim_lim1(tower).describe()
     except LoduaError as ex:
