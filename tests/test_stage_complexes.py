@@ -145,12 +145,15 @@ def test_gm_check_limits_two_distinct_tor_towers_once(doc, monkeypatch):
     assert len(tor) == 2 and tor[0] is not tor[1]
 
 
-def test_koszul_stage_tower_cites_weak_proregularity():
+@pytest.mark.parametrize("regular", [False, True])
+def test_koszul_stage_tower_cites_weak_proregularity_when_certified(regular):
     # at lag 0 the probe locates no lag on the nonzero degree-1 stages, so
     # the theorem carries the verdict: every finite sequence of a
-    # Noetherian ring is weakly proregular
+    # Noetherian ring is weakly proregular, so the non-regular sequence
+    # (xy, x) is certified as much as the regular (x, y)
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
-    stages = KoszulTensorStages(FPModule.cyclic(Q, ["x - y"]), ["x", "y"])
+    gens = ["x", "y"] if regular else ["x*y", "x"]
+    stages = KoszulTensorStages(FPModule.cyclic(Q, ["x - y"]), gens)
     with lodua.settings(lag=0):
         out = lim_lim1(stages.tower(1))
     assert out.basis == "wpr theorem"
