@@ -23,10 +23,10 @@ settings in force with the budget resolved; the ``Problem`` is built from
 those bytes, so it shares no object with the caller's document.  A hit is
 the cold parse: after construction nothing changes a ``Problem`` but memos
 of pure functions of its objects and the settings (module membership and
-decomposition, the regularity certificate of the ideal, comodule
-coactions, homology of a complex), and the key covers both.  A refusal is
-not stored, and a document holding anything but builtin JSON-like values
-(marshal refuses it) is parsed on every call.
+decomposition, the regularity certificate of the ideal, the images of the
+group action, comodule coactions, homology of a complex), and the key
+covers both.  A refusal is not stored, and a document holding anything but
+builtin JSON-like values (marshal refuses it) is parsed on every call.
 """
 
 import argparse

@@ -9,7 +9,10 @@ Q_g = g(P_{g^-1}), where P_g is the matrix of phi_g on generators.  The
 comodule axioms are checked on psi, once each: psi carries relations to
 relations (every phi_g is semilinear), the counit (phi_e = id) and
 coassociativity (the group law phi_g phi_k = phi_gk).  A map f of comodules
-is tested in the same form, (Psi (x) f) . psi_X = psi_Y . f.
+is tested in the same form, (Psi (x) f) . psi_X = psi_Y . f.  Every
+action on elements goes through ``GroupLikeHopfAlgebroid.apply``, which
+keeps each image g(e), once complete, for as long as the algebroid lives,
+keyed by g and the canonical form of e, and clears them at _IMAGE_LIMIT.
 
 Inverse limits of comodules are certified two ways in one pass, on one
 base change: as the kernel of the map between extended comodules built from
@@ -18,7 +21,7 @@ of the limit.
 """
 
 from .descriptors import FPObj, LimitModule, Rational, Telescope, values_agree
-from .errors import InternalInconsistency, InvalidInput, UnsupportedRing
+from .errors import InternalInconsistency, InvalidInput
 from .linalg import mat_mul, member
 from .local import gm_ses_check, local_homology_Ls
 from .modules import (FPModule, ModuleMap, _same_presentation, base_change,
@@ -27,6 +30,10 @@ from .modules import (FPModule, ModuleMap, _same_presentation, base_change,
 from .poly import Poly
 from .towers import (Tower, TorStages, completed_module, completed_ring,
                      lim_lim1)
+
+# One seed-1 poly-sweep pass keeps at most 18 images in one algebroid (156
+# in all), tests/test_hopf.py at most 97.
+_IMAGE_LIMIT = 256   # action images kept per algebroid
 
 
 class GroupLikeHopfAlgebroid:
@@ -37,6 +44,7 @@ class GroupLikeHopfAlgebroid:
         self.elements = tuple(elements)
         self.table = dict(table)      # (g, h) -> gh
         self.action = {}              # g -> list of variable images (Poly)
+        self._images = {}             # (g, e.num, e.dexp) -> g(e)
         self._validate_group()
         self._install_action(action)
         self._validate_action()
@@ -99,16 +107,19 @@ class GroupLikeHopfAlgebroid:
             self.action[g] = images
 
     def apply(self, g, e):
-        """The automorphism g on a ring element."""
-        ring = self.ring
-        e = ring.el(e)
-        num = e.num.substitute(self.action[g])
-        if e.dexp:
-            inv_img = ring.inverted.substitute(self.action[g])
-            if not ring.el(inv_img) == ring.el(ring.inverted):
-                raise UnsupportedRing(
-                    "the action must fix the inverted element")
-        return ring._normal(num, e.dexp)
+        """The automorphism g on a ring element, computed once per
+        (g, numerator, denominator exponent) and kept in ``_images``: a
+        pure function, since ``_validate_action`` checked that g fixes the
+        inverted element."""
+        e = self.ring.el(e)
+        key = (g, e.num, e.dexp)
+        img = self._images.get(key)
+        if img is None:
+            img = self.ring._normal(e.num.substitute(self.action[g]), e.dexp)
+            if len(self._images) >= _IMAGE_LIMIT:
+                self._images.clear()
+            self._images[key] = img
+        return img
 
     def apply_matrix(self, g, matrix):
         return [[self.apply(g, e) for e in row] for row in matrix]
@@ -136,6 +147,10 @@ class GroupLikeHopfAlgebroid:
                 if not ring._normal(q.substitute(self.action[g]), 0).is_zero():
                     raise InvalidInput(
                         f"{g} does not preserve the quotient ideal")
+            u = ring.inverted
+            if u is not None and not self.apply(g, u) == ring.el(u):
+                raise InvalidInput(f"{g} does not fix the inverted element "
+                                   f"{u.render(names)}")
             if ring.is_completed:
                 cgens = [ring.el(c) for c in ring.completion[0]]
                 for c in cgens:

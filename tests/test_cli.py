@@ -280,6 +280,21 @@ def test_localized_completed_polynomial_ring_is_refused_on_reading(tmp_path):
                    "unsupported\n")
 
 
+def test_an_action_that_moves_the_inverted_element_is_refused_on_reading(
+        tmp_path):
+    """The swap x <-> y does not extend to Q[x,y][1/x]: the group block is
+    refused when the document is read, so `resolve` exits 3."""
+    with open(fixture("c2-swap.json")) as fh:
+        doc = json.load(fh)
+    doc["ring"]["invert"] = "x"
+    del doc["comodules"]
+    path = tmp_path / "moves-the-inverted-element.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("resolve", str(path), "--module", "A")
+    assert (code, out) == (3, "")
+    assert err == "invalid input: s does not fix the inverted element x\n"
+
+
 def _completed_doc(names, ideal, **blocks):
     """The free module F over Q[[names]] completed at the variables, to
     precision 3, with the document ideal ``ideal``."""

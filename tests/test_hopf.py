@@ -12,6 +12,7 @@ from lodua.modules import _same_presentation
 from lodua.hopf import (TorStageComodules, _base_change_comodule,
                         _completed_hopf, extended_module, true_level_probe)
 from lodua.linalg import mat_mul, mat_vec
+from lodua.poly import Poly
 
 from conftest import zmod
 
@@ -486,7 +487,6 @@ def test_extended_comodule_is_a_comodule(candidate):
 
 
 def test_group_like_refuses_malformed_input(QQxy):
-    from lodua import UnsupportedRing
     swap = {"s": {"x": "y", "y": "x"}}
     Z3ish = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a",
              ("e", "b"): "b", ("b", "e"): "b", ("a", "a"): "a",
@@ -505,14 +505,12 @@ def test_group_like_refuses_malformed_input(QQxy):
         (make_ring({"base": "Q", "vars": ["x", "y"],
                     "completion": {"ideal": ["x"], "precision": 3}}),
          ["e", "s"], C2_TABLE, swap, "does not preserve the completion ideal"),
+        (make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"}),
+         ["e", "s"], C2_TABLE, swap, "s does not fix the inverted element x"),
     ]
     for ring, elements, table, action, message in refusals:
         with pytest.raises(InvalidInput, match=message):
             GroupLikeHopfAlgebroid(ring, elements, table, action)
-    L = make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"})
-    h = GroupLikeHopfAlgebroid(L, ["e", "s"], C2_TABLE, swap)
-    with pytest.raises(UnsupportedRing, match="must fix the inverted element"):
-        h.apply("s", L.el("x").inv())
 
 
 def test_adjunction_skips_samples_that_are_not_maps(ZZ, discrete):
@@ -528,3 +526,155 @@ def test_unknown_method_and_theorem_tag_are_refused(QQxy, swap, dI,
         comodule_completion(unit_comodule, dI, "sum")
     with pytest.raises(InvalidInput, match="unknown theorem tag 'sum'"):
         verify_theorems(swap, dI, unit_comodule, "sum")
+
+
+# -- the memo of action images ------------------------------------------------
+
+_MEMO_RINGS = {
+    "Q[x,y]": {"base": "Q", "vars": ["x", "y"]},
+    "F_7[x,y]": {"base": "Fp", "p": 7, "vars": ["x", "y"]},
+    "Q[x,y]/(xy)": {"base": "Q", "vars": ["x", "y"], "quotient": ["x*y"]},
+    "Q[x,y][1/(xy)]": {"base": "Q", "vars": ["x", "y"], "invert": "x*y"},
+    "Q[x,y] completed at (x + y, xy)": {
+        "base": "Q", "vars": ["x", "y"],
+        "completion": {"ideal": ["x + y", "x*y"], "precision": 3}},
+}
+# two actions of C2 that preserve every ring above, its quotient ideal,
+# its completion ideal and its inverted element
+_MEMO_ACTIONS = {"swap": {"s": {"x": "y", "y": "x"}},
+                 "negation": {"s": {"x": "-x", "y": "-y"}}}
+_WARM = {}
+
+
+def _warm_algebroid(ring_name, action_name):
+    """One algebroid per (ring, action), kept across examples so that its
+    images are warm."""
+    key = (ring_name, action_name)
+    if key not in _WARM:
+        _WARM[key] = GroupLikeHopfAlgebroid(
+            make_ring(_MEMO_RINGS[ring_name]), ["e", "s"], C2_TABLE,
+            _MEMO_ACTIONS[action_name])
+    return _WARM[key]
+
+
+@st.composite
+def _memo_cases(draw):
+    """(ring name, action name, g, element): a numerator of up to four
+    terms of degree at most 3, with a denominator over the localization."""
+    ring_name = draw(st.sampled_from(sorted(_MEMO_RINGS)))
+    ring = make_ring(_MEMO_RINGS[ring_name])
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(-3, 3), max_size=4))
+    dexp = draw(st.integers(0, 2)) if ring.inverted is not None else 0
+    e = ring.el(Poly(ring.dom, 2, terms), dexp)
+    return (ring_name, draw(st.sampled_from(sorted(_MEMO_ACTIONS))),
+            draw(st.sampled_from(["e", "s"])), e)
+
+
+def test_a_kept_image_is_the_definition():
+    seen = set()
+
+    @settings(max_examples=80)
+    @given(_memo_cases())
+    def check(case):
+        # the definition is computed on a fresh algebroid, whose memo is empty
+        ring_name, action_name, g, e = case
+        warm = _warm_algebroid(ring_name, action_name)
+        ring = warm.ring
+        fresh = GroupLikeHopfAlgebroid(ring, ["e", "s"], C2_TABLE,
+                                       _MEMO_ACTIONS[action_name])
+        want = ring._normal(e.num.substitute(fresh.action[g]), e.dexp)
+        assert warm.apply(g, e) == want
+        assert warm.apply(g, e) == want  # warm now, whatever it was before
+        assert fresh.apply(g, e) == want
+        seen.add((ring_name, e.dexp > 0))
+
+    check()
+    assert {name for name, _ in seen} == set(_MEMO_RINGS)
+    assert ("Q[x,y][1/(xy)]", True) in seen
+
+
+def test_algebroids_with_different_actions_share_no_image(QQxy):
+    swap, neg = (GroupLikeHopfAlgebroid(QQxy, ["e", "s"], C2_TABLE, action)
+                 for action in (_MEMO_ACTIONS["swap"],
+                                _MEMO_ACTIONS["negation"]))
+    x = QQxy.el("x")
+    for _ in range(2):
+        assert swap.apply("s", x) == QQxy.el("y")
+        assert neg.apply("s", x) == QQxy.el("-x")
+    assert swap._images is not neg._images
+
+
+def test_answers_are_unchanged_after_the_memo_is_cleared(QQxy, monkeypatch):
+    elements = [QQxy.el(f"x^{a}*y^{b} + {a}*x - y") for a in range(4)
+                for b in range(3)]
+    want = [GroupLikeHopfAlgebroid(
+        QQxy, ["e", "s"], C2_TABLE, _MEMO_ACTIONS["swap"]).apply("s", e)
+        for e in elements]
+    monkeypatch.setattr(lodua.hopf, "_IMAGE_LIMIT", 5)
+    h = GroupLikeHopfAlgebroid(QQxy, ["e", "s"], C2_TABLE,
+                               _MEMO_ACTIONS["swap"])
+    sizes = []
+    for _ in range(2):
+        for e, img in zip(elements, want):
+            assert h.apply("s", e) == img
+            sizes.append(len(h._images))
+    assert max(sizes) == 5 and 1 in sizes   # filled to the limit, cleared
+
+
+def _c2_swap_doc():
+    import json
+    import os
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures", "c2-swap.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("verb, args, most", [
+    ("verify", {"which": "completion-formula", "comodule": "CA"}, 30),
+    ("comodule-complete", {"comodule": "CA"}, 26),
+])
+def test_a_hopf_verb_substitutes_into_each_image_once(verb, args, most,
+                                                      monkeypatch):
+    # the verb, on a freshly read document, applies 24 distinct (g, element)
+    # pairs over its two algebroids; it substituted 300 and 290 times when
+    # every application was computed afresh
+    from lodua import cli
+    doc = _c2_swap_doc()
+    given, cmd = cli._settings(doc, args)
+    calls = []
+    substitute = Poly.substitute
+
+    def counted(p, images):
+        calls.append(p)
+        return substitute(p, images)
+
+    with lodua.settings(**given):
+        problem = cli.Problem(doc)
+        monkeypatch.setattr(Poly, "substitute", counted)
+        code, _ = cli._run(problem, verb, cmd)
+    assert code == 0 and 0 < len(calls) <= most
+
+
+def test_concurrent_hopf_verbs_get_identical_answers(monkeypatch):
+    # four threads run poly-sweep's three Hopf verbs on one document, so
+    # they share its algebroid; with a limit of 8 images the memo is cleared
+    # while other threads read and fill it
+    import json
+
+    from lodua import cli
+    from test_linalg import _assert_threads_agree
+    monkeypatch.setattr(lodua.hopf, "_IMAGE_LIMIT", 8)
+    doc = _c2_swap_doc()
+    doc["options"]["precision"] = 3
+    ops = [("verify", {"which": "completion-formula", "comodule": "CA"}),
+           ("comodule-complete", {"comodule": "CA"}),
+           ("iota", {"comodule": "CA"})]
+
+    def bodies():
+        return [json.dumps(cli.run(doc, verb, args), sort_keys=True)
+                for verb, args in ops]
+
+    _assert_threads_agree(bodies)
