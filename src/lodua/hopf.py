@@ -140,8 +140,8 @@ class GroupLikeHopfAlgebroid:
                         raise InvalidInput(
                             f"action is not a homomorphism: ({g}.{h}) "
                             f"disagrees with {gh} on {name}")
-            # g . g^-1 = e is a case of the homomorphism check, so every g
-            # is an automorphism
+            # g . g^-1 = e is a case of the homomorphism check, and e acts
+            # as the identity (checked last), so every g is an automorphism
             for q in ring.quotient:
                 # q itself, not its class: that is zero in the quotient ring
                 if not ring._normal(q.substitute(self.action[g]), 0).is_zero():
@@ -159,6 +159,14 @@ class GroupLikeHopfAlgebroid:
                     if not member(ring, cols, (img,), 1):
                         raise InvalidInput(
                             f"{g} does not preserve the completion ideal")
+        e = self.identity
+        for i, name in enumerate(names):
+            # the variable itself, which an omitted identity entry gives,
+            # needs no comparison in the ring
+            img = self.action[e][i]
+            if img != Poly.var(ring.dom, ring.nvars, i) and \
+                    not ring.el(img) == ring.var(name):
+                raise InvalidInput(f"the identity {e} does not fix {name}")
 
     def fixes_ideal_generators(self, gens):
         """The supported notion of invariant ideal: G-fixed generators."""

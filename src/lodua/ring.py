@@ -615,7 +615,7 @@ class _IntArith:
     def is_unit(self, a):
         return a % self.p != 0 if self.m else a in (1, -1)
 
-    def _val_unit(self, a):
+    def val_unit(self, a):
         """(v, u) with a = p^v * u mod p^N, u prime to p; zero gets v = N."""
         a %= self.m
         if a == 0:
@@ -628,7 +628,7 @@ class _IntArith:
 
     def size(self, a):
         if self.m:
-            return self._val_unit(a)[0] + 1
+            return self.val_unit(a)[0] + 1
         return abs(a)
 
     def divmod(self, a, b):
@@ -637,8 +637,8 @@ class _IntArith:
             if a % m == 0:
                 return 0, 0  # zero divides to zero, not to p^(N-v)/u
             # a = p^va * ua and b = p^vb * ub: b divides a iff va >= vb
-            va, ua = self._val_unit(a)
-            vb, ub = self._val_unit(b)
+            va, ua = self.val_unit(a)
+            vb, ub = self.val_unit(b)
             if va >= vb:
                 return self.p ** (va - vb) * ua * pow(ub, -1, m) % m, 0
             return 0, a
@@ -663,7 +663,7 @@ class _IntArith:
     def unit(self, d):
         """u with d = u * canonical(d): the sign, or the part prime to p."""
         if self.m:
-            return self._val_unit(d)[1]
+            return self.val_unit(d)[1]
         return -1 if d < 0 else 1
 
     def inv(self, u):

@@ -817,6 +817,11 @@ MALFORMED = {
         {"group": {**_C2_GROUP, "action": {**_C2_GROUP["action"],
                                            "e": {"x": "y", "y": "x"}}}},
         "action is not a homomorphism: (e.e) disagrees with e on x"),
+    # sending every variable to 0 under e and s passes the homomorphism check
+    "group-action-identity-zero": (
+        {"group": {**_C2_GROUP, "action": {
+            g: {"x": "0", "y": "0"} for g in ("e", "s")}}},
+        "the identity e does not fix x"),
     "group-action-unknown-element": (
         {"group": {**_C2_GROUP, "action": {**_C2_GROUP["action"],
                                            "t": {"x": "y", "y": "x"}}}},

@@ -507,10 +507,21 @@ def test_group_like_refuses_malformed_input(QQxy):
          ["e", "s"], C2_TABLE, swap, "does not preserve the completion ideal"),
         (make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"}),
          ["e", "s"], C2_TABLE, swap, "s does not fix the inverted element x"),
+        # phi_e = phi_s = 0 passes the homomorphism check
+        (QQxy, ["e", "s"], C2_TABLE, {g: {"x": "0", "y": "0"} for g in "es"},
+         "the identity e does not fix x"),
     ]
     for ring, elements, table, action, message in refusals:
         with pytest.raises(InvalidInput, match=message):
             GroupLikeHopfAlgebroid(ring, elements, table, action)
+
+
+def test_an_identity_entry_is_compared_in_the_ring():
+    # x = y in Q[x,y]/(x - y), so x -> y, y -> x is the identity there
+    R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x - y"]})
+    h = GroupLikeHopfAlgebroid(R, ["e", "s"], C2_TABLE,
+                               {g: {"x": "y", "y": "x"} for g in "es"})
+    assert h.apply("e", R.el("x + 1")) == R.el("x + 1")
 
 
 def test_adjunction_skips_samples_that_are_not_maps(ZZ, discrete):

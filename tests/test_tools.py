@@ -1,5 +1,6 @@
 """The scripts under tools/ run end to end at a small size."""
 
+import json
 import os
 import re
 import subprocess
@@ -72,6 +73,44 @@ def test_profile_script_prints_self_time_by_module():
     assert [s for _, s, _ in rows] == sorted((s for _, s, _ in rows),
                                              reverse=True)
     assert abs(sum(share for _, _, share in rows) - 100) < 1
+
+
+def test_profile_script_names_the_slowest_ops():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "profile.py"),
+         "--workload", "integer-sweep", "--size", "20", "--top", "1",
+         "--slowest", "12"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # perfbench/run.py's tail of 20 latencies is the 10th smallest, the
+    # 11th slowest
+    start = lines.index("slowest 12 of 20 profiled ops "
+                        "(op_tail_ms reads rank 11):")
+    assert lines[start - 1] == ""   # after the verb lines
+    rows = lines[start + 1:lines.index("", start)]
+    assert len(rows) == 12
+    parsed = []
+    for rank, line in enumerate(rows, 1):
+        m = re.fullmatch(r" +(\d+) op +(\d+) (\S+) +(\d+\.\d{3}) ms  (\{.*\})"
+                         r"(  <- op_tail_ms)?", line)
+        assert m, line
+        assert int(m[1]) == rank
+        assert bool(m[6]) == (rank == 11)
+        parsed.append((int(m[2]), m[3], float(m[4]), json.loads(m[5])))
+    assert len({index for index, _, _, _ in parsed}) == 12
+    assert all(0 <= index < 20 for index, _, _, _ in parsed)
+    times = [ms for _, _, ms, _ in parsed]
+    assert times == sorted(times, reverse=True)
+    # the arguments are the op's own
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    ops = workloads.generate("integer-sweep", 1, 20)
+    assert all((ops[index]["verb"], ops[index]["args"]) == (verb, args)
+               for index, verb, _, args in parsed)
 
 
 def test_sameness_script_prints_repeatable_fingerprints():

@@ -189,6 +189,63 @@ def test_divisible_part_over_a_completed_ring():
                      identity_map(D.payload))
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_zp_divisible_part_agrees_with_the_image_chain(data):
+    """Over Z_p the divisible part is read off the invariant factors; the
+    image chain it replaces is the oracle.  The rule holds for every
+    nonzero M and every x of positive valuation, so it is asked of every
+    draw, not only where ``mult_tower_values`` reaches it (there x is not
+    nilpotent below the precision).  Entries p^a * unit with a up to N + 1
+    are sometimes zero at precision N."""
+    from lodua.towers import _image_chain_part, divisible_part
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    N = data.draw(st.integers(1, 12), label="N")
+    R = make_ring({"base": "Z", "completion": {"ideal": [str(p)],
+                                               "precision": N}})
+
+    def padic(low):
+        return st.builds(lambda a, u: R.el(p ** a * u), st.integers(low, N + 1),
+                         st.integers(1, 4 * p).filter(lambda u: u % p))
+
+    ngens = data.draw(st.integers(1, 3), label="generators")
+    rels = data.draw(st.lists(st.tuples(*[padic(0)] * ngens), max_size=3),
+                     label="relations")
+    x = data.draw(padic(1), label="x")
+    M = FPModule(R, ngens, rels)
+    if M.is_zero():   # mult_tower_values answers it first
+        return
+    assert divisible_part(M, x).describe() == \
+        _image_chain_part(M, x).describe()
+    # and where mult_tower_values asks it, its lim is that value
+    out = mult_tower_values(FPObj(M), x)
+    if out.basis == "completion comparison model":
+        assert out.lim.describe() == _image_chain_part(M, x).describe()
+
+
+def test_a_cold_zp_lcomplete_check_builds_three_smith_forms(monkeypatch):
+    # the divisible part over Z_p reads the Smith form that the nilpotence
+    # test built on the same relations; the image chain built one for each
+    # of its 21 steps
+    import json
+    import os
+    from lodua import cli, linalg
+    built = []
+    smith = linalg._smith
+    monkeypatch.setattr(linalg, "_smith",
+                        lambda ar, D: built.append(D) or smith(ar, D))
+    linalg._span.cache_clear()
+    cli._parsed.cache_clear()
+    _presented_limits.cache_clear()
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "zp.json")
+    with open(path) as fh:
+        code, report = cli.run(json.load(fh), "lcomplete-check")
+    assert code == 0
+    assert report["result"]["table"]["i=1,q=0"]["basis"] == \
+        "image chain stabilized at 21"
+    assert len(built) <= 3
+
+
 def test_mult_towers_on_descriptors_and_unrecognized_shapes(ZZ, QQxy):
     from lodua import InvalidInput, UnsupportedRing
     mult = mult_tower_values

@@ -5,6 +5,7 @@
     python3 tools/profile.py --workload integer-sweep --size 50 --sort tottime
     python3 tools/profile.py --workload integer-sweep --verb gm-check --sort ncalls
     python3 tools/profile.py --workload poly-sweep --by-module
+    python3 tools/profile.py --workload integer-sweep --slowest 20
 
 The op list comes from ``perfbench/workloads.py`` and each op is executed as
 ``perfbench/worker.py`` executes it (both imported, neither changed); the
@@ -15,8 +16,11 @@ verb's ops, and ``--sort ncalls`` then gives the verb's call counts.  The
 script prints the profiled seconds spent in each verb (grid questions count
 as ``is_L_complete``); with ``--by-module``, the profiled self time of each
 source module (each ``lodua.*`` module, ``fractions``, ``builtins`` for the
-functions written in C, and ``other`` for the rest) with its share; then the
-top functions of the profile.  Profiled
+functions written in C, and ``other`` for the rest) with its share; with
+``--slowest N``, the N slowest profiled ops, each with its rank, index in
+the op list, verb, profiled milliseconds and arguments, the op whose rank
+``op_tail_ms`` reads marked, so that a tail can be named by its ops; then
+the top functions of the profile.  Profiled
 times run well above plain ones, and calls cost more under the profiler
 than work inside them, so use the ranking to find candidates and
 ``perfbench/run.py`` to measure them.  Run from the root of a lodua
@@ -36,6 +40,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
+import json  # noqa: E402
 import pstats  # noqa: E402
 import time  # noqa: E402
 
@@ -45,13 +50,13 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 
 def profile_ops(ops, only=None):
     """Run every op, under one profiler unless ``only`` names another verb:
-    (profiler, {profiled verb: [ops, seconds]}, number of ops that
-    raised)."""
+    (profiler, [(op index, verb, profiled seconds)] of the profiled ops,
+    number of ops that raised)."""
     worker.import_lodua()
     import lodua
-    per_verb, raised = {}, 0
+    timed, raised = [], 0
     prof = cProfile.Profile()
-    for op in ops:
+    for index, op in enumerate(ops):
         verb = op.get("verb", "is_L_complete")
         profiled = only in (None, verb)
         t0 = time.perf_counter()
@@ -65,12 +70,38 @@ def profile_ops(ops, only=None):
             raised += 1
         finally:
             prof.disable()
-        if not profiled:
-            continue
-        slot = per_verb.setdefault(verb, [0, 0.0])
-        slot[0] += 1
-        slot[1] += time.perf_counter() - t0
-    return prof, per_verb, raised
+        if profiled:
+            timed.append((index, verb, time.perf_counter() - t0))
+    return prof, timed, raised
+
+
+def _args(op):
+    """An op's arguments: the verb's, or a grid question's label, base ring
+    and precision."""
+    if "args" in op:
+        return op["args"]
+    return {key: op[key] for key in ("label", "base", "N")}
+
+
+def slowest(ops, timed, n):
+    """The lines of the ``n`` slowest profiled ops, the slowest first, each
+    with its rank, op index, verb, profiled milliseconds and arguments.
+    When every op was profiled, the rank that ``op_tail_ms`` reads in
+    ``perfbench/run.py`` (the 11th slowest of 11 or more ops, else the
+    fastest) is marked."""
+    ranked = sorted(timed, key=lambda t: -t[2])
+    head = f"slowest {min(n, len(ranked))} of {len(ranked)} profiled ops"
+    tail_rank = None
+    if len(ranked) == len(ops):
+        tail_rank = len(ranked) - max(1, len(ranked) - 10) + 1
+        head += f" (op_tail_ms reads rank {tail_rank})"
+    lines = [head + ":"]
+    for rank, (index, verb, s) in enumerate(ranked[:n], 1):
+        mark = "  <- op_tail_ms" if rank == tail_rank else ""
+        args = json.dumps(_args(ops[index]), sort_keys=True)
+        lines.append(f"  {rank:>4} op {index:>4} {verb:<16} {1e3 * s:>9.3f} ms"
+                     f"  {args}{mark}")
+    return lines
 
 
 def self_time_by_module(prof):
@@ -106,9 +137,16 @@ def main(argv=None):
                     help="profile only this verb's ops (all ops still run)")
     ap.add_argument("--by-module", action="store_true",
                     help="also print the self time of each source module")
+    ap.add_argument("--slowest", type=int, default=0, metavar="N",
+                    help="also print the N slowest profiled ops")
     ns = ap.parse_args(argv)
     ops = workloads.generate(ns.workload, ns.seed, ns.size)
-    prof, per_verb, raised = profile_ops(ops, ns.verb)
+    prof, timed, raised = profile_ops(ops, ns.verb)
+    per_verb = {}
+    for _, verb, s in timed:
+        slot = per_verb.setdefault(verb, [0, 0.0])
+        slot[0] += 1
+        slot[1] += s
     if not per_verb:
         print(f"no {ns.verb!r} op among the {len(ops)} ops", file=sys.stderr)
         return 2
@@ -119,6 +157,9 @@ def main(argv=None):
     for verb, (n, s) in sorted(per_verb.items(), key=lambda kv: -kv[1][1]):
         print(f"  {verb:<16} {n:>5} ops {s:>9.3f} s")
     print()
+    if ns.slowest > 0:
+        print("\n".join(slowest(ops, timed, ns.slowest)))
+        print()
     if ns.by_module:
         modules = self_time_by_module(prof)
         own = sum(s for _, s in modules) or 1.0
