@@ -327,6 +327,10 @@ def _parsed(blob, in_force):
     return Problem(marshal.loads(blob))
 
 
+# the verify tags that check a comodule; the others ask the group alone
+_COMODULE_TAGS = ("completion-formula", "comodule-gm", "fg-vanishing")
+
+
 def _run(problem, verb, cmd):
     def name(key):
         if cmd.get(key) is None:
@@ -421,9 +425,13 @@ def _run(problem, verb, cmd):
         report["certificate"] = cert
     elif verb == "verify":
         which = name("which")
+        if problem.hopf is None:
+            raise InvalidInput("verify needs a `group` block")
         com = problem.comodule(cmd["comodule"]) if cmd.get("comodule") else None
         if com is None and problem.comodules:
             com = next(iter(problem.comodules.values()))
+        if com is None and which in _COMODULE_TAGS:
+            raise InvalidInput(f"verify --which {which} needs a comodule")
         out = verify_theorems(problem.hopf, d, com, which)
         report["result"] = out
         verdict = out.get("verdict", "pass")

@@ -31,7 +31,6 @@ completeness grid (`criteria.ext_telescope`) both call it.
 """
 
 from .complexes import ChainComplex
-from .context import resolved
 from .descriptors import (Descriptor, FPObj, LimitModule, Rational,
                           Telescope, TelescopeQuotient, descriptor_of,
                           value_of, values_agree)
@@ -45,7 +44,8 @@ from .modules import (FPModule, ModuleMap, _capped_killing_power, base_change,
 from .ring import _reject_zerodivisor
 from .sequences import is_regular_sequence
 from .towers import (KoszulTensorStages, Tower, _require_radical_membership,
-                     completed_module, lim_lim1, mult_tower_values)
+                     completed_module, completed_ring, lim_lim1,
+                     mult_tower_values)
 
 
 class IdealData:
@@ -470,21 +470,12 @@ def _milnor_value(lim, lim1):
     return None
 
 
-def derived_completion(d, X):
-    """Lambda^I X computed by both routes and cross-checked degreewise.
-
-    Both routes take f.p. pieces: rationals and telescopes supported on I
-    die (the multiplier becomes invertible), and a telescope quotient
-    u^-1 M / M contributes Lambda^I M shifted up by one through its defining
-    triangle.  Completions are taken at the precision setting (unset: the
-    ring's own, or 20 over a discrete ring), and the K and lag settings
-    bound route B's probes over a completed ring.  No weak-proregularity
-    question is asked: every finite sequence of a Noetherian ring is weakly
-    proregular.
-    """
-    obj = GradedObject.of(X)
-    accA, accB = {}, {}
-    for dgr, piece in obj.pieces.items():
+def _completed_pieces(d, X):
+    """The f.p. modules both routes complete, as (degree, module) pairs:
+    rationals and telescopes supported on I die (the multiplier becomes
+    invertible), and a telescope quotient u^-1 M / M contributes M one
+    degree up through its defining triangle."""
+    for dgr, piece in GradedObject.of(X).pieces.items():
         if piece.kind == "rational":
             continue
         if piece.kind in ("telescope", "telescope_quotient"):
@@ -492,9 +483,24 @@ def derived_completion(d, X):
             if piece.kind == "telescope":
                 continue
             dgr += 1
-        for s, v in _lambda_route_A(d, piece.module).items():
+        yield dgr, piece.module
+
+
+def derived_completion(d, X):
+    """Lambda^I X computed by both routes and cross-checked degreewise.
+
+    Both routes take the f.p. pieces of ``_completed_pieces``.
+    Completions are taken at the precision setting (unset: the ring's own,
+    or 20 over a discrete ring), and the K and lag settings bound route B's
+    probes over a completed ring.  No weak-proregularity
+    question is asked: every finite sequence of a Noetherian ring is weakly
+    proregular.
+    """
+    accA, accB = {}, {}
+    for dgr, M in _completed_pieces(d, X):
+        for s, v in _lambda_route_A(d, M).items():
             _add_value(accA, s + dgr, v)
-        for s, v in _lambda_route_B(d, piece.module).items():
+        for s, v in _lambda_route_B(d, M).items():
             _add_value(accB, s + dgr, v)
     degrees = set(accA) | set(accB)
     for n in degrees:
@@ -536,9 +542,12 @@ def local_homology_Ls(d, desc, s):
 
 
 def _local_homology(d, desc, s, lim, lim1):
-    """L_s, the extension of lim Tor_s by lim^1 Tor_(s+1), checked against
-    Lambda: the sequence is weakly proregular, so L_s is H_s of the derived
-    completion (Greenlees-May)."""
+    """L_s, the extension of lim Tor_s by lim^1 Tor_(s+1): the sequence is
+    weakly proregular, so L_s is H_s of the derived completion
+    (Greenlees-May) without Lambda being computed.  The completed ring of
+    each piece Lambda would complete is still built, so an ideal whose
+    completion has no model is refused even where every Tor tower
+    vanishes."""
     if not lim.is_recognized() or not lim1.is_zero():
         # both callers pass limits of towers Tower.tor builds: zero, adic
         # or Tor towers, whose lim is always recognized and whose lim^1 is
@@ -546,34 +555,9 @@ def _local_homology(d, desc, s, lim, lim1):
         raise InternalInconsistency(
             f"Greenlees-May extension unresolved: lim {lim.describe()}, "
             f"lim^1 {lim1.describe()}")
-    lam = _cached_lambda(d, desc)
-    ok, detail = values_agree(lim, lam.value(s))
-    if not ok:
-        raise InternalInconsistency(
-            f"L_{s} disagrees with the telescope route: {detail}")
+    for _, M in _completed_pieces(d, desc):
+        completed_ring(M.ring, d.gens)
     return lim
-
-
-_LAMBDA_CACHE = {}
-
-
-def _cached_lambda(d, desc):
-    """The completion table is degree-independent; memoize it per input.
-
-    The key holds ``repr(desc.describe())``, which over a euclidean ring is
-    only the isomorphism type of the module, not its presentation: a module
-    whose own presentation Lambda refuses over Z_5 (the precision seam of
-    ROADMAP item 1) is answered from an isomorphic one computed earlier, so
-    the memo hides those refusals."""
-    key = (d.ring._key(), tuple(g.render() for g in d.gens),
-           repr(desc.describe()), resolved(d.ring))
-    hit = _LAMBDA_CACHE.get(key)
-    if hit is None:
-        if len(_LAMBDA_CACHE) > 512:
-            _LAMBDA_CACHE.clear()
-        hit = derived_completion(d, desc)
-        _LAMBDA_CACHE[key] = hit
-    return hit
 
 
 def _as_descriptor(x, ring):

@@ -401,15 +401,6 @@ class Poly:
         m = max(self.terms, key=key)
         return m, self.terms[m]
 
-    def monic(self, key):
-        if self.is_zero():
-            return self
-        _, c = self.leading(key)
-        if self.dom.kind == "Z":
-            # over Z only sign normalization is available
-            return self.scale(-1) if c < 0 else self
-        return self.scale(self.dom.inv(c))
-
     def substitute(self, images):
         """Evaluate with variable i replaced by images[i], Polys over the
         same domain in as many variables."""

@@ -803,16 +803,18 @@ def _probe_lag(tower):
 
 
 def _adic_stage_crosscheck(tower, Mhat, upto):
-    """(M^)/I^k must match the materialized stage M/I^k M."""
+    """(M^)/I^k must match the materialized stage M/I^k M; stages compare
+    by invariants, so only over euclidean rings."""
+    if not (tower.ring.is_euclidean and Mhat.ring.is_euclidean):
+        return
     gens = tower.params["ideal"]
     for k in range(1, upto + 1):
         stage = tower.stage(k)
         hat_stage = quotient_by_ideal_power(Mhat, gens, k)
-        if stage.ring.is_euclidean and hat_stage.ring.is_euclidean:
-            same = stage.invariants() == hat_stage.invariants()
-            if k < (Mhat.ring.precision or k + 1) and not same:
-                raise InternalInconsistency(
-                    f"adic recognition disagrees with stage {k}")
+        same = stage.invariants() == hat_stage.invariants()
+        if k < (Mhat.ring.precision or k + 1) and not same:
+            raise InternalInconsistency(
+                f"adic recognition disagrees with stage {k}")
 
 
 def _explicit_limits(tower):

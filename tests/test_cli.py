@@ -1148,7 +1148,6 @@ def test_lambda_answers_z5_modules(ngens, relations):
     assert code == 0
 
 
-@pytest.mark.xfail(strict=True, reason=_Z5_DEFECT, raises=AssertionError)
 def test_localhom_on_z5_does_not_depend_on_history(tmp_path):
     doc, twin = tmp_path / "doc.json", tmp_path / "twin.json"
     doc.write_text(json.dumps(_z5_doc(2, [["5", "50"]])))
@@ -1192,7 +1191,7 @@ def test_localhom_checks_the_multiplier_of_the_next_tower(tmp_path,
     def unreached(*args):
         raise AssertionError("Lambda reached")
 
-    monkeypatch.setattr(lodua.local, "_cached_lambda", unreached)
+    monkeypatch.setattr(lodua.local, "derived_completion", unreached)
     doc = _z_doc({"q": {"kind": "telescope_quotient", "module": "Z",
                         "mult": "3"}})
     assert _localhom(tmp_path, doc, "q", 0) == 2
@@ -1356,6 +1355,31 @@ def test_verify_takes_the_first_comodule_when_none_is_named():
     args = {"which": "completion-formula"}
     assert lodua.cli.run(doc, "verify", args) == lodua.cli.run(
         doc, "verify", {**args, "comodule": "CA"})
+
+
+_VERIFY_TAGS = ("true-level", "completion-formula", "comodule-gm",
+                "fg-vanishing", "injective-vanishing")
+
+
+@pytest.mark.parametrize("which", _VERIFY_TAGS)
+def test_verify_without_a_group_is_refused(which):
+    import lodua.cli
+    with pytest.raises(InvalidInput, match="verify needs a `group` block"):
+        lodua.cli.run(_z_fixture(), "verify", {"which": which})
+
+
+@pytest.mark.parametrize("which", ["completion-formula", "comodule-gm",
+                                   "fg-vanishing"])
+def test_verify_of_a_comodule_tag_without_a_comodule_is_refused(tmp_path,
+                                                                which):
+    doc = _c2_doc()
+    del doc["comodules"], doc["command"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", str(path), "--which", which)
+    assert code == 3 and out == ""
+    assert f"verify --which {which} needs a comodule" in err
+    assert "Traceback" not in err
 
 
 def test_recheck_refuses_tampered_grids_and_sequences():

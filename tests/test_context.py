@@ -54,20 +54,16 @@ def test_lim_lim1_probes_within_the_settings(ZZ):
     assert res.certificates["materialized"]["note"] == "lag bound 0 exhausted"
 
 
-@pytest.mark.parametrize("memo", ["tower limits", "lambda"])
+@pytest.mark.parametrize("memo", ["tower limits"])
 def test_a_memo_gives_the_cold_answer_after_the_budget_drops(memo,
                                                              monkeypatch):
     """A warm answer at the default budget is not served at LODUA_BUDGET=3,
     where the computation runs out of steps, as it does cold."""
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
     d, M = IdealData(Q, ["x", "y"]), FPObj(FPModule.cyclic(Q, ["x^2 + y"]))
-    monkeypatch.setattr(lodua.local, "_LAMBDA_CACHE", {})
-    if memo == "lambda":
-        def ask():
-            return lodua.local._cached_lambda(d, M)
-    else:
-        def ask():
-            return lim_lim1(Tower.tor(M, d.gens, 1))
+
+    def ask():
+        return lim_lim1(Tower.tor(M, d.gens, 1))
     monkeypatch.setenv("LODUA_BUDGET", "100000")
     ask()
     monkeypatch.setenv("LODUA_BUDGET", "3")
@@ -123,7 +119,6 @@ def test_no_weak_proregularity_question(monkeypatch):
     monkeypatch.setattr(lodua.towers, "weak_proregularity_check", refused)
     monkeypatch.setattr(lodua.towers.KoszulStages, "tower", refused)
     monkeypatch.setattr(IdealData, "regular_certificate", refused)
-    monkeypatch.setattr(lodua.local, "_LAMBDA_CACHE", {})
     with lodua.settings(lag=9):
         value = local_homology_Ls(IdealData(R, ["x"]), FPModule.free(R, 1), 0)
     assert value.basis == "Artin-Rees: adic tower of an f.p. module"

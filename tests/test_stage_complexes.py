@@ -182,7 +182,6 @@ def _comodule_gm(order, monkeypatch):
         return orig(cx, n)
 
     monkeypatch.setattr(ChainComplex, "_homology_data", counted)
-    monkeypatch.setattr(lodua.local, "_LAMBDA_CACHE", {})
     lodua.towers._presented_limits.cache_clear()
     with lodua.settings(precision=4, K=4, lag=2):
         out = verify_theorems(h, IdealData(Q, ["x + y", "x*y"]),

@@ -151,6 +151,28 @@ def test_sameness_cold_run_gives_the_warm_answers():
             assert cold[2] != warm[2]
 
 
+def test_an_answer_does_not_depend_on_the_ops_before_it():
+    """The first 160 integer-sweep ops at seed 1 (ten documents, five of
+    them over Z_5, with localhom and gm-check of Z_5^2/(20, 50) at ops 114
+    and 121) answer the same with the tables of tower limits, documents and
+    spans cleared before every op as in one warm pass."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "sameness", os.path.join(ROOT, "tools", "sameness.py"))
+    sameness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sameness)
+    ops = sameness.workloads.generate("integer-sweep", 1, 160)
+    docs = {json.dumps(op["doc"], sort_keys=True) for op in ops}
+    assert len(docs) == 10
+    assert sum("completion" in json.loads(doc)["ring"] for doc in docs) == 5
+    sameness.worker.import_lodua()
+    import lodua
+    warm = list(sameness.answers(lodua, ops))
+    cold = list(sameness.answers(lodua, ops, cold=True))
+    assert warm[114][0] == warm[121][0] == 0
+    assert cold == warm
+
+
 def test_sameness_hashes_every_smith_form():
     import importlib.util
     from lodua import linalg

@@ -37,6 +37,16 @@ def test_adic_limit_is_completion(ZZ):
         assert fa == fb
 
 
+def test_adic_limit_over_a_polynomial_ring_builds_one_stage(QQxy):
+    # the stage cross-check compares invariants, which only euclidean rings
+    # have; elsewhere only stage 1 is built, to see that M != IM
+    t = Tower.adic(FPModule.cyclic(QQxy, ["x^2"]), [QQxy.el("x"),
+                                                     QQxy.el("y")])
+    _presented_limits.cache_clear()
+    assert lim_lim1(t).lim.kind == "module"
+    assert list(t._stages) == [1]
+
+
 def test_mult_tower_of_z(ZZ):
     res = mult_tower_values(FPObj(FPModule.free(ZZ, 1)), ZZ.el(5))
     assert res.lim.is_zero()

@@ -33,8 +33,7 @@ With ``--cold`` it clears the table of tower limits
 the span table (``linalg._span``) before every op, so each op parses its
 document, computes its limits and builds its Smith forms and Groebner bases
 as in a fresh process; its answers line must equal the one of a run without
-it.  ``local._LAMBDA_CACHE`` is left alone: clearing it turns
-answers that a warm run gives into refusals (ROADMAP item 1).
+it.
 
 With ``--refs`` it instead runs the op list of the seed that
 ``perfbench/refs/<workload>.json`` was recorded for and lists every op
