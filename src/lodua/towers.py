@@ -28,6 +28,7 @@ ran before; a hit spends no budget steps.
 """
 
 from functools import cached_property, lru_cache
+from math import comb
 
 from .complexes import ChainMap, induced_on_homology
 from .context import current, precision_for, resolved
@@ -438,6 +439,15 @@ def _gcd_el(ring, a, b):
     return a * ring.unit_part(a).inv()
 
 
+def _x_part(ring, d, x):
+    """The stabilized gcd(d, x^k): the generator of the x-part of (d), for
+    a nonzero d."""
+    g, prev = _gcd_el(ring, d, x), ring.one()
+    while not (g == prev):
+        prev, g = g, _gcd_el(ring, d, g * g)
+    return g
+
+
 def is_finite_dimensional(M):
     """Over k[x_1..x_m] (and quotients): is M finite dimensional over k?
 
@@ -491,12 +501,7 @@ def divisible_part(M, x):
         # g the stabilized gcd(x^k, d)
         anns = []
         for d in factors:
-            g = _gcd_el(ring, d, x)
-            prev = ring.one()
-            while not (g == prev):
-                prev = g
-                g = _gcd_el(ring, d, g * g)
-            # g now generates the stabilized x-part of (d)
+            g = _x_part(ring, d, x)
             q, r = ring.divmod_el(d, g)
             assert r.is_zero()
             if not q.is_unit():
@@ -792,14 +797,71 @@ def _limits(tower):
 def _probe_lag(tower):
     """The size-gated lag probe, within the settings and at most lag 3 and
     4 stages: (k, None) when a composite of lag k vanishes on the probed
-    stages, else (None, note) with the materialized evidence."""
+    stages, else (None, note) with the materialized evidence.  A Tor tower
+    over Z or Z_p whose stages provably pass the gate builds none: its lag
+    is read off the module's invariant factors (``_pid_tor_lag``), which
+    gives the pair the materialized probe gives."""
     bound, lag = min(current().K, 4), min(current().lag, 3)
+    if tower.kind == "tor" and tower.ring.int_arith is not None \
+            and tower.params["s"] >= 1 and _tor_stages_fit(tower, bound):
+        found = _pid_tor_lag(tower, min(lag, bound - 1))
+        if found is not None:
+            return found, None
+        # is_pro_trivial's verdict on a Tor tower it cannot close
+        return None, ProTrivialVerdict(
+            "inconclusive", note=f"lag bound {lag} exhausted").describe()
     if not _stages_small(tower, bound):
         return None, "stage presentations exceed the probe gate"
     verdict = is_pro_trivial(tower, lag=lag, stage_bound=bound)
     if verdict.status == "pro-trivial":
         return verdict.lag, None
     return None, verdict.describe()
+
+
+def _tor_stages_fit(tower, bound):
+    """Whether stages 1..bound of a Tor tower over Z or Z_p pass
+    ``_stages_small``, by counting.  Let r_n be the rank of F_n in the
+    resolution, and q = C(n + bound - 1, bound) the number of degree-bound
+    products of the ideal's n generators, which bounds the relations of
+    every A/I^k with k <= bound.  Then H_s of F (x) A/I^k has at most
+    r_s + q r_(s-1) generators (the kernel's syzygy heads) and at most
+    that many plus q r_s + r_(s+1) relations (the submodule's syzygies and
+    the boundaries): a Smith-form syzygy list is no longer than its
+    columns, minimizing adds nothing, and every entry is a constant."""
+    stages, s = tower.params["complexes"], tower.params["s"]
+    r = [stages.resolution.module(n).ngens for n in (s - 1, s, s + 1)]
+    q = comb(len(stages.gens) + bound - 1, bound)
+    ngens = r[1] + q * r[0]
+    return ngens <= 8 and ngens + q * r[1] + r[2] <= 30
+
+
+def _pid_tor_lag(tower, upto):
+    """The least lag j <= upto (upto >= 0) at which every composite of a
+    Tor_s tower over Z or Z_p (s >= 1) vanishes, or None.
+
+    I = (x) with x the gcd of the ideal's generators.  Tor_s vanishes for
+    s >= 2.  Stage k of Tor_1 is M[x^k], with multiplication by x as its
+    transition, so on M = sum A/(d) + free the composite of lag j vanishes
+    at every stage exactly when each stabilized x-part d' of a factor
+    divides x^j.  Over Z_p at precision N, x^k is 0 once k v >= N
+    (v the valuation of x), and that stage is 0: every composite of lag j
+    vanishes also once x^(j+1) = 0.  The lag found holds at every stage,
+    and within the probe's stages it is the least one (for j below the
+    stage bound, the stages it reads decide the same divisibility)."""
+    if tower.params["s"] >= 2:
+        return 0
+    stages = tower.params["complexes"]
+    ring = stages.ring
+    x = ring.zero()
+    for g in stages.gens:
+        x = _gcd_el(ring, g, x)
+    parts = [_x_part(ring, d, x) for d in stages.module.decomposition()[0]]
+    for j in range(upto + 1):
+        xj = x ** j
+        if (xj * x).is_zero() or all(ring.divmod_el(xj, g)[1].is_zero()
+                                     for g in parts):
+            return j
+    return None
 
 
 def _adic_stage_crosscheck(tower, Mhat, upto):

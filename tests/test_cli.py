@@ -1233,9 +1233,10 @@ def test_localhom_keeps_the_adic_stage_crosscheck(tmp_path, monkeypatch,
     assert json.loads(capsys.readouterr().out)["result"]["kind"] == "zero"
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
-def test_localhom_builds_no_stage_of_the_next_tor_tower(tmp_path, monkeypatch,
-                                                        s):
+def _tor_stage_degrees(monkeypatch):
+    """The degrees of the Tor towers whose stages get built from now on, in
+    a cold run: an earlier test may have left a tower's limits in the table,
+    and a hit builds no stage."""
     import lodua.towers
     degrees = set()
     stage = lodua.towers.Tower.stage
@@ -1246,8 +1247,73 @@ def test_localhom_builds_no_stage_of_the_next_tor_tower(tmp_path, monkeypatch,
         return stage(self, k)
 
     monkeypatch.setattr(lodua.towers.Tower, "stage", recorded)
-    assert _localhom(tmp_path, _z_doc(), "M", s) == 0
+    lodua.towers._presented_limits.cache_clear()
+    return degrees
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_localhom_builds_no_stage_of_the_next_tor_tower(tmp_path, monkeypatch,
+                                                        s):
+    # over Q[x,y] the lag probe materializes the stages of the Tor_s tower,
+    # and the Tor_(s+1) tower must stay unbuilt
+    degrees = _tor_stage_degrees(monkeypatch)
+    doc = {"version": "1", "ring": {"base": "Q", "vars": ["x", "y"]},
+           "ideal": ["x", "y"],
+           "modules": {"M": {"generators": 1, "relations": [["x^2"]]}}}
+    assert _localhom(tmp_path, doc, "M", s) == 0
     assert degrees == ({s} if s else set())
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_localhom_over_z_builds_no_tor_stage(tmp_path, monkeypatch, s):
+    # over Z the lag is read off the invariant factors
+    degrees = _tor_stage_degrees(monkeypatch)
+    assert _localhom(tmp_path, _z_doc(), "M", s) == 0
+    assert degrees == set()
+
+
+def test_a_cold_zp_localhom_computes_no_homology(tmp_path, monkeypatch,
+                                                 capsys):
+    import lodua.cli
+    import lodua.complexes
+    import lodua.linalg
+    import lodua.towers
+    computed = []
+    homology = lodua.complexes.ChainComplex.homology
+
+    def counted(self, n):
+        computed.append(n)
+        return homology(self, n)
+
+    monkeypatch.setattr(lodua.complexes.ChainComplex, "homology", counted)
+    lodua.cli._parsed.cache_clear()
+    lodua.linalg._span.cache_clear()
+    lodua.towers._presented_limits.cache_clear()
+    doc = {"version": "1", "ring": {"base": "Z", "completion": {
+        "ideal": ["5"], "precision": 20}}, "ideal": ["5"],
+        "modules": {"M": {"generators": 2, "relations": [["5", "50"]]}}}
+    assert _localhom(tmp_path, doc, "M", 1) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["basis"] == \
+        "Artin-Rees pro-trivial Tor tower (lag 1)"
+    assert computed == []
+
+
+def test_a_tor_tower_past_the_size_bound_is_materialized(monkeypatch):
+    # nine generators, one of them 5-torsion: the counted bound on the
+    # stages exceeds the probe gate, so the probe builds them, and they are
+    # small enough to locate the lag
+    import lodua.cli
+    degrees = _tor_stage_degrees(monkeypatch)
+    doc = {"version": "1", "ring": {"base": "Z"}, "ideal": ["5"],
+           "modules": {"Big": {"generators": 9,
+                               "relations": [["5"] + ["0"] * 8]}},
+           "towers": {"t": {"kind": "tor", "module": "Big", "ideal": ["5"],
+                            "s": 1}}}
+    code, report = lodua.cli.run(doc, "resolve")
+    assert code == 0
+    assert report["towers"]["t"]["lim"]["basis"] == \
+        "Artin-Rees pro-trivial Tor tower (lag 1)"
+    assert degrees == {1}
 
 
 def _z_fixture(**blocks):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lodua
@@ -254,6 +254,95 @@ def test_a_cold_zp_lcomplete_check_builds_three_smith_forms(monkeypatch):
     assert report["result"]["table"]["i=1,q=0"]["basis"] == \
         "image chain stabilized at 21"
     assert len(built) <= 3
+
+
+@st.composite
+def _tor_cases(draw, rings=("Z", "Z_p")):
+    """(ring, generator count, relation columns, ideal generators, s, K,
+    lag): entries p^a * unit or 0, over Z or over Z_p at precision N <= 8;
+    over Z the units of the draw carry other primes, so an ideal of two
+    generators such as (10, 25) has a gcd that neither generator is."""
+    p = draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    if draw(st.sampled_from(rings), label="ring") == "Z":
+        R, top = make_ring({"base": "Z"}), 4
+    else:
+        N = draw(st.integers(1, 8), label="N")
+        R, top = make_ring({"base": "Z", "completion": {
+            "ideal": [str(p)], "precision": N}}), N + 1
+
+    def padic(low):
+        return st.builds(
+            lambda a, u: p ** a * u, st.integers(low, top),
+            st.sampled_from([u for u in range(-3 * p, 3 * p) if u % p]))
+
+    ngens = draw(st.integers(1, 3), label="generators")
+    # mostly in the maximal ideal at p, where the lags are not all 0
+    entry = st.just(0) | padic(0) | padic(1) | padic(1) | padic(1)
+    rels = draw(st.lists(st.tuples(*[entry] * ngens), max_size=3),
+                label="relations")
+    gens = draw(st.lists(entry, min_size=1, max_size=2), label="ideal")
+    return (R, ngens, rels, gens,
+            draw(st.sampled_from([1, 1, 2, 3]), label="s"),
+            draw(st.integers(1, 6), label="K"),
+            draw(st.integers(0, 4), label="lag"))
+
+
+def _tor_tower(case):
+    R, ngens, rels, gens, s, _, _ = case
+    return Tower.tor(FPObj(FPModule(R, ngens, rels)), gens, s)
+
+
+_Z2_AT_4 = make_ring({"base": "Z", "completion": {"ideal": ["2"],
+                                                   "precision": 4}})
+
+
+@settings(max_examples=300)
+@given(_tor_cases())
+# Z_2/(8) at precision 4 and I = (4): x^2 = 16 = 0, so stage 2 is zero and
+# the lag is 1, although 8 does not divide x
+@example((_Z2_AT_4, 1, [(8,)], [4], 1, 2, 2))
+def test_a_pid_tor_lag_is_the_materialized_probes(case):
+    """Over Z and Z_p a Tor tower whose stages provably pass the probe gate
+    gets its lag from the invariant factors, without a stage built; the
+    materialized probe on a fresh tower is the oracle."""
+    from lodua.towers import (_probe_lag, _stages_small, _tor_stages_fit,
+                              is_pro_trivial)
+    _, _, _, _, _, K, lag = case
+    with lodua.settings(K=K, lag=lag):
+        bound, lag = min(K, 4), min(lag, 3)
+        tower = _tor_tower(case)
+        if tower.kind != "tor" or not _tor_stages_fit(tower, bound):
+            return
+        found = _probe_lag(tower)
+        assert not tower._stages
+        oracle = _tor_tower(case)
+        assert _stages_small(oracle, bound)
+        verdict = is_pro_trivial(oracle, lag=lag, stage_bound=bound)
+    if verdict.status == "pro-trivial":
+        assert found == (verdict.lag, None)
+    else:
+        assert found == (None, verdict.describe())
+
+
+@settings(max_examples=60)
+@given(_tor_cases(rings=("Z",)))
+def test_a_printed_tor_lag_holds_at_every_stage(case):
+    """The lag a Tor tower over Z prints holds beyond the probe's stages:
+    every composite of that lag vanishes on stages 1..8."""
+    from lodua.towers import _probe_lag
+    _, _, _, _, _, K, lag = case
+    tower = _tor_tower(case)
+    if tower.kind != "tor":
+        return
+    with lodua.settings(K=K, lag=lag):
+        found, _ = _probe_lag(tower)
+    if found is None:
+        return
+    for k in range(1, 9):
+        if found == 0:
+            assert tower.stage(k).is_zero()
+        else:
+            assert tower.composite(k, found).is_zero_map()
 
 
 def test_mult_towers_on_descriptors_and_unrecognized_shapes(ZZ, QQxy):
