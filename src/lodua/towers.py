@@ -27,7 +27,7 @@ key returned, and a refusal is never stored, so no answer depends on what
 ran before; a hit spends no budget steps.
 """
 
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import comb
 
 from .complexes import ChainMap, induced_on_homology
@@ -40,6 +40,7 @@ from .koszul import koszul_chain, koszul_transition
 # towers calls no lift_through; the name stays bound here because
 # perfbench/selftest.py takes it as its example of a from-import copy
 from .linalg import lift_through, span_basis  # noqa: F401
+from .linalg import member, membership_test
 from .modules import (FPModule, ModuleMap, _capped_killing_power,
                       _killing_power, base_change, block_sum,
                       free_resolution, ideal_power_module, kron_identity,
@@ -797,25 +798,87 @@ def _limits(tower):
 def _probe_lag(tower):
     """The size-gated lag probe, within the settings and at most lag 3 and
     4 stages: (k, None) when a composite of lag k vanishes on the probed
-    stages, else (None, note) with the materialized evidence.  A Tor tower
-    over Z or Z_p whose stages provably pass the gate builds none: its lag
-    is read off the module's invariant factors (``_pid_tor_lag``), which
-    gives the pair the materialized probe gives."""
+    stages, else (None, note) with the materialized evidence.  A Tor_s
+    tower whose resolution has no F_s builds no stage: each stage is H_s of
+    a complex with C_s = 0, so the lag is 0.  A Tor tower over Z or Z_p
+    whose stages provably pass the gate builds none either: its lag is read
+    off the module's invariant factors (``_pid_tor_lag``).  Past the gate,
+    a Tor tower over a ring whose spans compute exactly (all but Z_p and
+    Z_p[1/u]) decides its lag on the stage complexes (``_cycle_tor_lag``).
+    Each gives the pair the materialized probe gives."""
     bound, lag = min(current().K, 4), min(current().lag, 3)
-    if tower.kind == "tor" and tower.ring.int_arith is not None \
-            and tower.params["s"] >= 1 and _tor_stages_fit(tower, bound):
-        found = _pid_tor_lag(tower, min(lag, bound - 1))
-        if found is not None:
-            return found, None
-        # is_pro_trivial's verdict on a Tor tower it cannot close
-        return None, ProTrivialVerdict(
-            "inconclusive", note=f"lag bound {lag} exhausted").describe()
-    if not _stages_small(tower, bound):
+    ring, upto = tower.ring, min(lag, bound - 1)
+    tor = tower.kind == "tor" and tower.params["s"] >= 1
+    if tor and tower.params["complexes"].resolution.module(
+            tower.params["s"]).ngens == 0:
+        return 0, None
+    if tor and ring.int_arith is not None and _tor_stages_fit(tower, bound):
+        found = _pid_tor_lag(tower, upto)
+    elif not _stages_small(tower, bound):
         return None, "stage presentations exceed the probe gate"
-    verdict = is_pro_trivial(tower, lag=lag, stage_bound=bound)
-    if verdict.status == "pro-trivial":
-        return verdict.lag, None
-    return None, verdict.describe()
+    elif tor and not (ring.nvars == 0 and ring.is_completed):
+        found = _cycle_tor_lag(tower, bound, upto)
+    else:
+        verdict = is_pro_trivial(tower, lag=lag, stage_bound=bound)
+        if verdict.status == "pro-trivial":
+            return verdict.lag, None
+        return None, verdict.describe()
+    if found is not None:
+        return found, None
+    # is_pro_trivial's verdict on a Tor tower it cannot close
+    return None, ProTrivialVerdict(
+        "inconclusive", note=f"lag bound {lag} exhausted").describe()
+
+
+def _cycle_tor_lag(tower, bound, upto):
+    """The least lag j <= upto (upto < bound) at which every composite of a
+    Tor_s tower (s >= 1) vanishes on stages k <= bound - j, or None: the
+    answer of ``is_pro_trivial``, decided on the stage complexes
+    C_k = F (x) A/I^k without a map induced on homology.
+
+    Let S_k be the span of C_k's boundaries in degree s and its relations
+    I^k F_s.  Stage k is zero iff each of its representative cycles lies in
+    S_k.  The chain maps are identities on F, so the composite from stage
+    k + j to stage k vanishes iff each representative cycle of stage k + j
+    lies in S_k.  A carried cycle outside stage k's cycle module (the span
+    of its kernel generators and I^k F_s, which contains S_k) is refused as
+    ``induced_on_homology`` refuses it."""
+    stages, s = tower.params["complexes"], tower.params["s"]
+
+    @cache
+    def cycles(k):
+        hd = stages.complex(k).homology_data(s)
+        return hd.incl.compose(hd.rep).cols()
+
+    @cache
+    def in_boundaries(k):
+        C = stages.complex(k)
+        Cs = C.module(s)
+        return membership_test(stages.ring, C.diff(s + 1).cols()
+                               + Cs.relations, Cs.ngens)
+
+    def vanishes(k, j):
+        """Whether the composite of lag j into stage k vanishes (j = 0:
+        whether stage k is zero)."""
+        for z in cycles(k + j):
+            if not in_boundaries(k)(z):
+                incl = stages.complex(k).homology_data(s).incl
+                if j and not member(stages.ring, incl.cols()
+                                    + incl.target.relations, z,
+                                    incl.target.ngens):
+                    raise InvalidInput("chain map does not preserve cycles")
+                return False
+        return True
+
+    @cache
+    def zero(k):
+        return vanishes(k, 0)
+
+    for j in range(upto + 1):
+        if all(zero(k) or (j and vanishes(k, j))
+               for k in range(1, bound - j + 1)):
+            return j
+    return None
 
 
 def _tor_stages_fit(tower, bound):

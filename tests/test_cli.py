@@ -1251,17 +1251,64 @@ def _tor_stage_degrees(monkeypatch):
     return degrees
 
 
+def _cold():
+    """Empty the document, span and tower-limit tables, as in a fresh
+    process."""
+    import lodua.cli
+    import lodua.linalg
+    import lodua.towers
+    lodua.cli._parsed.cache_clear()
+    lodua.linalg._span.cache_clear()
+    lodua.towers._presented_limits.cache_clear()
+
+
+def _qxy_doc(*relations):
+    return {"version": "1", "ring": {"base": "Q", "vars": ["x", "y"]},
+            "ideal": ["x", "y"],
+            "modules": {"M": {"generators": 1,
+                              "relations": [[r] for r in relations]}}}
+
+
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_localhom_builds_no_stage_of_the_next_tor_tower(tmp_path, monkeypatch,
                                                         s):
     # over Q[x,y] the lag probe materializes the stages of the Tor_s tower,
-    # and the Tor_(s+1) tower must stay unbuilt
+    # and the Tor_(s+1) tower must stay unbuilt; M = A/(x^2, xy) has F_2 = A,
+    # so its Tor_2 stages are built too
     degrees = _tor_stage_degrees(monkeypatch)
-    doc = {"version": "1", "ring": {"base": "Q", "vars": ["x", "y"]},
-           "ideal": ["x", "y"],
-           "modules": {"M": {"generators": 1, "relations": [["x^2"]]}}}
-    assert _localhom(tmp_path, doc, "M", s) == 0
+    assert _localhom(tmp_path, _qxy_doc("x^2", "x*y"), "M", s) == 0
     assert degrees == ({s} if s else set())
+
+
+def test_a_tor_tower_without_f_s_builds_no_stage(tmp_path, monkeypatch,
+                                                 capsys):
+    # A/(x^2) has F_2 = 0: every Tor_2 stage is H_2 of a complex with C_2 = 0
+    degrees = _tor_stage_degrees(monkeypatch)
+    _cold()
+    assert _localhom(tmp_path, _qxy_doc("x^2"), "M", 2) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["basis"] == \
+        "Artin-Rees pro-trivial Tor tower (lag 0)"
+    assert degrees == set()
+
+
+def test_a_polynomial_tor_lag_induces_no_map_on_homology(tmp_path,
+                                                         monkeypatch, capsys):
+    # the lag is decided by membership of representative cycles in the
+    # stage complexes' boundaries
+    import lodua.complexes
+    import lodua.towers
+    induced = []
+
+    def counted(f, n):
+        induced.append(n)
+        return lodua.complexes.induced_on_homology(f, n)
+
+    monkeypatch.setattr(lodua.towers, "induced_on_homology", counted)
+    _cold()
+    assert _localhom(tmp_path, _qxy_doc("x + 2*y"), "M", 1) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["basis"] == \
+        "Artin-Rees pro-trivial Tor tower (lag 1)"
+    assert induced == []
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])

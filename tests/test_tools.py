@@ -330,6 +330,33 @@ def test_pairs_script_records_alternating_runs(tmp_path):
             r"(worse|unresolved|no regression)", line)
 
 
+def test_pairs_script_refuses_trees_with_different_bytecode(tmp_path):
+    """A tree whose src/lodua/__pycache__ holds bytecode for this interpreter
+    that the other lacks is refused before any run."""
+    import json
+    for name in ("parent", "change"):
+        folder = tmp_path / name / "src" / "lodua" / "__pycache__"
+        folder.mkdir(parents=True)
+        # another interpreter's bytecode does not count
+        (folder / "towers.cpython-00.pyc").write_bytes(b"")
+    tag = sys.implementation.cache_tag
+    (tmp_path / "change" / "src" / "lodua" / "__pycache__" /
+     f"towers.{tag}.pyc").write_bytes(b"")
+    out = tmp_path / "pairs.json"
+    out.write_text(json.dumps({"pr": 0}))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "pairs.py"),
+         "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--workload", "poly-sweep",
+         "--pairs", "1", "--size", "4", "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"pairs: the trees' src/lodua/__pycache__ differ in 1 bytecode files "
+        f"(towers.{tag}.pyc): compile both trees or neither\n")
+    assert json.loads(out.read_text()) == {"pr": 0}
+
+
 def test_pairs_summary_gives_a_regression_verdict():
     """Each verdict of the no-regression rule, on synthetic runs of a
     lower-is-better metric and a higher-is-better one, both of bound 0.25."""

@@ -345,6 +345,89 @@ def test_a_printed_tor_lag_holds_at_every_stage(case):
             assert tower.composite(k, found).is_zero_map()
 
 
+# mostly nonunits, where Tor_1 is not zero
+_POLY_ENTRIES = ["0", "1", "x", "y", "x^2", "x*y", "y^2", "x + y", "x - 2*y",
+                 "x^2 + y", "x*y - y^2", "x^2 - y^2"]
+_POLY_IDEALS = [["x", "y"], ["x + y", "x*y"], ["x"]]
+# (ring, relation entries, ideals); the test switches the invariant-factor
+# branch off, so over Z too every draw past the gate takes the cycle path
+_CYCLE_RINGS = [
+    (make_ring({"base": "Q", "vars": ["x", "y"]}), _POLY_ENTRIES, _POLY_IDEALS),
+    (make_ring({"base": "Fp", "p": 7, "vars": ["x", "y"]}), _POLY_ENTRIES,
+     _POLY_IDEALS),
+    (make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x*y"]}),
+     _POLY_ENTRIES, _POLY_IDEALS),
+    (make_ring({"base": "Q", "vars": ["x", "y"], "completion": {
+        "ideal": ["x", "y"], "precision": 4}}), _POLY_ENTRIES, _POLY_IDEALS),
+    (make_ring({"base": "Z"}), ["0", "1", "2", "3", "5", "6", "10", "25"],
+     [["5"], ["10", "25"], ["2"]]),
+]
+
+
+@st.composite
+def _cycle_cases(draw):
+    """(ring, generator count, relation columns, ideal generators, s, K,
+    lag): at most 2 generators and 2 relations of degree at most 2."""
+    R, entries, ideals = draw(st.sampled_from(_CYCLE_RINGS), label="ring")
+    ngens = draw(st.integers(1, 2), label="generators")
+    rels = draw(st.lists(st.tuples(*[st.sampled_from(entries)] * ngens),
+                         min_size=1, max_size=2), label="relations")
+    return (R, ngens, rels, draw(st.sampled_from(ideals), label="ideal"),
+            draw(st.integers(1, 2), label="s"),
+            draw(st.integers(1, 5), label="K"),
+            draw(st.integers(0, 3), label="lag"))
+
+
+@settings(max_examples=120)
+@given(_cycle_cases())
+def test_a_cycle_tor_lag_is_the_materialized_probes(case):
+    """Past the gate, a Tor tower over a ring whose spans compute exactly
+    decides its lag by membership of representative cycles, and one
+    without F_s builds no stage; ``_stages_small`` and ``is_pro_trivial``
+    on a fresh tower are the oracle."""
+    from unittest import mock
+
+    from lodua.towers import _probe_lag, _stages_small
+    _, _, _, _, _, K, lag = case
+    with lodua.settings(K=K, lag=lag):
+        bound, lag = min(K, 4), min(lag, 3)
+        with mock.patch("lodua.towers._tor_stages_fit", return_value=False):
+            found = _probe_lag(_tor_tower(case))
+        oracle = _tor_tower(case)
+        if not _stages_small(oracle, bound):
+            assert found == (None, "stage presentations exceed the probe gate")
+            return
+        verdict = is_pro_trivial(oracle, lag=lag, stage_bound=bound)
+    if verdict.status == "pro-trivial":
+        assert found == (verdict.lag, None)
+    else:
+        assert found == (None, verdict.describe())
+
+
+def test_a_tor_lag_refuses_a_carried_cycle_outside_the_cycles(QQxy):
+    """Stage 1 of a Tor_1 tower of A/(x^2) replaced by C_1 -> A/(x), d = 1:
+    its cycles are (x), and stage 2's cycle 1 does not lie in them.  The
+    cycle path refuses it as ``induced_on_homology`` does."""
+    from lodua import InvalidInput
+    from lodua.complexes import ChainComplex
+    from lodua.modules import ModuleMap
+    from lodua.towers import TorStages, _probe_lag
+
+    def tower():
+        stages = TorStages(FPModule.cyclic(QQxy, ["x^2"]), ["x", "y"], 2)
+        C1, C0 = FPModule.free(QQxy, 1), FPModule.cyclic(QQxy, ["x"])
+        stages._complexes[1] = ChainComplex(
+            QQxy, {0: C0, 1: C1}, {1: ModuleMap(C1, C0, [[1]], check=False)},
+            check=False)
+        return stages.tower(1)
+
+    with lodua.settings(K=2, lag=1):
+        with pytest.raises(InvalidInput, match="does not preserve cycles"):
+            _probe_lag(tower())
+        with pytest.raises(InvalidInput, match="does not preserve cycles"):
+            is_pro_trivial(tower(), lag=1, stage_bound=2)
+
+
 def test_mult_towers_on_descriptors_and_unrecognized_shapes(ZZ, QQxy):
     from lodua import InvalidInput, UnsupportedRing
     mult = mult_tower_values

@@ -21,7 +21,11 @@ metric's better direction, exceeds the parent's interquartile range.  A
 gain counts as a claim when the change wins at least nine pairs in ten and
 that gap exceeds the IQR.  The line ends with the regression verdict (see
 ``verdict``) read against the metric's ``bound`` in ``BENCHMARK.json``.
-It exits 1 when a run fails or reports wrong answers.
+It exits 1 when a run fails or reports wrong answers, and, before any
+run, when the two trees differ in which bytecode files
+``src/lodua/__pycache__`` holds for the running interpreter: with bytecode
+writing off, a tree without them compiles ``src/lodua`` on every run, which
+moves ``setup_s`` and ``peak_rss_mb`` (compile both trees, or neither).
 """
 
 import argparse
@@ -57,6 +61,16 @@ def bench(tree, workload, seed, size):
         failed = [line for line in lines if line.startswith("FAILED")]
         raise PairsError(f"{tree}: wrong answers: {'; '.join(failed)}")
     return result
+
+
+def bytecode(tree):
+    """The names of the files ``src/lodua/__pycache__`` holds in tree for
+    the running interpreter's cache tag."""
+    folder = os.path.join(tree, "src", "lodua", "__pycache__")
+    tag = f".{sys.implementation.cache_tag}."
+    if not os.path.isdir(folder):
+        return set()
+    return {name for name in os.listdir(folder) if tag in name}
 
 
 def quartiles(values):
@@ -131,6 +145,14 @@ def main(argv=None):
     runs = []
     trees = {"parent": os.path.abspath(ns.parent),
              "change": os.path.abspath(ns.change)}
+    held = {side: bytecode(tree) for side, tree in trees.items()}
+    if held["parent"] != held["change"]:
+        only = sorted(held["parent"] ^ held["change"])
+        print(f"pairs: the trees' src/lodua/__pycache__ differ in "
+              f"{len(only)} bytecode files ({', '.join(only[:3])}"
+              f"{', ...' if len(only) > 3 else ''}): compile both trees "
+              f"or neither", file=sys.stderr)
+        return 1
     try:
         for pair in range(1, ns.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
