@@ -646,20 +646,31 @@ def _killing_power(M, gens, bound):
     every generator's coordinate; the first one outside the relations ends
     the degree.  When degree 1 fails, the cap's first product gens[0]^bound
     is tried first: if it does not kill M then I^bound M != 0, so no degree
-    up to the bound does.
+    up to the bound does.  The cap is one ``**`` where that is the
+    left-to-right product's canonical element and runs no normal form: on
+    rings with no modulus and no inverted element, Z and Z_p among them
+    (``_IntArith.pow`` reduces by p^N as each product does).  Quotients,
+    completions with variables and localizations, Z_p[1/u] with its
+    precision seam among them, build it as the left-to-right product.
     """
     ring = M.ring
-    prod = prefix_products([ring.el(g) for g in gens])
+    els = [ring.el(g) for g in gens]
+    prod = prefix_products(els)
 
     def kills(f):
         return all(M.contains_in_relations(col)
                    for col in scalar_matrix(ring, M.ngens, f))
 
+    def cap():
+        if not ring.modulus and ring.inverted is None:
+            return els[0] ** bound
+        return prod((0,) * bound)
+
     for j in range(1, bound + 1):
         combos = combinations_with_replacement(range(len(gens)), j)
         if all(kills(prod(c)) for c in combos):
             return j
-        if j == 1 and bound > 1 and not kills(prod((0,) * bound)):
+        if j == 1 and bound > 1 and not kills(cap()):
             return None
     return None
 

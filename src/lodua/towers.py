@@ -28,7 +28,7 @@ ran before; a hit spends no budget steps.
 """
 
 from functools import cache, cached_property, lru_cache
-from math import comb
+from math import comb, gcd
 
 from .complexes import ChainMap, induced_on_homology
 from .context import current, precision_for, resolved
@@ -333,12 +333,35 @@ def _stages_small(tower, upto):
 
 def _require_radical_membership(ring, u, ideal_gens):
     """The least m <= 8 with u^m in the ideal: the killing power of u on
-    A/I."""
-    m = _killing_power(FPModule.cyclic(ring, ideal_gens), [u], 8)
+    A/I.  Over Z and Z_p it is read on the integers (``_int_radical_power``)
+    and no module is built."""
+    ar = ring.int_arith
+    if ar is not None:
+        gens = [ar.from_el(ring.el(g)) for g in ideal_gens]
+        m = _int_radical_power(ar, gens, ar.from_el(ring.el(u)), 8)
+    else:
+        m = _killing_power(FPModule.cyclic(ring, ideal_gens), [u], 8)
     if m is not None:
         return m
     raise UnrecognizedTower(
         f"multiplier {u.render()} is not visibly in the radical of the ideal")
+
+
+def _int_radical_power(ar, gens, u, bound):
+    """The least m <= bound with u^m in the ideal (gens) of Z or Z_p, or
+    None, on the values of the ring's ``_IntArith`` ar.
+
+    The ideal is (g) with g the gcd of the generators, and over Z_p at
+    precision N also of p^N, so g = p^v with v the least valuation (N when
+    every generator is 0).  u^m lies in it when u^m = 0 or g divides u^m,
+    which over Z_p compares valuations; over Z, g = 0 only for the zero
+    ideal, which holds u^m only when u^m = 0."""
+    g = gcd(ar.m or 0, *gens)
+    for m in range(1, bound + 1):
+        um = ar.pow(u, m)
+        if um == 0 or g and ar.divmod(um, g)[1] == 0:
+            return m
+    return None
 
 
 # -- pro-triviality -------------------------------------------------------------

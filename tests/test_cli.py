@@ -1345,6 +1345,67 @@ def test_a_cold_zp_localhom_computes_no_homology(tmp_path, monkeypatch,
     assert computed == []
 
 
+_RADICAL_BODIES = {
+    "localcoh": {"basis": "top local cohomology at one generator",
+                 "kind": "telescope_quotient",
+                 "value": {"kind": "telescope_quotient",
+                           "module": {"free_rank": 1, "torsion": []},
+                           "mult": "5"}},
+    "gm-check": {
+        "L_s": {"basis": "Artin-Rees: adic tower of an f.p. module",
+                "kind": "module", "module": {"free_rank": 1, "torsion": []},
+                "precision": 20,
+                "ring": "ZZ completed at (5) to precision 20"},
+        "exactness": "left term vanishes; the epimorphism L_s -> lim Tor_s "
+                     "is the certified isomorphism (invariant factors)",
+        "lim1_tor_next": {"basis": "Artin-Rees pro-trivial Tor tower (lag 0)",
+                          "kind": "zero"},
+        "lim_tor": {"basis": "Artin-Rees: adic tower of an f.p. module",
+                    "kind": "module",
+                    "module": {"free_rank": 1, "torsion": []},
+                    "precision": 20,
+                    "ring": "ZZ completed at (5) to precision 20"},
+        "status": "exact", "witness": "invariant factors compared"},
+}
+
+
+@pytest.mark.parametrize("verb, s", [("localcoh", 0), ("gm-check", 1)])
+@pytest.mark.parametrize("ring", [
+    {"base": "Z"},
+    {"base": "Z", "completion": {"ideal": ["5"], "precision": 20}}],
+    ids=["Z", "Z_5"])
+def test_a_telescope_quotient_multiplier_is_checked_on_the_integers(
+        monkeypatch, ring, verb, s):
+    # 5 lies in the radical of (5): read by divisibility, with no
+    # membership query on A/I
+    import sys
+    import lodua.cli
+    asked = []
+    contains = lodua.FPModule.contains_in_relations
+
+    def counted(self, vec):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name == "_require_radical_membership":
+                asked.append(vec)
+            frame = frame.f_back
+        return contains(self, vec)
+
+    monkeypatch.setattr(lodua.FPModule, "contains_in_relations", counted)
+    _cold()
+    doc = {"version": "1", "ring": ring, "ideal": ["5"],
+           "modules": {"A": {"generators": 1, "relations": []}},
+           "descriptors": {"pru": {"kind": "telescope_quotient",
+                                   "module": "A", "mult": "5"}}}
+    code, report = lodua.cli.run(doc, verb, {"target": "pru", "s": s})
+    assert code == 0
+    body = dict(_RADICAL_BODIES[verb])
+    if verb == "localcoh" and "completion" in ring:
+        body["precision"] = 20
+    assert report == {"result": body, "verb": verb, "version": "1"}
+    assert asked == []
+
+
 def test_a_tor_tower_past_the_size_bound_is_materialized(monkeypatch):
     # nine generators, one of them 5-torsion: the counted bound on the
     # stages exceeds the probe gate, so the probe builds them, and they are

@@ -423,6 +423,66 @@ def test_power_products_match_the_left_to_right_product():
             assert power_products(gens, k) == naive
 
 
+
+# the cap gens[0]^bound of _killing_power is one ``**`` on the rings of the
+# first table, each with a nonzero candidate generator
+_POWER_RINGS = {
+    "Z": ({"base": "Z"}, ["-3", "5", "10"]),
+    "Z_5": ({"base": "Z", "completion": {"ideal": ["5"], "precision": 6}},
+            ["3", "5", "10"]),
+    "Z_2": ({"base": "Z", "completion": {"ideal": ["2"], "precision": 3}},
+            ["3", "2", "6"]),
+    "Q": ({"base": "Q"}, ["2", "-3"]),
+    "F_7": ({"base": "Fp", "p": 7}, ["3", "6"]),
+    "Q[x,y]": ({"base": "Q", "vars": ["x", "y"]}, ["x", "x + y", "x*y - 2"]),
+    "F_7[x,y]": ({"base": "Fp", "p": 7, "vars": ["x", "y"]},
+                 ["y", "x - 3*y"]),
+    "Z[x]": ({"base": "Z", "vars": ["x"]}, ["x", "2*x + 3"]),
+}
+# ... and the left-to-right product on these, the Z_p[1/u] precision seam
+# among them
+_PRODUCT_RINGS = {
+    "Z_5[1/5]": ({"base": "Z", "invert": "5", "completion": {
+        "ideal": ["5"], "precision": 6}}, ["3", "5", "10"]),
+    "Z_5[1/10]": ({"base": "Z", "invert": "10", "completion": {
+        "ideal": ["5"], "precision": 6}}, ["3", "5", "15"]),
+    "Q[x,y]/(x^3 - y^2)": ({"base": "Q", "vars": ["x", "y"],
+                            "quotient": ["x^3 - y^2"]}, ["x", "x + y"]),
+    "Q[[x,y]]": ({"base": "Q", "vars": ["x", "y"], "completion": {
+        "ideal": ["x", "y"], "precision": 4}}, ["x", "1 + y"]),
+}
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(sorted(_POWER_RINGS)), st.data(), st.integers(1, 24))
+def test_a_power_is_the_left_to_right_product(name, data, k):
+    spec, entries = _POWER_RINGS[name]
+    R = make_ring(spec)
+    e = R.el(data.draw(st.sampled_from(entries)))
+    assert e ** k == _naive_product([e], (0,) * k)
+
+
+@pytest.mark.parametrize("name", sorted(_POWER_RINGS) + sorted(_PRODUCT_RINGS))
+def test_the_killing_power_cap_is_one_power_without_a_modulus(name,
+                                                               monkeypatch):
+    from lodua.modules import _killing_power
+    from lodua.ring import RingElement
+    spec, entries = {**_POWER_RINGS, **_PRODUCT_RINGS}[name]
+    R = make_ring(spec)
+    raised = []
+    power = RingElement.__pow__
+
+    def counted(e, n):
+        raised.append(n)
+        return power(e, n)
+
+    monkeypatch.setattr(RingElement, "__pow__", counted)
+    for g in entries:
+        M, gens = FPModule.free(R, 1), [R.el(g)]
+        del raised[:]
+        assert _killing_power(M, gens, 24) == _brute_killing_power(M, gens, 24)
+        assert raised.count(24) == (name in _POWER_RINGS)
+
 # -- the Ext engine shared by the grid and derived Hom -------------------------
 
 

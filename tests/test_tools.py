@@ -113,6 +113,38 @@ def test_profile_script_names_the_slowest_ops():
                for index, verb, _, args in parsed)
 
 
+def test_profile_script_profiles_a_latency_band():
+    # ranks 8..11 of 20 (quantiles 8/19..11/19) lie in [0.4, 0.6]
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "profile.py"),
+         "--workload", "integer-sweep", "--size", "20", "--top", "1",
+         "--band", "0.4", "0.6", "--slowest", "20"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"integer-sweep seed 1: 20 ops \(4 in the latency "
+                        r"band 0\.4-0\.6 profiled\), \d+\.\d\d s profiled, "
+                        r"0 raised an internal error", lines[0])
+    start = lines.index("slowest 4 of 4 profiled ops:")
+    counts = [int(re.fullmatch(r"  \S+ +(\d+) ops +\d+\.\d{3} s", line)[1])
+              for line in lines[1:start - 1]]
+    assert sum(counts) == 4
+    assert len(lines[start + 1:lines.index("", start)]) == 4
+
+
+def test_profile_latency_band_reads_ranks_as_quantiles():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "lodua_profile", os.path.join(ROOT, "tools", "profile.py"))
+    profile = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(profile)
+    latencies = [0.5, 0.1, 0.9, 0.3, 0.7]   # ranks 2, 0, 4, 1, 3
+    assert profile.latency_band(latencies, 0.4, 0.6) == {0}
+    assert profile.latency_band(latencies, 0.25, 0.75) == {0, 3, 4}
+    assert profile.latency_band(latencies, 0, 1) == set(range(5))
+    assert profile.latency_band([0.2], 0, 0) == {0}
+
+
 def test_sameness_script_prints_repeatable_fingerprints():
     def run():
         proc = subprocess.run(
@@ -323,11 +355,15 @@ def test_pairs_script_records_alternating_runs(tmp_path):
         names = [m["name"] for m in json.load(fh)["end_to_end"]]
     lines = proc.stdout.splitlines()
     assert lines[0] == "poly-sweep seed 1: 1 pairs"
-    for name, line in zip(names, lines[1:], strict=True):
+    # each summary line is followed by its change/parent ratio line
+    for name, line, ratio in zip(names, lines[1::2], lines[2::2],
+                                 strict=True):
         assert re.fullmatch(
             rf"{name}: parent \S+ \[\S+, \S+\], change \S+ \[\S+, \S+\], "
             r"change wins [01]/1, median gap \S+ (>|<=) parent IQR 0; "
             r"(worse|unresolved|no regression)", line)
+        assert re.fullmatch(r"  change/parent: median (\S+) \[\1, \1\] "
+                            r"over 1 pairs", ratio), ratio
 
 
 def test_pairs_script_refuses_trees_with_different_bytecode(tmp_path):
@@ -386,3 +422,30 @@ def test_pairs_summary_gives_a_regression_verdict():
     assert verdicts(noisy, [1.0] * 5) == ["unresolved", "unresolved"]
     # unless every change run beats every parent run
     assert verdicts(noisy, [0.5] * 5) == ["no regression", "no regression"]
+
+
+def test_pairs_ratios_cancel_a_drift_shared_by_a_pair():
+    """The per-pair change/parent ratio: a host drift that moves both runs
+    of a pair leaves it steady, and a zero parent value is left out."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "pairs", os.path.join(ROOT, "tools", "pairs.py"))
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    metrics = [{"name": "t", "better": "lower", "bound": 0.25},
+               {"name": "z", "better": "lower", "bound": 0.25}]
+    parent, change = [1.0, 2.0, 1.0, 2.0, 1.5], [0.9, 1.8, 0.9, 1.8, 1.35]
+    zeros = [0.0, 0.0, 1.0, 0.0, 0.0]
+    runs = [{"pair": p, "side": side,
+             "result": {"metrics": {"t": {"value": v}, "z": {"value": z}}}}
+            for side, values in (("parent", parent), ("change", change))
+            for p, (v, z) in enumerate(zip(values, zeros), 1)]
+    # the sides overlap, so the summary alone shows no clear gain
+    assert "median gap 0.15 <= parent IQR 1" in pairs.summary(runs,
+                                                              metrics)[0]
+    assert pairs.ratios(runs, metrics) == [
+        "  change/parent: median 0.9 [0.9, 0.9] over 5 pairs",
+        "  change/parent: median 1 [1, 1] over 1 pairs"]
+    runs = [r for r in runs if r["pair"] != 3]
+    assert pairs.ratios(runs, metrics)[1] == (
+        "  change/parent: no pair with a nonzero parent value")

@@ -345,6 +345,46 @@ def test_a_printed_tor_lag_holds_at_every_stage(case):
             assert tower.composite(k, found).is_zero_map()
 
 
+@st.composite
+def _radical_cases(draw):
+    """Z or Z_p (p in {2, 3, 5, 7}, precision N <= 8), one to three ideal
+    generators and a multiplier, each 0, a unit or p^a * unit."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    N = draw(st.one_of(st.none(), st.integers(1, 8)))
+    R = make_ring({"base": "Z"} if N is None else {
+        "base": "Z", "completion": {"ideal": [str(p)], "precision": N}})
+    units = [u for u in range(-13, 14) if u % p]
+    value = st.one_of(st.just(0), st.sampled_from(units), st.builds(
+        lambda a, u: p ** a * u, st.integers(1, 9), st.sampled_from(units)))
+    gens = draw(st.lists(value, min_size=1, max_size=3))
+    return R, [R.el(g) for g in gens], R.el(draw(value))
+
+
+_Z = make_ring({"base": "Z"})
+
+
+@settings(max_examples=300)
+@given(_radical_cases())
+# over Z: only u^m = 0 puts u^m in the zero ideal; m = 3 is neither 1 nor 8
+@example((_Z, [_Z.el(0)], _Z.el(0)))
+@example((_Z, [_Z.el(250)], _Z.el(-10)))
+def test_radical_membership_over_the_integers_is_the_killing_power(case):
+    """Over Z and Z_p the radical power is read on the integers; the
+    killing power of u on A/I, with its refusal, is the oracle."""
+    from lodua.modules import _killing_power
+    from lodua.towers import _require_radical_membership
+    R, gens, u = case
+    expected = _killing_power(FPModule.cyclic(R, gens), [u], 8)
+    if expected is None:
+        with pytest.raises(UnrecognizedTower) as refused:
+            _require_radical_membership(R, u, gens)
+        assert str(refused.value) == (
+            f"multiplier {u.render()} is not visibly in the radical of the "
+            f"ideal")
+    else:
+        assert _require_radical_membership(R, u, gens) == expected
+
+
 # mostly nonunits, where Tor_1 is not zero
 _POLY_ENTRIES = ["0", "1", "x", "y", "x^2", "x*y", "y^2", "x + y", "x - 2*y",
                  "x^2 + y", "x*y - y^2", "x^2 - y^2"]

@@ -21,6 +21,10 @@ metric's better direction, exceeds the parent's interquartile range.  A
 gain counts as a claim when the change wins at least nine pairs in ten and
 that gap exceeds the IQR.  The line ends with the regression verdict (see
 ``verdict``) read against the metric's ``bound`` in ``BENCHMARK.json``.
+After it comes the median and quartiles of the per-pair change/parent
+ratio (see ``ratios``): a drift of the host's speed that moves both runs
+of a pair cancels there, while it widens each side's spread above.  The
+claim rule and the verdict read the sides, not the ratios.
 It exits 1 when a run fails or reports wrong answers, and, before any
 run, when the two trees differ in which bytecode files
 ``src/lodua/__pycache__`` holds for the running interpreter: with bytecode
@@ -99,23 +103,43 @@ def verdict(par, chg, bound, lower):
     return "no regression"
 
 
-def summary(runs, metrics):
-    """One line per metric over the runs of one workload and seed."""
+def paired(runs, metrics):
+    """(metric, parent values, change values) per metric, pair by pair."""
     sides = {"parent": {}, "change": {}}
     for run in runs:
         sides[run["side"]][run["pair"]] = run["result"]["metrics"]
     pairs = sorted(sides["parent"])
-    out = []
     for m in metrics:
+        yield (m, [sides["parent"][p][m["name"]]["value"] for p in pairs],
+               [sides["change"][p][m["name"]]["value"] for p in pairs])
+
+
+def ratios(runs, metrics):
+    """One line per metric: the median and quartiles of change/parent over
+    the pairs whose parent value is not zero."""
+    out = []
+    for _, par, chg in paired(runs, metrics):
+        rs = [c / p for p, c in zip(par, chg) if p]
+        if not rs:
+            out.append("  change/parent: no pair with a nonzero parent value")
+            continue
+        q1, med, q3 = quartiles(rs)
+        out.append(f"  change/parent: median {med:.4g} [{q1:.4g}, {q3:.4g}] "
+                   f"over {len(rs)} pairs")
+    return out
+
+
+def summary(runs, metrics):
+    """One line per metric over the runs of one workload and seed."""
+    out = []
+    for m, par, chg in paired(runs, metrics):
         name, lower = m["name"], m["better"] == "lower"
-        par = [sides["parent"][p][name]["value"] for p in pairs]
-        chg = [sides["change"][p][name]["value"] for p in pairs]
         wins = sum(c < p if lower else c > p for p, c in zip(par, chg))
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(par), quartiles(chg)
         gap = pmed - cmed if lower else cmed - pmed
         out.append(f"{name}: parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}], "
                    f"change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}], "
-                   f"change wins {wins}/{len(pairs)}, median gap {gap:.4g} "
+                   f"change wins {wins}/{len(par)}, median gap {gap:.4g} "
                    f"{'>' if gap > pq3 - pq1 else '<='} parent IQR "
                    f"{pq3 - pq1:.4g}; "
                    f"{verdict(par, chg, m['bound'], lower)}")
@@ -170,8 +194,9 @@ def main(argv=None):
             json.dump(record, fh, indent=1, sort_keys=True)
             fh.write("\n")
     print(f"{ns.workload} seed {ns.seed}: {ns.pairs} pairs")
-    for line in summary(runs, metrics):
+    for line, ratio in zip(summary(runs, metrics), ratios(runs, metrics)):
         print(line)
+        print(ratio)
     return 0
 
 

@@ -6,13 +6,20 @@
     python3 tools/profile.py --workload integer-sweep --verb gm-check --sort ncalls
     python3 tools/profile.py --workload poly-sweep --by-module
     python3 tools/profile.py --workload integer-sweep --slowest 20
+    python3 tools/profile.py --workload integer-sweep --band 0.4 0.6
 
 The op list comes from ``perfbench/workloads.py`` and each op is executed as
 ``perfbench/worker.py`` executes it (both imported, neither changed); the
 engine is imported from ``src/``.  Every op runs once, in order, under one
 profiler; with ``--verb`` every op still runs, so the state earlier ops
 leave behind is the benchmark's, but the profiler is on only around that
-verb's ops, and ``--sort ncalls`` then gives the verb's call counts.  The
+verb's ops, and ``--sort ncalls`` then gives the verb's call counts.
+``--band LO HI`` likewise profiles only the ops whose latency rank, as a
+quantile of the op list (0 the fastest op, 1 the slowest), lies between LO
+and HI; the latencies are those of one ``perfbench/worker.py --mode timed``
+process run first, unprofiled, so ``--band 0.4 0.6`` profiles the ops
+around the median that ``op_p50_ms`` reads, as ``--slowest`` names the
+tail.  The
 script prints the profiled seconds spent in each verb (grid questions count
 as ``is_L_complete``); with ``--by-module``, the profiled self time of each
 source module (each ``lodua.*`` module, ``fractions``, ``builtins`` for the
@@ -42,23 +49,25 @@ import argparse  # noqa: E402
 import cProfile  # noqa: E402
 import json  # noqa: E402
 import pstats  # noqa: E402
+import subprocess  # noqa: E402
 import time  # noqa: E402
 
 import worker  # noqa: E402  (perfbench/worker.py)
 import workloads  # noqa: E402  (perfbench/workloads.py)
 
 
-def profile_ops(ops, only=None):
-    """Run every op, under one profiler unless ``only`` names another verb:
-    (profiler, [(op index, verb, profiled seconds)] of the profiled ops,
-    number of ops that raised)."""
+def profile_ops(ops, only=None, band=None):
+    """Run every op, under one profiler unless ``only`` names another verb
+    or ``band``, a set of op indices, leaves it out: (profiler, [(op index,
+    verb, profiled seconds)] of the profiled ops, number of ops that
+    raised)."""
     worker.import_lodua()
     import lodua
     timed, raised = [], 0
     prof = cProfile.Profile()
     for index, op in enumerate(ops):
         verb = op.get("verb", "is_L_complete")
-        profiled = only in (None, verb)
+        profiled = only in (None, verb) and (band is None or index in band)
         t0 = time.perf_counter()
         if profiled:
             prof.enable()
@@ -73,6 +82,28 @@ def profile_ops(ops, only=None):
         if profiled:
             timed.append((index, verb, time.perf_counter() - t0))
     return prof, timed, raised
+
+
+def unprofiled_latencies(workload, seed, size):
+    """Each op's latency in seconds, in op-list order, from one fresh
+    ``perfbench/worker.py --mode timed`` process (unscaled)."""
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"),
+           "--workload", workload, "--seed", str(seed), "--mode", "timed"]
+    if size is not None:
+        cmd += ["--size", str(size)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    return [rec["latency"]
+            for rec in json.loads(proc.stdout.splitlines()[-1])["ops"]]
+
+
+def latency_band(latencies, lo, hi):
+    """The indices of the ops whose latency rank r (0 the fastest) of n
+    ops, as the quantile r / (n - 1), lies in [lo, hi]."""
+    order = sorted(range(len(latencies)), key=latencies.__getitem__)
+    top = max(1, len(order) - 1)
+    return {index for rank, index in enumerate(order)
+            if lo <= rank / top <= hi}
 
 
 def _args(op):
@@ -139,19 +170,34 @@ def main(argv=None):
                     help="also print the self time of each source module")
     ap.add_argument("--slowest", type=int, default=0, metavar="N",
                     help="also print the N slowest profiled ops")
+    ap.add_argument("--band", type=float, nargs=2, default=None,
+                    metavar=("LO", "HI"),
+                    help="profile only the ops whose unprofiled latency "
+                         "rank lies between these quantiles")
     ns = ap.parse_args(argv)
+    if ns.band is not None and not 0 <= ns.band[0] <= ns.band[1] <= 1:
+        ap.error("--band takes 0 <= LO <= HI <= 1")
     ops = workloads.generate(ns.workload, ns.seed, ns.size)
-    prof, timed, raised = profile_ops(ops, ns.verb)
+    band = None
+    if ns.band is not None:
+        band = latency_band(unprofiled_latencies(ns.workload, ns.seed,
+                                                 ns.size), *ns.band)
+    prof, timed, raised = profile_ops(ops, ns.verb, band)
     per_verb = {}
     for _, verb, s in timed:
         slot = per_verb.setdefault(verb, [0, 0.0])
         slot[0] += 1
         slot[1] += s
     if not per_verb:
-        print(f"no {ns.verb!r} op among the {len(ops)} ops", file=sys.stderr)
+        asked = f"{ns.verb!r} op" if ns.verb else "op"
+        where = " in the latency band" if band is not None else ""
+        print(f"no {asked}{where} among the {len(ops)} ops", file=sys.stderr)
         return 2
     total = sum(s for _, s in per_verb.values())
-    scope = f" ({per_verb[ns.verb][0]} {ns.verb} profiled)" if ns.verb else ""
+    what = f"{per_verb[ns.verb][0]} {ns.verb}" if ns.verb else str(len(timed))
+    if band is not None:
+        what += f" in the latency band {ns.band[0]:g}-{ns.band[1]:g}"
+    scope = f" ({what} profiled)" if ns.verb or band is not None else ""
     print(f"{ns.workload} seed {ns.seed}: {len(ops)} ops{scope}, "
           f"{total:.2f} s profiled, {raised} raised an internal error")
     for verb, (n, s) in sorted(per_verb.items(), key=lambda kv: -kv[1][1]):
