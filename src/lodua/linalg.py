@@ -407,7 +407,7 @@ class _GroebnerSpan(_Span):
         if gb is None or (track and not gb.track):
             # no caller reads a modulus vector's cofactor coordinate
             gens = self.cols + self.ring.modulus_vectors(self.nrows)
-            gb = self._gb = GBasis(gens, self.nrows, order=self.ring.order,
+            gb = self._gb = GBasis(gens, self.nrows,
                                    track=track and len(self.cols))
         return gb
 

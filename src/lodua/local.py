@@ -2,9 +2,10 @@
 Greenlees-May comparison.
 
 Everything operates on graded objects: finite formal sums of descriptors
-placed in homological degrees.  The torsion side is computed as the colimit
-of Koszul cochain stages on rising powers of the generators; the completion
-side is computed by two routes that are cross-checked:
+placed in homological degrees.  On the torsion side `local_cohomology_value`
+answers H^s_I by its recognition rules, and H^0_I by the stabilized chain of
+I^k-torsion submodules; the completion side is computed by two routes that
+are cross-checked:
 
   route A: iterated one-generator derived completion via the
            telescope/completion-comparison model RHom(x^-1 A, M) = [M -> M^];
@@ -19,8 +20,8 @@ adic tower in degree 0.  The routes are therefore not fully independent:
 that limit is the same `completed_module` base change route A computes.
 What route B adds is the adic stage cross-check (over euclidean rings, the
 first min(K, 3) stages against the completed presentation), and over a
-completed ring only, the lag probes of the Koszul-stage towers in degrees
-1..n.
+completed ring without variables (Z_p, Z_p[1/u]) only, the lag probes of
+the Koszul-stage towers in degrees 1..n.
 
 The Ext engine for descriptor pairs lives here too, in two rules:
 `ext_out_of_fp` (f.p. source, any target descriptor) and
@@ -445,10 +446,11 @@ def _lambda_route_B(d, M):
     """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}.
     The sequence is weakly proregular, so the towers of degrees 1..n+1 are
     pro-zero and route B is the limit of the adic tower in degree 0.  Over
-    a completed ring the Koszul-stage towers of degrees 1..n are still asked
-    of the tower table, for their lag probe's stage cross-check."""
+    a completed ring without variables (Z_p, Z_p[1/u]) the Koszul-stage
+    towers of degrees 1..n are still asked of the tower table, for their
+    lag probe's stage cross-check."""
     lim = lim_lim1(Tower.adic(M, d.gens)).lim
-    if M.ring.is_completed:
+    if M.ring.is_completed and M.ring.nvars == 0:
         stages = KoszulTensorStages(M, d.gens)
         for s in range(1, d.n + 1):
             lim_lim1(stages.tower(s))
@@ -492,7 +494,7 @@ def derived_completion(d, X):
     Both routes take the f.p. pieces of ``_completed_pieces``.
     Completions are taken at the precision setting (unset: the ring's own,
     or 20 over a discrete ring), and the K and lag settings bound route B's
-    probes over a completed ring.  No weak-proregularity
+    probes over a completed ring without variables.  No weak-proregularity
     question is asked: every finite sequence of a Noetherian ring is weakly
     proregular.
     """

@@ -43,7 +43,7 @@ import re
 from .context import DEFAULT_PRECISION, at_least
 from .errors import InvalidInput, PrecisionMismatch, UnsupportedRing
 from .expr import parse_poly
-from .groebner import groebner_ideal, ideal_basis_polys
+from .groebner import GBasis, ideal_basis_polys
 from .linalg import lift_through, syzygies
 from .poly import GF, Poly, QQ, ZZ, order_key
 
@@ -106,14 +106,13 @@ def power_products(gens, k):
 
 
 class Ring:
-    def __init__(self, base, p, names, quotient, inverted, completion, order):
+    def __init__(self, base, p, names, quotient, inverted, completion):
         self.base = base            # 'Z' | 'Q' | 'F'
         self.p = p
         self.names = tuple(names)
         self.quotient = tuple(quotient)
         self.inverted = inverted    # Poly or None
         self.completion = completion  # (tuple of Poly, precision) or None
-        self.order = order
         self.dom = {"Z": ZZ, "Q": QQ}.get(base) or GF(p)
         self.nvars = len(self.names)
         self._modulus = None
@@ -142,14 +141,12 @@ class Ring:
 
     @classmethod
     def get(cls, base, p=None, names=(), quotient=(), inverted=None,
-            completion=None, order="grevlex"):
-        key = (base, p, tuple(names), tuple(quotient), inverted,
-               completion and (tuple(completion[0]), completion[1]), order)
+            completion=None):
+        completion = completion and (tuple(completion[0]), completion[1])
+        key = (base, p, tuple(names), tuple(quotient), inverted, completion)
         hit = _RING_CACHE.get(key)
         if hit is None:
-            hit = cls(base, p, names, tuple(quotient), inverted,
-                      completion and (tuple(completion[0]), completion[1]), order)
-            _RING_CACHE[key] = hit
+            hit = _RING_CACHE[key] = cls(*key)
         return hit
 
     def _validate(self):
@@ -194,11 +191,11 @@ class Ring:
         if not self.is_completed:
             return self
         return Ring.get(self.base, self.p, self.names, self.quotient,
-                        self.inverted, None, self.order)
+                        self.inverted, None)
 
     def without_inversion(self):
         return Ring.get(self.base, self.p, self.names, self.quotient,
-                        None, self.completion, self.order)
+                        None, self.completion)
 
     def rabinowitsch_model(self):
         """The Rabinowitsch model A[t]/(t*u - 1) of a localized polynomial
@@ -211,12 +208,12 @@ class Ring:
         relation = pad(self.inverted, 1) - Poly.const(self.dom, nv, 1)
         return Ring.get(self.base, self.p, self.names + ("_t",),
                         tuple(map(pad, self.quotient)) + (relation,),
-                        None, None, self.order)
+                        None, None)
 
     def completed(self, gens, precision):
         gens = tuple(g.num if isinstance(g, RingElement) else g for g in gens)
         return Ring.get(self.base, self.p, self.names, self.quotient,
-                        self.inverted, (gens, precision), self.order)
+                        self.inverted, (gens, precision))
 
     def localized(self, x):
         x = self.el(x)
@@ -225,7 +222,7 @@ class Ring:
         if self.is_unit_el(x):
             return self  # inverting a unit changes nothing
         return Ring.get(self.base, self.p, self.names, self.quotient,
-                        x.num, self.completion, self.order)
+                        x.num, self.completion)
 
     def at_precision(self, n):
         if not self.is_completed:
@@ -307,7 +304,7 @@ class Ring:
         if self._reduction is None:
             gens = list(self.modulus)
             if gens and self.nvars > 0:
-                self._reduction = groebner_ideal(gens, self.order)
+                self._reduction = GBasis([(g,) for g in gens], 1, track=False)
             else:
                 self._reduction = False
         return self._reduction or None
@@ -436,7 +433,7 @@ class Ring:
             return None if r else Poly.const(self.dom, 0, q)
         if not self.quotient:
             # a Groebner lift over Z[x] refuses non-unit leading coefficients
-            return f.exact_div(g, order_key(self.order))
+            return f.exact_div(g, order_key("grevlex"))
         base = self.without_inversion()
         q = lift_through(base, [(base.el(g),)], (base.el(f),), 1)
         return None if q is None else q[0].num
@@ -546,7 +543,7 @@ class Ring:
 
     def _key(self):
         return (self.base, self.p, self.names, self.quotient, self.inverted,
-                self.completion, self.order)
+                self.completion)
 
     # Rings come only from Ring.get, which interns them, so equal rings are
     # almost always one object; the structural test is the fallback.
@@ -986,7 +983,7 @@ def _reject_zerodivisor(ring, x):
                 f"{x.render()} is a zerodivisor: {witness.render()} kills it")
 
 
-def groebner_basis(ring, gens, order=None):
+def groebner_basis(ring, gens, order="grevlex"):
     """The reduced Groebner basis of an ideal, as ring elements.
 
     Deterministic: repeated calls return identical bases.  Budget overruns
@@ -994,8 +991,7 @@ def groebner_basis(ring, gens, order=None):
     """
     if ring.quotient or ring.is_completed or ring.inverted is not None:
         raise UnsupportedRing("groebner_basis expects a plain polynomial ring")
-    order = order or ring.order
     polys = [ring.el(g).num if not isinstance(g, RingElement) else g.num
              for g in gens]
-    gb = groebner_ideal(polys, order=order)
+    gb = GBasis([(p,) for p in polys], 1, order=order, track=False)
     return [ring.el(p) for p in ideal_basis_polys(gb)]

@@ -824,9 +824,10 @@ def _probe_lag(tower):
     stages, else (None, note) with the materialized evidence.  A Tor_s
     tower whose resolution has no F_s builds no stage: each stage is H_s of
     a complex with C_s = 0, so the lag is 0.  A Tor tower over Z or Z_p
-    whose stages provably pass the gate builds none either: its lag is read
-    off the module's invariant factors (``_pid_tor_lag``).  Past the gate,
-    a Tor tower over a ring whose spans compute exactly (all but Z_p and
+    reads its lag off the module's invariant factors (``_pid_tor_lag``),
+    and builds the gate's stages only when their count
+    (``_tor_stages_fit``) does not show them small.  Past the gate, a Tor
+    tower over any other ring whose spans compute exactly (all but
     Z_p[1/u]) decides its lag on the stage complexes (``_cycle_tor_lag``).
     Each gives the pair the materialized probe gives."""
     bound, lag = min(current().K, 4), min(current().lag, 3)
@@ -835,10 +836,12 @@ def _probe_lag(tower):
     if tor and tower.params["complexes"].resolution.module(
             tower.params["s"]).ngens == 0:
         return 0, None
-    if tor and ring.int_arith is not None and _tor_stages_fit(tower, bound):
-        found = _pid_tor_lag(tower, upto)
-    elif not _stages_small(tower, bound):
+    pid = tor and ring.int_arith is not None
+    if not (pid and _tor_stages_fit(tower, bound)) \
+            and not _stages_small(tower, bound):
         return None, "stage presentations exceed the probe gate"
+    if pid:
+        found = _pid_tor_lag(tower, upto)
     elif tor and not (ring.nvars == 0 and ring.is_completed):
         found = _cycle_tor_lag(tower, bound, upto)
     else:
@@ -989,21 +992,15 @@ def _explicit_limits(tower):
 
 
 def _koszul_stage_limits(tower):
-    """Stages H_s(Kos(x^k) (x) M) for an f.p. module M."""
+    """Stages H_s(Kos(x^k) (x) M) for an f.p. module M: the adic tower in
+    degree 0, pro-zero in positive degrees by weak proregularity and
+    Artin-Rees.  The lag probe runs only for its refusals (its stage
+    cross-check); outside 0..n the stages are zero and it says lag 0."""
     stages, s = tower.params["complexes"], tower.params["s"]
-    M, gens = stages.module, stages.koszul.gens
     if s == 0:
-        return lim_lim1(Tower.adic(M, gens))
-    if s < 0 or s > len(gens):
-        z = LimitModule.zero(basis="degree outside Koszul range")
-        return TowerLimits(z, z, "range")
-    found, note = _probe_lag(tower)
-    if found is not None:
-        z = LimitModule.zero(
-            basis=f"weakly proregular stages pro-trivial (lag {found})")
-        return TowerLimits(z, z, "pro-trivial", {"lag": found})
+        return lim_lim1(Tower.adic(stages.module, stages.koszul.gens))
+    _probe_lag(tower)
     z = LimitModule.zero(
         basis="weak proregularity + Artin-Rees: Koszul-stage towers "
-              "of f.p. modules are pro-zero in positive degrees "
-              "(lag not located within the materialization bounds)")
-    return TowerLimits(z, z, "wpr theorem", {"materialized": note})
+              "of f.p. modules are pro-zero in positive degrees")
+    return TowerLimits(z, z, "wpr theorem")

@@ -1406,11 +1406,14 @@ def test_a_telescope_quotient_multiplier_is_checked_on_the_integers(
     assert asked == []
 
 
-def test_a_tor_tower_past_the_size_bound_is_materialized(monkeypatch):
+def test_a_tor_tower_past_the_count_is_gated_then_read_off_invariant_factors(
+        monkeypatch):
     # nine generators, one of them 5-torsion: the counted bound on the
-    # stages exceeds the probe gate, so the probe builds them, and they are
-    # small enough to locate the lag
+    # stages exceeds the probe gate, so the gate builds them; they pass it,
+    # and the lag is read off the invariant factors, not materialized
     import lodua.cli
+    import lodua.towers
+    monkeypatch.setattr(lodua.towers, "is_pro_trivial", None)
     degrees = _tor_stage_degrees(monkeypatch)
     doc = {"version": "1", "ring": {"base": "Z"}, "ideal": ["5"],
            "modules": {"Big": {"generators": 9,
@@ -1422,6 +1425,25 @@ def test_a_tor_tower_past_the_size_bound_is_materialized(monkeypatch):
     assert report["towers"]["t"]["lim"]["basis"] == \
         "Artin-Rees pro-trivial Tor tower (lag 1)"
     assert degrees == {1}
+
+
+def test_lambda_on_a_completed_polynomial_ring_finishes(tmp_path):
+    # route B once built the Koszul-stage towers' H_1 here to probe their
+    # lag, and ran for minutes; Lambda is the completed presentation
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "version": "1",
+        "ring": {"base": "Q", "vars": ["x", "y"], "completion": {
+            "ideal": ["x + y", "x*y"], "precision": 6}},
+        "ideal": ["x + y", "x*y"],
+        "modules": {"M": {"generators": 2, "relations": [
+            ["x", "y^2 - x"], ["y^2 - x", "y"]]}}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lodua.cli", "lambda", str(path),
+         "--target", "M"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["0"]["basis"] == \
+        "iterated completion of an f.p. module (Artin-Rees)"
 
 
 def _z_fixture(**blocks):

@@ -8,14 +8,15 @@ from lodua.groebner import GBasis, groebner_ideal, ideal_basis_polys
 from lodua.poly import GF, QQ, Poly, mono_lcm, mono_div, order_key
 
 
-def lexring():
-    return Ring.get("Q", None, ("x", "y"), order="lex")
+def qxy():
+    """Q[x,y], to parse the elements whose bases the tests build."""
+    return Ring.get("Q", None, ("x", "y"))
 
 
 def test_reduced_basis_lex():
     # Buchberger by hand on (x^2 - y, y^2 - x), lex x > y:
     # x = y^2 gives x - y^2; substituting, x^2 - y becomes y^4 - y.
-    R = lexring()
+    R = qxy()
     g1, g2 = R.el("x^2 - y").num, R.el("y^2 - x").num
     gb = groebner_ideal([g1, g2], order="lex")
     got = {p.render(("x", "y")) for p in ideal_basis_polys(gb)}
@@ -28,7 +29,7 @@ def test_reduced_basis_lex():
 
 
 def test_single_generator_monic():
-    R = lexring()
+    R = qxy()
     gb = groebner_ideal([R.el("2*x^2 - 2*y").num], order="lex")
     polys = ideal_basis_polys(gb)
     assert len(polys) == 1
@@ -36,7 +37,7 @@ def test_single_generator_monic():
 
 
 def test_unit_ideal():
-    R = lexring()
+    R = qxy()
     gb = groebner_ideal([R.el("x").num, R.el("y").num, R.el("1").num])
     polys = ideal_basis_polys(gb)
     assert len(polys) == 1 and polys[0].is_constant()
@@ -44,7 +45,7 @@ def test_unit_ideal():
 
 def test_spolynomial_closure():
     """Every S-pair of the output reduces to zero: the defining property."""
-    R = lexring()
+    R = qxy()
     gens = [R.el("x^2 - y").num, R.el("y^2 - x").num, R.el("x*y - 1").num]
     gb = groebner_ideal(gens, order="lex")
     polys = ideal_basis_polys(gb)
@@ -62,7 +63,7 @@ def test_spolynomial_closure():
 
 
 def test_determinism():
-    R = lexring()
+    R = qxy()
     gens = [R.el("x^2 + y^2 - 1").num, R.el("x*y - 2").num]
     one = [p.render(("x", "y")) for p in ideal_basis_polys(groebner_ideal(gens))]
     two = [p.render(("x", "y")) for p in ideal_basis_polys(groebner_ideal(gens))]
@@ -70,7 +71,7 @@ def test_determinism():
 
 
 def test_cofactor_lift():
-    R = lexring()
+    R = qxy()
     g1, g2 = R.el("x^2 - y").num, R.el("y^2 - x").num
     gb = GBasis([(g1,), (g2,)], 1, order="lex")
     target = g1 * R.el("y").num + g2 * R.el("x^2").num
@@ -94,7 +95,7 @@ def test_syzygies_are_syzygies():
 
 
 def test_budget_exceeded_carries_partial():
-    R = lexring()
+    R = qxy()
     gens = [R.el("x^3 - 2*x*y").num, R.el("x^2*y - 2*y^2 + x").num]
     with pytest.raises(BudgetExceeded) as err, lodua.settings(budget=3):
         groebner_ideal(gens, order="lex")
@@ -129,7 +130,7 @@ def test_queries_count_their_own_steps():
 def test_a_basis_over_the_budget_answers_no_query():
     """A basis built in more steps than the budget in force is refused, as
     building it afresh under that budget would be."""
-    R = lexring()
+    R = qxy()
     gb = groebner_ideal([R.el("x^3 - 2*x*y").num,
                          R.el("x^2*y - 2*y^2 + x").num], order="lex")
     g = gb.gens[0]
@@ -267,7 +268,7 @@ def _pinned_case(name):
                    vec("3*x + 6*y", "2*y + x")]
         return R, gens, 2, "grevlex", targets
     if name == "q_lex":
-        R = lexring()
+        R = qxy()
         gens = ["x^2 - y", "y^2 - x", "x*y - 1"]
         return (R, [(R.el(g).num,) for g in gens], 1, "lex",
                 [(R.el(t).num,) for t in ("x^3 - 1", "x + y")])
@@ -379,7 +380,7 @@ def test_exponents_beyond_the_term_key_field_are_refused():
     """An exponent too large for its key field raises UnsupportedRing, as
     given and as made in a reduction; one at the limit is kept."""
     from lodua.groebner import _LIMIT
-    R = lexring()
+    R = qxy()
     x, y = R.el("x").num, R.el("y").num
     e = _LIMIT // 2 + 1
     for order in ("grevlex", "lex"):

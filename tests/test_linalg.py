@@ -376,7 +376,7 @@ def _reference(ring, cols, target, nrows):
             vec = [zero] * nrows
             vec[i] = m
             gens.append(tuple(vec))
-    gb = GBasis(gens, nrows, order=ring.order)
+    gb = GBasis(gens, nrows)
     c, syz, seen = len(cols), [], set()
     for s in gb.syzygies():
         head = tuple(ring.el(p) for p in s[:c])
@@ -387,7 +387,7 @@ def _reference(ring, cols, target, nrows):
     t = tuple(e.num for e in target)
     cof = gb.lift(t)
     lift = None if cof is None else tuple(ring.el(p) for p in cof[:c])
-    untracked = GBasis(gens, nrows, order=ring.order, track=False)
+    untracked = GBasis(gens, nrows, track=False)
     return syz, lift, [untracked.contains(tuple(e.num for e in v))
                        for v in (target, _unit_vector(ring, nrows))]
 

@@ -890,6 +890,17 @@ def test_lambda_on_an_exact_ring_probes_no_koszul_stage_tower(monkeypatch):
     assert "koszul_stage" not in _probed_kinds(doc, "M", monkeypatch)
 
 
+def test_lambda_on_a_completed_polynomial_ring_probes_no_koszul_stage_tower(
+        monkeypatch):
+    doc = {"version": "1",
+           "ring": {"base": "Q", "vars": ["x", "y"],
+                    "completion": {"ideal": ["x", "y"], "precision": 4}},
+           "ideal": ["x", "y"],
+           "modules": {"M": {"generators": 2,
+                             "relations": [["x", "y"], ["x^2", "0"]]}}}
+    assert "koszul_stage" not in _probed_kinds(doc, "M", monkeypatch)
+
+
 def test_lambda_on_a_completed_ring_probes_koszul_stage_towers(monkeypatch):
     import json
     import os

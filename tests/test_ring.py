@@ -266,8 +266,7 @@ def test_truncation_is_the_groebner_normal_form(case):
     assert R.monomial_modulus is not None
     # the same ring with both shortcuts switched off: Groebner reduction and
     # the cofactor unit test, as for any other modulus
-    slow = Ring(R.base, R.p, R.names, R.quotient, R.inverted, R.completion,
-                R.order)
+    slow = Ring(R.base, R.p, R.names, R.quotient, R.inverted, R.completion)
     slow._monomials = slow._series = False
     gb = R.reduction_basis()
     for h in (f, g):
@@ -310,7 +309,7 @@ def test_rings_are_interned_and_compare_by_identity(monkeypatch):
         "ideal": ["5"], "precision": 20}}) is Z5
     # a ring built around Ring.get is still equal, structurally
     twin = Ring(Z5.base, Z5.p, Z5.names, Z5.quotient, Z5.inverted,
-                Z5.completion, Z5.order)
+                Z5.completion)
     assert twin is not Z5 and twin == Z5 and hash(twin) == hash(Z5)
     assert hash(Z5.el(7)) == hash((Z5._key(), Z5.el(7).num, 0))
 

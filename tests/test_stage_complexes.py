@@ -147,9 +147,9 @@ def test_gm_check_limits_two_distinct_tor_towers_once(doc, monkeypatch):
 
 @pytest.mark.parametrize("regular", [False, True])
 def test_koszul_stage_tower_cites_weak_proregularity_when_certified(regular):
-    # at lag 0 the probe locates no lag on the nonzero degree-1 stages, so
-    # the theorem carries the verdict: every finite sequence of a
-    # Noetherian ring is weakly proregular, so the non-regular sequence
+    # the theorem carries the verdict, whatever lag the probe locates (at
+    # lag 0, none on the nonzero degree-1 stages): every finite sequence of
+    # a Noetherian ring is weakly proregular, so the non-regular sequence
     # (xy, x) is certified as much as the regular (x, y)
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
     gens = ["x", "y"] if regular else ["x*y", "x"]

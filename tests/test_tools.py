@@ -163,6 +163,29 @@ def test_sameness_script_prints_repeatable_fingerprints():
     assert run() == out
 
 
+def test_sameness_script_counts_the_lag_rules():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "sameness.py"),
+         "--workload", "integer-sweep", "--size", "40", "--rules"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    head, *lines = proc.stdout.splitlines()
+    probes = re.fullmatch(r"integer-sweep seed 1: 40 ops, (\d+) lag probes",
+                          head)
+    counts = {}
+    for line in lines:
+        kind, ring, rule, n = re.fullmatch(
+            r"(tor|koszul_stage) (\w+) (no F_s|gate failed|invariant factors"
+            r"|stage cycles|materialized): (\d+)", line).groups()
+        counts[kind, ring, rule] = int(n)
+    assert sum(counts.values()) == int(probes[1]) > 0
+    # over Z and Z_p no Tor tower is materialized; the Koszul-stage towers
+    # of route B over Z_5 are
+    assert ("tor", "int", "invariant factors") in counts
+    assert {key for key in counts if key[2] == "materialized"} == {
+        ("koszul_stage", "int_completed", "materialized")}
+
+
 def test_sameness_cold_run_gives_the_warm_answers():
     def lines(workload, size, *flags):
         proc = subprocess.run(

@@ -4,6 +4,7 @@
     python3 tools/sameness.py --workload integer-sweep --seed 2 --size 50
     python3 tools/sameness.py --workload integer-sweep --refs
     python3 tools/sameness.py --workload integer-sweep --cold
+    python3 tools/sameness.py --workload poly-sweep --rules
 
 Runs the op list of one workload and seed once, in order, in one process,
 as ``perfbench/worker.py`` executes it (``perfbench/workloads.py`` and
@@ -42,12 +43,26 @@ it exits 1 when any op differs.  That is the comparison behind the
 benchmark's ``"correct"`` flag (``perfbench/run.py`` also holds each op to
 its oracle and to the other passes), run in one process.  ``perfbench/`` is
 only read.
+
+With ``--rules`` it instead counts the rule that decides each lag probe
+(``towers._probe_lag``) of the run, and prints a header line and then one
+line per (tower kind, ``Ring.classify()`` of the tower's ring, rule), as
+
+    tor int invariant factors: 36
+
+The rules are ``no F_s`` (a Tor_s tower whose resolution has no F_s),
+``gate failed`` (stages past the probe gate), ``invariant factors``
+(``_pid_tor_lag``), ``stage cycles`` (``_cycle_tor_lag``) and
+``materialized`` (``is_pro_trivial``); a refusal counts under the rule that
+raised it.  A probe that a table hit saves is not counted; with ``--cold``
+every op computes its limits afresh.
 """
 
 import hashlib
 import json
 import os
 import sys
+from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
@@ -154,6 +169,51 @@ def fingerprint(ops, cold=False):
             forms.hexdigest())
 
 
+# the lag rules that _probe_lag calls by name, and the count's name of each
+_RULES = {"_pid_tor_lag": "invariant factors",
+          "_cycle_tor_lag": "stage cycles",
+          "is_pro_trivial": "materialized"}
+
+
+def rule_counts(ops, cold=False):
+    """{(tower kind, Ring.classify(), rule): probes} over one run of ops."""
+    worker.import_lodua()
+    import lodua
+    from lodua import towers
+    counts, fired = Counter(), []
+    saved = {name: getattr(towers, name) for name in ("_probe_lag", *_RULES)}
+
+    def called(name):
+        def rule(*args, **kwargs):
+            fired.append(_RULES[name])
+            return saved[name](*args, **kwargs)
+        return rule
+
+    def probe(tower):
+        fired.clear()
+        out = None
+        try:
+            out = saved["_probe_lag"](tower)
+            return out
+        finally:
+            # a refusal counts under the rule that raised it, one raised
+            # while the gate built its stages under "gate failed"
+            rule = fired[0] if fired else (
+                "no F_s" if out == (0, None) else "gate failed")
+            counts[tower.kind, tower.ring.classify(), rule] += 1
+
+    for name in _RULES:
+        setattr(towers, name, called(name))
+    towers._probe_lag = probe
+    try:
+        for _ in answers(lodua, ops, cold):
+            pass
+    finally:
+        for name, fn in saved.items():
+            setattr(towers, name, fn)
+    return counts
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
@@ -166,7 +226,12 @@ def main(argv=None):
     ap.add_argument("--cold", action="store_true",
                     help="clear the table of tower limits, the document "
                          "table and the span table before every op")
+    ap.add_argument("--rules", action="store_true",
+                    help="count the rule that decides each lag probe, per "
+                         "tower kind and ring class")
     ns = ap.parse_args(argv)
+    if ns.refs and ns.rules:
+        ap.error("--refs and --rules are two different runs; pick one")
     if ns.refs:
         if ns.seed is not None or ns.size is not None:
             ap.error("--refs runs the whole op list of the seed the "
@@ -180,6 +245,13 @@ def main(argv=None):
         return 1 if differing else 0
     seed = 1 if ns.seed is None else ns.seed
     ops = workloads.generate(ns.workload, seed, ns.size)
+    if ns.rules:
+        counts = rule_counts(ops, ns.cold)
+        print(f"{ns.workload} seed {seed}: {len(ops)} ops, "
+              f"{sum(counts.values())} lag probes")
+        for (kind, ring, rule), n in sorted(counts.items()):
+            print(f"{kind} {ring} {rule}: {n}")
+        return 0
     answered, count, queries, nforms, forms = fingerprint(ops, ns.cold)
     print(f"{ns.workload} seed {seed}: {len(ops)} ops, "
           f"answers sha256 {answered}")
