@@ -6,6 +6,7 @@ d(f) = d . f - (-1)^|f| f . d; these are used consistently everywhere.
 """
 
 import operator
+from functools import cached_property
 
 from .errors import InvalidInput
 from .linalg import cols_to_mat
@@ -65,8 +66,9 @@ class ChainComplex:
         """Cycle-level bookkeeping for homology classes.
 
         Returns a HomologyData with H (minimized), the cycle module Z, its
-        inclusion into C_n, the projection Z -> H, and a section H -> Z
-        picking representative cycles for the generators.
+        inclusion into C_n, the projection Z -> H (built on first read),
+        and a section H -> Z picking representative cycles for the
+        generators.
         """
         if n in self._hcache:
             return self._hcache[n]
@@ -92,9 +94,8 @@ class ChainComplex:
         else:
             H_raw = Z
         H, fwd, bwd = minimize_presentation(H_raw)
-        proj = ModuleMap(Z, H, fwd.matrix, check=False)
-        rep = ModuleMap(H, Z, bwd.matrix, check=False)
-        return HomologyData(H, Z, incl, proj, rep)
+        return HomologyData(H, Z, incl, fwd,
+                            ModuleMap(H, Z, bwd.matrix, check=False))
 
     # -- complex algebra -----------------------------------------------------
 
@@ -256,14 +257,25 @@ def cone(f):
 
 
 class HomologyData:
-    """H with its cycle-level certificates: proj . rep = id on H."""
+    """H with its cycle-level certificates: proj . rep = id on H.
 
-    def __init__(self, H, Z, incl, proj, rep):
+    ``fwd`` maps a presentation of H on Z's generators onto H (the one
+    ``minimize_presentation`` returns); its matrix is that of the
+    projection proj: Z -> H.  proj is built on its first read, and so is
+    fwd's matrix, which ``minimize_presentation`` replays from its
+    eliminations: most homology is read through H, incl and rep alone.
+    """
+
+    def __init__(self, H, Z, incl, fwd, rep):
         self.H = H
         self.Z = Z
         self.incl = incl
-        self.proj = proj
         self.rep = rep
+        self._fwd = fwd
+
+    @cached_property
+    def proj(self):
+        return ModuleMap(self.Z, self.H, self._fwd.matrix, check=False)
 
     def classes(self, f):
         """f: X -> C_n read in H: the map proj . g for the g with

@@ -7,13 +7,14 @@ relations.  Everything reduces to the two linear-algebra primitives
 rings, quotients, localizations, and completed rings at precision.
 """
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .errors import InvalidInput, UnsupportedRing
 from .linalg import (cols_to_mat, invariant_factors, lift_through, mat_vec,
                      member, membership_test, smith_form, syzygies,
                      vec_is_zero)
-from .ring import power_products, prefix_products
+from .ring import RingElement, power_products, prefix_products
 
 
 class FPModule:
@@ -23,7 +24,7 @@ class FPModule:
         vec_key = ring.vec_key
         rels = {}   # the first column of each key, in order
         for col in relations:
-            col = tuple(map(ring.el, col))
+            col = tuple(_entries(ring, col))
             if len(col) != ngens:
                 raise InvalidInput("relation column length != generator count")
             rels.setdefault(vec_key(col), col)
@@ -124,57 +125,86 @@ def minimize_presentation(M):
     fwd: M -> M_min and bwd: M_min -> M are mutually inverse isomorphisms;
     the module is unchanged up to this explicit change of presentation.
 
-    Relation columns, and each original generator's expression in the
-    remaining generators, are held sparse, as {original generator: nonzero
+    Relation columns are held sparse, as {original generator: nonzero
     entry}, so elimination touches nonzero entries only.  The pivot is the
     first unit entry, in generator order, of the first relation that has
-    one; each elimination restarts that search, and a value once found to
-    be a nonunit is not asked about again.
+    one.  Each elimination restarts that search, but only in the relations
+    it changed and the ones not yet scanned: a relation once found
+    unit-free keeps its entries until a substitution changes them, and a
+    value once found to be a nonunit is not asked about again.  Each
+    substitution updates an entry with one ``Ring._add_mul``.
+
+    The elimination records its substitutions; fwd, each original
+    generator's expression in the remaining ones, is built by replaying
+    them on the first read of its matrix (``_ReplayedMap``), since most
+    callers read only M_min and bwd.
     """
     ring = M.ring
-    zero = ring.zero()
+    zero, add_mul = ring.zero(), ring._add_mul
     rels = [{g: e for g, e in enumerate(col) if not e.is_zero()}
             for col in M.relations]
-    expr = [{g: ring.one()} for g in range(M.ngens)]
+    fresh = [True] * len(rels)   # not found unit-free since last changed
     nonunits = set()
     gens = list(range(M.ngens))
+    steps = []   # (g, {h: coefficient of h in g}) of each elimination
     while True:
-        pivot = _unit_entry(ring, rels, nonunits)
+        pivot = _unit_entry(ring, rels, fresh, nonunits)
         if pivot is None:
             break
         ci, g, inv = pivot
         col = rels.pop(ci)
+        del fresh[ci]
         gens.remove(g)
         # g = -inv * sum_{h != g} col_h * h
         subst = {h: zero - inv * c for h, c in col.items() if h != g}
-        for vec in rels + expr:
-            c = vec.pop(g, None)
-            if c is not None:
-                for h, s in subst.items():
-                    e = vec.get(h, zero) + c * s
-                    if e.is_zero():
-                        vec.pop(h, None)
-                    else:
-                        vec[h] = e
-    new_index = {g: i for i, g in enumerate(gens)}
+        steps.append((g, subst))
+        for i, vec in enumerate(rels):
+            if _substitute(vec, g, subst, add_mul, zero):
+                fresh[i] = True
     Mmin = FPModule(ring, len(gens), [tuple(col.get(g, zero) for g in gens)
                                       for col in rels if col])
-    fwd_mat = [[zero] * M.ngens for _ in gens]
-    for src, e_map in enumerate(expr):
-        for h, c in e_map.items():
-            fwd_mat[new_index[h]][src] = c
+
+    def fwd_matrix():
+        one, at = ring.one(), {g: i for i, g in enumerate(gens)}
+        mat = [[zero] * M.ngens for _ in gens]
+        for src in range(M.ngens):
+            vec = {src: one}
+            for g, subst in steps:
+                _substitute(vec, g, subst, add_mul, zero)
+            for h, c in vec.items():
+                mat[at[h]][src] = c
+        return mat
+
     bwd_mat = [[ring.one() if i == g else zero for g in gens]
                for i in range(M.ngens)]
-    fwd = ModuleMap(M, Mmin, fwd_mat, check=False)
+    fwd = _ReplayedMap(M, Mmin, fwd_matrix)
     bwd = ModuleMap(Mmin, M, bwd_mat, check=False)
     return Mmin, fwd, bwd
 
 
-def _unit_entry(ring, rels, nonunits):
+def _substitute(vec, g, subst, add_mul, zero):
+    """Replace generator g in the sparse vector vec, in place, by its
+    expression ``subst``; whether vec held g and so changed."""
+    c = vec.pop(g, None)
+    if c is None:
+        return False
+    for h, s in subst.items():
+        e = add_mul(vec.get(h, zero), c, s)
+        if e.is_zero():
+            vec.pop(h, None)
+        else:
+            vec[h] = e
+    return True
+
+
+def _unit_entry(ring, rels, fresh, nonunits):
     """(relation index, generator, inverse) of the first unit entry of the
-    sparse relations, or None; nonunits met on the way are added to the
-    set ``nonunits``."""
+    sparse relations, or None.  Relations not marked ``fresh`` were found
+    unit-free and are skipped; a fresh one found unit-free is unmarked, and
+    nonunits met on the way are added to the set ``nonunits``."""
     for ci, col in enumerate(rels):
+        if not fresh[ci]:
+            continue
         for g in sorted(col):
             e = col[g]
             if e not in nonunits:
@@ -182,6 +212,7 @@ def _unit_entry(ring, rels, nonunits):
                 if inv is not None:
                     return ci, g, inv
                 nonunits.add(e)
+        fresh[ci] = False
     return None
 
 
@@ -315,7 +346,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.ring = source.ring
-        self.matrix = [[self.ring.el(e) for e in row] for row in matrix]
+        self.matrix = [_entries(self.ring, row) for row in matrix]
         if len(self.matrix) != target.ngens:
             raise InvalidInput("matrix has wrong number of rows")
         if any(len(r) != source.ngens for r in self.matrix):
@@ -422,6 +453,28 @@ class ModuleMap:
 
     def __repr__(self):
         return f"<ModuleMap {self.source.ngens}->{self.target.ngens} over {self.ring}>"
+
+
+class _ReplayedMap(ModuleMap):
+    """A ModuleMap whose matrix ``build()`` makes on its first read."""
+
+    def __init__(self, source, target, build):
+        self.source = source
+        self.target = target
+        self.ring = source.ring
+        self._build = build
+
+    @cached_property
+    def matrix(self):
+        return self._build()
+
+
+def _entries(ring, row):
+    """The entries of row as elements of ring: one already in it is kept
+    as it is, anything else goes through ``Ring.el``."""
+    el = ring.el
+    return [e if type(e) is RingElement and e.ring is ring else el(e)
+            for e in row]
 
 
 def subquotient(f, which):

@@ -11,11 +11,12 @@ rationals.  Since ``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
 ``str(Fraction(n)) == str(n)``, the form changes no equality, hash or
 rendering; it spares building a Fraction for the usual 1, -1 or 3.
 
-The kernels (``+``, ``-``, ``*``, ``scale``, negation) add and multiply
-canonical values with native ``+`` and ``*`` into one dict, and
-``Poly._canon`` then reduces that dict once per result: mod p over F_p,
-integral Fractions to int over Q, zeros dropped.  Over Q, when a Fraction
-is among the operands, ``+``, ``-``, ``*`` and ``scale`` run on numerators
+The kernels (``+``, ``-``, ``*``, ``scale``, negation, and the fused
+``_add_mul``, a + b * c) add and multiply canonical values with native
+``+`` and ``*`` into one dict, and ``Poly._canon`` then reduces that dict
+once per result: mod p over F_p, integral Fractions to int over Q, zeros
+dropped.  Over Q, when a Fraction is among the operands, ``+``, ``-``,
+``*``, ``_add_mul`` and ``scale`` run on numerators
 and denominators instead (``_q_sum``, ``_q_product``): each stored value
 costs one gcd (``qcoeff``), and a Fraction is built, without a second gcd
 (``fraction``), only where a denominator remains.  ``Domain.inv`` and
@@ -204,6 +205,18 @@ def _q_sum(t, items, sign):
     return t
 
 
+def _mul_into(t, a, b):
+    """t[m] += a[m1] * b[m2] for every m1 + m2 = m, in place, with native
+    + and * (``Poly._canon`` then makes the values canonical)."""
+    get = t.get
+    right = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in right:
+            m = tuple(map(add, m1, m2))
+            t[m] = get(m, 0) + c1 * c2
+    return t
+
+
 # Monomials are exponent tuples.  Orders compare via sort keys (bigger key
 # means bigger monomial).
 
@@ -351,14 +364,22 @@ class Poly:
                 or Fraction in map(type, other.terms.values())):
             return Poly._raw(self.dom, self.nvars,
                              _q_product(self.terms, other.terms))
-        t = {}
-        get = t.get
-        right = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right:
-                m = tuple(map(add, m1, m2))
-                t[m] = get(m, 0) + c1 * c2
-        return Poly._canon(self.dom, self.nvars, t)
+        return Poly._canon(self.dom, self.nvars,
+                           _mul_into({}, self.terms, other.terms))
+
+    def _add_mul(self, b, c):
+        """self + b * c with one pass to the canonical form: the products
+        are added into a copy of self's terms, so no Poly is built for b *
+        c; over Q with a Fraction among the terms, on numerators and
+        denominators as ``*`` and ``+`` do."""
+        if self.dom.kind == "Q" and (
+                Fraction in map(type, self.terms.values())
+                or Fraction in map(type, b.terms.values())
+                or Fraction in map(type, c.terms.values())):
+            return Poly._raw(self.dom, self.nvars, _q_sum(
+                dict(self.terms), _q_product(b.terms, c.terms).items(), 1))
+        return Poly._canon(self.dom, self.nvars,
+                           _mul_into(dict(self.terms), b.terms, c.terms))
 
     def scale(self, c):
         c = self.dom.normalize(c)
@@ -386,8 +407,9 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.dom == other.dom
-                and self.nvars == other.nvars and self.terms == other.terms)
+        return self is other or (
+            isinstance(other, Poly) and self.dom == other.dom
+            and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
         # kept once computed: nothing writes to terms after construction

@@ -209,3 +209,41 @@ def test_total_complex_matches_tensor(ZZ):
     direct = two_term(ZZ, 4).tensor_complex(two_term(ZZ, 6))
     for n in (0, 1, 2):
         assert iso_check(T.homology(n), direct.homology(n))
+
+
+def test_homology_builds_its_projection_only_when_read(monkeypatch):
+    import lodua.cli
+    import lodua.linalg
+    import lodua.towers
+    from lodua import FPObj, IdealData, is_L_complete
+    from lodua.complexes import ChainComplex
+    from lodua.modules import identity_map
+    made, compute = [], ChainComplex._homology_data
+
+    def recorded(C, n):
+        made.append(compute(C, n))
+        return made[-1]
+
+    monkeypatch.setattr(ChainComplex, "_homology_data", recorded)
+    # a cold localhom --s 1 on a document shaped as the poly-sweep's
+    lodua.cli._parsed.cache_clear()
+    lodua.linalg._span.cache_clear()
+    lodua.towers._presented_limits.cache_clear()
+    doc = {"version": "1", "ring": {"base": "Q", "vars": ["x", "y"]},
+           "ideal": ["x + y", "x*y"],
+           "modules": {"M": {"generators": 2,
+                             "relations": [["x + y", "2"], ["0", "x - y"]]}},
+           "options": {"precision": 4, "K": 4, "lag": 2}}
+    code, _ = lodua.cli.run(doc, "localhom", {"target": "M", "s": 1})
+    assert code == 0
+    # one question of the completed grid
+    base = make_ring({"base": "Q", "vars": ["x", "y"]})
+    A = base.completed([base.el("x").num, base.el("y").num], 2)
+    M = FPModule(A, 1, [(A.el("x + 2*y"),)])
+    assert is_L_complete(FPObj(M), IdealData(base, ["x", "y"]),
+                         precision=2).verdict == "complete"
+    assert len(made) >= 8
+    assert [hd for hd in made if "proj" in vars(hd)] == []
+    # read, the projection splits the section: proj . rep = id on H
+    for hd in made:
+        assert hd.proj.compose(hd.rep).equals(identity_map(hd.H))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lodua import (FPModule, InvalidInput, ModuleMap, ext, free_resolution,
@@ -176,16 +176,38 @@ def test_minimize_presentation_asks_each_nonunit_once(monkeypatch):
 
 _SPARSE_RINGS = {
     "Z": make_ring({"base": "Z"}),
+    "Z_5": make_ring({"base": "Z", "completion": {"ideal": ["5"],
+                                                  "precision": 6}}),
+    "Q": make_ring({"base": "Q"}),
+    "Z[1/2]": make_ring({"base": "Z", "invert": "2"}),
+    "Z_5[1/5]": make_ring({"base": "Z", "invert": "5",
+                           "completion": {"ideal": ["5"], "precision": 6}}),
     "Q[x,y]": make_ring({"base": "Q", "vars": ["x", "y"]}),
+    "F_7[x,y]": make_ring({"base": "Fp", "p": 7, "vars": ["x", "y"]}),
+    "Q[x,y]/(x^3 - y^2)": make_ring({"base": "Q", "vars": ["x", "y"],
+                                     "quotient": ["x^3 - y^2"]}),
     "Q[[x,y]]": make_ring({"base": "Q", "vars": ["x", "y"],
                            "completion": {"ideal": ["x", "y"],
                                           "precision": 3}}),
+    "Q[x,y] at (x + y, xy)": make_ring({
+        "base": "Q", "vars": ["x", "y"],
+        "completion": {"ideal": ["x + y", "x*y"], "precision": 3}}),
+    "Q[x,y][1/x]": make_ring({"base": "Q", "vars": ["x", "y"],
+                              "invert": "x"}),
 }
 # units and nonunits of each ring
 _SPARSE_ENTRIES = {
     "Z": ["1", "-1", "2", "-3", "6"],
+    "Z_5": ["1", "2", "-3", "5", "10", "25"],
+    "Q": ["1", "-2", "3", "7"],
+    "Z[1/2]": ["1", "2", "-4", "3", "6"],
+    "Z_5[1/5]": ["1", "2", "5", "10", "25"],
     "Q[x,y]": ["1", "-2", "x", "y", "x*y - 1", "x^2"],
+    "F_7[x,y]": ["1", "3", "x", "y", "x*y - 1", "x^2"],
+    "Q[x,y]/(x^3 - y^2)": ["1", "-2", "x", "y", "x*y - 1", "y^2"],
     "Q[[x,y]]": ["1", "1 + x", "2 - y", "x", "y", "x*y"],
+    "Q[x,y] at (x + y, xy)": ["1", "1 + x", "2 - y", "x + y", "x*y", "x"],
+    "Q[x,y][1/x]": ["1", "x", "-2", "y", "x*y", "x - y"],
 }
 
 
@@ -215,6 +237,74 @@ def test_minimize_presentation_on_long_sparse_relations(M):
     assert bwd.compose(fwd).equals(identity_map(M))
     again, _, _ = minimize_presentation(Mmin)
     assert again.ngens == Mmin.ngens and again.relations == Mmin.relations
+
+
+def _reference_minimization(M):
+    """The elimination as it was before entries were updated by one fused
+    multiply-add and the projection was replayed on read: the oracle of
+    the test below, kept as it was written."""
+    ring = M.ring
+    zero = ring.zero()
+    rels = [{g: e for g, e in enumerate(col) if not e.is_zero()}
+            for col in M.relations]
+    expr = [{g: ring.one()} for g in range(M.ngens)]
+    nonunits = set()
+    gens = list(range(M.ngens))
+    while True:
+        pivot = _reference_unit_entry(ring, rels, nonunits)
+        if pivot is None:
+            break
+        ci, g, inv = pivot
+        col = rels.pop(ci)
+        gens.remove(g)
+        # g = -inv * sum_{h != g} col_h * h
+        subst = {h: zero - inv * c for h, c in col.items() if h != g}
+        for vec in rels + expr:
+            c = vec.pop(g, None)
+            if c is not None:
+                for h, s in subst.items():
+                    e = vec.get(h, zero) + c * s
+                    if e.is_zero():
+                        vec.pop(h, None)
+                    else:
+                        vec[h] = e
+    new_index = {g: i for i, g in enumerate(gens)}
+    Mmin = FPModule(ring, len(gens), [tuple(col.get(g, zero) for g in gens)
+                                      for col in rels if col])
+    fwd_mat = [[zero] * M.ngens for _ in gens]
+    for src, e_map in enumerate(expr):
+        for h, c in e_map.items():
+            fwd_mat[new_index[h]][src] = c
+    bwd_mat = [[ring.one() if i == g else zero for g in gens]
+               for i in range(M.ngens)]
+    fwd = ModuleMap(M, Mmin, fwd_mat, check=False)
+    bwd = ModuleMap(Mmin, M, bwd_mat, check=False)
+    return Mmin, fwd, bwd
+
+
+def _reference_unit_entry(ring, rels, nonunits):
+    for ci, col in enumerate(rels):
+        for g in sorted(col):
+            e = col[g]
+            if e not in nonunits:
+                inv = ring.unit_inverse(e)  # one question: unit and inverse
+                if inv is not None:
+                    return ci, g, inv
+                nonunits.add(e)
+    return None
+
+
+@settings(max_examples=120)
+@given(_sparse_presentations())
+# the first relation is unit-free until the second's pivot, g0 = -g1,
+# turns its 3 into 3 - 2 = 1
+@example(FPModule(_SPARSE_RINGS["Z"], 3, [(2, 3, 0), (1, 1, 0), (0, 2, 6)]))
+def test_minimize_presentation_matches_the_reference_elimination(M):
+    Mmin, fwd, bwd = minimize_presentation(M)
+    ref, ref_fwd, ref_bwd = _reference_minimization(M)
+    assert Mmin.ngens == ref.ngens and Mmin.relations == ref.relations
+    assert fwd.matrix == ref_fwd.matrix
+    assert bwd.matrix == ref_bwd.matrix
 
 
 # -- block builders -----------------------------------------------------------

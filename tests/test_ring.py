@@ -282,6 +282,43 @@ def test_truncation_is_the_groebner_normal_form(case):
         assert R.unit_inverse(h) == slow.unit_inverse(h)
 
 
+def _newton_inverse(R, e):
+    """The inverse of the unit e of a completed ring by Newton lifting from
+    an inverse modulo I, doubling the I-adic accuracy each pass."""
+    v, acc = R._inverse_mod_ideal(e), 1
+    two = Poly.const(R.dom, R.nvars, 2)
+    while acc < R.precision:
+        acc *= 2
+        v = R._reduce_num(v * (two - e.num * v))
+    return R.el(v)
+
+
+@pytest.mark.parametrize("desc", [
+    {"base": "Q", "vars": ["x", "y"], "completion": {"ideal": ["x", "y"]}},
+    {"base": "Fp", "p": 7, "vars": ["x", "y"],
+     "completion": {"ideal": ["x", "y"]}},
+    {"base": "Q", "vars": ["x", "y"],
+     "completion": {"ideal": ["x + y", "x*y"]}},
+    {"base": "Q", "vars": ["x", "y"], "quotient": ["x^3 - y^2"],
+     "completion": {"ideal": ["x", "y"]}},
+])
+@pytest.mark.parametrize("precision", [1, 2, 3, 5])
+def test_a_constant_inverse_is_the_newton_lift(desc, precision):
+    desc = {**desc, "completion": {**desc["completion"],
+                                   "precision": precision}}
+    R = make_ring(desc)
+    if R.dom.kind == "F":
+        constants = range(1, 7)
+    else:
+        constants = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3),
+                     Fraction(22, 7)]
+    for c in constants:
+        e = R.el(c)
+        inv = R.unit_inverse(e)
+        assert inv == _newton_inverse(R, e)
+        assert inv * e == R.one()
+
+
 def test_monomial_modulus_is_decided_per_ring():
     series = make_ring({"base": "Q", "vars": ["x", "y"],
                         "completion": {"ideal": ["x", "y"], "precision": 3}})

@@ -149,17 +149,19 @@ def test_sameness_script_prints_repeatable_fingerprints():
     def run():
         proc = subprocess.run(
             [sys.executable, os.path.join(ROOT, "tools", "sameness.py"),
-             "--workload", "integer-sweep", "--size", "4"],
+             "--workload", "integer-sweep", "--size", "8"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
     out = run()
-    assert re.fullmatch(r"integer-sweep seed 1: 4 ops, answers sha256 "
+    assert re.fullmatch(r"integer-sweep seed 1: 8 ops, answers sha256 "
                         r"[0-9a-f]{64}\n"
                         r"contains_in_relations: [1-9]\d* queries, "
                         r"sha256 [0-9a-f]{64}\n"
-                        r"smith: [1-9]\d* forms, sha256 [0-9a-f]{64}\n", out)
+                        r"smith: [1-9]\d* forms, sha256 [0-9a-f]{64}\n"
+                        r"homology: [1-9]\d* presentations, "
+                        r"sha256 [0-9a-f]{64}\n", out)
     assert run() == out
 
 
@@ -246,12 +248,48 @@ def test_sameness_hashes_every_smith_form():
     try:
         linalg._span.cache_clear()
         ops = sameness.workloads.generate("integer-sweep", 1, 4)
-        *_, nforms, forms = sameness.fingerprint(ops)
+        _, _, _, nforms, forms, _, _ = sameness.fingerprint(ops)
         assert linalg._smith is counted  # the tool puts back what it wrapped
     finally:
         linalg._smith = smith
     assert nforms == len(calls) > 0
     assert re.fullmatch(r"[0-9a-f]{64}", forms)
+
+
+def test_sameness_hashes_every_homology_presentation():
+    import importlib.util
+    from lodua.complexes import ChainComplex
+    spec = importlib.util.spec_from_file_location(
+        "sameness", os.path.join(ROOT, "tools", "sameness.py"))
+    sameness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sameness)
+    made = []
+    homology = ChainComplex._homology_data
+
+    def counted(C, n):
+        made.append(homology(C, n))
+        return made[-1]
+
+    ops = sameness.workloads.generate("integer-sweep", 1, 12)
+    ChainComplex._homology_data = counted
+    try:
+        sameness.worker.import_lodua()
+        import lodua
+        lodua.towers._presented_limits.cache_clear()
+        lodua.cli._parsed.cache_clear()
+        lodua.linalg._span.cache_clear()
+        *_, nhoms, homs = sameness.fingerprint(ops)
+        # the tool puts back what it wrapped
+        assert ChainComplex._homology_data is counted
+    finally:
+        ChainComplex._homology_data = homology
+    assert nhoms == len(made) > 0
+    assert re.fullmatch(r"[0-9a-f]{64}", homs)
+    # the same run hashes the same presentations
+    lodua.towers._presented_limits.cache_clear()
+    lodua.cli._parsed.cache_clear()
+    lodua.linalg._span.cache_clear()
+    assert sameness.fingerprint(ops)[5:] == (nhoms, homs)
 
 
 def test_sameness_lists_the_ops_that_differ_from_the_refs(capsys):

@@ -9,11 +9,12 @@
 Runs the op list of one workload and seed once, in order, in one process,
 as ``perfbench/worker.py`` executes it (``perfbench/workloads.py`` and
 ``worker.py`` are imported, neither changed; the engine comes from
-``src/``), and prints three lines:
+``src/``), and prints four lines:
 
     <workload> seed <S>: <n> ops, answers sha256 <hex>
     contains_in_relations: <q> queries, sha256 <hex>
     smith: <s> forms, sha256 <hex>
+    homology: <h> presentations, sha256 <hex>
 
 The first hashes every op's (exit code, body) pair, the body being the
 report or the refusal exactly as the benchmark hashes it.  The second
@@ -21,11 +22,15 @@ hashes every ``FPModule.contains_in_relations`` question the run asks: the
 module's generator count and relations, the vector and the answer, in
 order.  The third hashes every ``linalg._smith`` call: the ring, the input
 matrix, and U, D, V, U^-1 and V^-1, each entry rendered as a ring element
-whatever arithmetic record the loop ran on.  Two trees whose lines match
-gave the same answers by asking the same membership questions and
-computing the same Smith forms (same pivots, same transforms), so a
-refactor that claims to move no certificate can be checked by running this
-script in both and comparing the output.  Run from the root of a lodua
+whatever arithmetic record the loop ran on.  The fourth hashes every
+homology presentation the run computes (each ``ChainComplex._homology_data``
+call, table hits not included): H's generator count, its relations by
+``Ring.vec_key`` and the matrix of its representative cycles.  Two trees
+whose lines match gave the same answers by asking the same membership
+questions, computing the same Smith forms (same pivots, same transforms)
+and presenting the same homology on the same cycles, so a refactor that
+claims to move no certificate can be checked by running this script in
+both and comparing the output.  Run from the root of a lodua
 checkout; to compare with another tree, copy the script into that tree's
 ``tools/`` and run it there.
 
@@ -127,16 +132,29 @@ def differences(workload, cold=False):
 
 def fingerprint(ops, cold=False):
     """(answers sha256, number of membership questions, their sha256,
-    number of Smith forms, their sha256)."""
+    number of Smith forms, their sha256, number of homology presentations,
+    their sha256)."""
     worker.import_lodua()
     import lodua
     from lodua import linalg
+    from lodua.complexes import ChainComplex
     from lodua.modules import FPModule
-    answered, queries, forms = (hashlib.sha256(), hashlib.sha256(),
-                                hashlib.sha256())
-    count = nforms = 0
+    answered, queries, forms, homs = (hashlib.sha256(), hashlib.sha256(),
+                                      hashlib.sha256(), hashlib.sha256())
+    count = nforms = nhoms = 0
     ask = FPModule.contains_in_relations
     smith = linalg._smith
+    homology = ChainComplex._homology_data
+
+    def logged_homology(C, n):
+        nonlocal nhoms
+        out = homology(C, n)
+        nhoms += 1
+        H, key = out.H, out.H.ring.vec_key
+        homs.update(json.dumps(
+            [H.ngens, [repr(key(col)) for col in H.relations],
+             [_render(row) for row in out.rep.matrix]]).encode() + b"\n")
+        return out
 
     def logged_smith(ar, D):
         nonlocal nforms
@@ -159,14 +177,16 @@ def fingerprint(ops, cold=False):
 
     FPModule.contains_in_relations = logged
     linalg._smith = logged_smith
+    ChainComplex._homology_data = logged_homology
     try:
         for code, body in answers(lodua, ops, cold):
             answered.update(json.dumps([code, body]).encode() + b"\n")
     finally:
         FPModule.contains_in_relations = ask
         linalg._smith = smith
+        ChainComplex._homology_data = homology
     return (answered.hexdigest(), count, queries.hexdigest(), nforms,
-            forms.hexdigest())
+            forms.hexdigest(), nhoms, homs.hexdigest())
 
 
 # the lag rules that _probe_lag calls by name, and the count's name of each
@@ -252,11 +272,13 @@ def main(argv=None):
         for (kind, ring, rule), n in sorted(counts.items()):
             print(f"{kind} {ring} {rule}: {n}")
         return 0
-    answered, count, queries, nforms, forms = fingerprint(ops, ns.cold)
+    answered, count, queries, nforms, forms, nhoms, homs = fingerprint(
+        ops, ns.cold)
     print(f"{ns.workload} seed {seed}: {len(ops)} ops, "
           f"answers sha256 {answered}")
     print(f"contains_in_relations: {count} queries, sha256 {queries}")
     print(f"smith: {nforms} forms, sha256 {forms}")
+    print(f"homology: {nhoms} presentations, sha256 {homs}")
     return 0
 
 
