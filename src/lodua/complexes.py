@@ -6,13 +6,13 @@ d(f) = d . f - (-1)^|f| f . d; these are used consistently everywhere.
 """
 
 import operator
-from functools import cached_property
 
 from .errors import InvalidInput
 from .linalg import cols_to_mat
-from .modules import (FPModule, HomModule, ModuleMap, block_matrix,
-                      block_sum, identity_kron, identity_map, kron_identity,
-                      minimize_presentation, power, tensor, zero_map)
+from .modules import (FPModule, HomModule, ModuleMap, _ReplayedMap,
+                      block_matrix, block_sum, identity_kron, identity_map,
+                      kron_identity, minimize_presentation, power, tensor,
+                      zero_map)
 
 
 class ChainComplex:
@@ -94,8 +94,11 @@ class ChainComplex:
         else:
             H_raw = Z
         H, fwd, bwd = minimize_presentation(H_raw)
-        return HomologyData(H, Z, incl, fwd,
-                            ModuleMap(H, Z, bwd.matrix, check=False))
+        # fwd's matrix is that of the projection Z -> H, replayed from the
+        # eliminations on its first read
+        proj = _ReplayedMap(Z, H, lambda: fwd.matrix)
+        rep = ModuleMap(H, Z, bwd.matrix, check=False)
+        return HomologyData(H, Z, incl, proj, rep)
 
     # -- complex algebra -----------------------------------------------------
 
@@ -259,23 +262,16 @@ def cone(f):
 class HomologyData:
     """H with its cycle-level certificates: proj . rep = id on H.
 
-    ``fwd`` maps a presentation of H on Z's generators onto H (the one
-    ``minimize_presentation`` returns); its matrix is that of the
-    projection proj: Z -> H.  proj is built on its first read, and so is
-    fwd's matrix, which ``minimize_presentation`` replays from its
-    eliminations: most homology is read through H, incl and rep alone.
+    proj's matrix is built on its first read (``_homology_data``): most
+    homology is read through H, incl and rep alone.
     """
 
-    def __init__(self, H, Z, incl, fwd, rep):
+    def __init__(self, H, Z, incl, proj, rep):
         self.H = H
         self.Z = Z
         self.incl = incl
+        self.proj = proj
         self.rep = rep
-        self._fwd = fwd
-
-    @cached_property
-    def proj(self):
-        return ModuleMap(self.Z, self.H, self._fwd.matrix, check=False)
 
     def classes(self, f):
         """f: X -> C_n read in H: the map proj . g for the g with

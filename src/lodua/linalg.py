@@ -415,12 +415,10 @@ class _GroebnerSpan(_Span):
         """The distinct nonzero heads of the rows of ``GBasis.syzygies``."""
         if self._syz is None:
             ring = self.ring
-            normal, zero, vec_key = ring._normal, ring.zero(), ring.vec_key
+            el, zero, vec_key = ring.el, ring.zero(), ring.vec_key
             heads = {}
             for s in self.basis().syzygies():
-                # the basis's Polys are over the ring's domain, and the
-                # ring inverts nothing: the canonical form is Ring.el's
-                head = tuple([normal(p, 0) if p.terms else zero for p in s])
+                head = tuple([el(p) if p.terms else zero for p in s])
                 heads.setdefault(vec_key(head), head)
             heads.pop(vec_key((zero,) * len(self.cols)), None)
             self._syz = tuple(heads.values())

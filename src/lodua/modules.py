@@ -14,7 +14,7 @@ from .errors import InvalidInput, UnsupportedRing
 from .linalg import (cols_to_mat, invariant_factors, lift_through, mat_vec,
                      member, membership_test, smith_form, syzygies,
                      vec_is_zero)
-from .ring import RingElement, power_products, prefix_products
+from .ring import power_products, prefix_products
 
 
 class FPModule:
@@ -24,7 +24,7 @@ class FPModule:
         vec_key = ring.vec_key
         rels = {}   # the first column of each key, in order
         for col in relations:
-            col = tuple(_entries(ring, col))
+            col = tuple(map(ring.el, col))
             if len(col) != ngens:
                 raise InvalidInput("relation column length != generator count")
             rels.setdefault(vec_key(col), col)
@@ -346,7 +346,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.ring = source.ring
-        self.matrix = [_entries(self.ring, row) for row in matrix]
+        self.matrix = [[self.ring.el(e) for e in row] for row in matrix]
         if len(self.matrix) != target.ngens:
             raise InvalidInput("matrix has wrong number of rows")
         if any(len(r) != source.ngens for r in self.matrix):
@@ -467,14 +467,6 @@ class _ReplayedMap(ModuleMap):
     @cached_property
     def matrix(self):
         return self._build()
-
-
-def _entries(ring, row):
-    """The entries of row as elements of ring: one already in it is kept
-    as it is, anything else goes through ``Ring.el``."""
-    el = ring.el
-    return [e if type(e) is RingElement and e.ring is ring else el(e)
-            for e in row]
 
 
 def subquotient(f, which):

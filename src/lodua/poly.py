@@ -407,9 +407,8 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Poly) and self.dom == other.dom
-            and self.nvars == other.nvars and self.terms == other.terms)
+        return (isinstance(other, Poly) and self.dom == other.dom
+                and self.nvars == other.nvars and self.terms == other.terms)
 
     def __hash__(self):
         # kept once computed: nothing writes to terms after construction

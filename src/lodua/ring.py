@@ -10,9 +10,9 @@ coincide, up to the stated precision for completed rings.
 When quotient + I^N is generated by monomials (for instance k[[x, y]] at
 (x, y), which is truncated power series) the canonical form keeps the terms
 no generator divides.  That is the Groebner normal form, which is unique
-modulo a monomial ideal, computed without a Groebner basis.  Both normal
-forms are linear, so ``Ring._add_mul`` gives a + b * c one canonical form
-where the two operators would give two (not over a localization).
+modulo a monomial ideal, computed without a Groebner basis.  It is
+linear, so ``Ring._add_mul`` gives a + b * c one canonical form where the
+two operators would give two.
 
 Z and Z_p compute on plain ints.  Each holds one ``_IntArith`` as
 ``Ring.int_arith``, built with the ring: element sums, differences,
@@ -38,7 +38,7 @@ the one Groebner basis the ring builds is that of its canonical form
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import gcd
 from operator import le
 import re
 
@@ -121,7 +121,6 @@ class Ring:
         self._modulus_vectors = {}
         self._reduction = None
         self._monomials = None
-        self._cut = None
         self._series = None
         self._zero = None
         self._one = None
@@ -266,9 +265,6 @@ class Ring:
     def monomial_modulus(self):
         """The minimal exponents of quotient + I^N when every generator is
         one term with a unit coefficient (a monomial ideal), else None.
-        When they are all the monomials of one degree d, the modulus is
-        (x_1..x_n)^d and ``_cut`` is set to d, which ``_reduce_num`` reads
-        from then on.
 
         Localizations and Z_p keep their own canonical forms.
         """
@@ -285,10 +281,6 @@ class Ring:
                     if not any(all(map(le, g, m)) for g in mons):
                         mons.append(m)
                 mons = tuple(mons)
-                d = sum(mons[0])
-                if all(sum(m) == d for m in mons) and len(mons) == comb(
-                        d + self.nvars - 1, self.nvars - 1):
-                    self._cut = d
             self._monomials = mons
         return self._monomials or None
 
@@ -385,10 +377,6 @@ class Ring:
                 # Z_p[1/u]: a numerator is an element of Z_p
                 return self.without_inversion().el(num).num
             return num
-        cut = self._cut
-        if cut is not None:  # modulo (x_1..x_n)^cut: kept by degree alone
-            return Poly._raw(num.dom, num.nvars, {
-                m: c for m, c in num.terms.items() if sum(m) < cut})
         mons = self.monomial_modulus
         if mons is not None:
             low = sum(mons[0])
@@ -419,18 +407,22 @@ class Ring:
 
     def _add_mul(self, a, b, c):
         """a + b * c, the element the two operators give.  Over Z and Z_p
-        one ``_IntArith.add_mul``; on the other rings that invert nothing
-        one canonical form of the numerator a + b * c, which is that of the
-        sum, since truncation and Groebner normal forms are linear.  A
-        localization keeps the two operators: over Z_p[1/u] one
-        normalization is not provably the same representative (the
-        precision seam, ROADMAP item 1)."""
+        one ``_IntArith.add_mul``.  Where the canonical form takes no
+        Groebner basis (no modulus, or a monomial one, with nothing
+        inverted) one canonical form of the numerator a + b * c, which is
+        that of the sum, since truncation is linear.  Elsewhere the two
+        operators: a Groebner normal form of the unreduced a + b * c would
+        take about the steps of both of theirs against one budget
+        (``GBasis.within_budget``), and over Z_p[1/u] one normalization is
+        not provably the same representative (the precision seam, ROADMAP
+        item 1)."""
         ar = self.int_arith
         if ar is not None:
             return ar.to_el(ar.add_mul(a.num.terms.get((), 0),
                                        b.num.terms.get((), 0),
                                        c.num.terms.get((), 0)))
-        if self.inverted is not None:
+        if self.inverted is not None or (
+                self.modulus and self.monomial_modulus is None):
             return a + b * c
         return self._normal(a.num._add_mul(b.num, c.num), 0)
 
@@ -514,10 +506,6 @@ class Ring:
         if e.is_zero():
             return None
         if self.is_completed:
-            if self.dom.kind != "Z" and e.num.is_constant():
-                # over field coefficients a nonzero constant is inverted
-                # in the field, with no lift
-                return self.el(self.dom.inv(e.num.constant()))
             # an inverse modulo I, and Newton lifting doubles the I-adic
             # accuracy each pass
             v, acc = self._inverse_mod_ideal(e), 1

@@ -2,10 +2,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lodua import InvalidInput, PrecisionMismatch, UnsupportedRing, make_ring
+import lodua
+from lodua import (BudgetExceeded, InvalidInput, PrecisionMismatch,
+                   UnsupportedRing, make_ring)
 from lodua.expr import ParseError, parse_poly
 from lodua.linalg import lift_through, membership_test, syzygies
 from lodua.poly import QQ, Poly
@@ -282,41 +284,41 @@ def test_truncation_is_the_groebner_normal_form(case):
         assert R.unit_inverse(h) == slow.unit_inverse(h)
 
 
-def _newton_inverse(R, e):
-    """The inverse of the unit e of a completed ring by Newton lifting from
-    an inverse modulo I, doubling the I-adic accuracy each pass."""
-    v, acc = R._inverse_mod_ideal(e), 1
-    two = Poly.const(R.dom, R.nvars, 2)
-    while acc < R.precision:
-        acc *= 2
-        v = R._reduce_num(v * (two - e.num * v))
-    return R.el(v)
-
-
-@pytest.mark.parametrize("desc", [
-    {"base": "Q", "vars": ["x", "y"], "completion": {"ideal": ["x", "y"]}},
-    {"base": "Fp", "p": 7, "vars": ["x", "y"],
-     "completion": {"ideal": ["x", "y"]}},
+# Ring._add_mul's three paths: one normal form of a + b * c on a monomial
+# modulus and on no modulus, the two operators on a Groebner modulus and
+# on a localization
+_ADD_MUL_RINGS = [make_ring(desc) for desc in (
+    {"base": "Q", "vars": ["x", "y"], "quotient": ["x^3 - y^2"]},
     {"base": "Q", "vars": ["x", "y"],
-     "completion": {"ideal": ["x + y", "x*y"]}},
-    {"base": "Q", "vars": ["x", "y"], "quotient": ["x^3 - y^2"],
-     "completion": {"ideal": ["x", "y"]}},
-])
-@pytest.mark.parametrize("precision", [1, 2, 3, 5])
-def test_a_constant_inverse_is_the_newton_lift(desc, precision):
-    desc = {**desc, "completion": {**desc["completion"],
-                                   "precision": precision}}
-    R = make_ring(desc)
-    if R.dom.kind == "F":
-        constants = range(1, 7)
-    else:
-        constants = [1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3),
-                     Fraction(22, 7)]
-    for c in constants:
-        e = R.el(c)
-        inv = R.unit_inverse(e)
-        assert inv == _newton_inverse(R, e)
-        assert inv * e == R.one()
+     "completion": {"ideal": ["x + y", "x*y"], "precision": 3}},
+    {"base": "Q", "vars": ["x", "y"],
+     "completion": {"ideal": ["x", "y"], "precision": 3}},
+    {"base": "Fp", "p": 7, "vars": ["x", "y"]},
+    {"base": "Q", "vars": ["x", "y"], "invert": "x"},
+)]
+_ADD_MUL_POLYS = st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 5),
+                                    st.integers(0, 5)), min_size=1, max_size=4)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(range(len(_ADD_MUL_RINGS))),
+       st.lists(_ADD_MUL_POLYS, min_size=3, max_size=3), st.integers(1, 60))
+# one normal form of the unreduced sum would take 5 steps on
+# Q[x,y]/(x^3 - y^2), where each of the two operators' takes at most 4
+@example(0, [[(5, 1, 2), (5, 0, 2)], [(4, 2, 1)], [(4, 0, 5), (2, 1, 1)]], 4)
+def test_add_mul_is_the_two_operators_under_any_budget(which, polys, budget):
+    R = _ADD_MUL_RINGS[which]
+    a, b, c = (R.el(" + ".join(f"{k}*x^{i}*y^{j}" for k, i, j in terms))
+               for terms in polys)
+
+    def outcome(compute):
+        try:
+            with lodua.settings(budget=budget):
+                return compute()
+        except BudgetExceeded:
+            return "refused"
+
+    assert outcome(lambda: R._add_mul(a, b, c)) == outcome(lambda: a + b * c)
 
 
 def test_monomial_modulus_is_decided_per_ring():
