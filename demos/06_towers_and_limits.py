@@ -1,11 +1,12 @@
-"""Inverse systems and their exact lim/lim^1: recognition, refusal, and
-the pro-triviality machinery behind weak proregularity.
+"""Inverse systems and their exact lim/lim^1: recognition, refusal, the
+pro-triviality test, and weak proregularity as ``proreg-check`` answers it.
 
 Run with:  python demos/06_towers_and_limits.py
 """
 
 from lodua import (FPModule, FPObj, TelescopeQuotient, Tower, is_pro_trivial,
-                   lim_lim1, make_ring, weak_proregularity_check)
+                   lim_lim1, make_ring)
+from lodua.cli import run
 from lodua.modules import identity_map
 
 Z = make_ring({"base": "Z"})
@@ -38,6 +39,6 @@ print("\n== pro-triviality and weak proregularity ==")
 t = Tower.tor(FPObj(M), [Z.el(5)], 1)
 v = is_pro_trivial(t, lag=3, stage_bound=6)
 print(f"Tor_1 tower of Z/5: {v.status}, lag {v.lag}")
-Q = make_ring({"base": "Q", "vars": ["x", "y"]})
-w = weak_proregularity_check(Q, ["x + y", "x*y"], stage_bound=3, lag=2)
-print(f"(x+y, xy) in Q[x,y]: {w['status']}")
+_, w = run({"ring": {"base": "Q", "vars": ["x", "y"]},
+            "ideal": ["x + y", "x*y"]}, "proreg-check")
+print(f"(x+y, xy) in Q[x,y]: {w['result']['status']}")

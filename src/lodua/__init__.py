@@ -31,7 +31,6 @@ from .modules import (FPModule, ModuleMap, ext, free_resolution, iso_check,
                       subquotient, tensor, tor)
 from .ring import Ring, RingElement, groebner_basis, make_ring
 from .sequences import is_regular_sequence
-from .towers import (Tower, TowerLimits, is_pro_trivial, lim_lim1,
-                     weak_proregularity_check)
+from .towers import Tower, TowerLimits, is_pro_trivial, lim_lim1
 
 __version__ = "0.1.0"

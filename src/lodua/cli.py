@@ -50,7 +50,7 @@ from .local import (IdealData, adic_completion, derived_completion, gamma,
                     gm_ses_check, local_cohomology, local_homology_Ls)
 from .modules import FPModule, ModuleMap, ext as module_ext, tor as module_tor
 from .ring import _is_expression, _listed, make_ring
-from .towers import Tower, lim_lim1, weak_proregularity_check
+from .towers import Tower, lim_lim1
 
 SCHEMA_VERSION = "1"
 
@@ -406,10 +406,13 @@ def _run(problem, verb, cmd):
         report["result"] = out
         code = {"local": 0, "not-local": 1, "inconclusive": 2}[out["verdict"]]
     elif verb == "proreg-check":
-        out = weak_proregularity_check(problem.ring, d.gens, current().K,
-                                       current().lag)
-        report["result"] = out
-        code = 0 if out["status"] == "weakly-proregular" else 2
+        report["result"] = {
+            "status": "weakly-proregular",
+            "theorem": "every supported ring is Noetherian, and every finite "
+                       "sequence of a Noetherian ring is weakly proregular "
+                       "(Schenzel, Math. Scand. 92, 2003; Porta, Shaul & "
+                       "Yekutieli, Algebr. Represent. Theory 17, 2014)",
+            "regularity": d.regular_certificate().describe()}
     elif verb in ("comodule-limit", "comodule-complete"):
         com = problem.comodule(name("comodule"))
         limit, cert = comodule_completion(com, d, cmd.get("method", "kernel"))

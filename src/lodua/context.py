@@ -3,7 +3,7 @@
 ``precision``, of a completion (unset: the ring's own over a completed ring,
 20 over a discrete one, so nothing is silently refined); ``K`` and ``lag``,
 the stage and lag bounds of the probes of ``towers.lim_lim1`` and of the
-bounded Koszul check of ``proreg-check``; ``budget``, the reduction steps of
+materialized checks of explicit towers; ``budget``, the reduction steps of
 each Groebner construction and of each query on it (unset: ``LODUA_BUDGET``
 when that is set, else 100000).
 """

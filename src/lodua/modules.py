@@ -310,11 +310,6 @@ def scalar_map(M, x):
     return ModuleMap(M, M, scalar_matrix(M.ring, M.ngens, x), check=False)
 
 
-def ideal_power_module(ring, gens, k):
-    """A/(gens)^k as a cyclic module."""
-    return FPModule.cyclic(ring, power_products([ring.el(g) for g in gens], k))
-
-
 def quotient_by_ideal_power(M, gens, k):
     """M/(I^k)M with the same generators."""
     ring = M.ring

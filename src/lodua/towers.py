@@ -1,19 +1,21 @@
 """Inverse systems of modules with exact lim and lim^1 on recognized classes.
 
 A Tower materializes stages M_1, M_2, ... with transition maps
-M_(k+1) -> M_k.  The homology towers (Tor, Koszul homology and Koszul
-stages, after Greenlees & May) materialize one way: a StageComplexes object
-builds each complex C_k and each chain map C_(k+1) -> C_k once, and a
-homology tower is ``stages.tower(s)``, whose stage k is H_s(C_k) and whose
-transition k is H_s of the chain map, so the complexes' own homology memo
-is the only one.  The lim/lim^1 engine only ever reports a value when a
+M_(k+1) -> M_k.  The homology towers (Tor and Koszul stages, after
+Greenlees & May) materialize one way: a StageComplexes object builds each
+complex C_k and each chain map C_(k+1) -> C_k once, and a homology tower
+is ``stages.tower(s)``, whose stage k is H_s(C_k) and whose transition k
+is H_s of the chain map, so the complexes' own homology memo is the only
+one.  The Koszul homology towers H_s(Kos(x^k)) are the Koszul-stage towers
+of M = A^1.  The lim/lim^1 engine only ever reports a value when a
 recognition rule with an exact justification applies (Artin-Rees for adic
 and Tor towers of finitely presented modules, and for Koszul-stage towers
 with weak proregularity, which every finite sequence of a Noetherian ring
 has; Mittag-Leffler via surjective or stabilized images; multiplication
 towers via the completion-comparison model RHom(tel_x A, M) = [M -> M^]);
 anything else is reported as `unrecognized`, carrying the materialized
-evidence, never a guess.
+evidence, never a guess.  The settings K and lag bound only the lag probes
+of ``lim_lim1`` and the materialized checks of explicit towers.
 
 The limits of an adic, Tor or Koszul-stage tower depend only on a
 presentation and the settings, so ``lim_lim1`` keeps them in one
@@ -43,7 +45,7 @@ from .linalg import lift_through, span_basis  # noqa: F401
 from .linalg import member, membership_test
 from .modules import (FPModule, ModuleMap, _capped_killing_power,
                       _killing_power, base_change, block_sum,
-                      free_resolution, ideal_power_module, kron_identity,
+                      free_resolution, kron_identity,
                       quotient_by_ideal_power, scalar_map, scalar_matrix,
                       stable_submodule, zero_map)
 
@@ -93,7 +95,8 @@ class TorStages(StageComplexes):
         return free_resolution(self.module, self.length)
 
     def _build(self, k):
-        quot = ideal_power_module(self.ring, self.gens, k)
+        quot = quotient_by_ideal_power(FPModule.free(self.ring, 1),
+                                       self.gens, k)
         return self.resolution.tensor_module(quot)
 
     def _connect(self, k, nxt, this):
@@ -105,39 +108,32 @@ class TorStages(StageComplexes):
         return ChainMap(nxt, this, maps, check=False)
 
 
-class KoszulStages(StageComplexes):
-    """C_k = Kos(x^k) with the chain maps ``koszul_transition``."""
-
-    kind = "koszul_homology"
-
-    def __init__(self, ring, gens):
-        super().__init__(ring)
-        self.gens = tuple(ring.el(g) for g in gens)
-
-    def _build(self, k):
-        return koszul_chain(self.ring, self.gens, k)
-
-    def _connect(self, k, nxt, this):
-        return koszul_transition(self.ring, self.gens, k, nxt, this)
-
-
 class KoszulTensorStages(StageComplexes):
     """C_k = Kos(x^k) (x) M for an f.p. module M, with the chain maps
     ``koszul_transition`` (x) id_M; its towers cite weak proregularity of
-    the sequence, which every finite sequence of a Noetherian ring has."""
+    the sequence, which every finite sequence of a Noetherian ring has.  On
+    M = A^1 they are the Koszul homology towers H_s(Kos(x^k))."""
 
     kind = "koszul_stage"
 
     def __init__(self, M, gens):
         super().__init__(M.ring)
         self.module = M
-        self.koszul = KoszulStages(M.ring, gens)
+        self.gens = tuple(M.ring.el(g) for g in gens)
+        self._koszul = {}   # k -> Kos(x^k)
+
+    def _kos(self, k):
+        if k not in self._koszul:
+            self._koszul[k] = koszul_chain(self.ring, self.gens, k)
+        return self._koszul[k]
 
     def _build(self, k):
-        return self.koszul.complex(k).tensor_module(self.module)
+        return self._kos(k).tensor_module(self.module)
 
     def _connect(self, k, nxt, this):
-        f, n = self.koszul.chain_map(k), self.module.ngens
+        f = koszul_transition(self.ring, self.gens, k, self._kos(k + 1),
+                              self._kos(k))
+        n = self.module.ngens
         maps = {j: ModuleMap(nxt.module(j), this.module(j),
                              kron_identity(self.ring, f.map(j).matrix, n),
                              check=False)
@@ -180,9 +176,9 @@ class ProTrivialVerdict:
 
 
 class Tower:
-    """kind in {'adic', 'mult', 'tor', 'koszul_homology', 'koszul_stage',
-    'explicit', 'zero'}; stages are memoized.  A tower of kind 'tor',
-    'koszul_homology' or 'koszul_stage' comes from ``StageComplexes.tower``."""
+    """kind in {'adic', 'mult', 'tor', 'koszul_stage', 'explicit', 'zero'};
+    stages are memoized.  A tower of kind 'tor' or 'koszul_stage' comes
+    from ``StageComplexes.tower``."""
 
     def __init__(self, ring, kind, params):
         self.ring = ring
@@ -278,7 +274,7 @@ class Tower:
             if desc.kind != "fp":
                 raise UnsupportedRing("mult towers materialize fp stages only")
             return desc.module
-        if kind in ("tor", "koszul_homology", "koszul_stage"):
+        if kind in ("tor", "koszul_stage"):
             return self.params["complexes"].complex(k).homology(
                 self.params["s"])
         if kind == "explicit":
@@ -296,7 +292,7 @@ class Tower:
                              check=False)
         if kind == "mult":
             return scalar_map(self.stage(k), self.params["x"])
-        if kind in ("tor", "koszul_homology", "koszul_stage"):
+        if kind in ("tor", "koszul_stage"):
             return induced_on_homology(
                 self.params["complexes"].chain_map(k), self.params["s"])
         if kind == "explicit":
@@ -416,40 +412,6 @@ def is_pro_trivial(tower, lag=None, stage_bound=None):
             return ProTrivialVerdict("not-pro-trivial", failing_stage=1,
                                      note="multiplier acts invertibly")
     return ProTrivialVerdict("inconclusive", note=f"lag bound {lag} exhausted")
-
-
-def weak_proregularity_check(ring, seq, stage_bound, lag):
-    """Pro-triviality of H_i(Kos(x^k)) for every 0 < i <= n, within bounds.
-
-    This is bounded evidence for what holds by theorem on every supported
-    ring (every finite sequence of a Noetherian ring is weakly proregular),
-    and only ``proreg-check`` asks it.  Over a completed ring the check runs
-    on the underlying ring: completion is flat, so the Koszul homology
-    towers base-change and pro-triviality transfers exactly (and the
-    at-precision model would otherwise introduce phantom classes).
-    """
-    seq = [ring.el(x) for x in seq]
-    if not seq:
-        raise InvalidInput("need a nonempty sequence")
-    if ring.is_completed:
-        out = weak_proregularity_check(ring.underlying(), seq, stage_bound,
-                                       lag)
-        out["note"] = ("computed over the underlying ring; completion is "
-                       "flat, so pro-triviality transfers")
-        return out
-    results = {}
-    stages = KoszulStages(ring, seq)
-    for i in range(1, len(seq) + 1):
-        t = stages.tower(i)
-        v = is_pro_trivial(t, lag=lag, stage_bound=stage_bound)
-        results[i] = v
-        # a Koszul homology tower is pro-trivial or inconclusive: only
-        # explicit periodic and mult towers can fail at a stage
-        if v.status == "inconclusive":
-            return {"status": "inconclusive", "degree": i, "detail": v.describe(),
-                    "per_degree": {d: w.describe() for d, w in results.items()}}
-    return {"status": "weakly-proregular",
-            "per_degree": {d: w.describe() for d, w in results.items()}}
 
 
 # -- multiplication towers: the completion-comparison model ---------------------
@@ -729,7 +691,7 @@ def _table_key(tower):
         M, gens, extra = stages.module, stages.gens, stages.length
     elif kind == "koszul_stage":
         stages = params["complexes"]
-        M, gens, extra = stages.module, stages.koszul.gens, None
+        M, gens, extra = stages.module, stages.gens, None
     else:
         return None
     ring = M.ring
@@ -811,10 +773,6 @@ def _limits(tower):
         return _koszul_stage_limits(tower)
     if kind == "explicit":
         return _explicit_limits(tower)
-    if kind == "koszul_homology":
-        raise UnrecognizedTower(
-            "no limit rule for Koszul homology towers H_s(Kos(x^k)); "
-            "weak_proregularity_check decides whether they are pro-zero")
     raise InvalidInput(f"unknown tower kind {kind}")
 
 
@@ -998,7 +956,7 @@ def _koszul_stage_limits(tower):
     cross-check); outside 0..n the stages are zero and it says lag 0."""
     stages, s = tower.params["complexes"], tower.params["s"]
     if s == 0:
-        return lim_lim1(Tower.adic(stages.module, stages.koszul.gens))
+        return lim_lim1(Tower.adic(stages.module, stages.gens))
     _probe_lag(tower)
     z = LimitModule.zero(
         basis="weak proregularity + Artin-Rees: Koszul-stage towers "

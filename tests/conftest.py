@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from lodua import FPModule, IdealData, make_ring
+from lodua import FPModule, IdealData, is_pro_trivial, make_ring
+from lodua.towers import KoszulTensorStages
 
 # Host speed drifts by up to 1.8x, so a per-example deadline would make the
 # suite flaky; derandomized runs draw the same examples every time.
@@ -41,3 +42,22 @@ def dxy(QQxy):
 
 def zmod(ring, n):
     return FPModule.cyclic(ring, [n])
+
+
+def koszul_homology_tower(ring, gens, i):
+    """H_i(Kos(x^k)) for k = 1, 2, ...: the Koszul-stage tower of A^1."""
+    return KoszulTensorStages(FPModule.free(ring, 1), gens).tower(i)
+
+
+def koszul_pro_trivial(ring, gens, stage_bound, lag):
+    """{i: is_pro_trivial verdict} on H_i(Kos(x^k)), 0 < i <= n, within
+    the bounds: bounded evidence of weak proregularity.  Over a completion
+    the towers are built over the underlying ring; completion is flat, so
+    they base-change, and at finite precision every generator would be a
+    zerodivisor."""
+    base = ring.underlying()
+    stages = KoszulTensorStages(FPModule.free(base, 1),
+                                [base.el(ring.el(g)) for g in gens])
+    return {i: is_pro_trivial(stages.tower(i), lag=lag,
+                              stage_bound=stage_bound)
+            for i in range(1, len(gens) + 1)}

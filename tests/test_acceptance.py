@@ -19,9 +19,11 @@ from lodua import (ChainComplex, ChainMap, Comodule, FPModule, FPObj,
                    gm_ses_check, homology_membership, is_L_complete,
                    is_pro_trivial, is_regular_sequence, iso_check,
                    local_cohomology, local_homology_Ls, make_ring, settings,
-                   values_agree, verify_theorems, weak_proregularity_check)
+                   values_agree, verify_theorems)
 from lodua.modules import _same_presentation
 from lodua.towers import Tower, completed_module, mult_tower_values
+
+from conftest import koszul_pro_trivial
 
 P = 5
 PRECISION = 20
@@ -345,13 +347,12 @@ def test_criterion_9_comodule_suite(Z, kxy):
 
 
 def test_criterion_10_weak_proregularity_and_regularity_grid(Z, kxy):
-    assert weak_proregularity_check(Z, [P], stage_bound=4,
-                                    lag=2)["status"] == "weakly-proregular"
-    assert weak_proregularity_check(kxy, ["x", "y"], stage_bound=3,
-                                    lag=2)["status"] == "weakly-proregular"
+    # the Koszul homology towers are pro-trivial within K = 3-4 and lag 2
     Qxy = make_ring({"base": "Q", "vars": ["x", "y"]})
-    assert weak_proregularity_check(Qxy, ["x + y", "x*y"], stage_bound=3,
-                                    lag=2)["status"] == "weakly-proregular"
+    for ring, gens, bound in ((Z, [P], 4), (kxy, ["x", "y"], 3),
+                              (Qxy, ["x + y", "x*y"], 3)):
+        verdicts = koszul_pro_trivial(ring, gens, stage_bound=bound, lag=2)
+        assert all(v.status == "pro-trivial" for v in verdicts.values())
     # exhaustive small grid over F_2[x,y]: all length-1 and length-2
     # sequences from the monomials and two-term sums of degree <= 2, plus
     # every length-3 sequence over the six monomials

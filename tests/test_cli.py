@@ -173,19 +173,33 @@ def test_lambda_and_localhom_answer_a_sequence_that_is_not_regular(tmp_path):
         assert "outside verified hypotheses" not in out
 
 
-@pytest.mark.parametrize("K", [None, "8"])
-def test_proreg_check_takes_the_K_setting(tmp_path, K):
-    # (x) on Q[x,y]/(x^5 y) needs lag 5, so the composites of lag 5 need
-    # six stages, which K = 8 and the default K = 12 allow
-    path = _monomial_quotient_doc(tmp_path, 5)
-    code, out, _ = run_cli("proreg-check", path,
-                           *(["--K", K] if K else []))
-    assert code == 0
-    assert json.loads(out)["result"]["per_degree"] == {
-        "1": {"lag": 5, "status": "pro-trivial"}}
-    code, out, _ = run_cli("proreg-check", path, "--K", "5")
-    assert code == 2
-    assert json.loads(out)["result"]["status"] == "inconclusive"
+def test_proreg_check_cites_the_theorem_on_every_ring(tmp_path):
+    # every finite sequence of a Noetherian ring is weakly proregular, so
+    # the answer needs no stage bound: (x) on Q[x,y]/(x^5 y) needs lag 5,
+    # which K = 5 stages cannot show, and is not a regular sequence
+    regular = {"regular": True, "final_quotient_nonzero": True}
+    not_regular = {"regular": False, "stage": 1, "witness": ["-x^4*y"]}
+    Qxy = {"base": "Q", "vars": ["x", "y"]}
+    cases = [
+        ({"base": "Z"}, ["5"], [], regular),
+        ({"base": "Z", "completion": {"ideal": ["5"], "precision": 20}},
+         ["5"], [], regular),
+        (Qxy, ["x + y", "x*y"], [], regular),
+        ({**Qxy, "completion": {"ideal": ["x", "y"], "precision": 4}},
+         ["x", "y"], [], regular),
+        ({**Qxy, "quotient": ["x^5*y"]}, ["x"], ["--K", "5"], not_regular),
+        ({**Qxy, "quotient": ["x^5*y"]}, ["x"], [], not_regular),
+    ]
+    path = tmp_path / "doc.json"
+    for ring, ideal, flags, certificate in cases:
+        path.write_text(json.dumps({"version": "1", "ring": ring,
+                                    "ideal": ideal}))
+        code, out, err = run_cli("proreg-check", str(path), *flags)
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["status"] == "weakly-proregular"
+        assert "Schenzel" in result["theorem"]
+        assert result["regularity"] == certificate, ring
 
 
 def test_comodule_verbs_and_recheck(tmp_path):

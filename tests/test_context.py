@@ -108,16 +108,15 @@ def test_no_weak_proregularity_question(monkeypatch):
     """L_s and its Lambda cross-check ask no weak-proregularity question at
     any lag: every finite sequence of a Noetherian ring is weakly
     proregular.  (x) in Q[x,y]/(xy) is not a regular sequence (y kills x),
-    and neither the bounded Koszul check nor the regularity certificate is
-    asked for it."""
+    and neither a Koszul tower nor the regularity certificate is asked for
+    it."""
     import lodua.towers
     R = make_ring({"base": "Q", "vars": ["x", "y"], "quotient": ["x*y"]})
 
     def refused(*args, **kwargs):
         raise AssertionError("a weak-proregularity question was asked")
 
-    monkeypatch.setattr(lodua.towers, "weak_proregularity_check", refused)
-    monkeypatch.setattr(lodua.towers.KoszulStages, "tower", refused)
+    monkeypatch.setattr(lodua.towers.KoszulTensorStages, "tower", refused)
     monkeypatch.setattr(IdealData, "regular_certificate", refused)
     with lodua.settings(lag=9):
         value = local_homology_Ls(IdealData(R, ["x"]), FPModule.free(R, 1), 0)
@@ -127,8 +126,7 @@ def test_no_weak_proregularity_question(monkeypatch):
 # functions of these modules that may take a bound: those whose bound
 # differs from call to call, and the value constructors that store one
 _KEPT = {
-    "towers": {"is_pro_trivial", "weak_proregularity_check",
-               "ProTrivialVerdict.__init__"},
+    "towers": {"is_pro_trivial", "ProTrivialVerdict.__init__"},
     "local": set(),
     "criteria": {"is_L_complete"},
     "hopf": set(),

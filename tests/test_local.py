@@ -9,14 +9,13 @@ from lodua import (BudgetExceeded, FPModule, FPObj, GradedObject, IdealData,
                    TelescopeQuotient, Tower, adic_completion,
                    derived_completion, gamma, gm_ses_check, is_pro_trivial,
                    iso_check, lim_lim1, local_cohomology, local_homology_Ls,
-                   make_ring, stable_koszul_complex, values_agree,
-                   weak_proregularity_check)
+                   make_ring, stable_koszul_complex, values_agree)
 from lodua.complexes import ChainMap, induced_on_homology
 from lodua.koszul import koszul_chain, koszul_transition
 from lodua.modules import kron_identity
-from lodua.towers import KoszulStages
+from lodua.towers import KoszulTensorStages
 
-from conftest import zmod
+from conftest import koszul_pro_trivial, zmod
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +28,7 @@ def test_koszul_complex_with_transitions(d5, QQxy, dxy):
     assert iso_check(kz.homology(0), zmod(d5.ring, 5))
     assert kz.homology(1).is_zero()
     # transitions commute by construction (checked inside ChainMap)
-    KoszulStages(d5.ring, d5.gens).chain_map(2)
+    KoszulTensorStages(FPModule.free(d5.ring, 1), d5.gens).chain_map(2)
     kos = koszul_chain(dxy.ring, dxy.gens, 1)
     assert [kos.module(j).ngens for j in (0, 1, 2)] == [1, 2, 1]
     assert kos.homology(1).is_zero() and kos.homology(2).is_zero()
@@ -744,14 +743,14 @@ def _regular_sequences(draw):
 @given(_regular_sequences())
 def test_a_regular_sequence_is_weakly_proregular_by_its_certificate(case):
     """A regular sequence carries its regularity certificate, and the
-    bounded Koszul check agrees at lag 0: the powers of a regular sequence
-    are regular, so every Koszul homology stage in positive degree is
-    zero."""
+    Koszul homology towers are pro-trivial at lag 0: the powers of a
+    regular sequence are regular, so every Koszul homology stage in
+    positive degree is zero."""
     ring, gens = case
     assert IdealData(ring, gens).regular_certificate().regular
-    out = weak_proregularity_check(ring, gens, stage_bound=3, lag=2)
-    assert out["status"] == "weakly-proregular"
-    assert all(v["lag"] == 0 for v in out["per_degree"].values())
+    verdicts = koszul_pro_trivial(ring, gens, stage_bound=3, lag=2)
+    assert all(v.status == "pro-trivial" and v.lag == 0
+               for v in verdicts.values())
 
 
 @st.composite
@@ -771,10 +770,10 @@ def test_a_sequence_that_is_not_regular_is_answered(case, rels):
     """(x) on k[x,y]/(x^a y^b) is not a regular sequence: y^b x^(a-1)
     kills x.  It is weakly proregular, as every finite sequence of a
     Noetherian ring is, so Lambda and L_s answer, unstamped, and agree
-    (Lambda checks route A against route B inside the engine).  The
-    bounded Koszul check agrees: its composites of lag j, multiplication by
-    x^j from the annihilator of x^(k+j) to that of x^k, all vanish exactly
-    when j >= a."""
+    (Lambda checks route A against route B inside the engine).  Its
+    Koszul homology tower agrees: its composites of lag j, multiplication
+    by x^j from the annihilator of x^(k+j) to that of x^k, all vanish
+    exactly when j >= a."""
     ring, a = case
     d = IdealData(ring, ["x"])
     assert not d.regular_certificate().regular
@@ -786,9 +785,8 @@ def test_a_sequence_that_is_not_regular_is_answered(case, rels):
         assert "outside verified hypotheses" not in (value.basis or "")
         assert value.is_zero() == (s == 1)
         assert values_agree(value, table.value(s))[0]
-    out = weak_proregularity_check(ring, ["x"], stage_bound=a + 2, lag=a)
-    assert out["status"] == "weakly-proregular"
-    assert out["per_degree"][1]["lag"] == a
+    verdicts = koszul_pro_trivial(ring, ["x"], stage_bound=a + 2, lag=a)
+    assert verdicts[1].describe() == {"status": "pro-trivial", "lag": a}
 
 
 # -- route B over exact rings ------------------------------------------------------

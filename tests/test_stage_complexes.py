@@ -1,7 +1,8 @@
-"""The complexes behind the Tor, Koszul-homology and Koszul-stage towers.
+"""The complexes behind the Tor and Koszul-stage towers, and the Koszul
+homology towers H_s(Kos(x^k)), the Koszul-stage towers of A^1.
 
 The pins hold the rendered stage presentations (stages 1-3) and transition
-matrices (transitions 1-2) of each tower kind, so no change to how the
+matrices (transitions 1-2) of each tower family, so no change to how the
 towers materialize can move a stage or a transition unnoticed.
 """
 
@@ -11,8 +12,9 @@ import lodua.local
 from lodua import (Comodule, FPModule, FPObj, GroupLikeHopfAlgebroid,
                    IdealData, Tower, make_ring, verify_theorems)
 from lodua.complexes import ChainComplex, ChainMap
-from lodua.towers import (KoszulStages, KoszulTensorStages, TorStages,
-                          lim_lim1)
+from lodua.towers import KoszulTensorStages, TorStages, lim_lim1
+
+from conftest import koszul_homology_tower
 
 ZERO = ([(0, [])] * 3, [[], []])
 
@@ -70,11 +72,11 @@ def _towers():
         "tor_1": Tower.tor(FPObj(_ext(Q)), sum_product, 1),
         "tor_2": Tower.tor(FPObj(_ext(Q)), sum_product, 2),
         "tor_z5": Tower.tor(FPObj(z5), [5], 1),
-        "koszul_xy_1": KoszulStages(Q, xy).tower(1),
-        "koszul_xy_2": KoszulStages(Q, xy).tower(2),
-        "koszul_sum_product_1": KoszulStages(Q, sum_product).tower(1),
-        "koszul_sum_product_2": KoszulStages(Q, sum_product).tower(2),
-        "koszul_nonregular_1": KoszulStages(Q, ["x^2", "x*y"]).tower(1),
+        "koszul_xy_1": koszul_homology_tower(Q, xy, 1),
+        "koszul_xy_2": koszul_homology_tower(Q, xy, 2),
+        "koszul_sum_product_1": koszul_homology_tower(Q, sum_product, 1),
+        "koszul_sum_product_2": koszul_homology_tower(Q, sum_product, 2),
+        "koszul_nonregular_1": koszul_homology_tower(Q, ["x^2", "x*y"], 1),
         "stage_module_1": KoszulTensorStages(line, xy).tower(1),
     }
 
@@ -100,17 +102,20 @@ def test_towers_of_one_stage_object_share_its_complexes(family):
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
     gens = ["x + y", "x*y"]
     one = {"tor": TorStages(_ext(Q), gens, 3),
-           "koszul_homology": KoszulStages(Q, gens),
+           "koszul_homology":
+               koszul_homology_tower(Q, gens, 1).params["complexes"],
            "koszul_stage": KoszulTensorStages(_ext(Q), gens)}[family]
     low, high = one.tower(1), one.tower(2)
-    assert low.kind == high.kind == family
+    assert low.kind == high.kind == ("tor" if family == "tor"
+                                     else "koszul_stage")
     assert low.params["complexes"] is high.params["complexes"] is one
 
 
 def test_koszul_towers_share_one_stage_object():
     Q = make_ring({"base": "Q", "vars": ["x", "y"]})
-    stages = KoszulStages(Q, ["x^2", "x*y"])
-    low, high = (stages.tower(i) for i in (1, 2))
+    low = koszul_homology_tower(Q, ["x^2", "x*y"], 1)
+    stages = low.params["complexes"]
+    high = stages.tower(2)
     assert _materialized(low) == PINNED["koszul_nonregular_1"]
     high.stage(2)
     assert stages.chain_map(1).source is stages.complex(2)

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 import lodua
 from lodua import (FPModule, FPObj, LoduaError, Rational, Telescope,
                    TelescopeQuotient, Tower, is_pro_trivial, iso_check,
-                   lim_lim1, make_ring, weak_proregularity_check)
+                   lim_lim1, make_ring)
 from lodua.errors import UnrecognizedTower
 from lodua.modules import identity_map, quotient_by_ideal_power
-from lodua.towers import (_TOWER_LIMIT, KoszulStages, KoszulTensorStages,
+from lodua.towers import (_TOWER_LIMIT, KoszulTensorStages,
                           _presented_limits, mult_tower_values)
 
-from conftest import zmod
+from conftest import koszul_homology_tower, koszul_pro_trivial, zmod
 
 
 def test_adic_tower_stages(ZZ):
@@ -155,12 +155,11 @@ def test_explicit_tower_refuses_a_period_its_lists_cannot_hold(ZZ):
 
 
 def test_weak_proregularity(ZZ, QQxy):
-    assert weak_proregularity_check(ZZ, [5], stage_bound=4, lag=2)["status"] \
-        == "weakly-proregular"
-    assert weak_proregularity_check(QQxy, ["x", "y"], stage_bound=3,
-                                    lag=2)["status"] == "weakly-proregular"
-    assert weak_proregularity_check(QQxy, ["x + y", "x*y"], stage_bound=3,
-                                    lag=2)["status"] == "weakly-proregular"
+    for ring, gens, bound in ((ZZ, [5], 4), (QQxy, ["x", "y"], 3),
+                              (QQxy, ["x + y", "x*y"], 3)):
+        verdicts = koszul_pro_trivial(ring, gens, stage_bound=bound, lag=2)
+        assert [v.status for v in verdicts.values()] \
+            == ["pro-trivial"] * len(gens)
 
 
 def test_mittag_leffler_surjective_implies_lim1_zero(ZZ):
@@ -482,7 +481,7 @@ def test_a_tor_lag_refuses_a_carried_cycle_outside_the_cycles(QQxy):
 
 
 def test_mult_towers_on_descriptors_and_unrecognized_shapes(ZZ, QQxy):
-    from lodua import InvalidInput, UnsupportedRing
+    from lodua import UnsupportedRing
     mult = mult_tower_values
     # an invertible multiplier is a failing stage, not an inconclusive one
     v = is_pro_trivial(Tower.mult(zmod(ZZ, 7), 5))
@@ -501,11 +500,9 @@ def test_mult_towers_on_descriptors_and_unrecognized_shapes(ZZ, QQxy):
                  (FPModule.cyclic(QQxy, ["x - y^2"]), "y"),
                  (FPModule.free(Qx, 1), "y"), (FPModule.free(L, 1), "y")):
         assert mult(FPObj(M), M.ring.el(x)).basis == "unrecognized"
-    with pytest.raises(InvalidInput, match="need a nonempty sequence"):
-        weak_proregularity_check(ZZ, [], 2, 1)
     # (x, x) has Koszul homology whose composites a lag of 0 cannot kill
-    out = weak_proregularity_check(QQxy, ["x", "x"], 2, 0)
-    assert out["status"] == "inconclusive" and out["degree"] == 1
+    verdict = koszul_pro_trivial(QQxy, ["x", "x"], 2, 0)[1]
+    assert verdict.status == "inconclusive"
 
 
 def test_explicit_and_zero_towers(ZZ):
@@ -648,9 +645,7 @@ def test_tor_towers_have_no_lim1(ring_name, kind, s):
     assert lim_lim1(Tower.tor(desc, gens, s)).lim1.is_zero()
 
 
-def test_koszul_homology_towers_have_no_limit_rule(QQxy):
-    tower = KoszulStages(QQxy, ["x", "y"]).tower(1)
-    with pytest.raises(UnrecognizedTower,
-                       match="no limit rule for Koszul homology towers.*"
-                             "weak_proregularity_check"):
-        lim_lim1(tower)
+def test_koszul_homology_towers_are_pro_zero_by_weak_proregularity(QQxy):
+    out = lim_lim1(koszul_homology_tower(QQxy, ["x", "y"], 1))
+    assert out.lim.is_zero() and out.lim1.is_zero()
+    assert out.basis == "wpr theorem"
