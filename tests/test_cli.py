@@ -173,6 +173,21 @@ def test_lambda_and_localhom_answer_a_sequence_that_is_not_regular(tmp_path):
         assert "outside verified hypotheses" not in out
 
 
+@pytest.mark.parametrize("K", [None, "8"])
+def test_proreg_check_takes_the_K_setting(tmp_path, K):
+    # (x) on Q[x,y]/(x^5 y) needs lag 5, which K = 5 stages cannot show;
+    # proreg-check still takes --K, and no K changes its answer
+    path = _monomial_quotient_doc(tmp_path, 5)
+    reports = []
+    for flags in (["--K", K] if K else [], ["--K", "5"]):
+        code, out, err = run_cli("proreg-check", path, *flags)
+        assert code == 0, err
+        reports.append(json.loads(out)["result"])
+    assert reports[0]["status"] == "weakly-proregular"
+    assert reports[0]["regularity"]["regular"] is False
+    assert reports[1] == reports[0]
+
+
 def test_proreg_check_cites_the_theorem_on_every_ring(tmp_path):
     # every finite sequence of a Noetherian ring is weakly proregular, so
     # the answer needs no stage bound: (x) on Q[x,y]/(x^5 y) needs lag 5,
