@@ -33,11 +33,19 @@ A basis may track the cofactor coordinates of its first few generators
 only (``track``); a caller that reads no other coordinate then carries no
 other one through the reductions.
 
+The syzygies are the cofactors of the construction's zero remainders and
+then e_j - lift(gen_j) for each generator, as flat rows over the tracked
+coordinates (``syzygy_rows``).  A row equal to an earlier one is left out
+before any Poly is made, and ``_polys`` makes only the coordinates a
+caller asks for.
+
 The budget counts reduction steps, one ``_tick`` call each.  A construction
 may take ``budget`` steps in all, and every later query on the finished
-basis (normal form, membership, lift) may take ``budget`` steps of its own,
-``budget`` being the one in force when it runs (``context.budget``); a query
-refuses a basis built in more steps than that, as a new build would fail.
+basis (normal form, membership, lift, syzygies) may take ``budget`` steps
+of its own, ``budget`` being the one in force when it runs
+(``context.budget``, read once per query, once for all the lifts of the
+syzygies); a query refuses a basis built in more steps than that, as a new
+build would fail.
 """
 
 import heapq
@@ -429,15 +437,15 @@ class GBasis:
             self._by_coord.setdefault(coord, []).append(
                 (idx, m, c, sign * key(coord, m)))
 
-    def _polys(self, v, n):
-        """{key: coeff} -> tuple of the first n coordinates as Poly; later
+    def _polys(self, v, n, lo=0):
+        """{key: coeff} -> tuple of coordinates lo .. n-1 as Poly; other
         coordinates are dropped without building a Poly."""
         keys = self._keys
         cshift, shifts, lex = keys.cshift, keys.shifts, keys.lex
-        rows = [{} for _ in range(n)]
+        rows = [{} for _ in range(lo, n)]
         for k, c in v.items():
-            i = k >> cshift
-            if i < n:
+            i = (k >> cshift) - lo
+            if 0 <= i < n - lo:
                 if lex:
                     k = ~k    # each field is then its exponent
                 rows[i][tuple([k >> s & _TOP for s in shifts])] = c
@@ -445,10 +453,10 @@ class GBasis:
         return tuple([Poly._raw(self.dom, self.nvars, r) if r else zero
                       for r in rows])
 
-    def _lift_flat(self, v):
+    def _lift_flat(self, v, budget):
         """Flat cofactor c with v = -sum c.gens, or None when v is not in
-        the module."""
-        nf, cof, _ = self._reduce(self._flat(v), {}, 0, self.within_budget())
+        the module; the query may take ``budget`` steps."""
+        nf, cof, _ = self._reduce(self._flat(v), {}, 0, budget)
         return None if nf else cof
 
     # public interface ----------------------------------------------------
@@ -489,28 +497,45 @@ class GBasis:
         """Coefficients c with v = sum_j c[j] * gens[j], or None."""
         if not self.track:
             raise UnsupportedRing("this basis was built without cofactors")
-        cof = self._lift_flat(v)
+        cof = self._lift_flat(v, self.within_budget())
         if cof is None:
             return None
         return self._polys(_scaled(cof, -1, self._p), self.track)
 
-    def syzygies(self):
-        """Generators of the syzygy module of the original generators."""
+    def syzygy_rows(self):
+        """The distinct rows of ``syzygies``, flat, over the tracked
+        generators: the construction's cofactors of zero remainders, then
+        e_j - lift(gen_j) for each generator (Schreyer), a row equal to an
+        earlier one left out; the rows are the basis's own, to be read
+        only.  The budget is read once, for every lift."""
         if not self.track:
             raise UnsupportedRing("this basis was built without cofactors")
-        out = [self._polys(s, self.track) for s in self._syz]
-        # relations expressing each original generator over the basis give
-        # extra syzygies e_j - lift(gen_j) = e_j + row
+        budget = self.within_budget()
+        rows, seen = [], set()
+
+        def keep(row):
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                rows.append(row)
+
+        for row in self._syz:
+            keep(row)
         one, zero = self.dom.normalize(1), (0,) * self.nvars
         for j, g in enumerate(self.gens):
-            row = self._lift_flat(g)
+            row = self._lift_flat(g, budget)
             assert row is not None
             if j < self.track:
                 _sub_shifted(row, {self._keys.key(j, zero): one}, 0, -1,
                              self._p, self._keys)
             if row:
-                out.append(self._polys(row, self.track))
-        return out
+                keep(row)
+        return rows
+
+    def syzygies(self):
+        """Generators of the syzygy module of the original generators, one
+        per row of ``syzygy_rows``."""
+        return [self._polys(s, self.track) for s in self.syzygy_rows()]
 
 
 def groebner_ideal(polys, order="grevlex"):

@@ -2,27 +2,33 @@
 
 Three primitives drive every module computation:
 
-    syzygies(ring, cols, nrows)   -- generators of {x : sum x_j cols_j = 0}
+    syzygies(ring, cols, nrows, width)      -- generators of
+                                               {x : sum x_j cols_j = 0}
     lift_through(ring, cols, target, nrows) -- x with sum x_j cols_j = target
     member(ring, cols, target, nrows)       -- whether such an x exists
 
 plus Smith normal form with tracked transforms over euclidean rings.
-Columns and vectors in and out are dense tuples of RingElement.
+Columns and vectors in and out are dense tuples of RingElement.  A syzygy
+question names the width its caller reads: the answer is the nonzero heads
+(first ``width`` coordinates, all of them by default) of the distinct
+syzygies, in order, so a head that two syzygies share is kept twice.
 
 ``Ring.vec_key`` is the one hashable form of a vector here: every column
 set has one span per (ring, nrows, column keys), kept in an LRU table of
-128 (``_span``), and a span's syzygy heads and membership answers are
-kept under the same keys.  A span builds what answers the three
-primitives once, on first use:
+128 (``_span``), and a span's syzygy heads (per width) and membership
+answers are kept under the same keys; the width is no part of the key, so
+no basis or Smith form is built twice for two widths.  A span builds what
+answers the three primitives once, on first use:
 
 * over Z, Z_p, fields, u^-1 Z and Z_p[1/u] (``_Span``), the Smith form of
   the columns with its transforms, which also gives the invariant factors,
   ``smith_form`` and ``smith_normal_form``;
 * over the other polynomial rings (``_GroebnerSpan``), one Groebner basis
   of the columns and ``ring.modulus_vectors(nrows)`` (its cofactors track
-  the columns' coordinates only), with its syzygy heads and
-  membership answers; over k[t] the Smith form as well, for the invariant
-  factors;
+  the columns' coordinates only, every column's whatever width is read),
+  with its syzygy heads and membership answers; a row's coordinates past
+  the width become ring elements only when its head equals a kept one;
+  over k[t] the Smith form as well, for the invariant factors;
 * over a localized polynomial ring u^-1 A (``_LocalizedSpan``), the span
   of the columns over its Rabinowitsch model A[t]/(t*u - 1).
 
@@ -222,11 +228,14 @@ def _smith(ar, D):
 # -- the three core primitives --------------------------------------------------
 
 
-def syzygies(ring, cols, nrows):
-    """Generators of the kernel of A^c -> A^r, x -> sum x_j cols_j."""
+def syzygies(ring, cols, nrows, width=None):
+    """Generators of the kernel of A^c -> A^r, x -> sum x_j cols_j, cut to
+    their first ``width`` coordinates (all c by default): the nonzero heads
+    of the distinct generators, in order."""
     if not cols:
         return []
-    return _span_of(ring, cols, nrows).syzygies()
+    return _span_of(ring, cols, nrows).syzygies(
+        len(cols) if width is None else width)
 
 
 def lift_through(ring, cols, target, nrows):
@@ -368,8 +377,10 @@ class _Span:
                                            for X in _smith(ar, rows)))
         return form
 
-    def syzygies(self):
-        return _syz_euclidean(*self.smith(), len(self.cols))
+    def syzygies(self, width):
+        heads = (s[:width] for s in _syz_euclidean(*self.smith(),
+                                                    len(self.cols)))
+        return [h for h in heads if not vec_is_zero(h)]
 
     def lift(self, target):
         """x with sum x_j cols_j = target, or None; target is RingElements."""
@@ -389,17 +400,19 @@ class _GroebnerSpan(_Span):
     """The span over a polynomial ring without inverted elements: one
     Groebner basis of the columns and ``ring.modulus_vectors(nrows)``,
     untracked for membership alone; a lift or the syzygies replace it by one
-    that tracks the columns' cofactor coordinates.  It keeps its syzygy
-    heads and membership answers.  Over k[t] the inherited Smith form serves
-    the invariant factors.  Over these
-    rings ``Ring.vec_key`` is the tuple of numerators, so the keys of the
-    columns and targets are also the basis's input vectors."""
+    that tracks every column's cofactor coordinate, whatever width a caller
+    reads.  It keeps its syzygy heads, one list per width, and membership
+    answers.  Over k[t] the inherited Smith form serves the invariant
+    factors.  Over these rings ``Ring.vec_key`` is the tuple of numerators,
+    so the keys of the columns and targets are also the basis's input
+    vectors."""
 
     __slots__ = ("_gb", "_syz", "_member")
 
     def __init__(self, ring, nrows, cols):
         super().__init__(ring, nrows, cols)
-        self._gb = self._syz = None
+        self._gb = None
+        self._syz = {}       # width -> syzygy heads
         self._member = {}
 
     def basis(self, track=True):
@@ -411,20 +424,49 @@ class _GroebnerSpan(_Span):
                                    track=track and len(self.cols))
         return gb
 
-    def syzygies(self):
-        """The distinct nonzero heads of the rows of ``GBasis.syzygies``."""
-        if self._syz is None:
-            ring = self.ring
-            el, zero, vec_key = ring.el, ring.zero(), ring.vec_key
-            heads = {}
-            for s in self.basis().syzygies():
-                head = tuple([el(p) if p.terms else zero for p in s])
-                heads.setdefault(vec_key(head), head)
-            heads.pop(vec_key((zero,) * len(self.cols)), None)
-            self._syz = tuple(heads.values())
+    def syzygies(self, width):
+        heads = self._syz.get(width)
+        if heads is None:
+            heads = self._syz[width] = self._heads(width)
         else:
             self._gb.within_budget()   # a hit refuses as a query would
-        return list(self._syz)
+        return list(heads)
+
+    def _heads(self, width):
+        """The nonzero heads of the rows of ``GBasis.syzygy_rows`` that are
+        distinct as vectors over the ring, each row's tail made only when
+        its head is one already kept."""
+        gb, ring, ncols = self.basis(), self.ring, len(self.cols)
+        el, zero, vec_key = ring.el, ring.zero(), ring.vec_key
+
+        def canonical(polys):
+            return tuple([el(p) if p.terms else zero for p in polys])
+
+        def tail(row):
+            return vec_key(canonical(gb._polys(row, ncols, width)))
+
+        nothing = vec_key((zero,) * width)
+        kept = {}   # head key -> its first row, then the set of tail keys
+        heads = []
+        for row in gb.syzygy_rows():
+            head = canonical(gb._polys(row, width))
+            key = vec_key(head)
+            if key == nothing:
+                continue
+            tails = kept.get(key)
+            if tails is None:
+                kept[key] = row
+            elif width == ncols:
+                continue      # no tail: the row repeats a kept one
+            else:
+                if type(tails) is not set:
+                    tails = kept[key] = {tail(tails)}
+                t = tail(row)
+                if t in tails:
+                    continue
+                tails.add(t)
+            heads.append(head)
+        return tuple(heads)
 
     def lift(self, target):
         cof = self.basis().lift(self.ring.vec_key(target))
@@ -468,8 +510,8 @@ class _LocalizedSpan(_Span):
                             for d, terms in powers.items()), ring.zero()))
         return tuple(out)
 
-    def syzygies(self):
-        return [self._from_model(s) for s in self.model.syzygies()]
+    def syzygies(self, width):
+        return [self._from_model(s) for s in self.model.syzygies(width)]
 
     def lift(self, target):
         x = self.model.lift(_to_model(self.model.ring, target))

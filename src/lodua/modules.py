@@ -12,8 +12,7 @@ from itertools import combinations_with_replacement
 
 from .errors import InvalidInput, UnsupportedRing
 from .linalg import (cols_to_mat, invariant_factors, lift_through, mat_vec,
-                     member, membership_test, smith_form, syzygies,
-                     vec_is_zero)
+                     member, membership_test, smith_form, syzygies)
 from .ring import power_products, prefix_products
 
 
@@ -62,9 +61,13 @@ class FPModule:
 
     def submodule(self, gens):
         """The submodule generated by the vectors gens, presented on them:
-        its relations are the combinations of gens that die here."""
-        syz = syzygies(self.ring, gens + self.relations, self.ngens) if gens else []
-        return FPModule(self.ring, len(gens), [s[:len(gens)] for s in syz])
+        its relations are the combinations of gens that die here, the heads
+        of the syzygies of gens and the relations.  Those syzygies come from
+        the span of every column, which tracks the relations' coordinates
+        too, so a map's image asks the span its kernel asks."""
+        syz = syzygies(self.ring, gens + self.relations, self.ngens,
+                       len(gens)) if gens else []
+        return FPModule(self.ring, len(gens), syz)
 
     def el_eq(self, v, w):
         return self.contains_in_relations(tuple(a - b for a, b in zip(v, w)))
@@ -399,15 +402,20 @@ class ModuleMap:
     # -- subquotients --------------------------------------------------------
 
     def kernel(self):
-        """(K, inclusion K -> source)."""
+        """(K, inclusion K -> source).
+
+        K is generated by the nonzero source heads of the distinct syzygies
+        of the columns and the target's relations.  Two distinct syzygies
+        may share a head, and K keeps it twice: the syzygies are those of a
+        basis that tracks every column, the relations' too, and a basis
+        tracking the heads alone would merge such rows and present K on
+        other generators."""
         if 0 in (self.source.ngens, self.target.ngens):
             # all of the source, which has no generators or maps to zero
             gens = [self.source.gen(i) for i in range(self.source.ngens)]
         else:
-            cols = self.cols() + self.target.relations
-            heads = (s[:self.source.ngens]
-                     for s in syzygies(self.ring, cols, self.target.ngens))
-            gens = [h for h in heads if not vec_is_zero(h)]
+            gens = syzygies(self.ring, self.cols() + self.target.relations,
+                            self.target.ngens, self.source.ngens)
         K = self.source.submodule(gens)
         return K, ModuleMap(K, self.source,
                             cols_to_mat(gens, self.source.ngens), check=False)

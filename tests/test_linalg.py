@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lodua import UnsupportedRing, linalg, make_ring, smith_normal_form
+from lodua import (FPModule, ModuleMap, UnsupportedRing, linalg, make_ring,
+                   smith_normal_form)
 from lodua.linalg import (invariant_factors, lift_through, mat_mul, mat_vec,
                           syzygies)
 from lodua.poly import Poly
@@ -505,6 +506,117 @@ def test_span_lookup_and_syzygies_skip_the_modulus(monkeypatch):
     modulus = {id(m) for m in R.modulus}
     modulus |= {id(e) for v in R.modulus_vectors(2) for e in v}
     assert touched and not any(id(p) in modulus for p in touched)
+
+
+# -- syzygy heads at a caller's width against the full extraction -------------
+#
+# ``syzygies(..., width=w)`` converts only what a caller reads.  The reference
+# is the extraction that converted every row in full: the basis's rows,
+# repeats included, each made into ring elements and kept when its canonical
+# form is new; over the euclidean rings the columns of V past the diagonal,
+# and over u^-1 A its model's rows read back.
+
+
+def _syzygy_rings():
+    qxy = {"base": "Q", "vars": ["x", "y"]}
+    return [make_ring(qxy), make_ring({**qxy, "base": "Fp", "p": 7}),
+            make_ring({**qxy, "completion": {"ideal": ["x", "y"],
+                                             "precision": 3}}),
+            make_ring({**qxy, "quotient": ["x^3 - y^2"]}),
+            make_ring({**qxy, "completion": {"ideal": ["x + y", "x*y"],
+                                             "precision": 2}}),
+            make_ring({**qxy, "invert": "x"}),
+            make_ring({"base": "Z"}),
+            make_ring({"base": "Z", "completion": {"ideal": ["5"],
+                                                   "precision": 6}})]
+
+
+_SYZYGY_RINGS = _syzygy_rings()
+_INTS = ["0", "1", "2", "-3", "5", "6", "10", "25", "-50"]
+
+
+def _reference_syzygies(ring, cols, nrows):
+    """The distinct syzygies of cols in full, by the extraction that
+    converted every row of the basis, repeats included."""
+    from lodua.groebner import _sub_shifted
+    span = linalg._span_of(ring, cols, nrows)
+    if ring.nvars == 0:
+        return linalg._syz_euclidean(*span.smith(), len(cols))
+    if ring.inverted is not None:
+        model = span.model
+        return [span._from_model(s) for s in _reference_syzygies(
+            model.ring, model.columns(), nrows)]
+    gb = span.basis()
+    rows = [gb._polys(s, gb.track) for s in gb._syz]
+    one, zero = gb.dom.normalize(1), (0,) * gb.nvars
+    for j, g in enumerate(gb.gens):
+        row = gb._lift_flat(g, gb.within_budget())
+        assert row is not None
+        if j < gb.track:
+            _sub_shifted(row, {gb._keys.key(j, zero): one}, 0, -1,
+                         gb._p, gb._keys)
+        if row:
+            rows.append(gb._polys(row, gb.track))
+    el, zero, vec_key = ring.el, ring.zero(), ring.vec_key
+    heads = {}
+    for s in rows:
+        head = tuple([el(p) if p.terms else zero for p in s])
+        heads.setdefault(vec_key(head), head)
+    heads.pop(vec_key((zero,) * len(cols)), None)
+    return list(heads.values())
+
+
+@st.composite
+def _syzygy_cases(draw):
+    ring = draw(st.sampled_from(_SYZYGY_RINGS))
+    nrows, c = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    if ring.nvars == 0:
+        entry = st.builds(ring.el, st.sampled_from(_INTS))
+    elif ring.inverted is not None:   # a/x^d
+        entry = st.builds(lambda a, d: ring.el(ring.el(a).num, d),
+                          st.sampled_from(_MONOS), st.integers(0, 1))
+    else:
+        entry = st.builds(ring.el, st.sampled_from(_MONOS))
+    cols = [tuple(draw(entry) for _ in range(nrows)) for _ in range(c)]
+    if c > 1 and draw(st.booleans()):   # a repeated column: shared heads
+        cols.append(cols[0])
+    return ring, cols, nrows
+
+
+@settings(max_examples=120)
+@given(_syzygy_cases())
+def test_syzygy_heads_are_the_full_extraction_cut_to_the_width(case):
+    ring, cols, nrows = case
+    linalg._span.cache_clear()
+    want = _reference_syzygies(ring, cols, nrows)
+    key = ring.vec_key
+    full = syzygies(ring, cols, nrows)
+    assert [key(s) for s in full] == [key(s) for s in want]
+    for w in range(1, len(cols) + 1):
+        heads = [s[:w] for s in want if not all(e.is_zero() for e in s[:w])]
+        for _ in range(2):   # built, then kept by the span
+            got = syzygies(ring, cols, nrows, width=w)
+            assert [key(h) for h in got] == [key(h) for h in heads]
+
+
+def test_a_kernel_keeps_a_head_that_two_syzygies_share(QQxy):
+    """Distinct syzygies with one head give the kernel that head twice."""
+    R = QQxy
+    i = [R.el("x + y"), R.el("x*y")]
+    z, one = R.zero(), R.one()
+    src = FPModule(R, 2, [(a, z) for a in i] + [(z, a) for a in i])
+    rels = []
+    for k in (0, 2):
+        for coord in (k, k + 1):
+            for a in i:
+                rels.append(tuple(a if r == coord else z for r in range(4)))
+    rels += [(one, one, z, z), (z, z, one, one)]
+    tgt = FPModule(R, 4, rels)
+    f = ModuleMap(src, tgt, [[one, z], [z, one], [z, one], [one, z]])
+    K, incl = f.kernel()
+    gens = [tuple(e.render() for e in incl.col(j)) for j in range(K.ngens)]
+    assert K.ngens == 7
+    assert gens.count(("0", "-x - y")) == gens.count(("0", "-x*y")) == 2
 
 
 def test_concurrent_callers_get_identical_answers():

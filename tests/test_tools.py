@@ -161,6 +161,8 @@ def test_sameness_script_prints_repeatable_fingerprints():
                         r"sha256 [0-9a-f]{64}\n"
                         r"smith: [1-9]\d* forms, sha256 [0-9a-f]{64}\n"
                         r"homology: [1-9]\d* presentations, "
+                        r"sha256 [0-9a-f]{64}\n"
+                        r"kernels: [1-9]\d* kernels, "
                         r"sha256 [0-9a-f]{64}\n", out)
     assert run() == out
 
@@ -248,7 +250,7 @@ def test_sameness_hashes_every_smith_form():
     try:
         linalg._span.cache_clear()
         ops = sameness.workloads.generate("integer-sweep", 1, 4)
-        _, _, _, nforms, forms, _, _ = sameness.fingerprint(ops)
+        nforms, forms = sameness.fingerprint(ops)[3:5]
         assert linalg._smith is counted  # the tool puts back what it wrapped
     finally:
         linalg._smith = smith
@@ -278,7 +280,7 @@ def test_sameness_hashes_every_homology_presentation():
         lodua.towers._presented_limits.cache_clear()
         lodua.cli._parsed.cache_clear()
         lodua.linalg._span.cache_clear()
-        *_, nhoms, homs = sameness.fingerprint(ops)
+        nhoms, homs = sameness.fingerprint(ops)[5:7]
         # the tool puts back what it wrapped
         assert ChainComplex._homology_data is counted
     finally:
@@ -289,7 +291,45 @@ def test_sameness_hashes_every_homology_presentation():
     lodua.towers._presented_limits.cache_clear()
     lodua.cli._parsed.cache_clear()
     lodua.linalg._span.cache_clear()
-    assert sameness.fingerprint(ops)[5:] == (nhoms, homs)
+    assert sameness.fingerprint(ops)[5:7] == (nhoms, homs)
+
+
+def test_sameness_hashes_every_kernel():
+    """Every ModuleMap.kernel call is hashed, homology's and the others',
+    and the same run hashes the same kernels."""
+    import importlib.util
+    from lodua.modules import ModuleMap
+    spec = importlib.util.spec_from_file_location(
+        "sameness", os.path.join(ROOT, "tools", "sameness.py"))
+    sameness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sameness)
+    sameness.worker.import_lodua()
+    import lodua
+    made = []
+    kernel = ModuleMap.kernel
+
+    def counted(f):
+        made.append(kernel(f))
+        return made[-1]
+
+    def clear():
+        lodua.towers._presented_limits.cache_clear()
+        lodua.cli._parsed.cache_clear()
+        lodua.linalg._span.cache_clear()
+
+    ops = sameness.workloads.generate("poly-sweep", 1, 6)
+    ModuleMap.kernel = counted
+    try:
+        clear()
+        nkers, kers = sameness.fingerprint(ops)[7:]
+        # the tool puts back what it wrapped
+        assert ModuleMap.kernel is counted
+    finally:
+        ModuleMap.kernel = kernel
+    assert nkers == len(made) > 0
+    assert re.fullmatch(r"[0-9a-f]{64}", kers)
+    clear()
+    assert sameness.fingerprint(ops)[7:] == (nkers, kers)
 
 
 def test_sameness_lists_the_ops_that_differ_from_the_refs(capsys):

@@ -9,12 +9,13 @@
 Runs the op list of one workload and seed once, in order, in one process,
 as ``perfbench/worker.py`` executes it (``perfbench/workloads.py`` and
 ``worker.py`` are imported, neither changed; the engine comes from
-``src/``), and prints four lines:
+``src/``), and prints five lines:
 
     <workload> seed <S>: <n> ops, answers sha256 <hex>
     contains_in_relations: <q> queries, sha256 <hex>
     smith: <s> forms, sha256 <hex>
     homology: <h> presentations, sha256 <hex>
+    kernels: <k> kernels, sha256 <hex>
 
 The first hashes every op's (exit code, body) pair, the body being the
 report or the refusal exactly as the benchmark hashes it.  The second
@@ -25,10 +26,14 @@ matrix, and U, D, V, U^-1 and V^-1, each entry rendered as a ring element
 whatever arithmetic record the loop ran on.  The fourth hashes every
 homology presentation the run computes (each ``ChainComplex._homology_data``
 call, table hits not included): H's generator count, its relations by
-``Ring.vec_key`` and the matrix of its representative cycles.  Two trees
+``Ring.vec_key`` and the matrix of its representative cycles.  The fifth
+hashes every ``ModuleMap.kernel`` result, homology's and every other
+caller's (``is_iso``, ``hopf``, ``local``): K's generator count, its
+relations and the inclusion's columns, all by ``Ring.vec_key``.  Two trees
 whose lines match gave the same answers by asking the same membership
-questions, computing the same Smith forms (same pivots, same transforms)
-and presenting the same homology on the same cycles, so a refactor that
+questions, computing the same Smith forms (same pivots, same transforms),
+presenting the same homology on the same cycles and the same kernels on
+the same generators, so a refactor that
 claims to move no certificate can be checked by running this script in
 both and comparing the output.  Run from the root of a lodua
 checkout; to compare with another tree, copy the script into that tree's
@@ -133,18 +138,29 @@ def differences(workload, cold=False):
 def fingerprint(ops, cold=False):
     """(answers sha256, number of membership questions, their sha256,
     number of Smith forms, their sha256, number of homology presentations,
-    their sha256)."""
+    their sha256, number of kernels, their sha256)."""
     worker.import_lodua()
     import lodua
     from lodua import linalg
     from lodua.complexes import ChainComplex
-    from lodua.modules import FPModule
-    answered, queries, forms, homs = (hashlib.sha256(), hashlib.sha256(),
-                                      hashlib.sha256(), hashlib.sha256())
-    count = nforms = nhoms = 0
+    from lodua.modules import FPModule, ModuleMap
+    answered, queries, forms, homs, kers = (
+        hashlib.sha256() for _ in range(5))
+    count = nforms = nhoms = nkers = 0
     ask = FPModule.contains_in_relations
     smith = linalg._smith
     homology = ChainComplex._homology_data
+    kernel = ModuleMap.kernel
+
+    def logged_kernel(f):
+        nonlocal nkers
+        K, incl = out = kernel(f)
+        nkers += 1
+        key = K.ring.vec_key
+        kers.update(json.dumps(
+            [K.ngens, [repr(key(col)) for col in K.relations],
+             [repr(key(col)) for col in incl.cols()]]).encode() + b"\n")
+        return out
 
     def logged_homology(C, n):
         nonlocal nhoms
@@ -178,6 +194,7 @@ def fingerprint(ops, cold=False):
     FPModule.contains_in_relations = logged
     linalg._smith = logged_smith
     ChainComplex._homology_data = logged_homology
+    ModuleMap.kernel = logged_kernel
     try:
         for code, body in answers(lodua, ops, cold):
             answered.update(json.dumps([code, body]).encode() + b"\n")
@@ -185,8 +202,10 @@ def fingerprint(ops, cold=False):
         FPModule.contains_in_relations = ask
         linalg._smith = smith
         ChainComplex._homology_data = homology
+        ModuleMap.kernel = kernel
     return (answered.hexdigest(), count, queries.hexdigest(), nforms,
-            forms.hexdigest(), nhoms, homs.hexdigest())
+            forms.hexdigest(), nhoms, homs.hexdigest(), nkers,
+            kers.hexdigest())
 
 
 # the lag rules that _probe_lag calls by name, and the count's name of each
@@ -272,13 +291,14 @@ def main(argv=None):
         for (kind, ring, rule), n in sorted(counts.items()):
             print(f"{kind} {ring} {rule}: {n}")
         return 0
-    answered, count, queries, nforms, forms, nhoms, homs = fingerprint(
-        ops, ns.cold)
+    (answered, count, queries, nforms, forms, nhoms, homs, nkers,
+     kers) = fingerprint(ops, ns.cold)
     print(f"{ns.workload} seed {seed}: {len(ops)} ops, "
           f"answers sha256 {answered}")
     print(f"contains_in_relations: {count} queries, sha256 {queries}")
     print(f"smith: {nforms} forms, sha256 {forms}")
     print(f"homology: {nhoms} presentations, sha256 {homs}")
+    print(f"kernels: {nkers} kernels, sha256 {kers}")
     return 0
 
 
