@@ -31,6 +31,7 @@ class FPModule:
         self.relations = list(rels.values())
         self.name = name
         self._decomp = None
+        self._invariants = None   # (free rank, sorted rendered factors)
         self._member = None   # membership in the relations' span
 
     # -- constructors -------------------------------------------------------
@@ -73,14 +74,22 @@ class FPModule:
         return self.contains_in_relations(tuple(a - b for a, b in zip(v, w)))
 
     def is_zero(self):
+        """Whether every generator dies.  Over a euclidean ring this is read
+        off the memoized decomposition (no free part and no nonunit
+        invariant factor); over any other ring each generator asks
+        membership in the relations' span."""
         if self.ngens == 0:
             return True
+        if self.ring.is_euclidean:
+            return self.decomposition() == ([], 0)
         return all(self.contains_in_relations(self.gen(i)) for i in range(self.ngens))
 
     # -- canonical data ------------------------------------------------------
 
     def decomposition(self):
-        """(torsion invariant factors, free rank) over a euclidean ring."""
+        """(torsion invariant factors, free rank) over a euclidean ring,
+        read off the Smith form of the relations once and memoized; the
+        zero test and ``invariants`` read it too."""
         if not self.ring.is_euclidean:
             raise UnsupportedRing("invariant factors need a euclidean ring")
         if self._decomp is None:
@@ -104,9 +113,14 @@ class FPModule:
 
     def invariants(self):
         """(free rank, sorted rendered torsion factors) over a euclidean
-        ring: equal exactly when the modules are isomorphic."""
-        factors, rank = self.decomposition()
-        return rank, sorted(f.render() for f in factors)
+        ring: equal exactly when the modules are isomorphic.  The factors
+        are rendered and sorted once per module; each call returns a fresh
+        list."""
+        if self._invariants is None:
+            factors, rank = self.decomposition()
+            self._invariants = rank, tuple(sorted(f.render() for f in factors))
+        rank, torsion = self._invariants
+        return rank, list(torsion)
 
     def describe(self):
         """Stable human/JSON description of the isomorphism type when known."""

@@ -307,6 +307,72 @@ def test_minimize_presentation_matches_the_reference_elimination(M):
     assert bwd.matrix == ref_bwd.matrix
 
 
+# -- the zero test over euclidean rings ----------------------------------------
+
+# every euclidean ring class: Z, Z_5, Z[1/u], Z_5[1/u] with u a power of 5
+# (Q_5) and with another prime in u, a field of each characteristic and k[t]
+_ZERO_TEST_RINGS = {
+    "Z": make_ring({"base": "Z"}),
+    "Z_5": make_ring({"base": "Z", "completion": {"ideal": ["5"],
+                                                  "precision": 6}}),
+    "Z[1/10]": make_ring({"base": "Z", "invert": "10"}),
+    "Z_5[1/5]": make_ring({"base": "Z", "invert": "5", "completion": {
+        "ideal": ["5"], "precision": 6}}),
+    "Z_5[1/10]": make_ring({"base": "Z", "invert": "10", "completion": {
+        "ideal": ["5"], "precision": 6}}),
+    "Q": make_ring({"base": "Q"}),
+    "F_7": make_ring({"base": "Fp", "p": 7}),
+    "Q[t]": make_ring({"base": "Q", "vars": ["t"]}),
+}
+_ZERO_TEST_NUMS = ["0", "1", "-1", "2", "3", "5", "6", "-10", "25", "125",
+                   "3125", "15625"]
+
+
+@st.composite
+def _euclidean_presentations(draw, ring):
+    """1 to 3 generators and 0 to 4 relations, with units often enough
+    that a quarter or more of the modules are zero."""
+    if ring.nvars:
+        entry = st.builds(ring.el, st.sampled_from(
+            ["0", "1", "-2", "t", "t + 1", "t^2", "2*t - 1"]))
+    elif ring.inverted is not None:   # n/u^d
+        entry = st.builds(lambda n, d: ring.el(int(n), d),
+                          st.sampled_from(_ZERO_TEST_NUMS), st.integers(0, 1))
+    else:
+        entry = st.builds(ring.el, st.sampled_from(_ZERO_TEST_NUMS))
+    ngens = draw(st.integers(1, 3))
+    cols = draw(st.lists(st.tuples(*[entry] * ngens), max_size=4))
+    return FPModule(ring, ngens, cols)
+
+
+def _outcome(ask):
+    try:
+        return ask()
+    except ZeroDivisionError:   # the precision seam of Z_p[1/u]
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize("name", sorted(_ZERO_TEST_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_euclidean_zero_test_is_the_membership_loop(name, data):
+    ring = _ZERO_TEST_RINGS[name]
+    assert ring.is_euclidean
+    M = data.draw(_euclidean_presentations(ring))
+    got = _outcome(M.is_zero)
+    want = _outcome(lambda: all(M.contains_in_relations(M.gen(i))
+                                for i in range(M.ngens)))
+    assert got == want
+    if got is ZeroDivisionError:
+        return
+    assert M.is_zero() == got   # asked again, off the memo
+    rank, torsion = M.invariants()
+    assert torsion == sorted(f.render() for f in M.decomposition()[0])
+    torsion.append("0")
+    assert M.invariants() == (rank, sorted(
+        f.render() for f in M.decomposition()[0]))
+
+
 # -- block builders -----------------------------------------------------------
 
 

@@ -157,7 +157,7 @@ def test_sameness_script_prints_repeatable_fingerprints():
     out = run()
     assert re.fullmatch(r"integer-sweep seed 1: 8 ops, answers sha256 "
                         r"[0-9a-f]{64}\n"
-                        r"contains_in_relations: [1-9]\d* queries, "
+                        r"contains_in_relations: \d+ queries, "
                         r"sha256 [0-9a-f]{64}\n"
                         r"smith: [1-9]\d* forms, sha256 [0-9a-f]{64}\n"
                         r"homology: [1-9]\d* presentations, "
@@ -199,15 +199,16 @@ def test_sameness_cold_run_gives_the_warm_answers():
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
 
-    # in the first 16 poly-sweep ops no table saves a membership question
-    for workload, size in (("integer-sweep", "16"), ("poly-sweep", "48")):
+    # the cold run asks again what the warm one took from the tables: over
+    # Z and Z_5 it builds again the Smith forms the span table kept (its
+    # zero tests read them, so the first 16 integer-sweep ops ask the same
+    # membership questions warm and cold); over Q[x,y] and F_7[x,y] it asks
+    # membership again, which in the first 16 poly-sweep ops no table saves
+    for workload, size, line in (("integer-sweep", "16", 2),
+                                 ("poly-sweep", "48", 1)):
         warm, cold = lines(workload, size), lines(workload, size, "--cold")
         assert cold[0] == warm[0]
-        # the cold run asks again what the warm one took from the tables
-        assert cold[1] != warm[1]
-        if workload == "integer-sweep":
-            # and builds again the Smith forms the span table kept
-            assert cold[2] != warm[2]
+        assert cold[line] != warm[line]
 
 
 def test_an_answer_does_not_depend_on_the_ops_before_it():
