@@ -44,8 +44,7 @@ from .descriptors import FPObj, Rational, Telescope, TelescopeQuotient
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      LoduaError, UnrecognizedTower, UnsupportedRing)
 from .hopf import (Comodule, GroupLikeHopfAlgebroid, comodule_completion,
-                   iota, verify_theorems, _completed_hopf,
-                   _base_change_comodule)
+                   iota, verify_theorems, _base_change_comodule)
 from .local import (IdealData, adic_completion, derived_completion, gamma,
                     gm_ses_check, local_cohomology, local_homology_Ls)
 from .modules import FPModule, ModuleMap, ext as module_ext, tor as module_tor
@@ -423,7 +422,7 @@ def _run(problem, verb, cmd):
     elif verb == "iota":
         com = problem.comodule(name("comodule"))
         res, cert = iota(_base_change_comodule(
-            _completed_hopf(problem.hopf, d.gens), com))
+            com, com.hopf.completed_ring(d.gens)))
         report["result"] = res.describe()
         report["certificate"] = cert
     elif verb == "verify":

@@ -9,16 +9,20 @@ Q_g = g(P_{g^-1}), where P_g is the matrix of phi_g on generators.  The
 comodule axioms are checked on psi, once each: psi carries relations to
 relations (every phi_g is semilinear), the counit (phi_e = id) and
 coassociativity (the group law phi_g phi_k = phi_gk).  A map f of comodules
-is tested in the same form, (Psi (x) f) . psi_X = psi_Y . f.  Every
+is tested in the same form, (Psi (x) f) . psi_X = psi_Y . f.  One
+algebroid acts on A and, by base change, on every completion of A.  Every
 action on elements goes through ``GroupLikeHopfAlgebroid.apply``, which
 keeps each image g(e), once complete, for as long as the algebroid lives,
-keyed by g and the canonical form of e, and clears them at _IMAGE_LIMIT.
+keyed by g, the ring of e and its canonical form, and clears them at
+_IMAGE_LIMIT.
 
 Inverse limits of comodules are certified two ways in one pass, on one
 base change: as the kernel of the map between extended comodules built from
 the coaction cokernels, and as the pullback against the extended comodule
 of the limit.
 """
+
+from itertools import product
 
 from .descriptors import FPObj, LimitModule, Rational, Telescope, values_agree
 from .errors import InternalInconsistency, InvalidInput
@@ -31,8 +35,8 @@ from .poly import Poly
 from .towers import (Tower, TorStages, completed_module, completed_ring,
                      lim_lim1)
 
-# One seed-1 poly-sweep pass keeps at most 18 images in one algebroid (156
-# in all), tests/test_hopf.py at most 97.
+# One seed-1 poly-sweep pass keeps at most 22 images in one algebroid, over
+# A and A^ (66 in all, over three documents), tests/test_hopf.py at most 112.
 _IMAGE_LIMIT = 256   # action images kept per algebroid
 
 
@@ -44,37 +48,31 @@ class GroupLikeHopfAlgebroid:
         self.elements = tuple(elements)
         self.table = dict(table)      # (g, h) -> gh
         self.action = {}              # g -> list of variable images (Poly)
-        self._images = {}             # (g, e.num, e.dexp) -> g(e)
+        self._images = {}             # (g, e.ring, e.num, e.dexp) -> g(e)
         self._validate_group()
         self._install_action(action)
-        self._validate_action()
+        self._validate_action(ring)
 
     # -- group structure ------------------------------------------------------
 
     def _validate_group(self):
-        els = self.elements
+        els, table = self.elements, self.table
         if len(set(els)) != len(els):
             raise InvalidInput("duplicate group element labels")
-        for g in els:
-            for h in els:
-                if (g, h) not in self.table or self.table[(g, h)] not in els:
-                    raise InvalidInput(f"multiplication table misses ({g},{h})")
+        for g, h in product(els, repeat=2):
+            if (g, h) not in table or table[(g, h)] not in els:
+                raise InvalidInput(f"multiplication table misses ({g},{h})")
         ident = [e for e in els
-                 if all(self.table[(e, g)] == g == self.table[(g, e)] for g in els)]
+                 if all(table[(e, g)] == g == table[(g, e)] for g in els)]
         if len(ident) != 1:
             raise InvalidInput("the table has no unique identity")
-        self.identity = ident[0]
-        for a in els:
-            for b in els:
-                for c in els:
-                    if self.table[(self.table[(a, b)], c)] != \
-                            self.table[(a, self.table[(b, c)])]:
-                        raise InvalidInput(
-                            f"non-associative table at ({a},{b},{c})")
+        self.identity = e = ident[0]
+        for a, b, c in product(els, repeat=3):
+            if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                raise InvalidInput(f"non-associative table at ({a},{b},{c})")
         self.inverse = {}
         for g in els:
-            inv = [h for h in els if self.table[(g, h)] == self.identity
-                   and self.table[(h, g)] == self.identity]
+            inv = [h for h in els if table[(g, h)] == e == table[(h, g)]]
             if len(inv) != 1:
                 raise InvalidInput(f"{g} has no unique inverse")
             self.inverse[g] = inv[0]
@@ -107,15 +105,17 @@ class GroupLikeHopfAlgebroid:
             self.action[g] = images
 
     def apply(self, g, e):
-        """The automorphism g on a ring element, computed once per
-        (g, numerator, denominator exponent) and kept in ``_images``: a
-        pure function, since ``_validate_action`` checked that g fixes the
-        inverted element."""
-        e = self.ring.el(e)
-        key = (g, e.num, e.dexp)
+        """g on an element of A or of a completion A^ of A, computed once
+        per (g, ring, numerator, denominator exponent) and kept in
+        ``_images``.  Over A^ the variable images are representatives: two
+        differ by an element of quotient + I^N, and so do the substitutions
+        into them, so the class in A^ is the same."""
+        # a ring element is read in its own ring, anything else in A
+        e = getattr(e, "ring", self.ring).el(e)
+        key = (g, e.ring, e.num, e.dexp)
         img = self._images.get(key)
         if img is None:
-            img = self.ring._normal(e.num.substitute(self.action[g]), e.dexp)
+            img = e.ring._normal(e.num.substitute(self.action[g]), e.dexp)
             if len(self._images) >= _IMAGE_LIMIT:
                 self._images.clear()
             self._images[key] = img
@@ -127,8 +127,28 @@ class GroupLikeHopfAlgebroid:
     def apply_vec(self, g, vec):
         return tuple(self.apply(g, e) for e in vec)
 
-    def _validate_action(self):
-        ring = self.ring
+    def completed_ring(self, ideal_gens):
+        """A^ at the ideal, once every g is checked to carry its completion
+        ideal into itself.  The other checks hold by base change, but a
+        completed A knows its images modulo its own ideal power only."""
+        ring = completed_ring(self.ring, ideal_gens)
+        if self.ring.is_completed:
+            self._validate_action(ring)
+        else:
+            for g in self.elements:
+                self._check_completion_ideal(g, ring)
+        return ring
+
+    def _check_completion_ideal(self, g, ring):
+        """g(c) in I for the generators c of the completion ideal I of
+        ``ring``, decided in ``ring.underlying()``: mod I^N, c may be 0."""
+        base = ring.underlying()
+        cols = [(base.el(c),) for c in ring.completion[0]]
+        if not all(member(base, cols, (self.apply(g, c),), 1) for c, in cols):
+            raise InvalidInput(f"{g} does not preserve the completion ideal")
+
+    def _validate_action(self, ring):
+        """The checks of the action over ``ring``, A or a completion of A."""
         names = ring.names
         for g in self.elements:
             for h in self.elements:
@@ -148,25 +168,22 @@ class GroupLikeHopfAlgebroid:
                     raise InvalidInput(
                         f"{g} does not preserve the quotient ideal")
             u = ring.inverted
-            if u is not None and not self.apply(g, u) == ring.el(u):
+            if u is not None and not self.apply(g, ring.el(u)) == ring.el(u):
                 raise InvalidInput(f"{g} does not fix the inverted element "
                                    f"{u.render(names)}")
             if ring.is_completed:
-                cgens = [ring.el(c) for c in ring.completion[0]]
-                for c in cgens:
-                    img = self.apply(g, c)
-                    cols = [(x,) for x in cgens]
-                    if not member(ring, cols, (img,), 1):
-                        raise InvalidInput(
-                            f"{g} does not preserve the completion ideal")
+                self._check_completion_ideal(g, ring)
         e = self.identity
+        variables = [Poly.var(ring.dom, ring.nvars, i)
+                     for i in range(ring.nvars)]
         for i, name in enumerate(names):
             # the variable itself, which an omitted identity entry gives,
             # needs no comparison in the ring
             img = self.action[e][i]
-            if img != Poly.var(ring.dom, ring.nvars, i) and \
-                    not ring.el(img) == ring.var(name):
+            if img != variables[i] and not ring.el(img) == ring.var(name):
                 raise InvalidInput(f"the identity {e} does not fix {name}")
+        # e then acts as the identity on A and on every completion of A
+        self.action[e] = variables
 
     def fixes_ideal_generators(self, gens):
         """The supported notion of invariant ideal: G-fixed generators."""
@@ -270,17 +287,16 @@ class Comodule:
 
 def _extended_counit(h, M):
     """Psi (x) M -> M: projection to the identity block."""
-    EM = extended_module(h, M)
     mat = block_matrix(M.ring, [M.ngens], [M.ngens] * h.order, {
         (0, h.elements.index(h.identity)): scalar_matrix(M.ring, M.ngens,
                                                          M.ring.one())})
-    return ModuleMap(EM, M, mat, check=False)
+    return ModuleMap(extended_module(h, M), M, mat, check=False)
 
 
 def _extended_map(h, f):
     """Psi (x) f: Psi (x) X -> Psi (x) Y, block diagonal with block g(f)."""
     X, Y = f.source, f.target
-    mat = block_matrix(h.ring, [Y.ngens] * h.order, [X.ngens] * h.order,
+    mat = block_matrix(f.ring, [Y.ngens] * h.order, [X.ngens] * h.order,
                        {(b, b): h.apply_matrix(g, f.matrix)
                         for b, g in enumerate(h.elements)})
     return ModuleMap(extended_module(h, X), extended_module(h, Y), mat,
@@ -331,8 +347,7 @@ def extended_adjunction(h, M_comod, N):
         if alpha is None:
             continue
         back = backward(alpha)
-        again = forward(back)
-        if not again.equals(alpha):
+        if not forward(back).equals(alpha):
             raise InternalInconsistency("adjunction roundtrip failed")
         if not _is_equivariant(M_comod, E, back):
             raise InternalInconsistency("backward transport is not equivariant")
@@ -358,31 +373,19 @@ def _is_equivariant(X, Y, f):
         Y.coaction().compose(f))
 
 
-def _completed_hopf(h, ideal_gens):
-    """h over its ring completed at the ideal (``completed_ring``)."""
-    ring = h.ring
-    action = {g: dict(zip(ring.names, h.action[g]))
-              for g in h.elements if g != h.identity}
-    return GroupLikeHopfAlgebroid(completed_ring(ring, ideal_gens),
-                                  h.elements, h.table, action)
-
-
-def _base_change_comodule(h_hat, comod):
-    """A comodule read over the completed ring of ``h_hat``.
-
-    Each comodule axiom is an identity of matrices that base change along
-    the ring map to the completion preserves, so the result is built
-    unchecked."""
-    ring = h_hat.ring
+def _base_change_comodule(comod, ring):
+    """A comodule read over ``ring``, a completion of its ring, unchecked:
+    each comodule axiom is an identity of matrices, which base change
+    along the ring map to the completion preserves."""
     maps = {g: base_change_rows(mat, ring) for g, mat in comod.maps.items()}
-    return Comodule(h_hat, base_change(comod.module, ring), maps, check=False)
+    return Comodule(comod.hopf, base_change(comod.module, ring), maps,
+                    check=False)
 
 
-def _j_is_identity(h, h_hat, N, N_hat, gens):
-    """Psi^ (x)^ N^, built over the completed ring, has the presentation of
-    the completion of Psi (x) N, built over A: the canonical map j between
-    them is the identity."""
-    return _same_presentation(extended_module(h_hat, N_hat),
+def _j_is_identity(h, N, N_hat, gens):
+    """Psi^ (x)^ N^, built over the ring of N^, has the presentation of the
+    completion of Psi (x) N, built over A: j between them is the identity."""
+    return _same_presentation(extended_module(h, N_hat),
                               completed_module(extended_module(h, N), gens))
 
 
@@ -414,8 +417,7 @@ def comodule_completion(M_comod, d, method="kernel"):
             "invariant ideals must have G-fixed generators")
     if method not in ("kernel", "pullback"):
         raise InvalidInput(f"unknown method {method!r}")
-    h_hat = _completed_hopf(h, d.gens)
-    base_hat = _base_change_comodule(h_hat, M_comod)
+    base_hat = _base_change_comodule(M_comod, h.completed_ring(d.gens))
     for k in range(1, _STAGE_CHECKS + 1):
         # M (x) A/I^k with the inherited action, checked as a comodule
         stage = quotient_by_ideal_power(M, d.gens, k)
@@ -426,7 +428,7 @@ def comodule_completion(M_comod, d, method="kernel"):
     if not f_hat.compose(base_hat.coaction()).is_zero_map():
         raise InternalInconsistency("f . psi != 0 after completion")
     # pullback: j is bijective when Psi^ (x) lim and lim(Psi (x) -) agree
-    if not _j_is_identity(h, h_hat, M, base_hat.module, d.gens):
+    if not _j_is_identity(h, M, base_hat.module, d.gens):
         raise InternalInconsistency(
             "Psi (x) lim and lim(Psi (x) -) differ: j is not bijective")
     cert = {"method": method,
@@ -446,7 +448,7 @@ def comodule_completion(M_comod, d, method="kernel"):
         cert["pullback"] = ("the pullback of lim(psi) along the bijection j "
                             "is the graph of j^-1 lim(psi), isomorphic to "
                             "lim M_k via the first projection")
-    cert["precision"] = h_hat.ring.precision
+    cert["precision"] = base_hat.ring.precision
     return base_hat, cert
 
 
@@ -471,8 +473,7 @@ def _stage_exactness_check(stage, k):
     K, incl = f_k.kernel()
     # every kernel generator must lift through the coaction
     for t in range(K.ngens):
-        v = incl.col(t)
-        if co.lift_element(v) is None:
+        if co.lift_element(incl.col(t)) is None:
             raise InternalInconsistency(
                 f"kernel of f_k exceeds psi(M_k) at stage {k}")
 
@@ -487,18 +488,17 @@ def iota(com):
     presentation), so the pullback is the graph of j^-1 psi^ and iota N -> N
     is an isomorphism; the coaction axioms of the result are re-checked.
     """
-    cert = {}
-    cert["j"] = ("Psi (x) N and Psi^ (x)^ N share the block presentation "
-                 "over the completed ring; j is the identity, in particular "
-                 "a monomorphism")
     # pullback of (psi^, j = id): the graph of psi^; first projection is iso
     result = Comodule(com.hopf, com.module, com.maps, check=True)
-    cert["pullback"] = ("iota N = {(n, w) : j w = psi^ n} is the graph of "
-                        "psi^; the projection iota N -> N is an isomorphism")
-    cert["injective"] = "iota N -> N is injective (indeed invertible)"
-    cert["coaction_axioms"] = ("counit and coassociativity of the induced "
-                               "coaction were re-verified on iota N")
-    return result, cert
+    return result, {
+        "j": ("Psi (x) N and Psi^ (x)^ N share the block presentation over "
+              "the completed ring; j is the identity, in particular a "
+              "monomorphism"),
+        "pullback": ("iota N = {(n, w) : j w = psi^ n} is the graph of "
+                     "psi^; the projection iota N -> N is an isomorphism"),
+        "injective": "iota N -> N is injective (indeed invertible)",
+        "coaction_axioms": ("counit and coassociativity of the induced "
+                            "coaction were re-verified on iota N")}
 
 
 def true_level_probe(h, d):
@@ -506,18 +506,19 @@ def true_level_probe(h, d):
     comodules: the completed unit, its extended comodule, and the extended
     comodule on the completed A/I (a comodule whether or not I is
     invariant), whose relations the comparison must match too."""
-    h_hat = _completed_hopf(h, d.gens)
-    ring = h_hat.ring
-    unit = Comodule(h_hat, FPModule.free(ring, 1),
-                    {g: [[ring.one()]] for g in h.elements})
-    probes = [unit, extended_comodule(h_hat, unit.module),
-              extended_comodule(h_hat, FPModule.cyclic(ring, d.gens))]
-    # the same probes over A, before completion
-    unit_A = FPModule.free(h.ring, 1)
-    over_A = [unit_A, extended_module(h, unit_A),
-              extended_module(h, FPModule.cyclic(h.ring, d.gens))]
-    for probe, N in zip(probes, over_A):
-        if not _j_is_identity(h, h_hat, N, probe.module, d.gens):
+    ring = h.completed_ring(d.gens)
+    # the completed unit is a checked comodule, Psi (x) N one for every N
+    Comodule(h, FPModule.free(ring, 1),
+             {g: [[ring.one()]] for g in h.elements})
+
+    def probes(R):
+        unit = FPModule.free(R, 1)
+        return [unit, extended_module(h, unit),
+                extended_module(h, FPModule.cyclic(R, d.gens))]
+
+    # each probe over A^ against the same probe over A, before completion
+    for N_hat, N in zip(probes(ring), probes(h.ring)):
+        if not _j_is_identity(h, N, N_hat, d.gens):
             raise InternalInconsistency(
                 "Psi (x) N and Psi^ (x)^ N differ on a probe: the canonical "
                 "map is not an identity presentation")
@@ -603,12 +604,11 @@ def completion_formula_check(h, d, M_comod):
     lhs, cert_l = comodule_completion(M_comod, d, method="kernel")
     # rhs from the coaction over A: base-change its matrix and read
     # P_g = g(Q_(g^-1)) off the block of g^-1
-    h_hat = lhs.hopf
-    ring, n = h_hat.ring, M_comod.module.ngens
+    ring, n = lhs.ring, M_comod.module.ngens
     Q = base_change_rows(M_comod.coaction().matrix, ring)
     block = {g: Q[b * n:(b + 1) * n] for b, g in enumerate(h.elements)}
-    chat = Comodule(h_hat, base_change(M_comod.module, ring),
-                    {g: h_hat.apply_matrix(g, block[h.inverse[g]])
+    chat = Comodule(h, base_change(M_comod.module, ring),
+                    {g: h.apply_matrix(g, block[h.inverse[g]])
                      for g in h.elements}, check=False)
     rhs, cert_r = iota(chat)
     if not _same_presentation(lhs.module, rhs.module):

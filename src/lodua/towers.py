@@ -22,7 +22,7 @@ presentation and the settings, so ``lim_lim1`` keeps them in one
 process-wide LRU table of 256 (``_TOWER_LIMIT``), and every caller reuses a
 limit an earlier verb computed.  Its key is the kind and degree, the
 module's ring, generator count and ``Ring.vec_key`` of each relation in
-order, the ideal's generators, the resolution length (Tor), and the
+order, the ideal's generators, and the
 ``context.resolved`` settings (precision, K, lag and step budget as a
 computation reads them).  A hit returns what a cold computation on that
 key returned, and a refusal is never stored, so no answer depends on what
@@ -680,25 +680,22 @@ def _table_key(tower):
     """What the limits of an adic, Tor or Koszul-stage tower depend on: its
     kind and degree, the presentation of its module (ring, generator count,
     ``Ring.vec_key`` of each relation in order), its ideal's generators,
-    the resolution length of a Tor tower, and the settings resolved over
-    the module's ring.
+    and the settings resolved over the module's ring.  A Tor_s tower's
+    stages are built to length s + 1, and H_s reads F only up to F_(s+1),
+    so the length is not part of the key.
     None for the other kinds, which the table does not serve."""
     kind, params = tower.kind, tower.params
     if kind == "adic":
-        M, gens, extra = params["module"], params["ideal"], None
-    elif kind == "tor":
+        M, gens = params["module"], params["ideal"]
+    elif kind in ("tor", "koszul_stage"):
         stages = params["complexes"]
-        M, gens, extra = stages.module, stages.gens, stages.length
-    elif kind == "koszul_stage":
-        stages = params["complexes"]
-        M, gens, extra = stages.module, stages.gens, None
+        M, gens = stages.module, stages.gens
     else:
         return None
     ring = M.ring
     return (kind, params.get("s"), ring, M.ngens,
             tuple([ring.vec_key(col) for col in M.relations]),
-            tuple([(g.ring, g.num, g.dexp) for g in gens]), extra,
-            resolved(ring))
+            tuple([(g.ring, g.num, g.dexp) for g in gens]), resolved(ring))
 
 
 class _Asked:

@@ -324,6 +324,34 @@ def test_an_action_that_moves_the_inverted_element_is_refused_on_reading(
     assert err == "invalid input: s does not fix the inverted element x\n"
 
 
+@pytest.mark.parametrize("ideal, precision", [
+    ("x*y + x", 1), ("x*y + x", 3), ("x", 1)])
+def test_a_completion_ideal_the_action_moves_is_refused_at_every_precision(
+        ideal, precision, tmp_path, capsys):
+    """The swap sends x*y + x to x*y + y, outside (x*y + x), and x to y,
+    outside (x).  That is decided in Q[x,y] on the generators themselves:
+    at precision 1 their classes are 0, and `iota` and `verify --which
+    true-level` on the ideal, and `resolve` over the ring completed at it,
+    are refused as at higher precisions."""
+    import lodua.cli
+    runs = []
+    doc = _c2_doc()
+    doc["ideal"], doc["options"]["precision"] = [ideal], precision
+    runs += [(doc, ["iota", "--comodule", "CA"]),
+             (doc, ["verify", "--which", "true-level"])]
+    if ideal != "x":   # xy is 0 in Q[x,y] completed at (x) to precision 1
+        doc = _c2_doc()
+        del doc["comodules"]
+        doc["ring"]["completion"] = {"ideal": [ideal], "precision": precision}
+        runs.append((doc, ["resolve", "--module", "A"]))
+    for doc, (verb, *flags) in runs:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert lodua.cli.main([verb, str(path), *flags]) == 3, verb
+        assert capsys.readouterr() == (
+            "", "invalid input: s does not preserve the completion ideal\n")
+
+
 def _completed_doc(names, ideal, **blocks):
     """The free module F over Q[[names]] completed at the variables, to
     precision 3, with the document ideal ``ideal``."""

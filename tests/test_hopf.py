@@ -10,9 +10,10 @@ from lodua import (Comodule, FPModule, GroupLikeHopfAlgebroid, IdealData,
                    make_ring, verify_theorems)
 from lodua.modules import _same_presentation
 from lodua.hopf import (TorStageComodules, _base_change_comodule,
-                        _completed_hopf, extended_module, true_level_probe)
+                        extended_module, true_level_probe)
 from lodua.linalg import mat_mul, mat_vec
 from lodua.poly import Poly
+from lodua.towers import completed_ring
 
 from conftest import zmod
 
@@ -157,17 +158,18 @@ def test_non_invariant_ideal_rejected(QQxy, swap, unit_comodule):
 
 def test_iota_on_complete_comodule(QQxy, swap, dI, unit_comodule):
     with lodua.settings(precision=5):
-        h_hat = _completed_hopf(swap, dI.gens)
-    assert h_hat.ring.precision == 5
-    chat = _base_change_comodule(h_hat, unit_comodule)
+        ring = swap.completed_ring(dI.gens)
+    assert ring.precision == 5
+    chat = _base_change_comodule(unit_comodule, ring)
+    assert chat.hopf is swap
     res, cert = iota(chat)
     assert _same_presentation(res.module, chat.module)
     assert "injective" in cert
 
 
 def test_iota_discrete_is_identity(ZZ, discrete, d5):
-    h_hat = _completed_hopf(discrete, d5.gens)
-    M = _base_change_comodule(h_hat, Comodule(discrete, zmod(ZZ, 25), {}))
+    M = _base_change_comodule(Comodule(discrete, zmod(ZZ, 25), {}),
+                              discrete.completed_ring(d5.gens))
     res, cert = iota(M)
     assert _same_presentation(res.module, M.module)
 
@@ -185,21 +187,27 @@ def test_completion_formula(QQxy, swap, dI, unit_comodule):
     assert out["equivariance"]
 
 
-def test_completion_formula_builds_the_completed_hopf_once(
-        QQxy, swap, dI, unit_comodule, monkeypatch):
-    # the iota side reads h^ off the comodule completion
+@pytest.mark.parametrize("verb, args", [
+    ("verify", {"which": "completion-formula", "comodule": "CA"}),
+    ("comodule-complete", {"comodule": "CA"}),
+    ("iota", {"comodule": "CA"}),
+    ("verify", {"which": "true-level"}),
+])
+def test_a_completing_verb_builds_no_algebroid_but_the_documents(
+        verb, args, monkeypatch):
+    # the document's algebroid acts over A^ too: no second one is built
+    from lodua import cli
     built = []
-    complete = lodua.hopf._completed_hopf
+    init = GroupLikeHopfAlgebroid.__init__
 
-    def counted(h, gens):
-        built.append(h)
-        return complete(h, gens)
+    def counted(self, *a):
+        built.append(self)
+        init(self, *a)
 
-    monkeypatch.setattr(lodua.hopf, "_completed_hopf", counted)
-    with lodua.settings(precision=4):
-        out = verify_theorems(swap, dI, unit_comodule, "completion-formula")
-    assert out["verdict"] == "pass"
-    assert built == [swap]
+    monkeypatch.setattr(GroupLikeHopfAlgebroid, "__init__", counted)
+    cli._parsed.cache_clear()
+    code, _ = cli.run(_c2_swap_doc(), verb, args)
+    assert code == 0 and len(built) == 1
 
 
 def test_comodule_gm(QQxy, swap, dI, unit_comodule, ZZ, discrete, d5):
@@ -326,10 +334,10 @@ def test_completion_formula_compares_two_constructions(QQxy, swap, dI,
     assert out["verdict"] == "pass"
     base_change = lodua.hopf._base_change_comodule
 
-    def trivialized(h_hat, comod):
+    def trivialized(comod, ring):
         ident = [[one if i == j else zero for j in range(2)] for i in range(2)]
-        return base_change(h_hat, Comodule(comod.hopf, comod.module,
-                                           {"s": ident}))
+        return base_change(Comodule(comod.hopf, comod.module, {"s": ident}),
+                           ring)
 
     monkeypatch.setattr(lodua.hopf, "_base_change_comodule", trivialized)
     with pytest.raises(InternalInconsistency, match="not equivariant"), \
@@ -457,8 +465,8 @@ def test_base_change_of_a_comodule_is_a_comodule():
     # _base_change_comodule builds its result unchecked; every axiom must
     # hold over the completion at the ideal of all variables
     with lodua.settings(precision=3):
-        hats = {h.order: _completed_hopf(h, h.ring.names)
-                for h in _GROUPS.values()}
+        rings = {h.order: h.completed_ring(h.ring.names)
+                 for h in _GROUPS.values()}
     seen = set()
 
     @settings(max_examples=60)
@@ -469,12 +477,99 @@ def test_base_change_of_a_comodule_is_a_comodule():
             comod = Comodule(h, M, action, check=True)
         except InvalidInput:
             return
-        chat = _base_change_comodule(hats[h.order], comod)
-        Comodule(chat.hopf, chat.module, chat.maps, check=True)
+        chat = _base_change_comodule(comod, rings[h.order])
+        assert chat.hopf is h and chat.ring is rings[h.order]
+        Comodule(h, chat.module, chat.maps, check=True)
         seen.add(h.order)
 
     check()
     assert seen == {2, 3}
+
+
+def _completed_copy(h, ideal_gens):
+    """A second algebroid over the completed ring, built from h's variable
+    images and validated there afresh: the construction that reading h over
+    the completion replaces, kept as the reference."""
+    ring = h.ring
+    action = {g: dict(zip(ring.names, h.action[g]))
+              for g in h.elements if g != h.identity}
+    return GroupLikeHopfAlgebroid(completed_ring(ring, ideal_gens),
+                                  h.elements, h.table, action)
+
+
+_C3_TABLE = _GROUPS["c3"].table
+# the swap, and the rotation of _GROUPS["c3"] on the plane x + y + z = 0
+_ORACLE_ACTIONS = {
+    "c2": (["e", "s"], C2_TABLE, {"s": {"x": "y", "y": "x"}}),
+    "c3": (["e", "r", "rr"], _C3_TABLE, {"r": {"x": "y", "y": "-x - y"},
+                                         "rr": {"x": "-x - y", "y": "x"}}),
+}
+_ORACLE_BASES = {"Q": {"base": "Q"}, "F_7": {"base": "Fp", "p": 7}}
+_ORACLE_IDEALS = (("x + y", "x*y"), ("x", "y"))
+_ORACLE = {}
+
+
+def _oracle_pair(base, group, ideal, precision):
+    """(the algebroid over A, A^, the reference copy over A^), each None
+    where it is refused, kept across examples."""
+    key = (base, group, ideal, precision)
+    if key not in _ORACLE:
+        A = make_ring({**_ORACLE_BASES[base], "vars": ["x", "y"]})
+        h = GroupLikeHopfAlgebroid(A, *_ORACLE_ACTIONS[group])
+        with lodua.settings(precision=precision):
+            try:
+                ring = h.completed_ring(ideal)
+            except InvalidInput:
+                ring = None
+            try:
+                copy = _completed_copy(h, ideal)
+            except InvalidInput:
+                copy = None
+        _ORACLE[key] = (h, ring, copy)
+    return _ORACLE[key]
+
+
+def test_the_action_over_a_completion_is_the_completed_copys():
+    seen = set()
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(sorted(_ORACLE_BASES)),
+           st.sampled_from(sorted(_ORACLE_ACTIONS)),
+           st.sampled_from(_ORACLE_IDEALS), st.integers(1, 5), st.data())
+    def check(base, group, ideal, precision, data):
+        h, ring, copy = _oracle_pair(base, group, ideal, precision)
+        # every condition but the completion ideal holds by base change, so
+        # the copy is refused exactly where A^ is
+        assert (ring is None) == (copy is None)
+        seen.add((group, ring is not None))
+        if ring is None:
+            return
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)),
+            st.integers(-3, 3), max_size=5))
+        e = ring.el(Poly(ring.dom, 2, terms))
+        g = data.draw(st.sampled_from(h.elements))
+        want = copy.apply(g, e)
+        assert h.apply(g, e) == want
+        assert h.apply(g, e) == want   # kept now
+        assert h.apply(g, e).ring is ring
+
+    check()
+    assert seen == {("c2", True), ("c3", True), ("c3", False)}
+
+
+def test_a_completed_ring_completed_again_is_checked_there():
+    # x -> -x + xy, y -> -y is an involution modulo (x, y)^3 only: s^2
+    # sends x to x - xy^2, so completing again at precision 5 is refused
+    A = make_ring({"base": "Q", "vars": ["x", "y"],
+                   "completion": {"ideal": ["x", "y"], "precision": 3}})
+    h = GroupLikeHopfAlgebroid(A, ["e", "s"], C2_TABLE,
+                               {"s": {"x": "-x + x*y", "y": "-y"}})
+    with lodua.settings(precision=3):
+        assert h.completed_ring(["x", "y"]).precision == 3
+    with pytest.raises(InvalidInput, match="not a homomorphism"), \
+            lodua.settings(precision=5):
+        h.completed_ring(["x", "y"])
 
 
 @settings(max_examples=30)
@@ -649,9 +744,9 @@ def _c2_swap_doc():
 ])
 def test_a_hopf_verb_substitutes_into_each_image_once(verb, args, most,
                                                       monkeypatch):
-    # the verb, on a freshly read document, applies 24 distinct (g, element)
-    # pairs over its two algebroids; it substituted 300 and 290 times when
-    # every application was computed afresh
+    # the verb, on a freshly read document, applies 16 distinct (g, element)
+    # pairs with the document's algebroid, over A and A^; it substituted 300
+    # and 290 times when every application was computed afresh
     from lodua import cli
     doc = _c2_swap_doc()
     given, cmd = cli._settings(doc, args)
