@@ -17,13 +17,13 @@ Zloc = make_ring({"base": "Z", "invert": "5"})
 e = Zloc.el(10, dexp=1)
 print(f"in 5^-1 Z:  10/5  ->  {e}   (denominators are powers of 5)")
 
-print("\n== a reduced Groebner basis, lex x > y ==")
+print("\n== a reduced Groebner basis, grevlex x > y ==")
 R = make_ring({"base": "Q", "vars": ["x", "y"]})
-Rlex = make_ring({"base": "Q", "vars": ["x", "y"]})
-basis = groebner_basis(R, ["x^2 - y", "y^2 - x"], order="lex")
+basis = groebner_basis(R, ["x^2 - y", "x*y - 1"])
 for b in basis:
     print("  ", b.render())
-print("(the classic elimination: x = y^2, then y^4 = y)")
+print("(the S-pair of the two gives y^2 - x; the leads x^2, x*y, y^2 leave")
+print(" the monomials 1, x, y: the three points where x^3 = 1 and y = x^2)")
 
 print("\n== Smith normal form over Z ==")
 Z = make_ring({"base": "Z"})

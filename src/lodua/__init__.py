@@ -16,7 +16,7 @@ from .descriptors import (CompletionCokernel, FPObj, LimitModule, Rational,
 from .errors import (BudgetExceeded, InternalInconsistency, InvalidInput,
                      LoduaError, PrecisionMismatch, UnrecognizedTower,
                      UnsupportedRing)
-from .groebner import GBasis, groebner_ideal, ideal_basis_polys
+from .groebner import GBasis
 from .hopf import (Comodule, GroupLikeHopfAlgebroid, comodule_completion,
                    extended_adjunction, extended_comodule, iota,
                    verify_theorems)

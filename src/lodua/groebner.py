@@ -4,12 +4,15 @@ Works over field coefficients (Q, F_p); over Z only computations whose
 leading coefficients stay units are supported, and anything else raises
 UnsupportedRing.  Every basis element carries its cofactor expression over
 the original generators, which gives membership certificates, lifts, and
-syzygies (via Schreyer's theorem) in one pass.
+syzygies (via Schreyer's theorem) in one pass.  Every basis is built in
+one monomial order, grevlex (``poly.grevlex_key``): its callers ask only for
+syzygies, lifts and membership, which Schreyer's construction gives in any
+term order.
 
 Inside a basis a vector is one flat dict {term key: coeff}, as in
 Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, ch. 2; a
 basis stores each element and cofactor once in that form.  A term key is
-one int packing the coordinate above the monomial's order fields, as
+one int packing the coordinate above the monomial's grevlex fields, as
 Singular packs exponent vectors (Bachmann and Schoenemann, "Monomial
 representations for Groebner bases computations", ISSAC 1998; see
 ``_TermKeys``): ascending keys are descending terms, a term times x^q is
@@ -53,59 +56,44 @@ from operator import le, mul
 
 from . import context
 from .errors import BudgetExceeded, UnsupportedRing
-from .poly import Poly, fraction, mono_div, mono_lcm, order_key, qcoeff
+from .poly import Poly, fraction, grevlex_key, mono_div, mono_lcm, qcoeff
 
-_FIELD = 16                   # bits of one order field, its guard bit included
+_FIELD = 16                   # bits of one key field, its guard bit included
 _TOP = (1 << _FIELD) - 1      # every bit of a field
 _GUARD = 1 << (_FIELD - 1)
 _LIMIT = _GUARD - 1           # the largest exponent or degree a field holds
 
 
 class _TermKeys:
-    """The term keys of one basis: nvars variables in one monomial order.
+    """The term keys of one basis: nvars variables in grevlex.
 
-    Fields of ``_FIELD`` bits hold the order's sort key, most significant
-    first, below the coordinate:
-
-    * grevlex: _TOP - degree, then the exponents of x_(n-1) .. x_0;
-    * lex: _TOP - e_0 .. _TOP - e_(n-1).
-
-    So ascending keys run through coordinates in ascending order and, in one
-    coordinate, from the largest monomial down.  A key is linear in the
-    exponents, so x^q moves every key by ``shift(q)``.  Every field value of
-    a valid key is at most ``_LIMIT`` (an exponent or degree) or at least
-    _TOP - _LIMIT (a complement); an exponent field that overflows sets its
-    guard bit and a complement field that underflows clears it, each within
-    its own field, so a key is valid exactly when ``key & gmask == gpat``.
-    With valid keys t and g in one coordinate, g's monomial divides t's
-    exactly when ``(sign*t - sign*g) & dmask`` is zero: the subtraction
-    borrows out of an exponent field, setting its guard bit, exactly where
-    g's exponent is the larger.
+    Fields of ``_FIELD`` bits hold the grevlex sort key, most significant
+    first, below the coordinate: _TOP - degree, then the exponents of
+    x_(n-1) .. x_0.  So ascending keys run through coordinates in ascending
+    order and, in one coordinate, from the largest monomial down.  A key is
+    linear in the exponents, so x^q moves every key by ``shift(q)``.  Every
+    field value of a valid key is at most ``_LIMIT`` (an exponent) or at
+    least _TOP - _LIMIT (the degree's complement); an exponent field that
+    overflows sets its guard bit and the complement field that underflows
+    clears it, each within its own field, so a key is valid exactly when
+    ``key & gmask == gpat``.  With valid keys t and g in one coordinate, g's
+    monomial divides t's exactly when ``(t - g) & dmask`` is zero: the
+    subtraction borrows out of an exponent field, setting its guard bit,
+    exactly where g's exponent is the larger.
     """
 
-    __slots__ = ("lex", "cshift", "base", "weights", "shifts", "gmask",
-                 "gpat", "dmask", "sign")
+    __slots__ = ("cshift", "base", "weights", "shifts", "gmask", "gpat",
+                 "dmask")
 
-    def __init__(self, nvars, order):
-        self.lex = order == "lex"
-        if self.lex:
-            self.shifts = tuple((nvars - 1 - j) * _FIELD for j in range(nvars))
-            self.weights = tuple(-(1 << s) for s in self.shifts)
-            self.base = sum(_TOP << s for s in self.shifts)
-            self.gmask = self.gpat = self.dmask = sum(
-                _GUARD << s for s in self.shifts)
-            self.cshift = nvars * _FIELD
-            self.sign = -1
-        else:
-            top = nvars * _FIELD      # the degree field
-            self.shifts = tuple(j * _FIELD for j in range(nvars))
-            self.weights = tuple((1 << s) - (1 << top) for s in self.shifts)
-            self.base = _TOP << top
-            self.dmask = sum(_GUARD << s for s in self.shifts)
-            self.gpat = _GUARD << top
-            self.gmask = self.dmask | self.gpat
-            self.cshift = top + _FIELD
-            self.sign = 1
+    def __init__(self, nvars):
+        top = nvars * _FIELD      # the degree field
+        self.shifts = tuple(j * _FIELD for j in range(nvars))
+        self.weights = tuple((1 << s) - (1 << top) for s in self.shifts)
+        self.base = _TOP << top
+        self.dmask = sum(_GUARD << s for s in self.shifts)
+        self.gpat = _GUARD << top
+        self.gmask = self.dmask | self.gpat
+        self.cshift = top + _FIELD
 
     def key(self, coord, m):
         """The key of the term m in coordinate coord; m is a monomial a
@@ -119,10 +107,7 @@ class _TermKeys:
 
     def split(self, k):
         """(coord, monomial) of the key k."""
-        coord = k >> self.cshift
-        if self.lex:
-            k = ~k    # each field is then its exponent
-        return coord, tuple([k >> s & _TOP for s in self.shifts])
+        return k >> self.cshift, tuple([k >> s & _TOP for s in self.shifts])
 
 
 def _overflow():
@@ -211,15 +196,13 @@ class GBasis:
     generators only: cofactors, lifts and syzygies then have n coordinates,
     and a syzygy that is zero on them is left out."""
 
-    def __init__(self, gens, nrows, order="grevlex", track=True):
+    def __init__(self, gens, nrows, track=True):
         if not gens:
             raise ValueError("need at least one generator (possibly zero)")
         self.nrows = nrows
-        self.order = order
-        self.key = order_key(order)
         self.dom = gens[0][0].dom
         self.nvars = gens[0][0].nvars
-        self._keys = _TermKeys(self.nvars, order)
+        self._keys = _TermKeys(self.nvars)
         self._p = self.dom.p if self.dom.kind == "F" else None
         self.gens = [tuple(g) for g in gens]
         self.track = len(self.gens) if track is True else track
@@ -228,7 +211,7 @@ class GBasis:
         self._vecs = []          # basis vectors, flat
         self._cofs = []          # {key of (j, m): c}, _vecs[i] = sum c*m*gens[j]
         self._leads = []         # ((coord, mono), coeff) of each _vecs[i]
-        # coord -> [(i, mono, coeff, sign * key)] in index order
+        # coord -> [(i, mono, coeff, key)] in index order
         self._by_coord = {}
         self._syz = []           # syzygies over the original generators, flat
         self._run()
@@ -248,15 +231,14 @@ class GBasis:
         """Tuple of Poly -> {key: coeff}; zero coordinates are skipped
         before their terms are asked for."""
         keys = self._keys
-        lex, cshift, base, weights = (keys.lex, keys.cshift, keys.base,
-                                      keys.weights)
+        cshift, base, weights = keys.cshift, keys.base, keys.weights
         out = {}
         for i, p in enumerate(v):
             if not p.terms:
                 continue
             ibase = (i << cshift) + base
             for m, c in p.terms.items():
-                if (max(m, default=0) if lex else sum(m)) > _LIMIT:
+                if sum(m) > _LIMIT:
                     _overflow()
                 out[ibase + sum(map(mul, m, weights))] = c
         return out
@@ -272,7 +254,7 @@ class GBasis:
         in descending order, so its first key is its leading term.
         """
         p, dom, keys, by_coord = self._p, self.dom, self._keys, self._by_coord
-        cshift, dmask, sign = keys.cshift, keys.dmask, keys.sign
+        cshift, dmask = keys.cshift, keys.dmask
         heap = list(v)
         heapq.heapify(heap)
         out = {}
@@ -283,9 +265,9 @@ class GBasis:
                 continue  # cancelled after it was pushed
             steps += 1
             self._tick(steps, budget)
-            st = sign * t
-            for idx, _, gc, sg in by_coord.get(t >> cshift, ()):
-                if idx != skip and not (diff := st - sg) & dmask:
+            for idx, _, gc, g in by_coord.get(t >> cshift, ()):
+                # d, when g's monomial divides t's, moves g onto t
+                if idx != skip and not (d := t - g) & dmask:
                     break
             else:
                 out[t] = c
@@ -295,7 +277,6 @@ class GBasis:
             if factor is None:
                 # over Z with a lead that is no unit, which this refuses
                 self._unit_coeff(gc)
-            d = sign * diff   # the lead's key moved onto t
             _sub_shifted(v, self._vecs[idx], d, factor, p, keys, heap)
             if cof is not None:
                 _sub_shifted(cof, self._cofs[idx], d, factor, p, keys)
@@ -326,8 +307,7 @@ class GBasis:
         self._vecs.append(nf)
         self._cofs.append(cof)
         self._leads.append((lead, c))
-        self._by_coord.setdefault(lead[0], []).append(
-            (idx, lead[1], c, self._keys.sign * lk))
+        self._by_coord.setdefault(lead[0], []).append((idx, lead[1], c, lk))
         return True
 
     def _run(self):
@@ -363,7 +343,7 @@ class GBasis:
             if t >= new:
                 break
             lcm = mono_lcm(mt, mn)
-            heapq.heappush(pairs, (sum(lcm), self.key(lcm), cn, t, new))
+            heapq.heappush(pairs, (grevlex_key(lcm), cn, t, new))
             pending.add((t, new))
 
     def _chain_criterion(self, i, j, pending):
@@ -421,10 +401,8 @@ class GBasis:
                     if self.track:
                         self._cofs[i] = _scaled(self._cofs[i], -1, None)
                     self._leads[i] = (lead, -c)
-        key = self.key
-        self._select(sorted(range(len(self._vecs)),
-                            key=lambda i: (self._leads[i][0][0],
-                                           key(self._leads[i][0][1]))))
+        self._select(sorted(range(len(self._vecs)), key=lambda i: (
+            self._leads[i][0][0], grevlex_key(self._leads[i][0][1]))))
 
     def _select(self, order):
         """Keep the elements at the given indices, in that order."""
@@ -432,22 +410,20 @@ class GBasis:
         self._cofs = [self._cofs[i] for i in order]
         self._leads = [self._leads[i] for i in order]
         self._by_coord = {}
-        key, sign = self._keys.key, self._keys.sign
+        key = self._keys.key
         for idx, ((coord, m), c) in enumerate(self._leads):
             self._by_coord.setdefault(coord, []).append(
-                (idx, m, c, sign * key(coord, m)))
+                (idx, m, c, key(coord, m)))
 
     def _polys(self, v, n, lo=0):
         """{key: coeff} -> tuple of coordinates lo .. n-1 as Poly; other
         coordinates are dropped without building a Poly."""
         keys = self._keys
-        cshift, shifts, lex = keys.cshift, keys.shifts, keys.lex
+        cshift, shifts = keys.cshift, keys.shifts
         rows = [{} for _ in range(lo, n)]
         for k, c in v.items():
             i = (k >> cshift) - lo
             if 0 <= i < n - lo:
-                if lex:
-                    k = ~k    # each field is then its exponent
                 rows[i][tuple([k >> s & _TOP for s in shifts])] = c
         zero = Poly._raw(self.dom, self.nvars, {})  # one for every empty row
         return tuple([Poly._raw(self.dom, self.nvars, r) if r else zero
@@ -537,12 +513,3 @@ class GBasis:
         per row of ``syzygy_rows``."""
         return [self._polys(s, self.track) for s in self.syzygy_rows()]
 
-
-def groebner_ideal(polys, order="grevlex"):
-    """Reduced Groebner basis of the ideal generated by polys (rank 1)."""
-    gens = [(p,) for p in polys]
-    return GBasis(gens, 1, order=order)
-
-
-def ideal_basis_polys(gb):
-    return [e[0] for e in gb.elements]

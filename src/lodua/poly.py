@@ -217,8 +217,8 @@ def _mul_into(t, a, b):
     return t
 
 
-# Monomials are exponent tuples.  Orders compare via sort keys (bigger key
-# means bigger monomial).
+# Monomials are exponent tuples, compared in grevlex, the one monomial
+# order, via a sort key (bigger key means bigger monomial).
 
 def mono_div(a, b):
     """a/b as a monomial, or None when b does not divide a."""
@@ -234,13 +234,10 @@ def mono_deg(a):
     return sum(a)
 
 
-def order_key(order):
-    if order == "lex":
-        return lambda m: m
-    if order == "grevlex":
-        # degree first; ties broken by the rightmost difference, smaller wins
-        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
-    raise ValueError(f"unknown monomial order {order!r}")
+def grevlex_key(m):
+    """The sort key of m in grevlex: degree first, ties broken by the
+    rightmost difference, the smaller exponent winning."""
+    return sum(m), tuple(-e for e in reversed(m))
 
 
 class Poly:
@@ -435,20 +432,20 @@ class Poly:
             out = out + term
         return out
 
-    def exact_div(self, g, key):
+    def exact_div(self, g):
         """Quotient self/g when self = q*g exactly, else None.
 
-        Valid over integral-domain coefficients: leading terms must cancel at
-        every step.
+        Valid over integral-domain coefficients: grevlex leading terms must
+        cancel at every step.
         """
         if g.is_zero():
             return None
         dom, nv = self.dom, self.nvars
         rem = self
         q = Poly.zero(dom, nv)
-        gm, gc = g.leading(key)
+        gm, gc = g.leading(grevlex_key)
         while not rem.is_zero():
-            rm, rc = rem.leading(key)
+            rm, rc = rem.leading(grevlex_key)
             mq = mono_div(rm, gm)
             if mq is None:
                 return None
@@ -463,9 +460,8 @@ class Poly:
     def render(self, names):
         if not self.terms:
             return "0"
-        key = order_key("grevlex")
         parts = []
-        for m in sorted(self.terms, key=key, reverse=True):
+        for m in sorted(self.terms, key=grevlex_key, reverse=True):
             c = self.terms[m]
             factors = []
             for i, e in enumerate(m):

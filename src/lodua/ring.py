@@ -45,9 +45,9 @@ import re
 from .context import DEFAULT_PRECISION, at_least
 from .errors import InvalidInput, PrecisionMismatch, UnsupportedRing
 from .expr import parse_poly
-from .groebner import GBasis, ideal_basis_polys
+from .groebner import GBasis
 from .linalg import lift_through, syzygies
-from .poly import GF, Poly, QQ, ZZ, order_key
+from .poly import GF, Poly, QQ, ZZ
 
 
 # Ring.get interns every ring here, so equal rings are one object and
@@ -456,7 +456,7 @@ class Ring:
             return None if r else Poly.const(self.dom, 0, q)
         if not self.quotient:
             # a Groebner lift over Z[x] refuses non-unit leading coefficients
-            return f.exact_div(g, order_key("grevlex"))
+            return f.exact_div(g)
         base = self.without_inversion()
         q = lift_through(base, [(base.el(g),)], (base.el(f),), 1)
         return None if q is None else q[0].num
@@ -1006,8 +1006,8 @@ def _reject_zerodivisor(ring, x):
                 f"{x.render()} is a zerodivisor: {witness.render()} kills it")
 
 
-def groebner_basis(ring, gens, order="grevlex"):
-    """The reduced Groebner basis of an ideal, as ring elements.
+def groebner_basis(ring, gens):
+    """The reduced grevlex Groebner basis of an ideal, as ring elements.
 
     Deterministic: repeated calls return identical bases.  Budget overruns
     raise BudgetExceeded carrying the partial basis.
@@ -1016,5 +1016,5 @@ def groebner_basis(ring, gens, order="grevlex"):
         raise UnsupportedRing("groebner_basis expects a plain polynomial ring")
     polys = [ring.el(g).num if not isinstance(g, RingElement) else g.num
              for g in gens]
-    gb = GBasis([(p,) for p in polys], 1, order=order, track=False)
-    return [ring.el(p) for p in ideal_basis_polys(gb)]
+    gb = GBasis([(p,) for p in polys], 1, track=False)
+    return [ring.el(p) for p, in gb.elements]

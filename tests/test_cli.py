@@ -324,6 +324,27 @@ def test_an_action_that_moves_the_inverted_element_is_refused_on_reading(
     assert err == "invalid input: s does not fix the inverted element x\n"
 
 
+@pytest.mark.parametrize("verb, flags", [
+    ("verify", ["--which", "completion-formula"]),
+    ("verify", ["--which", "fg-vanishing"]),
+    ("comodule-complete", ["--comodule", "CA"]),
+    ("comodule-limit", ["--comodule", "CA"])])
+def test_an_invariant_ideal_with_moved_generators_is_answered(
+        verb, flags, tmp_path, capsys):
+    """The swap moves x and y but preserves (x, y): the comodule verbs and
+    the completion formula answer at that ideal, as `iota` does."""
+    import lodua.cli
+    doc = _c2_doc()
+    doc["ideal"] = ["x", "y"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert lodua.cli.main([verb, str(path), *flags]) == 0
+    out, err = capsys.readouterr()
+    assert err.startswith(f"# {verb} in ")   # the timing line alone
+    if verb == "verify":
+        assert json.loads(out)["result"]["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("ideal, precision", [
     ("x*y + x", 1), ("x*y + x", 3), ("x", 1)])
 def test_a_completion_ideal_the_action_moves_is_refused_at_every_precision(

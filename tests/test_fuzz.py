@@ -97,6 +97,16 @@ def _main(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# documents refused when they are read, each with exit 3: an action that
+# moves the inverted element, an identity entry that moves a variable, and
+# a completion ideal that the action does not preserve
+_REFUSED = (
+    ("c2-swap.json", ["ring", "invert"], "x"),
+    ("c2-swap.json", ["group", "action", "e"], {"x": "y", "y": "x"}),
+    ("c2-swap.json", ["ring", "completion"], {"ideal": ["x"], "precision": 3}),
+)
+
+
 # the walk reaches a group or comodule action entry in about one draw of a
 # thousand, so each is also run made a list, None, and under a key that
 # names no group element
@@ -108,6 +118,9 @@ def _main(*argv):
 @example(("c2-swap.json", ["comodules", "CA", "action", "s"], ["1"]))
 @example(("c2-swap.json", ["comodules", "CA", "action", "s"], None))
 @example(("c2-swap.json", ["comodules", "CA", "action", "t"], [["1"]]))
+@example(_REFUSED[0])
+@example(_REFUSED[1])
+@example(_REFUSED[2])
 def test_resolve_keeps_the_contract_on_mutated_documents(mutation):
     name, keys, value = mutation
     doc = _mutate(copy.deepcopy(_load(name)), keys, value)
@@ -118,6 +131,9 @@ def test_resolve_keeps_the_contract_on_mutated_documents(mutation):
         code, out, err = _main("resolve", path)
         again = _main("resolve", path)
     assert code in (0, 1, 2, 3), (code, doc)
+    if mutation in _REFUSED:
+        assert (code, out) == (3, "") and err.startswith("invalid input: "), \
+            (err, doc)
     assert "Traceback" not in err and "internal error:" not in err, (err, doc)
     assert again[:2] == (code, out), doc
 

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 import lodua
 from lodua import BudgetExceeded, Ring, UnsupportedRing
-from lodua.groebner import GBasis, groebner_ideal, ideal_basis_polys
-from lodua.poly import GF, QQ, Poly, mono_lcm, mono_div, order_key
+from lodua.groebner import _LIMIT, GBasis, _TermKeys
+from lodua.poly import GF, QQ, Poly, grevlex_key, mono_lcm, mono_div
 
 
 def qxy():
@@ -13,16 +13,24 @@ def qxy():
     return Ring.get("Q", None, ("x", "y"))
 
 
-def test_reduced_basis_lex():
-    # Buchberger by hand on (x^2 - y, y^2 - x), lex x > y:
-    # x = y^2 gives x - y^2; substituting, x^2 - y becomes y^4 - y.
+def ideal_basis(polys):
+    """The basis of the ideal that polys generate (rank 1)."""
+    return GBasis([(p,) for p in polys], 1)
+
+
+def basis_polys(gb):
+    return [p for p, in gb.elements]
+
+
+def test_reduced_basis_grevlex():
+    # Buchberger by hand on (x^2 - y, x*y - 1), grevlex x > y: the S-pair
+    # y*(x^2 - y) - x*(x*y - 1) = x - y^2 has lead y^2, and every other pair
+    # reduces to 0, so the leads x^2, x*y, y^2 leave 1, x, y: three points.
     R = qxy()
-    g1, g2 = R.el("x^2 - y").num, R.el("y^2 - x").num
-    gb = groebner_ideal([g1, g2], order="lex")
-    got = {p.render(("x", "y")) for p in ideal_basis_polys(gb)}
-    want = {R.el("x - y^2").num.render(("x", "y")),
-            R.el("y^4 - y").num.render(("x", "y"))}
-    assert got == want
+    g1, g2 = R.el("x^2 - y").num, R.el("x*y - 1").num
+    gb = ideal_basis([g1, g2])
+    got = [p.render(("x", "y")) for p in basis_polys(gb)]
+    assert got == ["y^2 - x", "x*y - 1", "x^2 - y"]
     # membership cross-check
     assert gb.contains((g1,))
     assert gb.contains((g2,))
@@ -30,16 +38,16 @@ def test_reduced_basis_lex():
 
 def test_single_generator_monic():
     R = qxy()
-    gb = groebner_ideal([R.el("2*x^2 - 2*y").num], order="lex")
-    polys = ideal_basis_polys(gb)
+    gb = ideal_basis([R.el("2*x^2 - 2*y").num])
+    polys = basis_polys(gb)
     assert len(polys) == 1
     assert polys[0] == R.el("x^2 - y").num
 
 
 def test_unit_ideal():
     R = qxy()
-    gb = groebner_ideal([R.el("x").num, R.el("y").num, R.el("1").num])
-    polys = ideal_basis_polys(gb)
+    gb = ideal_basis([R.el("x").num, R.el("y").num, R.el("1").num])
+    polys = basis_polys(gb)
     assert len(polys) == 1 and polys[0].is_constant()
 
 
@@ -47,13 +55,12 @@ def test_spolynomial_closure():
     """Every S-pair of the output reduces to zero: the defining property."""
     R = qxy()
     gens = [R.el("x^2 - y").num, R.el("y^2 - x").num, R.el("x*y - 1").num]
-    gb = groebner_ideal(gens, order="lex")
-    polys = ideal_basis_polys(gb)
-    key = order_key("lex")
+    gb = ideal_basis(gens)
+    polys = basis_polys(gb)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            mi, ci = polys[i].leading(key)
-            mj, cj = polys[j].leading(key)
+            mi, ci = polys[i].leading(grevlex_key)
+            mj, cj = polys[j].leading(grevlex_key)
             lcm = mono_lcm(mi, mj)
             qi, qj = mono_div(lcm, mi), mono_div(lcm, mj)
             dom = polys[i].dom
@@ -65,15 +72,15 @@ def test_spolynomial_closure():
 def test_determinism():
     R = qxy()
     gens = [R.el("x^2 + y^2 - 1").num, R.el("x*y - 2").num]
-    one = [p.render(("x", "y")) for p in ideal_basis_polys(groebner_ideal(gens))]
-    two = [p.render(("x", "y")) for p in ideal_basis_polys(groebner_ideal(gens))]
+    one = [p.render(("x", "y")) for p in basis_polys(ideal_basis(gens))]
+    two = [p.render(("x", "y")) for p in basis_polys(ideal_basis(gens))]
     assert one == two
 
 
 def test_cofactor_lift():
     R = qxy()
     g1, g2 = R.el("x^2 - y").num, R.el("y^2 - x").num
-    gb = GBasis([(g1,), (g2,)], 1, order="lex")
+    gb = GBasis([(g1,), (g2,)], 1)
     target = g1 * R.el("y").num + g2 * R.el("x^2").num
     cof = gb.lift((target,))
     assert cof is not None
@@ -98,16 +105,16 @@ def test_budget_exceeded_carries_partial():
     R = qxy()
     gens = [R.el("x^3 - 2*x*y").num, R.el("x^2*y - 2*y^2 + x").num]
     with pytest.raises(BudgetExceeded) as err, lodua.settings(budget=3):
-        groebner_ideal(gens, order="lex")
+        ideal_basis(gens)
     assert err.value.partial is not None
 
 
 def test_z_restricted_to_unit_leads():
     R = Ring.get("Z", None, ("x",))
     with pytest.raises(UnsupportedRing):
-        groebner_ideal([R.el("2*x").num, R.el("x + 3").num])
+        ideal_basis([R.el("2*x").num, R.el("x + 3").num])
     # unit leading coefficients work
-    gb = groebner_ideal([R.el("x - 3").num])
+    gb = ideal_basis([R.el("x - 3").num])
     assert gb.contains((R.el("x - 3").num,))
 
 
@@ -131,8 +138,8 @@ def test_a_basis_over_the_budget_answers_no_query():
     """A basis built in more steps than the budget in force is refused, as
     building it afresh under that budget would be."""
     R = qxy()
-    gb = groebner_ideal([R.el("x^3 - 2*x*y").num,
-                         R.el("x^2*y - 2*y^2 + x").num], order="lex")
+    gb = ideal_basis([R.el("x^3 - 2*x*y").num,
+                      R.el("x^2*y - 2*y^2 + x").num])
     g = gb.gens[0]
     with lodua.settings(budget=gb._steps):
         assert gb.contains(g)
@@ -149,7 +156,7 @@ def test_a_syzygy_query_reads_the_budget_once(monkeypatch):
     from lodua import context, linalg
     R = qxy()
     gens = [(R.el(g).num,) for g in ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x")]
-    gb = GBasis(gens, 1, order="lex")
+    gb = GBasis(gens, 1)
     syz = gb.syzygies()
     reads, budget = [], context.budget
     monkeypatch.setattr(context, "budget",
@@ -180,7 +187,7 @@ def test_a_syzygy_query_reads_the_budget_once(monkeypatch):
 
 # -- the Buchberger path, pinned -------------------------------------------
 # Exact reduced bases, cofactors, syzygies, lifts and construction step
-# counts of four inputs.  A change to the pair order, the reducer choice,
+# counts of three inputs.  A change to the pair order, the reducer choice,
 # the chain criterion or the normalisation shows up here.
 
 PINNED = {
@@ -236,25 +243,6 @@ PINNED = {
             None,
         ],
     },
-    "q_lex": {
-        "steps": 15,
-        "elements": [
-            ("y^3 - 1",),
-            ("-y^2 + x",),
-        ],
-        "cofactors": [
-            ("0", "y", "1"),
-            ("0", "-1", "0"),
-        ],
-        "syzygies": [
-            ("1", "x", "-y"),
-            ("0", "-x*y + 1", "y^2 - x"),
-        ],
-        "lifts": [
-            ("0", "-x^2", "x*y + 1"),
-            None,
-        ],
-    },
     "z_unit_leads": {
         "steps": 22,
         "elements": [
@@ -279,13 +267,13 @@ PINNED = {
 
 
 def _pinned_case(name):
-    """(ring, generators, nrows, order, lift targets) of a pinned case."""
+    """(ring, generators, nrows, lift targets) of a pinned case."""
     if name == "q_completed_i3":
         # the I^3 relations of Q[[x,y]] plus one linear relation
         R = Ring.get("Q", None, ("x", "y"))
         gens = ["2*x - 3*y", "x^3", "x^2*y", "x*y^2", "y^3"]
         targets = ["x^2*y + 3*x*y^2 + 10*x - 15*y", "x + 1"]
-        return (R, [(R.el(g).num,) for g in gens], 1, "grevlex",
+        return (R, [(R.el(g).num,) for g in gens], 1,
                 [(R.el(t).num,) for t in targets])
     if name == "f7_rank2_i2":
         # a rank-2 F_7[x,y] module augmented by I^2 in each coordinate
@@ -298,31 +286,26 @@ def _pinned_case(name):
         targets = [vec("x", "2*y"),
                    vec("x*y + 2*y^2 + x + 2*y", "3*y^2 + 3*y"),
                    vec("3*x + 6*y", "2*y + x")]
-        return R, gens, 2, "grevlex", targets
-    if name == "q_lex":
-        R = qxy()
-        gens = ["x^2 - y", "y^2 - x", "x*y - 1"]
-        return (R, [(R.el(g).num,) for g in gens], 1, "lex",
-                [(R.el(t).num,) for t in ("x^3 - 1", "x + y")])
+        return R, gens, 2, targets
     # over Z, with leading coefficients that stay units
     R = Ring.get("Z", None, ("x", "y"))
     gens = ["x^2 - 3*y", "x*y + y^2 - 1"]
     targets = ["x^3 + x*y^2 - 3*x*y", "x^3 - 3*x*y + x*y^2 + y^3 - y"]
-    return (R, [(R.el(g).num,) for g in gens], 1, "grevlex",
+    return (R, [(R.el(g).num,) for g in gens], 1,
             [(R.el(t).num,) for t in targets])
 
 
-@pytest.mark.parametrize("name", ["q_completed_i3", "q_lex"])
+@pytest.mark.parametrize("name", ["q_completed_i3", "z_unit_leads"])
 def test_every_reduction_step_ticks_once(monkeypatch, name):
     """``_tick`` runs once per reduction step (the benchmark counts Groebner
     steps by its calls): as many times as a construction's steps, and a
     query's steps come on top."""
-    _, gens, nrows, order, targets = _pinned_case(name)
+    _, gens, nrows, targets = _pinned_case(name)
     ticks = []
     tick = GBasis._tick
     monkeypatch.setattr(GBasis, "_tick", lambda self, steps, budget: (
         ticks.append(steps), tick(self, steps, budget))[1])
-    gb = GBasis(gens, nrows, order=order)
+    gb = GBasis(gens, nrows)
     assert ticks == list(range(1, gb._steps + 1))
     del ticks[:]
     gb.lift(targets[0])
@@ -332,8 +315,8 @@ def test_every_reduction_step_ticks_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", list(PINNED))
 def test_buchberger_path_is_pinned(name):
-    ring, gens, nrows, order, targets = _pinned_case(name)
-    gb = GBasis(gens, nrows, order=order)
+    ring, gens, nrows, targets = _pinned_case(name)
+    gb = GBasis(gens, nrows)
 
     def render(v):
         return None if v is None else tuple(p.render(ring.names) for p in v)
@@ -373,10 +356,10 @@ def _combine(coeffs, gens, nrows):
 
 
 @settings(max_examples=60)
-@given(generator_sets(), st.sampled_from(["grevlex", "lex"]))
-def test_basis_certificates_hold(case, order):
+@given(generator_sets())
+def test_basis_certificates_hold(case):
     nrows, gens = case
-    gb = GBasis(gens, nrows, order=order)
+    gb = GBasis(gens, nrows)
     zero = tuple(Poly.zero(gens[0][0].dom, 2) for _ in range(nrows))
     for e, cof in zip(gb.elements, gb.cofactors):
         assert e == _combine(cof, gens, nrows)
@@ -389,17 +372,15 @@ def test_basis_certificates_hold(case, order):
 
 
 @settings(max_examples=40)
-@given(generator_sets(), st.sampled_from(["grevlex", "lex"]), st.data())
-def test_a_basis_tracking_the_first_generators_cuts_the_full_one(
-        case, order, data):
+@given(generator_sets(), st.data())
+def test_a_basis_tracking_the_first_generators_cuts_the_full_one(case, data):
     """Cofactors, lifts and syzygies over the first k generators are the
     full ones cut to k coordinates, less the syzygies that are zero there
     and the repeats that the cut makes (full rows that differ only past k:
     [1, x, x] at k = 1)."""
     nrows, gens = case
     k = data.draw(st.integers(1, len(gens)))
-    full, part = GBasis(gens, nrows, order=order), GBasis(gens, nrows,
-                                                          order=order, track=k)
+    full, part = GBasis(gens, nrows), GBasis(gens, nrows, track=k)
     assert part.elements == full.elements and part._steps == full._steps
     assert part.cofactors == [c[:k] for c in full.cofactors]
     heads = [s[:k] for s in full.syzygies() if any(p.terms for p in s[:k])]
@@ -412,31 +393,59 @@ def test_a_basis_tracking_the_first_generators_cuts_the_full_one(
 def test_exponents_beyond_the_term_key_field_are_refused():
     """An exponent too large for its key field raises UnsupportedRing, as
     given and as made in a reduction; one at the limit is kept."""
-    from lodua.groebner import _LIMIT
     R = qxy()
     x, y = R.el("x").num, R.el("y").num
     e = _LIMIT // 2 + 1
-    for order in ("grevlex", "lex"):
-        with pytest.raises(UnsupportedRing, match="exponents are limited"):
-            GBasis([(x ** (_LIMIT + 1),)], 1, order=order)
-        top = GBasis([(x ** _LIMIT,)], 1, order=order)
-        assert top.elements == [(x ** _LIMIT,)]
-        if order == "lex":   # no degree field: only exponents are bounded
-            assert top.contains((x ** _LIMIT * y,))
-        with pytest.raises(UnsupportedRing, match="exponents are limited"):
-            top.contains((y ** (_LIMIT + 1),) if order == "lex" else
-                         (x ** e * y ** e,))
-    # in lex a tail may outgrow its lead: x = y^e turns x^2 into y^(2e)
-    for dom in (QQ, GF(7)):
-        x, y = Poly.var(dom, 2, 0), Poly.var(dom, 2, 1)
-        gb = GBasis([(x - y ** e,)], 1, order="lex")
-        with pytest.raises(UnsupportedRing, match="exponents are limited"):
-            gb.normal_form((x * x,))
-        with pytest.raises(UnsupportedRing, match="exponents are limited"):
-            GBasis([(x - y ** e,), (x * x + y,)], 1, order="lex")
-    # in grevlex the degree field refuses an S-pair above the limit
+    with pytest.raises(UnsupportedRing, match="exponents are limited"):
+        GBasis([(x ** (_LIMIT + 1),)], 1)
+    top = GBasis([(x ** _LIMIT,)], 1)
+    assert top.elements == [(x ** _LIMIT,)]
+    # the degree field refuses a product above the limit, and an S-pair
+    with pytest.raises(UnsupportedRing, match="exponents are limited"):
+        top.contains((x ** e * y ** e,))
     with pytest.raises(UnsupportedRing, match="exponents are limited"):
         GBasis([(x ** e + y,), (y ** e + x,)], 1)
+
+
+@st.composite
+def term_pairs(draw):
+    """(term keys, two terms (coord, monomial), a monomial q) in 1-3
+    variables and coordinates 0-2, every degree small enough that the sums
+    below stay valid keys."""
+    n = draw(st.integers(1, 3))
+    mono = st.tuples(*[st.integers(0, _LIMIT // 9)] * n)
+    term = st.tuples(st.integers(0, 2), mono)
+    return _TermKeys(n), draw(term), draw(term), draw(mono)
+
+
+@settings(max_examples=200)
+@given(term_pairs(), st.data())
+def test_term_keys_keep_the_invariants_the_reduction_relies_on(case, data):
+    """Ascending keys are (coordinate ascending, grevlex descending); a key
+    splits back into its term; x^q adds one shift; in one coordinate the
+    masked subtraction decides divisibility; and a monomial of degree
+    _LIMIT + 1 fails the guard."""
+    keys, (c, m), (d, g), q = case
+    n = len(m)
+    t = keys.key(c, m)
+    assert (t < keys.key(d, g)) == (
+        c < d or c == d and grevlex_key(m) > grevlex_key(g))
+    assert keys.split(t) == (c, m)
+    mq, gq = (tuple(a + b for a, b in zip(v, q)) for v in (m, g))
+    assert t + keys.shift(q) == keys.key(c, mq)
+    # in coordinate c: g divides m exactly when the subtraction borrows out
+    # of no exponent field, and always divides g * q
+    gk = keys.key(c, g)
+    assert (not (t - gk) & keys.dmask) == (mono_div(m, g) is not None)
+    assert not (keys.key(c, gq) - gk) & keys.dmask
+    for k in (t, gk, keys.key(c, mq), keys.key(c, gq)):
+        assert k & keys.gmask == keys.gpat
+    # a monomial of degree _LIMIT + 1, cut into n exponents
+    cuts = sorted(data.draw(st.lists(st.integers(0, _LIMIT + 1),
+                                     min_size=n - 1, max_size=n - 1)))
+    big = tuple(b - a for a, b in zip([0] + cuts, cuts + [_LIMIT + 1]))
+    assert sum(big) == _LIMIT + 1
+    assert keys.key(c, big) & keys.gmask != keys.gpat
 
 
 @settings(max_examples=60)

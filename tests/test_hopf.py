@@ -152,7 +152,9 @@ def test_extended_psilim_identity(QQxy, swap, dI, unit_comodule):
 
 
 def test_non_invariant_ideal_rejected(QQxy, swap, unit_comodule):
-    with pytest.raises(InvalidInput, match="moved by s"):
+    # the swap carries x to y, outside (x)
+    with pytest.raises(InvalidInput,
+                       match="s does not preserve the completion ideal"):
         comodule_completion(unit_comodule, IdealData(QQxy, ["x"]))
 
 

@@ -551,3 +551,40 @@ def test_pairs_ratios_cancel_a_drift_shared_by_a_pair():
     runs = [r for r in runs if r["pair"] != 3]
     assert pairs.ratios(runs, metrics)[1] == (
         "  change/parent: no pair with a nonzero parent value")
+
+
+def test_sameness_diff_groups_the_ops_one_change_moves(tmp_path):
+    """Two copies of the tree that differ in one ``basis`` string: --diff
+    lists the two integer-sweep ops among the first 40 that print it (both
+    `lcomplete-check` over Q), in one group with one diff."""
+    import shutil
+    trees = []
+    for name in ("parent", "child"):
+        tree = tmp_path / name
+        for part in ("src", "perfbench", "tools"):
+            shutil.copytree(os.path.join(ROOT, part), tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__",
+                                                          "out"))
+        trees.append(tree)
+    towers = trees[1] / "src" / "lodua" / "towers.py"
+    text = towers.read_text()
+    assert text.count('basis="x invertible on Q"') == 2
+    towers.write_text(text.replace('basis="x invertible on Q"',
+                                   'basis="x is invertible on Q"'))
+    proc = subprocess.run(
+        [sys.executable, str(trees[1] / "tools" / "sameness.py"),
+         "--workload", "integer-sweep", "--size", "40",
+         "--diff", str(trees[0])],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "group 1: 2 ops: 11 lcomplete-check, 27 lcomplete-check"
+    assert lines[1:3] == ["--- parent", "+++ this tree"]
+    moved = [line for line in lines[3:-1] if line[0] in "+-"]
+    assert moved == ['-        "basis": "x invertible on Q",',
+                     '+        "basis": "x is invertible on Q",',
+                     '-        "basis": "x invertible on Q",',
+                     '+        "basis": "x is invertible on Q",']
+    assert not any(line.startswith("group ") for line in lines[1:])
+    assert lines[-1] == (f"integer-sweep seed 1: 40 ops, 2 differ from "
+                         f"{trees[0]}, in 1 groups")

@@ -5,6 +5,7 @@
     python3 tools/sameness.py --workload integer-sweep --refs
     python3 tools/sameness.py --workload integer-sweep --cold
     python3 tools/sameness.py --workload poly-sweep --rules
+    python3 tools/sameness.py --workload poly-sweep --diff ../parent
 
 Runs the op list of one workload and seed once, in order, in one process,
 as ``perfbench/worker.py`` executes it (``perfbench/workloads.py`` and
@@ -69,12 +70,28 @@ The rules are ``no F_s`` (a Tor_s tower whose resolution has no F_s),
 ``materialized`` (``is_pro_trivial``); a refusal counts under the rule that
 raised it.  A probe that a table hit saves is not counted; with ``--cold``
 every op computes its limits afresh.
+
+With ``--diff PARENT_DIR`` it instead runs the op list of the seed that
+``perfbench/refs/<workload>.json`` was recorded for (its first ``--size``
+ops, when given) in this tree and in PARENT_DIR, another lodua checkout,
+one fresh process each: each process runs ``answers`` of this script on
+its own tree's ``perfbench/worker.py`` and ``src/``.  For each op whose
+(exit code, body) differs it makes a unified diff of the two, each read as
+an ``exit <code>`` line and the body, and groups the ops whose diffs are
+identical.  It prints each group once, as a header line
+
+    group 1: 3 ops: 12 tor, 40 tor, 77 ext
+
+and the diff, and then a count; it exits 1 when any op differs.
 """
 
+import difflib
 import hashlib
 import json
 import os
+import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -136,6 +153,71 @@ def differences(workload, cold=False):
         if got != ref:
             differing.append((i, op.get("verb", op["kind"]), got, ref))
     return seed, len(ops), differing
+
+
+# the program of one tree's process in ``body_diffs``: this script's
+# ``answers`` on the tree's worker and engine (``worker`` finds the engine
+# in the tree's src/), reading the ops from one JSON file and writing the
+# (exit code, body) pairs to another
+_BODIES = """\
+import json, sys
+bench, tools, ops, out = sys.argv[1:]
+sys.path[:0] = [bench, tools]
+import worker
+import sameness
+worker.import_lodua()
+import lodua
+with open(ops) as fh:
+    ops = json.load(fh)
+with open(out, "w") as fh:
+    json.dump(list(sameness.answers(lodua, ops)), fh)
+"""
+
+
+def body_diffs(workload, parent, size=None):
+    """(seed, ops, groups) for the refs seed's op list, its first ``size``
+    ops when given, run in the checkout ``parent`` and in this tree at
+    once: ``groups`` maps each unified diff of an op's exit code and body,
+    from the parent's to this tree's, to the (op index, verb) of every op
+    that differs by exactly it, in order."""
+    refs = run.load_refs(workload)
+    if refs is None:
+        raise SystemExit(f"no perfbench/refs/{workload}.json")
+    seed = refs["seed"]
+    ops = workloads.generate(workload, seed, size)
+    answered = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ops.json")
+        with open(path, "w") as fh:
+            json.dump(ops, fh)
+        trees = (os.path.abspath(parent), os.path.dirname(HERE))
+        outs = [os.path.join(tmp, f"{side}.json") for side in ("old", "new")]
+        procs = [subprocess.Popen([sys.executable, "-c", _BODIES,
+                                   os.path.join(tree, "perfbench"), HERE,
+                                   path, out])
+                 for tree, out in zip(trees, outs)]
+        try:
+            for proc, out in zip(procs, outs):
+                if proc.wait():
+                    raise SystemExit(f"answering the ops failed (exit "
+                                     f"{proc.returncode})")
+                with open(out) as fh:
+                    answered.append([f"exit {code}\n{body}"
+                                     for code, body in json.load(fh)])
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+    old, new = answered
+    groups = {}
+    for i, (op, a, b) in enumerate(zip(ops, old, new)):
+        if a != b:
+            diff = "\n".join(difflib.unified_diff(
+                a.splitlines(), b.splitlines(), "parent", "this tree",
+                lineterm=""))
+            verb = op.get("verb", op["kind"])
+            groups.setdefault(diff, []).append((i, verb))
+    return seed, len(ops), groups
 
 
 def fingerprint(ops, cold=False):
@@ -271,9 +353,26 @@ def main(argv=None):
     ap.add_argument("--rules", action="store_true",
                     help="count the rule that decides each lag probe, per "
                          "tower kind and ring class")
+    ap.add_argument("--diff", metavar="PARENT_DIR",
+                    help="group the ops whose answer differs from the one "
+                         "of the lodua checkout PARENT_DIR by their body "
+                         "diffs, at the refs seed")
     ns = ap.parse_args(argv)
-    if ns.refs and ns.rules:
-        ap.error("--refs and --rules are two different runs; pick one")
+    if ns.refs + ns.rules + (ns.diff is not None) > 1:
+        ap.error("--refs, --rules and --diff are different runs; pick one")
+    if ns.diff is not None:
+        if ns.seed is not None or ns.cold:
+            ap.error("--diff runs the op list of the seed the reference "
+                     "was recorded for, warm; drop --seed and --cold")
+        seed, n, groups = body_diffs(ns.workload, ns.diff, ns.size)
+        for g, (diff, ids) in enumerate(groups.items(), 1):
+            print(f"group {g}: {len(ids)} ops: "
+                  + ", ".join(f"{i} {verb}" for i, verb in ids))
+            print(diff)
+        differ = sum(map(len, groups.values()))
+        print(f"{ns.workload} seed {seed}: {n} ops, {differ} differ from "
+              f"{ns.diff}, in {len(groups)} groups")
+        return 1 if differ else 0
     if ns.refs:
         if ns.seed is not None or ns.size is not None:
             ap.error("--refs runs the whole op list of the seed the "
