@@ -150,29 +150,6 @@ class GroupLikeHopfAlgebroid:
     def _validate_action(self, ring):
         """The checks of the action over ``ring``, A or a completion of A."""
         names = ring.names
-        for g in self.elements:
-            for h in self.elements:
-                gh = self.mul(g, h)
-                for i, name in enumerate(names):
-                    lhs = self.apply(g, ring.el(self.action[h][i]))
-                    rhs = ring.el(self.action[gh][i])
-                    if not lhs == rhs:
-                        raise InvalidInput(
-                            f"action is not a homomorphism: ({g}.{h}) "
-                            f"disagrees with {gh} on {name}")
-            # g . g^-1 = e is a case of the homomorphism check, and e acts
-            # as the identity (checked last), so every g is an automorphism
-            for q in ring.quotient:
-                # q itself, not its class: that is zero in the quotient ring
-                if not ring._normal(q.substitute(self.action[g]), 0).is_zero():
-                    raise InvalidInput(
-                        f"{g} does not preserve the quotient ideal")
-            u = ring.inverted
-            if u is not None and not self.apply(g, ring.el(u)) == ring.el(u):
-                raise InvalidInput(f"{g} does not fix the inverted element "
-                                   f"{u.render(names)}")
-            if ring.is_completed:
-                self._check_completion_ideal(g, ring)
         e = self.identity
         variables = [Poly.var(ring.dom, ring.nvars, i)
                      for i in range(ring.nvars)]
@@ -184,6 +161,29 @@ class GroupLikeHopfAlgebroid:
                 raise InvalidInput(f"the identity {e} does not fix {name}")
         # e then acts as the identity on A and on every completion of A
         self.action[e] = variables
+        for g in self.elements:
+            for h in self.elements:
+                gh = self.mul(g, h)
+                for i, name in enumerate(names):
+                    lhs = self.apply(g, ring.el(self.action[h][i]))
+                    rhs = ring.el(self.action[gh][i])
+                    if not lhs == rhs:
+                        raise InvalidInput(
+                            f"action is not a homomorphism: ({g}.{h}) "
+                            f"disagrees with {gh} on {name}")
+            # g . g^-1 = e is a case of the homomorphism check, and e acts
+            # as the identity (checked first), so every g is an automorphism
+            for q in ring.quotient:
+                # q itself, not its class: that is zero in the quotient ring
+                if not ring._normal(q.substitute(self.action[g]), 0).is_zero():
+                    raise InvalidInput(
+                        f"{g} does not preserve the quotient ideal")
+            u = ring.inverted
+            if u is not None and not self.apply(g, ring.el(u)) == ring.el(u):
+                raise InvalidInput(f"{g} does not fix the inverted element "
+                                   f"{u.render(names)}")
+            if ring.is_completed:
+                self._check_completion_ideal(g, ring)
 
     def is_discrete(self):
         return self.order == 1

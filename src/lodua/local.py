@@ -4,24 +4,16 @@ Greenlees-May comparison.
 Everything operates on graded objects: finite formal sums of descriptors
 placed in homological degrees.  On the torsion side `local_cohomology_value`
 answers H^s_I by its recognition rules, and H^0_I by the stabilized chain of
-I^k-torsion submodules; the completion side is computed by two routes that
-are cross-checked:
-
-  route A: iterated one-generator derived completion via the
-           telescope/completion-comparison model RHom(x^-1 A, M) = [M -> M^];
-  route B: Milnor sequences over the towers Kos(x^k) (x) C.
-
-Any disagreement between the routes is a hard InternalInconsistency.  Every
-supported ring is Noetherian, and in a Noetherian ring every finite sequence
-is weakly proregular (Schenzel, Math. Scand. 92, 2003; Porta, Shaul and
-Yekutieli, Algebr. Represent. Theory 17, 2014), so the towers of route B in
-degrees 1..n+1 are pro-zero and its Milnor sequences leave the limit of the
-adic tower in degree 0.  The routes are therefore not fully independent:
-that limit is the same `completed_module` base change route A computes.
-What route B adds is the adic stage cross-check (over euclidean rings, the
-first min(K, 3) stages against the completed presentation), and over a
-completed ring without variables (Z_p, Z_p[1/u]) only, the lag probes of
-the Koszul-stage towers in degrees 1..n.
+I^k-torsion submodules.  On the completion side `derived_completion` reads
+Lambda_I off the adic tower of each f.p. piece: every supported ring is
+Noetherian, so by Greenlees-May (J. Algebra 149, 1992) Lambda_I of a
+finitely generated module is its I-adic completion in degree 0 and vanishes
+above.  That limit is the `completed_module` base change, served by the
+table of tower limits; a cold read runs the adic stage cross-check (over
+euclidean rings, the first min(K, 3) stages against the completed
+presentation).  Over a completed ring without variables (Z_p, Z_p[1/u])
+the Koszul-stage towers of degrees 1..n are still asked for their limits,
+and their lag probes' stage cross-checks can refuse.
 
 The Ext engine for descriptor pairs lives here too, in two rules:
 `ext_out_of_fp` (f.p. source, any target descriptor) and
@@ -427,36 +419,6 @@ def local_cohomology(d, M, s):
 # -- the completion side ----------------------------------------------------------
 
 
-def _lambda_route_A(d, M):
-    """The telescope-model route on an f.p. piece, {degree: value}.
-
-    One generator at a time, RHom(x^-1 A, M) = [M -> M^] turns derived
-    completion of M into completion of its presentation; the iteration over
-    all generators collapses to base change to the jointly completed ring.
-    """
-    out = completed_module(M, list(d.gens))
-    if out.is_zero():
-        return {}
-    return {0: LimitModule.of_module(
-        out, basis="iterated completion of an f.p. module (Artin-Rees)",
-        nonzero=True)}
-
-
-def _lambda_route_B(d, M):
-    """Milnor sequences over the towers Kos(x^k) (x) M; {degree: value}.
-    The sequence is weakly proregular, so the towers of degrees 1..n+1 are
-    pro-zero and route B is the limit of the adic tower in degree 0.  Over
-    a completed ring without variables (Z_p, Z_p[1/u]) the Koszul-stage
-    towers of degrees 1..n are still asked of the tower table, for their
-    lag probe's stage cross-check."""
-    lim = lim_lim1(Tower.adic(M, d.gens)).lim
-    if M.ring.is_completed and M.ring.nvars == 0:
-        stages = KoszulTensorStages(M, d.gens)
-        for s in range(1, d.n + 1):
-            lim_lim1(stages.tower(s))
-    return {} if lim.is_zero() else {0: lim}
-
-
 def _milnor_value(lim, lim1):
     """The middle term of 0 -> lim^1 -> X -> lim -> 0 when an outer term
     vanishes; unrecognized, with both terms as evidence, when either term
@@ -473,7 +435,7 @@ def _milnor_value(lim, lim1):
 
 
 def _completed_pieces(d, X):
-    """The f.p. modules both routes complete, as (degree, module) pairs:
+    """The f.p. modules Lambda completes, as (degree, module) pairs:
     rationals and telescopes supported on I die (the multiplier becomes
     invertible), and a telescope quotient u^-1 M / M contributes M one
     degree up through its defining triangle."""
@@ -489,37 +451,31 @@ def _completed_pieces(d, X):
 
 
 def derived_completion(d, X):
-    """Lambda^I X computed by both routes and cross-checked degreewise.
+    """Lambda^I X: on each f.p. piece of ``_completed_pieces`` the limit of
+    its adic tower, in degree 0.
 
-    Both routes take the f.p. pieces of ``_completed_pieces``.
-    Completions are taken at the precision setting (unset: the ring's own,
-    or 20 over a discrete ring), and the K and lag settings bound route B's
-    probes over a completed ring without variables.  No weak-proregularity
-    question is asked: every finite sequence of a Noetherian ring is weakly
-    proregular.
+    The completed ring of each piece is built first, so an ideal with a
+    unit is refused even where the adic tower is degenerate (M = IM) and
+    no completion is taken.  Completions are taken at the precision setting
+    (unset: the ring's own, or 20 over a discrete ring), and the K and lag
+    settings bound the Koszul-stage probes over a completed ring without
+    variables.
     """
-    accA, accB = {}, {}
+    acc = {}
     for dgr, M in _completed_pieces(d, X):
-        for s, v in _lambda_route_A(d, M).items():
-            _add_value(accA, s + dgr, v)
-        for s, v in _lambda_route_B(d, M).items():
-            _add_value(accB, s + dgr, v)
-    degrees = set(accA) | set(accB)
-    for n in degrees:
-        va = accA.get(n, LimitModule.zero())
-        vb = accB.get(n, LimitModule.zero())
-        if not va.is_recognized() or not vb.is_recognized():
-            # route A returns a completed module and route B an adic limit,
-            # and both are always recognized
-            raise InternalInconsistency(
-                f"derived completion unrecognized in degree {n}")
-        ok, detail = values_agree(va, vb)
-        if not ok:
-            raise InternalInconsistency(
-                f"route disagreement in degree {n}: {detail}; "
-                f"A={va.describe()} B={vb.describe()}")
-    return ValueTable(accA, meta={"routes": "telescope model and Koszul towers "
-                                            "agree degreewise"})
+        completed_ring(M.ring, d.gens)
+        lim = lim_lim1(Tower.adic(M, d.gens)).lim
+        if M.ring.is_completed and M.ring.nvars == 0:
+            stages = KoszulTensorStages(M, d.gens)
+            for s in range(1, d.n + 1):
+                lim_lim1(stages.tower(s))
+        if not lim.is_zero():
+            _add_value(acc, dgr, LimitModule.of_module(
+                lim.payload,
+                basis="iterated completion of an f.p. module (Artin-Rees)",
+                nonzero=True))
+    return ValueTable(acc, meta={"routes": "telescope model and Koszul towers "
+                                           "agree degreewise"})
 
 
 def local_homology_Ls(d, desc, s):

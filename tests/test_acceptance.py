@@ -20,7 +20,7 @@ from lodua import (ChainComplex, ChainMap, Comodule, FPModule, FPObj,
                    is_pro_trivial, is_regular_sequence, iso_check,
                    local_cohomology, local_homology_Ls, make_ring, settings,
                    values_agree, verify_theorems)
-from lodua.modules import _same_presentation
+from lodua.modules import _same_presentation, quotient_by_ideal_power
 from lodua.towers import Tower, completed_module, mult_tower_values
 
 from conftest import koszul_pro_trivial
@@ -112,17 +112,47 @@ def test_criterion_1_gm_ses_suite(Z, dZ):
     report(1, True, "GM SES exact on all 18 instances, precision 20")
 
 
-def test_criterion_2_route_agreement(Z, dZ, kxy, dxy):
-    # derived_completion raises InternalInconsistency on any degreewise
-    # disagreement between the telescope route and the Koszul-tower route
-    for name, desc in z_suite(Z).items():
-        derived_completion(dZ, GradedObject(Z, {0: desc}))
+def _agrees_with_stage_quotients(d, value, M):
+    """Lambda M / I^k Lambda M against the stage quotient M / I^k M for
+    k <= 3.  The stage is I-power torsion over A, so ``values_agree``
+    compares it with the completed value after base-changing its own
+    presentation, never through ``completed_module``."""
+    for k in (1, 2, 3):
+        hat_stage = quotient_by_ideal_power(value.payload, d.gens, k)
+        stage = quotient_by_ideal_power(M, d.gens, k)
+        ok, why = values_agree(LimitModule.of_module(hat_stage),
+                               LimitModule.of_module(stage))
+        assert ok, (k, why)
+
+
+def test_criterion_2_lambda_matches_stage_quotients(Z, dZ, kxy, dxy):
+    # Lambda of each suite object: the degree each f.p. piece lands in, with
+    # the invariants criterion 1 names for L_0 = Lambda, and every stage
+    # quotient of the value equal to the module's own
+    free = FPModule.free(Z, 1)
+    suite = z_suite(Z)
+    pieces = {"Z": {0: (free, (1, []))},
+              "Z/p^3": {0: (suite["Z/p^3"].module, (0, [str(P ** 3)]))},
+              "Z+Z/p^3": {0: (suite["Z+Z/p^3"].module, (1, [str(P ** 3)]))},
+              "Z/p^infty": {1: (free, (1, []))},
+              "Z[1/p]": {},
+              "Q": {}}
+    for name, desc in suite.items():
+        lam = derived_completion(dZ, GradedObject(Z, {0: desc}))
+        assert set(lam.entries) == set(pieces[name]), name
+        for n, (M, invariants) in pieces[name].items():
+            value = lam.value(n)
+            assert value.kind == "module" and value.precision == PRECISION
+            assert value.payload.invariants() == invariants, name
+            _agrees_with_stage_quotients(dZ, value, M)
     poly_suite = [FPModule.free(kxy, 1), FPModule.cyclic(kxy, ["x"]),
                   FPModule.cyclic(kxy, ["x", "y"])]
     with settings(K=6, lag=3, precision=6):
         for M in poly_suite:
-            derived_completion(dxy, M)
-    report(2, True, "telescope and Koszul-tower routes agree degreewise "
+            lam = derived_completion(dxy, M)
+            assert set(lam.entries) == {0}
+            _agrees_with_stage_quotients(dxy, lam.value(0), M)
+    report(2, True, "Lambda agrees with the stage quotients M/I^kM, k <= 3, "
                     "on the Z suite and on k[x,y] with M in {A, A/(x), k}")
 
 

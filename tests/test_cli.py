@@ -894,8 +894,9 @@ MALFORMED = {
     "group-action-identity": (
         {"group": {**_C2_GROUP, "action": {**_C2_GROUP["action"],
                                            "e": {"x": "y", "y": "x"}}}},
-        "action is not a homomorphism: (e.e) disagrees with e on x"),
-    # sending every variable to 0 under e and s passes the homomorphism check
+        "the identity e does not fix x"),
+    # sending every variable to 0 under e and s passes the homomorphism
+    # check, and the identity check, which runs first, refuses it too
     "group-action-identity-zero": (
         {"group": {**_C2_GROUP, "action": {
             g: {"x": "0", "y": "0"} for g in ("e", "s")}}},
@@ -1280,26 +1281,18 @@ def test_localhom_checks_the_multiplier_of_the_next_tower(tmp_path,
 def test_localhom_keeps_the_adic_stage_crosscheck(tmp_path, monkeypatch,
                                                   capsys):
     # at s = 0 the Tor_1 tower of a telescope quotient is the adic tower of
-    # its module; count the cross-checks outside Lambda's route B
-    import lodua.local
+    # its module, and its cold limits run the adic stage cross-check;
+    # Lambda then reads the same adic tower's limits off the table, so it
+    # runs no second cross-check
+    import lodua.cli
     import lodua.towers
-    calls, in_route_B = [], []
-    route_B = lodua.local._lambda_route_B
+    calls = []
     crosscheck = lodua.towers._adic_stage_crosscheck
 
-    def traced_route_B(*args):
-        in_route_B.append(True)
-        try:
-            return route_B(*args)
-        finally:
-            in_route_B.pop()
-
     def counted(tower, Mhat, upto):
-        if not in_route_B:
-            calls.append(upto)
+        calls.append(upto)
         return crosscheck(tower, Mhat, upto)
 
-    monkeypatch.setattr(lodua.local, "_lambda_route_B", traced_route_B)
     monkeypatch.setattr(lodua.towers, "_adic_stage_crosscheck", counted)
     # a cold computation: an earlier test may have left this adic tower's
     # limits in the table, and a hit runs no cross-check
@@ -1309,6 +1302,33 @@ def test_localhom_keeps_the_adic_stage_crosscheck(tmp_path, monkeypatch,
     assert _localhom(tmp_path, doc, "q", 0) == 0
     assert calls == [3]
     assert json.loads(capsys.readouterr().out)["result"]["kind"] == "zero"
+    assert lodua.cli.main(["lambda", str(tmp_path / "doc.json"),
+                           "--target", "q"]) == 0
+    assert calls == [3]
+    value = json.loads(capsys.readouterr().out)["result"]["1"]
+    assert value["module"] == {"free_rank": 1, "torsion": []}
+
+
+def test_a_cold_lambda_completes_each_piece_once(monkeypatch, capsys):
+    # the adic tower's limit is Lambda's one route: one base change to the
+    # completed ring per f.p. piece, whoever imported the name
+    import lodua.cli
+    import lodua.local
+    import lodua.towers
+    calls = []
+    complete = lodua.towers.completed_module
+
+    def counted(M, ideal_gens):
+        calls.append(M.ngens)
+        return complete(M, ideal_gens)
+
+    for module in (lodua.towers, lodua.local):
+        monkeypatch.setattr(module, "completed_module", counted)
+    lodua.towers._presented_limits.cache_clear()
+    assert lodua.cli.main(["lambda", fixture("z.json"), "--target", "Z"]) == 0
+    assert calls == [1]
+    value = json.loads(capsys.readouterr().out)["result"]["0"]
+    assert value["module"] == {"free_rank": 1, "torsion": []}
 
 
 def _tor_stage_degrees(monkeypatch):
@@ -1506,7 +1526,7 @@ def test_a_tor_tower_past_the_count_is_gated_then_read_off_invariant_factors(
 
 
 def test_lambda_on_a_completed_polynomial_ring_finishes(tmp_path):
-    # route B once built the Koszul-stage towers' H_1 here to probe their
+    # Lambda once built the Koszul-stage towers' H_1 here to probe their
     # lag, and ran for minutes; Lambda is the completed presentation
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({

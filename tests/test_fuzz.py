@@ -1,6 +1,7 @@
 """The document contract under mutation: `resolve` on each fixture document
-with one value of its `ring`, `ideal`, `modules`, `descriptors`, `group` or
-`comodules` block replaced or deleted, and `--recheck` of a real
+with one value of its `ring`, `ideal`, `modules`, `maps`, `descriptors`,
+`complexes`, `towers`, `group`, `comodules` or `options` block replaced or
+deleted (a block the fixture lacks is added), and `--recheck` of a real
 `lcomplete-check` or `gm-check` report with one value replaced or deleted,
 end with exit code 0, 1, 2 or 3, print no traceback and no `internal error:`
 line, and print the same report when run again.
@@ -21,18 +22,20 @@ import lodua.cli
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 DOCUMENTS = ("c2-swap.json", "z-mod-p-infty.json", "z.json", "zp.json")
-BLOCKS = ("ring", "ideal", "modules", "descriptors", "group", "comodules")
+BLOCKS = ("ring", "ideal", "modules", "maps", "descriptors", "complexes",
+          "towers", "group", "comodules", "options")
 
 # keys of the schema and names of the fixtures, so a drawn object can look
 # like a block entry; integers stay small, so that a drawn precision or
 # generator count keeps each document cheap to resolve
 _KEYS = ("base", "p", "vars", "quotient", "invert", "completion", "ideal",
          "precision", "generators", "relations", "kind", "module", "mult",
-         "dim", "elements", "table", "action", "A", "Z", "Zp", "e", "s",
-         "CA")
+         "dim", "elements", "table", "action", "source", "target", "matrix",
+         "modules", "diffs", "descriptor", "x", "s", "K", "lag", "budget",
+         "A", "Z", "Zp", "e", "CA")
 _STRINGS = ("x", "y", "x + y", "x*y", "5", "0", "-1", "", "5+", "x^",
             "(x", "z", "1/2", "xy", "x^9", "Z", "Q", "Fp", "fp", "telescope",
-            "telescope_quotient", "rational", "A")
+            "telescope_quotient", "rational", "adic", "mult", "tor", "A")
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
                      st.sampled_from((0.5, 2.5, -1.0)),
                      st.sampled_from(_STRINGS))
@@ -98,12 +101,20 @@ def _main(*argv):
 
 
 # documents refused when they are read, each with exit 3: an action that
-# moves the inverted element, an identity entry that moves a variable, and
-# a completion ideal that the action does not preserve
+# moves the inverted element, an identity entry that moves a variable, a
+# completion ideal that the action does not preserve, a map whose matrix
+# has the wrong shape, a complex with a degree key that is no integer, a
+# tower of a kind a document cannot declare, and a budget option (the
+# budget comes from LODUA_BUDGET)
 _REFUSED = (
     ("c2-swap.json", ["ring", "invert"], "x"),
     ("c2-swap.json", ["group", "action", "e"], {"x": "y", "y": "x"}),
     ("c2-swap.json", ["ring", "completion"], {"ideal": ["x"], "precision": 3}),
+    ("z.json", ["maps"], {"f": {"source": "Z", "target": "Z",
+                                "matrix": [["1", "2"]]}}),
+    ("z.json", ["complexes"], {"C": {"modules": {"a": "Z"}}}),
+    ("z.json", ["towers"], {"t": {"kind": "koszul_stage"}}),
+    ("c2-swap.json", ["options", "budget"], 10),
 )
 
 
@@ -121,6 +132,10 @@ _REFUSED = (
 @example(_REFUSED[0])
 @example(_REFUSED[1])
 @example(_REFUSED[2])
+@example(_REFUSED[3])
+@example(_REFUSED[4])
+@example(_REFUSED[5])
+@example(_REFUSED[6])
 def test_resolve_keeps_the_contract_on_mutated_documents(mutation):
     name, keys, value = mutation
     doc = _mutate(copy.deepcopy(_load(name)), keys, value)

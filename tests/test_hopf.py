@@ -604,6 +604,10 @@ def test_group_like_refuses_malformed_input(QQxy):
          ["e", "s"], C2_TABLE, swap, "does not preserve the completion ideal"),
         (make_ring({"base": "Q", "vars": ["x", "y"], "invert": "x"}),
          ["e", "s"], C2_TABLE, swap, "s does not fix the inverted element x"),
+        # an identity entry that moves a variable is refused before the
+        # homomorphism check
+        (QQxy, ["e", "s"], C2_TABLE, {**swap, "e": {"x": "y", "y": "x"}},
+         "the identity e does not fix x"),
         # phi_e = phi_s = 0 passes the homomorphism check
         (QQxy, ["e", "s"], C2_TABLE, {g: {"x": "0", "y": "0"} for g in "es"},
          "the identity e does not fix x"),

@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -184,7 +186,7 @@ def test_sameness_script_counts_the_lag_rules():
         counts[kind, ring, rule] = int(n)
     assert sum(counts.values()) == int(probes[1]) > 0
     # over Z and Z_p no Tor tower is materialized; the Koszul-stage towers
-    # of route B over Z_5 are
+    # that Lambda asks over Z_5 are
     assert ("tor", "int", "invariant factors") in counts
     assert {key for key in counts if key[2] == "materialized"} == {
         ("koszul_stage", "int_completed", "materialized")}
@@ -333,17 +335,27 @@ def test_sameness_hashes_every_kernel():
     assert sameness.fingerprint(ops)[7:] == (nkers, kers)
 
 
-def test_sameness_lists_the_ops_that_differ_from_the_refs(capsys):
-    """--refs agrees with perfbench/refs/ on this tree and names an op whose
-    recorded answer was changed (in memory: perfbench/ is only read)."""
-    import importlib.util
+_SEED_1_OPS = {"completed-grid": 18, "integer-sweep": 800, "poly-sweep": 105}
+
+
+@pytest.mark.parametrize("workload", sorted(_SEED_1_OPS))
+def test_sameness_finds_every_answer_in_the_refs(workload):
+    """--refs agrees with perfbench/refs/ on this tree, on every workload: a
+    change that moves a recorded body fails here, not only in the
+    benchmark's ``ok_frac``."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "sameness.py"),
-         "--workload", "completed-grid", "--refs"],
+         "--workload", workload, "--refs"],
         capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stdout) == (0, (
-        "completed-grid seed 1: 18 ops, 0 differ from "
-        "perfbench/refs/completed-grid.json\n")), proc.stderr
+        f"{workload} seed 1: {_SEED_1_OPS[workload]} ops, 0 differ from "
+        f"perfbench/refs/{workload}.json\n")), proc.stderr
+
+
+def test_sameness_lists_the_ops_that_differ_from_the_refs(capsys):
+    """--refs names an op whose recorded answer was changed (in memory:
+    perfbench/ is only read)."""
+    import importlib.util
     spec = importlib.util.spec_from_file_location(
         "sameness", os.path.join(ROOT, "tools", "sameness.py"))
     sameness = importlib.util.module_from_spec(spec)
