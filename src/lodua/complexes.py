@@ -65,9 +65,9 @@ class ChainComplex:
     def homology_data(self, n):
         """Cycle-level bookkeeping for homology classes.
 
-        Returns a HomologyData with H (minimized), the cycle module Z, its
-        inclusion into C_n, the projection Z -> H (built on first read),
-        and a section H -> Z picking representative cycles for the
+        Returns a HomologyData with H (minimized), the inclusion of the
+        cycle module Z into C_n, the projection Z -> H (built on first
+        read), and a section H -> Z picking representative cycles for the
         generators.
         """
         if n in self._hcache:
@@ -80,7 +80,7 @@ class ChainComplex:
         Cn = self.module(n)
         if n < self.lo or n > self.hi:
             Zm = FPModule.zero(self.ring)
-            return HomologyData(Zm, Zm, zero_map(Zm, Cn), identity_map(Zm),
+            return HomologyData(Zm, zero_map(Zm, Cn), identity_map(Zm),
                                 identity_map(Zm))
         if n == self.lo and (n - 1) not in self.modules:
             Z, incl = Cn, identity_map(Cn)
@@ -98,7 +98,7 @@ class ChainComplex:
         # eliminations on its first read
         proj = _ReplayedMap(Z, H, lambda: fwd.matrix)
         rep = ModuleMap(H, Z, bwd.matrix, check=False)
-        return HomologyData(H, Z, incl, proj, rep)
+        return HomologyData(H, incl, proj, rep)
 
     # -- complex algebra -----------------------------------------------------
 
@@ -266,9 +266,8 @@ class HomologyData:
     homology is read through H, incl and rep alone.
     """
 
-    def __init__(self, H, Z, incl, proj, rep):
+    def __init__(self, H, incl, proj, rep):
         self.H = H
-        self.Z = Z
         self.incl = incl
         self.proj = proj
         self.rep = rep

@@ -7,7 +7,7 @@ Three primitives drive every module computation:
     lift_through(ring, cols, target, nrows) -- x with sum x_j cols_j = target
     member(ring, cols, target, nrows)       -- whether such an x exists
 
-plus Smith normal form with tracked transforms over euclidean rings.
+plus Smith normal form with its transforms U and V over euclidean rings.
 Columns and vectors in and out are dense tuples of RingElement.  A syzygy
 question names the width its caller reads: the answer is the nonzero heads
 (first ``width`` coordinates, all of them by default) of the distinct
@@ -118,42 +118,44 @@ def smith_normal_form(ring, A):
 
 
 def smith_form(ring, cols, nrows):
-    """``smith_normal_form`` of the matrix with the given columns."""
-    ar, form = _span_of(ring, cols, nrows).smith()
-    return tuple([[ar.to_el(a) for a in row] for row in X] for X in form)
+    """``smith_normal_form`` of the matrix with the given columns.  The loop
+    keeps U and V only; their inverses are solved here, on demand."""
+    ar, (U, D, V) = _span_of(ring, cols, nrows).smith()
+    return tuple([[ar.to_el(a) for a in row] for row in X]
+                 for X in (U, D, V, _inverse(ar, U), _inverse(ar, V)))
+
+
+def _inverse(ar, X):
+    """X^-1 for an invertible X: its Smith form is I, and P*X*Q = I."""
+    P, _, Q = _smith(ar, list(map(list, X)))
+    P_cols = list(zip(*P))
+    return [_mat_vec(ar, P_cols, row) for row in Q]   # Q*P, by rows
 
 
 def _smith(ar, D):
-    """Smith form of D (rows of ar's values, reduced in place) with transforms."""
+    """Smith form of D (rows of ar's values, reduced in place): (U, D, V)."""
     n = len(D)
     m = len(D[0]) if D else 0
     rank_bound = min(n, m)
     zero, one = ar.zero, ar.one
-    is_zero, add_mul, sub_mul, mul = ar.is_zero, ar.add_mul, ar.sub_mul, ar.mul
+    is_zero, add_mul, mul = ar.is_zero, ar.add_mul, ar.mul
     U = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    Uinv = [list(row) for row in U]
     V = [[one if i == j else zero for j in range(m)] for i in range(m)]
-    Vinv = [list(row) for row in V]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in D:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(i, j, c):
         # row_i += c*row_j, c nonzero: a quotient by a pivot of least size
         D[i] = [add_mul(a, c, b) for a, b in zip(D[i], D[j])]
         U[i] = [add_mul(a, c, b) for a, b in zip(U[i], U[j])]
-        for r in Uinv:
-            r[j] = sub_mul(r[j], c, r[i])
 
     def add_col(i, j, c):
         # col_i += c*col_j, c nonzero
@@ -161,7 +163,6 @@ def _smith(ar, D):
             r[i] = add_mul(r[i], c, r[j])
         for r in V:
             r[i] = add_mul(r[i], c, r[j])
-        Vinv[j] = [sub_mul(a, c, b) for a, b in zip(Vinv[j], Vinv[i])]
 
     def eliminate(k):
         # clear rows and columns k.. around pivots of least euclidean size
@@ -217,12 +218,12 @@ def _smith(ar, D):
         u = ar.unit(d)
         if not (u == one):
             w = ar.inv(u)
-            winv = ar.inv(w)
+            if not ar.is_unit(w):  # seam of Z_p[1/u]: the pivot would vanish
+                raise ZeroDivisionError(
+                    f"{ar.to_el(w)} is not a unit in {ar.ring}")
             D[i] = [mul(w, a) for a in D[i]]
             U[i] = [mul(w, a) for a in U[i]]
-            for r in Uinv:
-                r[i] = mul(r[i], winv)
-    return U, D, V, Uinv, Vinv
+    return U, D, V
 
 
 # -- the three core primitives --------------------------------------------------
@@ -284,7 +285,7 @@ def _span_of(ring, cols, nrows):
 
 # -- answers read off a Smith form ---------------------------------------------
 #
-# form = (U, D, V, Uinv, Vinv) from _smith, with U*A*V = D for the matrix A
+# form = (U, D, V) from _smith, with U*A*V = D for the matrix A
 # of c columns (rows of values of the arithmetic ar).  Completed Z is treated
 # as the valuation domain Z_p: a nonzero diagonal entry p^a contributes no
 # syzygy.  Entries of valuation >= N are stored as zero, which is the stated
@@ -293,7 +294,7 @@ def _span_of(ring, cols, nrows):
 
 def _syz_euclidean(ar, form, c):
     """The columns of V beyond the nonzero diagonal of D."""
-    _, D, V, _, _ = form
+    _, D, V = form
     if not D:  # no rows: every vector is a syzygy
         V = [[ar.one if i == j else ar.zero for j in range(c)] for i in range(c)]
     rank_bound = min(len(D), c)
@@ -303,7 +304,7 @@ def _syz_euclidean(ar, form, c):
 
 def _diagonal_solve(ar, form, b):
     """y with D*y = U*b (values of ar), or None when b is not in the span."""
-    U, D, V, _, _ = form
+    U, D, V = form
     ub = _mat_vec(ar, U, b)
     rank_bound = min(len(D), len(V))
     y = [ar.zero] * len(V)
@@ -363,8 +364,8 @@ class _Span:
         return [tuple(map(from_key, col)) for col in self.cols]
 
     def smith(self):
-        """(ar, (U, D, V, Uinv, Vinv)): the Smith form of the columns on the
-        values of the arithmetic ar, as tuples of rows."""
+        """(ar, (U, D, V)): the Smith form of the columns on the values of
+        the arithmetic ar, as tuples of rows."""
         form = self._form
         if form is None:
             ring = self.ring

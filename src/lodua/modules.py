@@ -10,7 +10,7 @@ rings, quotients, localizations, and completed rings at precision.
 from functools import cached_property
 from itertools import combinations_with_replacement
 
-from .errors import InvalidInput, UnsupportedRing
+from .errors import InternalInconsistency, InvalidInput, UnsupportedRing
 from .linalg import (cols_to_mat, invariant_factors, lift_through, mat_vec,
                      member, membership_test, smith_form, syzygies)
 from .ring import power_products, prefix_products
@@ -493,7 +493,7 @@ def subquotient(f, which):
     """
     if which == "kernel":
         K, incl = f.kernel()
-        _check_middle_exactness(f, K, incl)
+        _check_middle_exactness(f, incl)
         return K, incl
     if which == "image":
         I, incl, _ = f.image()
@@ -504,11 +504,11 @@ def subquotient(f, which):
     raise InvalidInput(f"unknown subquotient kind {which!r}")
 
 
-def _check_middle_exactness(f, K, incl):
-    C, proj = f.cokernel()
-    comp = proj.compose(f)
-    assert comp.is_zero_map(), "source -> cokernel must kill the image"
-    assert f.compose(incl).is_zero_map(), "kernel must die in the target"
+def _check_middle_exactness(f, incl):
+    if not f.cokernel()[1].compose(f).is_zero_map():
+        raise InternalInconsistency("source -> cokernel must kill the image")
+    if not f.compose(incl).is_zero_map():
+        raise InternalInconsistency("kernel must die in the target")
 
 
 def direct_sum(M, N):

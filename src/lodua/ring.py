@@ -677,9 +677,6 @@ class _IntArith:
     def add_mul(self, a, c, b):
         return (a + c * b) % self.m if self.m else a + c * b
 
-    def sub_mul(self, a, c, b):
-        return (a - c * b) % self.m if self.m else a - c * b
-
     def unit(self, d):
         """u with d = u * canonical(d): the sign, or the part prime to p."""
         if self.m:
@@ -718,9 +715,6 @@ class _ElementArith:
 
     def add_mul(self, a, c, b):
         return a + c * b
-
-    def sub_mul(self, a, c, b):
-        return a - c * b
 
 
 class _LocalArith(_ElementArith):

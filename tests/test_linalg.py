@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import gcd
 
@@ -78,6 +79,47 @@ def test_smith_completed_z(Z5hat):
     A = as_mat(Z5hat, [[10, 5], [25, 50]])
     D = check_smith(Z5hat, A)
     assert D[0][0] == Z5hat.el(5)
+
+
+@pytest.mark.parametrize("spec", [
+    {"base": "Q"}, {"base": "Fp", "p": 7}, {"base": "Z", "invert": "10"},
+    {"base": "Z", "invert": "2", "completion": {"ideal": ["5"],
+                                                "precision": 6}}],
+    ids=["Q", "F_7", "Z[1/10]", "Z_5[1/2]"])
+def test_smith_transforms_and_their_solved_inverses(spec):
+    # the fields' record and both u^-1 Z and Z_p[1/u] off the precision
+    # seam; Z, Z_p and Q[t] are checked above
+    R = make_ring(spec)
+    rng = random.Random(5)
+    for _ in range(25):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        check_smith(R, [[R.el(rng.randint(-30, 30),
+                              rng.randint(0, 2) if R.inverted else 0)
+                         for _ in range(m)] for _ in range(n)])
+
+
+def test_the_precision_seam_refuses_a_pivot_it_cannot_normalize():
+    """Over Z_5[1/5] at precision 6 the inverse of a pivot's unit part can
+    come out as 0 (the precision seam of Z_p[1/u] when p | u, ROADMAP item
+    1).  The Smith loop refuses it; without the check the pivot vanishes
+    and the module answers free rank 1.  Over Q_5 the relations have rank
+    3 (columns 3, 4 and 1 have the triangular minor (3/5)(4/25)*1), so
+    once the seam is mended the expected answer is rank 3: free rank 0,
+    and the module is zero."""
+    R = make_ring({"base": "Z", "invert": "5", "completion": {
+        "ideal": ["5"], "precision": 6}})
+    rows = [[(15615, 0), (0, 0), (3, 1), (21, 1)],
+            [(15613, 2), (4, 0), (0, 0), (4, 2)],
+            [(1, 0), (4, 2), (0, 0), (0, 0)]]
+    cols = [tuple(R.el(*row[j]) for row in rows) for j in range(4)]
+    text = "^" + re.escape(
+        "0 is not a unit in ZZ[(5)^-1] completed at (5) to precision 6") + "$"
+    with pytest.raises(ZeroDivisionError, match=text):
+        invariant_factors(R, cols, 3)
+    with pytest.raises(ZeroDivisionError, match=text):
+        FPModule(R, 3, cols).is_zero()
+    with pytest.raises(ZeroDivisionError, match=text):   # and the record
+        R.euclid.inv(R.zero())
 
 
 def test_syzygies_and_lift_over_z(ZZ):
@@ -219,8 +261,8 @@ def test_integer_and_element_arithmetic_agree(case):
     want = _smith(els, [list(row) for row in E])
     for X, Y in zip(got, want):
         assert _as_elements(ints, X) == Y
-    assert tuple(smith_normal_form(ring, E)) == want
-    check_smith(ring, E)
+    assert tuple(smith_normal_form(ring, E)[:3]) == want
+    check_smith(ring, E)   # and the inverses solved from U and V
 
     n, m = len(A), len(A[0])
     cols = [tuple(E[i][j] for i in range(n)) for j in range(m)]
@@ -830,7 +872,8 @@ def test_each_smith_form_is_computed_once(monkeypatch):
         assert len(asked) > len(calls)   # the other questions were hits
 
     # the decomposition, membership, map checks and the canonical
-    # presentation of one module share one elimination
+    # presentation of one module share one elimination of the relations;
+    # the canonical presentation adds one each to solve U^-1 and V^-1
     Z = _Z
     M = FPModule(Z, 2, [(Z.el(4), Z.el(6)), (Z.el(2), Z.el(8))])
     linalg._span.cache_clear()
@@ -838,8 +881,9 @@ def test_each_smith_form_is_computed_once(monkeypatch):
     assert [str(f) for f in M.decomposition()[0]] == ["2", "10"]
     assert M.contains_in_relations((Z.el(6), Z.el(14)))
     assert not M.contains_in_relations((Z.el(1), Z.el(0)))
+    relations = calls[0]
     can, fwd, bwd = M.canonical_presentation()
-    assert len(calls) == 1
+    assert len(calls) == 3 and calls.count(relations) == 1
 
 
 def test_linear_algebra_corners(ZZ, QQxy, monkeypatch):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lodua import (FPModule, InvalidInput, ModuleMap, ext, free_resolution,
-                   iso_check, make_ring, subquotient, tensor, tor)
+from lodua import (FPModule, InternalInconsistency, InvalidInput, ModuleMap,
+                   ext, free_resolution, iso_check, make_ring, subquotient,
+                   tensor, tor)
 from lodua.modules import (HomModule, base_change, block_sum, direct_sum,
                            identity_kron, identity_map, kron_identity,
                            minimize_presentation, power, scalar_map)
@@ -34,6 +35,23 @@ def test_kernel_in_z6(ZZ):
     assert iso_check(K, zmod(ZZ, 2))
     img = incl.col(0)
     assert M6.el_eq(img, (ZZ.el(3),)) or M6.el_eq(img, (ZZ.el(-3),))
+
+
+def test_a_kernel_failing_exactness_is_refused_without_assert(ZZ, monkeypatch):
+    # the check is a raise, so it also runs under python -O
+    M6 = zmod(ZZ, 6)
+    f = ModuleMap(M6, M6, [[ZZ.el(2)]])
+    with monkeypatch.context() as m:   # a projection that kills nothing
+        m.setattr(ModuleMap, "cokernel",
+                  lambda g: (g.target, identity_map(g.target)))
+        with pytest.raises(InternalInconsistency, match="kill the image"):
+            subquotient(f, "kernel")
+    with monkeypatch.context() as m:   # an inclusion that is all of M6
+        m.setattr(ModuleMap, "kernel",
+                  lambda g: (g.source, identity_map(g.source)))
+        with pytest.raises(InternalInconsistency, match="die in the target"):
+            subquotient(f, "kernel")
+    assert iso_check(subquotient(f, "kernel")[0], zmod(ZZ, 2))
 
 
 def test_image_of_multiplication(QQxy):

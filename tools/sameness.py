@@ -25,9 +25,9 @@ module's generator count and relations, the vector and the answer, in
 order.  A zero test over a euclidean ring asks none (it reads the module's
 decomposition), so over Z and Z_p this line counts the other membership
 questions only.  The third hashes every ``linalg._smith`` call: the ring,
-the input matrix, and U, D, V, U^-1 and V^-1, each entry rendered as a
-ring element whatever arithmetic record the loop ran on.  The fourth
-hashes every homology presentation the run computes (each
+the input matrix, and U, D and V (the loop keeps no inverse), each entry
+rendered as a ring element whatever arithmetic record the loop ran on.
+The fourth hashes every homology presentation the run computes (each
 ``ChainComplex._homology_data`` call, table hits not included): H's
 generator count, its relations by ``Ring.vec_key`` and the matrix of its
 representative cycles.  The fifth
